@@ -24,9 +24,9 @@ and asserts:
 5. baseline throughput — per matching count, fresh throughput must not
    drop more than `--max-drop` below the committed baseline. The
    tolerance is deliberately loose (default 50%): the baseline is
-   machine-specific (see the check_ingest_regression caveat) and
-   fan-in numbers swing harder across runner classes than single-queue
-   ingest. Regenerate with
+   machine-specific (absolute tx/s on a shared CI runner is not the
+   recording host's) and fan-in numbers swing hard across runner
+   classes. Regenerate with
    `cargo run --release -p spade-bench --bin bench_fanin`.
 
 Usage:

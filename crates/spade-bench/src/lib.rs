@@ -2,8 +2,9 @@
 //!
 //! Benchmark harness regenerating every table and figure of the Spade
 //! paper's evaluation (§5 + Appendix B). Each table/figure has a binary
-//! (`cargo run -p spade-bench --release --bin <name>`); per-operation
-//! micro-benchmarks live in `benches/` (Criterion).
+//! (`cargo run -p spade-bench --release --bin <name>`). Performance is
+//! measured elsewhere: `bench_stack` in `benchmark/` is the repo's one
+//! benchmark (see `BENCHMARK.json`).
 //!
 //! Scale control: the `SPADE_SCALE` environment variable scales dataset
 //! sizes relative to the paper (default `0.01`, i.e. Grab1 becomes ~40K
@@ -21,4 +22,4 @@ pub use replay::{
     measure_grouped_replay, measure_incremental_replay, measure_static_baseline, MetricKind,
     ReplayReport,
 };
-pub use workloads::{env_scale, grab_datasets, open_datasets, table3_datasets};
+pub use workloads::{env_scale, grab_datasets, table3_datasets};

@@ -34,11 +34,6 @@ pub fn grab_datasets() -> Vec<Dataset> {
     table3_datasets().into_iter().filter(|d| d.name.starts_with("Grab")).collect()
 }
 
-/// The three open-dataset surrogates only.
-pub fn open_datasets() -> Vec<Dataset> {
-    table3_datasets().into_iter().filter(|d| !d.name.starts_with("Grab")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,12 +25,8 @@ pub enum DetectionBackend {
     #[default]
     Kinetic,
     /// Exact O(n) rescan after every update batch. Simple; used as the
-    /// oracle in tests and ablation benches.
+    /// oracle in tests and by the cross-shard repair scratch engine.
     EagerScan,
-    /// No maintenance; [`SpadeEngine::detect`] rescans on demand and
-    /// updates run fastest. Urgency thresholds read the cached (stale)
-    /// detection.
-    Lazy,
 }
 
 /// Engine configuration.
@@ -52,7 +48,6 @@ pub struct SpadeEngine<M: DensityMetric> {
     config: SpadeConfig,
     kinetic: Option<KineticIndex>,
     detection: Detection,
-    detection_dirty: bool,
     scratch: ReorderScratch,
     blacks_buf: Vec<VertexId>,
     /// Reusable batch scratch: edges that actually landed in the graph
@@ -81,10 +76,9 @@ impl<M: DensityMetric> SpadeEngine<M> {
             config,
             kinetic: match config.detection {
                 DetectionBackend::Kinetic => Some(KineticIndex::new()),
-                _ => None,
+                DetectionBackend::EagerScan => None,
             },
             detection: Detection::EMPTY,
-            detection_dirty: false,
             scratch: ReorderScratch::new(),
             blacks_buf: Vec::new(),
             inserted_buf: Vec::new(),
@@ -153,11 +147,10 @@ impl<M: DensityMetric> SpadeEngine<M> {
         }
         engine.detection = match engine.config.detection {
             DetectionBackend::Kinetic => engine.kinetic.as_ref().unwrap().best(),
-            _ => state.scan_detect(),
+            DetectionBackend::EagerScan => state.scan_detect(),
         };
         engine.graph = graph;
         engine.state = state;
-        engine.detection_dirty = false;
         engine
     }
 
@@ -180,9 +173,8 @@ impl<M: DensityMetric> SpadeEngine<M> {
         }
         self.detection = match self.config.detection {
             DetectionBackend::Kinetic => self.kinetic.as_ref().unwrap().best(),
-            _ => self.state.scan_detect(),
+            DetectionBackend::EagerScan => self.state.scan_detect(),
         };
-        self.detection_dirty = false;
     }
 
     /// The underlying graph (read-only).
@@ -215,19 +207,15 @@ impl<M: DensityMetric> SpadeEngine<M> {
         self.total_stats
     }
 
-    /// The most recently maintained detection **without** forcing a
-    /// recomputation — under the `Lazy` backend this may be stale.
+    /// The current detection through a shared reference. Both backends
+    /// refresh it on every update, so it is never stale.
     pub fn cached_detection(&self) -> Detection {
         self.detection
     }
 
-    /// The current fraudulent community descriptor, recomputing if the
-    /// backend requires it.
+    /// The current fraudulent community descriptor. O(1): every update
+    /// already refreshed it through the configured backend.
     pub fn detect(&mut self) -> Detection {
-        if self.detection_dirty {
-            self.detection = self.state.scan_detect();
-            self.detection_dirty = false;
-        }
         self.detection
     }
 
@@ -443,19 +431,10 @@ impl<M: DensityMetric> SpadeEngine<M> {
     }
 
     fn refresh_detection(&mut self) -> Detection {
-        match self.config.detection {
-            DetectionBackend::Kinetic => {
-                self.detection = self.kinetic.as_ref().unwrap().best();
-                self.detection_dirty = false;
-            }
-            DetectionBackend::EagerScan => {
-                self.detection = self.state.scan_detect();
-                self.detection_dirty = false;
-            }
-            DetectionBackend::Lazy => {
-                self.detection_dirty = true;
-            }
-        }
+        self.detection = match self.config.detection {
+            DetectionBackend::Kinetic => self.kinetic.as_ref().unwrap().best(),
+            DetectionBackend::EagerScan => self.state.scan_detect(),
+        };
         self.detection
     }
 
@@ -578,7 +557,6 @@ impl<M: DensityMetric + Clone> Clone for SpadeEngine<M> {
             config: self.config,
             kinetic: self.kinetic.clone(),
             detection: self.detection,
-            detection_dirty: self.detection_dirty,
             scratch: self.scratch.clone(),
             blacks_buf: self.blacks_buf.clone(),
             inserted_buf: self.inserted_buf.clone(),
@@ -795,10 +773,6 @@ mod tests {
                 WeightedDensity,
                 SpadeConfig { detection: DetectionBackend::EagerScan },
             ),
-            SpadeEngine::with_config(
-                WeightedDensity,
-                SpadeConfig { detection: DetectionBackend::Lazy },
-            ),
         ];
         for &(a, b, w) in &edges {
             let mut dets = Vec::new();
@@ -807,9 +781,7 @@ mod tests {
                 dets.push(e.detect());
             }
             assert_eq!(dets[0].size, dets[1].size);
-            assert_eq!(dets[0].size, dets[2].size);
             assert!((dets[0].density - dets[1].density).abs() < 1e-9);
-            assert!((dets[0].density - dets[2].density).abs() < 1e-9);
         }
     }
 

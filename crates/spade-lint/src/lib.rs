@@ -19,11 +19,16 @@
 //! * **`wire-arith`** — length arithmetic in the wire codec must use
 //!   checked/saturating ops; every raw `+`/`*` on a length is either a
 //!   finding or a registered, justified exception.
+//! * **`dangling-ref`** — CI config and the docs ([`REF_DOCS`]) may only
+//!   name cargo targets (`--bin X`, `--bench X`, `--test X`,
+//!   `--example X`), gate files (`ci/<file>`) and bench baselines
+//!   (`BENCH_*.json`) that exist in the tree, so deleting a harness
+//!   without its callers fails here. Never allowlistable.
 //!
 //! The analyzer is intentionally lexical, not syntactic: it strips
 //! strings and comments with a small state machine, tracks brace and
 //! loop depth, and skips `#[cfg(test)]` modules. That is enough to make
-//! the five rules precise on rustfmt-formatted code while keeping the
+//! the source rules precise on rustfmt-formatted code while keeping the
 //! whole tool a single fast pass with zero dependencies.
 //!
 //! An *annotation* rule (relaxed/unsafe) covers the whole "paragraph"
@@ -33,6 +38,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Rule identifiers, also the first column of allowlist entries.
@@ -48,6 +54,8 @@ pub enum Rule {
     InstantLoop,
     /// Unchecked length arithmetic in the wire codec.
     WireArith,
+    /// A doc or CI reference to a target or file the tree does not have.
+    DanglingRef,
 }
 
 impl Rule {
@@ -59,6 +67,7 @@ impl Rule {
             Rule::HotPanic => "hot-panic",
             Rule::InstantLoop => "instant-loop",
             Rule::WireArith => "wire-arith",
+            Rule::DanglingRef => "dangling-ref",
         }
     }
 
@@ -70,6 +79,7 @@ impl Rule {
             "hot-panic" => Some(Rule::HotPanic),
             "instant-loop" => Some(Rule::InstantLoop),
             "wire-arith" => Some(Rule::WireArith),
+            "dangling-ref" => Some(Rule::DanglingRef),
             _ => None,
         }
     }
@@ -512,6 +522,231 @@ fn check_line(
 }
 
 // ---------------------------------------------------------------------
+// Dangling references from docs and CI config.
+// ---------------------------------------------------------------------
+
+/// The files `dangling-ref` reads, workspace-relative. A missing one is
+/// skipped (a checkout without the verify skill is still lintable).
+pub const REF_DOCS: &[&str] =
+    &[".github/workflows/ci.yml", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"];
+
+/// Cargo target kinds: the name shared by the `--<kind>` flag and the
+/// manifest's `[[<kind>]]` section, and the package-relative directory
+/// whose `*.rs` files cargo auto-discovers as targets of that kind.
+const TARGET_KINDS: [(&str, &str); 4] =
+    [("bin", "src/bin"), ("bench", "benches"), ("test", "tests"), ("example", "examples")];
+
+/// What the tree offers for a doc to name: cargo targets by kind, and
+/// the committed files that `ci/…` and `BENCH_*.json` tokens resolve to.
+#[derive(Clone, Debug, Default)]
+pub struct Tree {
+    targets: BTreeSet<(&'static str, String)>,
+    files: BTreeSet<String>,
+}
+
+impl Tree {
+    /// A tree given literally — `targets` as `(kind, name)`, `files` as
+    /// workspace-relative paths. The self-test judges its fixture
+    /// against one of these, so it never depends on the checkout.
+    pub fn of(targets: &[(&'static str, &str)], files: &[&str]) -> Tree {
+        Tree {
+            targets: targets.iter().map(|&(kind, name)| (kind, name.to_string())).collect(),
+            files: files.iter().map(|f| f.to_string()).collect(),
+        }
+    }
+
+    /// Indexes the checkout at `root`: every package (the facade, each
+    /// crate and vendored shim, the standalone `benchmark/`) contributes
+    /// its auto-discovered and manifest-declared targets; `ci/` and the
+    /// root-level `BENCH_*` baselines contribute files.
+    pub fn from_root(root: &Path) -> io::Result<Tree> {
+        let mut tree = Tree::default();
+        let mut packages = vec![root.to_path_buf(), root.join("benchmark")];
+        for group in ["crates", "crates/vendor"] {
+            packages.extend(list_dir(&root.join(group))?);
+        }
+        for package in packages {
+            if let Ok(manifest) = std::fs::read_to_string(package.join("Cargo.toml")) {
+                tree.add_package(&package, &manifest)?;
+            }
+        }
+        let mut files = walk_files(&root.join("ci"))?;
+        files.extend(list_dir(root)?.into_iter().filter(|p| p.is_file()));
+        tree.files = files.iter().map(|p| rel_path(root, p)).collect();
+        tree.files.retain(|f| f.starts_with("ci/") || f.starts_with("BENCH_"));
+        Ok(tree)
+    }
+
+    fn add_package(&mut self, dir: &Path, manifest: &str) -> io::Result<()> {
+        let mut section = "";
+        let mut package_name = None;
+        let mut declares_bin = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line.trim_matches(['[', ']']);
+                declares_bin |= line == "[[bin]]";
+            } else if let Some(name) = manifest_name(line) {
+                if section == "package" {
+                    package_name = Some(name.to_string());
+                } else if let Some(&(kind, _)) = TARGET_KINDS.iter().find(|(k, _)| *k == section) {
+                    self.targets.insert((kind, name.to_string()));
+                }
+            }
+        }
+        // `src/main.rs` is a bin named after the package unless the
+        // manifest names its bins itself.
+        if let (Some(name), false) = (package_name, declares_bin) {
+            if dir.join("src/main.rs").is_file() {
+                self.targets.insert(("bin", name));
+            }
+        }
+        for (kind, sub) in TARGET_KINDS {
+            for path in list_dir(&dir.join(sub))? {
+                let is_target =
+                    path.extension().is_some_and(|e| e == "rs") || path.join("main.rs").is_file();
+                if let (true, Some(stem)) = (is_target, path.file_stem()) {
+                    self.targets.insert((kind, stem.to_string_lossy().into_owned()));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn has_target(&self, kind: &'static str, name: &str) -> bool {
+        self.targets.contains(&(kind, name.to_string()))
+    }
+
+    /// `path` is a committed file, or a directory holding one.
+    fn has_path(&self, path: &str) -> bool {
+        let as_dir = format!("{path}/");
+        self.files.contains(path) || self.files.iter().any(|f| f.starts_with(&as_dir))
+    }
+}
+
+/// The value of a manifest `name = "…"` line.
+fn manifest_name(line: &str) -> Option<&str> {
+    let value = line.strip_prefix("name")?.trim_start().strip_prefix('=')?.trim();
+    value.strip_prefix('"')?.strip_suffix('"')
+}
+
+/// Entries of `dir`, sorted; a missing directory has none.
+fn list_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut paths = entries.map(|e| e.map(|e| e.path())).collect::<io::Result<Vec<_>>>()?;
+    paths.sort();
+    Ok(paths)
+}
+
+/// Every file below `dir`, recursively; a missing directory has none.
+fn walk_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for path in list_dir(&dir)? {
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    Ok(files)
+}
+
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/")
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+fn is_path_byte(b: u8) -> bool {
+    is_ident_byte(b) || matches!(b, b'.' | b'/' | b'-')
+}
+
+/// The run of bytes accepted by `keep` starting at `from`, unless what
+/// follows marks it as a pattern rather than a name (`ci/*.py`,
+/// `--bin <name>`, `BENCH_{a,b}.json`).
+fn name_at(text: &str, from: usize, keep: fn(u8) -> bool) -> Option<&str> {
+    let bytes = text.as_bytes();
+    let len = bytes[from..].iter().take_while(|&&b| keep(b)).count();
+    let is_pattern = matches!(bytes.get(from + len), Some(b'*' | b'<' | b'{'));
+    (len > 0 && !is_pattern).then(|| &text[from..from + len])
+}
+
+/// Checks one doc's references against `tree`. `path` is the doc's
+/// workspace-relative path. Recognized tokens:
+///
+/// * `--bin X` / `--bench X` / `--test X` / `--example X` — `X` must be
+///   a target of that kind in some package;
+/// * `ci/<path>` — must be a committed file or directory;
+/// * `BENCH_<name>.json` — must be a committed root-level baseline; a
+///   `BENCH_<name>.fresh.json` is a run's output and needs the
+///   `BENCH_<name>.json` baseline it is gated against.
+///
+/// Placeholders and globs (`--bin <name>`, `ci/*.py`) are not names and
+/// are skipped.
+pub fn scan_doc(path: &str, text: &str, tree: &Tree) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut dangling = |line: usize, key: String, what: &str| {
+        findings.push(Finding {
+            rule: Rule::DanglingRef,
+            path: path.to_string(),
+            line,
+            message: format!("`{key}` names {what} that is not in the tree"),
+            key,
+            allowable: false,
+        });
+    };
+    for (idx, line) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let bytes = line.as_bytes();
+        for (kind, _) in TARGET_KINDS {
+            // The trailing space keeps `--test-threads` and `--bins` out.
+            let flag = format!("--{kind} ");
+            for (at, _) in line.match_indices(&flag) {
+                let keep = |b| is_ident_byte(b) || b == b'-';
+                if let Some(name) = name_at(line, at + flag.len(), keep) {
+                    if !tree.has_target(kind, name) {
+                        dangling(lineno, format!("--{kind} {name}"), &format!("a {kind} target"));
+                    }
+                }
+            }
+        }
+        for (at, _) in line.match_indices("ci/") {
+            if at > 0 && is_path_byte(bytes[at - 1]) {
+                continue; // the tail of a longer path
+            }
+            if let Some(name) = name_at(line, at, is_path_byte) {
+                let name = name.trim_end_matches(['.', '/']);
+                if !tree.has_path(name) {
+                    dangling(lineno, name.to_string(), "a file");
+                }
+            }
+        }
+        for (at, _) in line.match_indices("BENCH_") {
+            if at > 0 && is_ident_byte(bytes[at - 1]) {
+                continue; // `SPADE_BENCH_…`
+            }
+            let keep = |b| is_ident_byte(b) || b == b'.';
+            let Some(name) = name_at(line, at, keep) else { continue };
+            let name = name.trim_end_matches('.');
+            let Some(stem) = name.strip_suffix(".json") else { continue };
+            let baseline = format!("{}.json", stem.strip_suffix(".fresh").unwrap_or(stem));
+            if !tree.files.contains(&baseline) {
+                dangling(lineno, name.to_string(), "a bench baseline");
+            }
+        }
+    }
+    findings
+}
+
+// ---------------------------------------------------------------------
 // Allowlist.
 // ---------------------------------------------------------------------
 
@@ -593,42 +828,32 @@ impl Allowlist {
 /// vendor shims (stand-in code with its own idioms, replaced wholesale
 /// on a networked builder) and this linter's intentionally-bad fixtures.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    let mut stack = vec![root.join("src"), root.join("crates")];
-    while let Some(dir) = stack.pop() {
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(_) => continue,
-        };
-        for entry in entries {
-            let entry = entry?;
-            let path = entry.path();
-            let rel = path.strip_prefix(root).unwrap_or(&path);
-            let rel_str = rel.to_string_lossy().replace('\\', "/");
-            if rel_str.starts_with("crates/vendor") || rel_str.contains("spade-lint/fixtures") {
-                continue;
-            }
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && (rel_str.starts_with("src/") || rel_str.contains("/src/"))
-            {
-                files.push(path);
-            }
-        }
-    }
+    let mut files = walk_files(&root.join("src"))?;
+    files.extend(walk_files(&root.join("crates"))?);
+    files.retain(|path| {
+        let rel = rel_path(root, path);
+        path.extension().is_some_and(|e| e == "rs")
+            && (rel.starts_with("src/") || rel.contains("/src/"))
+            && !rel.starts_with("crates/vendor")
+            && !rel.contains("spade-lint/fixtures")
+    });
     files.sort();
     Ok(files)
 }
 
-/// Scans every workspace file, returning all findings (allowlist not
-/// yet applied) keyed by workspace-relative path.
+/// Scans every workspace file and every [`REF_DOCS`] doc, returning all
+/// findings (allowlist not yet applied) keyed by workspace-relative path.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for file in workspace_files(root)? {
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy().replace('\\', "/");
         let source = std::fs::read_to_string(&file)?;
-        findings.extend(scan_file(&rel, &source));
+        findings.extend(scan_file(&rel_path(root, &file), &source));
+    }
+    let tree = Tree::from_root(root)?;
+    for doc in REF_DOCS {
+        if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
+            findings.extend(scan_doc(doc, &text, &tree));
+        }
     }
     Ok(findings)
 }
@@ -777,6 +1002,41 @@ fn f() {
 
         let elsewhere = scan_file("crates/spade-core/src/service.rs", bad);
         assert!(elsewhere.iter().all(|f| f.rule != Rule::WireArith));
+    }
+
+    #[test]
+    fn dangling_ref_reports_names_the_tree_lacks_and_skips_patterns() {
+        let tree = Tree::of(&[("bin", "spade"), ("test", "sharded")], &["ci/check_fanin.py"]);
+        let live = "run `--bin spade`, `--test sharded -- --test-threads=1`, ci/check_fanin.py.\n\
+                    patterns: --bin <name>, ci/*.py, BENCH_*.json, SPADE_BENCH_X.json, docs/ci/x.py\n";
+        assert!(scan_doc("README.md", live, &tree).is_empty());
+
+        let dead = "cargo bench --bench spade\npython3 ci/check_gone.py BENCH_gone.fresh.json\n";
+        let findings = scan_doc("README.md", dead, &tree);
+        let keys: Vec<_> = findings.iter().map(|f| (f.line, f.key.as_str())).collect();
+        // A bin named `spade` does not make `--bench spade` live.
+        assert_eq!(
+            keys,
+            [(1, "--bench spade"), (2, "ci/check_gone.py"), (2, "BENCH_gone.fresh.json")]
+        );
+        assert!(findings.iter().all(|f| f.rule == Rule::DanglingRef && !f.allowable));
+    }
+
+    #[test]
+    fn tree_indexes_discovered_and_declared_targets_of_this_checkout() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let tree = Tree::from_root(&root).expect("index");
+        // Declared `[[bin]]` (spade-cli names its `src/main.rs` bin
+        // `spade`, so the package name is not a target) …
+        assert!(tree.has_target("bin", "spade") && tree.has_target("bin", "spade-lint"));
+        assert!(!tree.has_target("bin", "spade-cli"));
+        // … discovered `src/bin/*.rs`, `tests/*.rs`, `examples/*.rs` …
+        assert!(tree.has_target("bin", "shardd") && tree.has_target("test", "lock_order"));
+        assert!(tree.has_target("example", "quickstart"));
+        // … the standalone benchmark package, and the gate files.
+        assert!(tree.has_target("bin", "bench_stack"));
+        assert!(tree.has_path("ci/check_fanin.py") && tree.has_path("ci/fixtures"));
+        assert!(!tree.has_path("ci/check"));
     }
 
     #[test]

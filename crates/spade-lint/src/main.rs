@@ -8,16 +8,19 @@
 //! `--workspace` scans the repository and exits non-zero on any
 //! violation: an unannotated `Ordering::Relaxed` or `unsafe`, an
 //! annotation or hot-path/wire finding not registered in the allowlist
-//! (`spade-lint.allow` at the workspace root by default), or a stale
-//! allowlist entry that no longer matches any site.
+//! (`spade-lint.allow` at the workspace root by default), a stale
+//! allowlist entry that no longer matches any site, or a doc / CI
+//! reference to a cargo target, `ci/` file or `BENCH_*.json` baseline
+//! that is not in the tree.
 //!
 //! `--self-test` proves the detector still detects: it runs the rules
 //! over committed bad fixtures (unannotated relaxed, hot-path unwrap,
-//! unchecked wire-length arithmetic, bare unsafe, clock-in-loop) and a
-//! good fixture, failing if any expected finding goes missing —
-//! mirroring the `--self-test` pattern of the `ci/` gate scripts.
+//! unchecked wire-length arithmetic, bare unsafe, clock-in-loop, a doc
+//! naming deleted targets) and a good fixture, failing if any expected
+//! finding goes missing — mirroring the `--self-test` pattern of the
+//! `ci/` gate scripts.
 
-use spade_lint::{evaluate, scan_file, scan_workspace, Allowlist, Rule};
+use spade_lint::{evaluate, scan_doc, scan_file, scan_workspace, Allowlist, Rule, Tree};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -202,6 +205,37 @@ fn run_self_test() -> ExitCode {
             println!("    unexpected: {f}");
             failed = true;
         }
+    }
+
+    // The doc fixture mixes live and dead references: exactly the dead
+    // ones must be reported, against a tree given here so the verdict
+    // does not depend on the checkout.
+    let tree = Tree::of(
+        &[("bin", "bench_fanin"), ("test", "lock_order"), ("example", "quickstart")],
+        &["ci/check_fanin.py", "ci/fixtures/fanin_pass.json", "BENCH_fanin.json"],
+    );
+    let dead = [
+        "--bin bench_retired",
+        "BENCH_retired.fresh.json",
+        "ci/check_retired.py",
+        "BENCH_retired.json",
+        "BENCH_retired.fresh.json",
+        "--bench bench_sharded",
+        "--test lock_ordering",
+        "--example quick_start",
+        "ci/fixtures/retired_baseline.json",
+    ];
+    let findings = scan_doc("README.md", include_str!("../fixtures/bad_dangling_ref.md"), &tree);
+    let keys: Vec<&str> = findings.iter().map(|f| f.key.as_str()).collect();
+    let ok = keys == dead && findings.iter().all(|f| f.rule == Rule::DanglingRef && !f.allowable);
+    println!(
+        "self-test bad_dangling_ref: {} ({} dangling-ref findings)",
+        if ok { "PASS" } else { "FAIL" },
+        findings.len()
+    );
+    if !ok {
+        println!("    expected {dead:?}\n    reported {keys:?}");
+        failed = true;
     }
 
     if failed {

@@ -680,6 +680,12 @@ mod tests {
                 })
             })
             .collect();
+        // Snapshots race recording only once a writer is running; waiting
+        // for the first sample also makes the final `count > 0` follow
+        // from this test's own ordering, not the scheduler's.
+        while h.snapshot().count == 0 {
+            std::thread::yield_now();
+        }
         let mut last_count = 0u64;
         for _ in 0..200 {
             let s = h.snapshot();

@@ -392,8 +392,7 @@ pub(crate) fn apply_frame(
         | WireFrame::Absorb { .. }
         | WireFrame::Replicate { .. }
         | WireFrame::Bootstrap { .. } => {
-            // audit: monotone transport counter, telemetry only
-            telemetry.malformed_frames.fetch_add(1, Ordering::Relaxed);
+            telemetry.count_malformed();
             reply(&WireFrame::Error {
                 message: "shard operation sent to the sharded front end".into(),
             });
@@ -410,8 +409,7 @@ pub(crate) fn apply_frame(
         | WireFrame::AbsorbReply(_)
         | WireFrame::BootstrapChunk(_)
         | WireFrame::Error { .. } => {
-            // audit: monotone transport counter, telemetry only
-            telemetry.malformed_frames.fetch_add(1, Ordering::Relaxed);
+            telemetry.count_malformed();
             reply(&WireFrame::Error { message: "reply frame sent to server".into() });
             FrameStep::Close
         }

@@ -315,8 +315,9 @@ fn apply(
         },
         WireFrame::Batch { edges } => submit_batch(service, edges, None, &mut reply),
         WireFrame::BatchBudget { budget_us, edges } => {
-            let budget = Duration::from_micros(u64::from(budget_us));
-            submit_batch(service, edges, Some(budget), &mut reply)
+            // `budget_us == 0` means "no budget", as on the in-process server.
+            let budget = (budget_us > 0).then(|| Duration::from_micros(u64::from(budget_us)));
+            submit_batch(service, edges, budget, &mut reply)
         }
         WireFrame::Flush => {
             if service.flush() {
@@ -551,6 +552,30 @@ mod tests {
         }
         match request(&mut stream, &WireFrame::Detect) {
             WireFrame::Detection(det) => assert_eq!(det.size, 4),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        server.stop();
+    }
+
+    #[test]
+    fn zero_budget_batch_means_no_budget_not_an_elapsed_one() {
+        let (mut server, mut stream) = spawn_server();
+        let edges = vec![(v(1), v(2), 4.0), (v(2), v(3), 4.0), (v(3), v(1), 4.0)];
+        match request(&mut stream, &WireFrame::BatchBudget { budget_us: 0, edges }) {
+            WireFrame::Ack { accepted } => assert_eq!(accepted, 3),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        // Stats drains the worker first, so the batch has been applied.
+        match request(&mut stream, &WireFrame::Stats) {
+            WireFrame::StatsReply(stats) => assert_eq!(stats.updates_applied, 3),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        match request(&mut stream, &WireFrame::Metrics) {
+            WireFrame::MetricsReply(m) => assert!(
+                m.exposition.contains("spade_deadline_miss_total 0"),
+                "a zero budget was scheduled as a deadline:\n{}",
+                m.exposition
+            ),
             other => panic!("unexpected reply: {other:?}"),
         }
         server.stop();

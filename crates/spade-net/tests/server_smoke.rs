@@ -7,7 +7,8 @@ use spade_core::metric::WeightedDensity;
 use spade_core::shard::{ShardedConfig, ShardedSpadeService};
 use spade_core::PartitionStrategy;
 use spade_graph::VertexId;
-use spade_net::{read_frame, SpadeNetClient, SpadeNetServer, WireFrame};
+use spade_metrics::EventKind::MalformedFrame;
+use spade_net::{read_frame, write_frame, SpadeNetClient, SpadeNetServer, WireFrame};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -130,6 +131,18 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
         other => panic!("expected an Error frame, got {other:?}"),
     }
 
+    // A third: a well-formed *reply* frame sent to the server is a
+    // protocol violation — same Error + close, same counter, same trace
+    // event as undecodable bytes.
+    let mut backwards = TcpStream::connect(server.local_addr()).expect("connect");
+    write_frame(&mut backwards, &WireFrame::Ack { accepted: 1 }).unwrap();
+    backwards.flush().unwrap();
+    match read_frame(&mut backwards).expect("an error reply") {
+        Some(WireFrame::Error { message }) => assert!(message.contains("reply frame")),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    assert_eq!(read_frame(&mut backwards).expect("clean close"), None);
+
     // ...while honest producers keep working on the same server.
     let mut honest = SpadeNetClient::connect(server.local_addr()).expect("connect");
     for a in 10..13u32 {
@@ -143,8 +156,10 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
     assert_eq!(det.size, 3);
     drop(honest);
 
+    let traced = server.metrics().events.iter().filter(|e| e.kind == MalformedFrame).count();
     let net = server.shutdown();
-    assert!(net.malformed_frames >= 2);
+    assert!(net.malformed_frames >= 3);
+    assert_eq!(traced as u64, net.malformed_frames, "every malformed frame leaves a trace event");
     assert_eq!(net.edges_accepted, 6);
     drop(service);
 }
