@@ -34,6 +34,13 @@
 //! exactly as in §4.3 while urgent transactions update the published
 //! detection immediately.
 //!
+//! Inside the worker an edge takes one route however it was queued: a
+//! single `submit` and a whole `submit_batch` run enter through the same
+//! `ingest` step (stage the edge, or classify it when grouping is on),
+//! and everything readers may observe — a run's end, a barrier, a region
+//! export — goes through the same `settle` step: apply the staged batch
+//! as one pass, then publish.
+//!
 //! The sharded runtime (`crate::shard`) scales this out by wrapping one
 //! [`SpadeService`] per shard — same ingest protocol, same
 //! publish-into-snapshot discipline, same drain-on-shutdown guarantee.
@@ -378,10 +385,7 @@ pub struct ServiceStats {
     pub uptime_secs: f64,
 }
 
-/// Outcome of a non-blocking submit attempt. Public because transport
-/// front ends (`spade-net`) translate `Full` into a wire-level Busy reply
-/// instead of blocking their accept/handler threads on a back-pressured
-/// shard.
+/// Outcome of a non-blocking submit attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrySubmit {
     /// The transaction was enqueued.
@@ -439,20 +443,19 @@ impl SpadeService {
         let (engine_tx, engine_back) = bounded(1);
         let shared = Arc::new(SharedDetection::default());
         let metrics = Arc::new(WorkerMetrics::new(Arc::new(MetricsRegistry::new())));
-        let worker_shared = Arc::clone(&shared);
-        let worker_metrics = Arc::clone(&metrics);
+        let mut worker = Worker::new(
+            engine,
+            grouping,
+            ingest.coalesce,
+            Arc::clone(&shared),
+            Arc::clone(&metrics),
+        );
         let worker = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
-                worker_loop(
-                    engine,
-                    grouping,
-                    ingest,
-                    receiver,
-                    worker_shared,
-                    worker_metrics,
-                    engine_tx,
-                )
+                worker.run(&receiver);
+                let engine: Box<dyn Any + Send> = Box::new(worker.engine);
+                let _ = engine_tx.send(engine);
             })
             .expect("failed to spawn detector thread");
         SpadeService {
@@ -492,28 +495,10 @@ impl SpadeService {
 
     /// Non-blocking [`submit`](Self::submit): enqueues only if the queue
     /// has space right now. The sharded runtime uses this so its routing
-    /// lock is never held across a back-pressure wait; network front ends
-    /// use it to answer Busy instead of stalling a connection handler.
+    /// lock is never held across a back-pressure wait.
     pub fn try_submit(&self, src: VertexId, dst: VertexId, raw: f64) -> TrySubmit {
-        self.try_submit_with_budget(src, dst, raw, None)
-    }
-
-    /// Non-blocking [`submit_with_budget`](Self::submit_with_budget).
-    pub fn try_submit_with_budget(
-        &self,
-        src: VertexId,
-        dst: VertexId,
-        raw: f64,
-        budget: Option<Duration>,
-    ) -> TrySubmit {
-        let budget = budget.or(self.default_budget);
-        match self.sender.try_send(Command::Insert {
-            src,
-            dst,
-            raw,
-            queued: Instant::now(),
-            budget,
-        }) {
+        let (queued, budget) = (Instant::now(), self.default_budget);
+        match self.sender.try_send(Command::Insert { src, dst, raw, queued, budget }) {
             Ok(()) => TrySubmit::Queued,
             Err(TrySendError::Full(_)) => TrySubmit::Full,
             Err(TrySendError::Disconnected(_)) => TrySubmit::Closed,
@@ -722,260 +707,122 @@ impl Drop for SpadeService {
     }
 }
 
-/// The detector worker: consumes [`Command`]s until shutdown, publishing
-/// every new detection into `shared`. Every [`SpadeService`] runs one of
-/// these — including the N services the sharded runtime wraps.
-///
-/// The loop blocks on the first command of a run, then drains whatever
-/// else is already queued (up to the coalesce cap) and applies the whole
-/// run through the batch path: one reorder pass, one publish attempt.
-///
-/// With latency budgets in play the drain becomes an event-driven wait:
-/// when the queue runs dry while budgeted transactions are staged, the
-/// worker spring-pushes the batch boundary — it sleeps on the channel
-/// until either new work arrives or the earliest staged deadline (minus
-/// a peel-cost margin estimated from the live reorder histogram) would
-/// be at risk, whichever comes first. Budget-free runs never wait, so
-/// the no-budget path is bit-identical to plain drain-coalescing.
-fn worker_loop<M: DensityMetric + Send + 'static>(
-    mut engine: SpadeEngine<M>,
-    grouping: Option<GroupingConfig>,
-    ingest: IngestConfig,
-    receiver: Receiver<Command>,
+/// The detector worker: everything the ingest thread owns. Every
+/// [`SpadeService`] runs one of these — including the N services the
+/// sharded runtime wraps. [`ingest`](Self::ingest) and
+/// [`settle`](Self::settle) are the one route the module docs describe.
+struct Worker<M: DensityMetric> {
+    engine: SpadeEngine<M>,
+    grouper: Option<EdgeGrouper>,
+    /// Cap on the staged batch and on the edges one run drains.
+    coalesce: usize,
+    /// Ungrouped inserts staged for one batch application.
+    batch: Vec<(VertexId, VertexId, f64)>,
+    /// Arrival stamp + budget of every staged insert, kept in lockstep
+    /// with `batch` so apply time can record the true submit → apply
+    /// wait and deadline slack per transaction.
+    pending: Vec<(Instant, Option<Duration>)>,
+    /// Edges ingested by the current run.
+    run_len: usize,
+    /// Ingest commands consumed so far.
+    updates: u64,
+    publisher: Publisher,
     shared: Arc<SharedDetection>,
     metrics: Arc<WorkerMetrics>,
-    engine_tx: Sender<Box<dyn Any + Send>>,
-) {
-    let mut grouper = grouping.map(EdgeGrouper::new);
-    let coalesce = ingest.coalesce.max(1);
-    let mut batch: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(coalesce.min(4096));
-    // Arrival stamp + budget of every staged (ungrouped) insert, kept in
-    // lockstep with `batch` so apply time can record the true submit →
-    // apply wait and deadline slack per transaction.
-    let mut pending: Vec<(Instant, Option<Duration>)> = Vec::with_capacity(coalesce.min(4096));
-    let mut publisher = Publisher::default();
-    let mut updates: u64 = 0;
-    publisher.publish(&mut engine, &shared, updates, &metrics);
-    let mut shutdown = false;
-    while !shutdown {
-        let Ok(first) = receiver.recv() else { break };
-        // Drain-coalesce: pull whatever is already queued behind the
-        // first command, stopping at the cap or a shutdown marker.
-        //
-        // Without a grouper, inserts accumulate into `batch` and apply
-        // as one §4.2 pass at the end of the run. With a grouper, each
-        // insert goes through per-edge urgency classification right here
-        // (benign edges only touch the grouping buffer — no reorder, no
-        // publish), and an urgent flush publishes *immediately*, so the
-        // §4.3 real-time guarantee survives coalescing.
-        let mut cmd = first;
-        let mut run_len = 0usize;
-        // Peel-cost margin for the spring push, resolved from the live
-        // reorder histogram at most once per run (a snapshot allocates)
-        // and only when a budgeted insert actually needs it.
-        let mut margin: Option<Duration> = None;
-        loop {
-            match cmd {
-                Command::Insert { src, dst, raw, queued, budget } => {
-                    run_len += 1;
-                    match grouper.as_mut() {
-                        Some(g) => {
-                            // Grouped inserts apply (or buffer) right
-                            // here, so drain time IS apply time: one
-                            // clock read covers the queue-wait sample
-                            // and the start of processing time.
-                            let drained = Instant::now();
-                            record_wait(
-                                &metrics,
-                                drained.saturating_duration_since(queued),
-                                budget,
-                            );
-                            updates += 1;
-                            match g.submit(&mut engine, src, dst, raw) {
-                                Ok(out) if out.flushed.is_some() => {
-                                    // An urgent/capacity flush ran a real
-                                    // reorder pass: attribute its cost to
-                                    // the reorder/peel stage.
-                                    metrics.reorder_ns.record_duration(drained.elapsed());
-                                    metrics.registry.event(EventKind::Flush, updates);
-                                    sync_flush_count(&grouper, &metrics);
-                                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                                }
-                                Ok(_) => {}
-                                Err(_) => {
-                                    metrics.rejected.inc();
-                                }
-                            }
-                        }
-                        None => {
-                            // Staged inserts defer their queue-wait
-                            // sample to apply time (the wait they pay
-                            // includes any spring-push delay). No clock
-                            // read per edge — apply stamps the batch
-                            // once.
-                            batch.push((src, dst, raw));
-                            pending.push((queued, budget));
-                        }
+}
+
+impl<M: DensityMetric> Worker<M> {
+    fn new(
+        engine: SpadeEngine<M>,
+        grouping: Option<GroupingConfig>,
+        coalesce: usize,
+        shared: Arc<SharedDetection>,
+        metrics: Arc<WorkerMetrics>,
+    ) -> Self {
+        let coalesce = coalesce.max(1);
+        Worker {
+            engine,
+            grouper: grouping.map(EdgeGrouper::new),
+            coalesce,
+            batch: Vec::with_capacity(coalesce.min(4096)),
+            pending: Vec::with_capacity(coalesce.min(4096)),
+            run_len: 0,
+            updates: 0,
+            publisher: Publisher::default(),
+            shared,
+            metrics,
+        }
+    }
+
+    /// Consumes [`Command`]s until shutdown (or until every sender is
+    /// gone), publishing every new detection into `shared`.
+    ///
+    /// The loop blocks on the first command of a run, then drains
+    /// whatever else is already queued (up to the coalesce cap) and
+    /// settles the whole run at once: one reorder pass, one publish
+    /// attempt.
+    ///
+    /// With latency budgets in play the drain becomes an event-driven
+    /// wait: when the queue runs dry while budgeted transactions are
+    /// staged, the worker spring-pushes the batch boundary — it sleeps
+    /// on the channel until either new work arrives or the earliest
+    /// staged deadline (minus a peel-cost margin estimated from the live
+    /// reorder histogram) would be at risk, whichever comes first.
+    /// Budget-free runs never wait, so the no-budget path is
+    /// bit-identical to plain drain-coalescing.
+    fn run(&mut self, receiver: &Receiver<Command>) {
+        self.publish();
+        let mut shutdown = false;
+        while !shutdown {
+            // Every sender gone is a shutdown without the marker.
+            let mut cmd = receiver.recv().unwrap_or(Command::Shutdown);
+            self.run_len = 0;
+            // Peel-cost margin for the spring push, resolved from the
+            // live reorder histogram at most once per run (a snapshot
+            // allocates) and only when a budgeted insert needs it.
+            let mut margin: Option<Duration> = None;
+            loop {
+                match cmd {
+                    Command::Insert { src, dst, raw, queued, budget } => {
+                        self.ingest(&[(src, dst, raw)], queued, budget);
                     }
-                    if run_len >= coalesce {
+                    Command::InsertBatch { edges, queued, budget } => {
+                        // The command left the channel: its surplus
+                        // edges no longer occupy queue slots (same as a
+                        // drained per-edge run).
+                        // audit: advisory backlog counter, races only widen queue_free slack
+                        self.shared
+                            .batched_backlog
+                            .fetch_sub(edges.len().saturating_sub(1) as u64, Ordering::Relaxed);
+                        self.ingest(&edges, queued, budget);
+                    }
+                    Command::Flush => self.flush(),
+                    Command::Barrier { reply } => {
+                        self.settle();
+                        let _ = reply.send(());
+                    }
+                    Command::Region { hops, reply } => {
+                        let _ = reply.send(self.export_region(hops));
+                    }
+                    Command::MigrateOut { members, reply } => {
+                        let _ = reply.send(self.migrate_out(&members));
+                    }
+                    Command::Absorb { slice, reply } => {
+                        let _ = reply.send(self.absorb(&slice));
+                    }
+                    Command::Shutdown => {
+                        // Final drain, so the last published state
+                        // reflects every submission before the marker.
+                        self.flush();
+                        shutdown = true;
                         break;
                     }
                 }
-                Command::InsertBatch { edges, queued, budget } => {
-                    // The command left the channel: its surplus edges no
-                    // longer occupy queue slots (same as a drained
-                    // per-edge run).
-                    // audit: advisory backlog counter, races only widen queue_free slack
-                    shared
-                        .batched_backlog
-                        .fetch_sub((edges.len().saturating_sub(1)) as u64, Ordering::Relaxed);
-                    match grouper.as_mut() {
-                        Some(g) => {
-                            let drained = Instant::now();
-                            let wait = drained.saturating_duration_since(queued);
-                            for (src, dst, raw) in edges {
-                                run_len += 1;
-                                record_wait(&metrics, wait, budget);
-                                updates += 1;
-                                match g.submit(&mut engine, src, dst, raw) {
-                                    Ok(out) if out.flushed.is_some() => {
-                                        metrics.reorder_ns.record_duration(drained.elapsed());
-                                        metrics.registry.event(EventKind::Flush, updates);
-                                        // `g` stays borrowed across the
-                                        // edge loop, so sync from it
-                                        // directly.
-                                        metrics.flushes.store(g.stats().flushes as u64);
-                                        publisher.publish(&mut engine, &shared, updates, &metrics);
-                                    }
-                                    Ok(_) => {}
-                                    Err(_) => {
-                                        metrics.rejected.inc();
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            for (src, dst, raw) in edges {
-                                run_len += 1;
-                                batch.push((src, dst, raw));
-                                pending.push((queued, budget));
-                                if batch.len() >= coalesce {
-                                    // A frame can overshoot the coalesce
-                                    // cap mid-command: flush the full
-                                    // batch early and keep going — same
-                                    // mid-run publish the urgent grouped
-                                    // flush already does.
-                                    apply_batch(
-                                        &mut engine,
-                                        &mut batch,
-                                        &mut pending,
-                                        &mut updates,
-                                        &metrics,
-                                    );
-                                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                                }
-                            }
-                        }
-                    }
-                    if run_len >= coalesce {
-                        break;
-                    }
-                }
-                Command::Flush => {
-                    apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    if let Some(g) = grouper.as_mut() {
-                        let before = g.stats().flushes;
-                        let flush_started = Instant::now();
-                        let _ = g.flush(&mut engine);
-                        if g.stats().flushes > before {
-                            metrics.reorder_ns.record_duration(flush_started.elapsed());
-                            metrics.registry.event(EventKind::Flush, updates);
-                        }
-                    }
-                }
-                Command::Barrier { reply } => {
-                    // Same drain-and-publish as a Region export, minus
-                    // the snapshot: after the reply, `updates_applied`
-                    // and the published detection cover every earlier
-                    // command in the FIFO.
-                    apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                    let _ = reply.send(());
-                }
-                Command::Region { hops, reply } => {
-                    // Regions reflect everything submitted before the
-                    // request, so drain the staged batch first. Buffered
-                    // benign edges stay buffered — the region must agree
-                    // with the published detection, which excludes them
-                    // too. Publishing *here* (not at run end) keeps that
-                    // agreement exact and lets the reply carry the final
-                    // `(epoch, updates_applied)` marker for this state,
-                    // so the repair scheduler can record the export as
-                    // seen instead of re-running over its own drain.
-                    apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                    let det = engine.detect();
-                    let members: Arc<[VertexId]> = Arc::from(engine.community(det));
-                    let snapshot =
-                        crate::persist::SubgraphSnapshot::extract(engine.graph(), &members, hops);
-                    let _ = reply.send(CandidateRegion {
-                        size: det.size,
-                        density: det.density,
-                        members,
-                        encoded: snapshot.encode(),
-                        updates_applied: updates,
-                        epoch: publisher.epoch,
-                    });
-                }
-                Command::MigrateOut { members, reply } => {
-                    // Everything submitted before this marker must be in
-                    // the slice: drain the staged batch AND the grouping
-                    // buffer (a benign edge of a migrated member left in
-                    // the buffer would resurrect on this shard after the
-                    // eviction and be stranded for good).
-                    apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    if let Some(g) = grouper.as_mut() {
-                        let _ = g.flush(&mut engine);
-                    }
-                    sync_flush_count(&grouper, &metrics);
-                    let mut snapshot =
-                        crate::persist::SubgraphSnapshot::extract(engine.graph(), &members, 0);
-                    snapshot.prune_isolated();
-                    // Eviction cannot fail on a live single-threaded
-                    // graph (every collected edge exists, every weight
-                    // clears to zero) — and shipping an extracted slice
-                    // after a PARTIAL eviction would double-count the
-                    // remainder fleet-wide, so a failure here must be
-                    // loud, not limped past.
-                    engine
-                        .remove_member_slice(&members)
-                        .expect("slice eviction cannot fail on a live graph");
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                    let _ = reply.send(MigrationSlice {
-                        vertices: snapshot.vertices.len(),
-                        edges: snapshot.edges.len(),
-                        edge_weight: snapshot.edge_weight_total(),
-                        encoded: snapshot.encode(),
-                        updates_applied: updates,
-                    });
-                }
-                Command::Absorb { slice, reply } => {
-                    apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-                    let receipt = absorb_slice(&mut engine, &slice);
-                    if receipt.rejected > 0 {
-                        metrics.rejected.add(receipt.rejected);
-                    }
-                    publisher.publish(&mut engine, &shared, updates, &metrics);
-                    let _ = reply.send(receipt);
-                }
-                Command::Shutdown => {
-                    shutdown = true;
+                if self.run_len >= self.coalesce {
                     break;
                 }
-            }
-            cmd = match receiver.try_recv() {
-                Ok(next) => next,
-                Err(_) => {
+                cmd = match receiver.try_recv() {
+                    Ok(next) => next,
                     // Queue ran dry mid-run. Spring push: if every staged
                     // insert still has budget slack past the peel margin,
                     // hold the batch open and sleep on the channel until
@@ -983,37 +830,206 @@ fn worker_loop<M: DensityMetric + Send + 'static>(
                     // whichever comes first. Budget-free batches (and
                     // boundaries already past) apply immediately, exactly
                     // like the pre-deadline drain-coalesce.
-                    match spring_wait(&pending, &mut margin, &metrics, Instant::now()) {
-                        Some(timeout) => match receiver.recv_timeout(timeout) {
-                            Ok(next) => next,
-                            Err(_) => break,
-                        },
-                        None => break,
+                    Err(_) => {
+                        let now = Instant::now();
+                        match spring_wait(&self.pending, &mut margin, &self.metrics, now)
+                            .map(|timeout| receiver.recv_timeout(timeout))
+                        {
+                            Some(Ok(next)) => next,
+                            _ => break,
+                        }
                     }
-                }
-            };
+                };
+            }
+            self.settle();
         }
-        apply_batch(&mut engine, &mut batch, &mut pending, &mut updates, &metrics);
-        if shutdown {
-            // Final drain so the last published state reflects every
-            // submission that preceded the shutdown marker.
-            if let Some(g) = grouper.as_mut() {
-                let _ = g.flush(&mut engine);
+    }
+
+    /// The one ingest path: `Command::Insert` hands in a one-element
+    /// slice, `Command::InsertBatch` its whole run; `queued` and
+    /// `budget` cover the slice.
+    ///
+    /// Without a grouper, edges are staged and apply as one §4.2 pass
+    /// when the run settles. Staged inserts defer their queue-wait
+    /// sample to apply time (the wait they pay includes any spring-push
+    /// delay), so there is no clock read per edge. A run can overshoot
+    /// the coalesce cap mid-command: the full batch settles first and
+    /// staging continues — the same mid-run publish an urgent grouped
+    /// flush does.
+    ///
+    /// With a grouper, each edge goes through per-edge urgency
+    /// classification right here (benign edges only touch the grouping
+    /// buffer — no reorder, no publish), and an urgent flush publishes
+    /// *immediately*, so the §4.3 real-time guarantee survives
+    /// coalescing. Drain time IS apply time: one clock read per call
+    /// covers the queue-wait samples and the start of processing time.
+    fn ingest(
+        &mut self,
+        edges: &[(VertexId, VertexId, f64)],
+        queued: Instant,
+        budget: Option<Duration>,
+    ) {
+        self.run_len += edges.len();
+        let Some(g) = self.grouper.as_mut() else {
+            for &edge in edges {
+                if self.batch.len() >= self.coalesce {
+                    self.settle();
+                }
+                self.batch.push(edge);
+                self.pending.push((queued, budget));
+            }
+            return;
+        };
+        let drained = Instant::now();
+        let wait = drained.saturating_duration_since(queued);
+        for &(src, dst, raw) in edges {
+            record_wait(&self.metrics, wait, budget);
+            self.updates += 1;
+            match g.submit(&mut self.engine, src, dst, raw) {
+                Ok(out) if out.flushed.is_some() => {
+                    // An urgent/capacity flush ran a real reorder pass:
+                    // attribute its cost to the reorder/peel stage.
+                    self.metrics.reorder_ns.record_duration(drained.elapsed());
+                    self.metrics.registry.event(EventKind::Flush, self.updates);
+                    self.metrics.flushes.store(g.stats().flushes as u64);
+                    // `g` holds the grouper field, so name the others.
+                    self.publisher.publish(
+                        &mut self.engine,
+                        &self.shared,
+                        self.updates,
+                        &self.metrics,
+                    );
+                }
+                Ok(_) => {}
+                Err(_) => self.metrics.rejected.inc(),
             }
         }
-        sync_flush_count(&grouper, &metrics);
-        publisher.publish(&mut engine, &shared, updates, &metrics);
     }
-    // All senders gone without an explicit shutdown marker: drain what
-    // the grouper still buffers and publish the final state.
-    if !shutdown {
-        if let Some(g) = grouper.as_mut() {
-            let _ = g.flush(&mut engine);
+
+    /// Applies the staged batch as one §4.2 batch insertion (one reorder
+    /// pass). Malformed transactions are counted, never fatal. Records
+    /// the batch size, each transaction's queue wait and deadline
+    /// outcome (stamped here, where the wait truly ends), and the
+    /// reorder/peel wall time — the processing half of Eq. 4's latency
+    /// split. A single-command drain skips the batch-path setup entirely
+    /// and inserts per-edge — §4.2 makes a batch of one identical, and
+    /// drip traffic should not pay batching overhead for it.
+    fn apply_staged(&mut self) {
+        debug_assert_eq!(self.batch.len(), self.pending.len(), "batch and stamps diverged");
+        if self.batch.is_empty() {
+            return;
         }
-        sync_flush_count(&grouper, &metrics);
-        publisher.publish(&mut engine, &shared, updates, &metrics);
+        let applied_at = Instant::now();
+        for (queued, budget) in self.pending.drain(..) {
+            record_wait(&self.metrics, applied_at.saturating_duration_since(queued), budget);
+        }
+        self.updates += self.batch.len() as u64;
+        self.metrics.batch_size.record(self.batch.len() as u64);
+        let reorder_started = Instant::now();
+        let rejected = match self.batch[..] {
+            [(src, dst, raw)] => u64::from(self.engine.insert_edge(src, dst, raw).is_err()),
+            _ => self.engine.insert_batch_tolerant(&self.batch).1,
+        };
+        self.metrics.reorder_ns.record_duration(reorder_started.elapsed());
+        if rejected > 0 {
+            self.metrics.rejected.add(rejected);
+        }
+        self.batch.clear();
     }
-    let _ = engine_tx.send(Box::new(engine));
+
+    fn publish(&mut self) {
+        self.publisher.publish(&mut self.engine, &self.shared, self.updates, &self.metrics);
+    }
+
+    /// Applies the staged batch, then publishes: `updates_applied` and
+    /// the published detection now cover every insert ingested so far
+    /// (grouped benign edges stay buffered, by design).
+    fn settle(&mut self) {
+        self.apply_staged();
+        self.publish();
+    }
+
+    /// Applies the staged batch and every benign edge the grouper still
+    /// buffers (timed as a reorder pass when it ran one), and mirrors
+    /// the grouper's flush counter into the exported telemetry — the
+    /// grouper is the single source of truth for what counts as a flush.
+    /// The caller publishes.
+    fn flush(&mut self) {
+        self.apply_staged();
+        let Some(g) = self.grouper.as_mut() else { return };
+        let before = g.stats().flushes;
+        let flush_started = Instant::now();
+        let _ = g.flush(&mut self.engine);
+        if g.stats().flushes > before {
+            self.metrics.reorder_ns.record_duration(flush_started.elapsed());
+            self.metrics.registry.event(EventKind::Flush, self.updates);
+            self.metrics.flushes.store(g.stats().flushes as u64);
+        }
+    }
+
+    /// `Command::Region`. Regions reflect everything submitted before
+    /// the request, so the run settles first. Buffered benign edges stay
+    /// buffered — the region must agree with the published detection,
+    /// which excludes them too. Publishing *here* (not at run end) keeps
+    /// that agreement exact and lets the reply carry the final `(epoch,
+    /// updates_applied)` marker for this state, so the repair scheduler
+    /// can record the export as seen instead of re-running over its own
+    /// drain.
+    fn export_region(&mut self, hops: usize) -> CandidateRegion {
+        self.settle();
+        let det = self.engine.detect();
+        let members: Arc<[VertexId]> = Arc::from(self.engine.community(det));
+        let snapshot =
+            crate::persist::SubgraphSnapshot::extract(self.engine.graph(), &members, hops);
+        CandidateRegion {
+            size: det.size,
+            density: det.density,
+            members,
+            encoded: snapshot.encode(),
+            updates_applied: self.updates,
+            epoch: self.publisher.epoch,
+        }
+    }
+
+    /// `Command::MigrateOut`. Everything submitted before the marker
+    /// must be in the slice: the staged batch AND the grouping buffer (a
+    /// benign edge of a migrated member left in the buffer would
+    /// resurrect on this shard after the eviction and be stranded for
+    /// good).
+    fn migrate_out(&mut self, members: &[VertexId]) -> MigrationSlice {
+        self.flush();
+        let mut snapshot =
+            crate::persist::SubgraphSnapshot::extract(self.engine.graph(), members, 0);
+        snapshot.prune_isolated();
+        // Eviction cannot fail on a live single-threaded graph (every
+        // collected edge exists, every weight clears to zero) — and
+        // shipping an extracted slice after a PARTIAL eviction would
+        // double-count the remainder fleet-wide, so a failure here must
+        // be loud, not limped past.
+        self.engine
+            .remove_member_slice(members)
+            .expect("slice eviction cannot fail on a live graph");
+        self.publish();
+        MigrationSlice {
+            vertices: snapshot.vertices.len(),
+            edges: snapshot.edges.len(),
+            edge_weight: snapshot.edge_weight_total(),
+            encoded: snapshot.encode(),
+            updates_applied: self.updates,
+        }
+    }
+
+    /// `Command::Absorb`: replays a migrated slice behind everything
+    /// already staged.
+    fn absorb(&mut self, slice: &MigrationSlice) -> AbsorbReceipt {
+        self.apply_staged();
+        let receipt = absorb_slice(&mut self.engine, slice);
+        if receipt.rejected > 0 {
+            self.metrics.rejected.add(receipt.rejected);
+        }
+        self.publish();
+        receipt
+    }
 }
 
 /// Replays a migrated slice into `engine`: vertex suspiciousness is
@@ -1103,59 +1119,6 @@ fn spring_wait(
         boundary = Some(boundary.map_or(latest, |cur| cur.min(latest)));
     }
     boundary?.checked_duration_since(now).filter(|d| !d.is_zero())
-}
-
-/// Applies the accumulated insert batch of an ungrouped worker as one
-/// §4.2 batch insertion (one reorder pass). Malformed transactions are
-/// counted, never fatal. Records the batch size, each transaction's
-/// queue wait and deadline outcome (stamped here, where the wait truly
-/// ends), and the reorder/peel wall time — the processing half of
-/// Eq. 4's latency split. A single-command drain skips the batch-path
-/// setup entirely and inserts per-edge — §4.2 makes a batch of one
-/// identical, and drip traffic should not pay batching overhead for it.
-fn apply_batch<M: DensityMetric>(
-    engine: &mut SpadeEngine<M>,
-    batch: &mut Vec<(VertexId, VertexId, f64)>,
-    pending: &mut Vec<(Instant, Option<Duration>)>,
-    updates: &mut u64,
-    metrics: &WorkerMetrics,
-) {
-    debug_assert_eq!(batch.len(), pending.len(), "batch and pending metadata diverged");
-    if batch.is_empty() {
-        pending.clear();
-        return;
-    }
-    let applied_at = Instant::now();
-    for &(queued, budget) in pending.iter() {
-        record_wait(metrics, applied_at.saturating_duration_since(queued), budget);
-    }
-    pending.clear();
-    *updates += batch.len() as u64;
-    metrics.batch_size.record(batch.len() as u64);
-    if let [(src, dst, raw)] = batch[..] {
-        let reorder_started = Instant::now();
-        if engine.insert_edge(src, dst, raw).is_err() {
-            metrics.rejected.inc();
-        }
-        metrics.reorder_ns.record_duration(reorder_started.elapsed());
-        batch.clear();
-        return;
-    }
-    let reorder_started = Instant::now();
-    let (_, rejected) = engine.insert_batch_tolerant(batch);
-    metrics.reorder_ns.record_duration(reorder_started.elapsed());
-    if rejected > 0 {
-        metrics.rejected.add(rejected);
-    }
-    batch.clear();
-}
-
-/// Mirrors the grouper's own flush counter into the exported telemetry —
-/// the grouper is the single source of truth for what counts as a flush.
-fn sync_flush_count(grouper: &Option<EdgeGrouper>, metrics: &WorkerMetrics) {
-    if let Some(g) = grouper.as_ref() {
-        metrics.flushes.store(g.stats().flushes as u64);
-    }
 }
 
 /// Worker-local publish state: detects whether the detection changed
@@ -1738,6 +1701,48 @@ mod tests {
         }
         assert_eq!(batched.state().logical_order(), solo.state().logical_order());
         assert_eq!(batched.detect(), solo.detect());
+    }
+
+    /// The grouped half of the pair above: per-edge `submit`s and one
+    /// `submit_batch` of the same stream go through the same `ingest`,
+    /// so classification, flushes, rejects and per-edge wait samples
+    /// cannot differ.
+    #[test]
+    fn grouped_submits_and_one_grouped_batch_are_indistinguishable() {
+        let mut edges: Vec<(VertexId, VertexId, f64)> =
+            (0..24u32).map(|i| (v(20 + i % 9), v(20 + (i % 9 + 1 + i % 4) % 9), 0.01)).collect();
+        for a in 50..54u32 {
+            edges.extend((50..54).filter(|&b| b != a).map(|b| (v(a), v(b), 25.0)));
+        }
+        edges.push((v(5), v(5), 1.0)); // self-loop: rejected
+        edges.push((v(1), v(2), -3.0)); // negative suspiciousness: rejected
+        let run = |batched: bool| {
+            let mut engine = SpadeEngine::new(WeightedDensity);
+            // An established community, so the 0.01 edges are benign.
+            for (a, b) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)] {
+                engine.insert_edge(v(a), v(b), 20.0).unwrap();
+            }
+            let service = SpadeService::spawn(engine, Some(GroupingConfig::default()), 256);
+            if batched {
+                assert!(service.submit_batch(edges.clone(), None));
+            } else {
+                assert!(edges.iter().all(|&(a, b, w)| service.submit(a, b, w)));
+            }
+            assert!(service.flush() && service.barrier());
+            let stats = service.stats();
+            let waits = service.metrics().histograms[metric_names::STAGE_QUEUE_WAIT_NS].count;
+            let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
+            let order = engine.expect("engine handed back").state().logical_order();
+            (
+                (det.size, det.density.to_bits(), det.members.to_vec(), order),
+                (stats.flushes, stats.rejected, stats.updates_applied, waits),
+            )
+        };
+        let (per_edge, batched) = (run(false), run(true));
+        assert_eq!(per_edge, batched);
+        let (flushes, rejected, updates, waits) = batched.1;
+        assert!(flushes >= 2, "an urgent flush and the final benign flush, got {flushes}");
+        assert_eq!((rejected, updates, waits), (2, edges.len() as u64, edges.len() as u64));
     }
 
     #[test]

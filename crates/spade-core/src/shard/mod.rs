@@ -15,10 +15,10 @@
 //! path related stream-processing fraud systems take (partitioned
 //! detectors over a keyed stream); here it is a first-class subsystem:
 //!
-//! * [`partition`] — the [`Partitioner`](partition::Partitioner) trait
+//! * [`partition`] — the [`Partitioner`] trait
 //!   with hash-by-source and connectivity-aware (union-find with spill)
 //!   policies;
-//! * [`service`] — [`ShardedSpadeService`](service::ShardedSpadeService),
+//! * [`service`] — [`ShardedSpadeService`],
 //!   N worker engines behind bounded queues reusing the single-service
 //!   worker loop;
 //! * [`aggregate`] — merging per-shard snapshots into a global

@@ -231,8 +231,8 @@ fn members_overlap(snapshots: &[PublishedDetection]) -> bool {
 /// Walks `edges` in frame order, routing each onto its shard group while
 /// one virtual queue slot per edge remains: stops at the FIRST edge whose
 /// shard has no free slot, so the accepted set is a strict frame-order
-/// prefix (shared by both router arms of
-/// [`ShardedSpadeService::submit_batch`]). Returns the accepted count.
+/// prefix (the Busy contract of [`ShardedSpadeService::submit_batch`]).
+/// Returns the accepted count.
 fn fill_groups(
     edges: &[(VertexId, VertexId, f64)],
     route: &mut dyn FnMut(VertexId, VertexId) -> usize,
@@ -256,7 +256,7 @@ fn fill_groups(
 /// ones (union-find) serialize behind a mutex.
 enum Router {
     /// Lock-free hash-by-source.
-    Hash(HashPartitioner),
+    Hash,
     /// Any stateful [`Partitioner`].
     Locked(Mutex<Box<dyn Partitioner>>),
 }
@@ -264,7 +264,7 @@ enum Router {
 impl Router {
     fn new(strategy: PartitionStrategy) -> Self {
         match strategy {
-            PartitionStrategy::HashBySource => Router::Hash(HashPartitioner),
+            PartitionStrategy::HashBySource => Router::Hash,
             other => Router::Locked(Mutex::new(other.build())),
         }
     }
@@ -273,8 +273,30 @@ impl Router {
     /// lock-free hash path (which has no table to rebalance).
     fn table(&self) -> Option<parking_lot::MutexGuard<'_, Box<dyn Partitioner>>> {
         match self {
-            Router::Hash(_) => None,
+            Router::Hash => None,
             Router::Locked(p) => Some(p.lock()),
+        }
+    }
+
+    /// Lends the routing policy to `f` — the single copy of the
+    /// route-then-enqueue protocol every submit path runs. `locked`
+    /// tells `f` whether the table lock is held for the call, in which
+    /// case it must not wait on a full queue.
+    ///
+    /// For stateful routing the lock is held ACROSS `f`, so across the
+    /// enqueue and not just the lookup: the migration scheduler takes
+    /// the same lock to rehome a component and stage its eviction
+    /// marker, so an edge routed before a rehome is guaranteed to sit in
+    /// its shard's queue ahead of the marker — in-flight edges always
+    /// drain into the migrated slice instead of landing on an evicted
+    /// shard. (No deadlock: workers drain their queues without ever
+    /// taking this lock.)
+    fn with<R>(&self, f: impl FnOnce(&mut dyn Partitioner, bool) -> R) -> R {
+        match self.table() {
+            Some(mut table) => f(table.as_mut(), true),
+            // `HashPartitioner::route` takes `&mut self` to satisfy the
+            // trait but touches no state, so a fresh copy routes alike.
+            None => f(&mut HashPartitioner, false),
         }
     }
 }
@@ -335,83 +357,42 @@ impl ShardedSpadeService {
         self.shards.len()
     }
 
-    /// Routes one transaction and hands its destination [`SpadeService`]
-    /// to `enqueue` — the single copy of the route-then-submit protocol
-    /// that [`submit`](Self::submit), [`try_submit`](Self::try_submit)
-    /// and [`submit_batch`](Self::submit_batch) all share.
-    ///
-    /// For stateful routing the table lock is held ACROSS the enqueue,
-    /// not just the lookup: the migration scheduler takes the same lock
-    /// to rehome a component and stage its eviction marker, so an edge
-    /// routed before a rehome is guaranteed to sit in its shard's queue
-    /// ahead of the marker — in-flight edges always drain into the
-    /// migrated slice instead of landing on an evicted shard. Re-running
-    /// `route` for the same edge on a later retry is safe — the union is
-    /// idempotent and no duplicate strand event is recorded (the
-    /// endpoints already share a root) — at worst the load heuristic
-    /// counts a retried edge twice, nudging new pins away from the
-    /// congested shard. (No deadlock: workers drain their queues without
-    /// ever taking this lock.)
-    fn route_one<R>(
-        &self,
-        src: VertexId,
-        dst: VertexId,
-        enqueue: impl FnOnce(&SpadeService) -> R,
-    ) -> R {
-        match &self.router {
-            // `HashPartitioner::route` takes `&mut self` to satisfy the
-            // trait but touches no state; a copy keeps this lock-free.
-            Router::Hash(p) => {
-                let mut p = *p;
-                let shard = p.route(src, dst, self.shards.len());
-                enqueue(&self.shards[shard])
-            }
-            Router::Locked(p) => {
-                let mut table = p.lock();
-                let shard = table.route(src, dst, self.shards.len());
-                enqueue(&self.shards[shard])
-            }
-        }
-    }
-
     /// Routes one transaction to its shard and enqueues it; blocks when
     /// that shard's queue is full (per-shard back-pressure). Returns
     /// `false` if the runtime has shut down.
+    ///
+    /// Under stateful routing the enqueue is NON-blocking: a full shard
+    /// queue releases the routing lock, waits, and re-routes, so one
+    /// back-pressured shard never head-of-line-blocks producers bound
+    /// for idle shards. Re-routing the same edge is safe — the union is
+    /// idempotent and no duplicate strand event is recorded (the
+    /// endpoints already share a root) — at worst the load heuristic
+    /// counts a retried edge twice, nudging new pins away from the
+    /// congested shard.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
-        match &self.router {
-            Router::Hash(_) => self.route_one(src, dst, |shard| shard.submit(src, dst, raw)),
-            // Under stateful routing the enqueue is NON-blocking: a full
-            // shard queue releases the routing lock, waits, and
-            // re-routes, so one back-pressured shard never
-            // head-of-line-blocks producers bound for idle shards.
-            Router::Locked(_) => loop {
-                match self.route_one(src, dst, |shard| shard.try_submit(src, dst, raw)) {
-                    TrySubmit::Queued => return true,
-                    TrySubmit::Closed => return false,
-                    TrySubmit::Full => {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    }
+        loop {
+            let outcome = self.router.with(|partitioner, locked| {
+                let shard = &self.shards[partitioner.route(src, dst, self.shards.len())];
+                if locked {
+                    shard.try_submit(src, dst, raw)
+                } else if shard.submit(src, dst, raw) {
+                    TrySubmit::Queued
+                } else {
+                    TrySubmit::Closed
                 }
-            },
+            });
+            match outcome {
+                TrySubmit::Queued => return true,
+                TrySubmit::Closed => return false,
+                TrySubmit::Full => std::thread::sleep(Duration::from_micros(50)),
+            }
         }
-    }
-
-    /// Non-blocking [`submit`](Self::submit): routes the transaction and
-    /// enqueues it only if its shard's queue has space right now,
-    /// reporting [`TrySubmit::Full`] otherwise. Transport front ends
-    /// (`spade-net`) surface `Full` to the producer as a Busy reply —
-    /// back-pressure crosses the wire instead of stalling a connection
-    /// handler thread. Re-routing the same edge on a later retry is safe:
-    /// the union is idempotent and no duplicate strand event is recorded
-    /// (see [`route_one`](Self::route_one)).
-    pub fn try_submit(&self, src: VertexId, dst: VertexId, raw: f64) -> TrySubmit {
-        self.route_one(src, dst, |shard| shard.try_submit(src, dst, raw))
     }
 
     /// Routes a whole decoded batch by destination shard and enqueues
     /// one grouped command per shard — one route pass and one channel
-    /// operation per shard per batch, instead of a route + `try_submit`
-    /// round trip per edge.
+    /// operation per shard per batch, instead of a route + submit round
+    /// trip per edge.
     ///
     /// Admission is a free-slot precheck against each shard's
     /// edge-denominated queue headroom ([`SpadeService::queue_free`]),
@@ -421,10 +402,12 @@ impl ShardedSpadeService {
     /// without double-inserting (the Busy contract `spade-net` exposes).
     /// Under stateful routing both the routing pass and the enqueues
     /// happen under the table lock, preserving the marker-ordering
-    /// guarantee documented on [`route_one`](Self::route_one); the
-    /// precheck keeps those enqueues from blocking under the lock in the
-    /// single-producer case (concurrent producers may still ride the
-    /// shard's own back-pressure briefly).
+    /// guarantee [`submit`](Self::submit) gives; the free slots are
+    /// snapshotted under that lock too — all producers to a stateful
+    /// router serialize there, so the snapshot cannot be raced by
+    /// another batch — which keeps the enqueues from blocking under the
+    /// lock (producers to a lock-free router may still ride the shard's
+    /// own back-pressure briefly).
     ///
     /// `budget` overrides the configured default detection-latency
     /// budget for every edge in the batch; `None` inherits the default.
@@ -438,54 +421,27 @@ impl ShardedSpadeService {
             return BatchSubmit { accepted: 0, closed: false, shard_counts: vec![0; num_shards] };
         }
         let mut groups: Vec<Vec<(VertexId, VertexId, f64)>> = vec![Vec::new(); num_shards];
-        match &self.router {
-            Router::Hash(p) => {
-                let mut p = *p;
-                let mut free: Vec<usize> = self.shards.iter().map(|s| s.queue_free()).collect();
-                let accepted = fill_groups(
-                    edges,
-                    &mut |src, dst| p.route(src, dst, num_shards),
-                    &mut free,
-                    &mut groups,
-                );
-                let (shard_counts, closed) = self.enqueue_groups(groups, budget);
-                BatchSubmit { accepted, closed, shard_counts }
-            }
-            Router::Locked(p) => {
-                let mut table = p.lock();
-                // Snapshot free slots under the lock: all producers to a
-                // stateful router serialize here, so the snapshot cannot
-                // be raced by another batch.
-                let mut free: Vec<usize> = self.shards.iter().map(|s| s.queue_free()).collect();
-                let accepted = fill_groups(
-                    edges,
-                    &mut |src, dst| table.route(src, dst, num_shards),
-                    &mut free,
-                    &mut groups,
-                );
-                let (shard_counts, closed) = self.enqueue_groups(groups, budget);
-                BatchSubmit { accepted, closed, shard_counts }
-            }
-        }
-    }
-
-    /// Enqueues each non-empty per-shard group as one grouped command.
-    /// Returns the per-shard accepted counts and whether any destination
-    /// shard had shut down.
-    fn enqueue_groups(
-        &self,
-        groups: Vec<Vec<(VertexId, VertexId, f64)>>,
-        budget: Option<Duration>,
-    ) -> (Vec<usize>, bool) {
-        let mut closed = false;
-        let mut shard_counts = Vec::with_capacity(groups.len());
-        for (shard, group) in groups.into_iter().enumerate() {
-            shard_counts.push(group.len());
-            if !group.is_empty() && !self.shards[shard].submit_batch(group, budget) {
-                closed = true;
-            }
-        }
-        (shard_counts, closed)
+        self.router.with(|partitioner, _| {
+            let mut free: Vec<usize> = self.shards.iter().map(|s| s.queue_free()).collect();
+            let accepted = fill_groups(
+                edges,
+                &mut |src, dst| partitioner.route(src, dst, num_shards),
+                &mut free,
+                &mut groups,
+            );
+            // One grouped command per non-empty shard group.
+            let mut closed = false;
+            let shard_counts = groups
+                .into_iter()
+                .zip(&self.shards)
+                .map(|(group, shard)| {
+                    let count = group.len();
+                    closed |= count > 0 && !shard.submit_batch(group, budget);
+                    count
+                })
+                .collect();
+            BatchSubmit { accepted, closed, shard_counts }
+        })
     }
 
     /// Asks every shard to flush buffered benign edges. Returns `false`

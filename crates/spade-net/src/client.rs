@@ -9,11 +9,13 @@
 //! reply parks the unaccepted suffix of its batch under a capped,
 //! jittered exponential back-off while the rest of the pipeline keeps
 //! draining — one full shard queue never sleeps the whole client;
-//! [`flush`](Self::flush) drains every in-flight and parked frame, so
+//! [`flush`](SpadeNetClient::flush) drains every in-flight and parked frame, so
 //! when it returns every submitted edge has been **acknowledged** — i.e.
 //! enqueued into a shard on the server.
 
-use crate::wire::{write_frame, DetectionReply, FrameDecoder, MetricsReply, StatsReply, WireFrame};
+use crate::wire::{
+    write_frame, DetectionReply, FrameDecoder, MetricsReply, RawEdge, StatsReply, WireFrame,
+};
 use spade_graph::VertexId;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -68,21 +70,18 @@ pub struct ClientStats {
     pub frames_sent: u64,
 }
 
-/// One staged edge: (source, destination, weight).
-type Edge = (VertexId, VertexId, f64);
-
 /// A connected producer.
 pub struct SpadeNetClient {
     reader: TcpStream,
     writer: std::io::BufWriter<TcpStream>,
     decoder: FrameDecoder,
-    staged: Vec<Edge>,
+    staged: Vec<RawEdge>,
     /// Sent-but-unacknowledged batches, in send order (== reply order).
-    inflight: VecDeque<Vec<Edge>>,
+    inflight: VecDeque<Vec<RawEdge>>,
     /// Busy-bounced suffixes parked until their back-off elapses. The
     /// pipeline keeps moving while they wait: a Busy reply frees its
     /// in-flight slot immediately instead of sleeping the whole client.
-    deferred: VecDeque<(Instant, Vec<Edge>)>,
+    deferred: VecDeque<(Instant, Vec<RawEdge>)>,
     /// Consecutive Busy replies since the last Ack (back-off exponent).
     busy_streak: u32,
     /// xorshift state for retry jitter.
@@ -240,7 +239,7 @@ impl SpadeNetClient {
     /// Ships `batch` as one frame, first re-sending any due Busy
     /// suffixes (so retries do not rot behind fresh traffic) and
     /// draining a reply if the pipeline window is full.
-    fn send_batch(&mut self, batch: Vec<(VertexId, VertexId, f64)>) -> std::io::Result<()> {
+    fn send_batch(&mut self, batch: Vec<RawEdge>) -> std::io::Result<()> {
         self.pump_deferred()?;
         while self.inflight.len() >= self.config.pipeline {
             self.drain_one()?;
@@ -281,24 +280,17 @@ impl SpadeNetClient {
 
     /// Writes one `Batch` (or, with a configured budget, `BatchBudget`)
     /// frame and parks the edges in the in-flight window (moved, not
-    /// cloned — the frame borrows them transiently so the hot path pays
-    /// only the encode copy).
-    fn write_batch(&mut self, batch: Vec<(VertexId, VertexId, f64)>) -> std::io::Result<()> {
+    /// cloned — the writer borrows them, so the hot path pays only the
+    /// encode copy).
+    fn write_batch(&mut self, batch: Vec<RawEdge>) -> std::io::Result<()> {
         // Saturate instead of wrapping a >71-minute budget; u32::MAX
         // microseconds is already far beyond any real-time SLO.
         let budget_us =
             self.config.budget.map(|b| u32::try_from(b.as_micros()).unwrap_or(u32::MAX));
-        let frame = match budget_us {
-            Some(budget_us) => WireFrame::BatchBudget { budget_us, edges: batch },
-            None => WireFrame::Batch { edges: batch },
-        };
-        write_frame(&mut self.writer, &frame)?;
+        crate::wire::write_batch(&mut self.writer, budget_us, &batch)?;
         self.stats.frames_sent += 1;
         self.writer.flush()?;
-        let (WireFrame::Batch { edges } | WireFrame::BatchBudget { edges, .. }) = frame else {
-            unreachable!("constructed above")
-        };
-        self.inflight.push_back(edges);
+        self.inflight.push_back(batch);
         Ok(())
     }
 

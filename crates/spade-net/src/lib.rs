@@ -12,7 +12,7 @@
 //! streams; until now the runtime only ingested from in-process
 //! iterators. This crate is the thin transport the sharded worker loop
 //! was built to receive: frames decode straight into
-//! `ShardedSpadeService::try_submit`, so every shard's drain-coalescing
+//! `ShardedSpadeService::submit_batch`, so every shard's drain-coalescing
 //! batch path, routing policy, and repair/migration machinery is
 //! inherited unchanged — and back-pressure crosses the wire. When a
 //! shard's bounded ingest queue is full, the server answers
@@ -30,10 +30,13 @@
 //! payload := u8 opcode | body
 //! ```
 //!
-//! Requests: `Edge`, `Batch`, `Flush`, `Detect`, `Stats`, `Shutdown`,
-//! `Metrics`, plus the protocol-v3 shard-server operations `Region`,
-//! `MigrateOut`, `Absorb`, `Replicate`, and `Bootstrap` (served by
-//! [`ShardServer`], driven by [`SpadeRouter`]). Replies: `Ack`, `Busy`,
+//! Requests (protocol v4): `Batch` / `BatchBudget` (one ingest request,
+//! without or with a latency budget — a single transaction is a one-edge
+//! `Batch`; opcode `0x01`, the retired `Edge` request, stays reserved),
+//! `Flush`, `Detect`, `Stats`, `Shutdown`, `Metrics`, plus the
+//! shard-server operations `Region`, `MigrateOut`, `Absorb`,
+//! `Replicate`, and `Bootstrap` (served by [`ShardServer`], driven by
+//! [`SpadeRouter`]). Replies: `Ack`, `Busy`,
 //! `Detection`, `StatsReply`, `MetricsReply`, `RegionReply`,
 //! `SliceReply`, `AbsorbReply`, `BootstrapChunk`, `Error`.
 //! The decoder rejects truncated, oversized,
@@ -62,8 +65,9 @@ pub use router::{RouterConfig, RouterStats, SpadeRouter};
 pub use server::{NetStats, SpadeNetServer};
 pub use shard_server::{ShardServer, ShardServerConfig};
 pub use wire::{
-    read_frame, write_frame, AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder,
-    MetricsReply, RegionReply, StatsReply, WireError, WireFrame, WireSlice, MAX_BATCH_EDGES,
-    MAX_DETECTION_MEMBERS, MAX_EXPOSITION_BYTES, MAX_FRAME_BYTES, MAX_MIGRATE_MEMBERS,
-    MAX_SNAPSHOT_BYTES, MAX_STATS_SHARDS, METRICS_VERSION, PROTOCOL_VERSION,
+    read_frame, write_batch, write_frame, write_replicate, AbsorbReply, BootstrapChunk,
+    DetectionReply, FrameDecoder, MetricsReply, RawEdge, RegionReply, StatsReply, WireError,
+    WireFrame, WireSlice, MAX_BATCH_EDGES, MAX_DETECTION_MEMBERS, MAX_EXPOSITION_BYTES,
+    MAX_FRAME_BYTES, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES, MAX_STATS_SHARDS, METRICS_VERSION,
+    PROTOCOL_VERSION,
 };

@@ -28,7 +28,7 @@
 //!   *reading* from that connection (back-pressure through the kernel
 //!   window) but keeps every other connection moving.
 //! * **Nothing on the loop blocks on the runtime.** Ingest goes through
-//!   `try_submit`/`submit_batch` exactly as before, and the one formerly
+//!   the non-blocking `submit_batch`, and the one formerly
 //!   blocking wait — read-your-acks `Detect` — becomes a deferred reply:
 //!   the connection parks (reads paused, replies in order preserved)
 //!   until the shards' applied total reaches the acknowledged watermark,
@@ -44,7 +44,7 @@
 use crate::server::{
     apply_frame, register_conn, write_detection, ConnCounters, FrameStep, NetTelemetry,
 };
-use crate::wire::{write_frame, FrameDecoder, WireFrame};
+use crate::wire::{FrameDecoder, WireFrame};
 use parking_lot::Mutex;
 use spade_core::shard::ShardedSpadeService;
 use std::io::{Read, Write};
@@ -531,8 +531,7 @@ fn service_conn(
             Ok(None) => break,
             Err(err) => {
                 shared.telemetry.count_malformed();
-                write_frame(&mut c.out, &WireFrame::Error { message: err.to_string() })
-                    .expect("writing a frame to a Vec cannot fail");
+                WireFrame::Error { message: err.to_string() }.encode_into(&mut c.out);
                 c.closing = true;
             }
         }

@@ -48,11 +48,9 @@ use spade_core::shard::{repair_regions, RepairOutcome, RepairScratch};
 use spade_core::shard::{PartitionStrategy, Partitioner};
 use spade_graph::VertexId;
 
-/// A raw weighted edge as batched onto the wire.
-type RawEdge = (VertexId, VertexId, f64);
-
 use crate::wire::{
-    read_frame, write_frame, WireError, WireFrame, MAX_BATCH_EDGES, MAX_MIGRATE_MEMBERS,
+    read_frame, write_batch, write_frame, write_replicate, RawEdge, WireError, WireFrame,
+    MAX_BATCH_EDGES, MAX_MIGRATE_MEMBERS,
 };
 
 /// Tuning for a [`SpadeRouter`].
@@ -112,7 +110,7 @@ struct Shard {
     /// [`SpadeRouter::recover`]).
     conn: Option<TcpStream>,
     /// Edges routed here, not yet shipped.
-    buffer: Vec<(VertexId, VertexId, f64)>,
+    buffer: Vec<RawEdge>,
     /// Last replication sequence journaled for this shard as owner.
     seq: u64,
     /// Journaled batches not yet applied by a live home, FIFO by seq.
@@ -212,54 +210,48 @@ impl SpadeRouter {
         let seq = self.shards[shard].seq + 1;
         if self.config.replicate {
             let replica = (shard + 1) % self.shards.len();
-            let frame = WireFrame::Replicate { owner: shard as u32, seq, edges: edges.clone() };
-            match self.request(replica, &frame)? {
-                WireFrame::Ack { .. } => {}
-                other => return Err(unexpected(other)),
-            }
+            expect_ack(
+                self.round_trip(replica, |conn| write_replicate(conn, shard as u32, seq, &edges))?,
+            )?;
             self.stats.replicated += 1;
         }
         self.shards[shard].seq = seq;
-        if self.shards[shard].conn.is_none() {
-            // Home offline: the batch is safe in the journal; recovery
-            // replays it and acks it then.
-            self.shards[shard].pending.push_back((seq, edges));
-            self.stats.deferred_batches += 1;
-            return Ok(());
-        }
-        match self.deliver(shard, edges.clone()) {
-            Ok(accepted) => {
-                self.stats.edges_acked += accepted;
-                Ok(())
+        if self.shards[shard].conn.is_some() {
+            match self.deliver(shard, &edges) {
+                Ok(accepted) => {
+                    self.stats.edges_acked += accepted;
+                    return Ok(());
+                }
+                // The home died mid-round-trip; a partially applied
+                // prefix on the dead engine died with it, so the
+                // recovery replay cannot double-apply.
+                Err(WireError::Io(_)) if self.config.replicate => self.shards[shard].conn = None,
+                Err(e) => return Err(e),
             }
-            Err(WireError::Io(_)) if self.config.replicate => {
-                // The home died mid-round-trip. The batch is journaled,
-                // so park it as pending instead of failing ingest; a
-                // partially applied prefix on the dead engine died with
-                // it, so the recovery replay cannot double-apply.
-                self.shards[shard].conn = None;
-                self.shards[shard].pending.push_back((seq, edges));
-                self.stats.deferred_batches += 1;
-                Ok(())
-            }
-            Err(e) => Err(e),
         }
+        // Home offline: the batch is safe in the journal, so park it as
+        // pending instead of failing ingest; recovery replays it and
+        // acks it then.
+        self.shards[shard].pending.push_back((seq, edges));
+        self.stats.deferred_batches += 1;
+        Ok(())
     }
 
     /// One `Batch` round trip to a live home shard, retrying `Busy`
     /// suffixes until every edge is accepted. Returns the edge count.
-    fn deliver(
-        &mut self,
-        shard: usize,
-        mut edges: Vec<(VertexId, VertexId, f64)>,
-    ) -> Result<u64, WireError> {
-        let total = edges.len() as u64;
+    fn deliver(&mut self, shard: usize, edges: &[RawEdge]) -> Result<u64, WireError> {
         self.stats.batches += 1;
+        let mut rest = edges;
         loop {
-            match self.request(shard, &WireFrame::Batch { edges: edges.clone() })? {
-                WireFrame::Ack { .. } => return Ok(total),
+            match self.round_trip(shard, |conn| write_batch(conn, None, rest))? {
+                WireFrame::Ack { .. } => return Ok(edges.len() as u64),
                 WireFrame::Busy { accepted } => {
-                    edges.drain(..accepted as usize);
+                    // The count comes off the wire: a shard that claims
+                    // more than it was offered is corrupt, not a panic.
+                    rest = usize::try_from(accepted)
+                        .ok()
+                        .and_then(|n| rest.get(n..))
+                        .ok_or(WireError::Corrupt("Busy accepted more edges than were sent"))?;
                     self.stats.busy_retries += 1;
                     std::thread::sleep(self.config.busy_backoff);
                 }
@@ -282,34 +274,19 @@ impl SpadeRouter {
         let replica = (shard + 1) % self.shards.len();
         // Drain the journal. Chunks arrive in seq order, terminated by
         // a `done` chunk carrying the journal high-water mark.
-        let request = WireFrame::Bootstrap { owner: shard as u32, after: 0 };
-        {
-            let conn = self.shards[replica].conn.as_mut().ok_or_else(|| {
-                WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "replica offline",
-                ))
-            })?;
-            write_frame(conn, &request)?;
-            conn.flush().map_err(WireError::Io)?;
-        }
+        let mut reply =
+            self.request(replica, &WireFrame::Bootstrap { owner: shard as u32, after: 0 })?;
         let mut replayed = 0u64;
         loop {
-            let chunk = {
-                let conn = self.shards[replica].conn.as_mut().expect("checked above");
-                match read_frame(conn)? {
-                    Some(WireFrame::BootstrapChunk(chunk)) => chunk,
-                    Some(other) => return Err(unexpected(other)),
-                    None => return Err(WireError::Corrupt("EOF inside a bootstrap stream")),
-                }
-            };
-            let done = chunk.done;
+            let WireFrame::BootstrapChunk(chunk) = reply else { return Err(unexpected(reply)) };
             if !chunk.edges.is_empty() {
-                replayed += self.deliver(shard, chunk.edges)?;
+                replayed += self.deliver(shard, &chunk.edges)?;
             }
-            if done {
+            if chunk.done {
                 break;
             }
+            // Nothing more to ask: read the stream's next chunk.
+            reply = self.round_trip(replica, |_| Ok(()))?;
         }
         self.stats.bootstrap_edges += replayed;
         // Every pending batch was journaled before it was deferred, so
@@ -331,10 +308,7 @@ impl SpadeRouter {
                 seq: self.shards[prev].seq,
                 edges: Vec::new(),
             };
-            match self.request(shard, &sync)? {
-                WireFrame::Ack { .. } => {}
-                other => return Err(unexpected(other)),
-            }
+            expect_ack(self.request(shard, &sync)?)?;
         }
         self.stats.recoveries += 1;
         Ok(replayed)
@@ -352,10 +326,7 @@ impl SpadeRouter {
             if self.shards[shard].conn.is_none() {
                 continue;
             }
-            match self.request(shard, &WireFrame::Flush)? {
-                WireFrame::Ack { .. } => {}
-                other => return Err(unexpected(other)),
-            }
+            expect_ack(self.request(shard, &WireFrame::Flush)?)?;
             let region = match self.request(shard, &WireFrame::Region { hops })? {
                 WireFrame::RegionReply(region) => region,
                 other => return Err(unexpected(other)),
@@ -410,10 +381,7 @@ impl SpadeRouter {
     /// The baseline shard's live detection (exact for a community after
     /// [`consolidate`](Self::consolidate) moved it there).
     pub fn detect(&mut self, shard: usize) -> Result<crate::wire::DetectionReply, WireError> {
-        match self.request(shard, &WireFrame::Flush)? {
-            WireFrame::Ack { .. } => {}
-            other => return Err(unexpected(other)),
-        }
+        expect_ack(self.request(shard, &WireFrame::Flush)?)?;
         match self.request(shard, &WireFrame::Detect)? {
             WireFrame::Detection(det) => Ok(det),
             other => Err(unexpected(other)),
@@ -443,24 +411,29 @@ impl SpadeRouter {
             if self.shards[shard].conn.is_none() {
                 continue;
             }
-            match self.request(shard, &WireFrame::Shutdown)? {
-                WireFrame::Ack { .. } => {}
-                other => return Err(unexpected(other)),
-            }
+            expect_ack(self.request(shard, &WireFrame::Shutdown)?)?;
             self.shards[shard].conn = None;
         }
         Ok(())
     }
 
-    /// One synchronous request/reply round trip on `shard`'s
-    /// connection. An `Error` reply is surfaced as corruption — the
-    /// shard rejected the frame, which is a router bug, not transport
-    /// noise.
+    /// One synchronous request/reply round trip on `shard`'s connection.
     fn request(&mut self, shard: usize, frame: &WireFrame) -> Result<WireFrame, WireError> {
+        self.round_trip(shard, |conn| write_frame(conn, frame))
+    }
+
+    /// Sends whatever `write` puts on `shard`'s connection and reads one
+    /// reply. An `Error` reply is surfaced as corruption — the shard
+    /// rejected the frame, which is a router bug, not transport noise.
+    fn round_trip(
+        &mut self,
+        shard: usize,
+        write: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
+    ) -> Result<WireFrame, WireError> {
         let conn = self.shards[shard].conn.as_mut().ok_or_else(|| {
             WireError::Io(std::io::Error::new(std::io::ErrorKind::NotConnected, "shard offline"))
         })?;
-        write_frame(conn, frame)?;
+        write(conn)?;
         conn.flush().map_err(WireError::Io)?;
         match read_frame(conn)? {
             Some(WireFrame::Error { .. }) => Err(WireError::Corrupt("shard rejected the frame")),
@@ -479,9 +452,17 @@ fn dial(addr: &str) -> Result<TcpStream, WireError> {
     Ok(stream)
 }
 
+/// The error for a well-formed reply of the wrong kind, naming what
+/// the shard sent.
 fn unexpected(frame: WireFrame) -> WireError {
-    let _ = frame;
-    WireError::Corrupt("unexpected reply frame")
+    WireError::Unexpected(frame.kind())
+}
+
+fn expect_ack(reply: WireFrame) -> Result<(), WireError> {
+    match reply {
+        WireFrame::Ack { .. } => Ok(()),
+        other => Err(unexpected(other)),
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +539,31 @@ mod tests {
         for s in &mut servers {
             s.stop();
         }
+    }
+
+    /// `Busy { accepted }` comes off the wire: a shard claiming more
+    /// edges than the batch held is a corrupt peer, never a router
+    /// panic — and a wrong-kind reply is named in the error.
+    #[test]
+    fn a_lying_busy_reply_is_an_error_not_a_panic() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap().to_string();
+        let fake_shard = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            for reply in [WireFrame::Busy { accepted: u64::MAX }, WireFrame::Detect] {
+                assert!(matches!(read_frame(&mut conn), Ok(Some(WireFrame::Batch { .. }))));
+                write_frame(&mut conn, &reply).expect("reply");
+            }
+        });
+        let config = RouterConfig { replicate: false, ..Default::default() };
+        let mut router = SpadeRouter::connect(&[addr], config).expect("connect");
+        for expected in ["Busy accepted more edges", "unexpected Detect frame"] {
+            router.submit(v(1), v(2), 1.0).expect("buffered");
+            let err = router.flush_batches().expect_err("the reply is a protocol violation");
+            assert!(err.to_string().contains(expected), "{err}");
+        }
+        assert_eq!(router.stats().edges_acked, 0);
+        fake_shard.join().expect("fake shard");
     }
 
     /// Kill nothing, but exercise the offline-defer path directly: a

@@ -8,13 +8,13 @@
 //! bridge safe under load:
 //!
 //! * **Back-pressure crosses the wire.** Ingest goes through
-//!   [`ShardedSpadeService::try_submit`]; a full shard queue turns into a
+//!   [`ShardedSpadeService::submit_batch`]; a full shard queue turns into a
 //!   [`WireFrame::Busy`] reply carrying the count of edges that *were*
 //!   enqueued, and the producer retries the rest. The event loop never
 //!   blocks on the runtime — one back-pressured shard never
 //!   head-of-line-blocks the listener or any other connection.
 //! * **Acknowledgement is enqueue.** An edge is counted in an Ack/Busy
-//!   `accepted` total only after `try_submit` queued it, and every queued
+//!   `accepted` total only after `submit_batch` queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
 //!   acknowledged edges equals the shards' `updates_applied` total at
 //!   shutdown. The back-pressure integration test pins this down.
@@ -28,11 +28,9 @@
 //! connection is closed; the server itself never panics on wire input.
 
 use crate::reactor::{Reactor, ReactorConfig};
-use crate::wire::{write_frame, MetricsReply, StatsReply, WireFrame, METRICS_VERSION};
+use crate::wire::{MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
 use parking_lot::Mutex;
 use spade_core::shard::ShardedSpadeService;
-use spade_core::TrySubmit;
-use spade_graph::VertexId;
 use spade_metrics::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -296,59 +294,38 @@ pub(crate) fn apply_frame(
     conn: &ConnCounters,
     out: &mut Vec<u8>,
 ) -> FrameStep {
-    let mut reply = |frame: &WireFrame| {
-        write_frame(out, frame).expect("writing a frame to a Vec cannot fail");
-    };
-    match frame {
-        WireFrame::Edge { src, dst, raw } => {
-            let (frame, alive) = submit_run(&[(src, dst, raw)], service, telemetry, conn);
-            reply(&frame);
-            step_if(alive)
-        }
-        WireFrame::Batch { edges } => {
-            let (frame, alive) = submit_grouped(&edges, None, service, telemetry, conn);
-            reply(&frame);
-            step_if(alive)
-        }
-        WireFrame::BatchBudget { budget_us, edges } => {
-            let budget = (budget_us > 0).then(|| Duration::from_micros(u64::from(budget_us)));
-            let (frame, alive) = submit_grouped(&edges, budget, service, telemetry, conn);
-            reply(&frame);
-            step_if(alive)
-        }
-        WireFrame::Flush => {
-            // The one channel send on the event loop: Flush posts a
-            // marker command per shard and returns without waiting for
-            // it to apply. The flush channel is the same bounded queue
-            // ingest uses, but a producer only sends Flush after its
-            // pipeline drained, so the queues have room by construction.
+    let (reply, step) = match frame.into_ingest() {
+        Ok((edges, budget)) => submit_grouped(&edges, budget, service, telemetry, conn),
+        // The one channel send on the event loop: Flush posts a marker
+        // command per shard and returns without waiting for it to
+        // apply. The flush channel is the same bounded queue ingest
+        // uses, but a producer only sends Flush after its pipeline
+        // drained, so the queues have room by construction.
+        Err(WireFrame::Flush) => {
             if service.flush() {
-                reply(&WireFrame::Ack { accepted: 0 });
-                FrameStep::Continue
+                (WireFrame::Ack { accepted: 0 }, FrameStep::Continue)
             } else {
-                reply(&WireFrame::Error { message: "runtime has shut down".into() });
-                FrameStep::Close
+                shut_down()
             }
         }
-        WireFrame::Detect => {
+        Err(WireFrame::Detect) => {
             // Read-your-acks: every edge the server acknowledged before
             // this request must be reflected in the answer. If the
             // shards already caught up, answer inline; otherwise park
             // the connection — the event loop re-checks the watermark
             // every cycle instead of blocking here.
             let acked = telemetry.edges_accepted.load(Ordering::Acquire);
-            if applied_total(service) >= acked {
-                write_detection(service, out);
-                FrameStep::Continue
-            } else {
-                FrameStep::Defer { watermark: acked }
+            if applied_total(service) < acked {
+                return FrameStep::Defer { watermark: acked };
             }
+            write_detection(service, out);
+            return FrameStep::Continue;
         }
-        WireFrame::Stats => {
+        Err(WireFrame::Stats) => {
             let shard_stats = service.stats();
             let t = telemetry;
             // audit: telemetry counter reads, each cell independently monotone
-            reply(&WireFrame::StatsReply(StatsReply {
+            let stats = StatsReply {
                 shards: shard_stats.len() as u64,
                 updates_applied: shard_stats.iter().map(|s| s.service.updates_applied).sum(),
                 queue_depth: shard_stats.iter().map(|s| s.service.queue_depth as u64).sum(),
@@ -362,81 +339,58 @@ pub(crate) fn apply_frame(
                     .iter()
                     .map(|s| s.service.queue_depth as u64)
                     .collect(),
-            }));
-            FrameStep::Continue
+            };
+            (WireFrame::StatsReply(stats), FrameStep::Continue)
         }
-        WireFrame::Metrics => {
+        Err(WireFrame::Metrics) => {
             // Runtime registries (every shard, merged) + the transport's
             // own counters, rendered once server-side so every exporter
             // ships the identical exposition.
             let merged = service.metrics().merge(&net_snapshot(telemetry));
-            reply(&WireFrame::MetricsReply(MetricsReply {
-                version: METRICS_VERSION,
-                exposition: merged.render_prometheus(),
-            }));
-            FrameStep::Continue
+            let metrics =
+                MetricsReply { version: METRICS_VERSION, exposition: merged.render_prometheus() };
+            (WireFrame::MetricsReply(metrics), FrameStep::Continue)
         }
-        WireFrame::Shutdown => {
+        Err(WireFrame::Shutdown) => {
             // The coordinator's end-of-stream marker: acknowledge, then
             // stop the whole server (acked edges stay queued — the
             // operator drains them by shutting the service down).
-            reply(&WireFrame::Ack { accepted: 0 });
             stop.store(true, Ordering::Release);
-            FrameStep::Close
+            (WireFrame::Ack { accepted: 0 }, FrameStep::Close)
         }
-        // Shard-server operations (protocol v3) are not served by the
-        // sharded front end — they address one engine, not the fan-in
-        // tier. A router must dial `spade shard-serve` for these.
-        WireFrame::Region { .. }
-        | WireFrame::MigrateOut { .. }
-        | WireFrame::Absorb { .. }
-        | WireFrame::Replicate { .. }
-        | WireFrame::Bootstrap { .. } => {
+        // Everything else is a protocol violation: a reply frame, or a
+        // shard-server operation (protocol v3) — those address one
+        // engine, not the fan-in tier; a router must dial `spade
+        // shard-serve` for them.
+        Err(other) => {
             telemetry.count_malformed();
-            reply(&WireFrame::Error {
-                message: "shard operation sent to the sharded front end".into(),
-            });
-            FrameStep::Close
+            let message = if other.is_reply() {
+                "reply frame sent to server"
+            } else {
+                "shard operation sent to the sharded front end"
+            };
+            (WireFrame::Error { message: message.into() }, FrameStep::Close)
         }
-        // Reply frames arriving at the server are a protocol violation.
-        WireFrame::Ack { .. }
-        | WireFrame::Busy { .. }
-        | WireFrame::Detection(_)
-        | WireFrame::StatsReply(_)
-        | WireFrame::MetricsReply(_)
-        | WireFrame::RegionReply(_)
-        | WireFrame::SliceReply(_)
-        | WireFrame::AbsorbReply(_)
-        | WireFrame::BootstrapChunk(_)
-        | WireFrame::Error { .. } => {
-            telemetry.count_malformed();
-            reply(&WireFrame::Error { message: "reply frame sent to server".into() });
-            FrameStep::Close
-        }
-    }
+    };
+    reply.encode_into(out);
+    step
 }
 
-fn step_if(alive: bool) -> FrameStep {
-    if alive {
-        FrameStep::Continue
-    } else {
-        FrameStep::Close
-    }
+/// The answer to a request that found the runtime gone.
+fn shut_down() -> (WireFrame, FrameStep) {
+    (WireFrame::Error { message: "runtime has shut down".into() }, FrameStep::Close)
 }
 
 /// Appends the current merged global detection as a reply frame.
 pub(crate) fn write_detection(service: &ShardedSpadeService, out: &mut Vec<u8>) {
     let global = service.current_detection();
-    write_frame(
-        out,
-        &WireFrame::Detection(crate::wire::DetectionReply {
-            size: global.best.size as u64,
-            density: global.best.density,
-            updates_applied: global.total_updates,
-            members: global.best.members.to_vec(),
-        }),
-    )
-    .expect("writing a frame to a Vec cannot fail");
+    WireFrame::Detection(crate::wire::DetectionReply {
+        size: global.best.size as u64,
+        density: global.best.density,
+        updates_applied: global.total_updates,
+        members: global.best.members.to_vec(),
+    })
+    .encode_into(out);
 }
 
 /// Ingest commands applied across all shards.
@@ -444,63 +398,32 @@ pub(crate) fn applied_total(service: &ShardedSpadeService) -> u64 {
     service.stats().iter().map(|s| s.service.updates_applied).sum()
 }
 
-/// Enqueues a run of edges until done or a shard queue fills, producing
-/// the Ack/Busy/Error reply. Returns `(reply, keep_connection)`.
-fn submit_run(
-    edges: &[(VertexId, VertexId, f64)],
-    service: &ShardedSpadeService,
-    telemetry: &NetTelemetry,
-    conn: &ConnCounters,
-) -> (WireFrame, bool) {
-    let mut accepted = 0u64;
-    for &(src, dst, raw) in edges {
-        // audit: monotone transport counters, telemetry only
-        match service.try_submit(src, dst, raw) {
-            TrySubmit::Queued => accepted += 1,
-            TrySubmit::Full => {
-                telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-                telemetry.busy_replies.fetch_add(1, Ordering::Relaxed);
-                conn.busy_replies.fetch_add(1, Ordering::Relaxed);
-                telemetry.registry.event(spade_metrics::EventKind::Busy, accepted);
-                return (WireFrame::Busy { accepted }, true);
-            }
-            TrySubmit::Closed => {
-                telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-                return (WireFrame::Error { message: "runtime has shut down".into() }, false);
-            }
-        }
-    }
-    // audit: monotone transport counter, telemetry only
-    telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-    (WireFrame::Ack { accepted }, true)
-}
-
-/// The batch fast path: hands the whole frame to
+/// The ingest path: hands the whole frame to
 /// [`ShardedSpadeService::submit_batch`], which routes every edge once
 /// and enqueues one grouped command per destination shard — instead of a
-/// route + `try_send` round trip per edge. Admission is still the strict
-/// frame-order prefix, so a `Busy` reply's `accepted` count keeps its
-/// retry-the-suffix meaning, and the Ack/Busy/Error telemetry is
-/// identical to the per-edge path.
+/// route + `try_send` round trip per edge. Admission is the strict
+/// frame-order prefix, so a `Busy` reply's `accepted` count means
+/// "retry the suffix". Returns the Ack/Busy/Error reply and what the
+/// event loop does next.
 fn submit_grouped(
-    edges: &[(VertexId, VertexId, f64)],
+    edges: &[RawEdge],
     budget: Option<Duration>,
     service: &ShardedSpadeService,
     telemetry: &NetTelemetry,
     conn: &ConnCounters,
-) -> (WireFrame, bool) {
+) -> (WireFrame, FrameStep) {
     // audit: monotone transport counters, telemetry only
     let outcome = service.submit_batch(edges, budget);
     let accepted = outcome.accepted as u64;
     telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
     if outcome.closed {
-        return (WireFrame::Error { message: "runtime has shut down".into() }, false);
+        return shut_down();
     }
     if outcome.accepted < edges.len() {
         telemetry.busy_replies.fetch_add(1, Ordering::Relaxed);
         conn.busy_replies.fetch_add(1, Ordering::Relaxed);
         telemetry.registry.event(spade_metrics::EventKind::Busy, accepted);
-        return (WireFrame::Busy { accepted }, true);
+        return (WireFrame::Busy { accepted }, FrameStep::Continue);
     }
-    (WireFrame::Ack { accepted }, true)
+    (WireFrame::Ack { accepted }, FrameStep::Continue)
 }

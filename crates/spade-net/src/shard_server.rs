@@ -7,9 +7,9 @@
 //! ROADMAP open item 1 — the paper's §4 parallel incremental peeling
 //! promoted from threads to processes.
 //!
-//! Besides the v2 ingest surface (`Edge` / `Batch` / `BatchBudget` /
-//! `Flush` / `Detect` / `Stats` / `Metrics` / `Shutdown`), a shard
-//! server answers the protocol-v3 shard operations:
+//! Besides the ingest surface (`Batch` / `BatchBudget` / `Flush` /
+//! `Detect` / `Stats` / `Metrics` / `Shutdown`), a shard server answers
+//! the protocol-v3 shard operations:
 //!
 //! * **`Region { hops }`** → [`WireFrame::RegionReply`]: exports the
 //!   engine's candidate region (community + `hops`-hop frontier through
@@ -53,21 +53,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use spade_core::service::{MigrationSlice, SpadeService, TrySubmit};
-use spade_graph::VertexId;
+use spade_core::service::{MigrationSlice, SpadeService};
 
 use crate::reactor::wait_readable;
 use crate::wire::{
-    write_frame, AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder, MetricsReply,
-    RegionReply, StatsReply, WireFrame, WireSlice, MAX_BATCH_EDGES, MAX_FRAME_BYTES,
-    MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES, METRICS_VERSION,
+    write_frame, AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder, MetricsReply, RawEdge,
+    RegionReply, StatsReply, WireFrame, WireSlice, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES,
+    METRICS_VERSION,
 };
 
 /// How long a blocked read waits before re-checking the stop flag.
 const POLL_TICK: Duration = Duration::from_millis(50);
 
-/// A raw weighted edge as it travels in `Replicate`/`Batch` frames.
-type RawEdge = (VertexId, VertexId, f64);
 /// One journaled batch: its replication sequence plus the raw edges.
 type JournalBatch = (u64, Vec<RawEdge>);
 
@@ -114,12 +111,7 @@ impl JournalSet {
     /// those batches are applied on their (live) home, and re-journaling
     /// them is exactly the double-failure cover the design excludes, so
     /// the fresh journal only needs to accept the next sequence.
-    fn append(
-        &mut self,
-        owner: u32,
-        seq: u64,
-        edges: Vec<(VertexId, VertexId, f64)>,
-    ) -> Result<u64, &'static str> {
+    fn append(&mut self, owner: u32, seq: u64, edges: Vec<RawEdge>) -> Result<u64, &'static str> {
         let journal = self.journals.entry(owner).or_default();
         if seq <= journal.last_seq {
             // The router retried a batch the journal already holds
@@ -304,55 +296,37 @@ fn apply(
     out: &mut TcpStream,
 ) -> bool {
     let mut reply = |frame: &WireFrame| write_frame(out, frame).and_then(|()| out.flush()).is_ok();
-    match frame {
-        WireFrame::Edge { src, dst, raw } => match service.try_submit(src, dst, raw) {
-            TrySubmit::Queued => reply(&WireFrame::Ack { accepted: 1 }),
-            TrySubmit::Full => reply(&WireFrame::Busy { accepted: 0 }),
-            TrySubmit::Closed => {
-                reply(&WireFrame::Error { message: "shard has shut down".into() });
-                false
-            }
-        },
-        WireFrame::Batch { edges } => submit_batch(service, edges, None, &mut reply),
-        WireFrame::BatchBudget { budget_us, edges } => {
-            // `budget_us == 0` means "no budget", as on the in-process server.
-            let budget = (budget_us > 0).then(|| Duration::from_micros(u64::from(budget_us)));
-            submit_batch(service, edges, budget, &mut reply)
+    let error = |message: &str| WireFrame::Error { message: message.into() };
+    // Each arm yields its reply and whether the connection stays open,
+    // or `None` when the worker behind the service is gone.
+    let answer = match frame.into_ingest() {
+        // One worker command per batch (the shard-grouped fast path).
+        // `submit_batch` blocks while the queue is full, so a batch is
+        // always accepted whole — a shard server never answers `Busy`.
+        Ok((edges, budget)) => {
+            let accepted = edges.len() as u64;
+            service.submit_batch(edges, budget).then_some((WireFrame::Ack { accepted }, true))
         }
-        WireFrame::Flush => {
-            if service.flush() {
-                reply(&WireFrame::Ack { accepted: 0 })
-            } else {
-                reply(&WireFrame::Error { message: "shard has shut down".into() });
-                false
-            }
-        }
-        WireFrame::Detect => {
-            // Read-your-acks: a `Batch` is acked once *enqueued*, so
-            // drain the worker first — the detection must reflect every
-            // edge this connection was already acknowledged for.
-            if !service.barrier() {
-                reply(&WireFrame::Error { message: "shard has shut down".into() });
-                return false;
-            }
+        Err(WireFrame::Flush) => service.flush().then_some((WireFrame::Ack { accepted: 0 }, true)),
+        // Read-your-acks: a `Batch` is acked once *enqueued*, so drain
+        // the worker first — the detection must reflect every edge this
+        // connection was already acknowledged for.
+        Err(WireFrame::Detect) => service.barrier().then(|| {
             let det = service.current_detection();
-            reply(&WireFrame::Detection(DetectionReply {
+            let det = DetectionReply {
                 size: det.size as u64,
                 density: det.density,
                 updates_applied: det.updates_applied,
                 members: det.members.to_vec(),
-            }))
-        }
-        WireFrame::Stats => {
-            // Same read-your-acks barrier: `updates_applied` feeds the
-            // router's acked == applied exactly-once audit, which must
-            // not observe a still-queued suffix.
-            if !service.barrier() {
-                reply(&WireFrame::Error { message: "shard has shut down".into() });
-                return false;
-            }
+            };
+            (WireFrame::Detection(det), true)
+        }),
+        // Same read-your-acks barrier: `updates_applied` feeds the
+        // router's acked == applied exactly-once audit, which must not
+        // observe a still-queued suffix.
+        Err(WireFrame::Stats) => service.barrier().then(|| {
             let stats = service.stats();
-            reply(&WireFrame::StatsReply(StatsReply {
+            let stats = StatsReply {
                 shards: 1,
                 updates_applied: stats.updates_applied,
                 queue_depth: stats.queue_depth as u64,
@@ -363,63 +337,52 @@ fn apply(
                 malformed_frames: 0,
                 uptime_secs: stats.uptime_secs,
                 shard_queue_depths: vec![stats.queue_depth as u64],
-            }))
+            };
+            (WireFrame::StatsReply(stats), true)
+        }),
+        Err(WireFrame::Metrics) => {
+            let exposition = service.metrics().render_prometheus();
+            Some((
+                WireFrame::MetricsReply(MetricsReply { version: METRICS_VERSION, exposition }),
+                true,
+            ))
         }
-        WireFrame::Metrics => {
-            let snapshot = service.metrics();
-            reply(&WireFrame::MetricsReply(MetricsReply {
-                version: METRICS_VERSION,
-                exposition: snapshot.render_prometheus(),
-            }))
-        }
-        WireFrame::Shutdown => {
-            reply(&WireFrame::Ack { accepted: 0 });
+        Err(WireFrame::Shutdown) => {
             stop.store(true, Ordering::Release);
-            false
+            Some((WireFrame::Ack { accepted: 0 }, false))
         }
-        WireFrame::Region { hops } => match service.candidate_region(hops as usize) {
-            Some(region)
-                if region.members.len() <= MAX_MIGRATE_MEMBERS
-                    && region.encoded.len() <= MAX_SNAPSHOT_BYTES =>
+        Err(WireFrame::Region { hops }) => service.candidate_region(hops as usize).map(|region| {
+            if region.members.len() > MAX_MIGRATE_MEMBERS
+                || region.encoded.len() > MAX_SNAPSHOT_BYTES
             {
-                reply(&WireFrame::RegionReply(RegionReply {
-                    size: region.size as u64,
-                    density: region.density,
-                    updates_applied: region.updates_applied,
-                    epoch: region.epoch,
-                    members: region.members.to_vec(),
-                    encoded: region.encoded,
-                }))
+                return (error("candidate region exceeds frame bounds"), true);
             }
-            Some(_) => {
-                reply(&WireFrame::Error { message: "candidate region exceeds frame bounds".into() })
-            }
-            None => {
-                reply(&WireFrame::Error { message: "shard has shut down".into() });
-                false
-            }
-        },
-        WireFrame::MigrateOut { members } => {
-            match service.migrate_out(Arc::from(members.as_slice())) {
-                Some(slice) if slice.encoded.len() <= MAX_SNAPSHOT_BYTES => {
-                    reply(&WireFrame::SliceReply(WireSlice {
-                        vertices: slice.vertices as u64,
-                        edges: slice.edges as u64,
-                        edge_weight: slice.edge_weight,
-                        updates_applied: slice.updates_applied,
-                        encoded: slice.encoded,
-                    }))
+            let region = RegionReply {
+                size: region.size as u64,
+                density: region.density,
+                updates_applied: region.updates_applied,
+                epoch: region.epoch,
+                members: region.members.to_vec(),
+                encoded: region.encoded,
+            };
+            (WireFrame::RegionReply(region), true)
+        }),
+        Err(WireFrame::MigrateOut { members }) => {
+            service.migrate_out(Arc::from(members.as_slice())).map(|slice| {
+                if slice.encoded.len() > MAX_SNAPSHOT_BYTES {
+                    return (error("migration slice exceeds frame bounds"), true);
                 }
-                Some(_) => reply(&WireFrame::Error {
-                    message: "migration slice exceeds frame bounds".into(),
-                }),
-                None => {
-                    reply(&WireFrame::Error { message: "shard has shut down".into() });
-                    false
-                }
-            }
+                let slice = WireSlice {
+                    vertices: slice.vertices as u64,
+                    edges: slice.edges as u64,
+                    edge_weight: slice.edge_weight,
+                    updates_applied: slice.updates_applied,
+                    encoded: slice.encoded,
+                };
+                (WireFrame::SliceReply(slice), true)
+            })
         }
-        WireFrame::Absorb { slice } => {
+        Err(WireFrame::Absorb { slice }) => {
             let slice = MigrationSlice {
                 encoded: slice.encoded,
                 vertices: slice.vertices as usize,
@@ -427,89 +390,48 @@ fn apply(
                 edge_weight: slice.edge_weight,
                 updates_applied: slice.updates_applied,
             };
-            match service.absorb(slice) {
-                Some(receipt) => reply(&WireFrame::AbsorbReply(AbsorbReply {
+            service.absorb(slice).map(|receipt| {
+                let receipt = AbsorbReply {
                     vertices_touched: receipt.vertices_touched as u64,
                     edges_applied: receipt.edges_applied as u64,
                     rejected: receipt.rejected,
-                })),
-                None => {
-                    reply(&WireFrame::Error { message: "shard has shut down".into() });
-                    false
-                }
-            }
+                };
+                (WireFrame::AbsorbReply(receipt), true)
+            })
         }
-        WireFrame::Replicate { owner, seq, edges } => {
-            match journals.lock().append(owner, seq, edges) {
-                Ok(accepted) => reply(&WireFrame::Ack { accepted }),
-                Err(message) => {
-                    reply(&WireFrame::Error { message: message.into() });
-                    false
-                }
-            }
+        Err(WireFrame::Replicate { owner, seq, edges }) => {
+            Some(match journals.lock().append(owner, seq, edges) {
+                Ok(accepted) => (WireFrame::Ack { accepted }, true),
+                Err(message) => (error(message), false),
+            })
         }
-        WireFrame::Bootstrap { owner, after } => {
-            let (last_seq, tail) = journals.lock().replay(owner, after);
-            for (seq, edges) in tail {
-                debug_assert!(edges.len() <= MAX_BATCH_EDGES);
-                if !reply(&WireFrame::BootstrapChunk(BootstrapChunk {
-                    owner,
-                    through: seq,
-                    done: false,
-                    edges,
-                })) {
+        Err(WireFrame::Bootstrap { owner, after }) => {
+            let (through, tail) = journals.lock().replay(owner, after);
+            for (through, edges) in tail {
+                let chunk = BootstrapChunk { owner, through, done: false, edges };
+                if !reply(&WireFrame::BootstrapChunk(chunk)) {
                     return false;
                 }
             }
-            reply(&WireFrame::BootstrapChunk(BootstrapChunk {
-                owner,
-                through: last_seq,
-                done: true,
-                edges: Vec::new(),
-            }))
+            let last = BootstrapChunk { owner, through, done: true, edges: Vec::new() };
+            Some((WireFrame::BootstrapChunk(last), true))
         }
-        // Reply frames arriving at a shard server are a protocol
-        // violation: report and drop the connection.
-        WireFrame::Ack { .. }
-        | WireFrame::Busy { .. }
-        | WireFrame::Detection(_)
-        | WireFrame::StatsReply(_)
-        | WireFrame::MetricsReply(_)
-        | WireFrame::RegionReply(_)
-        | WireFrame::SliceReply(_)
-        | WireFrame::AbsorbReply(_)
-        | WireFrame::BootstrapChunk(_)
-        | WireFrame::Error { .. } => {
-            reply(&WireFrame::Error { message: "reply frame sent to shard server".into() });
-            false
+        // Every request kind is served above, so what is left is a reply
+        // frame — a protocol violation: report and drop the connection.
+        Err(other) => {
+            debug_assert!(other.is_reply(), "unserved request kind {}", other.kind());
+            Some((error(&format!("{} reply sent to a shard server", other.kind())), false))
         }
-    }
-}
-
-/// Enqueues a batch as one worker command (the shard-grouped fast
-/// path). `submit_batch` blocks while the queue is full, so a
-/// well-formed batch is always accepted in full — `Busy` is reserved
-/// for oversized frames a router should have chunked.
-fn submit_batch(
-    service: &SpadeService,
-    edges: Vec<(VertexId, VertexId, f64)>,
-    budget: Option<Duration>,
-    reply: &mut impl FnMut(&WireFrame) -> bool,
-) -> bool {
-    debug_assert!(edges.len() * 17 < MAX_FRAME_BYTES);
-    let accepted = edges.len() as u64;
-    if service.submit_batch(edges, budget) {
-        reply(&WireFrame::Ack { accepted })
-    } else {
-        reply(&WireFrame::Error { message: "shard has shut down".into() });
-        false
-    }
+    };
+    let (frame, keep_open) = answer.unwrap_or_else(|| (error("shard has shut down"), false));
+    reply(&frame) && keep_open
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spade_core::{SpadeEngine, WeightedDensity};
+    use spade_graph::VertexId;
 
     fn spawn_server() -> (ShardServer, TcpStream) {
         let engine = SpadeEngine::new(WeightedDensity);

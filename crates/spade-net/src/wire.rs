@@ -10,9 +10,14 @@
 //! before any allocation — a malicious or corrupt producer can terminate
 //! its own connection, never the server.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use spade_graph::VertexId;
 use std::io::{Read, Write};
+use std::time::Duration;
+
+/// One transaction as it travels in an edge run: `(source, destination,
+/// raw weight)`.
+pub type RawEdge = (VertexId, VertexId, f64);
 
 /// Upper bound on one frame's payload (1 MiB). A length prefix above
 /// this is rejected before allocating.
@@ -24,8 +29,11 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// `BadOpcode`, so a client that sets a budget needs a v2 server.
 /// Version 3 added the shard-server operations of the multi-process
 /// runtime — `Region`, `MigrateOut`, `Absorb`, `Replicate`, `Bootstrap`
-/// and their replies — so a router needs v3 shard servers.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// and their replies — so a router needs v3 shard servers. Version 4
+/// retired the single-`Edge` request: opcode `0x01` stays reserved and
+/// is answered with `BadOpcode`; one transaction travels as a one-edge
+/// `Batch`.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Most edges one `Batch` frame can carry within [`MAX_FRAME_BYTES`]
 /// (opcode byte + u32 count + 16 bytes per edge). A `BatchBudget` frame
@@ -72,7 +80,7 @@ pub const MAX_SNAPSHOT_BYTES: usize = MAX_FRAME_BYTES - 64;
 /// the benign giant component, not a movable fraud ring.
 pub const MAX_MIGRATE_MEMBERS: usize = (MAX_FRAME_BYTES - 64) / 4;
 
-const OP_EDGE: u8 = 0x01;
+// 0x01 was the single-`Edge` request (retired in v4; never reuse it).
 const OP_BATCH: u8 = 0x02;
 const OP_FLUSH: u8 = 0x03;
 const OP_DETECT: u8 = 0x04;
@@ -108,6 +116,9 @@ pub enum WireError {
     /// Structurally invalid payload (truncated section, trailing bytes,
     /// inconsistent counts).
     Corrupt(&'static str),
+    /// A well-formed frame of the wrong kind answered a request; carries
+    /// [`WireFrame::kind`] of what arrived.
+    Unexpected(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -119,6 +130,7 @@ impl std::fmt::Display for WireError {
             }
             WireError::BadOpcode(op) => write!(f, "unknown frame opcode 0x{op:02x}"),
             WireError::Corrupt(what) => write!(f, "corrupt frame: {what}"),
+            WireError::Unexpected(kind) => write!(f, "unexpected {kind} frame in reply"),
         }
     }
 }
@@ -275,26 +287,17 @@ pub struct BootstrapChunk {
     /// `true` once the journal is exhausted.
     pub done: bool,
     /// The journaled edges, in original routing order.
-    pub edges: Vec<(VertexId, VertexId, f64)>,
+    pub edges: Vec<RawEdge>,
 }
 
 /// One protocol frame, request or reply.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireFrame {
-    /// One transaction.
-    Edge {
-        /// Source account.
-        src: VertexId,
-        /// Destination account.
-        dst: VertexId,
-        /// Raw transaction weight (metric input).
-        raw: f64,
-    },
     /// A run of transactions applied in order — the unit the client
     /// pipelines and the shard workers drain-coalesce.
     Batch {
         /// The transactions, in submission order.
-        edges: Vec<(VertexId, VertexId, f64)>,
+        edges: Vec<RawEdge>,
     },
     /// A `Batch` whose transactions carry a detection-latency budget for
     /// the SLO scheduler: each edge should be applied within `budget_us`
@@ -305,7 +308,7 @@ pub enum WireFrame {
         /// equivalent to a plain `Batch`).
         budget_us: u32,
         /// The transactions, in submission order.
-        edges: Vec<(VertexId, VertexId, f64)>,
+        edges: Vec<RawEdge>,
     },
     /// Ask every shard to flush buffered benign edges.
     Flush,
@@ -350,7 +353,7 @@ pub enum WireFrame {
         /// increasing per owner; a repeat is acknowledged idempotently).
         seq: u64,
         /// The batch, in routing order.
-        edges: Vec<(VertexId, VertexId, f64)>,
+        edges: Vec<RawEdge>,
     },
     /// Stream the standby journal held for `owner` back to the router,
     /// starting after journal sequence `after` — the snapshot-bootstrap
@@ -394,21 +397,6 @@ pub enum WireFrame {
     },
 }
 
-/// Overflow-safe section check: `count` records of `width` bytes must
-/// fit in the remaining payload (a crafted 32-bit count must fail
-/// decoding, not wrap the multiplication).
-fn check_section(
-    buf: &Bytes,
-    count: usize,
-    width: usize,
-    what: &'static str,
-) -> Result<(), WireError> {
-    match count.checked_mul(width) {
-        Some(need) if buf.remaining() >= need => Ok(()),
-        _ => Err(WireError::Corrupt(what)),
-    }
-}
-
 fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
     if buf.remaining() < n {
         return Err(WireError::Corrupt(what));
@@ -416,133 +404,213 @@ fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Reads a `u32` record count and checks it before a single record is
+/// read: at most `max` records, and `count` records of `width` bytes
+/// must fit in the remaining payload (overflow-safe — a crafted 32-bit
+/// count must fail decoding, not wrap the multiplication).
+fn take_count(
+    buf: &mut Bytes,
+    max: usize,
+    width: usize,
+    what: &'static str,
+) -> Result<usize, WireError> {
+    need(buf, 4, what)?;
+    let count = buf.get_u32_le() as usize;
+    match count.checked_mul(width) {
+        Some(bytes) if count <= max && buf.remaining() >= bytes => Ok(count),
+        _ => Err(WireError::Corrupt(what)),
+    }
+}
+
+/// Appends one frame to `out`: the length prefix, patched once `body`
+/// has appended the payload behind it — a frame is encoded in place,
+/// never into a scratch buffer and copied.
+fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    body(out);
+    let payload = out.len() - at - 4;
+    debug_assert!(payload <= MAX_FRAME_BYTES, "encoded frame exceeds the bound");
+    out[at..at + 4].copy_from_slice(&(payload as u32).to_le_bytes());
+}
+
+/// Writes an edge run: a `u32` count, then 16 bytes per edge — the one
+/// place the edge triple is laid out for the wire. Panics if the run
+/// exceeds [`MAX_BATCH_EDGES`]; producers chunk below the bound (the
+/// client does this automatically).
+fn put_edges(out: &mut Vec<u8>, edges: &[RawEdge]) {
+    assert!(edges.len() <= MAX_BATCH_EDGES, "edge run exceeds the frame bound");
+    out.reserve(edges.len().saturating_mul(16));
+    out.put_u32_le(edges.len() as u32);
+    for &(src, dst, raw) in edges {
+        out.put_u32_le(src.0);
+        out.put_u32_le(dst.0);
+        out.put_f64_le(raw);
+    }
+}
+
+/// Reads an edge run, the inverse of [`put_edges`].
+fn take_edges(buf: &mut Bytes, what: &'static str) -> Result<Vec<RawEdge>, WireError> {
+    let count = take_count(buf, MAX_BATCH_EDGES, 16, what)?;
+    Ok((0..count)
+        .map(|_| (VertexId(buf.get_u32_le()), VertexId(buf.get_u32_le()), buf.get_f64_le()))
+        .collect())
+}
+
+/// Writes a member list: a `u32` count, then one `u32` id per member.
+/// Callers truncate or assert against their frame's own bound first.
+fn put_members(out: &mut Vec<u8>, members: &[VertexId]) {
+    out.reserve(members.len().saturating_mul(4));
+    out.put_u32_le(members.len() as u32);
+    for m in members {
+        out.put_u32_le(m.0);
+    }
+}
+
+/// Reads a member list of at most `max` ids, the inverse of
+/// [`put_members`].
+fn take_members(
+    buf: &mut Bytes,
+    max: usize,
+    what: &'static str,
+) -> Result<Vec<VertexId>, WireError> {
+    let count = take_count(buf, max, 4, what)?;
+    Ok((0..count).map(|_| VertexId(buf.get_u32_le())).collect())
+}
+
+/// Writes a length-prefixed `SubgraphSnapshot` blob. Panics beyond
+/// [`MAX_SNAPSHOT_BYTES`] — producers split migrations below the bound.
+fn put_snapshot(out: &mut Vec<u8>, encoded: &[u8]) {
+    assert!(encoded.len() <= MAX_SNAPSHOT_BYTES, "snapshot too large");
+    out.put_u32_le(encoded.len() as u32);
+    out.put_slice(encoded);
+}
+
+/// Reads a snapshot blob, the inverse of [`put_snapshot`].
+fn take_snapshot(buf: &mut Bytes, what: &'static str) -> Result<Vec<u8>, WireError> {
+    let len = take_count(buf, MAX_SNAPSHOT_BYTES, 1, what)?;
+    Ok(buf.take_bytes(len).to_vec())
+}
+
+/// Appends `text` cut to at most `max` bytes, never splitting a UTF-8
+/// sequence at the truncation point.
+fn put_text(out: &mut Vec<u8>, text: &str, max: usize) {
+    let cut = (0..=text.len().min(max)).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
+    out.put_slice(&text.as_bytes()[..cut]);
+}
+
+/// Reads the rest of the payload as UTF-8 text.
+fn take_text(buf: &mut Bytes, what: &'static str) -> Result<String, WireError> {
+    let raw = buf.take_bytes(buf.remaining()).to_vec();
+    String::from_utf8(raw).map_err(|_| WireError::Corrupt(what))
+}
+
 /// Encodes a [`WireSlice`] body (shared by `Absorb` and `SliceReply`,
-/// which carry the same payload after the opcode). Panics if the
-/// snapshot bytes exceed [`MAX_SNAPSHOT_BYTES`] — producers split
-/// migrations below the bound.
-fn put_slice_body(payload: &mut BytesMut, slice: &WireSlice) {
-    assert!(slice.encoded.len() <= MAX_SNAPSHOT_BYTES, "slice snapshot too large");
-    payload.put_u64_le(slice.vertices);
-    payload.put_u64_le(slice.edges);
-    payload.put_f64_le(slice.edge_weight);
-    payload.put_u64_le(slice.updates_applied);
-    payload.put_u32_le(slice.encoded.len() as u32);
-    payload.put_slice(&slice.encoded);
+/// which carry the same payload after the opcode).
+fn put_slice_body(out: &mut Vec<u8>, slice: &WireSlice) {
+    out.put_u64_le(slice.vertices);
+    out.put_u64_le(slice.edges);
+    out.put_f64_le(slice.edge_weight);
+    out.put_u64_le(slice.updates_applied);
+    put_snapshot(out, &slice.encoded);
 }
 
 /// Decodes a [`WireSlice`] body, the inverse of [`put_slice_body`].
 fn take_slice_body(buf: &mut Bytes) -> Result<WireSlice, WireError> {
-    need(buf, 36, "truncated slice header")?;
-    let vertices = buf.get_u64_le();
-    let edges = buf.get_u64_le();
-    let edge_weight = buf.get_f64_le();
-    let updates_applied = buf.get_u64_le();
-    let blen = buf.get_u32_le() as usize;
-    if blen > MAX_SNAPSHOT_BYTES {
-        return Err(WireError::Corrupt("slice snapshot exceeds the bound"));
+    need(buf, 32, "truncated slice header")?;
+    Ok(WireSlice {
+        vertices: buf.get_u64_le(),
+        edges: buf.get_u64_le(),
+        edge_weight: buf.get_f64_le(),
+        updates_applied: buf.get_u64_le(),
+        encoded: take_snapshot(buf, "bad slice snapshot")?,
+    })
+}
+
+/// The payload of a `Batch` frame — a `BatchBudget` when `budget_us` is
+/// set — over borrowed edges.
+fn put_batch(out: &mut Vec<u8>, budget_us: Option<u32>, edges: &[RawEdge]) {
+    match budget_us {
+        Some(budget_us) => {
+            out.push(OP_BATCH_BUDGET);
+            out.put_u32_le(budget_us);
+        }
+        None => out.push(OP_BATCH),
     }
-    need(buf, blen, "truncated slice snapshot")?;
-    let encoded = buf.take_bytes(blen).to_vec();
-    Ok(WireSlice { vertices, edges, edge_weight, updates_applied, encoded })
+    put_edges(out, edges);
+}
+
+/// The payload of a `Replicate` frame over borrowed edges.
+fn put_replicate(out: &mut Vec<u8>, owner: u32, seq: u64, edges: &[RawEdge]) {
+    out.push(OP_REPLICATE);
+    out.put_u32_le(owner);
+    out.put_u64_le(seq);
+    put_edges(out, edges);
 }
 
 impl WireFrame {
     /// Serializes the frame, **including** its length prefix, ready to
-    /// write to a socket. Panics if a `Batch` exceeds
-    /// [`MAX_BATCH_EDGES`] — producers chunk below the bound (the client
-    /// does this automatically).
+    /// write to a socket.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = BytesMut::with_capacity(self.encoded_hint());
-        match self {
-            WireFrame::Edge { src, dst, raw } => {
-                payload.put_slice(&[OP_EDGE]);
-                payload.put_u32_le(src.0);
-                payload.put_u32_le(dst.0);
-                payload.put_f64_le(*raw);
-            }
-            WireFrame::Batch { edges } => {
-                assert!(edges.len() <= MAX_BATCH_EDGES, "batch exceeds the frame bound");
-                payload.put_slice(&[OP_BATCH]);
-                payload.put_u32_le(edges.len() as u32);
-                for &(src, dst, raw) in edges {
-                    payload.put_u32_le(src.0);
-                    payload.put_u32_le(dst.0);
-                    payload.put_f64_le(raw);
-                }
-            }
-            WireFrame::BatchBudget { budget_us, edges } => {
-                assert!(edges.len() <= MAX_BATCH_EDGES, "batch exceeds the frame bound");
-                payload.put_slice(&[OP_BATCH_BUDGET]);
-                payload.put_u32_le(*budget_us);
-                payload.put_u32_le(edges.len() as u32);
-                for &(src, dst, raw) in edges {
-                    payload.put_u32_le(src.0);
-                    payload.put_u32_le(dst.0);
-                    payload.put_f64_le(raw);
-                }
-            }
-            WireFrame::Flush => payload.put_slice(&[OP_FLUSH]),
-            WireFrame::Detect => payload.put_slice(&[OP_DETECT]),
-            WireFrame::Stats => payload.put_slice(&[OP_STATS]),
-            WireFrame::Shutdown => payload.put_slice(&[OP_SHUTDOWN]),
-            WireFrame::Metrics => payload.put_slice(&[OP_METRICS]),
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the serialized frame (length prefix included) to `out` —
+    /// how the servers queue replies on a connection's output buffer.
+    /// Panics if an edge run exceeds [`MAX_BATCH_EDGES`], a member list
+    /// that must ship whole exceeds [`MAX_MIGRATE_MEMBERS`] or a
+    /// snapshot exceeds [`MAX_SNAPSHOT_BYTES`]; `Detection` members,
+    /// `StatsReply` depths and text truncate instead.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        framed(out, |out| match self {
+            WireFrame::Batch { edges } => put_batch(out, None, edges),
+            WireFrame::BatchBudget { budget_us, edges } => put_batch(out, Some(*budget_us), edges),
+            WireFrame::Flush => out.push(OP_FLUSH),
+            WireFrame::Detect => out.push(OP_DETECT),
+            WireFrame::Stats => out.push(OP_STATS),
+            WireFrame::Shutdown => out.push(OP_SHUTDOWN),
+            WireFrame::Metrics => out.push(OP_METRICS),
             WireFrame::Region { hops } => {
-                payload.put_slice(&[OP_REGION]);
-                payload.put_u32_le(*hops);
+                out.push(OP_REGION);
+                out.put_u32_le(*hops);
             }
             WireFrame::MigrateOut { members } => {
                 assert!(members.len() <= MAX_MIGRATE_MEMBERS, "member list exceeds the bound");
-                payload.put_slice(&[OP_MIGRATE_OUT]);
-                payload.put_u32_le(members.len() as u32);
-                for m in members {
-                    payload.put_u32_le(m.0);
-                }
+                out.push(OP_MIGRATE_OUT);
+                put_members(out, members);
             }
             WireFrame::Absorb { slice } => {
-                payload.put_slice(&[OP_ABSORB]);
-                put_slice_body(&mut payload, slice);
+                out.push(OP_ABSORB);
+                put_slice_body(out, slice);
             }
-            WireFrame::Replicate { owner, seq, edges } => {
-                assert!(edges.len() <= MAX_BATCH_EDGES, "batch exceeds the frame bound");
-                payload.put_slice(&[OP_REPLICATE]);
-                payload.put_u32_le(*owner);
-                payload.put_u64_le(*seq);
-                payload.put_u32_le(edges.len() as u32);
-                for &(src, dst, raw) in edges {
-                    payload.put_u32_le(src.0);
-                    payload.put_u32_le(dst.0);
-                    payload.put_f64_le(raw);
-                }
-            }
+            WireFrame::Replicate { owner, seq, edges } => put_replicate(out, *owner, *seq, edges),
             WireFrame::Bootstrap { owner, after } => {
-                payload.put_slice(&[OP_BOOTSTRAP]);
-                payload.put_u32_le(*owner);
-                payload.put_u64_le(*after);
+                out.push(OP_BOOTSTRAP);
+                out.put_u32_le(*owner);
+                out.put_u64_le(*after);
             }
             WireFrame::Ack { accepted } => {
-                payload.put_slice(&[OP_ACK]);
-                payload.put_u64_le(*accepted);
+                out.push(OP_ACK);
+                out.put_u64_le(*accepted);
             }
             WireFrame::Busy { accepted } => {
-                payload.put_slice(&[OP_BUSY]);
-                payload.put_u64_le(*accepted);
+                out.push(OP_BUSY);
+                out.put_u64_le(*accepted);
             }
             WireFrame::Detection(det) => {
-                payload.put_slice(&[OP_DETECTION]);
-                payload.put_u64_le(det.size);
-                payload.put_f64_le(det.density);
-                payload.put_u64_le(det.updates_applied);
+                out.push(OP_DETECTION);
+                out.put_u64_le(det.size);
+                out.put_f64_le(det.density);
+                out.put_u64_le(det.updates_applied);
                 // Keep the frame within MAX_FRAME_BYTES no matter how
                 // large the community is: ship a truncated member list
                 // (size above carries the true count).
-                let members = &det.members[..det.members.len().min(MAX_DETECTION_MEMBERS)];
-                payload.put_u32_le(members.len() as u32);
-                for m in members {
-                    payload.put_u32_le(m.0);
-                }
+                put_members(out, &det.members[..det.members.len().min(MAX_DETECTION_MEMBERS)]);
             }
             WireFrame::StatsReply(s) => {
-                payload.put_slice(&[OP_STATS_REPLY]);
+                out.push(OP_STATS_REPLY);
                 for v in [
                     s.shards,
                     s.updates_applied,
@@ -553,103 +621,56 @@ impl WireFrame {
                     s.busy_replies,
                     s.malformed_frames,
                 ] {
-                    payload.put_u64_le(v);
+                    out.put_u64_le(v);
                 }
-                payload.put_f64_le(s.uptime_secs);
+                out.put_f64_le(s.uptime_secs);
                 let depths =
                     &s.shard_queue_depths[..s.shard_queue_depths.len().min(MAX_STATS_SHARDS)];
-                payload.put_u32_le(depths.len() as u32);
+                out.put_u32_le(depths.len() as u32);
                 for &d in depths {
-                    payload.put_u64_le(d);
+                    out.put_u64_le(d);
                 }
             }
             WireFrame::MetricsReply(m) => {
-                payload.put_slice(&[OP_METRICS_REPLY]);
-                payload.put_u32_le(m.version);
-                let bytes = m.exposition.as_bytes();
-                let cut = bytes.len().min(MAX_EXPOSITION_BYTES);
-                // Never split a UTF-8 sequence at the truncation point.
-                let cut = (0..=cut).rev().find(|&i| m.exposition.is_char_boundary(i)).unwrap_or(0);
-                payload.put_slice(&bytes[..cut]);
+                out.push(OP_METRICS_REPLY);
+                out.put_u32_le(m.version);
+                put_text(out, &m.exposition, MAX_EXPOSITION_BYTES);
             }
             WireFrame::RegionReply(region) => {
                 assert!(
                     region.members.len() <= MAX_MIGRATE_MEMBERS,
                     "region member list exceeds the bound"
                 );
-                assert!(region.encoded.len() <= MAX_SNAPSHOT_BYTES, "region snapshot too large");
-                payload.put_slice(&[OP_REGION_REPLY]);
-                payload.put_u64_le(region.size);
-                payload.put_f64_le(region.density);
-                payload.put_u64_le(region.updates_applied);
-                payload.put_u64_le(region.epoch);
-                payload.put_u32_le(region.members.len() as u32);
-                for m in &region.members {
-                    payload.put_u32_le(m.0);
-                }
-                payload.put_u32_le(region.encoded.len() as u32);
-                payload.put_slice(&region.encoded);
+                out.push(OP_REGION_REPLY);
+                out.put_u64_le(region.size);
+                out.put_f64_le(region.density);
+                out.put_u64_le(region.updates_applied);
+                out.put_u64_le(region.epoch);
+                put_members(out, &region.members);
+                put_snapshot(out, &region.encoded);
             }
             WireFrame::SliceReply(slice) => {
-                payload.put_slice(&[OP_SLICE_REPLY]);
-                put_slice_body(&mut payload, slice);
+                out.push(OP_SLICE_REPLY);
+                put_slice_body(out, slice);
             }
             WireFrame::AbsorbReply(receipt) => {
-                payload.put_slice(&[OP_ABSORB_REPLY]);
-                payload.put_u64_le(receipt.vertices_touched);
-                payload.put_u64_le(receipt.edges_applied);
-                payload.put_u64_le(receipt.rejected);
+                out.push(OP_ABSORB_REPLY);
+                out.put_u64_le(receipt.vertices_touched);
+                out.put_u64_le(receipt.edges_applied);
+                out.put_u64_le(receipt.rejected);
             }
             WireFrame::BootstrapChunk(chunk) => {
-                assert!(chunk.edges.len() <= MAX_BATCH_EDGES, "chunk exceeds the frame bound");
-                payload.put_slice(&[OP_BOOTSTRAP_CHUNK]);
-                payload.put_u32_le(chunk.owner);
-                payload.put_u64_le(chunk.through);
-                payload.put_slice(&[u8::from(chunk.done)]);
-                payload.put_u32_le(chunk.edges.len() as u32);
-                for &(src, dst, raw) in &chunk.edges {
-                    payload.put_u32_le(src.0);
-                    payload.put_u32_le(dst.0);
-                    payload.put_f64_le(raw);
-                }
+                out.push(OP_BOOTSTRAP_CHUNK);
+                out.put_u32_le(chunk.owner);
+                out.put_u64_le(chunk.through);
+                out.push(u8::from(chunk.done));
+                put_edges(out, &chunk.edges);
             }
             WireFrame::Error { message } => {
-                payload.put_slice(&[OP_ERROR]);
-                let bytes = message.as_bytes();
-                let cut = bytes.len().min(MAX_ERROR_BYTES);
-                // Never split a UTF-8 sequence at the truncation point.
-                let cut = (0..=cut).rev().find(|&i| message.is_char_boundary(i)).unwrap_or(0);
-                payload.put_slice(&bytes[..cut]);
+                out.push(OP_ERROR);
+                put_text(out, message, MAX_ERROR_BYTES);
             }
-        }
-        debug_assert!(payload.len() <= MAX_FRAME_BYTES, "encoded frame exceeds the bound");
-        let payload = payload.freeze();
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
-    }
-
-    /// Rough payload size, to pre-reserve the encode buffer.
-    fn encoded_hint(&self) -> usize {
-        match self {
-            WireFrame::Batch { edges } => 5 + edges.len() * 16,
-            WireFrame::BatchBudget { edges, .. } => 9 + edges.len() * 16,
-            WireFrame::Detection(det) => 29 + det.members.len().min(MAX_DETECTION_MEMBERS) * 4,
-            WireFrame::Error { message } => 1 + message.len().min(MAX_ERROR_BYTES),
-            WireFrame::StatsReply(s) => 77 + s.shard_queue_depths.len().min(MAX_STATS_SHARDS) * 8,
-            WireFrame::MetricsReply(m) => 5 + m.exposition.len().min(MAX_EXPOSITION_BYTES),
-            WireFrame::MigrateOut { members } => 5 + members.len().min(MAX_MIGRATE_MEMBERS) * 4,
-            WireFrame::Absorb { slice } => 38 + slice.encoded.len().min(MAX_SNAPSHOT_BYTES),
-            WireFrame::SliceReply(slice) => 38 + slice.encoded.len().min(MAX_SNAPSHOT_BYTES),
-            WireFrame::Replicate { edges, .. } => 17 + edges.len().min(MAX_BATCH_EDGES) * 16,
-            WireFrame::BootstrapChunk(c) => 18 + c.edges.len().min(MAX_BATCH_EDGES) * 16,
-            WireFrame::RegionReply(r) => {
-                41 + r.members.len().min(MAX_MIGRATE_MEMBERS) * 4
-                    + r.encoded.len().min(MAX_SNAPSHOT_BYTES)
-            }
-            _ => 33,
-        }
+        });
     }
 
     /// Decodes one payload (the bytes **after** the length prefix).
@@ -660,42 +681,14 @@ impl WireFrame {
         need(&buf, 1, "empty payload")?;
         let opcode = buf.take_bytes(1)[0];
         let frame = match opcode {
-            OP_EDGE => {
-                need(&buf, 16, "truncated edge")?;
-                WireFrame::Edge {
-                    src: VertexId(buf.get_u32_le()),
-                    dst: VertexId(buf.get_u32_le()),
-                    raw: buf.get_f64_le(),
-                }
-            }
-            OP_BATCH => {
-                need(&buf, 4, "truncated batch header")?;
-                let count = buf.get_u32_le() as usize;
-                check_section(&buf, count, 16, "truncated batch")?;
-                let mut edges = Vec::with_capacity(count);
-                for _ in 0..count {
-                    edges.push((
-                        VertexId(buf.get_u32_le()),
-                        VertexId(buf.get_u32_le()),
-                        buf.get_f64_le(),
-                    ));
-                }
-                WireFrame::Batch { edges }
-            }
+            OP_BATCH => WireFrame::Batch { edges: take_edges(&mut buf, "truncated batch")? },
             OP_BATCH_BUDGET => {
-                need(&buf, 8, "truncated budgeted-batch header")?;
+                need(&buf, 4, "truncated budgeted-batch header")?;
                 let budget_us = buf.get_u32_le();
-                let count = buf.get_u32_le() as usize;
-                check_section(&buf, count, 16, "truncated budgeted batch")?;
-                let mut edges = Vec::with_capacity(count);
-                for _ in 0..count {
-                    edges.push((
-                        VertexId(buf.get_u32_le()),
-                        VertexId(buf.get_u32_le()),
-                        buf.get_f64_le(),
-                    ));
+                WireFrame::BatchBudget {
+                    budget_us,
+                    edges: take_edges(&mut buf, "truncated budgeted batch")?,
                 }
-                WireFrame::BatchBudget { budget_us, edges }
             }
             OP_FLUSH => WireFrame::Flush,
             OP_DETECT => WireFrame::Detect,
@@ -711,17 +704,16 @@ impl WireFrame {
                 WireFrame::Busy { accepted: buf.get_u64_le() }
             }
             OP_DETECTION => {
-                need(&buf, 28, "truncated detection header")?;
-                let size = buf.get_u64_le();
-                let density = buf.get_f64_le();
-                let updates_applied = buf.get_u64_le();
-                let count = buf.get_u32_le() as usize;
-                check_section(&buf, count, 4, "truncated member list")?;
-                let members = (0..count).map(|_| VertexId(buf.get_u32_le())).collect();
-                WireFrame::Detection(DetectionReply { size, density, updates_applied, members })
+                need(&buf, 24, "truncated detection header")?;
+                WireFrame::Detection(DetectionReply {
+                    size: buf.get_u64_le(),
+                    density: buf.get_f64_le(),
+                    updates_applied: buf.get_u64_le(),
+                    members: take_members(&mut buf, MAX_DETECTION_MEMBERS, "bad member list")?,
+                })
             }
             OP_STATS_REPLY => {
-                need(&buf, 76, "truncated stats reply")?;
+                need(&buf, 72, "truncated stats reply")?;
                 let mut reply = StatsReply {
                     shards: buf.get_u64_le(),
                     updates_applied: buf.get_u64_le(),
@@ -734,8 +726,7 @@ impl WireFrame {
                     uptime_secs: buf.get_f64_le(),
                     shard_queue_depths: Vec::new(),
                 };
-                let count = buf.get_u32_le() as usize;
-                check_section(&buf, count, 8, "truncated queue-depth list")?;
+                let count = take_count(&mut buf, MAX_STATS_SHARDS, 8, "bad queue-depth list")?;
                 reply.shard_queue_depths = (0..count).map(|_| buf.get_u64_le()).collect();
                 WireFrame::StatsReply(reply)
             }
@@ -743,63 +734,35 @@ impl WireFrame {
                 need(&buf, 4, "truncated region request")?;
                 WireFrame::Region { hops: buf.get_u32_le() }
             }
-            OP_MIGRATE_OUT => {
-                need(&buf, 4, "truncated migrate-out header")?;
-                let count = buf.get_u32_le() as usize;
-                if count > MAX_MIGRATE_MEMBERS {
-                    return Err(WireError::Corrupt("migrate-out member list exceeds the bound"));
-                }
-                check_section(&buf, count, 4, "truncated migrate-out member list")?;
-                let members = (0..count).map(|_| VertexId(buf.get_u32_le())).collect();
-                WireFrame::MigrateOut { members }
-            }
+            OP_MIGRATE_OUT => WireFrame::MigrateOut {
+                members: take_members(
+                    &mut buf,
+                    MAX_MIGRATE_MEMBERS,
+                    "bad migrate-out member list",
+                )?,
+            },
             OP_ABSORB => WireFrame::Absorb { slice: take_slice_body(&mut buf)? },
             OP_REPLICATE => {
-                need(&buf, 16, "truncated replicate header")?;
-                let owner = buf.get_u32_le();
-                let seq = buf.get_u64_le();
-                let count = buf.get_u32_le() as usize;
-                check_section(&buf, count, 16, "truncated replicate batch")?;
-                let mut edges = Vec::with_capacity(count);
-                for _ in 0..count {
-                    edges.push((
-                        VertexId(buf.get_u32_le()),
-                        VertexId(buf.get_u32_le()),
-                        buf.get_f64_le(),
-                    ));
+                need(&buf, 12, "truncated replicate header")?;
+                WireFrame::Replicate {
+                    owner: buf.get_u32_le(),
+                    seq: buf.get_u64_le(),
+                    edges: take_edges(&mut buf, "truncated replicate batch")?,
                 }
-                WireFrame::Replicate { owner, seq, edges }
             }
             OP_BOOTSTRAP => {
                 need(&buf, 12, "truncated bootstrap request")?;
                 WireFrame::Bootstrap { owner: buf.get_u32_le(), after: buf.get_u64_le() }
             }
             OP_REGION_REPLY => {
-                need(&buf, 36, "truncated region reply header")?;
-                let size = buf.get_u64_le();
-                let density = buf.get_f64_le();
-                let updates_applied = buf.get_u64_le();
-                let epoch = buf.get_u64_le();
-                let count = buf.get_u32_le() as usize;
-                if count > MAX_MIGRATE_MEMBERS {
-                    return Err(WireError::Corrupt("region member list exceeds the bound"));
-                }
-                check_section(&buf, count, 4, "truncated region member list")?;
-                let members = (0..count).map(|_| VertexId(buf.get_u32_le())).collect();
-                need(&buf, 4, "truncated region snapshot header")?;
-                let blen = buf.get_u32_le() as usize;
-                if blen > MAX_SNAPSHOT_BYTES {
-                    return Err(WireError::Corrupt("region snapshot exceeds the bound"));
-                }
-                need(&buf, blen, "truncated region snapshot")?;
-                let encoded = buf.take_bytes(blen).to_vec();
+                need(&buf, 32, "truncated region reply header")?;
                 WireFrame::RegionReply(RegionReply {
-                    size,
-                    density,
-                    updates_applied,
-                    epoch,
-                    members,
-                    encoded,
+                    size: buf.get_u64_le(),
+                    density: buf.get_f64_le(),
+                    updates_applied: buf.get_u64_le(),
+                    epoch: buf.get_u64_le(),
+                    members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?,
+                    encoded: take_snapshot(&mut buf, "bad region snapshot")?,
                 })
             }
             OP_SLICE_REPLY => WireFrame::SliceReply(take_slice_body(&mut buf)?),
@@ -812,7 +775,7 @@ impl WireFrame {
                 })
             }
             OP_BOOTSTRAP_CHUNK => {
-                need(&buf, 17, "truncated bootstrap chunk header")?;
+                need(&buf, 13, "truncated bootstrap chunk header")?;
                 let owner = buf.get_u32_le();
                 let through = buf.get_u64_le();
                 let done = match buf.take_bytes(1)[0] {
@@ -820,31 +783,18 @@ impl WireFrame {
                     1 => true,
                     _ => return Err(WireError::Corrupt("bootstrap done flag is not 0/1")),
                 };
-                let count = buf.get_u32_le() as usize;
-                check_section(&buf, count, 16, "truncated bootstrap chunk")?;
-                let mut edges = Vec::with_capacity(count);
-                for _ in 0..count {
-                    edges.push((
-                        VertexId(buf.get_u32_le()),
-                        VertexId(buf.get_u32_le()),
-                        buf.get_f64_le(),
-                    ));
-                }
+                let edges = take_edges(&mut buf, "truncated bootstrap chunk")?;
                 WireFrame::BootstrapChunk(BootstrapChunk { owner, through, done, edges })
             }
             OP_METRICS_REPLY => {
                 need(&buf, 4, "truncated metrics reply")?;
-                let version = buf.get_u32_le();
-                let raw = buf.take_bytes(buf.remaining()).to_vec();
-                let exposition = String::from_utf8(raw)
-                    .map_err(|_| WireError::Corrupt("metrics exposition is not UTF-8"))?;
-                return Ok(WireFrame::MetricsReply(MetricsReply { version, exposition }));
+                WireFrame::MetricsReply(MetricsReply {
+                    version: buf.get_u32_le(),
+                    exposition: take_text(&mut buf, "metrics exposition is not UTF-8")?,
+                })
             }
             OP_ERROR => {
-                let raw = buf.take_bytes(buf.remaining()).to_vec();
-                let message = String::from_utf8(raw)
-                    .map_err(|_| WireError::Corrupt("error message is not UTF-8"))?;
-                return Ok(WireFrame::Error { message });
+                WireFrame::Error { message: take_text(&mut buf, "error message is not UTF-8")? }
             }
             other => return Err(WireError::BadOpcode(other)),
         };
@@ -853,11 +803,72 @@ impl WireFrame {
         }
         Ok(frame)
     }
+
+    /// Splits an ingest frame into its edges and their detection-latency
+    /// budget — `Batch` and `BatchBudget` are two encodings of one
+    /// request, and this is the only place `budget_us == 0` is read as
+    /// "no budget". Any other frame comes back unchanged.
+    pub fn into_ingest(self) -> Result<(Vec<RawEdge>, Option<Duration>), WireFrame> {
+        match self {
+            WireFrame::Batch { edges } => Ok((edges, None)),
+            WireFrame::BatchBudget { budget_us, edges } => {
+                Ok((edges, (budget_us > 0).then(|| Duration::from_micros(u64::from(budget_us)))))
+            }
+            other => Err(other),
+        }
+    }
+
+    /// `true` for the frames only a server sends; one arriving *at* a
+    /// server is a protocol violation.
+    pub fn is_reply(&self) -> bool {
+        matches!(
+            self,
+            WireFrame::Ack { .. }
+                | WireFrame::Busy { .. }
+                | WireFrame::Detection(_)
+                | WireFrame::StatsReply(_)
+                | WireFrame::MetricsReply(_)
+                | WireFrame::RegionReply(_)
+                | WireFrame::SliceReply(_)
+                | WireFrame::AbsorbReply(_)
+                | WireFrame::BootstrapChunk(_)
+                | WireFrame::Error { .. }
+        )
+    }
+
+    /// The variant's name, for errors that must say which frame arrived
+    /// without dumping its payload.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            WireFrame::Batch { .. } => "Batch",
+            WireFrame::BatchBudget { .. } => "BatchBudget",
+            WireFrame::Flush => "Flush",
+            WireFrame::Detect => "Detect",
+            WireFrame::Stats => "Stats",
+            WireFrame::Shutdown => "Shutdown",
+            WireFrame::Metrics => "Metrics",
+            WireFrame::Region { .. } => "Region",
+            WireFrame::MigrateOut { .. } => "MigrateOut",
+            WireFrame::Absorb { .. } => "Absorb",
+            WireFrame::Replicate { .. } => "Replicate",
+            WireFrame::Bootstrap { .. } => "Bootstrap",
+            WireFrame::Ack { .. } => "Ack",
+            WireFrame::Busy { .. } => "Busy",
+            WireFrame::Detection(_) => "Detection",
+            WireFrame::StatsReply(_) => "StatsReply",
+            WireFrame::MetricsReply(_) => "MetricsReply",
+            WireFrame::RegionReply(_) => "RegionReply",
+            WireFrame::SliceReply(_) => "SliceReply",
+            WireFrame::AbsorbReply(_) => "AbsorbReply",
+            WireFrame::BootstrapChunk(_) => "BootstrapChunk",
+            WireFrame::Error { .. } => "Error",
+        }
+    }
 }
 
 /// Incremental frame reassembly over a byte stream: feed whatever the
 /// socket produced with [`extend`](Self::extend), pop complete frames
-/// with [`next`](Self::next). Bytes are buffered across calls, so frames
+/// with [`next_frame`](Self::next_frame). Bytes are buffered across calls, so frames
 /// may arrive split at ANY byte boundary (including inside the length
 /// prefix) — the property tests feed one byte at a time.
 #[derive(Debug, Default)]
@@ -922,6 +933,34 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &WireFrame) -> std::io::Result<()
     w.write_all(&frame.encode())
 }
 
+/// Writes a `Batch` frame — a `BatchBudget` when `budget_us` is set —
+/// over **borrowed** edges, byte-identical to [`WireFrame::encode`] of
+/// the owning frame: a producer that keeps the edges until they are
+/// acknowledged (the client's in-flight window, the router's retry
+/// suffix) ships them without building, cloning or taking apart a
+/// [`WireFrame`]. Same chunking contract as [`WireFrame::encode_into`].
+pub fn write_batch<W: Write>(
+    w: &mut W,
+    budget_us: Option<u32>,
+    edges: &[RawEdge],
+) -> std::io::Result<()> {
+    let mut out = Vec::new();
+    framed(&mut out, |out| put_batch(out, budget_us, edges));
+    w.write_all(&out)
+}
+
+/// [`write_batch`]'s counterpart for a `Replicate` frame.
+pub fn write_replicate<W: Write>(
+    w: &mut W,
+    owner: u32,
+    seq: u64,
+    edges: &[RawEdge],
+) -> std::io::Result<()> {
+    let mut out = Vec::new();
+    framed(&mut out, |out| put_replicate(out, owner, seq, edges));
+    w.write_all(&out)
+}
+
 /// Reads exactly one frame from `r` (blocking). Returns `Ok(None)` on a
 /// clean EOF **at a frame boundary**; EOF mid-frame is an error.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<WireFrame>, WireError> {
@@ -964,7 +1003,7 @@ mod tests {
 
     #[test]
     fn every_frame_kind_roundtrips() {
-        roundtrip(WireFrame::Edge { src: v(1), dst: v(2), raw: 3.5 });
+        roundtrip(WireFrame::Batch { edges: vec![(v(1), v(2), 3.5)] });
         roundtrip(WireFrame::Batch { edges: vec![(v(0), v(1), 1.0), (v(9), v(7), 0.25)] });
         roundtrip(WireFrame::Batch { edges: Vec::new() });
         roundtrip(WireFrame::BatchBudget {
@@ -1119,7 +1158,7 @@ mod tests {
     #[test]
     fn split_delivery_reassembles() {
         let frames =
-            [WireFrame::Edge { src: v(1), dst: v(2), raw: 9.0 }, WireFrame::Ack { accepted: 1 }];
+            [WireFrame::Batch { edges: vec![(v(1), v(2), 9.0)] }, WireFrame::Ack { accepted: 1 }];
         let mut bytes = Vec::new();
         for f in &frames {
             bytes.extend_from_slice(&f.encode());

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use spade_core::SubgraphSnapshot;
 use spade_graph::VertexId;
 use spade_net::{
-    AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder, MetricsReply, RegionReply,
-    StatsReply, WireError, WireFrame, WireSlice,
+    write_batch, write_replicate, AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder,
+    MetricsReply, RegionReply, StatsReply, WireError, WireFrame, WireSlice,
 };
 
 fn v(i: u32) -> VertexId {
@@ -34,8 +34,6 @@ fn arb_slice() -> impl Strategy<Value = WireSlice> {
 
 /// One arbitrary frame of any kind, request or reply.
 fn arb_frame() -> impl Strategy<Value = WireFrame> {
-    let edge = (0u32..u32::MAX, 0u32..u32::MAX, 0.0f64..1e9)
-        .prop_map(|(s, d, raw)| WireFrame::Edge { src: v(s), dst: v(d), raw });
     let batch =
         collection::vec((0u32..100_000, 0u32..100_000, 0.0f64..1e6), 0..64).prop_map(|edges| {
             WireFrame::Batch { edges: edges.into_iter().map(|(s, d, w)| (v(s), v(d), w)).collect() }
@@ -139,8 +137,7 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
             })
         });
     prop_oneof![
-        4 => edge,
-        4 => batch,
+        8 => batch,
         3 => batch_budget,
         1 => (0u32..16).prop_map(|hops| WireFrame::Region { hops }),
         1 => migrate_out,
@@ -192,6 +189,29 @@ proptest! {
         }
         prop_assert_eq!(got, frames);
         prop_assert_eq!(decoder.buffered(), 0);
+    }
+
+    /// The borrowed-slice writers the client and router ship edge runs
+    /// through emit exactly the bytes of the owning frame's `encode` —
+    /// one codec, whichever way a producer holds its edges.
+    #[test]
+    fn borrowed_writers_match_the_owning_frames_byte_for_byte(
+        raw in collection::vec((0u32..u32::MAX, 0u32..u32::MAX, 0.0f64..1e9), 0..64),
+        budget_us in 0u32..u32::MAX,
+        owner in 0u32..64,
+        seq in 0u64..u64::MAX,
+    ) {
+        let edges: Vec<_> = raw.into_iter().map(|(s, d, w)| (v(s), v(d), w)).collect();
+        let (mut plain, mut budgeted, mut replicated) = (Vec::new(), Vec::new(), Vec::new());
+        write_batch(&mut plain, None, &edges).expect("Vec write");
+        write_batch(&mut budgeted, Some(budget_us), &edges).expect("Vec write");
+        write_replicate(&mut replicated, owner, seq, &edges).expect("Vec write");
+        prop_assert_eq!(plain, WireFrame::Batch { edges: edges.clone() }.encode());
+        prop_assert_eq!(
+            budgeted,
+            WireFrame::BatchBudget { budget_us, edges: edges.clone() }.encode()
+        );
+        prop_assert_eq!(replicated, WireFrame::Replicate { owner, seq, edges }.encode());
     }
 
     /// The reactor's per-connection buffer handoff: bytes arrive in
@@ -294,6 +314,7 @@ proptest! {
                     WireError::Oversized(_)
                     | WireError::BadOpcode(_)
                     | WireError::Corrupt(_)
+                    | WireError::Unexpected(_)
                     | WireError::Io(_),
                 ) => break,
             }
