@@ -14,7 +14,7 @@ and asserts:
    an acknowledged edge that never reached a shard engine is data loss,
    not noise;
 3. monotone-ish throughput — aggregate acked throughput may fall as
-   producer counts rise (Busy retries are real work), but no count may
+   producer counts rise (parked frames are real waiting), but no count may
    collapse below `--min-peak-ratio` of the sweep's own peak. A
    fairness bug (one connection wedging a loop, retry livelock) shows
    up here as a cliff at the high counts;

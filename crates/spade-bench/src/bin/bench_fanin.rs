@@ -8,8 +8,9 @@
 //!
 //! * aggregate acked-edge throughput (edges/sec over the producer phase),
 //! * ack p99 across all producers' flush round trips,
-//! * busy rate (Busy replies per request frame — how often back-pressure
-//!   crossed the wire),
+//! * busy rate (the share of request frames that met a full shard queue
+//!   and parked their connection — how often back-pressure crossed the
+//!   wire; the server's `NetStats::busy_replies / frames`),
 //! * lost acked edges (acked minus applied after the drain; the hard
 //!   invariant — always 0 on a healthy build),
 //! * wall clock for the whole count, producers through drain.
@@ -47,8 +48,6 @@ const ROUND_EDGES: usize = 64;
 struct ProducerRun {
     flush_rtts: Vec<Duration>,
     acked: u64,
-    busy: u64,
-    frames: u64,
 }
 
 /// One measured producer count.
@@ -92,12 +91,7 @@ fn producer(addr: std::net::SocketAddr, index: usize, edges: usize) -> ProducerR
         sent += round;
     }
     let stats = client.finish().expect("finish");
-    ProducerRun {
-        flush_rtts,
-        acked: stats.edges_acked,
-        busy: stats.busy_replies,
-        frames: stats.frames_sent,
-    }
+    ProducerRun { flush_rtts, acked: stats.edges_acked }
 }
 
 /// Runs one producer count against a fresh server and drains to the
@@ -124,8 +118,6 @@ fn run_count(producers: usize, edges_per_producer: usize) -> Sample {
     let producer_elapsed = wall_started.elapsed();
 
     let edges_acked: u64 = runs.iter().map(|r| r.acked).sum();
-    let busy: u64 = runs.iter().map(|r| r.busy).sum();
-    let frames: u64 = runs.iter().map(|r| r.frames).sum();
     let mut rtts: Vec<Duration> = runs.into_iter().flat_map(|r| r.flush_rtts).collect();
     rtts.sort_unstable();
     let ack_p99 = rtts[(rtts.len() * 99 / 100).min(rtts.len() - 1)];
@@ -151,7 +143,7 @@ fn run_count(producers: usize, edges_per_producer: usize) -> Sample {
         edges_acked,
         producer_elapsed,
         ack_p99,
-        busy_rate: busy as f64 / frames.max(1) as f64,
+        busy_rate: net.busy_replies as f64 / net.frames.max(1) as f64,
         lost_acked_edges,
         wall_clock: wall_started.elapsed(),
     }

@@ -10,9 +10,9 @@
 //! `cargo run -p spade-bench --release --bin fig9a_prevention`
 
 use spade_bench::clock::SimulatedClock;
-use spade_bench::replay::{bootstrap_engine, AnyMetric, MetricKind};
+use spade_bench::replay::{bootstrap_engine, MetricKind};
 use spade_core::stream::StreamEdge;
-use spade_core::{EdgeGrouper, GroupingConfig, SpadeEngine};
+use spade_core::{BuiltinMetric, EdgeGrouper, GroupingConfig, SpadeEngine};
 use spade_gen::fraud::{FraudInjector, FraudInjectorConfig, InjectedStream};
 use spade_gen::transactions::{TransactionStream, TransactionStreamConfig};
 use spade_metrics::{LatencyRecorder, PreventionTracker, Table};
@@ -86,7 +86,7 @@ impl<'a> Attribution<'a> {
         }
     }
 
-    fn on_round(&mut self, engine: &SpadeEngine<AnyMetric>, done_ts: u64) {
+    fn on_round(&mut self, engine: &SpadeEngine<BuiltinMetric>, done_ts: u64) {
         let det = engine.cached_detection();
         for m in engine.community(det) {
             if let Some(&inst) = self.account_instance.get(&m.0) {

@@ -16,12 +16,12 @@
 //! processing times (Fig. 8's definitions).
 
 use crate::clock::SimulatedClock;
-use spade_core::metric::{DensityMetric, Fraudar, UnweightedDensity, WeightedDensity};
+use spade_core::metric::{BuiltinMetric, Fraudar, UnweightedDensity, WeightedDensity};
 use spade_core::{order::MinQueue, stream::StreamEdge};
 use spade_core::{
     peel_with_queue, EdgeGrouper, GroupingConfig, ReorderStats, SpadeConfig, SpadeEngine,
 };
-use spade_graph::{CsrGraph, DynamicGraph, VertexId};
+use spade_graph::{CsrGraph, VertexId};
 use spade_metrics::LatencyRecorder;
 use std::time::Instant;
 
@@ -68,54 +68,17 @@ impl MetricKind {
     }
 
     /// Instantiates the metric.
-    pub fn metric(self) -> AnyMetric {
+    pub fn metric(self) -> BuiltinMetric {
         match self {
-            MetricKind::Dg => AnyMetric::Dg(UnweightedDensity),
-            MetricKind::Dw => AnyMetric::Dw(WeightedDensity),
-            MetricKind::Fd => AnyMetric::Fd(Fraudar::new()),
-        }
-    }
-}
-
-/// Enum-dispatched metric so harness code stays monomorphic.
-#[derive(Clone, Debug)]
-pub enum AnyMetric {
-    /// DG.
-    Dg(UnweightedDensity),
-    /// DW.
-    Dw(WeightedDensity),
-    /// FD.
-    Fd(Fraudar),
-}
-
-impl DensityMetric for AnyMetric {
-    fn vertex_susp(&self, u: VertexId, g: &DynamicGraph) -> f64 {
-        match self {
-            AnyMetric::Dg(m) => m.vertex_susp(u, g),
-            AnyMetric::Dw(m) => m.vertex_susp(u, g),
-            AnyMetric::Fd(m) => m.vertex_susp(u, g),
-        }
-    }
-
-    fn edge_susp(&self, src: VertexId, dst: VertexId, raw: f64, g: &DynamicGraph) -> f64 {
-        match self {
-            AnyMetric::Dg(m) => m.edge_susp(src, dst, raw, g),
-            AnyMetric::Dw(m) => m.edge_susp(src, dst, raw, g),
-            AnyMetric::Fd(m) => m.edge_susp(src, dst, raw, g),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyMetric::Dg(m) => m.name(),
-            AnyMetric::Dw(m) => m.name(),
-            AnyMetric::Fd(m) => m.name(),
+            MetricKind::Dg => BuiltinMetric::Dg(UnweightedDensity),
+            MetricKind::Dw => BuiltinMetric::Dw(WeightedDensity),
+            MetricKind::Fd => BuiltinMetric::Fd(Fraudar::new()),
         }
     }
 }
 
 /// Builds an engine bootstrapped on `initial`.
-pub fn bootstrap_engine(kind: MetricKind, initial: &[StreamEdge]) -> SpadeEngine<AnyMetric> {
+pub fn bootstrap_engine(kind: MetricKind, initial: &[StreamEdge]) -> SpadeEngine<BuiltinMetric> {
     SpadeEngine::bootstrap(
         kind.metric(),
         SpadeConfig::default(),
@@ -176,7 +139,7 @@ fn bootstrap_engine_all(
     kind: MetricKind,
     initial: &[StreamEdge],
     increments: &[StreamEdge],
-) -> SpadeEngine<AnyMetric> {
+) -> SpadeEngine<BuiltinMetric> {
     SpadeEngine::bootstrap(
         kind.metric(),
         SpadeConfig::default(),
@@ -251,7 +214,7 @@ pub fn measure_grouped_replay(
     initial: &[StreamEdge],
     increments: &[StreamEdge],
     config: GroupingConfig,
-    mut on_flush: impl FnMut(&SpadeEngine<AnyMetric>, u64),
+    mut on_flush: impl FnMut(&SpadeEngine<BuiltinMetric>, u64),
 ) -> ReplayReport {
     let mut engine = bootstrap_engine(kind, initial);
     let mut grouper = EdgeGrouper::new(config);
@@ -339,6 +302,25 @@ mod tests {
         assert_eq!(report.latency.count(), inc.len());
         assert_eq!(report.rounds, flushes);
         assert!(flushes >= 1);
+    }
+
+    /// The harness metric must carry DG's set semantics into the grouper:
+    /// a pair repeated while it is still buffered is one edge, weight 1.
+    #[test]
+    fn grouped_dg_dedups_a_pair_repeated_while_buffered() {
+        let v = VertexId;
+        // A 5-clique (DG density 4) makes a far-away pair benign.
+        let clique = (0..5).flat_map(|a| (0..5).filter(move |&b| a != b).map(move |b| (a, b)));
+        let initial: Vec<StreamEdge> =
+            clique.map(|(a, b)| StreamEdge::organic(v(a), v(b), 1.0, 0)).collect();
+        let mut engine = bootstrap_engine(MetricKind::Dg, &initial);
+        let mut grouper = EdgeGrouper::new(GroupingConfig::default());
+        for _ in 0..2 {
+            let out = grouper.submit(&mut engine, v(10), v(11), 1.0).expect("submit");
+            assert!(out.flushed.is_none(), "the pair must still be buffered");
+        }
+        grouper.flush(&mut engine).expect("flush");
+        assert_eq!(engine.graph().edge_weight(v(10), v(11)), Some(1.0));
     }
 
     #[test]

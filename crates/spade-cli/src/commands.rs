@@ -1,7 +1,7 @@
 //! Subcommand implementations for the `spade` binary.
 
 use crate::args::Args;
-use spade_core::metric::{DensityMetric, Fraudar, UnweightedDensity, WeightedDensity};
+use spade_core::metric::{BuiltinMetric, DensityMetric};
 use spade_core::{
     load_engine, save_engine, EdgeGrouper, GroupingConfig, MigrationReport, PartitionStrategy,
     RepairConfig, RepairedDetection, ShardedConfig, ShardedSpadeService, SpadeConfig, SpadeEngine,
@@ -9,7 +9,6 @@ use spade_core::{
 };
 use spade_gen::datasets::DatasetSpec;
 use spade_graph::io::{read_edge_list, EdgeRecord};
-use spade_graph::VertexId;
 use spade_metrics::Table;
 use spade_net::{
     ClientConfig, MetricsHttpServer, NetStats, ReactorConfig, RouterConfig, ShardServer,
@@ -20,62 +19,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type AnyError = Box<dyn Error>;
-
-/// Enum-dispatched metric chosen by `--metric`.
-#[derive(Clone, Debug)]
-pub enum CliMetric {
-    /// DG.
-    Dg(UnweightedDensity),
-    /// DW.
-    Dw(WeightedDensity),
-    /// FD.
-    Fd(Fraudar),
-}
-
-impl CliMetric {
-    fn from_name(name: &str) -> Result<CliMetric, AnyError> {
-        match name.to_ascii_lowercase().as_str() {
-            "dg" => Ok(CliMetric::Dg(UnweightedDensity)),
-            "dw" => Ok(CliMetric::Dw(WeightedDensity)),
-            "fd" => Ok(CliMetric::Fd(Fraudar::new())),
-            other => Err(format!("unknown metric {other:?} (expected dg, dw or fd)").into()),
-        }
-    }
-}
-
-impl DensityMetric for CliMetric {
-    fn vertex_susp(&self, u: VertexId, g: &spade_graph::DynamicGraph) -> f64 {
-        match self {
-            CliMetric::Dg(m) => m.vertex_susp(u, g),
-            CliMetric::Dw(m) => m.vertex_susp(u, g),
-            CliMetric::Fd(m) => m.vertex_susp(u, g),
-        }
-    }
-
-    fn edge_susp(&self, s: VertexId, d: VertexId, raw: f64, g: &spade_graph::DynamicGraph) -> f64 {
-        match self {
-            CliMetric::Dg(m) => m.edge_susp(s, d, raw, g),
-            CliMetric::Dw(m) => m.edge_susp(s, d, raw, g),
-            CliMetric::Fd(m) => m.edge_susp(s, d, raw, g),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            CliMetric::Dg(m) => m.name(),
-            CliMetric::Dw(m) => m.name(),
-            CliMetric::Fd(m) => m.name(),
-        }
-    }
-
-    fn accumulates_duplicates(&self) -> bool {
-        match self {
-            CliMetric::Dg(m) => m.accumulates_duplicates(),
-            CliMetric::Dw(m) => m.accumulates_duplicates(),
-            CliMetric::Fd(m) => m.accumulates_duplicates(),
-        }
-    }
-}
 
 /// Prints usage.
 pub fn print_help() {
@@ -136,15 +79,16 @@ component; a final pass runs before the report.
 `serve --listen <addr>` takes no edge list: it binds a framed-TCP ingest
 server on <addr> (port 0 picks a free port; the bound address is
 printed) and bridges producer frames straight into the sharded runtime —
-a full shard queue answers Busy over the wire instead of blocking the
-connection. All connections are multiplexed onto a small reactor pool of
+a frame that meets a full shard queue parks its connection (unread, so
+TCP flow control slows that producer) until the rest is enqueued, then
+is acked whole. All connections are multiplexed onto a small reactor pool of
 `--net-workers` event-loop threads (default 2) with a per-connection
 frame budget per readiness cycle, so one firehose producer cannot starve
 other connections of acks. The server runs until a producer sends the Shutdown frame
 (`spade ingest --shutdown`), then prints the usual sharded report plus
-connection/frame/busy transport counters. `spade ingest <addr> <file>`
-is the matching producer: it replays an edge list with `--batch`-sized
-pipelined frames (`--pipeline` in flight), retries Busy suffixes, and
+connection/frame/parked-frame transport counters. `spade ingest <addr>
+<file>` is the matching producer: it replays an edge list with
+`--batch`-sized pipelined frames (`--pipeline` in flight), and
 with `--detect`/`--stats` reads the live detection and server counters
 back; `--shutdown` stops the server when the replay ends.
 
@@ -154,7 +98,7 @@ per-stage latency histograms (queue wait, reorder/peel, publish),
 runtime totals, repair/migration counters, and transport counters with
 per-connection series. `spade watch <addr>` polls a serving runtime over
 the wire and prints a refreshing table of updates, per-shard queue
-depths (back-pressure before Busy fires), and stage latencies; each poll
+depths and parked frames (back-pressure), and stage latencies; each poll
 flushes, so watch a live workload rather than an idle server for
 representative numbers.
 
@@ -180,8 +124,10 @@ fn load_records(path: &str) -> Result<Vec<EdgeRecord>, AnyError> {
     Ok(records)
 }
 
-fn metric_from(args: &Args) -> Result<CliMetric, AnyError> {
-    CliMetric::from_name(&args.str_opt("metric", "dw"))
+fn metric_from(args: &Args) -> Result<BuiltinMetric, AnyError> {
+    let name = args.str_opt("metric", "dw");
+    BuiltinMetric::from_name(&name)
+        .ok_or_else(|| format!("unknown metric {name:?} (expected dg, dw or fd)").into())
 }
 
 fn print_communities<M: DensityMetric>(engine: &mut SpadeEngine<M>, top: usize) {
@@ -247,10 +193,7 @@ fn sharded_config_from(args: &Args, shards: usize) -> Result<ShardedConfig, AnyE
         grouping: args.flag("grouping").then(GroupingConfig::default),
         strategy,
         top_k: shards,
-        repair: RepairConfig {
-            hops: args.num_opt("repair-hops", RepairConfig::default().hops)?,
-            ..Default::default()
-        },
+        repair: RepairConfig { hops: args.num_opt("repair-hops", RepairConfig::default().hops)? },
         migration: Default::default(),
     })
 }
@@ -316,7 +259,7 @@ fn print_sharded_report(
     table.print();
     if let Some(n) = net {
         println!(
-            "net: {} connection(s), {} frame(s), {} edges acked, {} busy repl(ies), \
+            "net: {} connection(s), {} frame(s), {} edges acked, {} parked frame(s), \
              {} malformed frame(s)",
             n.connections, n.frames, n.edges_accepted, n.busy_replies, n.malformed_frames,
         );
@@ -455,21 +398,9 @@ fn serve_listen(args: &Args, shards: usize, addr: &str) -> Result<(), AnyError> 
     }
     let net = server.shutdown();
     // Every acknowledged edge sits in a shard queue; drain before the
-    // report so the replay accounting is exact. The periodic flush
-    // doubles as a liveness check (same discipline as the file-replay
-    // drain loop): a dead shard worker fails the send and we error out
-    // instead of spinning forever on a frozen counter.
-    let mut next_liveness = Instant::now() + std::time::Duration::from_millis(100);
-    while service.stats().iter().map(|s| s.service.updates_applied).sum::<u64>()
-        < net.edges_accepted
-    {
-        if Instant::now() >= next_liveness {
-            if !service.flush() {
-                return Err("a shard shut down while draining acknowledged edges".into());
-            }
-            next_liveness = Instant::now() + std::time::Duration::from_millis(100);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+    // report so the replay accounting is exact.
+    if !service.barrier() {
+        return Err("a shard shut down while draining acknowledged edges".into());
     }
     let elapsed_secs = started.elapsed().as_secs_f64();
     let rebalanced = rebalance.then(|| service.rebalance());
@@ -506,7 +437,6 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
         // Attach a per-transaction budget to every frame (BatchBudget,
         // protocol v2) so the server's SLO scheduler paces these edges.
         budget: deadline_from(args)?,
-        ..Default::default()
     };
     let mut client = SpadeNetClient::connect_with(addr, config)
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
@@ -518,12 +448,11 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
     let elapsed = started.elapsed().as_secs_f64();
     let stats = client.stats();
     println!(
-        "{} transactions acked over TCP in {:.1} ms ({:.0} tx/s, {} frames, {} busy retries)",
+        "{} transactions acked over TCP in {:.1} ms ({:.0} tx/s, {} frames)",
         stats.edges_acked,
         elapsed * 1e3,
         stats.edges_acked as f64 / elapsed.max(1e-9),
         stats.frames_sent,
-        stats.busy_replies,
     );
     if args.flag("detect") {
         let det = client.detect()?;
@@ -541,7 +470,7 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
         let depths: Vec<String> = s.shard_queue_depths.iter().map(u64::to_string).collect();
         println!(
             "server: {} shards, {} updates applied, {} queued ({}), up {:.1}s; net: \
-             {} connection(s), {} frame(s), {} edges acked, {} busy repl(ies), \
+             {} connection(s), {} frame(s), {} edges acked, {} parked frame(s), \
              {} malformed frame(s)",
             s.shards,
             s.updates_applied,
@@ -623,7 +552,6 @@ pub fn route(args: &Args) -> Result<(), AnyError> {
         hops: args.num_opt("repair-hops", RouterConfig::default().hops)?,
         strategy,
         replicate: !args.flag("no-replicate"),
-        ..Default::default()
     };
     let mut router = SpadeRouter::connect(&addrs, config)
         .map_err(|e| format!("cannot connect to shards: {e}"))?;
@@ -637,14 +565,13 @@ pub fn route(args: &Args) -> Result<(), AnyError> {
     let stats = router.stats();
     println!(
         "{} edges acked across {} shards in {:.1} ms ({:.0} tx/s, {} batches, \
-         {} replicated, {} busy retries)",
+         {} replicated)",
         stats.edges_acked,
         router.num_shards(),
         elapsed * 1e3,
         stats.edges_acked as f64 / elapsed.max(1e-9),
         stats.batches,
         stats.replicated,
-        stats.busy_retries,
     );
     let sample: Vec<String> = outcome.members.iter().take(8).map(|m| m.0.to_string()).collect();
     println!(
@@ -696,8 +623,8 @@ fn fmt_latency_us(ns: Option<f64>) -> String {
 
 /// `spade watch <addr>`: poll a serving runtime over the wire and print
 /// a refreshing stats + per-stage-latency table — the operator's live
-/// view of back-pressure (per-shard queue depths) building before Busy
-/// replies fire.
+/// view of back-pressure: per-shard queue depths building, and the
+/// count of ingest frames that had to park on a full queue.
 pub fn watch(args: &Args) -> Result<(), AnyError> {
     let addr = args.pos(0).ok_or("watch needs a server address")?;
     let interval = Duration::from_millis(args.num_opt("interval", 1000u64)?.max(10));
@@ -710,7 +637,7 @@ pub fn watch(args: &Args) -> Result<(), AnyError> {
         "updates",
         "queued",
         "per-shard",
-        "busy",
+        "parked",
         "q-wait p50/p99 us",
         "publish p50/p99 us",
         "ddl miss",
@@ -771,33 +698,16 @@ fn run_sharded(args: &Args, shards: usize, path_error: &'static str) -> Result<(
             return Err("a shard shut down while ingesting".into());
         }
     }
-    // The flush command trails every insert in each shard's FIFO queue,
-    // so once all shards have published post-flush counters covering
-    // every record, the report is exact. The periodic re-flush doubles as
-    // a liveness check — a dead shard fails the send and we error
-    // instead of spinning forever — but runs on a coarse interval so the
-    // drain isn't slowed by per-poll full publishes.
+    // The flush and the barrier trail every insert in each shard's FIFO
+    // queue, so once the barrier answers, every shard has published
+    // post-flush counters covering every record and the report is exact.
     if !service.flush() {
         return Err("a shard shut down while flushing".into());
     }
-    let rebalance = args.flag("rebalance");
-    let mut next_liveness = Instant::now() + std::time::Duration::from_millis(100);
-    while service.stats().iter().map(|s| s.service.updates_applied).sum::<u64>()
-        < records.len() as u64
-    {
-        if Instant::now() >= next_liveness {
-            if !service.flush() {
-                return Err("a shard shut down while draining".into());
-            }
-            if rebalance {
-                // Live scheduling: strand events and load skew observed
-                // so far are acted on while the drain continues.
-                let _ = service.rebalance_if_needed();
-            }
-            next_liveness = Instant::now() + std::time::Duration::from_millis(100);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+    if !service.barrier() {
+        return Err("a shard shut down while draining".into());
     }
+    let rebalance = args.flag("rebalance");
     // Sample the replay clock before the (blocking) rebalance/repair
     // passes so the reported tx/s measures ingest alone.
     let elapsed_secs = started.elapsed().as_secs_f64();
@@ -1008,10 +918,9 @@ mod tests {
 
     #[test]
     fn metric_selection() {
-        assert_eq!(CliMetric::from_name("dg").unwrap().name(), "DG");
-        assert_eq!(CliMetric::from_name("DW").unwrap().name(), "DW");
-        assert_eq!(CliMetric::from_name("fd").unwrap().name(), "FD");
-        assert!(CliMetric::from_name("bogus").is_err());
+        assert_eq!(metric_from(&args("detect x")).unwrap().name(), "DW");
+        assert_eq!(metric_from(&args("detect x --metric FD")).unwrap().name(), "FD");
+        assert!(metric_from(&args("detect x --metric bogus")).is_err());
     }
 
     #[test]

@@ -24,7 +24,9 @@ pub use engine::{DetectionBackend, SpadeConfig, SpadeEngine};
 pub use enumeration::{enumerate_incremental, enumerate_static, EnumerationConfig, FraudInstance};
 pub use grouping::{EdgeGrouper, FlushReason, GroupingConfig, GroupingStats, SubmitOutcome};
 pub use kinetic::KineticIndex;
-pub use metric::{CustomMetric, DensityMetric, Fraudar, UnweightedDensity, WeightedDensity};
+pub use metric::{
+    BuiltinMetric, CustomMetric, DensityMetric, Fraudar, UnweightedDensity, WeightedDensity,
+};
 pub use peel::{peel, peel_with_queue, PeelingOutcome};
 pub use persist::{load_engine, save_engine, SnapshotError, SubgraphSnapshot};
 pub use reorder::{ReorderScratch, ReorderStats};

@@ -199,6 +199,59 @@ impl DensityMetric for Fraudar {
     }
 }
 
+/// One of the three built-in metrics, chosen at run time (`--metric`, a
+/// harness sweep over DG/DW/FD) so the caller stays monomorphic over one
+/// engine type.
+#[derive(Clone, Debug)]
+pub enum BuiltinMetric {
+    /// DG.
+    Dg(UnweightedDensity),
+    /// DW.
+    Dw(WeightedDensity),
+    /// FD.
+    Fd(Fraudar),
+}
+
+impl BuiltinMetric {
+    /// Parses `dg`, `dw` or `fd` (any case); `None` for anything else.
+    pub fn from_name(name: &str) -> Option<BuiltinMetric> {
+        match name.to_ascii_lowercase().as_str() {
+            "dg" => Some(BuiltinMetric::Dg(UnweightedDensity)),
+            "dw" => Some(BuiltinMetric::Dw(WeightedDensity)),
+            "fd" => Some(BuiltinMetric::Fd(Fraudar::new())),
+            _ => None,
+        }
+    }
+
+    /// The selected metric; every trait method forwards through here, so
+    /// none of them can fall back to a trait default.
+    fn selected(&self) -> &dyn DensityMetric {
+        match self {
+            BuiltinMetric::Dg(m) => m,
+            BuiltinMetric::Dw(m) => m,
+            BuiltinMetric::Fd(m) => m,
+        }
+    }
+}
+
+impl DensityMetric for BuiltinMetric {
+    fn vertex_susp(&self, u: VertexId, g: &DynamicGraph) -> f64 {
+        self.selected().vertex_susp(u, g)
+    }
+
+    fn edge_susp(&self, src: VertexId, dst: VertexId, raw: f64, g: &DynamicGraph) -> f64 {
+        self.selected().edge_susp(src, dst, raw, g)
+    }
+
+    fn name(&self) -> &'static str {
+        self.selected().name()
+    }
+
+    fn accumulates_duplicates(&self) -> bool {
+        self.selected().accumulates_duplicates()
+    }
+}
+
 /// A metric assembled from runtime closures — the `VSusp` / `ESusp`
 /// plug-in path of the paper's Listing 1/2.
 pub struct CustomMetric {
@@ -377,6 +430,23 @@ mod tests {
         assert_eq!(m.vertex_susp(v(0), &g), 0.25);
         assert_eq!(m.edge_susp(v(0), v(1), 50.0, &g), 10.0);
         assert_eq!(m.name(), "amount-capped");
+    }
+
+    #[test]
+    fn builtin_metric_parses_names_and_forwards_every_method() {
+        let g = two_vertex_graph();
+        for (name, plain) in [
+            ("dg", &UnweightedDensity as &dyn DensityMetric),
+            ("DW", &WeightedDensity),
+            ("fd", &Fraudar::new()),
+        ] {
+            let m = BuiltinMetric::from_name(name).expect("a built-in name");
+            assert_eq!(m.name(), plain.name());
+            assert_eq!(m.accumulates_duplicates(), plain.accumulates_duplicates());
+            assert_eq!(m.edge_susp(v(0), v(1), 7.5, &g), plain.edge_susp(v(0), v(1), 7.5, &g));
+            assert_eq!(m.vertex_susp(v(0), &g), plain.vertex_susp(v(0), &g));
+        }
+        assert!(BuiltinMetric::from_name("bogus").is_none());
     }
 
     #[test]

@@ -563,11 +563,15 @@ impl SpadeService {
     /// published detection excludes them, and the barrier agrees with
     /// it. Returns `false` if the service has shut down.
     pub fn barrier(&self) -> bool {
+        self.request_barrier().is_some_and(|done| done.recv().is_ok())
+    }
+
+    /// Fire-and-collect variant of [`barrier`](Self::barrier), so the
+    /// sharded runtime can let all shards drain in parallel.
+    pub(crate) fn request_barrier(&self) -> Option<Receiver<()>> {
         let (reply, receiver) = bounded(1);
-        if self.sender.send(Command::Barrier { reply }).is_err() {
-            return false;
-        }
-        receiver.recv().is_ok()
+        self.sender.send(Command::Barrier { reply }).ok()?;
+        Some(receiver)
     }
 
     /// Exports this worker's candidate region: its current detection plus

@@ -37,7 +37,13 @@ use crate::service::CandidateRegion;
 use spade_graph::hash::FxHashMap;
 use spade_graph::{DynamicGraph, VertexId};
 
-/// Tuning of the repair pass and its scheduler.
+/// Staleness budget of the repair scheduler: even without member overlap
+/// between published detections, a repair pass re-runs after this many
+/// new ingest commands (frontier-only overlaps are invisible to the
+/// cheap member check).
+pub(crate) const STALENESS_BUDGET: u64 = 4096;
+
+/// Tuning of the repair pass.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairConfig {
     /// Frontier radius exported around each shard's community: the
@@ -46,16 +52,11 @@ pub struct RepairConfig {
     /// stitch communities that share members; larger radii also capture
     /// structure connected only through bystander vertices.
     pub hops: usize,
-    /// Staleness budget of the scheduler: even without member overlap
-    /// between published detections, a repair pass re-runs after this
-    /// many new ingest commands (frontier-only overlaps are invisible to
-    /// the cheap member check).
-    pub staleness_budget: u64,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
-        RepairConfig { hops: 1, staleness_budget: 4096 }
+        RepairConfig { hops: 1 }
     }
 }
 

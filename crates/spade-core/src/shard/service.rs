@@ -34,6 +34,7 @@ use crate::shard::migrate::{
 use crate::shard::partition::{HashPartitioner, PartitionStrategy, Partitioner};
 use crate::shard::repair::{
     repair_regions, RepairConfig, RepairOutcome, RepairScratch, RepairStats, RepairedDetection,
+    STALENESS_BUDGET,
 };
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
@@ -78,7 +79,7 @@ pub struct ShardedConfig {
     pub strategy: PartitionStrategy,
     /// Ranked shard entries kept in each [`GlobalDetection`].
     pub top_k: usize,
-    /// Cross-shard repair tuning (frontier radius, staleness budget).
+    /// Cross-shard repair tuning (frontier radius).
     pub repair: RepairConfig,
     /// Migration scheduler tuning (strand repair + load balancing).
     pub migration: MigrationPolicy,
@@ -123,7 +124,7 @@ pub struct ShardStats {
 ///
 /// `accepted` counts the frame-order *prefix* of the batch that was
 /// enqueued: the walk stops at the first edge whose destination shard has
-/// no free queue slot, so a producer can retry `edges[accepted..]`
+/// no free queue slot, so a producer can offer `edges[accepted..]` again
 /// verbatim without reordering or double-inserting anything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchSubmit {
@@ -231,7 +232,7 @@ fn members_overlap(snapshots: &[PublishedDetection]) -> bool {
 /// Walks `edges` in frame order, routing each onto its shard group while
 /// one virtual queue slot per edge remains: stops at the FIRST edge whose
 /// shard has no free slot, so the accepted set is a strict frame-order
-/// prefix (the Busy contract of [`ShardedSpadeService::submit_batch`]).
+/// prefix (the contract of [`ShardedSpadeService::submit_batch`]).
 /// Returns the accepted count.
 fn fill_groups(
     edges: &[(VertexId, VertexId, f64)],
@@ -398,8 +399,9 @@ impl ShardedSpadeService {
     /// edge-denominated queue headroom ([`SpadeService::queue_free`]),
     /// taken before anything is enqueued: the walk stops at the first
     /// edge whose shard has no slot left, so the accepted set is always
-    /// a frame-order prefix and a producer can retry `edges[accepted..]`
-    /// without double-inserting (the Busy contract `spade-net` exposes).
+    /// a frame-order prefix and a producer can offer `edges[accepted..]`
+    /// again without double-inserting or reordering (`spade-net` parks a
+    /// connection on that suffix until it is all enqueued).
     /// Under stateful routing both the routing pass and the enqueues
     /// happen under the table lock, preserving the marker-ordering
     /// guarantee [`submit`](Self::submit) gives; the free slots are
@@ -448,6 +450,16 @@ impl ShardedSpadeService {
     /// if any shard has shut down.
     pub fn flush(&self) -> bool {
         self.shards.iter().all(|s| s.flush())
+    }
+
+    /// Read-your-submits barrier: blocks until every shard has applied
+    /// and published everything enqueued before this call (see
+    /// [`SpadeService::barrier`]). Every shard is asked first and the
+    /// replies collected after, so the shards drain concurrently.
+    /// Returns `false` if any shard has shut down.
+    pub fn barrier(&self) -> bool {
+        let pending: Vec<_> = self.shards.iter().map(|s| s.request_barrier()).collect();
+        pending.into_iter().all(|done| done.is_some_and(|done| done.recv().is_ok()))
     }
 
     /// The merged global detection across all shards (densest community
@@ -531,8 +543,8 @@ impl ShardedSpadeService {
     /// best per-shard view (no export) when detections changed but
     /// nothing overlaps; and runs a full repair pass when per-shard
     /// member sets overlap — the split-community signature — or the
-    /// staleness budget (`RepairConfig::staleness_budget` ingest
-    /// commands) has been exhausted since the last pass.
+    /// staleness budget (`STALENESS_BUDGET` ingest commands) has been
+    /// exhausted since the last pass.
     pub fn repaired_detection(&self) -> RepairedDetection {
         let mut state = self.repair.lock();
         let snapshots: Vec<PublishedDetection> =
@@ -547,8 +559,7 @@ impl ShardedSpadeService {
             return self.repaired.read().clone();
         }
         let total: u64 = snapshots.iter().map(|d| d.updates_applied).sum();
-        let stale =
-            total.saturating_sub(state.last_pass_updates) >= self.repair_config.staleness_budget;
+        let stale = total.saturating_sub(state.last_pass_updates) >= STALENESS_BUDGET;
         if !stale && !members_overlap(&snapshots) {
             // Disjoint detections: the best per-shard view needs no
             // merging; publish it without exporting a single region.

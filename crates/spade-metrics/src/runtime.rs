@@ -295,8 +295,8 @@ pub enum EventKind {
     RepairPass,
     /// A migration move completed (value: edges moved).
     Migration,
-    /// Back-pressure: a submit was rejected or a Busy reply was sent
-    /// (value: edges accepted before the bounce).
+    /// Back-pressure: an ingest frame met a full shard queue and parked
+    /// its connection (value: edges enqueued before the park).
     Busy,
     /// A malformed wire frame was dropped (value: decoder error code,
     /// when known).

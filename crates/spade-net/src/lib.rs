@@ -15,13 +15,17 @@
 //! `ShardedSpadeService::submit_batch`, so every shard's drain-coalescing
 //! batch path, routing policy, and repair/migration machinery is
 //! inherited unchanged — and back-pressure crosses the wire. When a
-//! shard's bounded ingest queue is full, the server answers
-//! [`WireFrame::Busy`] with the count of edges it *did* enqueue instead
-//! of blocking the connection handler; the client retries the
-//! unacknowledged suffix. An edge is acknowledged **only after** it sits
+//! shard's bounded ingest queue is full, the server keeps the part of the
+//! frame it could not enqueue on the connection, stops reading that
+//! connection, and offers the rest again every event-loop cycle; the one
+//! `Ack` for the whole frame goes out when all of it is enqueued. The
+//! producer is slowed by TCP flow control alone and its edges reach the
+//! shards in the order it sent them — nothing is bounced, re-sent or
+//! reordered. An edge is acknowledged **only after** it sits
 //! in a shard queue, so the acked count is exact drain accounting: at
-//! shutdown, `sum(updates_applied)` across shards equals the sum of all
-//! producers' acknowledged edges.
+//! shutdown, `sum(updates_applied)` across shards equals the server's
+//! `edges_accepted`, which covers every edge a producer was acknowledged
+//! for.
 //!
 //! Protocol shape (all integers little-endian, `f64` as raw bits):
 //!
@@ -30,15 +34,16 @@
 //! payload := u8 opcode | body
 //! ```
 //!
-//! Requests (protocol v4): `Batch` / `BatchBudget` (one ingest request,
+//! Requests (protocol v5): `Batch` / `BatchBudget` (one ingest request,
 //! without or with a latency budget — a single transaction is a one-edge
 //! `Batch`; opcode `0x01`, the retired `Edge` request, stays reserved),
 //! `Flush`, `Detect`, `Stats`, `Shutdown`, `Metrics`, plus the
 //! shard-server operations `Region`, `MigrateOut`, `Absorb`,
 //! `Replicate`, and `Bootstrap` (served by [`ShardServer`], driven by
-//! [`SpadeRouter`]). Replies: `Ack`, `Busy`,
-//! `Detection`, `StatsReply`, `MetricsReply`, `RegionReply`,
-//! `SliceReply`, `AbsorbReply`, `BootstrapChunk`, `Error`.
+//! [`SpadeRouter`]). Replies: `Ack`, `Detection`, `StatsReply`,
+//! `MetricsReply`, `RegionReply`, `SliceReply`, `AbsorbReply`,
+//! `BootstrapChunk`, `Error` (opcode `0x82`, the `Busy` reply retired in
+//! v5, stays reserved).
 //! The decoder rejects truncated, oversized,
 //! and structurally invalid frames with an error — never a panic —
 //! mirroring the overflow-safe section checks of the

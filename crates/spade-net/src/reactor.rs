@@ -23,16 +23,18 @@
 //!   counted (`spade_net_reactor_budget_exhausted_total`).
 //! * **Writes never block the loop.** Replies land in a per-connection
 //!   pending-write buffer flushed only while the socket accepts bytes;
-//!   a slow reader accumulates backlog until
-//!   [`ReactorConfig::max_pending_write`], at which point the loop stops
-//!   *reading* from that connection (back-pressure through the kernel
-//!   window) but keeps every other connection moving.
+//!   a slow reader accumulates backlog until `MAX_PENDING_WRITE`, at
+//!   which point the loop stops *reading* from that connection
+//!   (back-pressure through the kernel window) but keeps every other
+//!   connection moving.
 //! * **Nothing on the loop blocks on the runtime.** Ingest goes through
-//!   the non-blocking `submit_batch`, and the one formerly
-//!   blocking wait — read-your-acks `Detect` — becomes a deferred reply:
-//!   the connection parks (reads paused, replies in order preserved)
-//!   until the shards' applied total reaches the acknowledged watermark,
-//!   checked once per cycle.
+//!   the non-blocking `submit_batch`, and the two waits a request can
+//!   need — queue room for the rest of an ingest frame, and the applied
+//!   watermark of a read-your-acks `Detect` — share one mechanism: the
+//!   connection *parks* on the request (reads paused, replies in order
+//!   preserved) and the loop retries it once per cycle, at most
+//!   `PARKED_POLL_MS` apart and never on a zero-timeout spin. A parked
+//!   producer is slowed by TCP flow control, not by a reply.
 //!
 //! Per-loop observability rides the transport's existing
 //! [`spade_metrics::MetricsRegistry`]: connections resident
@@ -41,9 +43,7 @@
 //! per-cycle dispatch latency histogram
 //! (`spade_net_reactor_dispatch_ns`).
 
-use crate::server::{
-    apply_frame, register_conn, write_detection, ConnCounters, FrameStep, NetTelemetry,
-};
+use crate::server::{apply_frame, register_conn, ConnCounters, FrameStep, NetTelemetry, Parked};
 use crate::wire::{FrameDecoder, WireFrame};
 use parking_lot::Mutex;
 use spade_core::shard::ShardedSpadeService;
@@ -56,14 +56,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Upper bound on waiting for acknowledged edges to be applied before a
-/// deferred Detect answers anyway. Acked edges always drain (workers
-/// never drop queued commands), so this only fires if the runtime is
-/// torn down under a live connection.
-const DETECT_DEADLINE: Duration = Duration::from_secs(10);
 /// Poll timeout while every connection is idle — bounds how long a stop
 /// request can go unnoticed without a wake byte.
 const IDLE_POLL_MS: i32 = 50;
+/// Poll timeout while some connection is parked: how long its request
+/// can wait for the next retry when no socket turns ready first.
+const PARKED_POLL_MS: i32 = 1;
+/// Bytes read per connection per cycle (one `read` call each).
+const READ_CHUNK: usize = 64 * 1024;
+/// Pending-write backlog (bytes) at which the loop stops reading from a
+/// connection until its peer drains replies — a slow reader
+/// back-pressures itself, never the loop.
+const MAX_PENDING_WRITE: usize = 256 * 1024;
 
 // ---------------------------------------------------------------------
 // poll(2), bound directly. `pollfd` layout and event bits are POSIX.
@@ -133,22 +137,11 @@ pub struct ReactorConfig {
     /// re-runs immediately, so the budget bounds burst monopoly, not
     /// throughput.
     pub frame_budget: usize,
-    /// Bytes read per connection per cycle (one `read` call each).
-    pub read_chunk: usize,
-    /// Pending-write backlog (bytes) at which the loop stops reading
-    /// from a connection until its peer drains replies — a slow reader
-    /// back-pressures itself, never the loop.
-    pub max_pending_write: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig {
-            workers: 2,
-            frame_budget: 32,
-            read_chunk: 64 * 1024,
-            max_pending_write: 256 * 1024,
-        }
+        ReactorConfig { workers: 2, frame_budget: 32 }
     }
 }
 
@@ -202,8 +195,6 @@ impl Reactor {
     ) -> std::io::Result<Reactor> {
         config.workers = config.workers.clamp(1, 64);
         config.frame_budget = config.frame_budget.max(1);
-        config.read_chunk = config.read_chunk.clamp(1024, 1 << 22);
-        config.max_pending_write = config.max_pending_write.max(4096);
         let mut wakers = Vec::with_capacity(config.workers);
         let mut wake_rxs = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
@@ -264,10 +255,10 @@ struct Conn {
     out: Vec<u8>,
     out_cursor: usize,
     counters: Arc<ConnCounters>,
-    /// A parked read-your-acks Detect: `(acked watermark, deadline)`.
-    /// While set, no further frames are applied (replies stay in request
-    /// order) and the socket is not read.
-    pending_detect: Option<(u64, Instant)>,
+    /// The request this connection is parked on. While set, no further
+    /// frames are applied (replies stay in request order) and the socket
+    /// is not read.
+    parked: Option<Parked>,
     /// Reply written for a frame that ends the connection; close once
     /// the out buffer drains.
     closing: bool,
@@ -310,17 +301,18 @@ fn run_worker(idx: usize, listener: Option<TcpListener>, wake_rx: UnixStream, sh
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_conn_id = 0u64; // worker 0 only (owns the listener)
     let mut rotate = 0usize;
-    let mut chunk = vec![0u8; shared.config.read_chunk];
+    let mut chunk = vec![0u8; READ_CHUNK];
 
     while !shared.stop.load(Ordering::Acquire) {
-        // Leftover buffered frames or a parked Detect need a prompt
-        // re-visit; otherwise sleep until readiness or the idle bound.
+        // Leftover buffered frames need an immediate re-visit and a
+        // parked request a prompt one; otherwise sleep until readiness
+        // or the idle bound.
         let mut timeout = IDLE_POLL_MS;
         for c in &conns {
             if c.hot {
                 timeout = 0;
-            } else if c.pending_detect.is_some() {
-                timeout = timeout.min(1);
+            } else if c.parked.is_some() {
+                timeout = timeout.min(PARKED_POLL_MS);
             }
         }
 
@@ -331,10 +323,8 @@ fn run_worker(idx: usize, listener: Option<TcpListener>, wake_rx: UnixStream, sh
         }
         let base = fds.len();
         for c in &conns {
-            let paused = c.pending_detect.is_some()
-                || c.closing
-                || c.eof
-                || c.pending_out() >= shared.config.max_pending_write;
+            let paused =
+                c.parked.is_some() || c.closing || c.eof || c.pending_out() >= MAX_PENDING_WRITE;
             let mut events = 0i16;
             if !paused {
                 events |= POLLIN;
@@ -411,7 +401,7 @@ fn new_conn(stream: TcpStream, counters: Arc<ConnCounters>) -> Conn {
         out: Vec::new(),
         out_cursor: 0,
         counters,
-        pending_detect: None,
+        parked: None,
         closing: false,
         eof: false,
         hot: false,
@@ -471,24 +461,21 @@ fn service_conn(
         return drop_conn(c, shared);
     }
 
-    // A parked Detect answers once the shards catch up to the
-    // acknowledged watermark (or the teardown deadline passes). Until
-    // then nothing else on this connection is read or applied, so the
-    // reply order the producer sees is unchanged from the blocking
-    // server.
-    if let Some((watermark, deadline)) = c.pending_detect {
-        if crate::server::applied_total(&shared.service) >= watermark || Instant::now() >= deadline
-        {
-            c.pending_detect = None;
-            write_detection(&shared.service, &mut c.out);
-        }
+    // A parked request is retried once per cycle: a Detect answers when
+    // the shards catch up to its watermark, an ingest frame when its
+    // last edge finds queue room. Until then nothing else on this
+    // connection is read or applied, so the reply order the producer
+    // sees is unchanged from a blocking server.
+    if let Some(parked) = c.parked.take() {
+        let step = parked.retry(&shared.service, &shared.telemetry, &mut c.out);
+        settle(c, step);
     }
 
     if revents & (POLLIN | POLLHUP) != 0
-        && c.pending_detect.is_none()
+        && c.parked.is_none()
         && !c.closing
         && !c.eof
-        && c.pending_out() < shared.config.max_pending_write
+        && c.pending_out() < MAX_PENDING_WRITE
     {
         match c.stream.read(chunk) {
             Ok(0) => c.eof = true,
@@ -508,25 +495,20 @@ fn service_conn(
     // other connections — fan-in fairness.
     let budget = shared.config.frame_budget;
     let mut applied = 0usize;
-    while applied < budget && c.pending_detect.is_none() && !c.closing {
+    while applied < budget && c.parked.is_none() && !c.closing {
         match c.decoder.next_frame() {
             Ok(Some(frame)) => {
                 applied += 1;
                 shared.telemetry.count_frame(&c.counters);
-                match apply_frame(
+                let step = apply_frame(
                     frame,
                     &shared.service,
                     &shared.stop,
                     &shared.telemetry,
                     &c.counters,
                     &mut c.out,
-                ) {
-                    FrameStep::Continue => {}
-                    FrameStep::Close => c.closing = true,
-                    FrameStep::Defer { watermark } => {
-                        c.pending_detect = Some((watermark, Instant::now() + DETECT_DEADLINE));
-                    }
-                }
+                );
+                settle(c, step);
             }
             Ok(None) => break,
             Err(err) => {
@@ -540,10 +522,13 @@ fn service_conn(
         metrics.budget_exhausted.inc();
         c.hot = true;
     }
-    if (c.pending_detect.is_some() || c.eof) && c.decoder.buffered() > 0 {
-        // Parked or half-closed with bytes still queued: revisit soon.
+    if c.eof && c.decoder.buffered() > 0 {
+        // Half-closed with bytes still queued: revisit soon.
         c.hot = true;
     }
+    // A parked connection waits for the runtime, not for the loop: it is
+    // revisited on the `PARKED_POLL_MS` tick, never on a zero timeout.
+    c.hot &= c.parked.is_none();
 
     if !flush_out(c) {
         return drop_conn(c, shared);
@@ -551,12 +536,21 @@ fn service_conn(
     if c.closing && c.pending_out() == 0 {
         return drop_conn(c, shared);
     }
-    if c.eof && c.pending_out() == 0 && c.pending_detect.is_none() && applied == 0 {
+    if c.eof && c.pending_out() == 0 && c.parked.is_none() && applied == 0 {
         // Peer gone, replies delivered, and the residual buffer holds no
         // complete frame: nothing left to do.
         return drop_conn(c, shared);
     }
     true
+}
+
+/// Records what a frame (or a parked request's retry) asks of the loop.
+fn settle(c: &mut Conn, step: FrameStep) {
+    match step {
+        FrameStep::Continue => {}
+        FrameStep::Close => c.closing = true,
+        FrameStep::Park(parked) => c.parked = Some(parked),
+    }
 }
 
 fn drop_conn(c: &mut Conn, shared: &Shared) -> bool {

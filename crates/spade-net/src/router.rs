@@ -41,7 +41,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
 
 use spade_core::service::CandidateRegion;
 use spade_core::shard::{repair_regions, RepairOutcome, RepairScratch};
@@ -65,8 +64,6 @@ pub struct RouterConfig {
     /// Journal every batch on the replica shard before offering it to
     /// its home. Disabling trades crash recovery for one round trip.
     pub replicate: bool,
-    /// Backoff before retrying a `Busy` suffix.
-    pub busy_backoff: Duration,
 }
 
 impl Default for RouterConfig {
@@ -76,7 +73,6 @@ impl Default for RouterConfig {
             hops: 1,
             strategy: PartitionStrategy::HashBySource,
             replicate: true,
-            busy_backoff: Duration::from_millis(2),
         }
     }
 }
@@ -93,7 +89,9 @@ pub struct RouterStats {
     pub batches: u64,
     /// `Replicate` frames journaled on replicas.
     pub replicated: u64,
-    /// `Busy` suffix retries.
+    /// Always 0: a shard server admits a batch whole (its blocking
+    /// submit is the back-pressure) and protocol v5 has no `Busy` reply
+    /// to retry after. The field stays because `bench_stack` reads it.
     pub busy_retries: u64,
     /// Completed [`SpadeRouter::recover`] calls.
     pub recoveries: u64,
@@ -237,27 +235,12 @@ impl SpadeRouter {
         Ok(())
     }
 
-    /// One `Batch` round trip to a live home shard, retrying `Busy`
-    /// suffixes until every edge is accepted. Returns the edge count.
+    /// One `Batch` round trip to a live home shard, which admits the
+    /// batch whole before it acks. Returns the edge count.
     fn deliver(&mut self, shard: usize, edges: &[RawEdge]) -> Result<u64, WireError> {
         self.stats.batches += 1;
-        let mut rest = edges;
-        loop {
-            match self.round_trip(shard, |conn| write_batch(conn, None, rest))? {
-                WireFrame::Ack { .. } => return Ok(edges.len() as u64),
-                WireFrame::Busy { accepted } => {
-                    // The count comes off the wire: a shard that claims
-                    // more than it was offered is corrupt, not a panic.
-                    rest = usize::try_from(accepted)
-                        .ok()
-                        .and_then(|n| rest.get(n..))
-                        .ok_or(WireError::Corrupt("Busy accepted more edges than were sent"))?;
-                    self.stats.busy_retries += 1;
-                    std::thread::sleep(self.config.busy_backoff);
-                }
-                other => return Err(unexpected(other)),
-            }
-        }
+        expect_ack(self.round_trip(shard, |conn| write_batch(conn, None, edges))?)?;
+        Ok(edges.len() as u64)
     }
 
     /// Reconnects a (re)started shard process at `addr` and reseeds it
@@ -541,27 +524,22 @@ mod tests {
         }
     }
 
-    /// `Busy { accepted }` comes off the wire: a shard claiming more
-    /// edges than the batch held is a corrupt peer, never a router
-    /// panic — and a wrong-kind reply is named in the error.
+    /// A batch is answered by an `Ack` or it is an error that names the
+    /// frame kind the shard sent instead.
     #[test]
-    fn a_lying_busy_reply_is_an_error_not_a_panic() {
+    fn a_wrong_kind_reply_is_an_error_naming_the_frame() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap().to_string();
         let fake_shard = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            for reply in [WireFrame::Busy { accepted: u64::MAX }, WireFrame::Detect] {
-                assert!(matches!(read_frame(&mut conn), Ok(Some(WireFrame::Batch { .. }))));
-                write_frame(&mut conn, &reply).expect("reply");
-            }
+            assert!(matches!(read_frame(&mut conn), Ok(Some(WireFrame::Batch { .. }))));
+            write_frame(&mut conn, &WireFrame::Detect).expect("reply");
         });
         let config = RouterConfig { replicate: false, ..Default::default() };
         let mut router = SpadeRouter::connect(&[addr], config).expect("connect");
-        for expected in ["Busy accepted more edges", "unexpected Detect frame"] {
-            router.submit(v(1), v(2), 1.0).expect("buffered");
-            let err = router.flush_batches().expect_err("the reply is a protocol violation");
-            assert!(err.to_string().contains(expected), "{err}");
-        }
+        router.submit(v(1), v(2), 1.0).expect("buffered");
+        let err = router.flush_batches().expect_err("the reply is a protocol violation");
+        assert!(err.to_string().contains("unexpected Detect frame"), "{err}");
         assert_eq!(router.stats().edges_acked, 0);
         fake_shard.join().expect("fake shard");
     }

@@ -7,13 +7,17 @@
 //! fan-in scales with sockets, not threads. Three properties make the
 //! bridge safe under load:
 //!
-//! * **Back-pressure crosses the wire.** Ingest goes through
-//!   [`ShardedSpadeService::submit_batch`]; a full shard queue turns into a
-//!   [`WireFrame::Busy`] reply carrying the count of edges that *were*
-//!   enqueued, and the producer retries the rest. The event loop never
-//!   blocks on the runtime — one back-pressured shard never
-//!   head-of-line-blocks the listener or any other connection.
-//! * **Acknowledgement is enqueue.** An edge is counted in an Ack/Busy
+//! * **Back-pressure crosses the wire, in order.** Ingest goes through
+//!   [`ShardedSpadeService::submit_batch`]; when a full shard queue admits
+//!   only a prefix of a frame, the connection *parks* with the rest
+//!   (`Parked::Ingest`): it is neither read nor served further until
+//!   the event loop's per-cycle re-offer has enqueued the whole frame,
+//!   which one `Ack` then answers. The producer is slowed by TCP flow
+//!   control alone, its edges reach the shards in submission order, and
+//!   the event loop never blocks on the runtime — one back-pressured
+//!   shard never head-of-line-blocks the listener or any other
+//!   connection.
+//! * **Acknowledgement is enqueue.** An edge is counted in an Ack's
 //!   `accepted` total only after `submit_batch` queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
 //!   acknowledged edges equals the shards' `updates_applied` total at
@@ -36,7 +40,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Most per-connection counter sets kept for the metrics exposition.
 /// The global totals stay exact forever; labeled `conn="N"` series are a
@@ -63,7 +67,7 @@ pub(crate) struct NetTelemetry {
     pub(crate) malformed_frames: AtomicU64,
     /// Live + recently closed connections, keyed by accept order.
     per_conn: Mutex<BTreeMap<u64, Arc<ConnCounters>>>,
-    /// Transport-side event trace (Busy bounces, malformed frames) plus
+    /// Transport-side event trace (parked frames, malformed frames) plus
     /// the reactor's per-loop series — merged into the runtime's trace
     /// in the metrics snapshot.
     registry: spade_metrics::MetricsRegistry,
@@ -150,7 +154,9 @@ pub struct NetStats {
     pub frames: u64,
     /// Edges acknowledged — each one was enqueued into a shard queue.
     pub edges_accepted: u64,
-    /// Busy replies sent (an edge bounced off a full shard queue).
+    /// Ingest frames that met a full shard queue and parked their
+    /// connection until the rest was enqueued (the name predates protocol
+    /// v5, which retired the `Busy` reply; `bench_stack` reads it).
     pub busy_replies: u64,
     /// Connections dropped over malformed frames.
     pub malformed_frames: u64,
@@ -272,16 +278,57 @@ impl Drop for SpadeNetServer {
     }
 }
 
+/// Upper bound on waiting for acknowledged edges to be applied before a
+/// parked Detect answers anyway. Acked edges always drain (workers
+/// never drop queued commands), so this only fires if the runtime is
+/// torn down under a live connection.
+const DETECT_DEADLINE: Duration = Duration::from_secs(10);
+
 /// What the event loop must do after applying one frame.
 pub(crate) enum FrameStep {
     /// Keep the connection; replies (if any) are in the out buffer.
     Continue,
     /// The reply ends the connection — close once the out buffer drains.
     Close,
-    /// A read-your-acks Detect that cannot answer yet: park the
-    /// connection until the shards' applied total reaches `watermark`,
-    /// then write the detection reply.
-    Defer { watermark: u64 },
+    /// The request cannot be answered yet: hold it on the connection and
+    /// [`retry`](Parked::retry) it every cycle. Until it answers, the
+    /// connection is neither read nor served further, so replies stay in
+    /// request order.
+    Park(Parked),
+}
+
+/// The one request a connection is waiting on.
+pub(crate) enum Parked {
+    /// A read-your-acks Detect: answers once the shards' applied total
+    /// reaches `watermark` (or `deadline` passes).
+    Detect { watermark: u64, deadline: Instant },
+    /// An ingest frame a full shard queue admitted only
+    /// `edges[..admitted]` of: the rest is re-offered, in order, until
+    /// one Ack can answer the whole frame.
+    Ingest { edges: Vec<RawEdge>, admitted: usize, budget: Option<Duration> },
+}
+
+impl Parked {
+    /// The once-per-cycle re-check: answers into `out`, or parks again.
+    pub(crate) fn retry(
+        self,
+        service: &ShardedSpadeService,
+        telemetry: &NetTelemetry,
+        out: &mut Vec<u8>,
+    ) -> FrameStep {
+        match self {
+            Parked::Detect { watermark, deadline } => {
+                if applied_total(service) < watermark && Instant::now() < deadline {
+                    return FrameStep::Park(self);
+                }
+                write_detection(service, out);
+                FrameStep::Continue
+            }
+            Parked::Ingest { edges, admitted, budget } => {
+                offer(edges, admitted, budget, service, telemetry, out)
+            }
+        }
+    }
 }
 
 /// Applies one decoded request, appending any reply to `out` (flushed by
@@ -295,7 +342,16 @@ pub(crate) fn apply_frame(
     out: &mut Vec<u8>,
 ) -> FrameStep {
     let (reply, step) = match frame.into_ingest() {
-        Ok((edges, budget)) => submit_grouped(&edges, budget, service, telemetry, conn),
+        Ok((edges, budget)) => {
+            let step = offer(edges, 0, budget, service, telemetry, out);
+            if let FrameStep::Park(Parked::Ingest { admitted, .. }) = &step {
+                // audit: monotone transport counters, telemetry only
+                telemetry.busy_replies.fetch_add(1, Ordering::Relaxed);
+                conn.busy_replies.fetch_add(1, Ordering::Relaxed);
+                telemetry.registry.event(spade_metrics::EventKind::Busy, *admitted as u64);
+            }
+            return step;
+        }
         // The one channel send on the event loop: Flush posts a marker
         // command per shard and returns without waiting for it to
         // apply. The flush channel is the same bounded queue ingest
@@ -311,15 +367,12 @@ pub(crate) fn apply_frame(
         Err(WireFrame::Detect) => {
             // Read-your-acks: every edge the server acknowledged before
             // this request must be reflected in the answer. If the
-            // shards already caught up, answer inline; otherwise park
-            // the connection — the event loop re-checks the watermark
-            // every cycle instead of blocking here.
-            let acked = telemetry.edges_accepted.load(Ordering::Acquire);
-            if applied_total(service) < acked {
-                return FrameStep::Defer { watermark: acked };
-            }
-            write_detection(service, out);
-            return FrameStep::Continue;
+            // shards already caught up, this answers inline; otherwise
+            // the connection parks — the event loop re-checks the
+            // watermark every cycle instead of blocking here.
+            let watermark = telemetry.edges_accepted.load(Ordering::Acquire);
+            let deadline = Instant::now() + DETECT_DEADLINE;
+            return Parked::Detect { watermark, deadline }.retry(service, telemetry, out);
         }
         Err(WireFrame::Stats) => {
             let shard_stats = service.stats();
@@ -382,7 +435,7 @@ fn shut_down() -> (WireFrame, FrameStep) {
 }
 
 /// Appends the current merged global detection as a reply frame.
-pub(crate) fn write_detection(service: &ShardedSpadeService, out: &mut Vec<u8>) {
+fn write_detection(service: &ShardedSpadeService, out: &mut Vec<u8>) {
     let global = service.current_detection();
     WireFrame::Detection(crate::wire::DetectionReply {
         size: global.best.size as u64,
@@ -394,36 +447,36 @@ pub(crate) fn write_detection(service: &ShardedSpadeService, out: &mut Vec<u8>) 
 }
 
 /// Ingest commands applied across all shards.
-pub(crate) fn applied_total(service: &ShardedSpadeService) -> u64 {
+fn applied_total(service: &ShardedSpadeService) -> u64 {
     service.stats().iter().map(|s| s.service.updates_applied).sum()
 }
 
-/// The ingest path: hands the whole frame to
+/// The ingest path: hands `edges[admitted..]` to
 /// [`ShardedSpadeService::submit_batch`], which routes every edge once
 /// and enqueues one grouped command per destination shard — instead of a
 /// route + `try_send` round trip per edge. Admission is the strict
-/// frame-order prefix, so a `Busy` reply's `accepted` count means
-/// "retry the suffix". Returns the Ack/Busy/Error reply and what the
-/// event loop does next.
-fn submit_grouped(
-    edges: &[RawEdge],
+/// frame-order prefix, so whatever a full queue leaves over is a suffix:
+/// the frame parks with it and is offered again next cycle, and the Ack
+/// for the whole frame is written only when nothing is left.
+fn offer(
+    edges: Vec<RawEdge>,
+    admitted: usize,
     budget: Option<Duration>,
     service: &ShardedSpadeService,
     telemetry: &NetTelemetry,
-    conn: &ConnCounters,
-) -> (WireFrame, FrameStep) {
-    // audit: monotone transport counters, telemetry only
-    let outcome = service.submit_batch(edges, budget);
-    let accepted = outcome.accepted as u64;
-    telemetry.edges_accepted.fetch_add(accepted, Ordering::Relaxed);
-    if outcome.closed {
-        return shut_down();
-    }
-    if outcome.accepted < edges.len() {
-        telemetry.busy_replies.fetch_add(1, Ordering::Relaxed);
-        conn.busy_replies.fetch_add(1, Ordering::Relaxed);
-        telemetry.registry.event(spade_metrics::EventKind::Busy, accepted);
-        return (WireFrame::Busy { accepted }, FrameStep::Continue);
-    }
-    (WireFrame::Ack { accepted }, FrameStep::Continue)
+    out: &mut Vec<u8>,
+) -> FrameStep {
+    let outcome = service.submit_batch(&edges[admitted..], budget);
+    // audit: monotone transport counter, telemetry only
+    telemetry.edges_accepted.fetch_add(outcome.accepted as u64, Ordering::Relaxed);
+    let admitted = admitted + outcome.accepted;
+    let (reply, step) = if outcome.closed {
+        shut_down()
+    } else if admitted < edges.len() {
+        return FrameStep::Park(Parked::Ingest { edges, admitted, budget });
+    } else {
+        (WireFrame::Ack { accepted: admitted as u64 }, FrameStep::Continue)
+    };
+    reply.encode_into(out);
+    step
 }

@@ -302,7 +302,7 @@ fn apply(
     let answer = match frame.into_ingest() {
         // One worker command per batch (the shard-grouped fast path).
         // `submit_batch` blocks while the queue is full, so a batch is
-        // always accepted whole — a shard server never answers `Busy`.
+        // always accepted whole and the late Ack is the back-pressure.
         Ok((edges, budget)) => {
             let accepted = edges.len() as u64;
             service.submit_batch(edges, budget).then_some((WireFrame::Ack { accepted }, true))

@@ -32,8 +32,11 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// and their replies — so a router needs v3 shard servers. Version 4
 /// retired the single-`Edge` request: opcode `0x01` stays reserved and
 /// is answered with `BadOpcode`; one transaction travels as a one-edge
-/// `Batch`.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// `Batch`. Version 5 retired the `Busy` reply the same way (opcode
+/// `0x82` reserved): a full shard queue parks the connection until the
+/// whole frame is enqueued, so every ingest frame is answered by one
+/// `Ack` for all of it and back-pressure is TCP flow control.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Most edges one `Batch` frame can carry within [`MAX_FRAME_BYTES`]
 /// (opcode byte + u32 count + 16 bytes per edge). A `BatchBudget` frame
@@ -94,7 +97,7 @@ const OP_ABSORB: u8 = 0x0B;
 const OP_REPLICATE: u8 = 0x0C;
 const OP_BOOTSTRAP: u8 = 0x0D;
 const OP_ACK: u8 = 0x81;
-const OP_BUSY: u8 = 0x82;
+// 0x82 was the `Busy` reply (retired in v5; never reuse it).
 const OP_DETECTION: u8 = 0x83;
 const OP_STATS_REPLY: u8 = 0x84;
 const OP_ERROR: u8 = 0x85;
@@ -186,7 +189,9 @@ pub struct StatsReply {
     pub frames: u64,
     /// Edges acknowledged (enqueued into a shard) across all connections.
     pub edges_accepted: u64,
-    /// Busy replies sent (an edge bounced off a full shard queue).
+    /// Ingest frames that met a full shard queue and parked their
+    /// connection until the rest was enqueued (the name predates v5,
+    /// which retired the `Busy` reply; scrapers read it).
     pub busy_replies: u64,
     /// Connections dropped over malformed frames.
     pub malformed_frames: u64,
@@ -368,12 +373,6 @@ pub enum WireFrame {
     /// non-ingest requests).
     Ack {
         /// Edges enqueued from the acknowledged frame.
-        accepted: u64,
-    },
-    /// A shard queue was full: only the first `accepted` edges of the
-    /// frame were enqueued — retry the rest after a pause.
-    Busy {
-        /// Edges enqueued before the queue filled.
         accepted: u64,
     },
     /// The merged global detection.
@@ -595,10 +594,6 @@ impl WireFrame {
                 out.push(OP_ACK);
                 out.put_u64_le(*accepted);
             }
-            WireFrame::Busy { accepted } => {
-                out.push(OP_BUSY);
-                out.put_u64_le(*accepted);
-            }
             WireFrame::Detection(det) => {
                 out.push(OP_DETECTION);
                 out.put_u64_le(det.size);
@@ -698,10 +693,6 @@ impl WireFrame {
             OP_ACK => {
                 need(&buf, 8, "truncated ack")?;
                 WireFrame::Ack { accepted: buf.get_u64_le() }
-            }
-            OP_BUSY => {
-                need(&buf, 8, "truncated busy")?;
-                WireFrame::Busy { accepted: buf.get_u64_le() }
             }
             OP_DETECTION => {
                 need(&buf, 24, "truncated detection header")?;
@@ -824,7 +815,6 @@ impl WireFrame {
         matches!(
             self,
             WireFrame::Ack { .. }
-                | WireFrame::Busy { .. }
                 | WireFrame::Detection(_)
                 | WireFrame::StatsReply(_)
                 | WireFrame::MetricsReply(_)
@@ -853,7 +843,6 @@ impl WireFrame {
             WireFrame::Replicate { .. } => "Replicate",
             WireFrame::Bootstrap { .. } => "Bootstrap",
             WireFrame::Ack { .. } => "Ack",
-            WireFrame::Busy { .. } => "Busy",
             WireFrame::Detection(_) => "Detection",
             WireFrame::StatsReply(_) => "StatsReply",
             WireFrame::MetricsReply(_) => "MetricsReply",
@@ -935,10 +924,9 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &WireFrame) -> std::io::Result<()
 
 /// Writes a `Batch` frame — a `BatchBudget` when `budget_us` is set —
 /// over **borrowed** edges, byte-identical to [`WireFrame::encode`] of
-/// the owning frame: a producer that keeps the edges until they are
-/// acknowledged (the client's in-flight window, the router's retry
-/// suffix) ships them without building, cloning or taking apart a
-/// [`WireFrame`]. Same chunking contract as [`WireFrame::encode_into`].
+/// the owning frame: a producer that holds the edges in a buffer of its
+/// own (the client's staging buffer, the router's per-shard batch) ships
+/// them without building, cloning or taking apart a [`WireFrame`]. Same chunking contract as [`WireFrame::encode_into`].
 pub fn write_batch<W: Write>(
     w: &mut W,
     budget_us: Option<u32>,
@@ -1017,7 +1005,6 @@ mod tests {
         roundtrip(WireFrame::Shutdown);
         roundtrip(WireFrame::Metrics);
         roundtrip(WireFrame::Ack { accepted: u64::MAX });
-        roundtrip(WireFrame::Busy { accepted: 7 });
         roundtrip(WireFrame::Detection(DetectionReply {
             size: 3,
             density: 41.25,

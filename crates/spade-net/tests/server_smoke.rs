@@ -164,9 +164,10 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
     drop(service);
 }
 
-/// Protocol v4 retired the single-`Edge` request: opcode `0x01` stays
-/// reserved, so a well-formed v3 `Edge` frame earns `Error` + close on
-/// both servers and never reaches an engine.
+/// Protocol v4 retired the single-`Edge` request and v5 the `Busy`
+/// reply: opcodes `0x01` and `0x82` stay reserved, so a well-formed old
+/// frame of either kind earns `Error` + close on both servers and never
+/// reaches an engine.
 #[test]
 fn the_retired_edge_opcode_is_refused_by_both_servers() {
     let mut old_edge = 17u32.to_le_bytes().to_vec();
@@ -174,19 +175,26 @@ fn the_retired_edge_opcode_is_refused_by_both_servers() {
     old_edge.extend_from_slice(&1u32.to_le_bytes());
     old_edge.extend_from_slice(&2u32.to_le_bytes());
     old_edge.extend_from_slice(&3.5f64.to_le_bytes());
+    let mut old_busy = 9u32.to_le_bytes().to_vec();
+    old_busy.push(0x82);
+    old_busy.extend_from_slice(&7u64.to_le_bytes());
     let refused = |addr: std::net::SocketAddr| {
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.write_all(&old_edge).unwrap();
-        match read_frame(&mut conn).expect("an error reply") {
-            Some(WireFrame::Error { message }) => assert!(message.contains("0x01"), "{message}"),
-            other => panic!("expected an Error frame, got {other:?}"),
+        for (frame, opcode) in [(&old_edge, "0x01"), (&old_busy, "0x82")] {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            conn.write_all(frame).unwrap();
+            match read_frame(&mut conn).expect("an error reply") {
+                Some(WireFrame::Error { message }) => {
+                    assert!(message.contains(opcode), "{message}")
+                }
+                other => panic!("expected an Error frame, got {other:?}"),
+            }
+            assert_eq!(read_frame(&mut conn).expect("clean close"), None);
         }
-        assert_eq!(read_frame(&mut conn).expect("clean close"), None);
     };
 
     let (service, server) = spawn_server(1);
     refused(server.local_addr());
-    assert_eq!(server.shutdown().malformed_frames, 1);
+    assert_eq!(server.shutdown().malformed_frames, 2);
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
     assert_eq!(service.shutdown().total_updates, 0);
 

@@ -155,7 +155,6 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
         1 => Just(WireFrame::Shutdown),
         1 => Just(WireFrame::Metrics),
         2 => (0u64..u64::MAX).prop_map(|accepted| WireFrame::Ack { accepted }),
-        2 => (0u64..u64::MAX).prop_map(|accepted| WireFrame::Busy { accepted }),
         2 => detection,
         1 => stats,
         1 => metrics_reply,

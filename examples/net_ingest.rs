@@ -4,7 +4,7 @@
 //! wraps the hash-routed sharded runtime on a loopback socket, four
 //! producer threads each connect a `SpadeNetClient` and replay an
 //! interleaved slice of a Zipf marketplace stream with an injected fraud
-//! burst — batched, pipelined, retrying Busy replies — and a moderator
+//! burst — batched and pipelined — and a moderator
 //! reads the detection back over the same wire. At the end the
 //! cross-shard repair pass is compared against a solo engine fed the
 //! identical stream: the answer must match member-for-member.
@@ -88,17 +88,11 @@ fn main() {
             })
         })
         .collect();
-    let mut acked = 0u64;
-    let mut busy = 0u64;
-    for w in workers {
-        let stats = w.join().expect("producer thread");
-        acked += stats.edges_acked;
-        busy += stats.busy_replies;
-    }
+    let acked: u64 =
+        workers.into_iter().map(|w| w.join().expect("producer thread").edges_acked).sum();
     let elapsed = started.elapsed().as_secs_f64();
     println!(
-        "replayed {acked} edges in {:.1} ms ({:.0} tx/s across {PRODUCERS} producers, \
-         {busy} busy retries)",
+        "replayed {acked} edges in {:.1} ms ({:.0} tx/s across {PRODUCERS} producers)",
         elapsed * 1e3,
         acked as f64 / elapsed.max(1e-9),
     );
@@ -112,7 +106,7 @@ fn main() {
     );
     let stats = moderator.server_stats().expect("stats");
     println!(
-        "server counters: {} connections, {} frames, {} edges acked, {} busy replies",
+        "server counters: {} connections, {} frames, {} edges acked, {} parked frames",
         stats.connections, stats.frames, stats.edges_accepted, stats.busy_replies,
     );
     moderator.shutdown_server().expect("shutdown frame");

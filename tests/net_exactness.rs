@@ -9,20 +9,21 @@
 //! not of arrival order.
 //!
 //! The second half is the back-pressure contract: with a tiny shard
-//! queue and a fast producer, Busy replies must surface at both ends of
-//! the wire, and **no acknowledged edge may be lost** — the sum of
-//! producer-side acked counts equals the shards' applied-update total
-//! and (on an all-unique-pairs workload) the resident edge count.
+//! queue and a fast producer, frames must park on the server (and only
+//! there — the producer sees nothing but late Acks), **no acknowledged
+//! edge may be lost** — the sum of producer-side acked counts equals the
+//! shards' applied-update total and (on an all-unique-pairs workload)
+//! the resident edge count — and a producer's edges reach the engine in
+//! the order it submitted them.
 
 use spade::core::stream::StreamEdge;
-use spade::core::{SpadeEngine, WeightedDensity};
+use spade::core::{Fraudar, SpadeEngine, WeightedDensity};
 use spade::gen::fraud::{FraudInjector, FraudInjectorConfig};
 use spade::gen::transactions::{TransactionStream, TransactionStreamConfig};
 use spade::graph::VertexId;
 use spade::net::{ClientConfig, SpadeNetClient, SpadeNetServer};
 use spade::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The seeded dataset: identical to the in-process repair gate, so the
 /// two halves of the CI job compare the same ground truth.
@@ -57,15 +58,6 @@ fn solo_detection(edges: &[StreamEdge]) -> (usize, f64, Vec<u32>) {
     let mut members: Vec<u32> = solo.community(det).iter().map(|m| m.0).collect();
     members.sort_unstable();
     (det.size, det.density, members)
-}
-
-/// Polls until every acknowledged edge has been applied by the shards.
-fn drain(service: &ShardedSpadeService, acked: u64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while service.stats().iter().map(|s| s.service.updates_applied).sum::<u64>() < acked {
-        assert!(Instant::now() < deadline, "drain timed out: an acknowledged edge was lost");
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 fn assert_exact_with_producers(shards: usize, producers: usize) {
@@ -114,7 +106,7 @@ fn assert_exact_with_producers(shards: usize, producers: usize) {
     // Every acked edge sits in a shard queue; the repair pass drains the
     // queues (region requests ride the same FIFO), so the repaired
     // snapshot covers the whole stream.
-    drain(&service, acked);
+    assert!(service.barrier(), "a shard shut down while draining");
     let repaired = service.repair();
 
     // The premise: hash routing across TCP producers still dilutes.
@@ -149,7 +141,7 @@ fn assert_exact_with_producers(shards: usize, producers: usize) {
     assert_eq!(global.total_updates, edges.len() as u64);
     println!(
         "N={shards}/P={producers}: {} edges over TCP, diluted {:.3} repaired to {:.3} \
-         (solo {:.3}, {} members, {} busy replies)",
+         (solo {:.3}, {} members, {} parked frames)",
         acked,
         repaired.baseline_density,
         repaired.detection.density,
@@ -177,8 +169,9 @@ fn six_tcp_producers_feed_8_shards_to_solo_exactness() {
 #[test]
 fn back_pressure_surfaces_busy_and_loses_no_acknowledged_edge() {
     // A deliberately tiny shard queue with strict per-edge processing:
-    // the worker is slow, the producer is fast and deeply pipelined, so
-    // edges MUST bounce — and every acknowledged one must still land.
+    // the worker is slow, the producer is fast and deeply pipelined, and
+    // a 16-edge frame can never fit 2 × 2 free slots at once, so frames
+    // MUST park — and every acknowledged edge must still land.
     let service = Arc::new(ShardedSpadeService::spawn(
         WeightedDensity,
         ShardedConfig {
@@ -192,12 +185,7 @@ fn back_pressure_surfaces_busy_and_loses_no_acknowledged_edge() {
     let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let mut client = SpadeNetClient::connect_with(
         server.local_addr(),
-        ClientConfig {
-            batch: 16,
-            pipeline: 16,
-            busy_backoff: Duration::from_micros(50),
-            ..Default::default()
-        },
+        ClientConfig { batch: 16, pipeline: 16, ..Default::default() },
     )
     .expect("connect");
 
@@ -210,16 +198,15 @@ fn back_pressure_surfaces_busy_and_loses_no_acknowledged_edge() {
     }
     let stats = client.finish().expect("flush");
     assert_eq!(stats.edges_submitted, total as u64);
-    assert_eq!(stats.edges_acked, total as u64, "flush must retry Busy suffixes to completion");
-    assert!(stats.busy_replies > 0, "a 2-slot queue under a pipelined producer must bounce");
+    assert_eq!(stats.edges_acked, total as u64, "flush must wait out every parked frame");
 
     let net_stats = server.stats();
-    assert!(net_stats.busy_replies > 0);
+    assert!(net_stats.busy_replies > 0, "a 16-edge frame cannot fit two 2-slot queues");
     assert_eq!(net_stats.edges_accepted, total as u64);
 
     // No acknowledged edge is dropped: the shards apply exactly the
     // acked count...
-    drain(&service, stats.edges_acked);
+    assert!(service.barrier(), "a shard shut down while draining");
     let applied: u64 = service.stats().iter().map(|s| s.service.updates_applied).sum();
     assert_eq!(applied, stats.edges_acked);
     // ...and on this all-unique-pairs workload, every one is resident in
@@ -231,4 +218,53 @@ fn back_pressure_surfaces_busy_and_loses_no_acknowledged_edge() {
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
     let global = service.shutdown();
     assert_eq!(global.total_updates, total as u64);
+}
+
+#[test]
+fn back_pressure_preserves_a_producers_submission_order() {
+    // Fraudar weighs an edge by its destination's degree *at arrival*,
+    // so the detection is a function of the order edges reach the engine.
+    // One shard with a 2-slot queue parks every 16-edge frame several
+    // times over; the engine must still see exactly the submitted order.
+    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut x = 0x2545_F491u32;
+    while edges.len() < 1_500 {
+        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        let (src, dst) = ((x >> 8) % 200, 10_000 + (x >> 20) % 24);
+        if seen.insert((src, dst)) {
+            edges.push((VertexId(src), VertexId(dst), 1.0));
+        }
+    }
+    let mut solo = SpadeEngine::new(Fraudar::new());
+    for &(src, dst, raw) in &edges {
+        solo.insert_edge(src, dst, raw).expect("solo insert");
+    }
+    let want = solo.detect();
+    let mut want_members: Vec<u32> = solo.community(want).iter().map(|m| m.0).collect();
+    want_members.sort_unstable();
+
+    let service = Arc::new(ShardedSpadeService::spawn(
+        Fraudar::new(),
+        ShardedConfig { shards: 1, queue_capacity: 2, coalesce: 1, ..Default::default() },
+    ));
+    let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = SpadeNetClient::connect_with(
+        server.local_addr(),
+        ClientConfig { batch: 16, pipeline: 16, ..Default::default() },
+    )
+    .expect("connect");
+    for &(src, dst, raw) in &edges {
+        client.submit(src, dst, raw).expect("submit");
+    }
+    assert_eq!(client.finish().expect("flush").edges_acked, edges.len() as u64);
+    assert!(server.shutdown().busy_replies > 0, "a 16-edge frame cannot fit a 2-slot queue");
+
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
+    let global = service.shutdown();
+    assert_eq!(global.total_updates, edges.len() as u64);
+    let mut got: Vec<u32> = global.best.members.iter().map(|m| m.0).collect();
+    got.sort_unstable();
+    assert_eq!(got, want_members, "the engine saw the stream in a different order");
+    assert!((global.best.density - want.density).abs() < 1e-9);
 }
