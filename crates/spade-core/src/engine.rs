@@ -4,8 +4,10 @@
 //! This is the layer the paper's architecture diagram (Fig. 4) calls the
 //! "Spade engine": it owns the transaction graph, keeps the peeling
 //! sequence and weights up to date on every update (auto-
-//! incrementalization), and answers `Detect` in O(1)/O(log n) through a
-//! pluggable detection backend. The thin, paper-faithful `Spade` facade
+//! incrementalization), and answers `Detect` in O(1) from the kinetic
+//! tournament it maintains beside them ([`crate::kinetic`]; the O(n)
+//! rescan [`PeelingState::scan_detect`] stays as the reference the tests
+//! compare it with). The thin, paper-faithful `Spade` facade
 //! (`crate::spade`) and the edge-grouping layer (`crate::grouping`) sit on
 //! top.
 
@@ -17,24 +19,13 @@ use crate::state::{Detection, PeelingState};
 use spade_graph::hash::FxHashMap;
 use spade_graph::{DynamicGraph, EdgeRef, GraphError, VertexId};
 
-/// How the densest-suffix detection is maintained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DetectionBackend {
-    /// Kinetic tournament — exact, amortized polylog per update, O(1)
-    /// queries. The default.
-    #[default]
-    Kinetic,
-    /// Exact O(n) rescan after every update batch. Simple; used as the
-    /// oracle in tests and by the cross-shard repair scratch engine.
-    EagerScan,
-}
-
-/// Engine configuration.
+/// Engine configuration — field-less: every engine maintains the kinetic
+/// index, so there is nothing to configure. The type survives only
+/// because `bench_stack` (frozen under `benchmark/`) passes
+/// `SpadeConfig::default()` to [`SpadeEngine::bootstrap`]; the
+/// constructors that take one ignore it.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SpadeConfig {
-    /// Detection maintenance strategy.
-    pub detection: DetectionBackend,
-}
+pub struct SpadeConfig {}
 
 /// The auto-incrementalized peeling engine.
 ///
@@ -45,8 +36,7 @@ pub struct SpadeEngine<M: DensityMetric> {
     graph: DynamicGraph,
     state: PeelingState,
     metric: M,
-    config: SpadeConfig,
-    kinetic: Option<KineticIndex>,
+    kinetic: KineticIndex,
     detection: Detection,
     scratch: ReorderScratch,
     blacks_buf: Vec<VertexId>,
@@ -62,22 +52,13 @@ pub struct SpadeEngine<M: DensityMetric> {
 }
 
 impl<M: DensityMetric> SpadeEngine<M> {
-    /// Creates an empty engine with the default configuration.
-    pub fn new(metric: M) -> Self {
-        Self::with_config(metric, SpadeConfig::default())
-    }
-
     /// Creates an empty engine.
-    pub fn with_config(metric: M, config: SpadeConfig) -> Self {
+    pub fn new(metric: M) -> Self {
         SpadeEngine {
             graph: DynamicGraph::new(),
             state: PeelingState::new(),
             metric,
-            config,
-            kinetic: match config.detection {
-                DetectionBackend::Kinetic => Some(KineticIndex::new()),
-                DetectionBackend::EagerScan => None,
-            },
+            kinetic: KineticIndex::new(),
             detection: Detection::EMPTY,
             scratch: ReorderScratch::new(),
             blacks_buf: Vec::new(),
@@ -95,10 +76,10 @@ impl<M: DensityMetric> SpadeEngine<M> {
     /// Listing 1.
     pub fn bootstrap(
         metric: M,
-        config: SpadeConfig,
+        _config: SpadeConfig,
         edges: impl IntoIterator<Item = (VertexId, VertexId, f64)>,
     ) -> Result<Self, GraphError> {
-        let mut engine = Self::with_config(metric, config);
+        let mut engine = Self::new(metric);
         let mut graph = DynamicGraph::new();
         for (src, dst, raw) in edges {
             for v in [src, dst] {
@@ -124,8 +105,8 @@ impl<M: DensityMetric> SpadeEngine<M> {
 
     /// Builds an engine around a graph whose weights are **already** the
     /// final suspiciousness values (no metric evaluation happens).
-    pub fn from_weighted_graph(graph: DynamicGraph, metric: M, config: SpadeConfig) -> Self {
-        let mut engine = Self::with_config(metric, config);
+    pub fn from_weighted_graph(graph: DynamicGraph, metric: M, _config: SpadeConfig) -> Self {
+        let mut engine = Self::new(metric);
         engine.install_graph(graph);
         engine
     }
@@ -138,17 +119,12 @@ impl<M: DensityMetric> SpadeEngine<M> {
         graph: DynamicGraph,
         state: PeelingState,
         metric: M,
-        config: SpadeConfig,
+        _config: SpadeConfig,
     ) -> Self {
         debug_assert_eq!(state.len(), graph.num_vertices());
-        let mut engine = Self::with_config(metric, config);
-        if let Some(k) = engine.kinetic.as_mut() {
-            k.reset(state.delta_phys());
-        }
-        engine.detection = match engine.config.detection {
-            DetectionBackend::Kinetic => engine.kinetic.as_ref().unwrap().best(),
-            DetectionBackend::EagerScan => state.scan_detect(),
-        };
+        let mut engine = Self::new(metric);
+        engine.kinetic.reset(state.delta_phys());
+        engine.detection = engine.kinetic.best();
         engine.graph = graph;
         engine.state = state;
         engine
@@ -156,8 +132,8 @@ impl<M: DensityMetric> SpadeEngine<M> {
 
     /// Replaces the engine's graph with `graph` — whose weights must
     /// already be final suspiciousness values — and re-peels it in place.
-    /// The engine value is recycled: metric, configuration, kinetic index
-    /// and reorder scratch buffers all survive, so a repair pass can run
+    /// The engine value is recycled: metric, kinetic index and reorder
+    /// scratch buffers all survive, so a repair pass can run
     /// many union re-peels through one borrowed scratch engine instead of
     /// constructing a fresh engine per union.
     pub fn reload_graph(&mut self, graph: DynamicGraph) {
@@ -168,13 +144,8 @@ impl<M: DensityMetric> SpadeEngine<M> {
         let outcome = peel(&graph);
         self.state = PeelingState::from_outcome(&outcome);
         self.graph = graph;
-        if let Some(k) = self.kinetic.as_mut() {
-            k.reset(self.state.delta_phys());
-        }
-        self.detection = match self.config.detection {
-            DetectionBackend::Kinetic => self.kinetic.as_ref().unwrap().best(),
-            DetectionBackend::EagerScan => self.state.scan_detect(),
-        };
+        self.kinetic.reset(self.state.delta_phys());
+        self.detection = self.kinetic.best();
     }
 
     /// The underlying graph (read-only).
@@ -190,11 +161,6 @@ impl<M: DensityMetric> SpadeEngine<M> {
     /// The configured metric.
     pub fn metric(&self) -> &M {
         &self.metric
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> SpadeConfig {
-        self.config
     }
 
     /// Counters from the most recent reordering pass.
@@ -248,9 +214,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
             // New vertices enter at the head of the peeling sequence
             // (§4.1) with their true isolated weight a_u.
             self.state.push_front(u, a);
-            if let Some(k) = self.kinetic.as_mut() {
-                k.append(a);
-            }
+            self.kinetic.append(a);
         }
         Ok(())
     }
@@ -420,21 +384,14 @@ impl<M: DensityMetric> SpadeEngine<M> {
             &mut self.state,
             &mut self.blacks_buf,
             &mut self.scratch,
-            |lo, ws| {
-                if let Some(k) = kinetic.as_mut() {
-                    k.rewrite_deltas(lo, ws);
-                }
-            },
+            |lo, ws| kinetic.rewrite_deltas(lo, ws),
         );
         self.last_stats = stats;
         self.total_stats.merge(stats);
     }
 
     fn refresh_detection(&mut self) -> Detection {
-        self.detection = match self.config.detection {
-            DetectionBackend::Kinetic => self.kinetic.as_ref().unwrap().best(),
-            DetectionBackend::EagerScan => self.state.scan_detect(),
-        };
+        self.detection = self.kinetic.best();
         self.detection
     }
 
@@ -461,11 +418,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
             src,
             dst,
             amount,
-            |lo, ws| {
-                if let Some(k) = kinetic.as_mut() {
-                    k.rewrite_deltas(lo, ws);
-                }
-            },
+            |lo, ws| kinetic.rewrite_deltas(lo, ws),
         )?;
         self.last_stats = stats;
         self.total_stats.merge(stats);
@@ -491,11 +444,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
             &mut self.state,
             &mut self.scratch,
             members,
-            |lo, ws| {
-                if let Some(k) = kinetic.as_mut() {
-                    k.rewrite_deltas(lo, ws);
-                }
-            },
+            |lo, ws| kinetic.rewrite_deltas(lo, ws),
         )?;
         self.last_stats = removal.reorder;
         self.total_stats.merge(removal.reorder);
@@ -527,11 +476,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
                 &mut self.scratch,
                 v,
                 a,
-                |lo, ws| {
-                    if let Some(k) = kinetic.as_mut() {
-                        k.rewrite_deltas(lo, ws);
-                    }
-                },
+                |lo, ws| kinetic.rewrite_deltas(lo, ws),
             )?;
             self.last_stats = stats;
             self.total_stats.merge(stats);
@@ -554,7 +499,6 @@ impl<M: DensityMetric + Clone> Clone for SpadeEngine<M> {
             graph: self.graph.clone(),
             state: self.state.clone(),
             metric: self.metric.clone(),
-            config: self.config,
             kinetic: self.kinetic.clone(),
             detection: self.detection,
             scratch: self.scratch.clone(),
@@ -764,24 +708,12 @@ mod tests {
     #[test]
     fn detection_backends_agree() {
         let edges = [(0u32, 1u32, 2.0), (1, 2, 5.0), (2, 0, 1.0), (3, 2, 2.0), (3, 0, 3.0)];
-        let mut engines = [
-            SpadeEngine::with_config(
-                WeightedDensity,
-                SpadeConfig { detection: DetectionBackend::Kinetic },
-            ),
-            SpadeEngine::with_config(
-                WeightedDensity,
-                SpadeConfig { detection: DetectionBackend::EagerScan },
-            ),
-        ];
+        let mut e = SpadeEngine::new(WeightedDensity);
         for &(a, b, w) in &edges {
-            let mut dets = Vec::new();
-            for e in engines.iter_mut() {
-                e.insert_edge(v(a), v(b), w).unwrap();
-                dets.push(e.detect());
-            }
-            assert_eq!(dets[0].size, dets[1].size);
-            assert!((dets[0].density - dets[1].density).abs() < 1e-9);
+            let kinetic = e.insert_edge(v(a), v(b), w).unwrap();
+            let scan = e.state().scan_detect();
+            assert_eq!(kinetic.size, scan.size);
+            assert!((kinetic.density - scan.density).abs() < 1e-9);
         }
     }
 

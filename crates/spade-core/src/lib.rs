@@ -20,7 +20,7 @@ pub mod state;
 pub mod stream;
 pub mod timewindow;
 
-pub use engine::{DetectionBackend, SpadeConfig, SpadeEngine};
+pub use engine::{SpadeConfig, SpadeEngine};
 pub use enumeration::{enumerate_incremental, enumerate_static, EnumerationConfig, FraudInstance};
 pub use grouping::{EdgeGrouper, FlushReason, GroupingConfig, GroupingStats, SubmitOutcome};
 pub use kinetic::KineticIndex;

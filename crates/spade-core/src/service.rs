@@ -169,7 +169,7 @@ pub struct PublishedDetection {
 /// repair pass (`crate::shard::repair`) unions and re-peels, and — being
 /// plain bytes — the wire format a distributed backend would ship between
 /// processes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CandidateRegion {
     /// Community size at export time.
     pub size: usize,
@@ -198,7 +198,7 @@ pub struct CandidateRegion {
 /// codec, already **evicted** from the source engine when this value is
 /// produced. Replaying it into another shard's engine completes the move
 /// — see `crate::shard::migrate`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MigrationSlice {
     /// Encoded [`crate::persist::SubgraphSnapshot`] bytes (isolated
     /// zero-weight members pruned).
@@ -222,7 +222,7 @@ impl MigrationSlice {
 }
 
 /// What a target shard did with an absorbed [`MigrationSlice`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AbsorbReceipt {
     /// Slice vertices materialized or re-weighted on the target.
     pub vertices_touched: usize,
@@ -396,6 +396,13 @@ pub enum TrySubmit {
     Closed,
 }
 
+/// A run of transactions: `(source, destination, raw weight)` each.
+type EdgeRun = Vec<(VertexId, VertexId, f64)>;
+
+/// A refused enqueue: why ([`TrySubmit::Full`] or [`TrySubmit::Closed`],
+/// never `Queued`) and the payload handed back.
+pub type Refused<T> = (TrySubmit, T);
+
 /// Handle to a running detection service.
 pub struct SpadeService {
     sender: Sender<Command>,
@@ -498,10 +505,9 @@ impl SpadeService {
     /// lock is never held across a back-pressure wait.
     pub fn try_submit(&self, src: VertexId, dst: VertexId, raw: f64) -> TrySubmit {
         let (queued, budget) = (Instant::now(), self.default_budget);
-        match self.sender.try_send(Command::Insert { src, dst, raw, queued, budget }) {
+        match self.enqueue(Command::Insert { src, dst, raw, queued, budget }, false) {
             Ok(()) => TrySubmit::Queued,
-            Err(TrySendError::Full(_)) => TrySubmit::Full,
-            Err(TrySendError::Disconnected(_)) => TrySubmit::Closed,
+            Err((why, _)) => why,
         }
     }
 
@@ -511,13 +517,31 @@ impl SpadeService {
     /// send per destination shard instead of 512. Blocks when the queue
     /// is full; returns `false` if the service has shut down. An empty
     /// run is a no-op. `budget: None` falls back to the service default.
-    pub fn submit_batch(
+    pub fn submit_batch(&self, edges: EdgeRun, budget: Option<Duration>) -> bool {
+        self.send_batch(edges, budget, true).is_ok()
+    }
+
+    /// Non-blocking [`submit_batch`](Self::submit_batch), beside
+    /// [`try_submit`](Self::try_submit): the run takes one queue slot
+    /// now or none at all. A refusal hands the edges back with the reason
+    /// ([`TrySubmit::Full`] or [`TrySubmit::Closed`]), so an event loop
+    /// keeps the frame and offers it again instead of blocking.
+    pub fn try_submit_batch(
         &self,
-        edges: Vec<(VertexId, VertexId, f64)>,
+        edges: EdgeRun,
         budget: Option<Duration>,
-    ) -> bool {
+    ) -> Result<(), Refused<EdgeRun>> {
+        self.send_batch(edges, budget, false)
+    }
+
+    fn send_batch(
+        &self,
+        edges: EdgeRun,
+        budget: Option<Duration>,
+        wait: bool,
+    ) -> Result<(), Refused<EdgeRun>> {
         if edges.is_empty() {
-            return true;
+            return Ok(());
         }
         let budget = budget.or(self.default_budget);
         // The surplus is published BEFORE the send so a concurrent
@@ -526,14 +550,39 @@ impl SpadeService {
         // audit: advisory backlog counter, races only widen queue_free slack
         let surplus = (edges.len() - 1) as u64;
         self.shared.batched_backlog.fetch_add(surplus, Ordering::Relaxed);
-        let sent = self
-            .sender
-            .send(Command::InsertBatch { edges, queued: Instant::now(), budget })
-            .is_ok();
-        if !sent {
+        let command = Command::InsertBatch { edges, queued: Instant::now(), budget };
+        self.enqueue(command, wait).map_err(|(why, command)| {
             self.shared.batched_backlog.fetch_sub(surplus, Ordering::Relaxed);
+            let Command::InsertBatch { edges, .. } = command else {
+                unreachable!("a refused send returns the command it was given")
+            };
+            (why, edges)
+        })
+    }
+
+    /// The one place a command enters the ingest queue. A full queue
+    /// blocks the caller when `wait` is set and refuses the command with
+    /// [`TrySubmit::Full`] otherwise; a worker that is gone refuses it
+    /// with [`TrySubmit::Closed`] either way.
+    fn enqueue(&self, command: Command, wait: bool) -> Result<(), Refused<Command>> {
+        if wait {
+            return self.sender.send(command).map_err(|e| (TrySubmit::Closed, e.0));
         }
-        sent
+        self.sender.try_send(command).map_err(|e| match e {
+            TrySendError::Full(command) => (TrySubmit::Full, command),
+            TrySendError::Disconnected(command) => (TrySubmit::Closed, command),
+        })
+    }
+
+    /// Enqueues a command that answers on a reply channel and hands that
+    /// channel back without waiting for the answer.
+    fn request<T>(
+        &self,
+        wait: bool,
+        command: impl FnOnce(Sender<T>) -> Command,
+    ) -> Result<Receiver<T>, TrySubmit> {
+        let (reply, receiver) = bounded(1);
+        self.enqueue(command(reply), wait).map(|()| receiver).map_err(|(why, _)| why)
     }
 
     /// Bound of the ingest channel.
@@ -563,15 +612,17 @@ impl SpadeService {
     /// published detection excludes them, and the barrier agrees with
     /// it. Returns `false` if the service has shut down.
     pub fn barrier(&self) -> bool {
-        self.request_barrier().is_some_and(|done| done.recv().is_ok())
+        self.request_barrier(true).is_ok_and(|done| done.recv().is_ok())
     }
 
-    /// Fire-and-collect variant of [`barrier`](Self::barrier), so the
-    /// sharded runtime can let all shards drain in parallel.
-    pub(crate) fn request_barrier(&self) -> Option<Receiver<()>> {
-        let (reply, receiver) = bounded(1);
-        self.sender.send(Command::Barrier { reply }).ok()?;
-        Some(receiver)
+    /// Fire-and-collect variant of [`barrier`](Self::barrier): hands back
+    /// the reply channel without waiting for the answer, so the sharded
+    /// runtime can let all shards drain in parallel and an event loop can
+    /// park a connection on the reply. As for every `request_*` form, a
+    /// full queue blocks the caller when `wait` is set and is an
+    /// `Err(TrySubmit::Full)` otherwise; `Closed` means shut down.
+    pub fn request_barrier(&self, wait: bool) -> Result<Receiver<()>, TrySubmit> {
+        self.request(wait, |reply| Command::Barrier { reply })
     }
 
     /// Exports this worker's candidate region: its current detection plus
@@ -582,20 +633,18 @@ impl SpadeService {
     /// buffered are excluded, exactly as they are from the published
     /// detection). Returns `None` if the service has shut down.
     pub fn candidate_region(&self, hops: usize) -> Option<CandidateRegion> {
-        self.request_candidate_region(hops)?.recv().ok()
+        self.request_candidate_region(hops, true).ok()?.recv().ok()
     }
 
     /// Fire-and-collect variant of
-    /// [`candidate_region`](Self::candidate_region): enqueues the export
-    /// request and hands back the reply channel without waiting, so the
-    /// sharded runtime can let all shards drain and extract in parallel.
-    pub(crate) fn request_candidate_region(
+    /// [`candidate_region`](Self::candidate_region), so the sharded
+    /// runtime can let all shards drain and extract in parallel.
+    pub fn request_candidate_region(
         &self,
         hops: usize,
-    ) -> Option<Receiver<CandidateRegion>> {
-        let (reply, receiver) = bounded(1);
-        self.sender.send(Command::Region { hops, reply }).ok()?;
-        Some(receiver)
+        wait: bool,
+    ) -> Result<Receiver<CandidateRegion>, TrySubmit> {
+        self.request(wait, |reply| Command::Region { hops, reply })
     }
 
     /// Extracts and **evicts** the induced slice over `members` from this
@@ -606,29 +655,35 @@ impl SpadeService {
     /// grouped benign edges (the worker flushes its buffer first).
     /// Returns `None` if the service has shut down.
     pub fn migrate_out(&self, members: Arc<[VertexId]>) -> Option<MigrationSlice> {
-        self.request_migrate_out(members)?.recv().ok()
+        self.request_migrate_out(members, true).ok()?.recv().ok()
     }
 
-    /// Fire-and-collect variant of [`migrate_out`](Self::migrate_out):
-    /// enqueues the request and hands back the reply channel. The sharded
-    /// runtime enqueues this **under its routing lock** so the marker is
-    /// ordered after every edge routed to this shard before a rehome.
-    pub(crate) fn request_migrate_out(
+    /// Fire-and-collect variant of [`migrate_out`](Self::migrate_out).
+    /// The sharded runtime enqueues this **under its routing lock** (and
+    /// waiting for room) so the marker is ordered after every edge routed
+    /// to this shard before a rehome.
+    pub fn request_migrate_out(
         &self,
         members: Arc<[VertexId]>,
-    ) -> Option<Receiver<MigrationSlice>> {
-        let (reply, receiver) = bounded(1);
-        self.sender.send(Command::MigrateOut { members, reply }).ok()?;
-        Some(receiver)
+        wait: bool,
+    ) -> Result<Receiver<MigrationSlice>, TrySubmit> {
+        self.request(wait, |reply| Command::MigrateOut { members, reply })
     }
 
     /// Replays a migrated slice into this worker's engine (the target
     /// half of a component migration). Returns `None` if the service has
     /// shut down.
     pub fn absorb(&self, slice: MigrationSlice) -> Option<AbsorbReceipt> {
-        let (reply, receiver) = bounded(1);
-        self.sender.send(Command::Absorb { slice, reply }).ok()?;
-        receiver.recv().ok()
+        self.request_absorb(slice, true).ok()?.recv().ok()
+    }
+
+    /// Fire-and-collect variant of [`absorb`](Self::absorb).
+    pub fn request_absorb(
+        &self,
+        slice: MigrationSlice,
+        wait: bool,
+    ) -> Result<Receiver<AbsorbReceipt>, TrySubmit> {
+        self.request(wait, |reply| Command::Absorb { slice, reply })
     }
 
     /// The most recently published detection. O(1): a brief read lock

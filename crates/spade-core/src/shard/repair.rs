@@ -30,7 +30,7 @@
 //! detectors stay hot and independent, a cheap global pass restores
 //! exactness.
 
-use crate::engine::{DetectionBackend, SpadeConfig, SpadeEngine};
+use crate::engine::SpadeEngine;
 use crate::metric::WeightedDensity;
 use crate::persist::SubgraphSnapshot;
 use crate::service::CandidateRegion;
@@ -177,12 +177,7 @@ pub struct RepairScratch {
 impl Default for RepairScratch {
     fn default() -> Self {
         RepairScratch {
-            // EagerScan: one O(n) scan after the re-peel beats
-            // maintaining a kinetic tournament nobody updates.
-            engine: SpadeEngine::with_config(
-                WeightedDensity,
-                SpadeConfig { detection: DetectionBackend::EagerScan },
-            ),
+            engine: SpadeEngine::new(WeightedDensity),
             remap: Vec::new(),
             local: FxHashMap::default(),
             edge_slots: FxHashMap::default(),

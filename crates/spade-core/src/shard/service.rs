@@ -458,8 +458,8 @@ impl ShardedSpadeService {
     /// replies collected after, so the shards drain concurrently.
     /// Returns `false` if any shard has shut down.
     pub fn barrier(&self) -> bool {
-        let pending: Vec<_> = self.shards.iter().map(|s| s.request_barrier()).collect();
-        pending.into_iter().all(|done| done.is_some_and(|done| done.recv().is_ok()))
+        let pending: Vec<_> = self.shards.iter().map(|s| s.request_barrier(true)).collect();
+        pending.into_iter().all(|done| done.is_ok_and(|done| done.recv().is_ok()))
     }
 
     /// The merged global detection across all shards (densest community
@@ -637,7 +637,10 @@ impl ShardedSpadeService {
                 }
                 let members: Arc<[VertexId]> = table.component_members(event.member).into();
                 drop(table);
-                self.shards[event.stranded_shard].request_migrate_out(members).map(|rx| (home, rx))
+                self.shards[event.stranded_shard]
+                    .request_migrate_out(members, true)
+                    .ok()
+                    .map(|rx| (home, rx))
             };
             let Some((home, rx)) = staged else { continue };
             self.complete_move(
@@ -685,7 +688,7 @@ impl ShardedSpadeService {
                             .max_by_key(|&(_, size)| size)?;
                         table.rehome(member, cold);
                         let members: Arc<[VertexId]> = table.component_members(member).into();
-                        let rx = self.shards[hot].request_migrate_out(members)?;
+                        let rx = self.shards[hot].request_migrate_out(members, true).ok()?;
                         Some((member, hot, cold, rx))
                     })
                     .collect(),
@@ -729,7 +732,7 @@ impl ShardedSpadeService {
             }
             table.rehome(member, to);
             let members: Arc<[VertexId]> = table.component_members(member).into();
-            self.shards[from].request_migrate_out(members).map(|rx| (from, rx))
+            self.shards[from].request_migrate_out(members, true).ok().map(|rx| (from, rx))
         };
         let (from, rx) = staged?;
         let mut report = MigrationReport::default();
@@ -853,7 +856,9 @@ impl ShardedSpadeService {
             .shards
             .iter()
             .enumerate()
-            .filter_map(|(shard, s)| s.request_candidate_region(hops).map(|rx| (shard, rx)))
+            .filter_map(|(shard, s)| {
+                s.request_candidate_region(hops, true).ok().map(|rx| (shard, rx))
+            })
             .collect();
         let mut regions: Vec<(usize, CandidateRegion)> = Vec::with_capacity(pending.len());
         for (shard, receiver) in pending {

@@ -28,7 +28,6 @@ pub struct SpadeBuilder {
     esusp: crate::metric::EdgeSuspFn,
     name: &'static str,
     grouping: Option<GroupingConfig>,
-    config: SpadeConfig,
 }
 
 impl Default for SpadeBuilder {
@@ -53,7 +52,6 @@ impl SpadeBuilder {
             }),
             name: "custom",
             grouping: None,
-            config: SpadeConfig::default(),
         }
     }
 
@@ -94,13 +92,7 @@ impl SpadeBuilder {
         self
     }
 
-    /// Overrides the engine configuration (detection backend).
-    pub fn engine_config(mut self, config: SpadeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    fn into_metric(self) -> (CustomMetric, Option<GroupingConfig>, SpadeConfig) {
+    fn into_metric(self) -> (CustomMetric, Option<GroupingConfig>) {
         let vsusp = self.vsusp;
         let esusp = self.esusp;
         let metric = CustomMetric::new(
@@ -108,16 +100,13 @@ impl SpadeBuilder {
             move |u, g| vsusp(u, g),
             move |s, d, raw, g| esusp(s, d, raw, g),
         );
-        (metric, self.grouping, self.config)
+        (metric, self.grouping)
     }
 
     /// Builds an empty `Spade` instance (graph arrives via insertions).
     pub fn build(self) -> Spade {
-        let (metric, grouping, config) = self.into_metric();
-        Spade {
-            engine: SpadeEngine::with_config(metric, config),
-            grouper: grouping.map(EdgeGrouper::new),
-        }
+        let (metric, grouping) = self.into_metric();
+        Spade { engine: SpadeEngine::new(metric), grouper: grouping.map(EdgeGrouper::new) }
     }
 
     /// `LoadGraph`: reads a whitespace edge list (`src dst [raw] [ts]`)
@@ -133,8 +122,8 @@ impl SpadeBuilder {
         self,
         records: impl IntoIterator<Item = (VertexId, VertexId, f64)>,
     ) -> Result<Spade, GraphError> {
-        let (metric, grouping, config) = self.into_metric();
-        let engine = SpadeEngine::bootstrap(metric, config, records)?;
+        let (metric, grouping) = self.into_metric();
+        let engine = SpadeEngine::bootstrap(metric, SpadeConfig::default(), records)?;
         Ok(Spade { engine, grouper: grouping.map(EdgeGrouper::new) })
     }
 }

@@ -10,7 +10,7 @@
 use spade_graph::VertexId;
 
 /// The fraud patterns of the paper's case studies (Fig. 12/13).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FraudPattern {
     /// Customer–merchant collusion: fake accounts trading with a merchant
     /// to farm promotions (Fig. 12a).
@@ -43,7 +43,7 @@ impl FraudPattern {
 
 /// Ground-truth label carried by transactions injected by a fraud
 /// generator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FraudLabel {
     /// Which injected fraud instance the transaction belongs to.
     pub instance: u32,
@@ -52,7 +52,7 @@ pub struct FraudLabel {
 }
 
 /// One timestamped transaction of an update stream.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamEdge {
     /// Paying side.
     pub src: VertexId,

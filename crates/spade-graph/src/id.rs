@@ -12,9 +12,7 @@ use std::fmt;
 /// `VertexId` wraps a `u32`, which bounds graphs at ~4.29 billion vertices —
 /// far beyond the paper's largest dataset (Grab4: 6.02M vertices) — while
 /// halving the memory footprint of adjacency lists compared to `usize`.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -66,9 +64,7 @@ impl From<VertexId> for u32 {
 /// `EdgeRef` identifies an edge by its endpoints; parallel transactions
 /// between the same ordered pair are accumulated into a single weighted edge
 /// (see [`crate::DynamicGraph::insert_edge`]), so the pair is a unique key.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeRef {
     /// Source endpoint (e.g. the paying customer).
     pub src: VertexId,

@@ -4,7 +4,7 @@
 use crate::graph::DynamicGraph;
 
 /// Summary statistics in the format of the paper's Table 3.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// `|V|`.
     pub num_vertices: usize,

@@ -283,10 +283,16 @@ fn char_literal_len(bytes: &[u8]) -> Option<usize> {
 // Rules engine.
 // ---------------------------------------------------------------------
 
-/// Path suffixes of the hot-path modules (service worker loop, reactor,
-/// wire decode) where `hot-panic` and `instant-loop` apply.
-pub const HOT_PATH_SUFFIXES: &[&str] =
-    &["spade-core/src/service.rs", "spade-net/src/reactor.rs", "spade-net/src/wire.rs"];
+/// Path suffixes of the hot-path modules (service worker loop, reactor
+/// and the two frame handlers it dispatches into, wire decode) where
+/// `hot-panic` and `instant-loop` apply.
+pub const HOT_PATH_SUFFIXES: &[&str] = &[
+    "spade-core/src/service.rs",
+    "spade-net/src/reactor.rs",
+    "spade-net/src/server.rs",
+    "spade-net/src/shard_server.rs",
+    "spade-net/src/wire.rs",
+];
 
 /// Path suffixes of the wire codec where `wire-arith` applies.
 pub const WIRE_SUFFIXES: &[&str] = &["spade-net/src/wire.rs"];
@@ -371,8 +377,9 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
         }
 
         // Brace/loop bookkeeping on the stripped code.
+        // (`impl Trait for Type` names a type, it opens no loop.)
         for word in words(code) {
-            if matches!(word, "for" | "while" | "loop") {
+            if matches!(word, "for" | "while" | "loop") && !code.starts_with("impl") {
                 pending_loop = true;
             }
         }

@@ -1,31 +1,29 @@
 //! # spade-net
 //!
-//! The network ingest front end of the Spade runtime: a length-prefixed
-//! binary wire protocol ([`WireFrame`]), a multi-producer TCP server
-//! ([`SpadeNetServer`]) that bridges decoded frames into the sharded
-//! detection runtime over a readiness-based reactor (a fixed pool of
-//! `poll(2)` event-loop workers with per-connection fairness budgets —
-//! see [`ReactorConfig`] and the [`reactor`] module), and a batching,
-//! pipelining client ([`SpadeNetClient`]) for producers.
+//! The network tiers of the Spade runtime: a length-prefixed binary wire
+//! protocol ([`WireFrame`]), one readiness-based event loop (the
+//! [`reactor`] module: `poll(2)` workers with per-connection fairness
+//! budgets, reply buffers and parked requests — see [`ReactorConfig`])
+//! serving both frame servers — the multi-producer front end of the
+//! sharded runtime ([`SpadeNetServer`]) and the one-engine shard server
+//! of the distributed tier ([`ShardServer`], driven by [`SpadeRouter`])
+//! — and a batching, pipelining client ([`SpadeNetClient`]).
 //!
 //! The paper frames Spade as a *real-time* system fed by live transaction
-//! streams; until now the runtime only ingested from in-process
-//! iterators. This crate is the thin transport the sharded worker loop
-//! was built to receive: frames decode straight into
+//! streams. Frames decode straight into
 //! `ShardedSpadeService::submit_batch`, so every shard's drain-coalescing
 //! batch path, routing policy, and repair/migration machinery is
 //! inherited unchanged — and back-pressure crosses the wire. When a
-//! shard's bounded ingest queue is full, the server keeps the part of the
-//! frame it could not enqueue on the connection, stops reading that
-//! connection, and offers the rest again every event-loop cycle; the one
-//! `Ack` for the whole frame goes out when all of it is enqueued. The
-//! producer is slowed by TCP flow control alone and its edges reach the
-//! shards in the order it sent them — nothing is bounced, re-sent or
-//! reordered. An edge is acknowledged **only after** it sits
-//! in a shard queue, so the acked count is exact drain accounting: at
-//! shutdown, `sum(updates_applied)` across shards equals the server's
-//! `edges_accepted`, which covers every edge a producer was acknowledged
-//! for.
+//! bounded ingest queue is full, the server keeps what it could not
+//! enqueue on the connection, stops reading that connection, and offers
+//! the rest again every event-loop cycle; the one `Ack` for the whole
+//! frame goes out when all of it is enqueued. The producer is slowed by
+//! TCP flow control alone and its edges reach the shards in the order it
+//! sent them — nothing is bounced, re-sent or reordered. An edge is
+//! acknowledged **only after** it sits in a shard queue, so the acked
+//! count is exact drain accounting: at shutdown, `sum(updates_applied)`
+//! across shards equals the server's `edges_accepted`, which covers every
+//! edge a producer was acknowledged for.
 //!
 //! Protocol shape (all integers little-endian, `f64` as raw bits):
 //!
@@ -70,9 +68,8 @@ pub use router::{RouterConfig, RouterStats, SpadeRouter};
 pub use server::{NetStats, SpadeNetServer};
 pub use shard_server::{ShardServer, ShardServerConfig};
 pub use wire::{
-    read_frame, write_batch, write_frame, write_replicate, AbsorbReply, BootstrapChunk,
-    DetectionReply, FrameDecoder, MetricsReply, RawEdge, RegionReply, StatsReply, WireError,
-    WireFrame, WireSlice, MAX_BATCH_EDGES, MAX_DETECTION_MEMBERS, MAX_EXPOSITION_BYTES,
-    MAX_FRAME_BYTES, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES, MAX_STATS_SHARDS, METRICS_VERSION,
-    PROTOCOL_VERSION,
+    read_frame, write_batch, write_frame, write_replicate, BootstrapChunk, DetectionReply,
+    FrameDecoder, MetricsReply, RawEdge, StatsReply, WireError, WireFrame, MAX_BATCH_EDGES,
+    MAX_DETECTION_MEMBERS, MAX_EXPOSITION_BYTES, MAX_FRAME_BYTES, MAX_MIGRATE_MEMBERS,
+    MAX_SNAPSHOT_BYTES, MAX_STATS_SHARDS, METRICS_VERSION, PROTOCOL_VERSION,
 };

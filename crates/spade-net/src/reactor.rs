@@ -1,19 +1,23 @@
-//! A readiness-based event loop for the ingest front end.
+//! The readiness-based event loop every frame server in this crate runs
+//! on.
 //!
-//! The thread-per-connection server topped out at "one OS thread per
-//! producer"; this module replaces it with a small fixed pool of
-//! event-loop workers, each multiplexing many nonblocking sockets over
-//! `poll(2)`. The syscall is reached through a direct `extern "C"`
-//! binding — the vendored-shim policy holds: no new external crates, no
-//! libc dependency, just the one POSIX entry point the loop needs.
+//! A small fixed pool of event-loop workers, each multiplexing many
+//! nonblocking sockets over `poll(2)`, owns everything a connection needs
+//! — accept, read, framing, malformed-frame accounting, reply buffering,
+//! parking, close — and hands each decoded frame to a `FrameHandler`.
+//! The sharded front end ([`crate::server`]) and the shard server
+//! ([`crate::shard_server`]) are the two handlers: they differ in what a
+//! frame *means*, never in how a connection is served. The syscall is
+//! reached through a direct `extern "C"` binding — the vendored-shim
+//! policy holds: no new external crates, no libc dependency, just the one
+//! POSIX entry point the loop needs.
 //!
 //! Shape of the loop (one per worker thread):
 //!
 //! * **Worker 0 owns the listener.** Accepted sockets are handed out
 //!   round-robin across the pool through per-worker inboxes; a
 //!   `UnixStream` wake pipe per worker interrupts its `poll` so adoption
-//!   is prompt. This also retires the old `ACCEPT_POLL` sleep-poll — the
-//!   listener is just another readable fd in worker 0's poll set.
+//!   is prompt.
 //! * **Fairness is budgeted.** Each readiness cycle visits connections
 //!   in a rotating order and applies at most
 //!   [`ReactorConfig::frame_budget`] frames per connection before moving
@@ -27,14 +31,15 @@
 //!   which point the loop stops *reading* from that connection
 //!   (back-pressure through the kernel window) but keeps every other
 //!   connection moving.
-//! * **Nothing on the loop blocks on the runtime.** Ingest goes through
-//!   the non-blocking `submit_batch`, and the two waits a request can
-//!   need — queue room for the rest of an ingest frame, and the applied
-//!   watermark of a read-your-acks `Detect` — share one mechanism: the
-//!   connection *parks* on the request (reads paused, replies in order
-//!   preserved) and the loop retries it once per cycle, at most
-//!   `PARKED_POLL_MS` apart and never on a zero-timeout spin. A parked
-//!   producer is slowed by TCP flow control, not by a reply.
+//! * **Nothing on the loop blocks on the runtime.** A handler enqueues
+//!   without waiting, and every wait a request can need — queue room for
+//!   an ingest frame, the applied watermark of a read-your-acks `Detect`,
+//!   a shard worker's answer to a `Region` — shares one mechanism: the
+//!   handler returns `FrameStep::Park`, the connection *parks* on the
+//!   request (reads paused, replies in order preserved) and the loop
+//!   retries it once per cycle, at most `PARKED_POLL_MS` apart and never
+//!   on a zero-timeout spin. A parked producer is slowed by TCP flow
+//!   control, not by a reply.
 //!
 //! Per-loop observability rides the transport's existing
 //! [`spade_metrics::MetricsRegistry`]: connections resident
@@ -43,12 +48,11 @@
 //! per-cycle dispatch latency histogram
 //! (`spade_net_reactor_dispatch_ns`).
 
-use crate::server::{apply_frame, register_conn, ConnCounters, FrameStep, NetTelemetry, Parked};
+use crate::server::{register_conn, ConnCounters, NetTelemetry};
 use crate::wire::{FrameDecoder, WireFrame};
 use parking_lot::Mutex;
-use spade_core::shard::ShardedSpadeService;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -113,13 +117,51 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
     }
 }
 
-/// Blocks up to `timeout` for `fd` to become readable. The
-/// readiness-wait primitive the HTTP exporter uses in place of its old
-/// accept-loop sleep poll.
+/// Blocks up to `timeout` for `fd` to become readable (the HTTP
+/// exporter's accept wait).
 pub(crate) fn wait_readable(fd: RawFd, timeout: Duration) -> std::io::Result<bool> {
     let mut fds = [PollFd { fd, events: POLLIN, revents: 0 }];
     let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
     Ok(poll_fds(&mut fds, ms)? > 0 && fds[0].revents != 0)
+}
+
+// ---------------------------------------------------------------------
+// The handler seam.
+// ---------------------------------------------------------------------
+
+/// What the event loop must do after a handler applied one frame.
+pub(crate) enum FrameStep<P> {
+    /// Keep the connection; replies (if any) are in the out buffer.
+    Continue,
+    /// The reply ends the connection — close once the out buffer drains.
+    Close,
+    /// The request cannot be answered yet: hold it on the connection and
+    /// [`retry`](FrameHandler::retry) it every cycle. Until it answers,
+    /// the connection is neither read nor served further, so replies stay
+    /// in request order.
+    Park(P),
+}
+
+/// What a tier does with a decoded frame. Both methods run on the event
+/// loop, so neither may block on the runtime: a request that has to wait
+/// says so with [`FrameStep::Park`], naming what it waits for in the
+/// handler's own `Parked` type. Replies are appended to `out` and flushed
+/// by the loop, never by the handler.
+pub(crate) trait FrameHandler: Send + Sync + 'static {
+    /// The one request a connection of this tier can be waiting on.
+    type Parked;
+
+    /// Applies one decoded request from the connection counted in `conn`.
+    fn apply(
+        &self,
+        frame: WireFrame,
+        conn: &ConnCounters,
+        out: &mut Vec<u8>,
+    ) -> FrameStep<Self::Parked>;
+
+    /// The once-per-cycle re-check of a parked request: answers into
+    /// `out`, or parks again.
+    fn retry(&self, parked: Self::Parked, out: &mut Vec<u8>) -> FrameStep<Self::Parked>;
 }
 
 // ---------------------------------------------------------------------
@@ -149,8 +191,8 @@ impl Default for ReactorConfig {
 type Inbox = Mutex<Vec<(TcpStream, Arc<ConnCounters>)>>;
 
 /// State shared by every worker in one reactor.
-struct Shared {
-    service: Arc<ShardedSpadeService>,
+struct Shared<H> {
+    handler: H,
     stop: Arc<AtomicBool>,
     telemetry: Arc<NetTelemetry>,
     config: ReactorConfig,
@@ -163,36 +205,44 @@ struct Shared {
     wakers: Vec<UnixStream>,
 }
 
-impl Shared {
+impl<H> Shared<H> {
     fn wake(&self, worker: usize) {
         // A failed wake is harmless: the worker's idle poll timeout
         // bounds the delay instead.
         let _ = (&self.wakers[worker]).write(&[1u8]);
     }
-
-    fn wake_all(&self) {
-        for w in 0..self.wakers.len() {
-            self.wake(w);
-        }
-    }
 }
 
-/// A running pool of event-loop workers. Dropping (via
-/// [`Reactor::join`]) stops and joins every worker.
-pub(crate) struct Reactor {
-    shared: Arc<Shared>,
+/// A bound listener and the pool of event-loop workers serving it.
+/// Dropping it stops and joins every worker and drops the handler.
+pub(crate) struct Reactor<H> {
+    /// The bound address (resolves port 0 to the real port).
+    pub(crate) local_addr: SocketAddr,
+    /// The flag that stops every loop.
+    pub(crate) stop: Arc<AtomicBool>,
+    /// The counters the loops and the handler record into.
+    pub(crate) telemetry: Arc<NetTelemetry>,
+    shared: Arc<Shared<H>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl Reactor {
-    /// Spawns `config.workers` event loops; worker 0 adopts `listener`.
-    pub(crate) fn start(
-        listener: TcpListener,
-        service: Arc<ShardedSpadeService>,
-        stop: Arc<AtomicBool>,
-        telemetry: Arc<NetTelemetry>,
+impl<H: FrameHandler> Reactor<H> {
+    /// Binds `addr` and spawns `config.workers` event loops (worker 0
+    /// adopts the listener) around the handler `build` makes from the
+    /// stop flag and the telemetry it shares with the loops. The loops
+    /// exit once the flag is set — by a handler's `Shutdown` frame or by
+    /// [`stop`](Self::stop).
+    pub(crate) fn bind(
+        addr: impl ToSocketAddrs,
         mut config: ReactorConfig,
-    ) -> std::io::Result<Reactor> {
+        build: impl FnOnce(&Arc<AtomicBool>, &Arc<NetTelemetry>) -> H,
+    ) -> std::io::Result<Reactor<H>> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let telemetry = Arc::new(NetTelemetry::default());
+        let handler = build(&stop, &telemetry);
         config.workers = config.workers.clamp(1, 64);
         config.frame_budget = config.frame_budget.max(1);
         let mut wakers = Vec::with_capacity(config.workers);
@@ -205,9 +255,9 @@ impl Reactor {
             wake_rxs.push(rx);
         }
         let shared = Arc::new(Shared {
-            service,
-            stop,
-            telemetry,
+            handler,
+            stop: Arc::clone(&stop),
+            telemetry: Arc::clone(&telemetry),
             config,
             resident: AtomicI64::new(0),
             inboxes: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
@@ -226,20 +276,29 @@ impl Reactor {
                     .expect("failed to spawn a reactor worker")
             })
             .collect();
-        Ok(Reactor { shared, workers })
+        Ok(Reactor { local_addr, stop, telemetry, shared, workers })
+    }
+}
+
+impl<H> Reactor<H> {
+    /// Asks every worker to wind down, without waiting for it.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        (0..self.shared.wakers.len()).for_each(|worker| self.shared.wake(worker));
     }
 
-    /// Interrupts every worker's poll so a stop request is seen now.
-    pub(crate) fn wake_all(&self) {
-        self.shared.wake_all();
-    }
-
-    /// Wakes and joins every worker (the stop flag must already be set).
+    /// Stops and joins every worker. Idempotent.
     pub(crate) fn join(&mut self) {
-        self.shared.wake_all();
+        self.stop();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+impl<H> Drop for Reactor<H> {
+    fn drop(&mut self) {
+        self.join();
     }
 }
 
@@ -247,8 +306,8 @@ impl Reactor {
 // Per-connection state and the worker loop.
 // ---------------------------------------------------------------------
 
-/// One multiplexed producer connection.
-struct Conn {
+/// One multiplexed producer connection, parked on at most one `P`.
+struct Conn<P> {
     stream: TcpStream,
     decoder: FrameDecoder,
     /// Pending reply bytes: `out[out_cursor..]` is not yet written.
@@ -258,7 +317,7 @@ struct Conn {
     /// The request this connection is parked on. While set, no further
     /// frames are applied (replies stay in request order) and the socket
     /// is not read.
-    parked: Option<Parked>,
+    parked: Option<P>,
     /// Reply written for a frame that ends the connection; close once
     /// the out buffer drains.
     closing: bool,
@@ -269,9 +328,15 @@ struct Conn {
     hot: bool,
 }
 
-impl Conn {
+impl<P> Conn<P> {
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_cursor
+    }
+
+    /// `true` while the loop must not read this socket: a request is
+    /// parked, the connection is ending, or the peer owes a reply drain.
+    fn paused(&self) -> bool {
+        self.parked.is_some() || self.closing || self.eof || self.pending_out() >= MAX_PENDING_WRITE
     }
 }
 
@@ -296,9 +361,14 @@ impl LoopMetrics {
     }
 }
 
-fn run_worker(idx: usize, listener: Option<TcpListener>, wake_rx: UnixStream, shared: &Shared) {
+fn run_worker<H: FrameHandler>(
+    idx: usize,
+    listener: Option<TcpListener>,
+    wake_rx: UnixStream,
+    shared: &Shared<H>,
+) {
     let metrics = LoopMetrics::resolve(&shared.telemetry);
-    let mut conns: Vec<Conn> = Vec::new();
+    let mut conns: Vec<Conn<H::Parked>> = Vec::new();
     let mut next_conn_id = 0u64; // worker 0 only (owns the listener)
     let mut rotate = 0usize;
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -323,10 +393,8 @@ fn run_worker(idx: usize, listener: Option<TcpListener>, wake_rx: UnixStream, sh
         }
         let base = fds.len();
         for c in &conns {
-            let paused =
-                c.parked.is_some() || c.closing || c.eof || c.pending_out() >= MAX_PENDING_WRITE;
             let mut events = 0i16;
-            if !paused {
+            if !c.paused() {
                 events |= POLLIN;
             }
             if c.pending_out() > 0 {
@@ -353,7 +421,7 @@ fn run_worker(idx: usize, listener: Option<TcpListener>, wake_rx: UnixStream, sh
         for (stream, counters) in adopted {
             conns.push(new_conn(stream, counters));
         }
-        if let Some(l) = listener.as_ref() {
+        if let Some(l) = listener.as_ref().filter(|_| fds[1].revents != 0) {
             accept_ready(l, &mut next_conn_id, &mut conns, shared);
         }
 
@@ -394,7 +462,7 @@ fn run_worker(idx: usize, listener: Option<TcpListener>, wake_rx: UnixStream, sh
     metrics.resident.set(resident.max(0) as u64);
 }
 
-fn new_conn(stream: TcpStream, counters: Arc<ConnCounters>) -> Conn {
+fn new_conn<P>(stream: TcpStream, counters: Arc<ConnCounters>) -> Conn<P> {
     Conn {
         stream,
         decoder: FrameDecoder::new(),
@@ -410,11 +478,11 @@ fn new_conn(stream: TcpStream, counters: Arc<ConnCounters>) -> Conn {
 
 /// Drains the listener, assigning each new socket round-robin across
 /// the pool (worker 0 keeps its own share).
-fn accept_ready(
+fn accept_ready<H: FrameHandler>(
     listener: &TcpListener,
     next_conn_id: &mut u64,
-    own: &mut Vec<Conn>,
-    shared: &Shared,
+    own: &mut Vec<Conn<H::Parked>>,
+    shared: &Shared<H>,
 ) {
     loop {
         match listener.accept() {
@@ -444,10 +512,10 @@ fn accept_ready(
 
 /// One readiness-cycle visit to one connection. Returns `false` once
 /// the connection is finished and must be dropped.
-fn service_conn(
-    c: &mut Conn,
+fn service_conn<H: FrameHandler>(
+    c: &mut Conn<H::Parked>,
     revents: i16,
-    shared: &Shared,
+    shared: &Shared<H>,
     metrics: &LoopMetrics,
     chunk: &mut [u8],
 ) -> bool {
@@ -463,20 +531,16 @@ fn service_conn(
 
     // A parked request is retried once per cycle: a Detect answers when
     // the shards catch up to its watermark, an ingest frame when its
-    // last edge finds queue room. Until then nothing else on this
-    // connection is read or applied, so the reply order the producer
-    // sees is unchanged from a blocking server.
+    // last edge finds queue room, a shard operation when its worker has
+    // replied. Until then nothing else on this connection is read or
+    // applied, so the reply order the producer sees is unchanged from a
+    // blocking server.
     if let Some(parked) = c.parked.take() {
-        let step = parked.retry(&shared.service, &shared.telemetry, &mut c.out);
+        let step = shared.handler.retry(parked, &mut c.out);
         settle(c, step);
     }
 
-    if revents & (POLLIN | POLLHUP) != 0
-        && c.parked.is_none()
-        && !c.closing
-        && !c.eof
-        && c.pending_out() < MAX_PENDING_WRITE
-    {
+    if revents & (POLLIN | POLLHUP) != 0 && !c.paused() {
         match c.stream.read(chunk) {
             Ok(0) => c.eof = true,
             Ok(n) => {
@@ -500,14 +564,7 @@ fn service_conn(
             Ok(Some(frame)) => {
                 applied += 1;
                 shared.telemetry.count_frame(&c.counters);
-                let step = apply_frame(
-                    frame,
-                    &shared.service,
-                    &shared.stop,
-                    &shared.telemetry,
-                    &c.counters,
-                    &mut c.out,
-                );
+                let step = shared.handler.apply(frame, &c.counters, &mut c.out);
                 settle(c, step);
             }
             Ok(None) => break,
@@ -545,7 +602,7 @@ fn service_conn(
 }
 
 /// Records what a frame (or a parked request's retry) asks of the loop.
-fn settle(c: &mut Conn, step: FrameStep) {
+fn settle<P>(c: &mut Conn<P>, step: FrameStep<P>) {
     match step {
         FrameStep::Continue => {}
         FrameStep::Close => c.closing = true,
@@ -553,7 +610,7 @@ fn settle(c: &mut Conn, step: FrameStep) {
     }
 }
 
-fn drop_conn(c: &mut Conn, shared: &Shared) -> bool {
+fn drop_conn<H: FrameHandler>(c: &mut Conn<H::Parked>, shared: &Shared<H>) -> bool {
     let _ = flush_out(c);
     // audit: resident gauge is telemetry-only, single counter cell
     shared.resident.fetch_sub(1, Ordering::Relaxed);
@@ -562,7 +619,7 @@ fn drop_conn(c: &mut Conn, shared: &Shared) -> bool {
 
 /// Writes pending reply bytes until the socket would block. Returns
 /// `false` on a fatal socket error.
-fn flush_out(c: &mut Conn) -> bool {
+fn flush_out<P>(c: &mut Conn<P>) -> bool {
     while c.out_cursor < c.out.len() {
         match (&c.stream).write(&c.out[c.out_cursor..]) {
             Ok(0) => return false,

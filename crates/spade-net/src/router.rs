@@ -89,9 +89,9 @@ pub struct RouterStats {
     pub batches: u64,
     /// `Replicate` frames journaled on replicas.
     pub replicated: u64,
-    /// Always 0: a shard server admits a batch whole (its blocking
-    /// submit is the back-pressure) and protocol v5 has no `Busy` reply
-    /// to retry after. The field stays because `bench_stack` reads it.
+    /// Always 0: a shard server admits a batch whole (a full queue parks
+    /// the connection; the late Ack is the back-pressure) and protocol v5
+    /// has no `Busy` reply. The field stays because `bench_stack` reads it.
     pub busy_retries: u64,
     /// Completed [`SpadeRouter::recover`] calls.
     pub recoveries: u64,
@@ -314,17 +314,7 @@ impl SpadeRouter {
                 WireFrame::RegionReply(region) => region,
                 other => return Err(unexpected(other)),
             };
-            regions.push((
-                shard,
-                CandidateRegion {
-                    size: region.size as usize,
-                    density: region.density,
-                    members: region.members.into(),
-                    encoded: region.encoded,
-                    updates_applied: region.updates_applied,
-                    epoch: region.epoch,
-                },
-            ));
+            regions.push((shard, region));
         }
         Ok(repair_regions(&regions, &mut self.scratch))
     }
@@ -349,7 +339,7 @@ impl SpadeRouter {
             if slice.is_empty() {
                 continue;
             }
-            moved += slice.edges;
+            moved += slice.edges as u64;
             match self.request(baseline, &WireFrame::Absorb { slice })? {
                 WireFrame::AbsorbReply(_) => {}
                 other => return Err(unexpected(other)),

@@ -1,43 +1,37 @@
 //! The multi-producer TCP front end of the sharded runtime.
 //!
-//! [`SpadeNetServer`] binds a `std::net` listener and bridges decoded
-//! [`WireFrame`]s into a shared [`ShardedSpadeService`]. Connections are
-//! multiplexed by a fixed pool of readiness-driven event-loop workers
-//! (see [`crate::reactor`]) rather than one OS thread per producer, so
-//! fan-in scales with sockets, not threads. Three properties make the
-//! bridge safe under load:
+//! [`SpadeNetServer`] binds a `std::net` listener and serves it on the
+//! crate's event loop ([`crate::reactor`], which owns connections,
+//! fan-in fairness, reply buffering and parking). This module is the
+//! loop's handler for the fan-in tier — what each frame means for a
+//! shared [`ShardedSpadeService`] — plus the transport counters both
+//! tiers report. Two properties make the bridge exact under load:
 //!
 //! * **Back-pressure crosses the wire, in order.** Ingest goes through
 //!   [`ShardedSpadeService::submit_batch`]; when a full shard queue admits
 //!   only a prefix of a frame, the connection *parks* with the rest
-//!   (`Parked::Ingest`): it is neither read nor served further until
-//!   the event loop's per-cycle re-offer has enqueued the whole frame,
-//!   which one `Ack` then answers. The producer is slowed by TCP flow
-//!   control alone, its edges reach the shards in submission order, and
-//!   the event loop never blocks on the runtime — one back-pressured
-//!   shard never head-of-line-blocks the listener or any other
-//!   connection.
+//!   (`Parked::Ingest`) until the event loop's per-cycle re-offer has
+//!   enqueued the whole frame, which one `Ack` then answers. The producer
+//!   is slowed by TCP flow control alone and its edges reach the shards
+//!   in submission order.
 //! * **Acknowledgement is enqueue.** An edge is counted in an Ack's
 //!   `accepted` total only after `submit_batch` queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
 //!   acknowledged edges equals the shards' `updates_applied` total at
 //!   shutdown. The back-pressure integration test pins this down.
-//! * **Fan-in is fair.** Each readiness cycle grants every connection a
-//!   bounded frame budget and buffers replies per connection, so a
-//!   firehose producer can neither starve others of Acks nor wedge the
-//!   loop on a slow reader (see `ReactorConfig`).
 //!
 //! A malformed frame (bad opcode, truncated section, oversized length
 //! prefix) earns the producer an [`WireFrame::Error`] reply and its
 //! connection is closed; the server itself never panics on wire input.
 
-use crate::reactor::{Reactor, ReactorConfig};
+use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
 use crate::wire::{MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
 use parking_lot::Mutex;
+use spade_core::service::ServiceStats;
 use spade_core::shard::ShardedSpadeService;
 use spade_metrics::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,6 +87,55 @@ impl NetTelemetry {
         self.malformed_frames.fetch_add(1, Ordering::Relaxed);
         self.registry.event(spade_metrics::EventKind::MalformedFrame, 0);
     }
+
+    /// Counts one ingest frame that met a full queue and parked its
+    /// connection with `admitted` of its edges enqueued.
+    pub(crate) fn count_parked(&self, conn: &ConnCounters, admitted: usize) {
+        // audit: monotone transport counters, telemetry only
+        self.busy_replies.fetch_add(1, Ordering::Relaxed);
+        conn.busy_replies.fetch_add(1, Ordering::Relaxed);
+        self.registry.event(spade_metrics::EventKind::Busy, admitted as u64);
+    }
+
+    /// The global totals, each cell read once.
+    pub(crate) fn totals(&self) -> NetStats {
+        // audit: telemetry counter reads, each cell independently monotone
+        NetStats {
+            connections: self.connections.load(Ordering::Relaxed),
+            frames: self.frames.load(Ordering::Relaxed),
+            edges_accepted: self.edges_accepted.load(Ordering::Relaxed),
+            busy_replies: self.busy_replies.load(Ordering::Relaxed),
+            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The answer to a `Stats` request: the runtime's per-shard view in
+    /// `shards` plus this transport's own counters.
+    pub(crate) fn stats_reply(&self, shards: &[ServiceStats], uptime_secs: f64) -> WireFrame {
+        let depths: Vec<u64> = shards.iter().map(|s| s.queue_depth as u64).collect();
+        let net = self.totals();
+        WireFrame::StatsReply(StatsReply {
+            shards: shards.len() as u64,
+            updates_applied: shards.iter().map(|s| s.updates_applied).sum(),
+            queue_depth: depths.iter().sum(),
+            connections: net.connections,
+            frames: net.frames,
+            edges_accepted: net.edges_accepted,
+            busy_replies: net.busy_replies,
+            malformed_frames: net.malformed_frames,
+            uptime_secs,
+            shard_queue_depths: depths,
+        })
+    }
+
+    /// The answer to a `Metrics` request: `runtime` (the registries
+    /// behind the server) merged with the transport's own counters,
+    /// rendered once server-side so every exporter ships the identical
+    /// exposition.
+    pub(crate) fn metrics_reply(&self, runtime: MetricsSnapshot) -> WireFrame {
+        let exposition = runtime.merge(&net_snapshot(self)).render_prometheus();
+        WireFrame::MetricsReply(MetricsReply { version: METRICS_VERSION, exposition })
+    }
 }
 
 /// Registers a freshly accepted connection: bumps the accept total and
@@ -106,8 +149,7 @@ pub(crate) fn register_conn(telemetry: &NetTelemetry, conn_id: u64) -> Arc<ConnC
     // Oldest connections age out of the labeled series window (the
     // global totals already counted them).
     while per_conn.len() > MAX_TRACKED_CONNS {
-        let oldest = *per_conn.keys().next().expect("non-empty map");
-        per_conn.remove(&oldest);
+        per_conn.pop_first();
     }
     conn
 }
@@ -121,12 +163,12 @@ fn net_snapshot(telemetry: &NetTelemetry) -> MetricsSnapshot {
     let mut c = |name: &str, v: u64| {
         snap.counters.insert(name.to_string(), v);
     };
-    // audit: telemetry counter reads, each cell independently monotone
-    c("spade_net_connections_total", telemetry.connections.load(Ordering::Relaxed));
-    c("spade_net_frames_total", telemetry.frames.load(Ordering::Relaxed));
-    c("spade_net_edges_accepted_total", telemetry.edges_accepted.load(Ordering::Relaxed));
-    c("spade_net_busy_replies_total", telemetry.busy_replies.load(Ordering::Relaxed));
-    c("spade_net_malformed_frames_total", telemetry.malformed_frames.load(Ordering::Relaxed));
+    let net = telemetry.totals();
+    c("spade_net_connections_total", net.connections);
+    c("spade_net_frames_total", net.frames);
+    c("spade_net_edges_accepted_total", net.edges_accepted);
+    c("spade_net_busy_replies_total", net.busy_replies);
+    c("spade_net_malformed_frames_total", net.malformed_frames);
     // audit: telemetry counter reads, each cell independently monotone
     for (id, conn) in telemetry.per_conn.lock().iter() {
         c(
@@ -171,10 +213,7 @@ pub struct NetStats {
 ///
 /// [`SpadeService`]: spade_core::service::SpadeService
 pub struct SpadeNetServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    telemetry: Arc<NetTelemetry>,
-    reactor: Option<Reactor>,
+    reactor: Reactor<FrontEnd>,
 }
 
 impl SpadeNetServer {
@@ -195,34 +234,29 @@ impl SpadeNetServer {
         addr: A,
         config: ReactorConfig,
     ) -> std::io::Result<SpadeNetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let telemetry = Arc::new(NetTelemetry::default());
-        let reactor =
-            Reactor::start(listener, service, Arc::clone(&stop), Arc::clone(&telemetry), config)?;
-        Ok(SpadeNetServer { local_addr, stop, telemetry, reactor: Some(reactor) })
+        let reactor = Reactor::bind(addr, config, |stop, telemetry| FrontEnd {
+            service,
+            stop: Arc::clone(stop),
+            telemetry: Arc::clone(telemetry),
+        })?;
+        Ok(SpadeNetServer { reactor })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.reactor.local_addr
     }
 
     /// `true` once a producer's Shutdown frame (or [`stop`](Self::stop))
     /// has stopped the server. The CLI's `serve --listen` loop polls
     /// this.
     pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.reactor.stop.load(Ordering::Acquire)
     }
 
     /// Asks every event-loop worker to wind down without blocking.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(reactor) = &self.reactor {
-            reactor.wake_all();
-        }
+        self.reactor.stop();
     }
 
     /// The transport's own counters as a [`MetricsSnapshot`] — global
@@ -231,28 +265,20 @@ impl SpadeNetServer {
     /// [`ShardedSpadeService::metrics`] for the full picture (the wire
     /// `Metrics` request does exactly that server-side).
     pub fn metrics(&self) -> MetricsSnapshot {
-        net_snapshot(&self.telemetry)
+        net_snapshot(&self.reactor.telemetry)
     }
 
     /// A cloneable provider of the transport's metrics snapshot, for
     /// exporters whose render closure must outlive this handle's borrow
     /// (the CLI's HTTP exporter thread).
     pub fn metrics_provider(&self) -> Arc<dyn Fn() -> MetricsSnapshot + Send + Sync> {
-        let telemetry = Arc::clone(&self.telemetry);
+        let telemetry = Arc::clone(&self.reactor.telemetry);
         Arc::new(move || net_snapshot(&telemetry))
     }
 
     /// Current transport counters.
     pub fn stats(&self) -> NetStats {
-        let t = &self.telemetry;
-        // audit: telemetry counter reads, each cell independently monotone
-        NetStats {
-            connections: t.connections.load(Ordering::Relaxed),
-            frames: t.frames.load(Ordering::Relaxed),
-            edges_accepted: t.edges_accepted.load(Ordering::Relaxed),
-            busy_replies: t.busy_replies.load(Ordering::Relaxed),
-            malformed_frames: t.malformed_frames.load(Ordering::Relaxed),
-        }
+        self.reactor.telemetry.totals()
     }
 
     /// Stops the server, joins every event-loop worker, and returns the
@@ -260,21 +286,8 @@ impl SpadeNetServer {
     /// queues; drain them by shutting the underlying service down
     /// afterwards.
     pub fn shutdown(mut self) -> NetStats {
-        self.join();
+        self.reactor.join();
         self.stats()
-    }
-
-    fn join(&mut self) {
-        self.stop();
-        if let Some(mut reactor) = self.reactor.take() {
-            reactor.join();
-        }
-    }
-}
-
-impl Drop for SpadeNetServer {
-    fn drop(&mut self) {
-        self.join();
     }
 }
 
@@ -284,20 +297,16 @@ impl Drop for SpadeNetServer {
 /// torn down under a live connection.
 const DETECT_DEADLINE: Duration = Duration::from_secs(10);
 
-/// What the event loop must do after applying one frame.
-pub(crate) enum FrameStep {
-    /// Keep the connection; replies (if any) are in the out buffer.
-    Continue,
-    /// The reply ends the connection — close once the out buffer drains.
-    Close,
-    /// The request cannot be answered yet: hold it on the connection and
-    /// [`retry`](Parked::retry) it every cycle. Until it answers, the
-    /// connection is neither read nor served further, so replies stay in
-    /// request order.
-    Park(Parked),
+/// The sharded front end as the reactor's frame handler: ingest, flush,
+/// read-your-acks detection and the two introspection requests, over the
+/// fan-in tier's [`ShardedSpadeService`].
+pub(crate) struct FrontEnd {
+    service: Arc<ShardedSpadeService>,
+    stop: Arc<AtomicBool>,
+    telemetry: Arc<NetTelemetry>,
 }
 
-/// The one request a connection is waiting on.
+/// The one request a front-end connection is waiting on.
 pub(crate) enum Parked {
     /// A read-your-acks Detect: answers once the shards' applied total
     /// reaches `watermark` (or `deadline` passes).
@@ -308,175 +317,130 @@ pub(crate) enum Parked {
     Ingest { edges: Vec<RawEdge>, admitted: usize, budget: Option<Duration> },
 }
 
-impl Parked {
-    /// The once-per-cycle re-check: answers into `out`, or parks again.
-    pub(crate) fn retry(
-        self,
-        service: &ShardedSpadeService,
-        telemetry: &NetTelemetry,
-        out: &mut Vec<u8>,
-    ) -> FrameStep {
-        match self {
-            Parked::Detect { watermark, deadline } => {
-                if applied_total(service) < watermark && Instant::now() < deadline {
-                    return FrameStep::Park(self);
+impl FrameHandler for FrontEnd {
+    type Parked = Parked;
+
+    fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
+        let (reply, step) = match frame.into_ingest() {
+            Ok((edges, budget)) => {
+                let step = self.offer(edges, 0, budget, out);
+                if let FrameStep::Park(Parked::Ingest { admitted, .. }) = &step {
+                    self.telemetry.count_parked(conn, *admitted);
                 }
-                write_detection(service, out);
+                return step;
+            }
+            Err(WireFrame::Flush) => flushed(self.service.flush()),
+            Err(WireFrame::Detect) => {
+                // Read-your-acks: every edge the server acknowledged before
+                // this request must be reflected in the answer. If the
+                // shards already caught up, this answers inline; otherwise
+                // the connection parks — the event loop re-checks the
+                // watermark every cycle instead of blocking here.
+                let watermark = self.telemetry.edges_accepted.load(Ordering::Acquire);
+                let deadline = Instant::now() + DETECT_DEADLINE;
+                return self.retry(Parked::Detect { watermark, deadline }, out);
+            }
+            Err(WireFrame::Stats) => {
+                let shards: Vec<_> = self.service.stats().iter().map(|s| s.service).collect();
+                let uptime = self.service.uptime().as_secs_f64();
+                (self.telemetry.stats_reply(&shards, uptime), FrameStep::Continue)
+            }
+            Err(WireFrame::Metrics) => {
+                (self.telemetry.metrics_reply(self.service.metrics()), FrameStep::Continue)
+            }
+            Err(WireFrame::Shutdown) => shutdown_requested(&self.stop),
+            // Everything else is a protocol violation: a reply frame, or a
+            // shard-server operation (protocol v3) — those address one
+            // engine, not the fan-in tier; a router must dial `spade
+            // shard-serve` for them.
+            Err(other) => {
+                self.telemetry.count_malformed();
+                let message = if other.is_reply() {
+                    "reply frame sent to server"
+                } else {
+                    "shard operation sent to the sharded front end"
+                };
+                (WireFrame::Error { message: message.into() }, FrameStep::Close)
+            }
+        };
+        reply.encode_into(out);
+        step
+    }
+
+    fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep<Parked> {
+        match parked {
+            Parked::Detect { watermark, deadline } => {
+                let applied: u64 =
+                    self.service.stats().iter().map(|s| s.service.updates_applied).sum();
+                if applied < watermark && Instant::now() < deadline {
+                    return FrameStep::Park(parked);
+                }
+                let global = self.service.current_detection();
+                WireFrame::Detection(crate::wire::DetectionReply {
+                    size: global.best.size as u64,
+                    density: global.best.density,
+                    updates_applied: global.total_updates,
+                    members: global.best.members.to_vec(),
+                })
+                .encode_into(out);
                 FrameStep::Continue
             }
-            Parked::Ingest { edges, admitted, budget } => {
-                offer(edges, admitted, budget, service, telemetry, out)
-            }
+            Parked::Ingest { edges, admitted, budget } => self.offer(edges, admitted, budget, out),
         }
     }
 }
 
-/// Applies one decoded request, appending any reply to `out` (flushed by
-/// the event loop, never here — no blocking on the reactor).
-pub(crate) fn apply_frame(
-    frame: WireFrame,
-    service: &ShardedSpadeService,
-    stop: &AtomicBool,
-    telemetry: &NetTelemetry,
-    conn: &ConnCounters,
-    out: &mut Vec<u8>,
-) -> FrameStep {
-    let (reply, step) = match frame.into_ingest() {
-        Ok((edges, budget)) => {
-            let step = offer(edges, 0, budget, service, telemetry, out);
-            if let FrameStep::Park(Parked::Ingest { admitted, .. }) = &step {
-                // audit: monotone transport counters, telemetry only
-                telemetry.busy_replies.fetch_add(1, Ordering::Relaxed);
-                conn.busy_replies.fetch_add(1, Ordering::Relaxed);
-                telemetry.registry.event(spade_metrics::EventKind::Busy, *admitted as u64);
-            }
-            return step;
-        }
-        // The one channel send on the event loop: Flush posts a marker
-        // command per shard and returns without waiting for it to
-        // apply. The flush channel is the same bounded queue ingest
-        // uses, but a producer only sends Flush after its pipeline
-        // drained, so the queues have room by construction.
-        Err(WireFrame::Flush) => {
-            if service.flush() {
-                (WireFrame::Ack { accepted: 0 }, FrameStep::Continue)
-            } else {
-                shut_down()
-            }
-        }
-        Err(WireFrame::Detect) => {
-            // Read-your-acks: every edge the server acknowledged before
-            // this request must be reflected in the answer. If the
-            // shards already caught up, this answers inline; otherwise
-            // the connection parks — the event loop re-checks the
-            // watermark every cycle instead of blocking here.
-            let watermark = telemetry.edges_accepted.load(Ordering::Acquire);
-            let deadline = Instant::now() + DETECT_DEADLINE;
-            return Parked::Detect { watermark, deadline }.retry(service, telemetry, out);
-        }
-        Err(WireFrame::Stats) => {
-            let shard_stats = service.stats();
-            let t = telemetry;
-            // audit: telemetry counter reads, each cell independently monotone
-            let stats = StatsReply {
-                shards: shard_stats.len() as u64,
-                updates_applied: shard_stats.iter().map(|s| s.service.updates_applied).sum(),
-                queue_depth: shard_stats.iter().map(|s| s.service.queue_depth as u64).sum(),
-                connections: t.connections.load(Ordering::Relaxed),
-                frames: t.frames.load(Ordering::Relaxed),
-                edges_accepted: t.edges_accepted.load(Ordering::Relaxed),
-                busy_replies: t.busy_replies.load(Ordering::Relaxed),
-                malformed_frames: t.malformed_frames.load(Ordering::Relaxed),
-                uptime_secs: service.uptime().as_secs_f64(),
-                shard_queue_depths: shard_stats
-                    .iter()
-                    .map(|s| s.service.queue_depth as u64)
-                    .collect(),
-            };
-            (WireFrame::StatsReply(stats), FrameStep::Continue)
-        }
-        Err(WireFrame::Metrics) => {
-            // Runtime registries (every shard, merged) + the transport's
-            // own counters, rendered once server-side so every exporter
-            // ships the identical exposition.
-            let merged = service.metrics().merge(&net_snapshot(telemetry));
-            let metrics =
-                MetricsReply { version: METRICS_VERSION, exposition: merged.render_prometheus() };
-            (WireFrame::MetricsReply(metrics), FrameStep::Continue)
-        }
-        Err(WireFrame::Shutdown) => {
-            // The coordinator's end-of-stream marker: acknowledge, then
-            // stop the whole server (acked edges stay queued — the
-            // operator drains them by shutting the service down).
-            stop.store(true, Ordering::Release);
-            (WireFrame::Ack { accepted: 0 }, FrameStep::Close)
-        }
-        // Everything else is a protocol violation: a reply frame, or a
-        // shard-server operation (protocol v3) — those address one
-        // engine, not the fan-in tier; a router must dial `spade
-        // shard-serve` for them.
-        Err(other) => {
-            telemetry.count_malformed();
-            let message = if other.is_reply() {
-                "reply frame sent to server"
-            } else {
-                "shard operation sent to the sharded front end"
-            };
-            (WireFrame::Error { message: message.into() }, FrameStep::Close)
-        }
-    };
-    reply.encode_into(out);
-    step
+impl FrontEnd {
+    /// The ingest path: hands `edges[admitted..]` to
+    /// [`ShardedSpadeService::submit_batch`] (one grouped command per
+    /// destination shard). Admission is the strict frame-order prefix, so
+    /// whatever a full queue leaves over is a suffix: the frame parks with
+    /// it, and the Ack is written only when nothing is left.
+    fn offer(
+        &self,
+        edges: Vec<RawEdge>,
+        admitted: usize,
+        budget: Option<Duration>,
+        out: &mut Vec<u8>,
+    ) -> FrameStep<Parked> {
+        let outcome = self.service.submit_batch(&edges[admitted..], budget);
+        // audit: monotone transport counter, telemetry only
+        self.telemetry.edges_accepted.fetch_add(outcome.accepted as u64, Ordering::Relaxed);
+        let admitted = admitted + outcome.accepted;
+        let (reply, step) = if outcome.closed {
+            shut_down()
+        } else if admitted < edges.len() {
+            return FrameStep::Park(Parked::Ingest { edges, admitted, budget });
+        } else {
+            (WireFrame::Ack { accepted: admitted as u64 }, FrameStep::Continue)
+        };
+        reply.encode_into(out);
+        step
+    }
+}
+
+/// The answer to `Flush`, given whether the marker was posted — the one
+/// channel send on the event loop. It shares the bounded queue ingest
+/// uses, but a peer sends Flush only once its batches were acknowledged
+/// (a client after its pipeline drained, the router between round trips),
+/// so a wait is for a worker to take one command, never for this loop.
+pub(crate) fn flushed<P>(posted: bool) -> (WireFrame, FrameStep<P>) {
+    if posted {
+        (WireFrame::Ack { accepted: 0 }, FrameStep::Continue)
+    } else {
+        shut_down()
+    }
 }
 
 /// The answer to a request that found the runtime gone.
-fn shut_down() -> (WireFrame, FrameStep) {
+pub(crate) fn shut_down<P>() -> (WireFrame, FrameStep<P>) {
     (WireFrame::Error { message: "runtime has shut down".into() }, FrameStep::Close)
 }
 
-/// Appends the current merged global detection as a reply frame.
-fn write_detection(service: &ShardedSpadeService, out: &mut Vec<u8>) {
-    let global = service.current_detection();
-    WireFrame::Detection(crate::wire::DetectionReply {
-        size: global.best.size as u64,
-        density: global.best.density,
-        updates_applied: global.total_updates,
-        members: global.best.members.to_vec(),
-    })
-    .encode_into(out);
-}
-
-/// Ingest commands applied across all shards.
-fn applied_total(service: &ShardedSpadeService) -> u64 {
-    service.stats().iter().map(|s| s.service.updates_applied).sum()
-}
-
-/// The ingest path: hands `edges[admitted..]` to
-/// [`ShardedSpadeService::submit_batch`], which routes every edge once
-/// and enqueues one grouped command per destination shard — instead of a
-/// route + `try_send` round trip per edge. Admission is the strict
-/// frame-order prefix, so whatever a full queue leaves over is a suffix:
-/// the frame parks with it and is offered again next cycle, and the Ack
-/// for the whole frame is written only when nothing is left.
-fn offer(
-    edges: Vec<RawEdge>,
-    admitted: usize,
-    budget: Option<Duration>,
-    service: &ShardedSpadeService,
-    telemetry: &NetTelemetry,
-    out: &mut Vec<u8>,
-) -> FrameStep {
-    let outcome = service.submit_batch(&edges[admitted..], budget);
-    // audit: monotone transport counter, telemetry only
-    telemetry.edges_accepted.fetch_add(outcome.accepted as u64, Ordering::Relaxed);
-    let admitted = admitted + outcome.accepted;
-    let (reply, step) = if outcome.closed {
-        shut_down()
-    } else if admitted < edges.len() {
-        return FrameStep::Park(Parked::Ingest { edges, admitted, budget });
-    } else {
-        (WireFrame::Ack { accepted: admitted as u64 }, FrameStep::Continue)
-    };
-    reply.encode_into(out);
-    step
+/// The answer to `Shutdown`, the coordinator's end-of-stream marker:
+/// acknowledge, then stop the whole server (acked edges stay queued — the
+/// operator drains them by shutting the service down).
+pub(crate) fn shutdown_requested<P>(stop: &AtomicBool) -> (WireFrame, FrameStep<P>) {
+    stop.store(true, Ordering::Release);
+    (WireFrame::Ack { accepted: 0 }, FrameStep::Close)
 }

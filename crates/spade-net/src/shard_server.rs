@@ -3,24 +3,17 @@
 //! The process-level counterpart of an in-process shard: a single
 //! [`SpadeService`] worker exposed over the [`crate::wire`] protocol, so
 //! a router tier ([`crate::router`]) can treat N independent *processes*
-//! exactly like the sharded runtime treats its N worker threads. This is
-//! ROADMAP open item 1 — the paper's §4 parallel incremental peeling
-//! promoted from threads to processes.
+//! exactly like the sharded runtime treats its N worker threads — the
+//! paper's §4 parallel incremental peeling promoted from threads to
+//! processes.
 //!
 //! Besides the ingest surface (`Batch` / `BatchBudget` / `Flush` /
 //! `Detect` / `Stats` / `Metrics` / `Shutdown`), a shard server answers
-//! the protocol-v3 shard operations:
+//! the shard operations documented on their [`WireFrame`] variants.
+//! `Region`, `MigrateOut` and `Absorb` ride the worker's FIFO ingest
+//! queue, so each reply reflects every edge acknowledged before it; the
+//! other two keep the recovery substrate:
 //!
-//! * **`Region { hops }`** → [`WireFrame::RegionReply`]: exports the
-//!   engine's candidate region (community + `hops`-hop frontier through
-//!   the persist subgraph codec) for the router's cross-shard repair
-//!   pass. The request rides the worker's FIFO ingest queue, so the
-//!   reply reflects every edge acknowledged before it.
-//! * **`MigrateOut { members }`** → [`WireFrame::SliceReply`]: extracts
-//!   **and evicts** the induced slice over `members` — the source half
-//!   of a component migration, serialized as a snapshot in flight.
-//! * **`Absorb { slice }`** → [`WireFrame::AbsorbReply`]: replays a
-//!   migrated slice into the local engine (the target half).
 //! * **`Replicate { owner, seq, edges }`** → `Ack`: appends a raw-edge
 //!   batch to the **standby journal** this server keeps on behalf of
 //!   peer shard `owner`. The journal is the recovery substrate: the
@@ -38,32 +31,30 @@
 //!   function of the final edge multiset and the engine re-derives all
 //!   metric state.
 //!
-//! The fan-in at a shard server is one router connection (plus an
-//! occasional operator probe), so connections are served by plain
-//! blocking threads — the readiness reactor stays dedicated to the
-//! many-producer front end. The accept loop reuses the reactor's
-//! `poll(2)` binding to stay interruptible by the stop flag.
+//! A shard server is a frame handler on the crate's one event loop
+//! ([`crate::reactor`], which owns accept, framing, malformed-frame
+//! accounting, reply buffering and close), fixed at a single worker: its
+//! fan-in is one router connection plus an occasional operator probe.
+//! Nothing here waits on the worker: a batch the command queue has no
+//! slot for parks its connection until it is admitted whole, every
+//! operation the worker must answer (`Detect`, `Stats`, `Region`,
+//! `MigrateOut`, `Absorb`) is enqueued without blocking and parks on the
+//! reply channel, and the journal operations answer inline.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
-use spade_core::service::{MigrationSlice, SpadeService};
+use spade_core::service::{SpadeService, TrySubmit};
 
-use crate::reactor::wait_readable;
+use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
+use crate::server::{flushed, shut_down, shutdown_requested, ConnCounters, NetTelemetry};
 use crate::wire::{
-    write_frame, AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder, MetricsReply, RawEdge,
-    RegionReply, StatsReply, WireFrame, WireSlice, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES,
-    METRICS_VERSION,
+    BootstrapChunk, DetectionReply, RawEdge, WireFrame, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES,
 };
-
-/// How long a blocked read waits before re-checking the stop flag.
-const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// One journaled batch: its replication sequence plus the raw edges.
 type JournalBatch = (u64, Vec<RawEdge>);
@@ -145,35 +136,30 @@ impl JournalSet {
     }
 }
 
-/// A running shard server: a bound listener plus the accept thread
-/// fanning connections out to blocking handler threads.
+/// A running shard server: a bound address, a stop flag and the
+/// single-worker event loop serving `service`.
 pub struct ShardServer {
     service: Arc<SpadeService>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    reactor: Option<Reactor<ShardHandler>>,
 }
 
 impl ShardServer {
-    /// Binds the listener and spawns the accept thread around
-    /// `service`. The service stays shared — callers keep their handle
-    /// for local draining and reclaim it with
-    /// [`into_service`](Self::into_service) after [`stop`](Self::stop).
+    /// Binds the listener and starts the event loop around `service`.
+    /// The service stays shared — callers keep their handle for local
+    /// draining and reclaim it with [`into_service`](Self::into_service)
+    /// after [`stop`](Self::stop).
     pub fn spawn(service: Arc<SpadeService>, config: &ShardServerConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let journals = Arc::new(Mutex::new(JournalSet::default()));
-        let accept = {
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("spade-shard-accept".into())
-                .spawn(move || accept_loop(listener, service, journals, stop))
-                .expect("spawn accept thread")
-        };
-        Ok(ShardServer { service, local_addr, stop, accept: Some(accept) })
+        let one_loop = ReactorConfig { workers: 1, ..Default::default() };
+        let reactor = Reactor::bind(&config.addr, one_loop, |stop, telemetry| ShardHandler {
+            service: Arc::clone(&service),
+            journals: Mutex::new(JournalSet::default()),
+            stop: Arc::clone(stop),
+            telemetry: Arc::clone(telemetry),
+        })?;
+        let (local_addr, stop) = (reactor.local_addr, Arc::clone(&reactor.stop));
+        Ok(ShardServer { service, local_addr, stop, reactor: Some(reactor) })
     }
 
     /// The bound address (the chosen port when binding port 0).
@@ -187,251 +173,226 @@ impl ShardServer {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Asks the accept loop and every connection thread to wind down,
-    /// then joins them. Idempotent.
+    /// Stops and joins the event loop, which drops its handle on the
+    /// service. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(accept) = self.accept.take() {
-            let handlers = accept.join().expect("accept thread panicked");
-            for h in handlers {
-                h.join().expect("connection thread panicked");
-            }
-        }
+        self.reactor = None;
     }
 
     /// Stops the server and hands the service handle back (sole owner
-    /// after the connection threads exit), so the host can drain and
-    /// shut the engine down.
+    /// once the event loop is gone), so the host can drain and shut the
+    /// engine down.
     pub fn into_service(mut self) -> Arc<SpadeService> {
         self.stop();
         Arc::clone(&self.service)
     }
 }
 
-impl Drop for ShardServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
+/// One engine as the reactor's frame handler: the ingest surface plus
+/// the shard operations, over a [`SpadeService`] and the standby journals
+/// kept for peer shards.
+pub(crate) struct ShardHandler {
     service: Arc<SpadeService>,
-    journals: Arc<Mutex<JournalSet>>,
+    journals: Mutex<JournalSet>,
     stop: Arc<AtomicBool>,
-) -> Vec<JoinHandle<()>> {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match wait_readable(listener.as_raw_fd(), POLL_TICK) {
-            Ok(true) => {}
-            Ok(false) => continue,
-            Err(_) => break,
-        }
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
-            Err(_) => break,
-        };
-        handlers.retain(|h| !h.is_finished());
-        let service = Arc::clone(&service);
-        let journals = Arc::clone(&journals);
-        let stop = Arc::clone(&stop);
-        let handler = std::thread::Builder::new()
-            .name("spade-shard-conn".into())
-            .spawn(move || serve_connection(stream, &service, &journals, &stop))
-            .expect("spawn connection thread");
-        handlers.push(handler);
-    }
-    handlers
+    telemetry: Arc<NetTelemetry>,
 }
 
-/// Reads frames off one connection until EOF, error, or stop.
-fn serve_connection(
-    mut stream: TcpStream,
-    service: &SpadeService,
-    journals: &Mutex<JournalSet>,
-    stop: &AtomicBool,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
+/// Polls one worker reply channel, turning the answer into its reply
+/// frame.
+type ReplyPoll = Box<dyn Fn(&ShardHandler) -> Result<WireFrame, TryRecvError>>;
+
+/// The one request a shard-server connection is waiting on.
+pub(crate) enum Parked {
+    /// A batch the full command queue refused: offered again, whole,
+    /// until one Ack can answer it.
+    Ingest { edges: Vec<RawEdge>, budget: Option<Duration> },
+    /// A worker request (`Detect`, `Stats`, `Region`, `MigrateOut`,
+    /// `Absorb`) the full command queue refused: served again.
+    Room(WireFrame),
+    /// A worker request in the queue: answers when the worker has.
+    Reply(ReplyPoll),
+}
+
+impl FrameHandler for ShardHandler {
+    type Parked = Parked;
+
+    fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
+        let step = self.serve(frame, out);
+        if matches!(step, FrameStep::Park(Parked::Ingest { .. })) {
+            self.telemetry.count_parked(conn, 0);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => decoder.extend(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    if !apply(frame, service, journals, stop, &mut stream) {
-                        return;
+        step
+    }
+
+    fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep<Parked> {
+        let (reply, step) = match parked {
+            Parked::Ingest { edges, budget } => return self.offer(edges, budget, out),
+            Parked::Room(frame) => return self.serve(frame, out),
+            Parked::Reply(poll) => match poll(self) {
+                Ok(reply) => (reply, FrameStep::Continue),
+                Err(TryRecvError::Empty) => return FrameStep::Park(Parked::Reply(poll)),
+                Err(TryRecvError::Disconnected) => shut_down(),
+            },
+        };
+        reply.encode_into(out);
+        step
+    }
+}
+
+impl ShardHandler {
+    /// Serves one request: answers into `out`, or says what it waits for.
+    fn serve(&self, frame: WireFrame, out: &mut Vec<u8>) -> FrameStep<Parked> {
+        let frame = match frame.into_ingest() {
+            Ok((edges, budget)) => return self.offer(edges, budget, out),
+            Err(frame) => frame,
+        };
+        let error = |message: &str| WireFrame::Error { message: message.into() };
+        let (reply, step) = match self.enqueue(&frame) {
+            Some(Ok(poll)) => return self.retry(Parked::Reply(poll), out),
+            Some(Err(TrySubmit::Full)) => return FrameStep::Park(Parked::Room(frame)),
+            Some(Err(_)) => shut_down(),
+            None => match frame {
+                WireFrame::Flush => flushed(self.service.flush()),
+                WireFrame::Metrics => {
+                    (self.telemetry.metrics_reply(self.service.metrics()), FrameStep::Continue)
+                }
+                WireFrame::Shutdown => shutdown_requested(&self.stop),
+                WireFrame::Replicate { owner, seq, edges } => {
+                    match self.journals.lock().append(owner, seq, edges) {
+                        Ok(accepted) => (WireFrame::Ack { accepted }, FrameStep::Continue),
+                        Err(message) => (error(message), FrameStep::Close),
                     }
                 }
-                Ok(None) => break,
-                Err(err) => {
-                    // Framing can no longer be trusted: describe the
-                    // corruption and drop the connection.
-                    let _ =
-                        write_frame(&mut stream, &WireFrame::Error { message: err.to_string() });
-                    return;
+                // `replay` already cloned the whole tail, so every chunk
+                // goes straight into the out buffer; the loop drains it as
+                // the router reads.
+                WireFrame::Bootstrap { owner, after } => {
+                    let (through, tail) = self.journals.lock().replay(owner, after);
+                    for (through, edges) in tail {
+                        let chunk = BootstrapChunk { owner, through, done: false, edges };
+                        WireFrame::BootstrapChunk(chunk).encode_into(out);
+                    }
+                    let last = BootstrapChunk { owner, through, done: true, edges: Vec::new() };
+                    (WireFrame::BootstrapChunk(last), FrameStep::Continue)
                 }
+                // Every request kind is served above, so what is left is
+                // a reply frame — a protocol violation: report and drop
+                // the connection.
+                other => {
+                    debug_assert!(other.is_reply(), "unserved request kind {}", other.kind());
+                    self.telemetry.count_malformed();
+                    let message = format!("{} reply frame sent to a shard server", other.kind());
+                    (error(&message), FrameStep::Close)
+                }
+            },
+        };
+        reply.encode_into(out);
+        step
+    }
+
+    /// The ingest path: one worker command per batch (the shard-grouped
+    /// fast path), admitted whole or not at all. A full queue parks the
+    /// frame; the late Ack is the back-pressure.
+    fn offer(
+        &self,
+        edges: Vec<RawEdge>,
+        budget: Option<Duration>,
+        out: &mut Vec<u8>,
+    ) -> FrameStep<Parked> {
+        let accepted = edges.len();
+        let (reply, step) = match self.service.try_submit_batch(edges, budget) {
+            Ok(()) => {
+                // audit: monotone transport counter, telemetry only
+                self.telemetry.edges_accepted.fetch_add(accepted as u64, Ordering::Relaxed);
+                (WireFrame::Ack { accepted: accepted as u64 }, FrameStep::Continue)
             }
-        }
+            Err((TrySubmit::Full, edges)) => {
+                return FrameStep::Park(Parked::Ingest { edges, budget })
+            }
+            Err(_) => shut_down(),
+        };
+        reply.encode_into(out);
+        step
+    }
+
+    /// Enqueues, without waiting, a request only the worker can answer:
+    /// it rides the worker's FIFO queue behind everything already
+    /// acknowledged, and the poll handed back collects the answer. `None`
+    /// for every other frame.
+    fn enqueue(&self, frame: &WireFrame) -> Option<Result<ReplyPoll, TrySubmit>> {
+        let service = &self.service;
+        Some(match frame {
+            // Read-your-acks: a `Batch` is acked once *enqueued*, so the
+            // detection waits for every edge already acknowledged.
+            WireFrame::Detect => service.request_barrier(false).map(|done| {
+                collect(done, |shard, ()| {
+                    let det = shard.service.current_detection();
+                    WireFrame::Detection(DetectionReply {
+                        size: det.size as u64,
+                        density: det.density,
+                        updates_applied: det.updates_applied,
+                        members: det.members.to_vec(),
+                    })
+                })
+            }),
+            // The same barrier: `updates_applied` feeds the router's
+            // acked == applied exactly-once audit, which must not observe
+            // a still-queued suffix.
+            WireFrame::Stats => service.request_barrier(false).map(|done| {
+                collect(done, |shard, ()| {
+                    let stats = shard.service.stats();
+                    shard.telemetry.stats_reply(&[stats], stats.uptime_secs)
+                })
+            }),
+            WireFrame::Region { hops } => {
+                service.request_candidate_region(*hops as usize, false).map(|region| {
+                    collect(region, |_, region| {
+                        if region.members.len() > MAX_MIGRATE_MEMBERS
+                            || region.encoded.len() > MAX_SNAPSHOT_BYTES
+                        {
+                            let message = "candidate region exceeds frame bounds".into();
+                            return WireFrame::Error { message };
+                        }
+                        WireFrame::RegionReply(region)
+                    })
+                })
+            }
+            WireFrame::MigrateOut { members } => {
+                service.request_migrate_out(members.as_slice().into(), false).map(|slice| {
+                    collect(slice, |_, slice| {
+                        if slice.encoded.len() > MAX_SNAPSHOT_BYTES {
+                            let message = "migration slice exceeds frame bounds".into();
+                            return WireFrame::Error { message };
+                        }
+                        WireFrame::SliceReply(slice)
+                    })
+                })
+            }
+            WireFrame::Absorb { slice } => service
+                .request_absorb(slice.clone(), false)
+                .map(|receipt| collect(receipt, |_, receipt| WireFrame::AbsorbReply(receipt))),
+            _ => return None,
+        })
     }
 }
 
-/// Applies one decoded frame; `false` closes the connection.
-fn apply(
-    frame: WireFrame,
-    service: &SpadeService,
-    journals: &Mutex<JournalSet>,
-    stop: &AtomicBool,
-    out: &mut TcpStream,
-) -> bool {
-    let mut reply = |frame: &WireFrame| write_frame(out, frame).and_then(|()| out.flush()).is_ok();
-    let error = |message: &str| WireFrame::Error { message: message.into() };
-    // Each arm yields its reply and whether the connection stays open,
-    // or `None` when the worker behind the service is gone.
-    let answer = match frame.into_ingest() {
-        // One worker command per batch (the shard-grouped fast path).
-        // `submit_batch` blocks while the queue is full, so a batch is
-        // always accepted whole and the late Ack is the back-pressure.
-        Ok((edges, budget)) => {
-            let accepted = edges.len() as u64;
-            service.submit_batch(edges, budget).then_some((WireFrame::Ack { accepted }, true))
-        }
-        Err(WireFrame::Flush) => service.flush().then_some((WireFrame::Ack { accepted: 0 }, true)),
-        // Read-your-acks: a `Batch` is acked once *enqueued*, so drain
-        // the worker first — the detection must reflect every edge this
-        // connection was already acknowledged for.
-        Err(WireFrame::Detect) => service.barrier().then(|| {
-            let det = service.current_detection();
-            let det = DetectionReply {
-                size: det.size as u64,
-                density: det.density,
-                updates_applied: det.updates_applied,
-                members: det.members.to_vec(),
-            };
-            (WireFrame::Detection(det), true)
-        }),
-        // Same read-your-acks barrier: `updates_applied` feeds the
-        // router's acked == applied exactly-once audit, which must not
-        // observe a still-queued suffix.
-        Err(WireFrame::Stats) => service.barrier().then(|| {
-            let stats = service.stats();
-            let stats = StatsReply {
-                shards: 1,
-                updates_applied: stats.updates_applied,
-                queue_depth: stats.queue_depth as u64,
-                connections: 1,
-                frames: 0,
-                edges_accepted: stats.updates_applied,
-                busy_replies: 0,
-                malformed_frames: 0,
-                uptime_secs: stats.uptime_secs,
-                shard_queue_depths: vec![stats.queue_depth as u64],
-            };
-            (WireFrame::StatsReply(stats), true)
-        }),
-        Err(WireFrame::Metrics) => {
-            let exposition = service.metrics().render_prometheus();
-            Some((
-                WireFrame::MetricsReply(MetricsReply { version: METRICS_VERSION, exposition }),
-                true,
-            ))
-        }
-        Err(WireFrame::Shutdown) => {
-            stop.store(true, Ordering::Release);
-            Some((WireFrame::Ack { accepted: 0 }, false))
-        }
-        Err(WireFrame::Region { hops }) => service.candidate_region(hops as usize).map(|region| {
-            if region.members.len() > MAX_MIGRATE_MEMBERS
-                || region.encoded.len() > MAX_SNAPSHOT_BYTES
-            {
-                return (error("candidate region exceeds frame bounds"), true);
-            }
-            let region = RegionReply {
-                size: region.size as u64,
-                density: region.density,
-                updates_applied: region.updates_applied,
-                epoch: region.epoch,
-                members: region.members.to_vec(),
-                encoded: region.encoded,
-            };
-            (WireFrame::RegionReply(region), true)
-        }),
-        Err(WireFrame::MigrateOut { members }) => {
-            service.migrate_out(Arc::from(members.as_slice())).map(|slice| {
-                if slice.encoded.len() > MAX_SNAPSHOT_BYTES {
-                    return (error("migration slice exceeds frame bounds"), true);
-                }
-                let slice = WireSlice {
-                    vertices: slice.vertices as u64,
-                    edges: slice.edges as u64,
-                    edge_weight: slice.edge_weight,
-                    updates_applied: slice.updates_applied,
-                    encoded: slice.encoded,
-                };
-                (WireFrame::SliceReply(slice), true)
-            })
-        }
-        Err(WireFrame::Absorb { slice }) => {
-            let slice = MigrationSlice {
-                encoded: slice.encoded,
-                vertices: slice.vertices as usize,
-                edges: slice.edges as usize,
-                edge_weight: slice.edge_weight,
-                updates_applied: slice.updates_applied,
-            };
-            service.absorb(slice).map(|receipt| {
-                let receipt = AbsorbReply {
-                    vertices_touched: receipt.vertices_touched as u64,
-                    edges_applied: receipt.edges_applied as u64,
-                    rejected: receipt.rejected,
-                };
-                (WireFrame::AbsorbReply(receipt), true)
-            })
-        }
-        Err(WireFrame::Replicate { owner, seq, edges }) => {
-            Some(match journals.lock().append(owner, seq, edges) {
-                Ok(accepted) => (WireFrame::Ack { accepted }, true),
-                Err(message) => (error(message), false),
-            })
-        }
-        Err(WireFrame::Bootstrap { owner, after }) => {
-            let (through, tail) = journals.lock().replay(owner, after);
-            for (through, edges) in tail {
-                let chunk = BootstrapChunk { owner, through, done: false, edges };
-                if !reply(&WireFrame::BootstrapChunk(chunk)) {
-                    return false;
-                }
-            }
-            let last = BootstrapChunk { owner, through, done: true, edges: Vec::new() };
-            Some((WireFrame::BootstrapChunk(last), true))
-        }
-        // Every request kind is served above, so what is left is a reply
-        // frame — a protocol violation: report and drop the connection.
-        Err(other) => {
-            debug_assert!(other.is_reply(), "unserved request kind {}", other.kind());
-            Some((error(&format!("{} reply sent to a shard server", other.kind())), false))
-        }
-    };
-    let (frame, keep_open) = answer.unwrap_or_else(|| (error("shard has shut down"), false));
-    reply(&frame) && keep_open
+/// The poll for a request answered on `channel`, shaped by `reply`.
+fn collect<T: 'static>(
+    channel: Receiver<T>,
+    reply: impl Fn(&ShardHandler, T) -> WireFrame + 'static,
+) -> ReplyPoll {
+    Box::new(move |shard| channel.try_recv().map(|answer| reply(shard, answer)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::write_frame;
     use spade_core::{SpadeEngine, WeightedDensity};
     use spade_graph::VertexId;
+    use std::io::Write;
+    use std::net::TcpStream;
 
     fn spawn_server() -> (ShardServer, TcpStream) {
         let engine = SpadeEngine::new(WeightedDensity);

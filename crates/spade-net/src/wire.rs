@@ -11,6 +11,7 @@
 //! its own connection, never the server.
 
 use bytes::{Buf, BufMut, Bytes};
+use spade_core::service::{AbsorbReceipt, CandidateRegion, MigrationSlice};
 use spade_graph::VertexId;
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -216,68 +217,6 @@ pub struct MetricsReply {
     pub exposition: String,
 }
 
-/// A shard server's answer to a `Region` request: its local candidate
-/// region — detection summary plus the encoded `SubgraphSnapshot` of the
-/// community and its frontier — the router feeds into the cross-process
-/// repair pass (the wire form of `spade_core::service::CandidateRegion`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RegionReply {
-    /// Local community size at export time.
-    pub size: u64,
-    /// Local community density on the shard's own graph.
-    pub density: f64,
-    /// Ingest commands the shard worker had consumed at export.
-    pub updates_applied: u64,
-    /// The worker's published detection epoch at export — together with
-    /// `updates_applied` this is the region's exact freshness marker.
-    pub epoch: u64,
-    /// Community members (global vertex ids, **not** truncated — the
-    /// repair pass needs the exact set; encode refuses lists beyond
-    /// [`MAX_MIGRATE_MEMBERS`]).
-    pub members: Vec<VertexId>,
-    /// Encoded `SubgraphSnapshot` over the community plus its frontier.
-    pub encoded: Vec<u8>,
-}
-
-/// A migration slice in flight: the extract → evict → replay pipeline's
-/// payload as it crosses processes (the wire form of
-/// `spade_core::service::MigrationSlice`). Carried by both the
-/// `SliceReply` answer to `MigrateOut` and the `Absorb` request that
-/// replays it at the target shard.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WireSlice {
-    /// Vertices carried by the slice after pruning.
-    pub vertices: u64,
-    /// Member-to-member edges carried (and already evicted at the
-    /// source).
-    pub edges: u64,
-    /// Total edge suspiciousness carried.
-    pub edge_weight: f64,
-    /// Ingest commands the source worker had consumed at export.
-    pub updates_applied: u64,
-    /// Encoded `SubgraphSnapshot` bytes.
-    pub encoded: Vec<u8>,
-}
-
-impl WireSlice {
-    /// `true` when the source shard held nothing of the component.
-    pub fn is_empty(&self) -> bool {
-        self.vertices == 0 && self.edges == 0
-    }
-}
-
-/// A shard server's answer to an `Absorb` request (the wire form of
-/// `spade_core::service::AbsorbReceipt`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AbsorbReply {
-    /// Slice vertices materialized or re-weighted on the target.
-    pub vertices_touched: u64,
-    /// Slice edges applied (accumulated onto existing weights).
-    pub edges_applied: u64,
-    /// Slice entries dropped (undecodable bytes or invalid weights).
-    pub rejected: u64,
-}
-
 /// One chunk of a peer's standby journal, streamed back by `Bootstrap`:
 /// the raw acked edges a (re)started shard replays to reseed. `through`
 /// is the journal sequence number covered so far; the router resumes the
@@ -345,7 +284,7 @@ pub enum WireFrame {
     /// half of a cross-process migration). Protocol v3.
     Absorb {
         /// The slice in flight.
-        slice: WireSlice,
+        slice: MigrationSlice,
     },
     /// Append acked edges to this shard's standby journal for `owner`
     /// (a *peer* shard): the router copies every batch it routes to
@@ -381,12 +320,15 @@ pub enum WireFrame {
     StatsReply(StatsReply),
     /// The merged metrics snapshot, rendered for scraping.
     MetricsReply(MetricsReply),
-    /// A shard server's candidate region.
-    RegionReply(RegionReply),
-    /// An extracted (and evicted) migration slice.
-    SliceReply(WireSlice),
-    /// The receipt of a replayed migration slice.
-    AbsorbReply(AbsorbReply),
+    /// A shard server's candidate region, fed into the router's repair
+    /// pass. Members ship whole — the pass needs the exact set, and encode
+    /// refuses lists beyond [`MAX_MIGRATE_MEMBERS`]; `size` is a `u64`.
+    RegionReply(CandidateRegion),
+    /// An extracted (and evicted) migration slice — what `Absorb` replays
+    /// at the target shard. Counts travel as `u64`.
+    SliceReply(MigrationSlice),
+    /// The receipt of a replayed migration slice (counts as `u64`).
+    AbsorbReply(AbsorbReceipt),
     /// One chunk of a standby journal replay.
     BootstrapChunk(BootstrapChunk),
     /// The request failed; the connection closes after this frame.
@@ -504,22 +446,22 @@ fn take_text(buf: &mut Bytes, what: &'static str) -> Result<String, WireError> {
     String::from_utf8(raw).map_err(|_| WireError::Corrupt(what))
 }
 
-/// Encodes a [`WireSlice`] body (shared by `Absorb` and `SliceReply`,
-/// which carry the same payload after the opcode).
-fn put_slice_body(out: &mut Vec<u8>, slice: &WireSlice) {
-    out.put_u64_le(slice.vertices);
-    out.put_u64_le(slice.edges);
+/// Encodes a [`MigrationSlice`] body (shared by `Absorb` and
+/// `SliceReply`, which carry the same payload after the opcode).
+fn put_slice_body(out: &mut Vec<u8>, slice: &MigrationSlice) {
+    out.put_u64_le(slice.vertices as u64);
+    out.put_u64_le(slice.edges as u64);
     out.put_f64_le(slice.edge_weight);
     out.put_u64_le(slice.updates_applied);
     put_snapshot(out, &slice.encoded);
 }
 
-/// Decodes a [`WireSlice`] body, the inverse of [`put_slice_body`].
-fn take_slice_body(buf: &mut Bytes) -> Result<WireSlice, WireError> {
+/// Decodes a [`MigrationSlice`] body, the inverse of [`put_slice_body`].
+fn take_slice_body(buf: &mut Bytes) -> Result<MigrationSlice, WireError> {
     need(buf, 32, "truncated slice header")?;
-    Ok(WireSlice {
-        vertices: buf.get_u64_le(),
-        edges: buf.get_u64_le(),
+    Ok(MigrationSlice {
+        vertices: buf.get_u64_le() as usize,
+        edges: buf.get_u64_le() as usize,
         edge_weight: buf.get_f64_le(),
         updates_applied: buf.get_u64_le(),
         encoded: take_snapshot(buf, "bad slice snapshot")?,
@@ -637,7 +579,7 @@ impl WireFrame {
                     "region member list exceeds the bound"
                 );
                 out.push(OP_REGION_REPLY);
-                out.put_u64_le(region.size);
+                out.put_u64_le(region.size as u64);
                 out.put_f64_le(region.density);
                 out.put_u64_le(region.updates_applied);
                 out.put_u64_le(region.epoch);
@@ -650,8 +592,8 @@ impl WireFrame {
             }
             WireFrame::AbsorbReply(receipt) => {
                 out.push(OP_ABSORB_REPLY);
-                out.put_u64_le(receipt.vertices_touched);
-                out.put_u64_le(receipt.edges_applied);
+                out.put_u64_le(receipt.vertices_touched as u64);
+                out.put_u64_le(receipt.edges_applied as u64);
                 out.put_u64_le(receipt.rejected);
             }
             WireFrame::BootstrapChunk(chunk) => {
@@ -747,21 +689,22 @@ impl WireFrame {
             }
             OP_REGION_REPLY => {
                 need(&buf, 32, "truncated region reply header")?;
-                WireFrame::RegionReply(RegionReply {
-                    size: buf.get_u64_le(),
+                WireFrame::RegionReply(CandidateRegion {
+                    size: buf.get_u64_le() as usize,
                     density: buf.get_f64_le(),
                     updates_applied: buf.get_u64_le(),
                     epoch: buf.get_u64_le(),
-                    members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?,
+                    members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?
+                        .into(),
                     encoded: take_snapshot(&mut buf, "bad region snapshot")?,
                 })
             }
             OP_SLICE_REPLY => WireFrame::SliceReply(take_slice_body(&mut buf)?),
             OP_ABSORB_REPLY => {
                 need(&buf, 24, "truncated absorb reply")?;
-                WireFrame::AbsorbReply(AbsorbReply {
-                    vertices_touched: buf.get_u64_le(),
-                    edges_applied: buf.get_u64_le(),
+                WireFrame::AbsorbReply(AbsorbReceipt {
+                    vertices_touched: buf.get_u64_le() as usize,
+                    edges_applied: buf.get_u64_le() as usize,
                     rejected: buf.get_u64_le(),
                 })
             }
@@ -1034,7 +977,7 @@ mod tests {
         roundtrip(WireFrame::MigrateOut { members: vec![v(3), v(1), v(4)] });
         roundtrip(WireFrame::MigrateOut { members: Vec::new() });
         roundtrip(WireFrame::Absorb {
-            slice: WireSlice {
+            slice: MigrationSlice {
                 vertices: 3,
                 edges: 2,
                 edge_weight: 7.5,
@@ -1042,7 +985,7 @@ mod tests {
                 encoded: vec![9, 8, 7, 6],
             },
         });
-        roundtrip(WireFrame::Absorb { slice: WireSlice::default() });
+        roundtrip(WireFrame::Absorb { slice: MigrationSlice::default() });
         roundtrip(WireFrame::Replicate {
             owner: 1,
             seq: 42,
@@ -1050,23 +993,23 @@ mod tests {
         });
         roundtrip(WireFrame::Replicate { owner: 0, seq: 0, edges: Vec::new() });
         roundtrip(WireFrame::Bootstrap { owner: 2, after: 17 });
-        roundtrip(WireFrame::RegionReply(RegionReply {
+        roundtrip(WireFrame::RegionReply(CandidateRegion {
             size: 3,
             density: 12.5,
             updates_applied: 99,
             epoch: 4,
-            members: vec![v(10), v(11), v(12)],
+            members: vec![v(10), v(11), v(12)].into(),
             encoded: vec![1, 2, 3],
         }));
-        roundtrip(WireFrame::RegionReply(RegionReply::default()));
-        roundtrip(WireFrame::SliceReply(WireSlice {
+        roundtrip(WireFrame::RegionReply(CandidateRegion::default()));
+        roundtrip(WireFrame::SliceReply(MigrationSlice {
             vertices: 1,
             edges: 1,
             edge_weight: 2.0,
             updates_applied: 5,
             encoded: vec![0xAB],
         }));
-        roundtrip(WireFrame::AbsorbReply(AbsorbReply {
+        roundtrip(WireFrame::AbsorbReply(AbsorbReceipt {
             vertices_touched: 4,
             edges_applied: 6,
             rejected: 1,
@@ -1133,8 +1076,8 @@ mod tests {
         for frame in [
             WireFrame::Region { hops: 1 },
             WireFrame::Bootstrap { owner: 0, after: 3 },
-            WireFrame::AbsorbReply(AbsorbReply::default()),
-            WireFrame::SliceReply(WireSlice::default()),
+            WireFrame::AbsorbReply(AbsorbReceipt::default()),
+            WireFrame::SliceReply(MigrationSlice::default()),
         ] {
             let mut trailing = frame.encode()[4..].to_vec();
             trailing.push(0);

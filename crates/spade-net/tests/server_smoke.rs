@@ -106,12 +106,11 @@ fn metrics_scrape_over_the_wire_reconciles_with_ingest() {
     assert_eq!(service.shutdown().total_updates, 50);
 }
 
-#[test]
-fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
-    let (service, server) = spawn_server(2);
-
-    // A hostile producer: a length prefix far beyond the frame bound.
-    let mut hostile = TcpStream::connect(server.local_addr()).expect("connect");
+/// Three hostile producers against the server at `addr`, each earning an
+/// `Error` reply and a closed connection.
+fn three_hostile_producers(addr: std::net::SocketAddr) {
+    // A length prefix far beyond the frame bound.
+    let mut hostile = TcpStream::connect(addr).expect("connect");
     hostile.write_all(&u32::MAX.to_le_bytes()).unwrap();
     hostile.flush().unwrap();
     match read_frame(&mut hostile).expect("an error reply, not a dropped byte stream") {
@@ -122,7 +121,7 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
     assert_eq!(read_frame(&mut hostile).expect("clean close"), None);
 
     // A second hostile producer: valid length, garbage opcode.
-    let mut garbage = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut garbage = TcpStream::connect(addr).expect("connect");
     garbage.write_all(&5u32.to_le_bytes()).unwrap();
     garbage.write_all(&[0x7f, 1, 2, 3, 4]).unwrap();
     garbage.flush().unwrap();
@@ -134,7 +133,7 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
     // A third: a well-formed *reply* frame sent to the server is a
     // protocol violation — same Error + close, same counter, same trace
     // event as undecodable bytes.
-    let mut backwards = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut backwards = TcpStream::connect(addr).expect("connect");
     write_frame(&mut backwards, &WireFrame::Ack { accepted: 1 }).unwrap();
     backwards.flush().unwrap();
     match read_frame(&mut backwards).expect("an error reply") {
@@ -142,6 +141,12 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
         other => panic!("expected an Error frame, got {other:?}"),
     }
     assert_eq!(read_frame(&mut backwards).expect("clean close"), None);
+}
+
+#[test]
+fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
+    let (service, server) = spawn_server(2);
+    three_hostile_producers(server.local_addr());
 
     // ...while honest producers keep working on the same server.
     let mut honest = SpadeNetClient::connect(server.local_addr()).expect("connect");
@@ -162,6 +167,29 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
     assert_eq!(traced as u64, net.malformed_frames, "every malformed frame leaves a trace event");
     assert_eq!(net.edges_accepted, 6);
     drop(service);
+
+    // A shard server runs the same loop: the same three producers get the
+    // same replies, and its `Stats` reports what the loop really counted
+    // — four connections, the honest one's two frames plus the decodable
+    // reply frame, three malformed.
+    let engine = spade_core::SpadeEngine::new(WeightedDensity);
+    let shard = Arc::new(spade_core::SpadeService::spawn(engine, None, 64));
+    let mut shard_server =
+        spade_net::ShardServer::spawn(shard, &spade_net::ShardServerConfig::default()).unwrap();
+    three_hostile_producers(shard_server.local_addr());
+    let mut honest = TcpStream::connect(shard_server.local_addr()).expect("connect");
+    let mut request = |frame: &WireFrame| {
+        write_frame(&mut honest, frame).unwrap();
+        read_frame(&mut honest).expect("a reply").expect("not EOF")
+    };
+    let edges = vec![(v(10), v(11), 9.0), (v(11), v(10), 9.0)];
+    assert_eq!(request(&WireFrame::Batch { edges }), WireFrame::Ack { accepted: 2 });
+    let WireFrame::StatsReply(stats) = request(&WireFrame::Stats) else {
+        panic!("expected a StatsReply");
+    };
+    assert_eq!((stats.connections, stats.frames, stats.malformed_frames), (4, 3, 3));
+    assert_eq!((stats.updates_applied, stats.edges_accepted, stats.busy_replies), (2, 2, 0));
+    shard_server.stop();
 }
 
 /// Protocol v4 retired the single-`Edge` request and v5 the `Busy`

@@ -5,11 +5,11 @@
 //! `SubgraphSnapshot` codec gets in `spade-core`.
 
 use proptest::prelude::*;
-use spade_core::SubgraphSnapshot;
+use spade_core::{AbsorbReceipt, CandidateRegion, MigrationSlice, SubgraphSnapshot};
 use spade_graph::VertexId;
 use spade_net::{
-    write_batch, write_replicate, AbsorbReply, BootstrapChunk, DetectionReply, FrameDecoder,
-    MetricsReply, RegionReply, StatsReply, WireError, WireFrame, WireSlice,
+    write_batch, write_replicate, BootstrapChunk, DetectionReply, FrameDecoder, MetricsReply,
+    StatsReply, WireError, WireFrame,
 };
 
 fn v(i: u32) -> VertexId {
@@ -18,17 +18,13 @@ fn v(i: u32) -> VertexId {
 
 /// An arbitrary migration slice body (shared by `Absorb` and
 /// `SliceReply`), its `encoded` field carrying opaque snapshot bytes.
-fn arb_slice() -> impl Strategy<Value = WireSlice> {
+fn arb_slice() -> impl Strategy<Value = MigrationSlice> {
     (
-        (0u64..1 << 30, 0u64..1 << 30, 0.0f64..1e9, 0u64..u64::MAX),
+        (0usize..1 << 30, 0usize..1 << 30, 0.0f64..1e9, 0u64..u64::MAX),
         collection::vec(0u8..=255u8, 0..400),
     )
-        .prop_map(|((vertices, edges, edge_weight, updates_applied), encoded)| WireSlice {
-            vertices,
-            edges,
-            edge_weight,
-            updates_applied,
-            encoded,
+        .prop_map(|((vertices, edges, edge_weight, updates_applied), encoded)| {
+            MigrationSlice { vertices, edges, edge_weight, updates_applied, encoded }
         })
 }
 
@@ -103,12 +99,12 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
             edges: edges.into_iter().map(|(s, d, w)| (v(s), v(d), w)).collect(),
         });
     let region_reply = (
-        (0u64..1 << 30, 0.0f64..1e9, 0u64..u64::MAX, 0u64..u64::MAX),
+        (0usize..1 << 30, 0.0f64..1e9, 0u64..u64::MAX, 0u64..u64::MAX),
         collection::vec(0u32..u32::MAX, 0..128),
         collection::vec(0u8..=255u8, 0..400),
     )
         .prop_map(|((size, density, updates_applied, epoch), members, encoded)| {
-            WireFrame::RegionReply(RegionReply {
+            WireFrame::RegionReply(CandidateRegion {
                 size,
                 density,
                 updates_applied,
@@ -117,9 +113,9 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
                 encoded,
             })
         });
-    let absorb_reply = (0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 30).prop_map(
+    let absorb_reply = (0usize..1 << 30, 0usize..1 << 30, 0u64..1 << 30).prop_map(
         |(vertices_touched, edges_applied, rejected)| {
-            WireFrame::AbsorbReply(AbsorbReply { vertices_touched, edges_applied, rejected })
+            WireFrame::AbsorbReply(AbsorbReceipt { vertices_touched, edges_applied, rejected })
         },
     );
     let bootstrap_chunk = (
@@ -346,9 +342,9 @@ proptest! {
     ) {
         let encoded = snapshot.encode();
         let frame = WireFrame::Absorb {
-            slice: WireSlice {
-                vertices: snapshot.vertices.len() as u64,
-                edges: snapshot.edges.len() as u64,
+            slice: MigrationSlice {
+                vertices: snapshot.vertices.len(),
+                edges: snapshot.edges.len(),
                 edge_weight: snapshot.edge_weight_total(),
                 updates_applied: 42,
                 encoded: encoded.clone(),

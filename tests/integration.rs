@@ -4,8 +4,8 @@
 //! uses, verified end to end.
 
 use spade::core::{
-    enumerate_static, peel, DetectionBackend, EdgeGrouper, EnumerationConfig, GroupingConfig,
-    SpadeConfig, SpadeEngine, TimeWindowDetector, UnweightedDensity, WeightedDensity, WindowRecord,
+    enumerate_static, peel, EdgeGrouper, EnumerationConfig, GroupingConfig, SpadeConfig,
+    SpadeEngine, TimeWindowDetector, UnweightedDensity, WeightedDensity, WindowRecord,
 };
 use spade::gen::datasets::DatasetSpec;
 use spade::gen::fraud::{FraudInjector, FraudInjectorConfig};
@@ -205,21 +205,15 @@ fn time_window_detector_over_generated_stream() {
 fn detection_backends_agree_on_real_workload() {
     let stream = small_stream(47);
     let (initial, increments) = stream.split(0.9);
-    let mut kinetic = SpadeEngine::bootstrap(
+    let mut engine = SpadeEngine::bootstrap(
         WeightedDensity,
-        SpadeConfig { detection: DetectionBackend::Kinetic },
-        initial.iter().map(|e| (e.src, e.dst, e.raw)),
-    )
-    .expect("bootstrap");
-    let mut scan = SpadeEngine::bootstrap(
-        WeightedDensity,
-        SpadeConfig { detection: DetectionBackend::EagerScan },
+        SpadeConfig::default(),
         initial.iter().map(|e| (e.src, e.dst, e.raw)),
     )
     .expect("bootstrap");
     for e in increments {
-        let a = kinetic.insert_edge(e.src, e.dst, e.raw).expect("insert");
-        let b = scan.insert_edge(e.src, e.dst, e.raw).expect("insert");
+        let a = engine.insert_edge(e.src, e.dst, e.raw).expect("insert");
+        let b = engine.state().scan_detect();
         assert_eq!(a.size, b.size, "backend community sizes diverged");
         assert!((a.density - b.density).abs() < 1e-6);
     }

@@ -8,8 +8,9 @@
 //! potential deadlock.
 //!
 //! The suite drives the real runtime paths — solo service ingest,
-//! sharded submit/batch/repair/migration, and the reactor-backed TCP
-//! front end — and asserts the resulting order graph is **acyclic**
+//! sharded submit/batch/repair/migration, the reactor-backed TCP front
+//! end, and a router over two shard servers on the same reactor — and
+//! asserts the resulting order graph is **acyclic**
 //! (excluding classes this file creates on purpose). It then seeds a
 //! deliberate two-lock inversion and asserts the audit provably flags
 //! it, and checks the crossbeam channel mutex participates in the same
@@ -25,7 +26,9 @@ use parking_lot::audit;
 use spade::core::service::SpadeService;
 use spade::core::{SpadeEngine, WeightedDensity};
 use spade::graph::VertexId;
-use spade::net::{SpadeNetClient, SpadeNetServer};
+use spade::net::{
+    RouterConfig, ShardServer, ShardServerConfig, SpadeNetClient, SpadeNetServer, SpadeRouter,
+};
 use spade::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
 use std::sync::Arc;
 
@@ -97,6 +100,30 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     let _ = server.shutdown();
     if let Ok(service) = Arc::try_unwrap(service) {
         let _ = service.shutdown();
+    }
+
+    // Distributed tier: a router over two shard servers — replicate
+    // (journal lock), ingest, repair, consolidate and detect, all served
+    // by the shard handler on the reactor (inbox lock, worker queues).
+    let mut servers: Vec<ShardServer> = (0..2)
+        .map(|_| {
+            let shard = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 256);
+            ShardServer::spawn(Arc::new(shard), &ShardServerConfig::default()).expect("bind")
+        })
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let mut router = SpadeRouter::connect(&addrs, RouterConfig::default()).expect("connect");
+    for a in 0..6u32 {
+        for b in (0..6u32).filter(|&b| b != a) {
+            router.submit(VertexId(a), VertexId(b), 5.0).expect("submit");
+        }
+    }
+    let outcome = router.repair().expect("repair");
+    router.consolidate(&outcome).expect("consolidate");
+    let _ = router.detect(outcome.baseline_shard).expect("detect");
+    router.shutdown_shards().expect("shutdown");
+    for server in &mut servers {
+        server.stop();
     }
 
     // The graph must have observed real nesting (a lone-lock run would

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use spade::core::{
-    load_engine, peel, save_engine, DetectionBackend, GroupingConfig, IngestConfig, KineticIndex,
-    SpadeConfig, SpadeEngine, SpadeService, TimeWindowDetector, WeightedDensity, WindowRecord,
+    load_engine, peel, save_engine, GroupingConfig, IngestConfig, KineticIndex, SpadeConfig,
+    SpadeEngine, SpadeService, TimeWindowDetector, WeightedDensity, WindowRecord,
 };
 use spade::graph::VertexId;
 use spade::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
@@ -93,14 +93,7 @@ proptest! {
     fn kinetic_backend_equals_scan_backend(
         ops in proptest::collection::vec(op_strategy(8), 1..30)
     ) {
-        let mut kinetic = SpadeEngine::with_config(
-            WeightedDensity,
-            SpadeConfig { detection: DetectionBackend::Kinetic },
-        );
-        let mut scan = SpadeEngine::with_config(
-            WeightedDensity,
-            SpadeConfig { detection: DetectionBackend::EagerScan },
-        );
+        let mut engine = SpadeEngine::new(WeightedDensity);
         for op in ops {
             let (a, b, w) = match op {
                 Op::Insert(a, b, w) => (a, b, w),
@@ -110,8 +103,8 @@ proptest! {
             if a == b {
                 continue;
             }
-            let d1 = kinetic.insert_edge(v(a), v(b), w as f64).unwrap();
-            let d2 = scan.insert_edge(v(a), v(b), w as f64).unwrap();
+            let d1 = engine.insert_edge(v(a), v(b), w as f64).unwrap();
+            let d2 = engine.state().scan_detect();
             prop_assert_eq!(d1.size, d2.size);
             prop_assert!((d1.density - d2.density).abs() < 1e-9);
         }
