@@ -192,7 +192,6 @@ fn sharded_config_from(args: &Args, shards: usize) -> Result<ShardedConfig, AnyE
         deadline: deadline_from(args)?,
         grouping: args.flag("grouping").then(GroupingConfig::default),
         strategy,
-        top_k: shards,
         repair: RepairConfig { hops: args.num_opt("repair-hops", RepairConfig::default().hops)? },
         migration: Default::default(),
     })

@@ -34,12 +34,11 @@
 //! exactly as in §4.3 while urgent transactions update the published
 //! detection immediately.
 //!
-//! Inside the worker an edge takes one route however it was queued: a
-//! single `submit` and a whole `submit_batch` run enter through the same
-//! `ingest` step (stage the edge, or classify it when grouping is on),
-//! and everything readers may observe — a run's end, a barrier, a region
-//! export — goes through the same `settle` step: apply the staged batch
-//! as one pass, then publish.
+//! Every submit is a batch: `submit` is a one-edge `submit_batch`, so the
+//! worker has one ingest command and one `ingest` step (stage the edge,
+//! or classify it when grouping is on), and everything readers may
+//! observe — a run's end, a barrier, a region export — goes through the
+//! same `settle` step: apply the staged batch as one pass, then publish.
 //!
 //! The sharded runtime (`crate::shard`) scales this out by wrapping one
 //! [`SpadeService`] per shard — same ingest protocol, same
@@ -185,10 +184,8 @@ pub struct CandidateRegion {
     /// exported.
     pub updates_applied: u64,
     /// The worker's published detection epoch at export time. The export
-    /// publishes before replying, so `(epoch, updates_applied)` is the
-    /// exact freshness marker of the state this region reflects — a
-    /// repair pass that records it as "seen" will not mistake its own
-    /// drain for new traffic.
+    /// publishes before replying, so `(epoch, updates_applied)` names
+    /// exactly the state this region reflects.
     pub epoch: u64,
 }
 
@@ -235,18 +232,13 @@ pub struct AbsorbReceipt {
 
 /// The ingest protocol between a service handle and its worker thread.
 enum Command {
-    /// One transaction, stamped with its ingest time at `submit` /
-    /// frame-decode so the worker can attribute queueing latency
-    /// (Eq. 4's dominant term per §5.2) to the wait itself, plus its
-    /// optional detection-latency budget (drives the spring-push batch
-    /// boundary and deadline-miss accounting).
-    Insert { src: VertexId, dst: VertexId, raw: f64, queued: Instant, budget: Option<Duration> },
-    /// A whole run of transactions sharing one arrival stamp and budget
-    /// — the shard-grouped fast path: a decoded network frame becomes
-    /// one channel operation per destination shard instead of one per
-    /// edge. The worker feeds each edge through the same per-edge
-    /// accounting as `Insert`.
-    InsertBatch { edges: Vec<(VertexId, VertexId, f64)>, queued: Instant, budget: Option<Duration> },
+    /// A run of transactions (one edge for `submit`, a shard's share of
+    /// a decoded frame for the sharded runtime) in one queue slot,
+    /// stamped with its ingest time at submit so the worker can attribute
+    /// queueing latency (Eq. 4's dominant term per §5.2) to the wait
+    /// itself, plus its optional detection-latency budget (drives the
+    /// spring-push batch boundary and deadline-miss accounting).
+    Insert { edges: EdgeRun, queued: Instant, budget: Option<Duration> },
     /// Apply any buffered benign edges now.
     Flush,
     /// Drain marker: reply once every command queued before it has been
@@ -339,7 +331,7 @@ struct SharedDetection {
     /// attempt — the migration scheduler's size signal for choosing a
     /// move target.
     edges_resident: AtomicU64,
-    /// Edges queued beyond their command count: each `InsertBatch` holds
+    /// Edges queued beyond their command count: each `Insert` holds
     /// one channel slot but carries many edges, and back-pressure must
     /// stay edge-denominated — `queue_free` subtracts this surplus so a
     /// stream of batched frames cannot buffer unboundedly more edges
@@ -385,11 +377,9 @@ pub struct ServiceStats {
     pub uptime_secs: f64,
 }
 
-/// Outcome of a non-blocking submit attempt.
+/// Why an enqueue was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrySubmit {
-    /// The transaction was enqueued.
-    Queued,
     /// The ingest queue is at capacity; the service is alive.
     Full,
     /// The service has shut down.
@@ -399,8 +389,7 @@ pub enum TrySubmit {
 /// A run of transactions: `(source, destination, raw weight)` each.
 type EdgeRun = Vec<(VertexId, VertexId, f64)>;
 
-/// A refused enqueue: why ([`TrySubmit::Full`] or [`TrySubmit::Closed`],
-/// never `Queued`) and the payload handed back.
+/// A refused enqueue: why, and the payload handed back.
 pub type Refused<T> = (TrySubmit, T);
 
 /// Handle to a running detection service.
@@ -476,56 +465,32 @@ impl SpadeService {
         }
     }
 
-    /// Enqueues one transaction; blocks when the ingest queue is full
-    /// (back-pressure). Returns `false` if the service has shut down.
-    /// The command is stamped with its ingest time here, so the worker
-    /// can report submit → apply queueing latency, and carries the
-    /// service's default latency budget (if any).
+    /// Enqueues one transaction — a one-edge
+    /// [`submit_batch`](Self::submit_batch) with the default budget.
+    /// Blocks when the ingest queue is full (back-pressure); returns
+    /// `false` if the service has shut down.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
-        self.submit_with_budget(src, dst, raw, None)
-    }
-
-    /// [`submit`](Self::submit) with an explicit detection-latency
-    /// budget. `None` falls back to [`IngestConfig::deadline`]; a budget
-    /// (either way) lets the worker spring-push the batch boundary and
-    /// drives deadline-miss accounting.
-    pub fn submit_with_budget(
-        &self,
-        src: VertexId,
-        dst: VertexId,
-        raw: f64,
-        budget: Option<Duration>,
-    ) -> bool {
-        let budget = budget.or(self.default_budget);
-        self.sender.send(Command::Insert { src, dst, raw, queued: Instant::now(), budget }).is_ok()
-    }
-
-    /// Non-blocking [`submit`](Self::submit): enqueues only if the queue
-    /// has space right now. The sharded runtime uses this so its routing
-    /// lock is never held across a back-pressure wait.
-    pub fn try_submit(&self, src: VertexId, dst: VertexId, raw: f64) -> TrySubmit {
-        let (queued, budget) = (Instant::now(), self.default_budget);
-        match self.enqueue(Command::Insert { src, dst, raw, queued, budget }, false) {
-            Ok(()) => TrySubmit::Queued,
-            Err((why, _)) => why,
-        }
+        self.submit_batch(vec![(src, dst, raw)], None)
     }
 
     /// Enqueues a whole run of transactions as **one** channel operation
     /// (one queue slot), sharing a single arrival stamp and budget. This
     /// is the shard-grouped fast path: a decoded 512-edge frame costs one
-    /// send per destination shard instead of 512. Blocks when the queue
-    /// is full; returns `false` if the service has shut down. An empty
-    /// run is a no-op. `budget: None` falls back to the service default.
+    /// send per destination shard instead of 512. The stamp lets the
+    /// worker report submit → apply queueing latency. Blocks when the
+    /// queue is full; returns `false` if the service has shut down. An
+    /// empty run is a no-op. `budget: None` falls back to
+    /// [`IngestConfig::deadline`]; a budget (either way) lets the worker
+    /// spring-push the batch boundary and drives deadline-miss
+    /// accounting.
     pub fn submit_batch(&self, edges: EdgeRun, budget: Option<Duration>) -> bool {
         self.send_batch(edges, budget, true).is_ok()
     }
 
-    /// Non-blocking [`submit_batch`](Self::submit_batch), beside
-    /// [`try_submit`](Self::try_submit): the run takes one queue slot
-    /// now or none at all. A refusal hands the edges back with the reason
-    /// ([`TrySubmit::Full`] or [`TrySubmit::Closed`]), so an event loop
-    /// keeps the frame and offers it again instead of blocking.
+    /// Non-blocking [`submit_batch`](Self::submit_batch): the run takes
+    /// one queue slot now or none at all. A refusal hands the edges back
+    /// with the reason, so an event loop keeps the frame and offers it
+    /// again instead of blocking.
     pub fn try_submit_batch(
         &self,
         edges: EdgeRun,
@@ -550,10 +515,10 @@ impl SpadeService {
         // audit: advisory backlog counter, races only widen queue_free slack
         let surplus = (edges.len() - 1) as u64;
         self.shared.batched_backlog.fetch_add(surplus, Ordering::Relaxed);
-        let command = Command::InsertBatch { edges, queued: Instant::now(), budget };
+        let command = Command::Insert { edges, queued: Instant::now(), budget };
         self.enqueue(command, wait).map_err(|(why, command)| {
             self.shared.batched_backlog.fetch_sub(surplus, Ordering::Relaxed);
-            let Command::InsertBatch { edges, .. } = command else {
+            let Command::Insert { edges, .. } = command else {
                 unreachable!("a refused send returns the command it was given")
             };
             (why, edges)
@@ -585,17 +550,19 @@ impl SpadeService {
         self.enqueue(command(reply), wait).map(|()| receiver).map_err(|(why, _)| why)
     }
 
-    /// Bound of the ingest channel.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// Edge-denominated queue slots free right now: capacity minus
     /// queued commands minus the surplus edges carried by queued batch
     /// commands. Advisory: other producers may race; batch submitters
     /// combine it with a routing lock (the sharded runtime) or accept
-    /// the bounded slack.
+    /// the bounded slack. A worker that is gone (a panicking metric
+    /// unwound it) leaves its queued commands counted forever, so it
+    /// reads as unbounded instead: the enqueue that follows then fails
+    /// as [`TrySubmit::Closed`] rather than waiting on a queue no one
+    /// drains.
     pub fn queue_free(&self) -> usize {
+        if self.worker.as_ref().is_none_or(JoinHandle::is_finished) {
+            return usize::MAX;
+        }
         // audit: advisory backlog counter, races only widen queue_free slack
         let backlog = self.shared.batched_backlog.load(Ordering::Relaxed) as usize;
         self.queue_capacity.saturating_sub(self.sender.len().saturating_add(backlog))
@@ -842,13 +809,9 @@ impl<M: DensityMetric> Worker<M> {
             let mut margin: Option<Duration> = None;
             loop {
                 match cmd {
-                    Command::Insert { src, dst, raw, queued, budget } => {
-                        self.ingest(&[(src, dst, raw)], queued, budget);
-                    }
-                    Command::InsertBatch { edges, queued, budget } => {
+                    Command::Insert { edges, queued, budget } => {
                         // The command left the channel: its surplus
-                        // edges no longer occupy queue slots (same as a
-                        // drained per-edge run).
+                        // edges no longer occupy queue slots.
                         // audit: advisory backlog counter, races only widen queue_free slack
                         self.shared
                             .batched_backlog
@@ -904,9 +867,8 @@ impl<M: DensityMetric> Worker<M> {
         }
     }
 
-    /// The one ingest path: `Command::Insert` hands in a one-element
-    /// slice, `Command::InsertBatch` its whole run; `queued` and
-    /// `budget` cover the slice.
+    /// The one ingest path: `Command::Insert` hands in its run; `queued`
+    /// and `budget` cover the slice.
     ///
     /// Without a grouper, edges are staged and apply as one §4.2 pass
     /// when the run settles. Staged inserts defer their queue-wait
@@ -1031,9 +993,7 @@ impl<M: DensityMetric> Worker<M> {
     /// buffered — the region must agree with the published detection,
     /// which excludes them too. Publishing *here* (not at run end) keeps
     /// that agreement exact and lets the reply carry the final `(epoch,
-    /// updates_applied)` marker for this state, so the repair scheduler
-    /// can record the export as seen instead of re-running over its own
-    /// drain.
+    /// updates_applied)` of this state.
     fn export_region(&mut self, hops: usize) -> CandidateRegion {
         self.settle();
         let det = self.engine.detect();
@@ -1743,7 +1703,6 @@ mod tests {
             IngestConfig { queue_capacity: 4, coalesce: 8, deadline: None },
             "batch-submit".into(),
         );
-        assert_eq!(service.queue_capacity(), 4);
         let edges: Vec<(VertexId, VertexId, f64)> =
             (0..30u32).map(|i| (v(i % 11), v((i * 3 + 1) % 11), 1.0 + (i % 4) as f64)).collect();
         // 30 edges, queue bound 4: only possible because the whole run

@@ -1,7 +1,7 @@
 //! Merging per-shard detections into one global view.
 //!
 //! Each shard publishes its local [`PublishedDetection`] independently;
-//! the aggregator folds those snapshots into a global answer — densest
+//! [`merge`] folds those snapshots into a global answer — densest
 //! community wins, exactly the rule a single engine applies across its
 //! own candidate prefixes — plus a per-shard ranking for moderators who
 //! drill down ("which shard is hot right now?").
@@ -30,7 +30,7 @@ pub struct GlobalDetection {
     /// High-frequency pollers that only need counters should use
     /// `ShardedSpadeService::stats`, which takes no snapshot at all.
     pub best: PublishedDetection,
-    /// Top-k shards ranked by detection density (descending; ties break
+    /// Every shard ranked by detection density (descending; ties break
     /// toward the lower shard index). Every shard appears here, even
     /// when several report overlapping views of one split community —
     /// use [`GlobalDetection::distinct`] for a deduplicated ranking.
@@ -50,72 +50,48 @@ pub struct GlobalDetection {
     pub total_updates: u64,
 }
 
-/// Folds per-shard snapshots into a [`GlobalDetection`].
-#[derive(Clone, Copy, Debug)]
-pub struct DetectionAggregator {
-    /// Number of ranked entries kept in [`GlobalDetection::top`].
-    pub top_k: usize,
-}
-
-impl Default for DetectionAggregator {
-    fn default() -> Self {
-        DetectionAggregator { top_k: 4 }
-    }
-}
-
-impl DetectionAggregator {
-    /// Creates an aggregator keeping `top_k` ranked shard entries.
-    pub fn new(top_k: usize) -> Self {
-        DetectionAggregator { top_k }
-    }
-
-    /// Merges one snapshot per shard (indexed by position).
-    pub fn merge(&self, snapshots: Vec<PublishedDetection>) -> GlobalDetection {
-        let total_updates = snapshots.iter().map(|d| d.updates_applied).sum();
-        // Distinct members across every shard view: overlapping shard
-        // detections of one split community count each account once.
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        for det in &snapshots {
-            for m in det.members.iter() {
-                seen.insert(m.0);
-            }
+/// Folds one snapshot per shard (indexed by position) into a
+/// [`GlobalDetection`].
+pub fn merge(snapshots: Vec<PublishedDetection>) -> GlobalDetection {
+    let total_updates = snapshots.iter().map(|d| d.updates_applied).sum();
+    // Distinct members across every shard view: overlapping shard
+    // detections of one split community count each account once.
+    let mut seen: FxHashSet<u32> = FxHashSet::default();
+    for det in &snapshots {
+        for m in det.members.iter() {
+            seen.insert(m.0);
         }
-        let unique_members = seen.len();
-        let mut ranked: Vec<ShardDetection> = snapshots
-            .into_iter()
-            .enumerate()
-            .map(|(shard, detection)| ShardDetection { shard, detection })
-            .collect();
-        // Densest first; ties toward the lower shard id for determinism.
-        ranked.sort_by(|a, b| {
-            b.detection.density.total_cmp(&a.detection.density).then_with(|| a.shard.cmp(&b.shard))
-        });
-        let (best_shard, best) = ranked
-            .first()
-            .map(|s| (s.shard, s.detection.clone()))
-            .unwrap_or((0, PublishedDetection::default()));
-        // Overlap-deduplicated ranking: walking densest-first, a
-        // candidate sharing any member with an already-kept (denser)
-        // candidate is a diluted view of the same community and is
-        // dropped.
-        seen.clear();
-        let mut distinct: Vec<ShardDetection> = Vec::new();
-        for entry in &ranked {
-            if distinct.len() >= self.top_k {
-                break;
-            }
-            let overlaps = entry.detection.members.iter().any(|m| seen.contains(&m.0));
-            if overlaps {
-                continue;
-            }
-            for m in entry.detection.members.iter() {
-                seen.insert(m.0);
-            }
-            distinct.push(entry.clone());
-        }
-        ranked.truncate(self.top_k);
-        GlobalDetection { best_shard, best, top: ranked, distinct, unique_members, total_updates }
     }
+    let unique_members = seen.len();
+    let mut ranked: Vec<ShardDetection> = snapshots
+        .into_iter()
+        .enumerate()
+        .map(|(shard, detection)| ShardDetection { shard, detection })
+        .collect();
+    // Densest first; ties toward the lower shard id for determinism.
+    ranked.sort_by(|a, b| {
+        b.detection.density.total_cmp(&a.detection.density).then_with(|| a.shard.cmp(&b.shard))
+    });
+    let (best_shard, best) = ranked
+        .first()
+        .map(|s| (s.shard, s.detection.clone()))
+        .unwrap_or((0, PublishedDetection::default()));
+    // Overlap-deduplicated ranking: walking densest-first, a candidate
+    // sharing any member with an already-kept (denser) candidate is a
+    // diluted view of the same community and is dropped.
+    seen.clear();
+    let mut distinct: Vec<ShardDetection> = Vec::new();
+    for entry in &ranked {
+        let overlaps = entry.detection.members.iter().any(|m| seen.contains(&m.0));
+        if overlaps {
+            continue;
+        }
+        for m in entry.detection.members.iter() {
+            seen.insert(m.0);
+        }
+        distinct.push(entry.clone());
+    }
+    GlobalDetection { best_shard, best, top: ranked, distinct, unique_members, total_updates }
 }
 
 #[cfg(test)]
@@ -128,27 +104,23 @@ mod tests {
 
     #[test]
     fn densest_shard_wins() {
-        let agg = DetectionAggregator::new(2);
-        let global = agg.merge(vec![det(3, 5.0, 10), det(4, 9.0, 20), det(2, 1.0, 5)]);
+        let global = merge(vec![det(3, 5.0, 10), det(4, 9.0, 20), det(2, 1.0, 5)]);
         assert_eq!(global.best_shard, 1);
         assert_eq!(global.best.size, 4);
         assert_eq!(global.total_updates, 35);
-        assert_eq!(global.top.len(), 2);
-        assert_eq!(global.top[0].shard, 1);
-        assert_eq!(global.top[1].shard, 0);
+        let ranked: Vec<usize> = global.top.iter().map(|s| s.shard).collect();
+        assert_eq!(ranked, vec![1, 0, 2]);
     }
 
     #[test]
     fn density_ties_break_to_lower_shard() {
-        let agg = DetectionAggregator::default();
-        let global = agg.merge(vec![det(3, 7.0, 1), det(3, 7.0, 1)]);
+        let global = merge(vec![det(3, 7.0, 1), det(3, 7.0, 1)]);
         assert_eq!(global.best_shard, 0);
     }
 
     #[test]
     fn empty_cluster_merges_to_default() {
-        let agg = DetectionAggregator::default();
-        let global = agg.merge(Vec::new());
+        let global = merge(Vec::new());
         assert_eq!(global.best.size, 0);
         assert_eq!(global.total_updates, 0);
         assert!(global.top.is_empty());
@@ -171,8 +143,7 @@ mod tests {
         // community; shard 1 reports a disjoint one. The raw ranking
         // keeps all three, the distinct ranking keeps the densest view
         // per overlap cluster.
-        let agg = DetectionAggregator::new(4);
-        let global = agg.merge(vec![
+        let global = merge(vec![
             det_over(&[10, 11, 12], 6.0),
             det_over(&[50, 51], 4.0),
             det_over(&[12, 13], 9.0),
@@ -188,9 +159,8 @@ mod tests {
 
     #[test]
     fn disjoint_shard_views_keep_the_full_distinct_ranking() {
-        let agg = DetectionAggregator::new(4);
         let global =
-            agg.merge(vec![det_over(&[0, 1], 3.0), det_over(&[2, 3], 5.0), det_over(&[4], 1.0)]);
+            merge(vec![det_over(&[0, 1], 3.0), det_over(&[2, 3], 5.0), det_over(&[4], 1.0)]);
         assert_eq!(global.distinct.len(), 3);
         assert_eq!(global.unique_members, 5);
         assert_eq!(global.distinct[0].shard, 1);
@@ -202,8 +172,7 @@ mod tests {
         // view of one split community — at different local densities
         // (each shard holds a different slice of the edge weight). The
         // distinct ranking must keep exactly one entry: the densest one.
-        let agg = DetectionAggregator::new(4);
-        let global = agg.merge(vec![
+        let global = merge(vec![
             det_over(&[7, 8, 9], 2.5),
             det_over(&[7, 8, 9], 8.0),
             det_over(&[7, 8, 9], 4.0),
@@ -225,8 +194,7 @@ mod tests {
         // all three. unique_members must count {10,20,30,40} once each,
         // and the distinct ranking must drop BOTH chained views — each
         // overlaps the kept densest view directly via member 20.
-        let agg = DetectionAggregator::new(4);
-        let global = agg.merge(vec![
+        let global = merge(vec![
             det_over(&[10, 20], 3.0),
             det_over(&[20, 30], 9.0),
             det_over(&[20, 40], 5.0),
@@ -239,14 +207,5 @@ mod tests {
         // exactly the double-counted member 20.
         let raw_sum: usize = global.top.iter().map(|s| s.detection.size).sum();
         assert_eq!(raw_sum - global.unique_members, 2);
-    }
-
-    #[test]
-    fn distinct_ranking_respects_top_k() {
-        let agg = DetectionAggregator::new(1);
-        let global = agg.merge(vec![det_over(&[0, 1], 3.0), det_over(&[2, 3], 5.0)]);
-        assert_eq!(global.distinct.len(), 1);
-        assert_eq!(global.top.len(), 1);
-        assert_eq!(global.distinct[0].shard, 1);
     }
 }

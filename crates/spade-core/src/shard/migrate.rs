@@ -73,8 +73,6 @@ pub enum MigrationTrigger {
     StrandRepair,
     /// The source shard ran ahead of the configured imbalance ratio.
     LoadBalance,
-    /// An operator (or benchmark) asked for the move explicitly.
-    Manual,
 }
 
 /// One completed component move.
@@ -160,7 +158,7 @@ pub struct MigrationStats {
 ///
 /// `resident_edges[i]` is shard `i`'s current graph size
 /// (`ServiceStats::edges_resident`); a short slice is padded with zeros.
-pub fn pick_load_move(
+fn pick_load_move(
     window: &[u64],
     resident_edges: &[u64],
     policy: &MigrationPolicy,
@@ -188,7 +186,7 @@ pub fn pick_load_move(
 
 /// Plans up to [`MigrationPolicy::max_load_moves`] load-balancing moves
 /// from **one** observation of the windowed counters — the multi-move
-/// upgrade of [`pick_load_move`]. The scheduler executes the whole plan
+/// upgrade of `pick_load_move`. The scheduler executes the whole plan
 /// under a single window reset and one routing-lock session, so a pass
 /// can drain several hot shards (or shed several components off one)
 /// instead of re-observing — and re-waiting a full window — between
@@ -199,7 +197,7 @@ pub fn pick_load_move(
 /// equalizes the pair); the next move is picked against the simulated
 /// loads, so the plan never ping-pongs a component back. Planning stops
 /// when the simulated fleet is balanced, the transfer rounds to zero, or
-/// the cap is reached. Pure, like [`pick_load_move`].
+/// the cap is reached. Pure, like `pick_load_move`.
 pub fn pick_load_moves(
     window: &[u64],
     resident_edges: &[u64],

@@ -20,9 +20,11 @@
 //!   policies;
 //! * [`service`] — [`ShardedSpadeService`],
 //!   N worker engines behind bounded queues reusing the single-service
-//!   worker loop;
-//! * [`aggregate`] — merging per-shard snapshots into a global
-//!   densest-community view with per-shard statistics;
+//!   worker loop, with one entry per primitive: `submit_batch` (and its
+//!   one-edge form `submit`), `repair`, and `rebalance` (and its idle
+//!   check `rebalance_if_needed`);
+//! * [`aggregate`] — [`aggregate::merge`] folds per-shard snapshots into
+//!   a global densest-community view that ranks every shard;
 //! * [`repair`] — the cross-shard community repair pass: per-shard
 //!   candidate regions (community + k-hop frontier, persist-codec bytes)
 //!   unioned and re-peeled so hash-split communities recover
@@ -39,10 +41,10 @@ pub mod partition;
 pub mod repair;
 pub mod service;
 
-pub use aggregate::{DetectionAggregator, GlobalDetection, ShardDetection};
+pub use aggregate::{GlobalDetection, ShardDetection};
 pub use migrate::{
-    pick_load_move, pick_load_moves, MigrationPolicy, MigrationRecord, MigrationReport,
-    MigrationStats, MigrationTrigger,
+    pick_load_moves, MigrationPolicy, MigrationRecord, MigrationReport, MigrationStats,
+    MigrationTrigger,
 };
 pub use partition::{
     ConnectivityPartitioner, HashPartitioner, PartitionStrategy, Partitioner, StrandEvent,

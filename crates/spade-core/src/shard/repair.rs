@@ -17,7 +17,7 @@
 //! 3. each group's subgraphs are unioned into one dense-id scratch graph
 //!    and **re-peeled** through a borrowed scratch engine
 //!    ([`RepairScratch`]) — one engine value recycled across repairs;
-//! 4. the published [`RepairOutcome`] density is **provably ≥ the best
+//! 4. the returned [`RepairOutcome`] density is **provably ≥ the best
 //!    per-shard detection**: besides the union re-peel's own best suffix,
 //!    every contributing shard's member set is re-evaluated on the union
 //!    graph, and a member set can only gain weight there (the union holds
@@ -36,12 +36,6 @@ use crate::persist::SubgraphSnapshot;
 use crate::service::CandidateRegion;
 use spade_graph::hash::FxHashMap;
 use spade_graph::{DynamicGraph, VertexId};
-
-/// Staleness budget of the repair scheduler: even without member overlap
-/// between published detections, a repair pass re-runs after this many
-/// new ingest commands (frontier-only overlaps are invisible to the
-/// cheap member check).
-pub(crate) const STALENESS_BUDGET: u64 = 4096;
 
 /// Tuning of the repair pass.
 #[derive(Clone, Copy, Debug)]
@@ -63,16 +57,12 @@ impl Default for RepairConfig {
 /// Monotonic counters of the repair subsystem.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RepairStats {
-    /// Repair passes executed (forced or scheduled).
+    /// Repair passes executed.
     pub repairs: u64,
     /// Candidate regions exported across all passes.
     pub regions_exported: u64,
     /// Region groups that actually merged (≥ 2 regions) and re-peeled.
     pub groups_merged: u64,
-    /// Repaired snapshots that swapped the published detection.
-    pub published: u64,
-    /// Scheduler calls answered from the cached snapshot (no pass ran).
-    pub served_cached: u64,
     /// Regions dropped because their bytes failed to decode.
     pub corrupt_regions: u64,
     /// Density gained by the most recent pass (repaired − best shard).
@@ -102,15 +92,13 @@ pub struct RegionSummary {
     pub merged: bool,
 }
 
-/// The published product of the repair subsystem: an epoch-versioned,
-/// zero-copy detection snapshot (same discipline as
-/// [`crate::service::PublishedDetection`] — members behind an `Arc`,
-/// swapped only when the repaired answer changes) plus the provenance a
-/// moderator needs to trust it.
+/// The product of one repair pass: the repaired global detection plus
+/// the provenance a moderator needs to trust it.
 #[derive(Clone, Debug, Default)]
 pub struct RepairedDetection {
-    /// The repaired global detection. `epoch` counts repaired-snapshot
-    /// swaps; `updates_applied` sums the per-shard counters at export.
+    /// The repaired global detection. `epoch` is the number of the pass
+    /// that produced it; `updates_applied` sums the per-shard counters at
+    /// export.
     pub detection: crate::service::PublishedDetection,
     /// Best per-shard density before repair (the diluted baseline).
     pub baseline_density: f64,
@@ -123,9 +111,7 @@ pub struct RepairedDetection {
     /// re-peel.
     pub repaired: bool,
     /// Per-shard export accounting of the pass that produced this
-    /// snapshot (empty when the snapshot came from the cheap
-    /// no-overlap path, which publishes the best per-shard view without
-    /// exporting regions).
+    /// detection.
     pub regions: Vec<RegionSummary>,
 }
 

@@ -4,41 +4,45 @@
 //! [`crate::service`] out across N shards: a [`Partitioner`] routes each
 //! arriving transaction to one shard, every shard runs a full
 //! [`SpadeEngine`] (plus optional §4.3 edge grouping) behind its own
-//! bounded ingest queue on its own thread, and a [`DetectionAggregator`]
-//! merges the per-shard snapshots into a global densest-community view on
-//! every read.
+//! bounded ingest queue on its own thread, and [`merge`] folds the
+//! per-shard snapshots into a global densest-community view on every
+//! read.
+//!
+//! Each runtime primitive has one entry: ingest is
+//! [`submit_batch`](ShardedSpadeService::submit_batch) (`submit` is its
+//! one-edge form), cross-shard repair is
+//! [`repair`](ShardedSpadeService::repair), and component moves are
+//! [`rebalance`](ShardedSpadeService::rebalance) (`rebalance_if_needed`
+//! is its idle check).
 //!
 //! With the connectivity partitioner (the default), a community whose
 //! component is born and stays on one home shard has all of its edges
 //! co-resident, so that shard detects exactly what a single engine over
 //! the whole stream would — while benign traffic spreads across all
 //! cores. Exactness is *per component home*: edges routed before two
-//! already-homed components merge stay on their original shards (no
-//! migration — see `shard::partition`), and components that outgrow the
-//! spill bound hash-spread. Shutdown fans out: every queue is drained,
-//! every grouper flushed, every worker joined, and the final aggregate
-//! reflects every submitted transaction.
+//! already-homed components merge stay on their original shards until a
+//! rebalance pass moves them (see `shard::migrate`), and components that
+//! outgrow the spill bound hash-spread. Shutdown fans out: every queue is
+//! drained, every grouper flushed, every worker joined, and the final
+//! aggregate reflects every submitted transaction.
 
 use crate::engine::SpadeEngine;
 use crate::grouping::GroupingConfig;
 use crate::metric::DensityMetric;
 use crate::service::{
     CandidateRegion, IngestConfig, MigrationSlice, PublishedDetection, ServiceStats, SpadeService,
-    TrySubmit,
 };
-use crate::shard::aggregate::{DetectionAggregator, GlobalDetection};
+use crate::shard::aggregate::{merge, GlobalDetection};
 use crate::shard::migrate::{
-    pick_load_move, pick_load_moves, MigrationPolicy, MigrationRecord, MigrationReport,
-    MigrationStats, MigrationTrigger,
+    pick_load_moves, MigrationPolicy, MigrationRecord, MigrationReport, MigrationStats,
+    MigrationTrigger,
 };
 use crate::shard::partition::{HashPartitioner, PartitionStrategy, Partitioner};
 use crate::shard::repair::{
-    repair_regions, RepairConfig, RepairOutcome, RepairScratch, RepairStats, RepairedDetection,
-    STALENESS_BUDGET,
+    repair_regions, RepairConfig, RepairScratch, RepairStats, RepairedDetection,
 };
 use crossbeam::channel::Receiver;
-use parking_lot::{Mutex, RwLock};
-use spade_graph::hash::FxHashSet;
+use parking_lot::Mutex;
 use spade_graph::VertexId;
 use spade_metrics::runtime::{EventKind, Histogram, MetricsRegistry, MetricsSnapshot};
 use std::sync::Arc;
@@ -48,7 +52,7 @@ use std::time::{Duration, Instant};
 /// the per-worker names in [`crate::service::metric_names`].
 pub mod metric_names {
     /// Histogram: wall time of one full repair pass (export → union →
-    /// re-peel → publish), nanoseconds.
+    /// re-peel), nanoseconds.
     pub const REPAIR_PASS_NS: &str = "spade_repair_pass_ns";
     /// Histogram: wall time of one completed component move (await
     /// evicted slice → replay into target), nanoseconds.
@@ -77,8 +81,6 @@ pub struct ShardedConfig {
     pub grouping: Option<GroupingConfig>,
     /// Edge-to-shard routing policy.
     pub strategy: PartitionStrategy,
-    /// Ranked shard entries kept in each [`GlobalDetection`].
-    pub top_k: usize,
     /// Cross-shard repair tuning (frontier radius).
     pub repair: RepairConfig,
     /// Migration scheduler tuning (strand repair + load balancing).
@@ -95,7 +97,6 @@ impl Default for ShardedConfig {
             deadline: ingest.deadline,
             grouping: None,
             strategy: PartitionStrategy::default(),
-            top_k: 4,
             repair: RepairConfig::default(),
             migration: MigrationPolicy::default(),
         }
@@ -143,20 +144,14 @@ pub struct BatchSubmit {
 pub struct ShardedSpadeService {
     shards: Vec<SpadeService>,
     router: Router,
-    aggregator: DetectionAggregator,
     repair_config: RepairConfig,
     migration_policy: MigrationPolicy,
     /// Migration scheduler state; the mutex also serializes rebalance
     /// passes (one component move sequence at a time).
     migration: Mutex<MigrationState>,
-    /// Repair scheduler state (scratch engine, counters, freshness
-    /// markers). One pass runs at a time; pollers that find the state
-    /// fresh are answered from `repaired` without taking this lock long.
+    /// Repair state (scratch engine, counters); the mutex also
+    /// serializes repair passes.
     repair: Mutex<RepairState>,
-    /// The published repaired snapshot: swapped whole on change (members
-    /// behind an `Arc`, cloned by pointer), read lock-briefly by any
-    /// number of moderators.
-    repaired: RwLock<RepairedDetection>,
     /// Runtime-level registry (repair/migration pass durations, event
     /// trace); [`metrics`](Self::metrics) merges it with every shard's
     /// per-worker registry.
@@ -189,44 +184,11 @@ impl MigrationState {
     }
 }
 
-/// Mutable state of the repair scheduler.
+/// Mutable state of the repair pass.
+#[derive(Default)]
 struct RepairState {
     scratch: RepairScratch,
     stats: RepairStats,
-    /// Per-shard `(epoch, updates_applied)` observed at the last
-    /// scheduler decision — unchanged shards mean a cached answer.
-    seen: Vec<(u64, u64)>,
-    /// Total updates consumed when the last full pass ran (staleness
-    /// budget accounting).
-    last_pass_updates: u64,
-    /// Monotone epoch of the published repaired snapshot.
-    epoch: u64,
-}
-
-impl RepairState {
-    fn new() -> Self {
-        RepairState {
-            scratch: RepairScratch::new(),
-            stats: RepairStats::default(),
-            seen: Vec::new(),
-            last_pass_updates: 0,
-            epoch: 0,
-        }
-    }
-}
-
-/// `true` when any vertex appears in two different shards' published
-/// member lists — the signature of a community split by hash routing.
-fn members_overlap(snapshots: &[PublishedDetection]) -> bool {
-    let mut seen: FxHashSet<u32> = FxHashSet::default();
-    for det in snapshots {
-        for m in det.members.iter() {
-            if !seen.insert(m.0) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// Walks `edges` in frame order, routing each onto its shard group while
@@ -280,9 +242,8 @@ impl Router {
     }
 
     /// Lends the routing policy to `f` — the single copy of the
-    /// route-then-enqueue protocol every submit path runs. `locked`
-    /// tells `f` whether the table lock is held for the call, in which
-    /// case it must not wait on a full queue.
+    /// route-then-enqueue protocol [`ShardedSpadeService::submit_batch`]
+    /// runs.
     ///
     /// For stateful routing the lock is held ACROSS `f`, so across the
     /// enqueue and not just the lookup: the migration scheduler takes
@@ -292,12 +253,12 @@ impl Router {
     /// drain into the migrated slice instead of landing on an evicted
     /// shard. (No deadlock: workers drain their queues without ever
     /// taking this lock.)
-    fn with<R>(&self, f: impl FnOnce(&mut dyn Partitioner, bool) -> R) -> R {
+    fn with<R>(&self, f: impl FnOnce(&mut dyn Partitioner) -> R) -> R {
         match self.table() {
-            Some(mut table) => f(table.as_mut(), true),
+            Some(mut table) => f(table.as_mut()),
             // `HashPartitioner::route` takes `&mut self` to satisfy the
             // trait but touches no state, so a fresh copy routes alike.
-            None => f(&mut HashPartitioner, false),
+            None => f(&mut HashPartitioner),
         }
     }
 }
@@ -332,12 +293,10 @@ impl ShardedSpadeService {
         ShardedSpadeService {
             shards,
             router: Router::new(config.strategy),
-            aggregator: DetectionAggregator::new(config.top_k.max(1)),
             repair_config: config.repair,
             migration_policy: config.migration,
             migration: Mutex::new(MigrationState::default()),
-            repair: Mutex::new(RepairState::new()),
-            repaired: RwLock::new(RepairedDetection::default()),
+            repair: Mutex::new(RepairState::default()),
             registry,
             repair_pass_ns,
             migration_move_ns,
@@ -358,34 +317,24 @@ impl ShardedSpadeService {
         self.shards.len()
     }
 
-    /// Routes one transaction to its shard and enqueues it; blocks when
-    /// that shard's queue is full (per-shard back-pressure). Returns
-    /// `false` if the runtime has shut down.
+    /// Routes one transaction to its shard and enqueues it — a one-edge
+    /// [`submit_batch`](Self::submit_batch), offered again every 50 µs
+    /// while that shard's queue is full (per-shard back-pressure).
+    /// Returns `false` if the runtime has shut down.
     ///
-    /// Under stateful routing the enqueue is NON-blocking: a full shard
-    /// queue releases the routing lock, waits, and re-routes, so one
-    /// back-pressured shard never head-of-line-blocks producers bound
-    /// for idle shards. Re-routing the same edge is safe — the union is
+    /// The routing lock is released between offers, so one
+    /// back-pressured shard never head-of-line-blocks producers bound for
+    /// idle shards. Re-routing the same edge is safe — the union is
     /// idempotent and no duplicate strand event is recorded (the
     /// endpoints already share a root) — at worst the load heuristic
-    /// counts a retried edge twice, nudging new pins away from the
+    /// counts a re-offered edge twice, nudging new pins away from the
     /// congested shard.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
         loop {
-            let outcome = self.router.with(|partitioner, locked| {
-                let shard = &self.shards[partitioner.route(src, dst, self.shards.len())];
-                if locked {
-                    shard.try_submit(src, dst, raw)
-                } else if shard.submit(src, dst, raw) {
-                    TrySubmit::Queued
-                } else {
-                    TrySubmit::Closed
-                }
-            });
-            match outcome {
-                TrySubmit::Queued => return true,
-                TrySubmit::Closed => return false,
-                TrySubmit::Full => std::thread::sleep(Duration::from_micros(50)),
+            match self.submit_batch(&[(src, dst, raw)], None) {
+                BatchSubmit { closed: true, .. } => return false,
+                BatchSubmit { accepted: 1, .. } => return true,
+                _ => std::thread::sleep(Duration::from_micros(50)),
             }
         }
     }
@@ -404,7 +353,7 @@ impl ShardedSpadeService {
     /// connection on that suffix until it is all enqueued).
     /// Under stateful routing both the routing pass and the enqueues
     /// happen under the table lock, preserving the marker-ordering
-    /// guarantee [`submit`](Self::submit) gives; the free slots are
+    /// guarantee [`rebalance`](Self::rebalance) relies on; the free slots are
     /// snapshotted under that lock too — all producers to a stateful
     /// router serialize there, so the snapshot cannot be raced by
     /// another batch — which keeps the enqueues from blocking under the
@@ -423,7 +372,7 @@ impl ShardedSpadeService {
             return BatchSubmit { accepted: 0, closed: false, shard_counts: vec![0; num_shards] };
         }
         let mut groups: Vec<Vec<(VertexId, VertexId, f64)>> = vec![Vec::new(); num_shards];
-        self.router.with(|partitioner, _| {
+        self.router.with(|partitioner| {
             let mut free: Vec<usize> = self.shards.iter().map(|s| s.queue_free()).collect();
             let accepted = fill_groups(
                 edges,
@@ -465,7 +414,7 @@ impl ShardedSpadeService {
     /// The merged global detection across all shards (densest community
     /// wins), computed from each shard's latest snapshot.
     pub fn current_detection(&self) -> GlobalDetection {
-        self.aggregator.merge(self.shards.iter().map(|s| s.current_detection()).collect())
+        merge(self.shards.iter().map(|s| s.current_detection()).collect())
     }
 
     /// One shard's latest published detection.
@@ -509,8 +458,6 @@ impl ShardedSpadeService {
             ("spade_repair_passes_total", repair.repairs),
             ("spade_repair_regions_exported_total", repair.regions_exported),
             ("spade_repair_groups_merged_total", repair.groups_merged),
-            ("spade_repair_published_total", repair.published),
-            ("spade_repair_served_cached_total", repair.served_cached),
             ("spade_repair_corrupt_regions_total", repair.corrupt_regions),
             ("spade_migration_passes_total", migration.passes),
             ("spade_migrations_total", migration.migrations),
@@ -525,66 +472,57 @@ impl ShardedSpadeService {
         merged
     }
 
-    /// Forces a cross-shard repair pass now: every shard exports its
-    /// candidate region (community + `RepairConfig::hops` frontier,
-    /// serialized through the persist subgraph codec), regions sharing
-    /// members are unioned and re-peeled through the scratch engine, and
-    /// the repaired snapshot — density provably ≥ the best per-shard
-    /// detection — is published and returned. Blocks until every shard
-    /// has drained the submissions that preceded this call (region
-    /// requests ride the same FIFO queues as transactions).
+    /// Runs a cross-shard repair pass: every shard exports its candidate
+    /// region (community + `RepairConfig::hops` frontier, serialized
+    /// through the persist subgraph codec), regions sharing members are
+    /// unioned and re-peeled through the scratch engine, and the
+    /// repaired detection — density provably ≥ the best per-shard
+    /// detection — is returned. Blocks until every shard has drained the
+    /// submissions that preceded this call (region requests ride the
+    /// same FIFO queues as transactions). Every shard is asked first and
+    /// the replies collected after, so the shards drain and extract
+    /// their frontiers concurrently.
     pub fn repair(&self) -> RepairedDetection {
         let mut state = self.repair.lock();
-        self.run_repair(&mut state)
-    }
-
-    /// The scheduled entry point: answers from the cached repaired
-    /// snapshot while no shard has published anything new; publishes the
-    /// best per-shard view (no export) when detections changed but
-    /// nothing overlaps; and runs a full repair pass when per-shard
-    /// member sets overlap — the split-community signature — or the
-    /// staleness budget (`STALENESS_BUDGET` ingest commands) has been
-    /// exhausted since the last pass.
-    pub fn repaired_detection(&self) -> RepairedDetection {
-        let mut state = self.repair.lock();
-        let snapshots: Vec<PublishedDetection> =
-            self.shards.iter().map(|s| s.current_detection()).collect();
-        let changed = state.seen.len() != snapshots.len()
-            || snapshots
-                .iter()
-                .zip(&state.seen)
-                .any(|(d, &(epoch, updates))| d.epoch != epoch || d.updates_applied != updates);
-        if !changed {
-            state.stats.served_cached += 1;
-            return self.repaired.read().clone();
+        let RepairState { scratch, stats } = &mut *state;
+        let pass_started = Instant::now();
+        let hops = self.repair_config.hops;
+        let pending: Vec<_> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, s)| {
+                s.request_candidate_region(hops, true).ok().map(|rx| (shard, rx))
+            })
+            .collect();
+        let regions: Vec<(usize, CandidateRegion)> = pending
+            .into_iter()
+            .filter_map(|(shard, rx)| rx.recv().ok().map(|region| (shard, region)))
+            .collect();
+        let outcome = repair_regions(&regions, scratch);
+        stats.repairs += 1;
+        stats.regions_exported += regions.len() as u64;
+        stats.groups_merged += outcome.groups_merged as u64;
+        stats.corrupt_regions += outcome.corrupt_regions as u64;
+        stats.last_gain = (outcome.density - outcome.baseline_density).max(0.0);
+        let pass_elapsed = pass_started.elapsed();
+        stats.last_pass_ns = pass_elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        self.repair_pass_ns.record_duration(pass_elapsed);
+        self.registry.event(EventKind::RepairPass, stats.regions_exported);
+        RepairedDetection {
+            detection: PublishedDetection {
+                size: outcome.size,
+                density: outcome.density,
+                members: outcome.members.into(),
+                updates_applied: regions.iter().map(|(_, r)| r.updates_applied).sum(),
+                epoch: stats.repairs,
+            },
+            baseline_density: outcome.baseline_density,
+            baseline_shard: outcome.baseline_shard,
+            merged_shards: outcome.merged_shards,
+            repaired: outcome.repaired,
+            regions: outcome.regions,
         }
-        let total: u64 = snapshots.iter().map(|d| d.updates_applied).sum();
-        let stale = total.saturating_sub(state.last_pass_updates) >= STALENESS_BUDGET;
-        if !stale && !members_overlap(&snapshots) {
-            // Disjoint detections: the best per-shard view needs no
-            // merging; publish it without exporting a single region.
-            state.seen = snapshots.iter().map(|d| (d.epoch, d.updates_applied)).collect();
-            let (best_shard, best) = snapshots
-                .iter()
-                .enumerate()
-                .max_by(|(i, a), (j, b)| a.density.total_cmp(&b.density).then(j.cmp(i)))
-                .map(|(i, d)| (i, d.clone()))
-                .unwrap_or_default();
-            let baseline = best.density;
-            return self.publish_repaired(
-                &mut state,
-                RepairOutcome {
-                    members: best.members.to_vec(),
-                    size: best.size,
-                    density: best.density,
-                    baseline_density: baseline,
-                    baseline_shard: best_shard,
-                    ..RepairOutcome::default()
-                },
-                total,
-            );
-        }
-        self.run_repair(&mut state)
     }
 
     /// Counters of the repair subsystem.
@@ -712,46 +650,11 @@ impl ShardedSpadeService {
         report
     }
 
-    /// Manually migrates the component containing `member` onto shard
-    /// `to` — rehome, extract, evict, replay — regardless of the
-    /// scheduler's triggers (the operator override, and the unit the
-    /// migration benchmarks measure). Returns the completed move, or
-    /// `None` when there is nothing to do: stateless routing, unknown
-    /// vertex, the component already lives on `to`, or `to` out of
-    /// range.
-    pub fn migrate_component(&self, member: VertexId, to: usize) -> Option<MigrationRecord> {
-        if to >= self.shards.len() {
-            return None;
-        }
-        let mut state = self.migration.lock();
-        let staged = {
-            let mut table = self.router.table()?;
-            let from = table.home_of(member)?;
-            if from == to || from >= self.shards.len() {
-                return None;
-            }
-            table.rehome(member, to);
-            let members: Arc<[VertexId]> = table.component_members(member).into();
-            self.shards[from].request_migrate_out(members, true).ok().map(|rx| (from, rx))
-        };
-        let (from, rx) = staged?;
-        let mut report = MigrationReport::default();
-        self.complete_move(
-            MigrationTrigger::Manual,
-            member,
-            from,
-            to,
-            rx,
-            &mut state.stats,
-            &mut report,
-        );
-        report.moves.pop()
-    }
-
-    /// The scheduled entry point: checks the two trigger signals —
-    /// pending strand events and the [`ShardStats`] load imbalance —
-    /// without touching any worker queue, and runs a full
-    /// [`rebalance`](Self::rebalance) pass only when one fires.
+    /// The idle check in front of [`rebalance`](Self::rebalance): looks
+    /// at the two trigger signals — pending strand events and the
+    /// [`ShardStats`] load imbalance, planned exactly as the pass would
+    /// plan it — without touching any worker queue, and runs the pass
+    /// only when it would do something.
     pub fn rebalance_if_needed(&self) -> Option<MigrationReport> {
         let pending = self.router.table().map(|p| p.pending_strands())?;
         if pending == 0 {
@@ -760,7 +663,7 @@ impl ShardedSpadeService {
             let resident: Vec<u64> = stats.iter().map(|s| s.edges_resident).collect();
             let mut state = self.migration.lock();
             let window = state.load_window(&updates);
-            if pick_load_move(&window, &resident, &self.migration_policy).is_none() {
+            if pick_load_moves(&window, &resident, &self.migration_policy).is_empty() {
                 state.stats.served_idle += 1;
                 return None;
             }
@@ -822,7 +725,6 @@ impl ShardedSpadeService {
         match trigger {
             MigrationTrigger::StrandRepair => stats.strand_repairs += 1,
             MigrationTrigger::LoadBalance => stats.load_moves += 1,
-            MigrationTrigger::Manual => {}
         }
         stats.edges_moved += record.edges as u64;
         stats.edge_weight_moved += record.edge_weight;
@@ -834,110 +736,17 @@ impl ShardedSpadeService {
         true
     }
 
-    /// The repair pass proper: export → group/union/re-peel → publish.
-    fn run_repair(&self, state: &mut RepairState) -> RepairedDetection {
-        let pass_started = Instant::now();
-        let hops = self.repair_config.hops;
-        // Conservative baseline BEFORE the export: a shard whose export
-        // fails keeps this marker, so the next scheduler call re-runs
-        // instead of mistaking it for covered and serving stale forever.
-        state.seen = self
-            .shards
-            .iter()
-            .map(|s| {
-                let d = s.current_detection();
-                (d.epoch, d.updates_applied)
-            })
-            .collect();
-        // Fan the export out: request every region first, then collect
-        // the replies, so all shards drain their queues and extract
-        // frontiers concurrently instead of one after another.
-        let pending: Vec<_> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, s)| {
-                s.request_candidate_region(hops, true).ok().map(|rx| (shard, rx))
-            })
-            .collect();
-        let mut regions: Vec<(usize, CandidateRegion)> = Vec::with_capacity(pending.len());
-        for (shard, receiver) in pending {
-            if let Ok(region) = receiver.recv() {
-                // The reply carries the shard's post-drain freshness
-                // marker — exactly the state this pass incorporates.
-                // Recording it keeps the pass's own drain (and the
-                // detection it published at export) from registering as
-                // new traffic on the next scheduler poll.
-                state.seen[shard] = (region.epoch, region.updates_applied);
-                regions.push((shard, region));
-            }
-        }
-        let updates: u64 = regions.iter().map(|(_, r)| r.updates_applied).sum();
-        state.stats.repairs += 1;
-        state.stats.regions_exported += regions.len() as u64;
-        let outcome = repair_regions(&regions, &mut state.scratch);
-        state.stats.groups_merged += outcome.groups_merged as u64;
-        state.stats.corrupt_regions += outcome.corrupt_regions as u64;
-        state.stats.last_gain = (outcome.density - outcome.baseline_density).max(0.0);
-        state.last_pass_updates = updates;
-        let published = self.publish_repaired(state, outcome, updates);
-        let pass_elapsed = pass_started.elapsed();
-        state.stats.last_pass_ns = pass_elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.repair_pass_ns.record_duration(pass_elapsed);
-        self.registry.event(EventKind::RepairPass, state.stats.regions_exported);
-        published
-    }
-
-    /// Swaps the published repaired snapshot only when the answer
-    /// actually changed (epoch bump, fresh `Arc`); otherwise the previous
-    /// member allocation is kept and only provenance metadata refreshes.
-    fn publish_repaired(
-        &self,
-        state: &mut RepairState,
-        outcome: RepairOutcome,
-        updates: u64,
-    ) -> RepairedDetection {
-        let mut guard = self.repaired.write();
-        let unchanged = guard.detection.size == outcome.size
-            && guard.detection.density.to_bits() == outcome.density.to_bits()
-            && *guard.detection.members == *outcome.members;
-        let members: Arc<[VertexId]> = if unchanged {
-            Arc::clone(&guard.detection.members)
-        } else {
-            state.epoch += 1;
-            state.stats.published += 1;
-            Arc::from(outcome.members)
-        };
-        *guard = RepairedDetection {
-            detection: PublishedDetection {
-                size: outcome.size,
-                density: outcome.density,
-                members,
-                updates_applied: updates,
-                epoch: state.epoch,
-            },
-            baseline_density: outcome.baseline_density,
-            baseline_shard: outcome.baseline_shard,
-            merged_shards: outcome.merged_shards,
-            repaired: outcome.repaired,
-            regions: outcome.regions,
-        };
-        guard.clone()
-    }
-
     /// Shuts every shard down in turn, waiting for each queue to drain
     /// and each worker to exit, and returns the final merged detection —
     /// it reflects every transaction ever submitted. (Workers keep
     /// draining their own queues concurrently while earlier shards are
     /// joined, so the total wait is governed by the slowest shard.)
     pub fn shutdown(mut self) -> GlobalDetection {
-        let snapshots: Vec<PublishedDetection> =
-            self.shards.drain(..).map(SpadeService::shutdown).collect();
-        self.aggregator.merge(snapshots)
+        merge(self.shards.drain(..).map(SpadeService::shutdown).collect())
     }
 
     /// [`shutdown`](Self::shutdown) preceded by a final flush + repair
-    /// pass, so the returned repaired snapshot reflects every submitted
+    /// pass, so the returned repaired detection reflects every submitted
     /// transaction (including grouped benign edges, which the flush
     /// forces out of the per-shard buffers before regions are exported).
     pub fn shutdown_repaired(self) -> (GlobalDetection, RepairedDetection) {
@@ -1031,7 +840,7 @@ mod tests {
         let submitted = feed_ring(&service);
         let _ = service.repair();
         // Wait for every shard worker to drain its queue — repair alone
-        // is not a barrier (it may serve a cached/partial export).
+        // is not a barrier (it may serve a partial export).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while service.stats().iter().map(|s| s.service.updates_applied).sum::<u64>() < submitted {
             assert!(std::time::Instant::now() < deadline, "shard workers stalled");
@@ -1061,30 +870,6 @@ mod tests {
         assert!(text.contains("spade_stage_queue_wait_ns_count"));
         assert!(text.contains("spade_repair_pass_ns_count 1"));
         service.shutdown();
-    }
-
-    #[test]
-    fn migration_moves_are_timed_and_traced() {
-        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(2));
-        for (a, b, w) in ring_pairs(10..14, 15.0) {
-            assert!(service.submit(a, b, w));
-        }
-        let home = {
-            let mut found = None;
-            for to in 0..2 {
-                if service.migrate_component(v(10), to).is_some() {
-                    found = Some(to);
-                    break;
-                }
-            }
-            found.expect("one direction must move")
-        };
-        let _ = home;
-        let snap = service.metrics();
-        assert_eq!(snap.histograms[super::metric_names::MIGRATION_MOVE_NS].count, 1);
-        assert_eq!(snap.counters["spade_migrations_total"], 1);
-        assert!(snap.events.iter().any(|e| e.kind == EventKind::Migration));
-        drop(service);
     }
 
     #[test]
@@ -1173,61 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_repair_keeps_the_published_arc() {
-        let service = ShardedSpadeService::spawn(
-            WeightedDensity,
-            ShardedConfig {
-                shards: 2,
-                strategy: PartitionStrategy::HashBySource,
-                ..Default::default()
-            },
-        );
-        for (a, b, w) in ring_with_noise(80..84) {
-            assert!(service.submit(a, b, w));
-        }
-        let first = service.repair();
-        let second = service.repair();
-        assert_eq!(first.detection.epoch, second.detection.epoch);
-        assert!(std::sync::Arc::ptr_eq(&first.detection.members, &second.detection.members));
-        let stats = service.repair_stats();
-        assert_eq!(stats.repairs, 2);
-        assert_eq!(stats.published, 1, "identical answers must not swap the snapshot");
-        drop(service);
-    }
-
-    #[test]
-    fn repaired_detection_serves_from_cache_until_shards_change() {
-        let service = ShardedSpadeService::spawn(
-            WeightedDensity,
-            ShardedConfig {
-                shards: 2,
-                strategy: PartitionStrategy::HashBySource,
-                ..Default::default()
-            },
-        );
-        for (a, b, w) in ring_with_noise(80..84) {
-            assert!(service.submit(a, b, w));
-        }
-        // Force one pass (drains everything). Freshness markers are
-        // captured conservatively *before* each export, so the first
-        // poll may re-run once over the now-settled shards; from then on
-        // the scheduler answers from cache.
-        let forced = service.repair();
-        let polled = service.repaired_detection();
-        assert_eq!(polled.detection.epoch, forced.detection.epoch);
-        let cached = service.repaired_detection();
-        assert_eq!(cached.detection.epoch, forced.detection.epoch);
-        assert!(service.repair_stats().served_cached >= 1);
-        // New traffic invalidates the cache; the scheduler notices.
-        for i in 100..120u32 {
-            assert!(service.submit(v(i), v(i + 1), 1.0));
-        }
-        let _ = service.repair(); // deterministic drain via the pass
-        assert!(service.repair_stats().repairs >= 2);
-        drop(service);
-    }
-
-    #[test]
     fn shutdown_repaired_covers_every_submission() {
         let config = ShardedConfig {
             shards: 3,
@@ -1299,6 +1029,12 @@ mod tests {
         assert!(stats.strand_repairs >= 1);
         assert_eq!(stats.migrations as usize, report.moves.len());
         assert!(stats.edges_moved > 0);
+        // Every move is timed and traced in the runtime registry.
+        let snap = service.metrics();
+        let moves = report.moves.len() as u64;
+        assert_eq!(snap.histograms[metric_names::MIGRATION_MOVE_NS].count, moves);
+        assert_eq!(snap.counters["spade_migrations_total"], moves);
+        assert!(snap.events.iter().any(|e| e.kind == EventKind::Migration));
 
         let global = service.shutdown();
         assert_eq!(global.total_updates, edges.len() as u64);
@@ -1383,54 +1119,27 @@ mod tests {
 
     #[test]
     fn rebalance_if_needed_idles_on_a_balanced_fleet() {
-        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(2));
         // Two disjoint, similar components: no strand, no imbalance
         // (and far below the default min_updates floor anyway).
-        for (a, b, w) in ring_pairs(10..13, 5.0) {
-            assert!(service.submit(a, b, w));
-        }
-        for (a, b, w) in ring_pairs(20..23, 5.0) {
-            assert!(service.submit(a, b, w));
-        }
-        assert!(service.rebalance_if_needed().is_none());
-        assert_eq!(service.migration_stats().served_idle, 1);
-        assert_eq!(service.migration_stats().passes, 0);
-        drop(service);
-    }
-
-    #[test]
-    fn manual_migration_ping_pongs_a_component_without_loss() {
-        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(2));
-        let edges = ring_pairs(10..14, 15.0);
-        let (want_size, want_density, want_members) = solo_answer(&edges);
-        for &(a, b, w) in &edges {
-            assert!(service.submit(a, b, w));
-        }
-        // Bounce the ring between the shards a few times; every hop must
-        // carry the full slice.
-        let mut from_to = Vec::new();
-        for round in 0..4 {
-            let to = (round + 1) % 2;
-            match service.migrate_component(v(10), to) {
-                Some(record) => {
-                    assert_eq!(record.to, to);
-                    assert_eq!(record.edges, edges.len());
-                    from_to.push((record.from, record.to));
-                }
-                None => {
-                    // Already home: force the other direction next round.
-                }
+        let mut balanced = ring_pairs(10..13, 5.0);
+        balanced.extend(ring_pairs(20..23, 5.0));
+        // A skewed fleet under a policy that may not move anything: the
+        // idle check must agree with the pass it stands in front of.
+        let mut skewed = ring_pairs(10..16, 10.0);
+        skewed.push((v(100), v(101), 1.0));
+        let frozen = MigrationPolicy { imbalance_ratio: 1.2, min_updates: 8, max_load_moves: 0 };
+        for (edges, migration) in [(balanced, MigrationPolicy::default()), (skewed, frozen)] {
+            let config = ShardedConfig { shards: 2, migration, ..Default::default() };
+            let service = ShardedSpadeService::spawn(WeightedDensity, config);
+            for &(a, b, w) in &edges {
+                assert!(service.submit(a, b, w));
             }
+            // The load window must see every submission.
+            assert!(service.barrier());
+            assert!(service.rebalance_if_needed().is_none());
+            assert_eq!(service.migration_stats().served_idle, 1);
+            assert_eq!(service.migration_stats().passes, 0);
         }
-        assert!(!from_to.is_empty());
-        assert_eq!(service.migrate_component(v(9999), 0), None, "unknown vertex");
-        assert_eq!(service.migrate_component(v(10), 99), None, "shard out of range");
-        let global = service.shutdown();
-        let mut got: Vec<u32> = global.best.members.iter().map(|m| m.0).collect();
-        got.sort_unstable();
-        assert_eq!(got, want_members);
-        assert_eq!(global.best.size, want_size);
-        assert!((global.best.density - want_density).abs() < 1e-9);
     }
 
     #[test]
@@ -1510,6 +1219,72 @@ mod tests {
         assert_eq!(got.best.size, want.best.size);
         assert!((got.best.density - want.best.density).abs() < 1e-12);
         assert_eq!(got.best.members, want.best.members);
+
+        // Per-edge submits re-offered on a 2-slot queue (`tight`), under
+        // both router arms, with a metric whose weights depend on arrival
+        // order: the same answer as one default-queue batch.
+        let run = |strategy, tight: bool| {
+            let mut config = ShardedConfig { shards: 3, strategy, ..Default::default() };
+            if tight {
+                (config.queue_capacity, config.coalesce) = (2, 1);
+            }
+            let service = ShardedSpadeService::spawn(crate::metric::Fraudar::new(), config);
+            if tight {
+                assert!(edges.iter().all(|&(a, b, w)| service.submit(a, b, w)));
+            } else {
+                assert_eq!(service.submit_batch(&edges, None).accepted, edges.len());
+            }
+            let global = service.shutdown();
+            let mut members: Vec<u32> = global.best.members.iter().map(|m| m.0).collect();
+            members.sort_unstable();
+            (members, global.best.density, global.total_updates)
+        };
+        for strategy in [PartitionStrategy::HashBySource, PartitionStrategy::default()] {
+            let (members, density, updates) = run(strategy, false);
+            let (tight_members, tight_density, tight_updates) = run(strategy, true);
+            assert_eq!(tight_members, members, "{strategy:?}");
+            assert!((tight_density - density).abs() < 1e-12, "{strategy:?}");
+            assert_eq!((tight_updates, updates), (edges.len() as u64, edges.len() as u64));
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_behind_a_full_queue_reads_as_closed() {
+        use crate::metric::CustomMetric;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // The only shard's worker stalls inside its first edge until the
+        // gate opens, then panics: its queue stays full and its receiver
+        // is gone.
+        let gate = Arc::new(AtomicBool::new(false));
+        let config =
+            ShardedConfig { shards: 1, queue_capacity: 2, coalesce: 1, ..Default::default() };
+        let service = ShardedSpadeService::spawn_with(config, |_| {
+            let gate = Arc::clone(&gate);
+            SpadeEngine::new(CustomMetric::new(
+                "doomed",
+                |_, _| 0.0,
+                move |_, _, _, _| {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    panic!("metric failure unwinds the shard worker");
+                },
+            ))
+        });
+        // The worker holds the first edge; the next two fill the queue.
+        let edge = (v(1), v(2), 1.0);
+        for _ in 0..3 {
+            assert!(service.submit(edge.0, edge.1, edge.2));
+        }
+        let stalled = service.submit_batch(&[edge], None);
+        assert_eq!((stalled.accepted, stalled.closed), (0, false));
+        gate.store(true, Ordering::Release);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !service.submit_batch(&[edge], None).closed {
+            assert!(Instant::now() < deadline, "a dead worker's full queue never read as closed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!service.submit(edge.0, edge.1, edge.2));
     }
 
     #[test]
@@ -1530,13 +1305,10 @@ mod tests {
 
     #[test]
     fn top_ranking_orders_by_density() {
-        let service = ShardedSpadeService::spawn(
-            WeightedDensity,
-            ShardedConfig { shards: 3, top_k: 3, ..Default::default() },
-        );
+        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(3));
         feed_ring(&service);
         let global = service.shutdown();
-        assert!(!global.top.is_empty());
+        assert_eq!(global.top.len(), 3, "every shard is ranked");
         for pair in global.top.windows(2) {
             assert!(pair[0].detection.density >= pair[1].detection.density, "ranking out of order");
         }

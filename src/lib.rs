@@ -75,3 +75,9 @@ pub use spade_net as net;
 /// [`shard::ShardedSpadeService`] partitions the transaction stream
 /// across N worker engines (see `examples/sharded_service.rs`).
 pub use spade_core::shard;
+
+/// README's Rust blocks, compiled (and, unless marked `no_run`, run) as
+/// doctests so its API snippets cannot drift from the code.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

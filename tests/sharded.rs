@@ -264,7 +264,6 @@ fn overlapping_shard_views_are_deduped_in_the_global_ranking() {
     let config = ShardedConfig {
         shards: 3,
         strategy: PartitionStrategy::HashBySource,
-        top_k: 3,
         ..Default::default()
     };
     let service = ShardedSpadeService::spawn_with(config, |_| {
