@@ -1,30 +1,47 @@
 //! Peeling-sequence reordering with edge deletion (Appendix C.1).
 //!
-//! Deleting (or lightening) edge `(u_i, u_j)` with `i < j` in the peeling
-//! order decreases only `Δ_i` — the earlier endpoint counted the edge at
-//! its peel step; the later one did not (`u_i ∉ S_j`). The lightened
-//! vertex may now belong *earlier* in the sequence, so the pass has two
-//! phases:
+//! Deleting (or lightening by `c`) edge `(u_i, u_j)` with `i < j` in the
+//! peeling order changes the peeling weight of exactly two vertices, and
+//! only in the sets that hold both: for `m ≤ i`, `w_{u_i}(S_m)` and
+//! `w_{u_j}(S_m)` drop by `c`. For `m > i`, `S_m` no longer holds `u_i`, so
+//! every weight there is unchanged — and so is every stored `Δ_m` past `i`,
+//! `Δ_j` included. The pass rewrites one window that starts at the first
+//! position whose peel step changes:
 //!
-//! 1. **Backward walk** (`T_d` Case 1/2). Seed the pending queue with
-//!    `u_i` at `Δ_i - c`. Walk positions `k = i-1, i-2, …`: while the
-//!    candidate's *full-set* weight `w_{u_k}(S_0)` (an upper bound of its
-//!    weight in any remaining set) does not beat the queue minimum, the
-//!    candidate might interleave with queued vertices — move it into the
-//!    queue at its stored weight `Δ_k` (exact: `S_k` is precisely
-//!    `{u_k} ∪ T ∪ S_{i+1}` at that moment) and *raise* the priorities of
-//!    its queued neighbors, whose remaining sets just grew by `u_k`.
-//!    Stop at the first candidate that strictly beats the queue minimum:
-//!    the old greedy property then guarantees the whole prefix before it
-//!    precedes everything queued (see the chain in DESIGN.md §4).
-//! 2. **Forward merge** — identical to the insertion merge loop
-//!    (the shared window runner in `crate::reorder`) starting at position `i+1`.
+//! 1. **Divergence walk.** Every weight except the two endpoints' is
+//!    untouched, so the old prefix `[0, m)` survives as long as neither
+//!    endpoint's new key in any `S_{m'}` (`m' < m`) beats `key_at(m')`.
+//!    Walk `m' = i-1, i-2, …`, adding each passed vertex's edge weight to
+//!    both endpoints' new weights (read from a per-vertex tie array filled
+//!    from the two adjacency lists, so O(1) per position), and record the
+//!    smallest violating position as `m*` (`i` when none violates). Stop at
+//!    the first candidate `u_{m'}` whose full-set key `w_{u_{m'}}(S_0)` is
+//!    below both endpoints' keys in `S_{m'}`: for every `m'' ≤ m'` the
+//!    greedy choice and monotonicity give
+//!    `key_at(m'') ≤ w_{u_{m'}}(S_{m''}) ≤ w_{u_{m'}}(S_0)`, while each
+//!    endpoint's key in `S_{m''} ⊇ S_{m'}` is at least its key in `S_{m'}`,
+//!    so nothing before the stop can violate.
+//! 2. **Queue `[m*, i]`** (`T_d` Case 1/2). `u_i` enters at `Δ_i - c`, then
+//!    each earlier `u_m`, going back, at its stored `Δ_m` — exact, since
+//!    `S_m` is `{u_m} ∪ T ∪ S_{i+1}` when it joins — raising the priority
+//!    of its queued neighbors, whose remaining sets just grew by `u_m`. The
+//!    queue then holds every vertex of `[m*, i]` at its true weight in
+//!    `R = S_{m*}`.
+//! 3. **Forward merge** from position `i + 1` — the insertion merge loop
+//!    (the shared window runner in `crate::reorder`). The later endpoint
+//!    `u_j` stays in the suffix: the cursor is past `i`, so `S_k` lacks
+//!    `u_i` and `w_{u_j}(R) ≥ w_{u_j}(S_k)` is the old invariant every suffix
+//!    vertex satisfies. It is recovered if gray and otherwise emitted at its
+//!    stored, still exact `Δ_j`.
 //!
-//! The emitted window is written back in place and reported to the
-//! detection index like any insertion window.
+//! Queuing `[m*, i]` rather than treating it as suffix slots matters: once
+//! `u_i` may emit early, its neighbors lose weight ahead of the cursor.
+//! A vertex-weight decrease is the same pass with one endpoint. The emitted
+//! window is written back in place and reported to the detection index
+//! like any insertion window.
 
 use crate::order::PeelKey;
-use crate::reorder::{run_window, seed, seed_with_weight, ReorderScratch, ReorderStats};
+use crate::reorder::{run_window, seed_with_weight, ReorderScratch, ReorderStats};
 use crate::state::PeelingState;
 use spade_graph::{DynamicGraph, GraphError, VertexId};
 
@@ -43,55 +60,17 @@ pub fn delete_and_reorder(
     amount: f64,
     mut on_window: impl FnMut(usize, &[f64]),
 ) -> Result<ReorderStats, GraphError> {
-    let mut stats = ReorderStats::default();
     let removed = graph.decrease_edge(src, dst, amount)?;
-
     let (pi, pj) = (state.position_of(src), state.position_of(dst));
-    let (lightened, other) = if pi < pj { (src, dst) } else { (dst, src) };
-    let (i, j) = (pi.min(pj), pi.max(pj));
-
-    scratch.begin_epoch(graph.num_vertices());
-
-    // Phase 1a: seed the earlier endpoint — its stored weight counted the
-    // deleted edge (`u_j ∈ S_i`), so the exact new weight is `Δ_i - c`.
-    seed_with_weight(graph, scratch, lightened, state.delta_at(i) - removed, &mut stats);
-    // Phase 1b: seed the later endpoint straight out of the suffix. Its
-    // stored `Δ_j` is unchanged, but its weight in every set containing
-    // the earlier endpoint dropped by `c`, so it may now belong before
-    // position `j` — even before position `i`. Its old slot is consumed by
-    // the forced window extent below (the `lifted` mark makes the merge
-    // loop skip it even if the vertex popped earlier).
-    scratch.mark_lifted(other);
-    seed(graph, state, scratch, other, i + 1, &mut stats);
-
-    // Phase 1c: backward walk. While the candidate's full-set weight (an
-    // upper bound of its weight under any remaining set) does not strictly
-    // beat the queue minimum, the candidate may interleave — absorb it.
-    let mut start = i;
-    while start > 0 {
-        let head = scratch.queue.peek().expect("queue non-empty during backward walk");
-        let cand = state.vertex_at(start - 1);
-        let upper = PeelKey::new(graph.incident_weight(cand), cand);
-        if upper < head {
-            break;
-        }
-        raise_queued_neighbors(graph, scratch, cand, &mut stats);
-        seed_with_weight(graph, scratch, cand, state.delta_at(start - 1), &mut stats);
-        start -= 1;
-    }
-
-    // Phase 2: forward merge from the first untouched suffix position,
-    // forced to consume the later endpoint's old slot.
-    let mut k = i + 1;
-    run_window(graph, state, scratch, start, &mut k, j + 1, &mut stats, &mut on_window);
-    Ok(stats)
+    let (i, later) = if pi < pj { (pi, dst) } else { (pj, src) };
+    Ok(reorder_after_drop(graph, state, scratch, i, removed, Some(later), &mut on_window))
 }
 
 /// Lowers the prior suspiciousness of `v` to `new_weight` and restores the
 /// greedy invariant. A vertex-weight decrease behaves exactly like an
 /// incident-edge deletion without a second endpoint: only `v`'s own
 /// peeling weight drops (by the same amount at every prefix), so the
-/// deletion pass applies with an empty "later endpoint" phase.
+/// deletion pass applies with one endpoint.
 pub fn decrease_vertex_weight_and_reorder(
     graph: &mut DynamicGraph,
     state: &mut PeelingState,
@@ -100,31 +79,92 @@ pub fn decrease_vertex_weight_and_reorder(
     new_weight: f64,
     mut on_window: impl FnMut(usize, &[f64]),
 ) -> Result<ReorderStats, GraphError> {
-    let mut stats = ReorderStats::default();
     let drop = graph.vertex_weight(v) - new_weight;
     debug_assert!(drop >= 0.0, "use the insertion reorder for weight increases");
     graph.set_vertex_weight(v, new_weight)?;
     if drop == 0.0 {
-        return Ok(stats);
+        return Ok(ReorderStats::default());
     }
     let i = state.position_of(v);
+    Ok(reorder_after_drop(graph, state, scratch, i, drop, None, &mut on_window))
+}
+
+/// The deletion pass, run after `graph` was mutated: the vertex at
+/// position `i` lost `drop` of peeling weight in every set holding it, and
+/// so did `later` (at a position past `i`) in every set holding both.
+fn reorder_after_drop(
+    graph: &DynamicGraph,
+    state: &mut PeelingState,
+    scratch: &mut ReorderScratch,
+    i: usize,
+    drop: f64,
+    later: Option<VertexId>,
+    on_window: &mut impl FnMut(usize, &[f64]),
+) -> ReorderStats {
+    let mut stats = ReorderStats::default();
     scratch.begin_epoch(graph.num_vertices());
-    seed_with_weight(graph, scratch, v, state.delta_at(i) - drop, &mut stats);
-    let mut start = i;
-    while start > 0 {
-        let head = scratch.queue.peek().expect("queue non-empty during backward walk");
-        let cand = state.vertex_at(start - 1);
-        let upper = PeelKey::new(graph.incident_weight(cand), cand);
-        if upper < head {
-            break;
-        }
+    let start = first_divergence(graph, state, scratch, i, drop, later, &mut stats);
+    seed_with_weight(graph, scratch, state.vertex_at(i), state.delta_at(i) - drop, &mut stats);
+    for m in (start..i).rev() {
+        let cand = state.vertex_at(m);
         raise_queued_neighbors(graph, scratch, cand, &mut stats);
-        seed_with_weight(graph, scratch, cand, state.delta_at(start - 1), &mut stats);
-        start -= 1;
+        seed_with_weight(graph, scratch, cand, state.delta_at(m), &mut stats);
     }
     let mut k = i + 1;
-    run_window(graph, state, scratch, start, &mut k, 0, &mut stats, &mut on_window);
-    Ok(stats)
+    run_window(graph, state, scratch, start, &mut k, &mut stats, on_window);
+    stats
+}
+
+/// Phase 1, the divergence walk: the first position `m* ≤ i` whose peel
+/// step the drop changes (see the module doc for the stopping rule).
+fn first_divergence(
+    graph: &DynamicGraph,
+    state: &PeelingState,
+    scratch: &mut ReorderScratch,
+    i: usize,
+    drop: f64,
+    later: Option<VertexId>,
+    stats: &mut ReorderStats,
+) -> usize {
+    let lightened = state.vertex_at(i);
+    // Each endpoint's new key in `S_i`, then in `S_{m'}` as the walk goes.
+    let mut keys = [PeelKey::new(state.delta_at(i) - drop, lightened); 2];
+    for nb in graph.neighbors(lightened) {
+        scratch.add_tie(nb.v, 0, nb.w);
+    }
+    stats.edges_scanned += graph.degree(lightened);
+    let mut ends = 1;
+    if let Some(u) = later {
+        // `w_u(S_i)` from the mutated graph: the old weight minus `drop`.
+        let mut w = graph.vertex_weight(u);
+        for nb in graph.neighbors(u) {
+            if state.position_of(nb.v) >= i {
+                w += nb.w;
+            } else {
+                scratch.add_tie(nb.v, 1, nb.w);
+            }
+        }
+        stats.edges_scanned += graph.degree(u);
+        keys[1] = PeelKey::new(w, u);
+        ends = 2;
+    }
+    let keys = &mut keys[..ends];
+    let mut first = i;
+    for m in (0..i).rev() {
+        let cand = state.vertex_at(m);
+        for (key, tie) in keys.iter_mut().zip(scratch.tie(cand)) {
+            key.weight += tie;
+        }
+        let upper = PeelKey::new(graph.incident_weight(cand), cand);
+        if keys.iter().all(|key| upper < *key) {
+            break;
+        }
+        let at = state.key_at(m);
+        if keys.iter().any(|key| *key < at) {
+            first = m;
+        }
+    }
+    first
 }
 
 /// Accounting of one [`remove_member_slice`] pass.
@@ -205,8 +245,8 @@ pub fn remove_member_slice(
     Ok(removal)
 }
 
-/// When a backward-walk candidate joins the queue, every queued neighbor's
-/// remaining set gains the candidate — their priorities must rise by the
+/// When a prefix vertex `cand` joins the queue, every queued neighbor's
+/// remaining set gains it — their priorities must rise by the
 /// mutual edge weight (the deletion-side mirror of the insertion loop's
 /// decrements).
 fn raise_queued_neighbors(
@@ -468,5 +508,173 @@ mod tests {
             assert_eq!(state.logical_order(), peel(&graph).order, "diverged");
             state.validate_greedy(&graph, 1e-9);
         }
+    }
+
+    /// Runs one deletion-side pass and checks its window against a fresh
+    /// peel: with `d` the first position where the old order and the new
+    /// peel differ, the window starts no later than `d`, exactly at `d`
+    /// when `d` precedes the lightened slot `i`, and the rewritten order is
+    /// the static peel's. Returns whether the exact-start case applied.
+    fn assert_window_is_affected_area(
+        graph: &mut DynamicGraph,
+        state: &mut PeelingState,
+        i: usize,
+        pass: impl FnOnce(&mut DynamicGraph, &mut PeelingState, &mut dyn FnMut(usize, &[f64])),
+    ) -> bool {
+        let before = state.logical_order();
+        let n = before.len();
+        let mut start = None;
+        pass(graph, state, &mut |lo, ws| start = Some(n - lo - ws.len()));
+        let fresh = peel(graph).order;
+        let d = before.iter().zip(&fresh).position(|(a, b)| a != b).unwrap_or(n);
+        let start = start.expect("a deletion pass rewrites one window");
+        assert!(start <= d, "window starts at {start}, after the first divergence {d}");
+        if d < i {
+            assert_eq!(start, d, "the divergence precedes slot {i}");
+        }
+        assert_eq!(state.logical_order(), fresh, "diverged from static peel");
+        d < i
+    }
+
+    #[test]
+    fn deletion_window_starts_at_the_first_divergence() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(27);
+        let mut before_slot = 0;
+        for _trial in 0..12 {
+            let n = rng.gen_range(30..=60usize);
+            let mut graph = DynamicGraph::new();
+            for _ in 0..n {
+                graph.add_vertex(rng.gen_range(0..3) as f64).unwrap();
+            }
+            for _ in 0..2 * n {
+                let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                if a != b {
+                    graph.insert_edge(v(a), v(b), rng.gen_range(1..6) as f64).unwrap();
+                }
+            }
+            let mut state = PeelingState::from_outcome(&peel(&graph));
+            let mut scratch = ReorderScratch::new();
+            let mut blacks = Vec::new();
+            for _ in 0..80 {
+                let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                match rng.gen_range(0..4) {
+                    0 if a != b => {
+                        graph.insert_edge(v(a), v(b), rng.gen_range(1..6) as f64).unwrap();
+                        crate::reorder::reorder_single_edge(
+                            &graph,
+                            &mut state,
+                            v(a),
+                            v(b),
+                            &mut scratch,
+                            &mut blacks,
+                            |_, _| {},
+                        );
+                    }
+                    1 if graph.vertex_weight(v(a)) > 0.0 => {
+                        let lower = rng.gen_range(0..graph.vertex_weight(v(a)) as u32) as f64;
+                        let i = state.position_of(v(a));
+                        let pass =
+                            |g: &mut DynamicGraph,
+                             s: &mut PeelingState,
+                             on: &mut dyn FnMut(usize, &[f64])| {
+                                decrease_vertex_weight_and_reorder(
+                                    g,
+                                    s,
+                                    &mut scratch,
+                                    v(a),
+                                    lower,
+                                    on,
+                                )
+                                .unwrap();
+                            };
+                        before_slot +=
+                            assert_window_is_affected_area(&mut graph, &mut state, i, pass)
+                                as usize;
+                    }
+                    _ => {
+                        let Some(w) = graph.edge_weight(v(a), v(b)) else { continue };
+                        let amount = if w == 1.0 || rng.gen_bool(0.5) {
+                            w
+                        } else {
+                            rng.gen_range(1..w as u32) as f64
+                        };
+                        let i = state.position_of(v(a)).min(state.position_of(v(b)));
+                        let pass =
+                            |g: &mut DynamicGraph,
+                             s: &mut PeelingState,
+                             on: &mut dyn FnMut(usize, &[f64])| {
+                                delete_and_reorder(g, s, &mut scratch, v(a), v(b), amount, on)
+                                    .unwrap();
+                            };
+                        before_slot +=
+                            assert_window_is_affected_area(&mut graph, &mut state, i, pass)
+                                as usize;
+                    }
+                }
+            }
+            state.validate_greedy(&graph, 1e-9);
+        }
+        assert!(before_slot > 0, "no pass diverged before its lightened slot");
+    }
+
+    #[test]
+    fn fraudar_partial_deletes_keep_a_valid_greedy_state() {
+        use crate::engine::SpadeEngine;
+        use crate::metric::Fraudar;
+        let mut e = SpadeEngine::new(Fraudar::new());
+        let edges = [(0u32, 5u32), (1, 5), (2, 5), (3, 5), (0, 6), (1, 6), (2, 6), (4, 7), (3, 7)];
+        for &(a, b) in &edges {
+            e.insert_edge(v(a), v(b), 1.0).unwrap();
+        }
+        for &(a, b) in &[(1u32, 5u32), (0, 6), (3, 7)] {
+            let half = e.graph().edge_weight(v(a), v(b)).unwrap() / 2.0;
+            e.delete_transaction(v(a), v(b), half).unwrap();
+            // FD weights are irrational: greedy within tolerance.
+            e.state().validate_greedy(e.graph(), 1e-9);
+        }
+    }
+
+    /// Builds the literal graph of a pinned case and peels it.
+    fn pinned(n: usize, edges: &[(u32, u32, f64)]) -> (DynamicGraph, PeelingState) {
+        let mut graph = DynamicGraph::new();
+        for _ in 0..n {
+            graph.add_vertex(0.0).unwrap();
+        }
+        for &(a, b, w) in edges {
+            graph.insert_edge(v(a), v(b), w).unwrap();
+        }
+        let state = PeelingState::from_outcome(&peel(&graph));
+        (graph, state)
+    }
+
+    #[test]
+    fn later_endpoint_can_end_before_the_lightened_slot() {
+        // Old order [3, 2, 1, 0]: deleting (0, 1) lightens v1 (slot 2) and
+        // leaves v0 with weight 1, so the later endpoint now peels first.
+        let (mut graph, mut state) =
+            pinned(4, &[(1, 2, 1.0), (0, 1, 3.0), (1, 3, 2.0), (0, 2, 1.0)]);
+        assert_eq!(state.logical_order(), [v(3), v(2), v(1), v(0)]);
+        let exact = assert_window_is_affected_area(&mut graph, &mut state, 2, |g, s, on| {
+            delete_and_reorder(g, s, &mut ReorderScratch::new(), v(0), v(1), 3.0, on).unwrap();
+        });
+        assert!(exact);
+        assert_eq!(state.logical_order(), [v(0), v(2), v(3), v(1)]);
+        state.validate_greedy(&graph, 1e-9);
+    }
+
+    #[test]
+    fn later_endpoint_alone_sets_the_window_start() {
+        // Old order [1, 3, 2, 0]: deleting (0, 2) lightens v2 (slot 2), whose
+        // new key in S_1 still loses the (5, v3) tie; v0 drops to 0 and
+        // beats v3 at slot 1, so only the later endpoint moves the start.
+        let (mut graph, mut state) = pinned(4, &[(0, 2, 5.0), (2, 3, 5.0)]);
+        assert_eq!(state.logical_order(), [v(1), v(3), v(2), v(0)]);
+        let exact = assert_window_is_affected_area(&mut graph, &mut state, 2, |g, s, on| {
+            delete_and_reorder(g, s, &mut ReorderScratch::new(), v(0), v(2), 5.0, on).unwrap();
+        });
+        assert!(exact);
+        assert_eq!(state.logical_order(), [v(1), v(0), v(3), v(2)]);
+        state.validate_greedy(&graph, 1e-9);
     }
 }

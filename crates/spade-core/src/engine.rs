@@ -455,12 +455,14 @@ impl<M: DensityMetric> SpadeEngine<M> {
     /// Updates the prior suspiciousness of `v` from fresh side information
     /// and reorders as needed. Increases run through the insertion merge
     /// (the vertex can only move later); decreases through the deletion
-    /// pass (it can only move earlier).
+    /// pass (it can only move earlier). An invalid `a` (NaN, infinite or
+    /// negative) is refused before anything changes.
     pub fn set_vertex_suspiciousness(
         &mut self,
         v: VertexId,
         a: f64,
     ) -> Result<Detection, GraphError> {
+        DynamicGraph::check_vertex_weight(v, a)?;
         self.prepare_vertex(v)?;
         let old = self.graph.vertex_weight(v);
         if a > old {
@@ -863,6 +865,26 @@ mod tests {
         e.set_vertex_suspiciousness(v(3), 0.5).unwrap();
         check_against_static(&mut e);
         e.state().validate_greedy(e.graph(), 1e-9);
+    }
+
+    #[test]
+    fn invalid_vertex_suspiciousness_is_refused_before_anything_changes() {
+        let mut e = SpadeEngine::new(WeightedDensity);
+        e.insert_edge(v(0), v(1), 2.0).unwrap();
+        e.set_vertex_suspiciousness(v(1), 3.0).unwrap();
+        let order = e.state().logical_order();
+        for (a, at) in [(f64::NAN, v(1)), (f64::NAN, v(40)), (-1.0, v(1)), (-1.0, v(40))] {
+            let err = e.set_vertex_suspiciousness(at, a).unwrap_err();
+            match err {
+                GraphError::NonFiniteWeight { .. } => assert!(a.is_nan()),
+                GraphError::NegativeVertexWeight { vertex, .. } => assert_eq!(vertex, at),
+                other => panic!("unexpected error {other:?}"),
+            }
+            assert_eq!(e.graph().num_vertices(), 2, "{a} at {at} materialized vertices");
+            assert_eq!(e.state().logical_order(), order);
+            assert_eq!(e.graph().vertex_weight(v(1)), 3.0);
+        }
+        check_against_static(&mut e);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! nor produce a denser peeling community containing them — postponing it
 //! is safe.
 //!
-//! Implementation notes (DESIGN.md §4): suspiciousness is evaluated once,
-//! at arrival, and reused at flush; the urgency test optionally counts the
-//! buffered-but-uninserted weight of each endpoint (`include_pending`,
-//! default on) so a burst of buffered transactions onto one vertex cannot
-//! hide below the threshold.
+//! Implementation notes: suspiciousness is evaluated once, at arrival, and
+//! reused at flush (the streaming semantics of [`crate::metric`]); the
+//! urgency test optionally counts the buffered-but-uninserted weight of
+//! each endpoint (`include_pending`, default on) so a burst of buffered
+//! transactions onto one vertex cannot hide below the threshold.
 
 use crate::engine::SpadeEngine;
 use crate::metric::DensityMetric;

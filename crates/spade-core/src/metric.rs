@@ -10,7 +10,8 @@
 //!   vertex first appears;
 //! * `edge_susp(src, dst, raw, g)` — the suspiciousness `c_ij` of an
 //!   arriving transaction, evaluated against the *current* graph (streaming
-//!   semantics; weights are never retroactively rescaled — see DESIGN.md §4).
+//!   semantics: a stored weight is never rescaled when later arrivals
+//!   change the degrees it was computed from).
 //!
 //! Three built-in instances reproduce the paper's Table 1 competitors:
 //! [`UnweightedDensity`] (DG, Charikar), [`WeightedDensity`] (DW, Gudapati

@@ -62,10 +62,10 @@ pub struct ReorderScratch {
     gray: Vec<u64>,
     /// Epoch stamps for the black set `ΔV` (endpoints of updates).
     black: Vec<u64>,
-    /// Epoch stamps for vertices seeded *directly out of the suffix*
-    /// (deletion's later endpoint): their old slot must be consumed
-    /// silently even after they pop from the queue.
-    lifted: Vec<u64>,
+    /// Deletion's divergence walk: `ties[v].1[e]` is the edge weight
+    /// between `v` and the walk's endpoint `e`, valid when
+    /// `ties[v].0 == epoch`.
+    ties: Vec<(u64, [f64; 2])>,
     epoch: u64,
     /// Emission buffer for the current window, in logical order.
     window: Vec<(VertexId, f64)>,
@@ -82,7 +82,7 @@ impl ReorderScratch {
         if self.gray.len() < num_vertices {
             self.gray.resize(num_vertices, 0);
             self.black.resize(num_vertices, 0);
-            self.lifted.resize(num_vertices, 0);
+            self.ties.resize(num_vertices, (0, [0.0; 2]));
         }
         self.queue.reset(num_vertices);
         self.window.clear();
@@ -98,15 +98,25 @@ impl ReorderScratch {
         self.black[v.index()] == self.epoch
     }
 
-    /// Marks a vertex as seeded straight out of the suffix; its stale slot
-    /// is skipped when the cursor passes it.
-    pub(crate) fn mark_lifted(&mut self, v: VertexId) {
-        self.lifted[v.index()] = self.epoch;
+    /// Adds `w` to the recorded edge weight between `v` and endpoint `end`.
+    #[inline(always)]
+    pub(crate) fn add_tie(&mut self, v: VertexId, end: usize, w: f64) {
+        let slot = &mut self.ties[v.index()];
+        if slot.0 != self.epoch {
+            *slot = (self.epoch, [0.0; 2]);
+        }
+        slot.1[end] += w;
     }
 
+    /// The edge weights between `v` and each endpoint recorded this epoch.
     #[inline(always)]
-    fn is_lifted(&self, v: VertexId) -> bool {
-        self.lifted[v.index()] == self.epoch
+    pub(crate) fn tie(&self, v: VertexId) -> [f64; 2] {
+        let (stamp, w) = self.ties[v.index()];
+        if stamp == self.epoch {
+            w
+        } else {
+            [0.0; 2]
+        }
     }
 }
 
@@ -165,7 +175,7 @@ pub fn reorder(
         let mut k = pos + 1;
         scratch.window.clear();
         seed(graph, state, scratch, b, k, &mut stats);
-        run_window(graph, state, scratch, start, &mut k, 0, &mut stats, &mut on_window);
+        run_window(graph, state, scratch, start, &mut k, &mut stats, &mut on_window);
         cursor = k;
     }
     stats
@@ -210,9 +220,10 @@ pub(crate) fn seed_with_weight(
 }
 
 /// `w_v(R)` where `R = T ∪ S_k`: membership is "in the pending queue, or
-/// still at an unconsumed suffix position". Consumed vertices carry stale
-/// positions strictly below `k_current`, so the position test excludes
-/// them (see DESIGN.md §4).
+/// still at an unconsumed suffix position". Every vertex outside `R` —
+/// before the window, or already emitted by it — keeps its old position
+/// until the window is written back, and that position is below
+/// `k_current`, so the position test excludes it.
 fn recovered_weight(
     graph: &DynamicGraph,
     state: &PeelingState,
@@ -236,57 +247,34 @@ fn recovered_weight(
 /// queue and the suffix cursor at `*k`, and drains the queue, emitting into
 /// `scratch.window`. On return the logical window `[start, *k)` has been
 /// written back to `state` and reported through `on_window`.
-///
-/// `forced_extent` (exclusive position) keeps the window open even after
-/// the queue drains — the deletion pass seeds a vertex straight out of the
-/// suffix (the deleted edge's later endpoint), so its old slot **must** be
-/// consumed and rewritten even if every queued vertex pops early.
-#[allow(clippy::too_many_arguments)] // internal runner; the arguments are the algorithm's state
 pub(crate) fn run_window(
     graph: &DynamicGraph,
     state: &mut PeelingState,
     scratch: &mut ReorderScratch,
     start: usize,
     k: &mut usize,
-    forced_extent: usize,
     stats: &mut ReorderStats,
     on_window: &mut impl FnMut(usize, &[f64]),
 ) {
     let n = state.len();
-    loop {
-        let head = scratch.queue.peek();
-        if head.is_none() && *k >= forced_extent {
-            break;
-        }
-        if *k < n {
-            let key_k = state.key_at(*k);
-            let uk = key_k.vertex;
-            if scratch.is_lifted(uk) {
-                // The vertex at this slot was seeded directly from the
-                // suffix (deletion's later endpoint): its slot is consumed
-                // here, and the vertex itself emits from the queue (it may
-                // already have popped at an earlier window position).
+    while let Some(head) = scratch.queue.peek() {
+        match (*k < n).then(|| state.key_at(*k)) {
+            Some(key_k) if key_k <= head => {
+                let uk = key_k.vertex;
                 *k += 1;
-                continue;
+                if scratch.is_black(uk) || scratch.is_gray(uk) {
+                    // Case 2(a): the stored weight may be stale — recover
+                    // it and let the queue re-rank the vertex.
+                    seed(graph, state, scratch, uk, *k, stats);
+                } else {
+                    // Case 2(b): white vertex — its stored weight is its
+                    // true weight and it precedes everything queued.
+                    scratch.window.push((uk, key_k.weight));
+                }
             }
-            if head.is_some_and(|h| h < key_k) {
-                pop_and_emit(graph, scratch, stats);
-            } else if scratch.is_black(uk) || scratch.is_gray(uk) {
-                // Case 2(a): the stored weight may be stale — recover
-                // it and let the queue re-rank the vertex.
-                *k += 1;
-                seed(graph, state, scratch, uk, *k, stats);
-            } else {
-                // Case 2(b): white vertex — its stored weight is its
-                // true weight and it precedes everything queued.
-                scratch.window.push((uk, key_k.weight));
-                *k += 1;
-            }
-        } else if head.is_some() {
-            // Suffix exhausted: drain the queue.
-            pop_and_emit(graph, scratch, stats);
-        } else {
-            break;
+            // Case 1 (or the suffix is exhausted): the queue head is the
+            // global minimum of `R`.
+            _ => pop_and_emit(graph, scratch, stats),
         }
     }
     debug_assert_eq!(scratch.window.len(), *k - start, "window length mismatch");

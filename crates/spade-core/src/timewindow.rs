@@ -12,9 +12,10 @@
 //! * disjoint windows (Case 1) rebuild via one static peel, which is
 //!   cheaper than deleting everything.
 //!
-//! Records carry pre-evaluated suspiciousness (`c`), since replaying
-//! arrival-time-dependent metrics (FD's degree term) under out-of-order
-//! window moves is not well-defined — see DESIGN.md §4.
+//! Records carry pre-evaluated suspiciousness (`c`): an arrival-time
+//! metric (FD's degree term) weighs an edge against the graph it arrived
+//! into, and a window moved out of order never rebuilds that graph, so
+//! re-evaluating a record on replay would not be well-defined.
 
 use crate::engine::{SpadeConfig, SpadeEngine};
 use crate::metric::WeightedDensity;

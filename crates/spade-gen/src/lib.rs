@@ -5,8 +5,10 @@
 //! The paper evaluates on four proprietary Grab transaction graphs and
 //! three public datasets (Table 3), replaying the final 10% of edges as
 //! timestamped increments. None of those inputs ship with this
-//! repository, so this crate builds statistically matched surrogates
-//! (see DESIGN.md §2 for the substitution argument):
+//! repository, so this crate builds statistically matched surrogates:
+//! peeling cost and detection depend on the degree distribution and on
+//! bipartiteness, which the surrogates keep while |V| and |E| scale (see
+//! [`datasets`]):
 //!
 //! * [`powerlaw`] — heavy-tailed degree samplers (transaction graphs are
 //!   power-law distributed, paper Fig. 9b);

@@ -107,13 +107,8 @@ impl DynamicGraph {
     /// Appends a new vertex with suspiciousness weight `weight` and returns
     /// its id.
     pub fn add_vertex(&mut self, weight: f64) -> Result<VertexId> {
-        if !weight.is_finite() {
-            return Err(GraphError::NonFiniteWeight { context: "vertex weight" });
-        }
         let id = VertexId::from_index(self.num_vertices());
-        if weight < 0.0 {
-            return Err(GraphError::NegativeVertexWeight { vertex: id, weight });
-        }
+        Self::check_vertex_weight(id, weight)?;
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
         self.vertex_weight.push(weight);
@@ -156,6 +151,18 @@ impl DynamicGraph {
         }
     }
 
+    /// Checks that `weight` is a valid suspiciousness for `vertex`: finite
+    /// and non-negative (the model requires `a_u >= 0`).
+    pub fn check_vertex_weight(vertex: VertexId, weight: f64) -> Result<()> {
+        if !weight.is_finite() {
+            return Err(GraphError::NonFiniteWeight { context: "vertex weight" });
+        }
+        if weight < 0.0 {
+            return Err(GraphError::NegativeVertexWeight { vertex, weight });
+        }
+        Ok(())
+    }
+
     /// The suspiciousness weight `a_u` of vertex `u`.
     #[inline(always)]
     pub fn vertex_weight(&self, u: VertexId) -> f64 {
@@ -165,12 +172,7 @@ impl DynamicGraph {
     /// Sets the suspiciousness weight of `u`, keeping aggregates consistent.
     pub fn set_vertex_weight(&mut self, u: VertexId, weight: f64) -> Result<()> {
         self.check_vertex(u)?;
-        if !weight.is_finite() {
-            return Err(GraphError::NonFiniteWeight { context: "vertex weight" });
-        }
-        if weight < 0.0 {
-            return Err(GraphError::NegativeVertexWeight { vertex: u, weight });
-        }
+        Self::check_vertex_weight(u, weight)?;
         let old = self.vertex_weight[u.index()];
         self.vertex_weight[u.index()] = weight;
         self.incident_weight[u.index()] += weight - old;

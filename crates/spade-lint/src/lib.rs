@@ -23,7 +23,9 @@
 //!   name cargo targets (`--bin X`, `--bench X`, `--test X`,
 //!   `--example X`), gate files (`ci/<file>`) and bench baselines
 //!   (`BENCH_*.json`) that exist in the tree, so deleting a harness
-//!   without its callers fails here. Never allowlistable.
+//!   without its callers fails here; `//` comments in Rust sources may
+//!   only cite uppercase `<NAME>.md` documents the root holds. Never
+//!   allowlistable.
 //!
 //! The analyzer is intentionally lexical, not syntactic: it strips
 //! strings and comments with a small state machine, tracks brace and
@@ -54,7 +56,8 @@ pub enum Rule {
     InstantLoop,
     /// Unchecked length arithmetic in the wire codec.
     WireArith,
-    /// A doc or CI reference to a target or file the tree does not have.
+    /// A doc, CI or source-comment reference to a target or file the tree
+    /// does not have.
     DanglingRef,
 }
 
@@ -544,7 +547,8 @@ const TARGET_KINDS: [(&str, &str); 4] =
     [("bin", "src/bin"), ("bench", "benches"), ("test", "tests"), ("example", "examples")];
 
 /// What the tree offers for a doc to name: cargo targets by kind, and
-/// the committed files that `ci/…` and `BENCH_*.json` tokens resolve to.
+/// the committed files that `ci/…`, `BENCH_*.json` and root `<NAME>.md`
+/// tokens resolve to.
 #[derive(Clone, Debug, Default)]
 pub struct Tree {
     targets: BTreeSet<(&'static str, String)>,
@@ -564,8 +568,9 @@ impl Tree {
 
     /// Indexes the checkout at `root`: every package (the facade, each
     /// crate and vendored shim, the standalone `benchmark/`) contributes
-    /// its auto-discovered and manifest-declared targets; `ci/` and the
-    /// root-level `BENCH_*` baselines contribute files.
+    /// its auto-discovered and manifest-declared targets; `ci/`, the
+    /// root-level `BENCH_*` baselines and the root documents contribute
+    /// files.
     pub fn from_root(root: &Path) -> io::Result<Tree> {
         let mut tree = Tree::default();
         let mut packages = vec![root.to_path_buf(), root.join("benchmark")];
@@ -580,7 +585,11 @@ impl Tree {
         let mut files = walk_files(&root.join("ci"))?;
         files.extend(list_dir(root)?.into_iter().filter(|p| p.is_file()));
         tree.files = files.iter().map(|p| rel_path(root, p)).collect();
-        tree.files.retain(|f| f.starts_with("ci/") || f.starts_with("BENCH_"));
+        tree.files.retain(|f| {
+            f.starts_with("ci/")
+                || f.starts_with("BENCH_")
+                || (!f.contains('/') && f.ends_with(".md"))
+        });
         Ok(tree)
     }
 
@@ -701,14 +710,7 @@ fn name_at(text: &str, from: usize, keep: fn(u8) -> bool) -> Option<&str> {
 pub fn scan_doc(path: &str, text: &str, tree: &Tree) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut dangling = |line: usize, key: String, what: &str| {
-        findings.push(Finding {
-            rule: Rule::DanglingRef,
-            path: path.to_string(),
-            line,
-            message: format!("`{key}` names {what} that is not in the tree"),
-            key,
-            allowable: false,
-        });
+        findings.push(dangling_ref(path, line, key, what));
     };
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -751,6 +753,51 @@ pub fn scan_doc(path: &str, text: &str, tree: &Tree) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// Checks the `//` comments of one Rust source for uppercase `<NAME>.md`
+/// citations (a design note, a results file) that no root document
+/// answers. String literals are not comments, and a name that is the tail
+/// of a longer path, or not uppercase, is not checked.
+pub fn scan_source_refs(path: &str, source: &str, tree: &Tree) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (idx, line) in strip_source(source).iter().enumerate() {
+        for name in doc_names(&line.comment) {
+            if !tree.files.contains(name) {
+                findings.push(dangling_ref(path, idx + 1, name.to_string(), "a document"));
+            }
+        }
+    }
+    findings
+}
+
+/// The uppercase `<NAME>.md` names in `text`: a run of path bytes ending
+/// in `.md` whose stem is an uppercase letter followed by uppercase
+/// letters, digits and underscores.
+fn doc_names(text: &str) -> impl Iterator<Item = &str> {
+    let bytes = text.as_bytes();
+    text.match_indices(".md").filter_map(move |(at, _)| {
+        let end = at + ".md".len();
+        if bytes.get(end).is_some_and(|&b| is_ident_byte(b)) {
+            return None; // `.mdx`
+        }
+        let start = bytes[..at].iter().rposition(|&b| !is_path_byte(b)).map_or(0, |p| p + 1);
+        let stem = &bytes[start..at];
+        let upper = stem.first().is_some_and(u8::is_ascii_uppercase)
+            && stem.iter().all(|&b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_');
+        upper.then(|| &text[start..end])
+    })
+}
+
+fn dangling_ref(path: &str, line: usize, key: String, what: &str) -> Finding {
+    Finding {
+        rule: Rule::DanglingRef,
+        path: path.to_string(),
+        line,
+        message: format!("`{key}` names {what} that is not in the tree"),
+        key,
+        allowable: false,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -848,15 +895,18 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Scans every workspace file and every [`REF_DOCS`] doc, returning all
-/// findings (allowlist not yet applied) keyed by workspace-relative path.
+/// Scans every workspace file (code and comments) and every [`REF_DOCS`]
+/// doc, returning all findings (allowlist not yet applied) keyed by
+/// workspace-relative path.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
+    let tree = Tree::from_root(root)?;
     for file in workspace_files(root)? {
         let source = std::fs::read_to_string(&file)?;
-        findings.extend(scan_file(&rel_path(root, &file), &source));
+        let path = rel_path(root, &file);
+        findings.extend(scan_file(&path, &source));
+        findings.extend(scan_source_refs(&path, &source, &tree));
     }
-    let tree = Tree::from_root(root)?;
     for doc in REF_DOCS {
         if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
             findings.extend(scan_doc(doc, &text, &tree));
@@ -1030,6 +1080,18 @@ fn f() {
     }
 
     #[test]
+    fn dangling_ref_reads_uppercase_doc_names_in_rust_comments_only() {
+        let tree = Tree::of(&[], &["README.md"]);
+        let src = "//! See README.md, benchmark/NOTES.md, notes.md and `<NAME>.md`.\n\
+                   /// The argument is in DESIGN.md §4.\n\
+                   let s = \"GONE.md\"; // and ROADMAP_V2.md, not NOTES.mdx\n";
+        let findings = scan_source_refs("crates/x/src/lib.rs", src, &tree);
+        let keys: Vec<_> = findings.iter().map(|f| (f.line, f.key.as_str())).collect();
+        assert_eq!(keys, [(2, "DESIGN.md"), (3, "ROADMAP_V2.md")]);
+        assert!(findings.iter().all(|f| f.rule == Rule::DanglingRef && !f.allowable));
+    }
+
+    #[test]
     fn tree_indexes_discovered_and_declared_targets_of_this_checkout() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let tree = Tree::from_root(&root).expect("index");
@@ -1044,6 +1106,8 @@ fn f() {
         assert!(tree.has_target("bin", "bench_stack"));
         assert!(tree.has_path("ci/check_fanin.py") && tree.has_path("ci/fixtures"));
         assert!(!tree.has_path("ci/check"));
+        // … and the root documents a source comment may cite.
+        assert!(tree.has_path("README.md") && tree.has_path("EXPERIMENTS.md"));
     }
 
     #[test]

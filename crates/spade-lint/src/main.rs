@@ -9,18 +9,21 @@
 //! violation: an unannotated `Ordering::Relaxed` or `unsafe`, an
 //! annotation or hot-path/wire finding not registered in the allowlist
 //! (`spade-lint.allow` at the workspace root by default), a stale
-//! allowlist entry that no longer matches any site, or a doc / CI
+//! allowlist entry that no longer matches any site, a doc / CI
 //! reference to a cargo target, `ci/` file or `BENCH_*.json` baseline
-//! that is not in the tree.
+//! that is not in the tree, or a Rust comment citing a root `<NAME>.md`
+//! document that is not there.
 //!
 //! `--self-test` proves the detector still detects: it runs the rules
 //! over committed bad fixtures (unannotated relaxed, hot-path unwrap,
 //! unchecked wire-length arithmetic, bare unsafe, clock-in-loop, a doc
-//! naming deleted targets) and a good fixture, failing if any expected
-//! finding goes missing — mirroring the `--self-test` pattern of the
-//! `ci/` gate scripts.
+//! naming deleted targets, comments citing missing documents) and a good
+//! fixture, failing if any expected finding goes missing — mirroring the
+//! `--self-test` pattern of the `ci/` gate scripts.
 
-use spade_lint::{evaluate, scan_doc, scan_file, scan_workspace, Allowlist, Rule, Tree};
+use spade_lint::{
+    evaluate, scan_doc, scan_file, scan_source_refs, scan_workspace, Allowlist, Finding, Rule, Tree,
+};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -226,17 +229,18 @@ fn run_self_test() -> ExitCode {
         "ci/fixtures/retired_baseline.json",
     ];
     let findings = scan_doc("README.md", include_str!("../fixtures/bad_dangling_ref.md"), &tree);
-    let keys: Vec<&str> = findings.iter().map(|f| f.key.as_str()).collect();
-    let ok = keys == dead && findings.iter().all(|f| f.rule == Rule::DanglingRef && !f.allowable);
-    println!(
-        "self-test bad_dangling_ref: {} ({} dangling-ref findings)",
-        if ok { "PASS" } else { "FAIL" },
-        findings.len()
+    failed |= !exactly_dangling("bad_dangling_ref", &findings, &dead);
+
+    // The source fixture cites documents in comments against a tree whose
+    // only root document is README.md.
+    let tree = Tree::of(&[], &["README.md"]);
+    let source = include_str!("../fixtures/bad_dangling_comment.rs");
+    let findings = scan_source_refs("crates/spade-core/src/lib.rs", source, &tree);
+    failed |= !exactly_dangling(
+        "bad_dangling_comment",
+        &findings,
+        &["DESIGN.md", "ARCHITECTURE.md", "ROADMAP_V2.md"],
     );
-    if !ok {
-        println!("    expected {dead:?}\n    reported {keys:?}");
-        failed = true;
-    }
 
     if failed {
         println!("self-test: FAIL — a rule stopped detecting its fixture");
@@ -245,4 +249,20 @@ fn run_self_test() -> ExitCode {
         println!("self-test: PASS — every rule still fires on its fixture");
         ExitCode::SUCCESS
     }
+}
+
+/// Whether `findings` are exactly the unallowable `dangling-ref` findings
+/// keyed `dead`, in order; prints the verdict for fixture `name`.
+fn exactly_dangling(name: &str, findings: &[Finding], dead: &[&str]) -> bool {
+    let keys: Vec<&str> = findings.iter().map(|f| f.key.as_str()).collect();
+    let ok = keys == dead && findings.iter().all(|f| f.rule == Rule::DanglingRef && !f.allowable);
+    println!(
+        "self-test {name}: {} ({} dangling-ref findings)",
+        if ok { "PASS" } else { "FAIL" },
+        findings.len()
+    );
+    if !ok {
+        println!("    expected {dead:?}\n    reported {keys:?}");
+    }
+    ok
 }
