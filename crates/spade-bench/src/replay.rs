@@ -77,14 +77,14 @@ impl MetricKind {
     }
 }
 
-/// Builds an engine bootstrapped on `initial`.
-pub fn bootstrap_engine(kind: MetricKind, initial: &[StreamEdge]) -> SpadeEngine<BuiltinMetric> {
-    SpadeEngine::bootstrap(
-        kind.metric(),
-        SpadeConfig::default(),
-        initial.iter().map(|e| (e.src, e.dst, e.raw)),
-    )
-    .expect("bootstrap must succeed on generated workloads")
+/// Builds an engine bootstrapped on `edges`.
+pub fn bootstrap_engine<'a>(
+    kind: MetricKind,
+    edges: impl IntoIterator<Item = &'a StreamEdge>,
+) -> SpadeEngine<BuiltinMetric> {
+    let edges = edges.into_iter().map(|e| (e.src, e.dst, e.raw));
+    SpadeEngine::bootstrap(kind.metric(), SpadeConfig::default(), edges)
+        .expect("bootstrap must succeed on generated workloads")
 }
 
 /// Result of one replay run.
@@ -123,7 +123,7 @@ pub fn measure_static_baseline(
     increments: &[StreamEdge],
     runs: usize,
 ) -> f64 {
-    let engine = bootstrap_engine_all(kind, initial, increments);
+    let engine = bootstrap_engine(kind, initial.iter().chain(increments));
     let csr = CsrGraph::from_graph(engine.graph());
     let mut queue = MinQueue::new();
     // Warm-up run, then timed runs.
@@ -133,19 +133,6 @@ pub fn measure_static_baseline(
         std::hint::black_box(peel_with_queue(&csr, &mut queue));
     }
     started.elapsed().as_secs_f64() * 1e6 / runs.max(1) as f64
-}
-
-fn bootstrap_engine_all(
-    kind: MetricKind,
-    initial: &[StreamEdge],
-    increments: &[StreamEdge],
-) -> SpadeEngine<BuiltinMetric> {
-    SpadeEngine::bootstrap(
-        kind.metric(),
-        SpadeConfig::default(),
-        initial.iter().chain(increments).map(|e| (e.src, e.dst, e.raw)),
-    )
-    .expect("bootstrap must succeed")
 }
 
 /// Latency of the static competitor under the paper's model: detection
@@ -183,12 +170,7 @@ pub fn measure_incremental_replay(
         buf.extend(chunk.iter().map(|e| (e.src, e.dst, e.raw)));
         let trigger = chunk.last().expect("non-empty chunk").timestamp;
         let t0 = Instant::now();
-        if batch == 1 {
-            let (src, dst, raw) = buf[0];
-            engine.insert_edge(src, dst, raw).expect("insert");
-        } else {
-            engine.insert_batch(&buf).expect("batch insert");
-        }
+        engine.insert_batch(&buf).expect("batch insert");
         let dur_us = t0.elapsed().as_secs_f64() * 1e6;
         total_us += dur_us;
         rounds += 1;

@@ -10,6 +10,14 @@
 //! compare it with). The thin, paper-faithful `Spade` facade
 //! (`crate::spade`) and the edge-grouping layer (`crate::grouping`) sit on
 //! top.
+//!
+//! Every insertion has one core: **stage** each edge (materialize both
+//! endpoints, evaluate the metric or take a final weight, refuse a
+//! self-loop or a non-finite or negative value, write the graph; a
+//! refused edge is skipped, counted and remembered), then **commit**
+//! once, always (one reorder, one detection refresh), so graph and peel
+//! cannot disagree. The entries differ only in how they report refusals;
+//! [`SpadeEngine::evaluate`] runs the checks without the graph write.
 
 use crate::kinetic::KineticIndex;
 use crate::metric::DensityMetric;
@@ -18,6 +26,10 @@ use crate::reorder::{reorder, ReorderScratch, ReorderStats};
 use crate::state::{Detection, PeelingState};
 use spade_graph::hash::FxHashMap;
 use spade_graph::{DynamicGraph, EdgeRef, GraphError, VertexId};
+use std::cmp::min_by_key;
+
+/// One transaction: `(src, dst, raw attribute or final suspiciousness)`.
+type Edge = (VertexId, VertexId, f64);
 
 /// Engine configuration — field-less: every engine maintains the kinetic
 /// index, so there is nothing to configure. The type survives only
@@ -30,8 +42,10 @@ pub struct SpadeConfig {}
 /// The auto-incrementalized peeling engine.
 ///
 /// Generic over the density metric `M`, so the metric's suspiciousness
-/// functions inline into the hot paths.
-#[derive(Debug)]
+/// functions inline into the hot paths. Cloning deep-copies the engine —
+/// the moderator's "what-if" tool: clone, apply hypothetical
+/// transactions, inspect the detection, discard.
+#[derive(Clone, Debug)]
 pub struct SpadeEngine<M: DensityMetric> {
     graph: DynamicGraph,
     state: PeelingState,
@@ -40,11 +54,8 @@ pub struct SpadeEngine<M: DensityMetric> {
     detection: Detection,
     scratch: ReorderScratch,
     blacks_buf: Vec<VertexId>,
-    /// Reusable batch scratch: edges that actually landed in the graph
-    /// during the current batch insertion.
-    inserted_buf: Vec<(VertexId, VertexId)>,
     /// Reusable batch scratch: within-batch duplicate-pair coalescing.
-    coalesce_buf: Vec<(VertexId, VertexId, f64)>,
+    coalesce_buf: Vec<Edge>,
     /// Reusable batch scratch: packed pair → `coalesce_buf` slot.
     pair_index: FxHashMap<u64, usize>,
     last_stats: ReorderStats,
@@ -62,7 +73,6 @@ impl<M: DensityMetric> SpadeEngine<M> {
             detection: Detection::EMPTY,
             scratch: ReorderScratch::new(),
             blacks_buf: Vec::new(),
-            inserted_buf: Vec::new(),
             coalesce_buf: Vec::new(),
             pair_index: FxHashMap::default(),
             last_stats: ReorderStats::default(),
@@ -70,45 +80,22 @@ impl<M: DensityMetric> SpadeEngine<M> {
         }
     }
 
-    /// Bootstraps an engine from an initial transaction log by building
-    /// the graph edge-by-edge (streaming suspiciousness semantics) and
-    /// then running **one** static peel — the `LoadGraph` path of
-    /// Listing 1.
+    /// Bootstraps an engine from an initial transaction log by staging it
+    /// edge-by-edge into a bare graph (streaming suspiciousness semantics,
+    /// no peeling state yet) and then running **one** static peel — the
+    /// `LoadGraph` path of Listing 1. The first refused edge aborts it.
     pub fn bootstrap(
         metric: M,
         _config: SpadeConfig,
-        edges: impl IntoIterator<Item = (VertexId, VertexId, f64)>,
+        edges: impl IntoIterator<Item = Edge>,
     ) -> Result<Self, GraphError> {
         let mut engine = Self::new(metric);
         let mut graph = DynamicGraph::new();
         for (src, dst, raw) in edges {
-            for v in [src, dst] {
-                let created = graph.ensure_vertex(v);
-                if created > 0 {
-                    let start = graph.num_vertices() - created;
-                    for i in start..graph.num_vertices() {
-                        let u = VertexId::from_index(i);
-                        let a = engine.metric.vertex_susp(u, &graph);
-                        graph.set_vertex_weight(u, a)?;
-                    }
-                }
-            }
-            let c = engine.metric.edge_susp(src, dst, raw, &graph);
-            validate_susp(src, dst, c)?;
-            if c > 0.0 {
-                graph.insert_edge(src, dst, c)?;
-            }
+            stage(&mut graph, &engine.metric, src, dst, raw, M::edge_susp)?;
         }
-        engine.install_graph(graph);
+        engine.reload_graph(graph);
         Ok(engine)
-    }
-
-    /// Builds an engine around a graph whose weights are **already** the
-    /// final suspiciousness values (no metric evaluation happens).
-    pub fn from_weighted_graph(graph: DynamicGraph, metric: M, _config: SpadeConfig) -> Self {
-        let mut engine = Self::new(metric);
-        engine.install_graph(graph);
-        engine
     }
 
     /// Rehydrates an engine from a previously captured graph + peeling
@@ -137,10 +124,6 @@ impl<M: DensityMetric> SpadeEngine<M> {
     /// many union re-peels through one borrowed scratch engine instead of
     /// constructing a fresh engine per union.
     pub fn reload_graph(&mut self, graph: DynamicGraph) {
-        self.install_graph(graph);
-    }
-
-    fn install_graph(&mut self, graph: DynamicGraph) {
         let outcome = peel(&graph);
         self.state = PeelingState::from_outcome(&outcome);
         self.graph = graph;
@@ -192,36 +175,40 @@ impl<M: DensityMetric> SpadeEngine<M> {
     }
 
     /// Materializes `v` (and any implied lower ids) in graph, state and
-    /// index ahead of time — the edge-grouping buffer uses this so that
-    /// urgency classification can read `w_u(S_0)` for endpoints it has not
-    /// inserted yet.
+    /// index, assigning vertex suspiciousness on first sight — the
+    /// edge-grouping buffer uses this so that urgency classification can
+    /// read `w_u(S_0)` for endpoints it has not inserted yet.
     pub fn ensure_vertex(&mut self, v: VertexId) -> Result<(), GraphError> {
-        self.prepare_vertex(v)
+        let result = materialize(&mut self.graph, &self.metric, v);
+        self.track_new_vertices();
+        result
     }
 
-    /// Ensures `v` (and any implied lower ids) exist in graph, state and
-    /// index, assigning vertex suspiciousness on first sight.
-    fn prepare_vertex(&mut self, v: VertexId) -> Result<(), GraphError> {
-        let created = self.graph.ensure_vertex(v);
-        if created == 0 {
-            return Ok(());
-        }
-        let start = self.graph.num_vertices() - created;
-        for i in start..self.graph.num_vertices() {
+    /// Enters every vertex the graph holds beyond the peeling state at the
+    /// head of the sequence (§4.1) with its isolated weight `a_u` (0 if
+    /// its prior was refused), so graph and peel cover the same vertices.
+    fn track_new_vertices(&mut self) {
+        for i in self.state.len()..self.graph.num_vertices() {
             let u = VertexId::from_index(i);
-            let a = self.metric.vertex_susp(u, &self.graph);
-            self.graph.set_vertex_weight(u, a)?;
-            // New vertices enter at the head of the peeling sequence
-            // (§4.1) with their true isolated weight a_u.
+            let a = self.graph.vertex_weight(u);
             self.state.push_front(u, a);
             self.kinetic.append(a);
         }
-        Ok(())
     }
 
-    /// Inserts one transaction, evaluates its suspiciousness, reorders the
-    /// affected window, and returns the (possibly updated) detection —
-    /// the paper's `InsertEdge`.
+    /// The staging checks of one transaction without the graph write:
+    /// returns its suspiciousness `c` (0 = redundant) or the refusal. The
+    /// edge-grouping buffer classifies with this at arrival time and later
+    /// inserts `c` through [`insert_batch_weighted`](Self::insert_batch_weighted).
+    pub fn evaluate(&mut self, src: VertexId, dst: VertexId, raw: f64) -> Result<f64, GraphError> {
+        let c = check(&mut self.graph, &self.metric, src, dst, raw, M::edge_susp);
+        self.track_new_vertices();
+        c
+    }
+
+    /// Inserts one transaction, reorders the affected window, and returns
+    /// the (possibly updated) detection — the paper's `InsertEdge`, a
+    /// one-edge [`insert_batch`](Self::insert_batch).
     ///
     /// A metric may return suspiciousness 0 to declare the transaction
     /// *redundant* (e.g. DG/FD set semantics for repeated pairs); the
@@ -232,149 +219,66 @@ impl<M: DensityMetric> SpadeEngine<M> {
         dst: VertexId,
         raw: f64,
     ) -> Result<Detection, GraphError> {
-        self.prepare_vertex(src)?;
-        self.prepare_vertex(dst)?;
-        let c = self.metric.edge_susp(src, dst, raw, &self.graph);
-        validate_susp(src, dst, c)?;
-        if c == 0.0 {
-            return Ok(self.cached_detection());
-        }
-        self.graph.insert_edge(src, dst, c)?;
-        self.blacks_buf.clear();
-        let earlier =
-            if self.state.position_of(src) < self.state.position_of(dst) { src } else { dst };
-        self.blacks_buf.push(earlier);
-        self.run_reorder();
-        Ok(self.refresh_detection())
+        self.insert_batch(&[(src, dst, raw)])
     }
 
     /// Inserts a batch of transactions and reorders **once** (Algorithm 2)
-    /// — the paper's `InsertBatchEdges`.
-    pub fn insert_batch(
-        &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-    ) -> Result<Detection, GraphError> {
-        self.insert_batch_inner(edges, false)
+    /// — the paper's `InsertBatchEdges`. A refused transaction does not
+    /// stop the others: they are applied and committed, then the first
+    /// refusal is returned as the error.
+    pub fn insert_batch(&mut self, edges: &[Edge]) -> Result<Detection, GraphError> {
+        let (det, _, first_refusal) = self.insert_staged(edges, M::edge_susp);
+        first_refusal.map_or(Ok(det), Err)
     }
 
-    /// [`insert_batch`](Self::insert_batch) for edges whose suspiciousness
-    /// `c` has already been evaluated (used by the edge-grouping buffer,
-    /// which classifies at arrival time).
-    pub fn insert_batch_weighted(
-        &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-    ) -> Result<Detection, GraphError> {
-        self.insert_batch_inner(edges, true)
+    /// [`insert_batch`](Self::insert_batch) that returns the detection and
+    /// the refusal count — the service worker's drain-coalescing entry.
+    pub fn insert_batch_tolerant(&mut self, edges: &[Edge]) -> (Detection, u64) {
+        let (det, refused, _) = self.insert_staged(edges, M::edge_susp);
+        (det, refused)
     }
 
-    /// Batch insertion that **never fails**: malformed transactions
-    /// (self-loops, non-finite or negative suspiciousness) are skipped
-    /// and counted instead of aborting the rest of the batch — exactly
-    /// what per-edge [`insert_edge`](Self::insert_edge) callers get by
-    /// dropping individual errors. Returns the post-batch detection and
-    /// the number of rejected transactions. This is the service worker's
-    /// drain-coalescing entry point.
-    pub fn insert_batch_tolerant(
-        &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-    ) -> (Detection, u64) {
-        match self.insert_batch_run(edges, false, true) {
-            Ok(result) => result,
-            // Tolerant runs swallow per-edge errors by construction.
-            Err(_) => unreachable!("tolerant batch insertion cannot fail"),
-        }
+    /// [`insert_batch_tolerant`](Self::insert_batch_tolerant) for final
+    /// suspiciousness values (no metric runs): the grouping flush and the
+    /// migration absorb. Duplicate `(src, dst)` pairs are pre-coalesced —
+    /// accumulation is linear once `c` is known. (The metric-evaluating
+    /// path cannot coalesce: `edge_susp` reads the evolving graph.)
+    pub fn insert_batch_weighted(&mut self, edges: &[Edge]) -> (Detection, u64) {
+        let mut coalesced = std::mem::take(&mut self.coalesce_buf);
+        coalesce_pairs(edges, &mut coalesced, &mut self.pair_index);
+        let (det, refused, _) = self.insert_staged(&coalesced, |_, _, _, c, _| c);
+        self.coalesce_buf = coalesced;
+        (det, refused)
     }
 
-    /// [`insert_batch_tolerant`](Self::insert_batch_tolerant) for edges
-    /// whose suspiciousness is already final (no metric evaluation) —
-    /// the migration absorb path, where a possibly corrupt slice must
-    /// never abort the healthy remainder of the batch.
-    pub fn insert_batch_weighted_tolerant(
+    /// The insertion core: stages every edge (`weigh` gives its
+    /// suspiciousness), seeding `ΔV` with the earlier-peeled endpoint of
+    /// each one that landed, then commits once whatever was refused.
+    /// Returns the detection, the refusal count and the first refusal.
+    fn insert_staged(
         &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-    ) -> (Detection, u64) {
-        match self.insert_batch_run(edges, true, true) {
-            Ok(result) => result,
-            Err(_) => unreachable!("tolerant batch insertion cannot fail"),
-        }
-    }
-
-    fn insert_batch_inner(
-        &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-        preweighted: bool,
-    ) -> Result<Detection, GraphError> {
-        if preweighted && edges.len() > 1 {
-            // Pre-coalesce duplicate `(src, dst)` pairs: suspiciousness
-            // is already evaluated, so accumulation is linear and k
-            // parallel transactions collapse into one graph touch. (The
-            // metric-evaluating path cannot coalesce — `edge_susp` reads
-            // the evolving graph, so arrival order matters there.)
-            let mut coalesced = std::mem::take(&mut self.coalesce_buf);
-            coalesced.clear();
-            let merge = coalesce_pairs(edges, &mut coalesced, &mut self.pair_index);
-            let result = match merge {
-                Ok(()) => self.insert_batch_run(&coalesced, true, false).map(|(det, _)| det),
-                Err(e) => Err(e),
-            };
-            self.coalesce_buf = coalesced;
-            return result;
-        }
-        self.insert_batch_run(edges, preweighted, false).map(|(det, _)| det)
-    }
-
-    /// Shared batch core: stages every edge into the graph, seeds `ΔV`
-    /// (deduplicated by the reordering pass), and reorders **once**.
-    /// `tolerant` turns per-edge errors into a rejection count.
-    fn insert_batch_run(
-        &mut self,
-        edges: &[(VertexId, VertexId, f64)],
-        preweighted: bool,
-        tolerant: bool,
-    ) -> Result<(Detection, u64), GraphError> {
+        edges: &[Edge],
+        weigh: impl Fn(&M, VertexId, VertexId, f64, &DynamicGraph) -> f64 + Copy,
+    ) -> (Detection, u64, Option<GraphError>) {
         self.blacks_buf.clear();
-        let mut inserted = std::mem::take(&mut self.inserted_buf);
-        inserted.clear();
-        let mut rejected: u64 = 0;
+        let (mut refused, mut first_refusal) = (0, None);
         for &(src, dst, raw) in edges {
-            match self.stage_edge(src, dst, raw, preweighted) {
-                Ok(true) => inserted.push((src, dst)),
+            let landed = stage(&mut self.graph, &self.metric, src, dst, raw, weigh);
+            self.track_new_vertices();
+            match landed {
+                // Ranks survive head insertions: this is the commit's order.
+                Ok(true) => {
+                    self.blacks_buf.push(min_by_key(src, dst, |&u| self.state.position_of(u)))
+                }
                 Ok(false) => {} // redundant under the metric's set semantics
-                Err(_) if tolerant => rejected += 1,
                 Err(e) => {
-                    self.inserted_buf = inserted;
-                    return Err(e);
+                    refused += 1;
+                    first_refusal.get_or_insert(e);
                 }
             }
         }
-        for &(src, dst) in &inserted {
-            let earlier =
-                if self.state.position_of(src) < self.state.position_of(dst) { src } else { dst };
-            self.blacks_buf.push(earlier);
-        }
-        self.inserted_buf = inserted;
         self.run_reorder();
-        Ok((self.refresh_detection(), rejected))
-    }
-
-    /// Stages one transaction of a batch into the graph (no reorder).
-    /// Returns whether an edge actually landed.
-    fn stage_edge(
-        &mut self,
-        src: VertexId,
-        dst: VertexId,
-        raw: f64,
-        preweighted: bool,
-    ) -> Result<bool, GraphError> {
-        self.prepare_vertex(src)?;
-        self.prepare_vertex(dst)?;
-        let c = if preweighted { raw } else { self.metric.edge_susp(src, dst, raw, &self.graph) };
-        validate_susp(src, dst, c)?;
-        if c == 0.0 {
-            return Ok(false);
-        }
-        self.graph.insert_edge(src, dst, c)?;
-        Ok(true)
+        (self.refresh_detection(), refused, first_refusal)
     }
 
     fn run_reorder(&mut self) {
@@ -463,7 +367,7 @@ impl<M: DensityMetric> SpadeEngine<M> {
         a: f64,
     ) -> Result<Detection, GraphError> {
         DynamicGraph::check_vertex_weight(v, a)?;
-        self.prepare_vertex(v)?;
+        self.ensure_vertex(v)?;
         let old = self.graph.vertex_weight(v);
         if a > old {
             self.graph.set_vertex_weight(v, a)?;
@@ -485,49 +389,75 @@ impl<M: DensityMetric> SpadeEngine<M> {
         }
         Ok(self.refresh_detection())
     }
-
-    /// Consumes the engine, returning the graph (used by the enumeration
-    /// extension to avoid a clone).
-    pub fn into_graph(self) -> DynamicGraph {
-        self.graph
-    }
 }
 
-impl<M: DensityMetric + Clone> Clone for SpadeEngine<M> {
-    /// Deep-copies the engine — the moderator's "what-if" tool: clone,
-    /// apply hypothetical transactions, inspect the detection, discard.
-    fn clone(&self) -> Self {
-        SpadeEngine {
-            graph: self.graph.clone(),
-            state: self.state.clone(),
-            metric: self.metric.clone(),
-            kinetic: self.kinetic.clone(),
-            detection: self.detection,
-            scratch: self.scratch.clone(),
-            blacks_buf: self.blacks_buf.clone(),
-            inserted_buf: self.inserted_buf.clone(),
-            coalesce_buf: self.coalesce_buf.clone(),
-            pair_index: self.pair_index.clone(),
-            last_stats: self.last_stats,
-            total_stats: self.total_stats,
-        }
-    }
-}
-
-/// Sums duplicate ordered `(src, dst)` pairs of a pre-weighted batch into
-/// `out`, keeping first-occurrence order (so vertex materialization order
-/// is identical to the sequential path). Each entry is validated before
-/// summing — a malformed weight must not hide inside an aggregate.
-/// `index` is caller-owned scratch (cleared here) so frequent flushes pay
-/// no per-batch allocation.
-fn coalesce_pairs(
-    edges: &[(VertexId, VertexId, f64)],
-    out: &mut Vec<(VertexId, VertexId, f64)>,
-    index: &mut FxHashMap<u64, usize>,
+/// Grows `graph` so that `v` exists, giving each created vertex its prior
+/// `a_u` under `metric`. A refused prior leaves its vertex at weight 0;
+/// the first one is returned as the error.
+fn materialize<M: DensityMetric>(
+    graph: &mut DynamicGraph,
+    metric: &M,
+    v: VertexId,
 ) -> Result<(), GraphError> {
+    let created = graph.ensure_vertex(v);
+    let mut result = Ok(());
+    for i in graph.num_vertices() - created..graph.num_vertices() {
+        let u = VertexId::from_index(i);
+        let a = metric.vertex_susp(u, graph);
+        result = result.and(graph.set_vertex_weight(u, a));
+    }
+    result
+}
+
+/// The staging checks: materialize both endpoints in `graph`, weigh the
+/// edge, refuse what no edge may carry. Returns the suspiciousness.
+fn check<M: DensityMetric>(
+    graph: &mut DynamicGraph,
+    metric: &M,
+    src: VertexId,
+    dst: VertexId,
+    raw: f64,
+    weigh: impl Fn(&M, VertexId, VertexId, f64, &DynamicGraph) -> f64,
+) -> Result<f64, GraphError> {
+    materialize(graph, metric, src)?;
+    materialize(graph, metric, dst)?;
+    let c = weigh(metric, src, dst, raw, graph);
+    validate_susp(src, dst, c)?;
+    Ok(c)
+}
+
+/// Stages one transaction: [`check`], then write it. Returns whether an
+/// edge landed.
+#[inline]
+fn stage<M: DensityMetric>(
+    graph: &mut DynamicGraph,
+    metric: &M,
+    src: VertexId,
+    dst: VertexId,
+    raw: f64,
+    weigh: impl Fn(&M, VertexId, VertexId, f64, &DynamicGraph) -> f64,
+) -> Result<bool, GraphError> {
+    let c = check(graph, metric, src, dst, raw, weigh)?;
+    if c == 0.0 {
+        return Ok(false);
+    }
+    graph.insert_edge(src, dst, c)?;
+    Ok(true)
+}
+
+/// Sums duplicate ordered `(src, dst)` pairs of a final-weight batch into
+/// `out`, keeping first-occurrence order (so vertex materialization order
+/// is identical to the sequential path). An entry staging would refuse
+/// passes through alone, so no malformed weight hides in an aggregate.
+/// `index` is caller-owned scratch so frequent flushes pay no allocation.
+fn coalesce_pairs(edges: &[Edge], out: &mut Vec<Edge>, index: &mut FxHashMap<u64, usize>) {
+    out.clear();
     index.clear();
     for &(src, dst, c) in edges {
-        validate_susp(src, dst, c)?;
+        if validate_susp(src, dst, c).is_err() {
+            out.push((src, dst, c));
+            continue;
+        }
         match index.entry(EdgeRef::new(src, dst).packed()) {
             std::collections::hash_map::Entry::Occupied(slot) => out[*slot.get()].2 += c,
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -536,15 +466,18 @@ fn coalesce_pairs(
             }
         }
     }
-    Ok(())
 }
 
+/// The one validation of edge suspiciousness: refuses a self-loop, a
+/// non-finite `c` and a negative `c` (a metric bug). Zero is valid: a
+/// redundant transaction (set semantics), which staging skips.
 fn validate_susp(src: VertexId, dst: VertexId, c: f64) -> Result<(), GraphError> {
+    if src == dst {
+        return Err(GraphError::SelfLoop { vertex: src });
+    }
     if !c.is_finite() {
         return Err(GraphError::NonFiniteWeight { context: "edge suspiciousness" });
     }
-    // Exactly zero means "redundant transaction" (set semantics) and is
-    // handled by the callers; negative suspiciousness is a metric bug.
     if c < 0.0 {
         return Err(GraphError::NonPositiveEdgeWeight { src, dst, weight: c });
     }
@@ -554,7 +487,9 @@ fn validate_susp(src: VertexId, dst: VertexId, c: f64) -> Result<(), GraphError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{Fraudar, UnweightedDensity, WeightedDensity};
+    use crate::grouping::{EdgeGrouper, GroupingConfig};
+    use crate::metric::{CustomMetric, Fraudar, UnweightedDensity, WeightedDensity};
+    use crate::spade::SpadeBuilder;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -658,7 +593,7 @@ mod tests {
             sequential.insert_edge(a, b, w).unwrap();
         }
         let mut batched = SpadeEngine::new(WeightedDensity);
-        batched.insert_batch_weighted(&edges).unwrap();
+        assert_eq!(batched.insert_batch_weighted(&edges).1, 0);
         assert_eq!(batched.state().logical_order(), sequential.state().logical_order());
         assert_eq!(batched.detect(), sequential.detect());
         assert_eq!(batched.graph().num_edges(), sequential.graph().num_edges());
@@ -687,8 +622,9 @@ mod tests {
     fn batch_scratch_buffers_are_reused_across_calls() {
         let mut e = SpadeEngine::new(WeightedDensity);
         e.insert_batch(&[(v(0), v(1), 2.0), (v(1), v(2), 3.0)]).unwrap();
-        e.insert_batch_weighted(&[(v(2), v(3), 1.0), (v(2), v(3), 2.0), (v(3), v(4), 1.0)])
-            .unwrap();
+        let (_, refused) =
+            e.insert_batch_weighted(&[(v(2), v(3), 1.0), (v(2), v(3), 2.0), (v(3), v(4), 1.0)]);
+        assert_eq!(refused, 0);
         e.insert_batch(&[(v(4), v(0), 2.0)]).unwrap();
         check_against_static(&mut e);
         // Accumulated duplicate pair from the weighted batch.
@@ -908,5 +844,118 @@ mod tests {
             check_against_static(&mut e);
             e.state().validate_greedy(e.graph(), 1e-9);
         }
+    }
+
+    /// A random batch over `universe` vertices with injected self-loops,
+    /// NaN weights and negative weights, and the same batch without them.
+    fn batch_with_refusals(rng: &mut impl rand::Rng, universe: u32) -> (Vec<Edge>, Vec<Edge>) {
+        let (mut batch, mut valid) = (Vec::new(), Vec::new());
+        for _ in 0..rng.gen_range(1..12) {
+            let a = rng.gen_range(0..universe);
+            let b = if rng.gen_range(0..6) == 0 { a } else { rng.gen_range(0..universe) };
+            let w = match rng.gen_range(0..8) {
+                0 => f64::NAN,
+                1 => -(rng.gen_range(1..5) as f64),
+                _ => rng.gen_range(1..6) as f64,
+            };
+            batch.push((v(a), v(b), w));
+            if a != b && w > 0.0 {
+                valid.push((v(a), v(b), w));
+            }
+        }
+        (batch, valid)
+    }
+
+    /// Every entry, fed batches with refused edges: the peel equals a static
+    /// peel after each batch, and the engine equals a twin fed the same
+    /// batches without them. Entry 3 is the grouped facade, alternating
+    /// `insert_batch_edges` with per-edge submits through the grouper.
+    #[test]
+    fn refused_edges_never_desync_the_engine() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(28);
+        let build =
+            || SpadeBuilder::new().esusp(|_, _, raw, _| raw).turn_on_edge_grouping().build();
+        for trial in 0..80 {
+            let universe = rng.gen_range(3..12u32);
+            let (mut subject, mut twin) = (build(), build());
+            for spade in [&mut subject, &mut twin] {
+                // Refused edges then materialize nothing the twin lacks.
+                spade.engine_mut().ensure_vertex(v(universe - 1)).unwrap();
+            }
+            for round in 0..rng.gen_range(1..6) {
+                let (batch, valid) = batch_with_refusals(&mut rng, universe);
+                let refused = (batch.len() - valid.len()) as u64;
+                let s = subject.engine_mut();
+                match trial % 4 {
+                    0 => assert_eq!(s.insert_batch(&batch).is_err(), refused > 0),
+                    1 => assert_eq!(s.insert_batch_tolerant(&batch).1, refused),
+                    2 => assert_eq!(s.insert_batch_weighted(&batch).1, refused),
+                    _ if round % 2 == 0 => {
+                        assert_eq!(subject.insert_batch_edges(&batch).is_err(), refused > 0)
+                    }
+                    _ => {
+                        let ok =
+                            batch.iter().filter(|e| subject.insert_edge(e.0, e.1, e.2).is_ok());
+                        assert_eq!(ok.count(), valid.len());
+                    }
+                }
+                match trial % 4 {
+                    0 | 1 => assert_eq!(twin.engine_mut().insert_batch_tolerant(&valid).1, 0),
+                    2 => assert_eq!(twin.engine_mut().insert_batch_weighted(&valid).1, 0),
+                    _ if round % 2 == 0 => assert!(twin.insert_batch_edges(&valid).is_ok()),
+                    _ => assert!(valid.iter().all(|e| twin.insert_edge(e.0, e.1, e.2).is_ok())),
+                }
+                subject.detection().unwrap(); // flushes the grouping buffer
+                twin.detection().unwrap();
+                let (s, t) = (subject.engine(), twin.engine());
+                assert_eq!(s.state().logical_order(), peel(s.graph()).order, "peel desynced");
+                assert_eq!(s.state().logical_order(), t.state().logical_order());
+                assert!(s.graph().iter_edges().eq(t.graph().iter_edges()));
+                assert_eq!(s.cached_detection(), t.cached_detection());
+            }
+        }
+    }
+
+    /// A refused edge mid-batch once returned early: the edge before it
+    /// stayed in the graph but never reached the peel (density 0.5 where
+    /// a static peel gives 2.5), and every later insert stayed wrong.
+    #[test]
+    fn mid_batch_self_loop_still_commits_the_valid_edges() {
+        let batch = [(v(1), v(2), 5.0), (v(3), v(3), 1.0), (v(2), v(4), 2.0)];
+        let mut e = SpadeEngine::new(WeightedDensity);
+        e.insert_edge(v(0), v(1), 1.0).unwrap();
+        let refused = e.insert_batch(&batch);
+        assert!(matches!(refused, Err(GraphError::SelfLoop { vertex: VertexId(3) })));
+        assert_eq!(e.detect().density, 2.5);
+        check_against_static(&mut e);
+        // Listing 1's `InsertBatchEdges` on the facade, same batch.
+        let mut spade = SpadeBuilder::new().esusp(|_, _, raw, _| raw).build();
+        spade.insert_edge(v(0), v(1), 1.0).unwrap();
+        assert!(spade.insert_batch_edges(&batch).is_err());
+        assert_eq!(spade.detection().unwrap().density, 2.5);
+        assert_eq!(spade.detect().unwrap().len(), 2);
+        assert_eq!(spade.engine().state().logical_order(), e.state().logical_order());
+    }
+
+    #[test]
+    fn zero_scored_self_loop_is_refused_by_engine_and_grouper() {
+        let mut e = SpadeEngine::new(CustomMetric::new("zero", |_, _| 0.0, |_, _, _, _| 0.0));
+        let refused = e.insert_edge(v(2), v(2), 1.0);
+        assert!(matches!(refused, Err(GraphError::SelfLoop { vertex: VertexId(2) })));
+        let mut g = EdgeGrouper::new(GroupingConfig::default());
+        let refused = g.submit(&mut e, v(2), v(2), 1.0);
+        assert!(matches!(refused, Err(GraphError::SelfLoop { vertex: VertexId(2) })));
+    }
+
+    #[test]
+    fn refused_vertex_prior_still_enters_the_peel() {
+        let prior = |u: VertexId, _: &DynamicGraph| if u.0 == 1 { f64::NAN } else { 1.0 };
+        let mut e = SpadeEngine::new(CustomMetric::new("nan", prior, |_, _, raw, _| raw));
+        // Materializing 0..=2 refuses vertex 1's prior, and with it the edge.
+        assert!(e.insert_edge(v(0), v(2), 3.0).is_err());
+        assert_eq!((e.state().len(), e.graph().vertex_weight(v(2))), (3, 1.0));
+        e.insert_edge(v(0), v(2), 3.0).unwrap();
+        assert_eq!(e.state().logical_order(), peel(e.graph()).order);
     }
 }

@@ -268,11 +268,8 @@ mod tests {
         let config = EnumerationConfig { max_instances: 0, min_density: 1.0, ..Default::default() };
         let want = enumerate_static(&g, config);
 
-        let mut engine = SpadeEngine::from_weighted_graph(
-            g,
-            WeightedDensity,
-            crate::engine::SpadeConfig::default(),
-        );
+        let mut engine = SpadeEngine::new(WeightedDensity);
+        engine.reload_graph(g);
         let got = enumerate_incremental(&mut engine, config);
         assert_eq!(want.len(), got.len());
         for (wi, gi) in want.iter().zip(&got) {

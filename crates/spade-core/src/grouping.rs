@@ -16,10 +16,12 @@
 //! is safe.
 //!
 //! Implementation notes: suspiciousness is evaluated once, at arrival, and
-//! reused at flush (the streaming semantics of [`crate::metric`]); the
-//! urgency test optionally counts the buffered-but-uninserted weight of
-//! each endpoint (`include_pending`, default on) so a burst of buffered
-//! transactions onto one vertex cannot hide below the threshold.
+//! reused at flush (the streaming semantics of [`crate::metric`]) — by the
+//! engine's own staging checks ([`SpadeEngine::evaluate`]), so the grouper
+//! refuses exactly what a direct insertion would; the urgency test
+//! optionally counts the buffered-but-uninserted weight of each endpoint
+//! (`include_pending`, default on) so a burst of buffered transactions
+//! onto one vertex cannot hide below the threshold.
 
 use crate::engine::SpadeEngine;
 use crate::metric::DensityMetric;
@@ -122,21 +124,7 @@ impl EdgeGrouper {
         dst: VertexId,
         raw: f64,
     ) -> Result<SubmitOutcome, GraphError> {
-        engine.ensure_vertex(src)?;
-        engine.ensure_vertex(dst)?;
-        // Reject self-loops here (after vertex materialization, exactly
-        // like the per-edge engine path) — buffering one would poison
-        // the whole flush batch later.
-        if src == dst {
-            return Err(GraphError::SelfLoop { vertex: src });
-        }
-        let c = engine.metric().edge_susp(src, dst, raw, engine.graph());
-        if !c.is_finite() {
-            return Err(GraphError::NonFiniteWeight { context: "edge suspiciousness" });
-        }
-        if c < 0.0 {
-            return Err(GraphError::NonPositiveEdgeWeight { src, dst, weight: c });
-        }
+        let c = engine.evaluate(src, dst, raw)?; // a refusal is never buffered
         self.stats.submitted += 1;
         let pair = EdgeRef::new(src, dst).packed();
         let redundant = c == 0.0
@@ -159,9 +147,9 @@ impl EdgeGrouper {
 
         let flushed = if urgent {
             self.stats.urgent += 1;
-            Some((FlushReason::Urgent, self.flush_inner(engine)?))
+            Some((FlushReason::Urgent, self.flush(engine)?))
         } else if self.config.max_buffer > 0 && self.buffer.len() >= self.config.max_buffer {
-            Some((FlushReason::Capacity, self.flush_inner(engine)?))
+            Some((FlushReason::Capacity, self.flush(engine)?))
         } else {
             None
         };
@@ -192,7 +180,7 @@ impl EdgeGrouper {
 
     /// Flushes the buffer into the engine (one batch reorder), returning
     /// the post-flush detection. No-op returning the cached detection when
-    /// the buffer is empty.
+    /// the buffer is empty. Never fails: submit refused every bad edge.
     pub fn flush<M: DensityMetric>(
         &mut self,
         engine: &mut SpadeEngine<M>,
@@ -200,16 +188,9 @@ impl EdgeGrouper {
         if self.buffer.is_empty() {
             return Ok(engine.cached_detection());
         }
-        self.flush_inner(engine)
-    }
-
-    fn flush_inner<M: DensityMetric>(
-        &mut self,
-        engine: &mut SpadeEngine<M>,
-    ) -> Result<Detection, GraphError> {
         self.stats.flushes += 1;
         self.stats.flushed_edges += self.buffer.len();
-        let det = engine.insert_batch_weighted(&self.buffer)?;
+        let (det, _) = engine.insert_batch_weighted(&self.buffer);
         self.buffer.clear();
         self.pending.clear();
         self.buffered_pairs.clear();

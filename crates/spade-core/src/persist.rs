@@ -9,31 +9,113 @@
 //! [`load_engine`] restores in O(|V| + |E|) straight into serving — no
 //! static peel.
 //!
-//! Format: a small length-prefixed binary layout built on [`bytes`]
-//! (magic + version header, little-endian fixed-width integers, `f64`
-//! bits). Written via any `io::Write`, read via any `io::Read`.
+//! Format: a small length-prefixed binary layout (magic + version
+//! header, little-endian fixed-width integers, `f64` bits). Written via
+//! any `io::Write`, read via any `io::Read`.
+//!
+//! The byte primitives are shared with the `spade-net` wire protocol:
+//! [`PutLe`] appends to a `Vec<u8>`, [`ByteReader`] reads a borrowed
+//! `&[u8]` without copying it. Peers send these bytes (regions, migration
+//! slices), so every read returns [`Truncated`] instead of panicking.
 
 use crate::engine::{SpadeConfig, SpadeEngine};
 use crate::metric::DensityMetric;
 use crate::peel::PeelingOutcome;
 use crate::state::PeelingState;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spade_graph::hash::{FxHashMap, FxHashSet};
 use spade_graph::{DynamicGraph, GraphError, VertexId};
 use std::io::{Read, Write};
 
-/// Overflow-safe section length check: `count` records of `width` bytes
-/// must fit in the remaining buffer (a crafted 64-bit count must fail
-/// decoding, not wrap the multiplication and crash later).
-fn check_section(
-    buf: &Bytes,
-    count: usize,
-    width: usize,
-    what: &'static str,
-) -> Result<(), SnapshotError> {
-    match count.checked_mul(width) {
-        Some(need) if buf.remaining() >= need => Ok(()),
-        _ => Err(SnapshotError::Corrupt(what)),
+/// Little-endian appends: the write half of the codecs.
+pub trait PutLe {
+    /// Appends a little-endian `u32`.
+    fn put_u32_le(&mut self, v: u32);
+    /// Appends a little-endian `u64`.
+    fn put_u64_le(&mut self, v: u64);
+    /// Appends the bits of an `f64`, little-endian.
+    fn put_f64_le(&mut self, v: f64);
+}
+
+impl PutLe for Vec<u8> {
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_f64_le(&mut self, v: f64) {
+        self.put_u64_le(v.to_bits());
+    }
+}
+
+/// A [`ByteReader`] read past its input, or a section count that cannot
+/// fit in it; names what was being read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Truncated(pub &'static str);
+
+/// The read half: a bounds-checked little-endian cursor over borrowed bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        ByteReader { rest: bytes }
+    }
+
+    /// Consumes the next `n` bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        let (head, tail) =
+            self.rest.split_at_checked(n).ok_or(Truncated("input ends inside a record"))?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    /// Consumes every byte not yet read.
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
+        self.bytes(N)?.try_into().map_err(|_| Truncated("input ends inside a record"))
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads the bits of a little-endian `f64`.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, Truncated> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Checks a section count before the caller allocates for it: `count`
+    /// records of `width` bytes must fit in the bytes not yet read
+    /// (overflow-safe: a crafted count cannot wrap the multiplication).
+    pub fn count(&self, count: u64, width: usize, what: &'static str) -> Result<usize, Truncated> {
+        let fits = usize::try_from(count)
+            .ok()
+            .filter(|&n| n.checked_mul(width).is_some_and(|need| need <= self.rest.len()));
+        fits.ok_or(Truncated(what))
     }
 }
 
@@ -81,6 +163,12 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+impl From<Truncated> for SnapshotError {
+    fn from(e: Truncated) -> Self {
+        SnapshotError::Corrupt(e.0)
+    }
+}
+
 impl From<GraphError> for SnapshotError {
     fn from(e: GraphError) -> Self {
         SnapshotError::Graph(e)
@@ -108,14 +196,14 @@ pub fn load_engine<M: DensityMetric, R: Read>(
 ) -> Result<SpadeEngine<M>, SnapshotError> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let (graph, state) = decode(Bytes::from(raw))?;
+    let (graph, state) = decode(&raw)?;
     Ok(SpadeEngine::from_parts(graph, state, metric, config))
 }
 
-fn encode(graph: &DynamicGraph, state: &PeelingState) -> Bytes {
+fn encode(graph: &DynamicGraph, state: &PeelingState) -> Vec<u8> {
     let n = graph.num_vertices();
     let m = graph.num_edges();
-    let mut buf = BytesMut::with_capacity(24 + n * 8 + m * 20 + state.len() * 12);
+    let mut buf = Vec::with_capacity(24 + n * 8 + m * 20 + state.len() * 12);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
     buf.put_u64_le(n as u64);
@@ -134,50 +222,53 @@ fn encode(graph: &DynamicGraph, state: &PeelingState) -> Bytes {
         buf.put_u32_le(u.0);
         buf.put_f64_le(d);
     }
-    buf.freeze()
+    buf
 }
 
-fn decode(mut buf: Bytes) -> Result<(DynamicGraph, PeelingState), SnapshotError> {
-    if buf.remaining() < 24 {
-        return Err(SnapshotError::Corrupt("truncated header"));
+/// Reads a `magic, version, vertex count, edge count` header.
+fn read_header(
+    buf: &mut ByteReader<'_>,
+    magic: u32,
+    version: u32,
+) -> Result<(u64, u64), SnapshotError> {
+    let found = buf.u32()?;
+    if found != magic {
+        return Err(SnapshotError::BadMagic(found));
     }
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic(magic));
+    let found = buf.u32()?;
+    if found != version {
+        return Err(SnapshotError::BadVersion(found));
     }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let n = buf.get_u64_le() as usize;
-    let m = buf.get_u64_le() as usize;
-    check_section(&buf, n, 8, "truncated vertex table")?;
+    Ok((buf.u64()?, buf.u64()?))
+}
+
+fn decode(raw: &[u8]) -> Result<(DynamicGraph, PeelingState), SnapshotError> {
+    let mut buf = ByteReader::new(raw);
+    let (n, m) = read_header(&mut buf, MAGIC, VERSION)?;
+    let n = buf.count(n, 8, "truncated vertex table")?;
     let mut graph = DynamicGraph::with_capacity(n);
     for _ in 0..n {
-        graph.add_vertex(buf.get_f64_le())?;
+        graph.add_vertex(buf.f64()?)?;
     }
     // 4 (src) + 4 (dst) + 8 (weight) bytes per edge.
-    check_section(&buf, m, 16, "truncated edge table")?;
+    let m = buf.count(m, 16, "truncated edge table")?;
     for _ in 0..m {
-        let src = VertexId(buf.get_u32_le());
-        let dst = VertexId(buf.get_u32_le());
-        let w = buf.get_f64_le();
+        let src = VertexId(buf.u32()?);
+        let dst = VertexId(buf.u32()?);
+        let w = buf.f64()?;
         graph.insert_edge(src, dst, w)?;
     }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Corrupt("missing peeling state header"));
-    }
-    let len = buf.get_u64_le() as usize;
-    if len != n {
+    let len = buf.u64()?;
+    if len != n as u64 {
         return Err(SnapshotError::Corrupt("peeling state does not cover the vertex set"));
     }
-    check_section(&buf, len, 12, "truncated peeling state")?;
+    let len = buf.count(len, 12, "truncated peeling state")?;
     // Rebuild via logical order (PeelingOutcome is logical-first).
     let mut order = Vec::with_capacity(len);
     let mut weights = Vec::with_capacity(len);
     for _ in 0..len {
-        order.push(VertexId(buf.get_u32_le()));
-        weights.push(buf.get_f64_le());
+        order.push(VertexId(buf.u32()?));
+        weights.push(buf.f64()?);
     }
     order.reverse();
     weights.reverse();
@@ -299,8 +390,7 @@ impl SubgraphSnapshot {
     /// Serializes the subgraph with the same length-prefixed
     /// little-endian layout as the engine snapshot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf =
-            BytesMut::with_capacity(24 + self.vertices.len() * 12 + self.edges.len() * 16);
+        let mut buf = Vec::with_capacity(24 + self.vertices.len() * 12 + self.edges.len() * 16);
         buf.put_u32_le(SUBGRAPH_MAGIC);
         buf.put_u32_le(SUBGRAPH_VERSION);
         buf.put_u64_le(self.vertices.len() as u64);
@@ -314,34 +404,22 @@ impl SubgraphSnapshot {
             buf.put_u32_le(dst.0);
             buf.put_f64_le(w);
         }
-        buf.freeze().to_vec()
+        buf
     }
 
     /// Decodes a subgraph produced by [`encode`](Self::encode), verifying
     /// structure: magic/version, section lengths, id order, and that every
     /// edge endpoint is a member vertex.
     pub fn decode(raw: &[u8]) -> Result<SubgraphSnapshot, SnapshotError> {
-        let mut buf = Bytes::from(raw);
-        if buf.remaining() < 24 {
-            return Err(SnapshotError::Corrupt("truncated subgraph header"));
-        }
-        let magic = buf.get_u32_le();
-        if magic != SUBGRAPH_MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = buf.get_u32_le();
-        if version != SUBGRAPH_VERSION {
-            return Err(SnapshotError::BadVersion(version));
-        }
-        let n = buf.get_u64_le() as usize;
-        let m = buf.get_u64_le() as usize;
-        check_section(&buf, n, 12, "truncated subgraph vertex table")?;
+        let mut buf = ByteReader::new(raw);
+        let (n, m) = read_header(&mut buf, SUBGRAPH_MAGIC, SUBGRAPH_VERSION)?;
+        let n = buf.count(n, 12, "truncated subgraph vertex table")?;
         let mut vertices = Vec::with_capacity(n);
         let mut member: FxHashSet<u32> = FxHashSet::default();
         let mut last: Option<u32> = None;
         for _ in 0..n {
-            let id = buf.get_u32_le();
-            let w = buf.get_f64_le();
+            let id = buf.u32()?;
+            let w = buf.f64()?;
             if last.is_some_and(|prev| prev >= id) {
                 return Err(SnapshotError::Corrupt("subgraph vertices out of order"));
             }
@@ -349,12 +427,12 @@ impl SubgraphSnapshot {
             member.insert(id);
             vertices.push((VertexId(id), w));
         }
-        check_section(&buf, m, 16, "truncated subgraph edge table")?;
+        let m = buf.count(m, 16, "truncated subgraph edge table")?;
         let mut edges = Vec::with_capacity(m);
         for _ in 0..m {
-            let src = buf.get_u32_le();
-            let dst = buf.get_u32_le();
-            let w = buf.get_f64_le();
+            let src = buf.u32()?;
+            let dst = buf.u32()?;
+            let w = buf.f64()?;
             if !member.contains(&src) || !member.contains(&dst) {
                 return Err(SnapshotError::Corrupt("subgraph edge references unknown vertex"));
             }

@@ -50,7 +50,7 @@ use crate::metric::DensityMetric;
 use crate::state::Detection;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::RwLock;
-use spade_graph::VertexId;
+use spade_graph::{DynamicGraph, VertexId};
 use spade_metrics::runtime::{
     Counter, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
@@ -932,9 +932,7 @@ impl<M: DensityMetric> Worker<M> {
     /// the batch size, each transaction's queue wait and deadline
     /// outcome (stamped here, where the wait truly ends), and the
     /// reorder/peel wall time — the processing half of Eq. 4's latency
-    /// split. A single-command drain skips the batch-path setup entirely
-    /// and inserts per-edge — §4.2 makes a batch of one identical, and
-    /// drip traffic should not pay batching overhead for it.
+    /// split.
     fn apply_staged(&mut self) {
         debug_assert_eq!(self.batch.len(), self.pending.len(), "batch and stamps diverged");
         if self.batch.is_empty() {
@@ -947,10 +945,7 @@ impl<M: DensityMetric> Worker<M> {
         self.updates += self.batch.len() as u64;
         self.metrics.batch_size.record(self.batch.len() as u64);
         let reorder_started = Instant::now();
-        let rejected = match self.batch[..] {
-            [(src, dst, raw)] => u64::from(self.engine.insert_edge(src, dst, raw).is_err()),
-            _ => self.engine.insert_batch_tolerant(&self.batch).1,
-        };
+        let (_, rejected) = self.engine.insert_batch_tolerant(&self.batch);
         self.metrics.reorder_ns.record_duration(reorder_started.elapsed());
         if rejected > 0 {
             self.metrics.rejected.add(rejected);
@@ -1070,17 +1065,19 @@ fn absorb_slice<M: DensityMetric>(
         }
     };
     for &(u, w) in &snapshot.vertices {
-        if engine.ensure_vertex(u).is_err() {
+        // Validate first: a NaN or negative `w` never compares above the
+        // current weight, so the max-wise install alone would pass it.
+        let installed = DynamicGraph::check_vertex_weight(u, w).is_ok()
+            && engine.ensure_vertex(u).is_ok()
+            && (w <= engine.graph().vertex_weight(u)
+                || engine.set_vertex_suspiciousness(u, w).is_ok());
+        if installed {
+            receipt.vertices_touched += 1;
+        } else {
             receipt.rejected += 1;
-            continue;
         }
-        if w > engine.graph().vertex_weight(u) && engine.set_vertex_suspiciousness(u, w).is_err() {
-            receipt.rejected += 1;
-            continue;
-        }
-        receipt.vertices_touched += 1;
     }
-    let (_, rejected) = engine.insert_batch_weighted_tolerant(&snapshot.edges);
+    let (_, rejected) = engine.insert_batch_weighted(&snapshot.edges);
     receipt.rejected += rejected;
     receipt.edges_applied = snapshot.edges.len() - rejected as usize;
     receipt
@@ -1469,6 +1466,21 @@ mod tests {
         assert!(target_det.members.iter().all(|m| (10..13).contains(&m.0)));
         assert_eq!(engine.graph().edge_weight(v(10), v(11)), Some(25.0));
         assert!((target_det.density - (120.0 + 5.0) / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn absorb_counts_invalid_vertex_weights_as_rejected() {
+        // A hand-built corrupt slice: NaN and negative priors decode fine.
+        let snapshot = crate::persist::SubgraphSnapshot {
+            vertices: vec![(v(0), f64::NAN), (v(1), -2.0), (v(2), 3.0), (v(3), 0.0)],
+            edges: vec![(v(2), v(3), 4.0)],
+        };
+        let slice = MigrationSlice { encoded: snapshot.encode(), ..MigrationSlice::default() };
+        let mut engine = SpadeEngine::new(WeightedDensity);
+        let receipt = absorb_slice(&mut engine, &slice);
+        assert_eq!(receipt, AbsorbReceipt { vertices_touched: 2, edges_applied: 1, rejected: 2 });
+        assert_eq!(engine.graph().vertex_weight(v(2)), 3.0);
+        assert_eq!(engine.state().logical_order(), crate::peel::peel(engine.graph()).order);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! Records carry pre-evaluated suspiciousness (`c`): an arrival-time
 //! metric (FD's degree term) weighs an edge against the graph it arrived
 //! into, and a window moved out of order never rebuilds that graph, so
-//! re-evaluating a record on replay would not be well-defined.
+//! re-evaluating a record on replay would not be well-defined. The
+//! window's `WeightedDensity` engine evaluates a record's `c` to itself,
+//! so records take the ordinary [`SpadeEngine::insert_batch`] path.
 
 use crate::engine::{SpadeConfig, SpadeEngine};
 use crate::metric::WeightedDensity;
@@ -129,9 +131,7 @@ impl TimeWindowDetector {
     fn insert_range(&mut self, lo: usize, hi: usize) -> Result<usize, GraphError> {
         let batch: Vec<(VertexId, VertexId, f64)> =
             self.records[lo..hi].iter().map(|r| (r.src, r.dst, r.c)).collect();
-        if !batch.is_empty() {
-            self.engine.insert_batch_weighted(&batch)?;
-        }
+        self.engine.insert_batch(&batch)?;
         Ok(batch.len())
     }
 

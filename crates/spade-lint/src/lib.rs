@@ -10,8 +10,9 @@
 //! * **`unsafe`** — every `unsafe` block/fn must sit under an adjacent
 //!   `// SAFETY:` comment registered in the allowlist.
 //! * **`hot-panic`** — no `unwrap()` / `expect(` / `panic!` /
-//!   `unreachable!` in hot-path modules (the service worker loop, the
-//!   reactor, wire decode) outside `#[cfg(test)]` code, except sites
+//!   `unreachable!` in hot-path modules (the engine's insertion core and
+//!   grouping buffer, the service worker loop, the reactor, wire and
+//!   snapshot decode) outside `#[cfg(test)]` code, except sites
 //!   explicitly registered in the allowlist.
 //! * **`instant-loop`** — no `Instant::now()` lexically inside a loop
 //!   in a hot-path module (per-edge clock reads are the classic silent
@@ -286,10 +287,14 @@ fn char_literal_len(bytes: &[u8]) -> Option<usize> {
 // Rules engine.
 // ---------------------------------------------------------------------
 
-/// Path suffixes of the hot-path modules (service worker loop, reactor
-/// and the two frame handlers it dispatches into, wire decode) where
-/// `hot-panic` and `instant-loop` apply.
+/// Path suffixes of the hot-path modules (engine insertion and grouping,
+/// service worker loop, reactor and the two frame handlers it dispatches
+/// into, wire and snapshot decode) where `hot-panic` and `instant-loop`
+/// apply.
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
+    "spade-core/src/engine.rs",
+    "spade-core/src/grouping.rs",
+    "spade-core/src/persist.rs",
     "spade-core/src/service.rs",
     "spade-net/src/reactor.rs",
     "spade-net/src/server.rs",

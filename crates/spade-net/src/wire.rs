@@ -2,15 +2,17 @@
 //!
 //! A frame is `u32 payload_len` followed by `payload_len` payload bytes;
 //! the payload is a one-byte opcode plus a fixed layout per frame kind,
-//! encoded through the same [`bytes`] primitives as the
-//! `spade_core::persist` snapshot codec. Decoding is defensive
-//! throughout: every section length is overflow-checked against the
-//! remaining buffer before a single record is read, unknown opcodes and
-//! trailing bytes are errors, and an oversized length prefix is rejected
-//! before any allocation — a malicious or corrupt producer can terminate
-//! its own connection, never the server.
+//! encoded through the same primitives as the `spade_core::persist`
+//! snapshot codec ([`PutLe`], and a [`ByteReader`] over the borrowed
+//! payload, never a copy). Decoding is defensive throughout: every read
+//! returns an error instead of panicking, every section length is
+//! overflow-checked against the remaining buffer before a single record
+//! is read, unknown opcodes and trailing bytes are errors, and an
+//! oversized length prefix is rejected before any allocation — a
+//! malicious or corrupt producer can terminate its own connection, never
+//! the server.
 
-use bytes::{Buf, BufMut, Bytes};
+use spade_core::persist::{ByteReader, PutLe, Truncated};
 use spade_core::service::{AbsorbReceipt, CandidateRegion, MigrationSlice};
 use spade_graph::VertexId;
 use std::io::{Read, Write};
@@ -144,6 +146,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<Truncated> for WireError {
+    fn from(e: Truncated) -> Self {
+        WireError::Corrupt(e.0)
     }
 }
 
@@ -338,29 +346,16 @@ pub enum WireFrame {
     },
 }
 
-fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        return Err(WireError::Corrupt(what));
-    }
-    Ok(())
-}
-
-/// Reads a `u32` record count and checks it before a single record is
-/// read: at most `max` records, and `count` records of `width` bytes
-/// must fit in the remaining payload (overflow-safe — a crafted 32-bit
-/// count must fail decoding, not wrap the multiplication).
+/// Reads a `u32` record count of at most `max` records, checked against
+/// the remaining payload ([`ByteReader::count`]) before any is read.
 fn take_count(
-    buf: &mut Bytes,
+    buf: &mut ByteReader<'_>,
     max: usize,
     width: usize,
     what: &'static str,
 ) -> Result<usize, WireError> {
-    need(buf, 4, what)?;
-    let count = buf.get_u32_le() as usize;
-    match count.checked_mul(width) {
-        Some(bytes) if count <= max && buf.remaining() >= bytes => Ok(count),
-        _ => Err(WireError::Corrupt(what)),
-    }
+    let count = u64::from(buf.u32()?);
+    buf.count(count, width, what).ok().filter(|&n| n <= max).ok_or(WireError::Corrupt(what))
 }
 
 /// Appends one frame to `out`: the length prefix, patched once `body`
@@ -391,11 +386,13 @@ fn put_edges(out: &mut Vec<u8>, edges: &[RawEdge]) {
 }
 
 /// Reads an edge run, the inverse of [`put_edges`].
-fn take_edges(buf: &mut Bytes, what: &'static str) -> Result<Vec<RawEdge>, WireError> {
+fn take_edges(buf: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<RawEdge>, WireError> {
     let count = take_count(buf, MAX_BATCH_EDGES, 16, what)?;
-    Ok((0..count)
-        .map(|_| (VertexId(buf.get_u32_le()), VertexId(buf.get_u32_le()), buf.get_f64_le()))
-        .collect())
+    let mut edges = Vec::with_capacity(count);
+    for _ in 0..count {
+        edges.push((VertexId(buf.u32()?), VertexId(buf.u32()?), buf.f64()?));
+    }
+    Ok(edges)
 }
 
 /// Writes a member list: a `u32` count, then one `u32` id per member.
@@ -411,12 +408,12 @@ fn put_members(out: &mut Vec<u8>, members: &[VertexId]) {
 /// Reads a member list of at most `max` ids, the inverse of
 /// [`put_members`].
 fn take_members(
-    buf: &mut Bytes,
+    buf: &mut ByteReader<'_>,
     max: usize,
     what: &'static str,
 ) -> Result<Vec<VertexId>, WireError> {
     let count = take_count(buf, max, 4, what)?;
-    Ok((0..count).map(|_| VertexId(buf.get_u32_le())).collect())
+    (0..count).map(|_| Ok(VertexId(buf.u32()?))).collect()
 }
 
 /// Writes a length-prefixed `SubgraphSnapshot` blob. Panics beyond
@@ -424,26 +421,25 @@ fn take_members(
 fn put_snapshot(out: &mut Vec<u8>, encoded: &[u8]) {
     assert!(encoded.len() <= MAX_SNAPSHOT_BYTES, "snapshot too large");
     out.put_u32_le(encoded.len() as u32);
-    out.put_slice(encoded);
+    out.extend_from_slice(encoded);
 }
 
 /// Reads a snapshot blob, the inverse of [`put_snapshot`].
-fn take_snapshot(buf: &mut Bytes, what: &'static str) -> Result<Vec<u8>, WireError> {
+fn take_snapshot(buf: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<u8>, WireError> {
     let len = take_count(buf, MAX_SNAPSHOT_BYTES, 1, what)?;
-    Ok(buf.take_bytes(len).to_vec())
+    Ok(buf.bytes(len)?.to_vec())
 }
 
 /// Appends `text` cut to at most `max` bytes, never splitting a UTF-8
 /// sequence at the truncation point.
 fn put_text(out: &mut Vec<u8>, text: &str, max: usize) {
     let cut = (0..=text.len().min(max)).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
-    out.put_slice(&text.as_bytes()[..cut]);
+    out.extend_from_slice(&text.as_bytes()[..cut]);
 }
 
 /// Reads the rest of the payload as UTF-8 text.
-fn take_text(buf: &mut Bytes, what: &'static str) -> Result<String, WireError> {
-    let raw = buf.take_bytes(buf.remaining()).to_vec();
-    String::from_utf8(raw).map_err(|_| WireError::Corrupt(what))
+fn take_text(buf: &mut ByteReader<'_>, what: &'static str) -> Result<String, WireError> {
+    std::str::from_utf8(buf.rest()).map(str::to_owned).map_err(|_| WireError::Corrupt(what))
 }
 
 /// Encodes a [`MigrationSlice`] body (shared by `Absorb` and
@@ -457,13 +453,12 @@ fn put_slice_body(out: &mut Vec<u8>, slice: &MigrationSlice) {
 }
 
 /// Decodes a [`MigrationSlice`] body, the inverse of [`put_slice_body`].
-fn take_slice_body(buf: &mut Bytes) -> Result<MigrationSlice, WireError> {
-    need(buf, 32, "truncated slice header")?;
+fn take_slice_body(buf: &mut ByteReader<'_>) -> Result<MigrationSlice, WireError> {
     Ok(MigrationSlice {
-        vertices: buf.get_u64_le() as usize,
-        edges: buf.get_u64_le() as usize,
-        edge_weight: buf.get_f64_le(),
-        updates_applied: buf.get_u64_le(),
+        vertices: buf.u64()? as usize,
+        edges: buf.u64()? as usize,
+        edge_weight: buf.f64()?,
+        updates_applied: buf.u64()?,
         encoded: take_snapshot(buf, "bad slice snapshot")?,
     })
 }
@@ -614,59 +609,44 @@ impl WireFrame {
     /// Every failure is an error, never a panic: truncated sections,
     /// count/length mismatches, unknown opcodes, trailing garbage.
     pub fn decode_payload(payload: &[u8]) -> Result<WireFrame, WireError> {
-        let mut buf = Bytes::from(payload);
-        need(&buf, 1, "empty payload")?;
-        let opcode = buf.take_bytes(1)[0];
-        let frame = match opcode {
+        let mut buf = ByteReader::new(payload);
+        let frame = match buf.u8()? {
             OP_BATCH => WireFrame::Batch { edges: take_edges(&mut buf, "truncated batch")? },
-            OP_BATCH_BUDGET => {
-                need(&buf, 4, "truncated budgeted-batch header")?;
-                let budget_us = buf.get_u32_le();
-                WireFrame::BatchBudget {
-                    budget_us,
-                    edges: take_edges(&mut buf, "truncated budgeted batch")?,
-                }
-            }
+            OP_BATCH_BUDGET => WireFrame::BatchBudget {
+                budget_us: buf.u32()?,
+                edges: take_edges(&mut buf, "truncated budgeted batch")?,
+            },
             OP_FLUSH => WireFrame::Flush,
             OP_DETECT => WireFrame::Detect,
             OP_STATS => WireFrame::Stats,
             OP_SHUTDOWN => WireFrame::Shutdown,
             OP_METRICS => WireFrame::Metrics,
-            OP_ACK => {
-                need(&buf, 8, "truncated ack")?;
-                WireFrame::Ack { accepted: buf.get_u64_le() }
-            }
-            OP_DETECTION => {
-                need(&buf, 24, "truncated detection header")?;
-                WireFrame::Detection(DetectionReply {
-                    size: buf.get_u64_le(),
-                    density: buf.get_f64_le(),
-                    updates_applied: buf.get_u64_le(),
-                    members: take_members(&mut buf, MAX_DETECTION_MEMBERS, "bad member list")?,
-                })
-            }
+            OP_ACK => WireFrame::Ack { accepted: buf.u64()? },
+            OP_DETECTION => WireFrame::Detection(DetectionReply {
+                size: buf.u64()?,
+                density: buf.f64()?,
+                updates_applied: buf.u64()?,
+                members: take_members(&mut buf, MAX_DETECTION_MEMBERS, "bad member list")?,
+            }),
             OP_STATS_REPLY => {
-                need(&buf, 72, "truncated stats reply")?;
                 let mut reply = StatsReply {
-                    shards: buf.get_u64_le(),
-                    updates_applied: buf.get_u64_le(),
-                    queue_depth: buf.get_u64_le(),
-                    connections: buf.get_u64_le(),
-                    frames: buf.get_u64_le(),
-                    edges_accepted: buf.get_u64_le(),
-                    busy_replies: buf.get_u64_le(),
-                    malformed_frames: buf.get_u64_le(),
-                    uptime_secs: buf.get_f64_le(),
+                    shards: buf.u64()?,
+                    updates_applied: buf.u64()?,
+                    queue_depth: buf.u64()?,
+                    connections: buf.u64()?,
+                    frames: buf.u64()?,
+                    edges_accepted: buf.u64()?,
+                    busy_replies: buf.u64()?,
+                    malformed_frames: buf.u64()?,
+                    uptime_secs: buf.f64()?,
                     shard_queue_depths: Vec::new(),
                 };
                 let count = take_count(&mut buf, MAX_STATS_SHARDS, 8, "bad queue-depth list")?;
-                reply.shard_queue_depths = (0..count).map(|_| buf.get_u64_le()).collect();
+                reply.shard_queue_depths =
+                    (0..count).map(|_| buf.u64()).collect::<Result<_, _>>()?;
                 WireFrame::StatsReply(reply)
             }
-            OP_REGION => {
-                need(&buf, 4, "truncated region request")?;
-                WireFrame::Region { hops: buf.get_u32_le() }
-            }
+            OP_REGION => WireFrame::Region { hops: buf.u32()? },
             OP_MIGRATE_OUT => WireFrame::MigrateOut {
                 members: take_members(
                     &mut buf,
@@ -675,44 +655,31 @@ impl WireFrame {
                 )?,
             },
             OP_ABSORB => WireFrame::Absorb { slice: take_slice_body(&mut buf)? },
-            OP_REPLICATE => {
-                need(&buf, 12, "truncated replicate header")?;
-                WireFrame::Replicate {
-                    owner: buf.get_u32_le(),
-                    seq: buf.get_u64_le(),
-                    edges: take_edges(&mut buf, "truncated replicate batch")?,
-                }
-            }
-            OP_BOOTSTRAP => {
-                need(&buf, 12, "truncated bootstrap request")?;
-                WireFrame::Bootstrap { owner: buf.get_u32_le(), after: buf.get_u64_le() }
-            }
-            OP_REGION_REPLY => {
-                need(&buf, 32, "truncated region reply header")?;
-                WireFrame::RegionReply(CandidateRegion {
-                    size: buf.get_u64_le() as usize,
-                    density: buf.get_f64_le(),
-                    updates_applied: buf.get_u64_le(),
-                    epoch: buf.get_u64_le(),
-                    members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?
-                        .into(),
-                    encoded: take_snapshot(&mut buf, "bad region snapshot")?,
-                })
-            }
+            OP_REPLICATE => WireFrame::Replicate {
+                owner: buf.u32()?,
+                seq: buf.u64()?,
+                edges: take_edges(&mut buf, "truncated replicate batch")?,
+            },
+            OP_BOOTSTRAP => WireFrame::Bootstrap { owner: buf.u32()?, after: buf.u64()? },
+            OP_REGION_REPLY => WireFrame::RegionReply(CandidateRegion {
+                size: buf.u64()? as usize,
+                density: buf.f64()?,
+                updates_applied: buf.u64()?,
+                epoch: buf.u64()?,
+                members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?
+                    .into(),
+                encoded: take_snapshot(&mut buf, "bad region snapshot")?,
+            }),
             OP_SLICE_REPLY => WireFrame::SliceReply(take_slice_body(&mut buf)?),
-            OP_ABSORB_REPLY => {
-                need(&buf, 24, "truncated absorb reply")?;
-                WireFrame::AbsorbReply(AbsorbReceipt {
-                    vertices_touched: buf.get_u64_le() as usize,
-                    edges_applied: buf.get_u64_le() as usize,
-                    rejected: buf.get_u64_le(),
-                })
-            }
+            OP_ABSORB_REPLY => WireFrame::AbsorbReply(AbsorbReceipt {
+                vertices_touched: buf.u64()? as usize,
+                edges_applied: buf.u64()? as usize,
+                rejected: buf.u64()?,
+            }),
             OP_BOOTSTRAP_CHUNK => {
-                need(&buf, 13, "truncated bootstrap chunk header")?;
-                let owner = buf.get_u32_le();
-                let through = buf.get_u64_le();
-                let done = match buf.take_bytes(1)[0] {
+                let owner = buf.u32()?;
+                let through = buf.u64()?;
+                let done = match buf.u8()? {
                     0 => false,
                     1 => true,
                     _ => return Err(WireError::Corrupt("bootstrap done flag is not 0/1")),
@@ -720,19 +687,16 @@ impl WireFrame {
                 let edges = take_edges(&mut buf, "truncated bootstrap chunk")?;
                 WireFrame::BootstrapChunk(BootstrapChunk { owner, through, done, edges })
             }
-            OP_METRICS_REPLY => {
-                need(&buf, 4, "truncated metrics reply")?;
-                WireFrame::MetricsReply(MetricsReply {
-                    version: buf.get_u32_le(),
-                    exposition: take_text(&mut buf, "metrics exposition is not UTF-8")?,
-                })
-            }
+            OP_METRICS_REPLY => WireFrame::MetricsReply(MetricsReply {
+                version: buf.u32()?,
+                exposition: take_text(&mut buf, "metrics exposition is not UTF-8")?,
+            }),
             OP_ERROR => {
                 WireFrame::Error { message: take_text(&mut buf, "error message is not UTF-8")? }
             }
             other => return Err(WireError::BadOpcode(other)),
         };
-        if buf.remaining() != 0 {
+        if !buf.rest().is_empty() {
             return Err(WireError::Corrupt("trailing bytes after frame body"));
         }
         Ok(frame)
