@@ -106,7 +106,10 @@ representative numbers.
 each `shard-serve` process hosts one detection engine behind the
 protocol-v3 shard listener (its first stdout line is the bound address —
 port 0 picks a free port), and `route` replays an edge list across N
-such processes. The router journals every batch on the next shard over
+such processes. `--queue N` (default 1024) bounds the edges a shard's
+queue holds, as `serve --queue N` does per shard: a batch that does not
+fit is admitted in frame-order prefixes while its connection parks. The
+router journals every batch on the next shard over
 before its home applies it, so a SIGKILL'd shard can be restarted and
 reseeded from its replica's journal with zero acked-edge loss (single
 failure tolerated). After the replay `route` runs the cross-shard repair

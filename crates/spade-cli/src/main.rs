@@ -9,7 +9,7 @@
 //! spade ingest <addr> <edges.txt> [--batch N] [--pipeline N]
 //!              [--detect] [--stats] [--shutdown]
 //! spade watch  <addr> [--interval ms] [--count N]
-//! spade shard-serve [--listen <addr>] [--metric ...] [--queue N]
+//! spade shard-serve [--listen <addr>] [--metric ...] [--queue N]   (N edges)
 //! spade route  <edges.txt> <addr>... [--batch N] [--partition ...]
 //!              [--consolidate] [--shutdown]
 //! spade gen    [--dataset Grab1] [--scale 0.01] [--seed N] [--out FILE]

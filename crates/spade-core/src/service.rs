@@ -45,7 +45,7 @@
 //! publish-into-snapshot discipline, same drain-on-shutdown guarantee.
 
 use crate::engine::SpadeEngine;
-use crate::grouping::{EdgeGrouper, GroupingConfig};
+use crate::grouping::{EdgeGrouper, GroupingConfig, GroupingStats};
 use crate::metric::DensityMetric;
 use crate::state::Detection;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -102,7 +102,8 @@ pub mod metric_names {
 /// Ingest tuning knobs of a [`SpadeService`] worker.
 #[derive(Clone, Copy, Debug)]
 pub struct IngestConfig {
-    /// Bound of the ingest channel (back-pressure for bursty producers).
+    /// Edges the ingest queue holds (back-pressure for bursty producers):
+    /// the bound [`SpadeService::queue_free`] counts down.
     pub queue_capacity: usize,
     /// Maximum number of queued commands the worker drains per wake-up
     /// and applies as one batch (one reorder pass, one publish). `1`
@@ -389,9 +390,6 @@ pub enum TrySubmit {
 /// A run of transactions: `(source, destination, raw weight)` each.
 type EdgeRun = Vec<(VertexId, VertexId, f64)>;
 
-/// A refused enqueue: why, and the payload handed back.
-pub type Refused<T> = (TrySubmit, T);
-
 /// Handle to a running detection service.
 pub struct SpadeService {
     sender: Sender<Command>,
@@ -477,9 +475,11 @@ impl SpadeService {
     /// (one queue slot), sharing a single arrival stamp and budget. This
     /// is the shard-grouped fast path: a decoded 512-edge frame costs one
     /// send per destination shard instead of 512. The stamp lets the
-    /// worker report submit → apply queueing latency. Blocks when the
-    /// queue is full; returns `false` if the service has shut down. An
-    /// empty run is a no-op. `budget: None` falls back to
+    /// worker report submit → apply queueing latency. Blocks while every
+    /// command slot is taken — so, unlike the edge-bounded
+    /// [`try_submit_batch`](Self::try_submit_batch), one run can
+    /// overshoot the bound; returns `false` if the service has shut down.
+    /// An empty run is a no-op. `budget: None` falls back to
     /// [`IngestConfig::deadline`]; a budget (either way) lets the worker
     /// spring-push the batch boundary and drives deadline-miss
     /// accounting.
@@ -487,16 +487,22 @@ impl SpadeService {
         self.send_batch(edges, budget, true).is_ok()
     }
 
-    /// Non-blocking [`submit_batch`](Self::submit_batch): the run takes
-    /// one queue slot now or none at all. A refusal hands the edges back
-    /// with the reason, so an event loop keeps the frame and offers it
-    /// again instead of blocking.
+    /// Non-blocking [`submit_batch`](Self::submit_batch) that admits by
+    /// edges: enqueues the prefix of `edges` that fits
+    /// [`queue_free`](Self::queue_free) as one command and returns how
+    /// many edges it took — 0 when the queue is full, so an event loop
+    /// keeps the rest and offers it again. `Err` only when closed.
     pub fn try_submit_batch(
         &self,
-        edges: EdgeRun,
+        edges: &[(VertexId, VertexId, f64)],
         budget: Option<Duration>,
-    ) -> Result<(), Refused<EdgeRun>> {
-        self.send_batch(edges, budget, false)
+    ) -> Result<usize, TrySubmit> {
+        let take = edges.len().min(self.queue_free());
+        match self.send_batch(edges[..take].to_vec(), budget, false) {
+            // Another producer took the room since `queue_free` read it.
+            Err(TrySubmit::Full) => Ok(0),
+            sent => sent.map(|()| take),
+        }
     }
 
     fn send_batch(
@@ -504,7 +510,7 @@ impl SpadeService {
         edges: EdgeRun,
         budget: Option<Duration>,
         wait: bool,
-    ) -> Result<(), Refused<EdgeRun>> {
+    ) -> Result<(), TrySubmit> {
         if edges.is_empty() {
             return Ok(());
         }
@@ -516,12 +522,8 @@ impl SpadeService {
         let surplus = (edges.len() - 1) as u64;
         self.shared.batched_backlog.fetch_add(surplus, Ordering::Relaxed);
         let command = Command::Insert { edges, queued: Instant::now(), budget };
-        self.enqueue(command, wait).map_err(|(why, command)| {
+        self.enqueue(command, wait).inspect_err(|_| {
             self.shared.batched_backlog.fetch_sub(surplus, Ordering::Relaxed);
-            let Command::Insert { edges, .. } = command else {
-                unreachable!("a refused send returns the command it was given")
-            };
-            (why, edges)
         })
     }
 
@@ -529,13 +531,13 @@ impl SpadeService {
     /// blocks the caller when `wait` is set and refuses the command with
     /// [`TrySubmit::Full`] otherwise; a worker that is gone refuses it
     /// with [`TrySubmit::Closed`] either way.
-    fn enqueue(&self, command: Command, wait: bool) -> Result<(), Refused<Command>> {
+    fn enqueue(&self, command: Command, wait: bool) -> Result<(), TrySubmit> {
         if wait {
-            return self.sender.send(command).map_err(|e| (TrySubmit::Closed, e.0));
+            return self.sender.send(command).map_err(|_| TrySubmit::Closed);
         }
         self.sender.try_send(command).map_err(|e| match e {
-            TrySendError::Full(command) => (TrySubmit::Full, command),
-            TrySendError::Disconnected(command) => (TrySubmit::Closed, command),
+            TrySendError::Full(_) => TrySubmit::Full,
+            TrySendError::Disconnected(_) => TrySubmit::Closed,
         })
     }
 
@@ -547,11 +549,12 @@ impl SpadeService {
         command: impl FnOnce(Sender<T>) -> Command,
     ) -> Result<Receiver<T>, TrySubmit> {
         let (reply, receiver) = bounded(1);
-        self.enqueue(command(reply), wait).map(|()| receiver).map_err(|(why, _)| why)
+        self.enqueue(command(reply), wait).map(|()| receiver)
     }
 
-    /// Edge-denominated queue slots free right now: capacity minus
-    /// queued commands minus the surplus edges carried by queued batch
+    /// Edge-denominated queue slots free right now, which every
+    /// non-blocking admission counts against: capacity minus queued
+    /// commands minus the surplus edges carried by queued batch
     /// commands. Advisory: other producers may race; batch submitters
     /// combine it with a routing lock (the sharded runtime) or accept
     /// the bounded slack. A worker that is gone (a panicking metric
@@ -906,13 +909,12 @@ impl<M: DensityMetric> Worker<M> {
         for &(src, dst, raw) in edges {
             record_wait(&self.metrics, wait, budget);
             self.updates += 1;
+            let before = g.stats().flushed_edges;
             match g.submit(&mut self.engine, src, dst, raw) {
                 Ok(out) if out.flushed.is_some() => {
                     // An urgent/capacity flush ran a real reorder pass:
                     // attribute its cost to the reorder/peel stage.
-                    self.metrics.reorder_ns.record_duration(drained.elapsed());
-                    self.metrics.registry.event(EventKind::Flush, self.updates);
-                    self.metrics.flushes.store(g.stats().flushes as u64);
+                    record_flush(&self.metrics, drained, before, g.stats());
                     // `g` holds the grouper field, so name the others.
                     self.publisher.publish(
                         &mut self.engine,
@@ -973,13 +975,11 @@ impl<M: DensityMetric> Worker<M> {
     fn flush(&mut self) {
         self.apply_staged();
         let Some(g) = self.grouper.as_mut() else { return };
-        let before = g.stats().flushes;
+        let before = g.stats().flushed_edges;
         let flush_started = Instant::now();
         let _ = g.flush(&mut self.engine);
-        if g.stats().flushes > before {
-            self.metrics.reorder_ns.record_duration(flush_started.elapsed());
-            self.metrics.registry.event(EventKind::Flush, self.updates);
-            self.metrics.flushes.store(g.stats().flushes as u64);
+        if g.stats().flushed_edges > before {
+            record_flush(&self.metrics, flush_started, before, g.stats());
         }
     }
 
@@ -1109,6 +1109,14 @@ fn record_wait(metrics: &WorkerMetrics, wait: Duration, budget: Option<Duration>
     } else {
         metrics.deadline_slack_ns.record_duration(budget - wait);
     }
+}
+
+/// Records a grouper flush: its reorder time since `started`, a `Flush`
+/// event carrying the edges it applied, and the grouper's flush count.
+fn record_flush(metrics: &WorkerMetrics, started: Instant, before: usize, after: GroupingStats) {
+    metrics.reorder_ns.record_duration(started.elapsed());
+    metrics.registry.event(EventKind::Flush, (after.flushed_edges - before) as u64);
+    metrics.flushes.store(after.flushes as u64);
 }
 
 /// How long the staged batch may stay open before the earliest budget is
@@ -1773,6 +1781,68 @@ mod tests {
         let (flushes, rejected, updates, waits) = batched.1;
         assert!(flushes >= 2, "an urgent flush and the final benign flush, got {flushes}");
         assert_eq!((rejected, updates, waits), (2, edges.len() as u64, edges.len() as u64));
+    }
+
+    /// The non-blocking entry admits by edges: a worker that stalls
+    /// inside its first run leaves room for exactly `queue_capacity`
+    /// more edges, taken as frame-order prefixes, then none.
+    #[test]
+    fn try_submit_batch_takes_the_prefix_that_fits_the_edge_bound() {
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let held = Arc::clone(&gate);
+        let gated = crate::metric::CustomMetric::new(
+            "gated",
+            |_, _| 0.0,
+            move |_, _, raw, _| {
+                while !held.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                raw
+            },
+        );
+        let service = SpadeService::spawn_with(
+            SpadeEngine::new(gated),
+            None,
+            IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None },
+            "prefix".into(),
+        );
+        let edges: Vec<_> = (0..16u32).map(|i| (v(i), v(100 + i), 1.0)).collect();
+        let first = service.try_submit_batch(&edges[..6], None);
+        // The worker takes that run and stalls in it: the whole bound is
+        // free again.
+        while first.is_ok() && service.queue_free() < 4 {
+            std::thread::yield_now();
+        }
+        let taken = [
+            service.try_submit_batch(&edges[4..6], None),
+            service.try_submit_batch(&edges[6..], None),
+            service.try_submit_batch(&edges[8..], None),
+        ];
+        gate.store(true, Ordering::Release);
+        assert_eq!(first, Ok(4));
+        assert_eq!(taken, [Ok(2), Ok(2), Ok(0)]);
+        assert_eq!(service.shutdown().updates_applied, 8);
+    }
+
+    /// A `Flush` event carries the edges that flush applied — a manual
+    /// flush and an urgent one each apply two buffered edges here.
+    #[test]
+    fn flush_events_carry_the_edges_each_flush_applied() {
+        let mut engine = SpadeEngine::new(WeightedDensity);
+        for (a, b) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)] {
+            engine.insert_edge(v(a), v(b), 20.0).unwrap();
+        }
+        let service = SpadeService::spawn(engine, Some(GroupingConfig::default()), 64);
+        assert!(service.submit(v(10), v(11), 0.01) && service.submit(v(12), v(13), 0.01));
+        assert!(service.flush());
+        // A benign edge buffers; an edge at the community is urgent and
+        // flushes both.
+        assert!(service.submit(v(14), v(15), 0.01) && service.submit(v(0), v(16), 5.0));
+        assert!(service.barrier());
+        let events = service.metrics().events;
+        let flushed: Vec<u64> =
+            events.iter().filter(|e| e.kind == EventKind::Flush).map(|e| e.value).collect();
+        assert_eq!(flushed, [2, 2]);
     }
 
     #[test]

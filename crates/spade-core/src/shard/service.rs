@@ -508,7 +508,7 @@ impl ShardedSpadeService {
         let pass_elapsed = pass_started.elapsed();
         stats.last_pass_ns = pass_elapsed.as_nanos().min(u64::MAX as u128) as u64;
         self.repair_pass_ns.record_duration(pass_elapsed);
-        self.registry.event(EventKind::RepairPass, stats.regions_exported);
+        self.registry.event(EventKind::RepairPass, regions.len() as u64);
         RepairedDetection {
             detection: PublishedDetection {
                 size: outcome.size,
@@ -869,6 +869,19 @@ mod tests {
         let text = snap.render_prometheus();
         assert!(text.contains("spade_stage_queue_wait_ns_count"));
         assert!(text.contains("spade_repair_pass_ns_count 1"));
+        service.shutdown();
+    }
+
+    #[test]
+    fn repair_pass_events_carry_each_pass_own_region_count() {
+        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(3));
+        feed_ring(&service);
+        let _ = service.repair();
+        let _ = service.repair();
+        let events = service.metrics().events;
+        let regions: Vec<u64> =
+            events.iter().filter(|e| e.kind == EventKind::RepairPass).map(|e| e.value).collect();
+        assert_eq!(regions, [3, 3], "each pass exports one region per shard");
         service.shutdown();
     }
 

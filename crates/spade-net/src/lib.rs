@@ -13,8 +13,8 @@
 //! streams. Frames decode straight into
 //! `ShardedSpadeService::submit_batch`, so every shard's drain-coalescing
 //! batch path, routing policy, and repair/migration machinery is
-//! inherited unchanged — and back-pressure crosses the wire. When a
-//! bounded ingest queue is full, the server keeps what it could not
+//! inherited unchanged — and back-pressure crosses the wire. When an
+//! edge-bounded ingest queue is full, either server keeps what it could not
 //! enqueue on the connection, stops reading that connection, and offers
 //! the rest again every event-loop cycle; the one `Ack` for the whole
 //! frame goes out when all of it is enqueued. The producer is slowed by

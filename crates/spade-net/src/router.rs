@@ -89,9 +89,10 @@ pub struct RouterStats {
     pub batches: u64,
     /// `Replicate` frames journaled on replicas.
     pub replicated: u64,
-    /// Always 0: a shard server admits a batch whole (a full queue parks
-    /// the connection; the late Ack is the back-pressure) and protocol v5
-    /// has no `Busy` reply. The field stays because `bench_stack` reads it.
+    /// Always 0: a shard server answers a batch with one Ack once all of
+    /// it fits its edge-bounded queue (a full queue parks the connection;
+    /// the late Ack is the back-pressure) and protocol v5 has no `Busy`
+    /// reply. The field stays because `bench_stack` reads it.
     pub busy_retries: u64,
     /// Completed [`SpadeRouter::recover`] calls.
     pub recoveries: u64,
@@ -235,8 +236,8 @@ impl SpadeRouter {
         Ok(())
     }
 
-    /// One `Batch` round trip to a live home shard, which admits the
-    /// batch whole before it acks. Returns the edge count.
+    /// One `Batch` round trip to a live home shard, which acks once all
+    /// of the batch is enqueued. Returns the edge count.
     fn deliver(&mut self, shard: usize, edges: &[RawEdge]) -> Result<u64, WireError> {
         self.stats.batches += 1;
         expect_ack(self.round_trip(shard, |conn| write_batch(conn, None, edges))?)?;

@@ -4,18 +4,19 @@
 //! crate's event loop ([`crate::reactor`], which owns connections,
 //! fan-in fairness, reply buffering and parking). This module is the
 //! loop's handler for the fan-in tier — what each frame means for a
-//! shared [`ShardedSpadeService`] — plus the transport counters both
-//! tiers report. Two properties make the bridge exact under load:
+//! shared [`ShardedSpadeService`] — plus what both tiers share: the
+//! transport counters and the one ingest path, `offer`. Two properties
+//! make the bridge exact under load:
 //!
-//! * **Back-pressure crosses the wire, in order.** Ingest goes through
-//!   [`ShardedSpadeService::submit_batch`]; when a full shard queue admits
-//!   only a prefix of a frame, the connection *parks* with the rest
-//!   (`Parked::Ingest`) until the event loop's per-cycle re-offer has
-//!   enqueued the whole frame, which one `Ack` then answers. The producer
-//!   is slowed by TCP flow control alone and its edges reach the shards
-//!   in submission order.
+//! * **Back-pressure crosses the wire, in order.** A tier admits the
+//!   prefix of a frame that fits its edge-denominated queues; when that
+//!   is not the whole frame, the connection *parks* with the rest
+//!   (`Ingest`) until the event loop's per-cycle re-offer has enqueued
+//!   the whole frame, which one `Ack` then answers. The producer is
+//!   slowed by TCP flow control alone and its edges reach the shards in
+//!   submission order.
 //! * **Acknowledgement is enqueue.** An edge is counted in an Ack's
-//!   `accepted` total only after `submit_batch` queued it, and every queued
+//!   `accepted` total only after the tier queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
 //!   acknowledged edges equals the shards' `updates_applied` total at
 //!   shutdown. The back-pressure integration test pins this down.
@@ -27,7 +28,7 @@
 use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
 use crate::wire::{MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
 use parking_lot::Mutex;
-use spade_core::service::ServiceStats;
+use spade_core::service::{ServiceStats, SpadeService, TrySubmit};
 use spade_core::shard::ShardedSpadeService;
 use spade_metrics::MetricsSnapshot;
 use std::collections::BTreeMap;
@@ -90,7 +91,7 @@ impl NetTelemetry {
 
     /// Counts one ingest frame that met a full queue and parked its
     /// connection with `admitted` of its edges enqueued.
-    pub(crate) fn count_parked(&self, conn: &ConnCounters, admitted: usize) {
+    fn count_parked(&self, conn: &ConnCounters, admitted: usize) {
         // audit: monotone transport counters, telemetry only
         self.busy_replies.fetch_add(1, Ordering::Relaxed);
         conn.busy_replies.fetch_add(1, Ordering::Relaxed);
@@ -311,10 +312,14 @@ pub(crate) enum Parked {
     /// A read-your-acks Detect: answers once the shards' applied total
     /// reaches `watermark` (or `deadline` passes).
     Detect { watermark: u64, deadline: Instant },
-    /// An ingest frame a full shard queue admitted only
-    /// `edges[..admitted]` of: the rest is re-offered, in order, until
-    /// one Ack can answer the whole frame.
-    Ingest { edges: Vec<RawEdge>, admitted: usize, budget: Option<Duration> },
+    /// An ingest frame the shard queues admitted only part of.
+    Ingest(Ingest),
+}
+
+impl From<Ingest> for Parked {
+    fn from(ingest: Ingest) -> Self {
+        Parked::Ingest(ingest)
+    }
 }
 
 impl FrameHandler for FrontEnd {
@@ -323,11 +328,8 @@ impl FrameHandler for FrontEnd {
     fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
         let (reply, step) = match frame.into_ingest() {
             Ok((edges, budget)) => {
-                let step = self.offer(edges, 0, budget, out);
-                if let FrameStep::Park(Parked::Ingest { admitted, .. }) = &step {
-                    self.telemetry.count_parked(conn, *admitted);
-                }
-                return step;
+                let ingest = Ingest { edges, admitted: 0, budget };
+                return offer(&*self.service, &self.telemetry, ingest, Some(conn), out);
             }
             Err(WireFrame::Flush) => flushed(self.service.flush()),
             Err(WireFrame::Detect) => {
@@ -385,38 +387,69 @@ impl FrameHandler for FrontEnd {
                 .encode_into(out);
                 FrameStep::Continue
             }
-            Parked::Ingest { edges, admitted, budget } => self.offer(edges, admitted, budget, out),
+            Parked::Ingest(ingest) => offer(&*self.service, &self.telemetry, ingest, None, out),
         }
     }
 }
 
-impl FrontEnd {
-    /// The ingest path: hands `edges[admitted..]` to
-    /// [`ShardedSpadeService::submit_batch`] (one grouped command per
-    /// destination shard). Admission is the strict frame-order prefix, so
-    /// whatever a full queue leaves over is a suffix: the frame parks with
-    /// it, and the Ack is written only when nothing is left.
-    fn offer(
-        &self,
-        edges: Vec<RawEdge>,
-        admitted: usize,
-        budget: Option<Duration>,
-        out: &mut Vec<u8>,
-    ) -> FrameStep<Parked> {
-        let outcome = self.service.submit_batch(&edges[admitted..], budget);
-        // audit: monotone transport counter, telemetry only
-        self.telemetry.edges_accepted.fetch_add(outcome.accepted as u64, Ordering::Relaxed);
-        let admitted = admitted + outcome.accepted;
-        let (reply, step) = if outcome.closed {
-            shut_down()
-        } else if admitted < edges.len() {
-            return FrameStep::Park(Parked::Ingest { edges, admitted, budget });
-        } else {
-            (WireFrame::Ack { accepted: admitted as u64 }, FrameStep::Continue)
-        };
-        reply.encode_into(out);
-        step
+/// An ingest frame on its way into the runtime: `edges[..admitted]` are
+/// enqueued, the rest waits for queue room.
+pub(crate) struct Ingest {
+    pub(crate) edges: Vec<RawEdge>,
+    pub(crate) admitted: usize,
+    pub(crate) budget: Option<Duration>,
+}
+
+/// A tier's non-blocking enqueue: it takes the prefix of `edges` that
+/// fits its edge-denominated queues, and says how many edges that was.
+pub(crate) trait Admit {
+    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Result<usize, TrySubmit>;
+}
+
+/// The fan-in tier: one grouped command per destination shard.
+impl Admit for ShardedSpadeService {
+    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Result<usize, TrySubmit> {
+        let outcome = self.submit_batch(edges, budget);
+        (!outcome.closed).then_some(outcome.accepted).ok_or(TrySubmit::Closed)
     }
+}
+
+/// A shard server: one command for its one worker, prefix by
+/// [`SpadeService::queue_free`].
+impl Admit for SpadeService {
+    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Result<usize, TrySubmit> {
+        self.try_submit_batch(edges, budget)
+    }
+}
+
+/// The ingest path of both tiers: `tier` admits what fits of the frame's
+/// rest, counted as accepted at once. A suffix left over parks the frame
+/// to be re-offered, in order — counted once, on its `first` offer, with
+/// what that admitted. One Ack answers the frame when nothing is left.
+pub(crate) fn offer<P: From<Ingest>>(
+    tier: &impl Admit,
+    telemetry: &NetTelemetry,
+    mut ingest: Ingest,
+    first: Option<&ConnCounters>,
+    out: &mut Vec<u8>,
+) -> FrameStep<P> {
+    let (reply, step) = match tier.admit(&ingest.edges[ingest.admitted..], ingest.budget) {
+        Ok(taken) => {
+            // audit: monotone transport counter, telemetry only
+            telemetry.edges_accepted.fetch_add(taken as u64, Ordering::Relaxed);
+            ingest.admitted += taken;
+            if ingest.admitted < ingest.edges.len() {
+                if let Some(conn) = first {
+                    telemetry.count_parked(conn, ingest.admitted);
+                }
+                return FrameStep::Park(ingest.into());
+            }
+            (WireFrame::Ack { accepted: ingest.edges.len() as u64 }, FrameStep::Continue)
+        }
+        Err(_) => shut_down(),
+    };
+    reply.encode_into(out);
+    step
 }
 
 /// The answer to `Flush`, given whether the marker was posted — the one

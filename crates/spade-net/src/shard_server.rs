@@ -35,8 +35,9 @@
 //! ([`crate::reactor`], which owns accept, framing, malformed-frame
 //! accounting, reply buffering and close), fixed at a single worker: its
 //! fan-in is one router connection plus an occasional operator probe.
-//! Nothing here waits on the worker: a batch the command queue has no
-//! slot for parks its connection until it is admitted whole, every
+//! Nothing here waits on the worker: a batch is admitted by edges, the
+//! same rule as the fan-in tier's (`server::offer`) — whatever does not
+//! fit the worker's queue parks its connection until it does, every
 //! operation the worker must answer (`Detect`, `Stats`, `Region`,
 //! `MigrateOut`, `Absorb`) is enqueued without blocking and parks on the
 //! reply channel, and the journal operations answer inline.
@@ -44,14 +45,15 @@
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
 use spade_core::service::{SpadeService, TrySubmit};
 
 use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
-use crate::server::{flushed, shut_down, shutdown_requested, ConnCounters, NetTelemetry};
+use crate::server::{
+    flushed, offer, shut_down, shutdown_requested, ConnCounters, Ingest, NetTelemetry,
+};
 use crate::wire::{
     BootstrapChunk, DetectionReply, RawEdge, WireFrame, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES,
 };
@@ -204,9 +206,8 @@ type ReplyPoll = Box<dyn Fn(&ShardHandler) -> Result<WireFrame, TryRecvError>>;
 
 /// The one request a shard-server connection is waiting on.
 pub(crate) enum Parked {
-    /// A batch the full command queue refused: offered again, whole,
-    /// until one Ack can answer it.
-    Ingest { edges: Vec<RawEdge>, budget: Option<Duration> },
+    /// A batch the worker's queue admitted only part of.
+    Ingest(Ingest),
     /// A worker request (`Detect`, `Stats`, `Region`, `MigrateOut`,
     /// `Absorb`) the full command queue refused: served again.
     Room(WireFrame),
@@ -214,20 +215,30 @@ pub(crate) enum Parked {
     Reply(ReplyPoll),
 }
 
+impl From<Ingest> for Parked {
+    fn from(ingest: Ingest) -> Self {
+        Parked::Ingest(ingest)
+    }
+}
+
 impl FrameHandler for ShardHandler {
     type Parked = Parked;
 
     fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
-        let step = self.serve(frame, out);
-        if matches!(step, FrameStep::Park(Parked::Ingest { .. })) {
-            self.telemetry.count_parked(conn, 0);
+        match frame.into_ingest() {
+            Ok((edges, budget)) => {
+                let ingest = Ingest { edges, admitted: 0, budget };
+                offer(&*self.service, &self.telemetry, ingest, Some(conn), out)
+            }
+            Err(frame) => self.serve(frame, out),
         }
-        step
     }
 
     fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep<Parked> {
         let (reply, step) = match parked {
-            Parked::Ingest { edges, budget } => return self.offer(edges, budget, out),
+            Parked::Ingest(ingest) => {
+                return offer(&*self.service, &self.telemetry, ingest, None, out)
+            }
             Parked::Room(frame) => return self.serve(frame, out),
             Parked::Reply(poll) => match poll(self) {
                 Ok(reply) => (reply, FrameStep::Continue),
@@ -241,12 +252,9 @@ impl FrameHandler for ShardHandler {
 }
 
 impl ShardHandler {
-    /// Serves one request: answers into `out`, or says what it waits for.
+    /// Serves one request other than ingest: answers into `out`, or says
+    /// what it waits for.
     fn serve(&self, frame: WireFrame, out: &mut Vec<u8>) -> FrameStep<Parked> {
-        let frame = match frame.into_ingest() {
-            Ok((edges, budget)) => return self.offer(edges, budget, out),
-            Err(frame) => frame,
-        };
         let error = |message: &str| WireFrame::Error { message: message.into() };
         let (reply, step) = match self.enqueue(&frame) {
             Some(Ok(poll)) => return self.retry(Parked::Reply(poll), out),
@@ -286,31 +294,6 @@ impl ShardHandler {
                     (error(&message), FrameStep::Close)
                 }
             },
-        };
-        reply.encode_into(out);
-        step
-    }
-
-    /// The ingest path: one worker command per batch (the shard-grouped
-    /// fast path), admitted whole or not at all. A full queue parks the
-    /// frame; the late Ack is the back-pressure.
-    fn offer(
-        &self,
-        edges: Vec<RawEdge>,
-        budget: Option<Duration>,
-        out: &mut Vec<u8>,
-    ) -> FrameStep<Parked> {
-        let accepted = edges.len();
-        let (reply, step) = match self.service.try_submit_batch(edges, budget) {
-            Ok(()) => {
-                // audit: monotone transport counter, telemetry only
-                self.telemetry.edges_accepted.fetch_add(accepted as u64, Ordering::Relaxed);
-                (WireFrame::Ack { accepted: accepted as u64 }, FrameStep::Continue)
-            }
-            Err((TrySubmit::Full, edges)) => {
-                return FrameStep::Park(Parked::Ingest { edges, budget })
-            }
-            Err(_) => shut_down(),
         };
         reply.encode_into(out);
         step
@@ -389,10 +372,12 @@ fn collect<T: 'static>(
 mod tests {
     use super::*;
     use crate::wire::write_frame;
-    use spade_core::{SpadeEngine, WeightedDensity};
+    use spade_core::{CustomMetric, IngestConfig, SpadeEngine, WeightedDensity};
     use spade_graph::VertexId;
+    use spade_metrics::EventKind;
     use std::io::Write;
     use std::net::TcpStream;
+    use std::time::Duration;
 
     fn spawn_server() -> (ShardServer, TcpStream) {
         let engine = SpadeEngine::new(WeightedDensity);
@@ -437,6 +422,49 @@ mod tests {
             WireFrame::Detection(det) => assert_eq!(det.size, 4),
             other => panic!("unexpected reply: {other:?}"),
         }
+        server.stop();
+    }
+
+    /// A batch that parks on a shard server traces the edges it had
+    /// admitted: a worker stalled inside its first run leaves a 4-edge
+    /// bound, so an 8-edge batch admits 4, then parks.
+    #[test]
+    fn a_parked_batch_traces_the_edges_it_admitted() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = Arc::clone(&gate);
+        let gated = CustomMetric::new(
+            "gated",
+            |_, _| 0.0,
+            move |_, _, raw, _| {
+                while !held.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                raw
+            },
+        );
+        let ingest = IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None };
+        let service = SpadeService::spawn_with(SpadeEngine::new(gated), None, ingest, "g".into());
+        let mut server =
+            ShardServer::spawn(Arc::new(service), &ShardServerConfig::default()).expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let edges: Vec<_> = (0..8u32).map(|i| (v(i), v(100 + i), 1.0)).collect();
+        write_frame(&mut stream, &WireFrame::Batch { edges }).expect("write");
+        let telemetry = Arc::clone(&server.reactor.as_ref().expect("running").telemetry);
+        let busy = || {
+            let events = telemetry.registry().recent_events();
+            events.iter().filter(|e| e.kind == EventKind::Busy).map(|e| e.value).collect::<Vec<_>>()
+        };
+        // Either the frame parks, or it is all accepted at once.
+        while busy().is_empty() && telemetry.totals().edges_accepted < 8 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let parked = busy();
+        gate.store(true, Ordering::Release);
+        assert_eq!(parked, [4]);
+        assert_eq!(
+            crate::wire::read_frame(&mut stream).expect("read"),
+            Some(WireFrame::Ack { accepted: 8 })
+        );
         server.stop();
     }
 

@@ -162,7 +162,11 @@ fn a_shard_server_parks_a_batch_on_its_full_queue_and_acks_it_whole_in_order() {
     write_frame(&mut a, &WireFrame::Flush).expect("flush behind the parked batch");
     write_frame(&mut a, &WireFrame::Detect).expect("detect behind the parked batch");
     assert_eq!(wire_counter(&mut b, "spade_net_busy_replies_total"), 1);
-    assert_eq!(wire_counter(&mut b, "spade_net_edges_accepted_total"), 0, "admitted whole or not");
+    assert_eq!(
+        wire_counter(&mut b, "spade_net_edges_accepted_total"),
+        0,
+        "a full queue admits none"
+    );
 
     replies_arrive_whole_and_in_order(&gate, &mut a, PREFILLED + FRAME_EDGES);
 
@@ -186,4 +190,42 @@ fn a_shutdown_under_a_batch_parked_on_a_shard_server_closes_it_unadmitted() {
     gate.store(true, Ordering::Release);
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
     assert_eq!(service.shutdown().updates_applied, PREFILLED);
+}
+
+#[test]
+fn a_shard_servers_queue_bound_counts_edges_not_frames() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let ingest = IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None };
+    let service = SpadeService::spawn_with(gated_engine(&gate), None, ingest, "gated".into());
+    let server = ShardServer::spawn(Arc::new(service), &ShardServerConfig::default()).unwrap();
+    let mut a = TcpStream::connect(server.local_addr()).expect("connect");
+    for frame in 0..3 {
+        let edges = (0..FRAME_EDGES as u32)
+            .map(|i| (VertexId(frame * 10 + i), VertexId(100 + i), 1.0))
+            .collect();
+        write_frame(&mut a, &WireFrame::Batch { edges }).expect("pipelined batch");
+    }
+
+    // While the worker stalls in the first run it took, the server holds
+    // the 4-edge bound plus that run — never three frame-sized slots.
+    let mut b = TcpStream::connect(server.local_addr()).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while wire_counter(&mut b, "spade_net_edges_accepted_total") < FRAME_EDGES {
+        assert!(Instant::now() < deadline, "the first frame was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Every loop wakeup re-offers A's parked frame: let ten more pass.
+    let wakeups = wire_counter(&mut b, "spade_net_reactor_wakeups_total");
+    while wire_counter(&mut b, "spade_net_reactor_wakeups_total") < wakeups + 10 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let accepted = wire_counter(&mut b, "spade_net_edges_accepted_total");
+    gate.store(true, Ordering::Release);
+    assert!(accepted <= FRAME_EDGES, "{accepted} edges admitted past a 4-edge bound");
+
+    for _ in 0..3 {
+        assert_eq!(read_frame(&mut a).unwrap(), Some(WireFrame::Ack { accepted: FRAME_EDGES }));
+    }
+    let service = Arc::try_unwrap(server.into_service()).unwrap_or_else(|_| panic!("shared"));
+    assert_eq!(service.shutdown().updates_applied, 3 * FRAME_EDGES);
 }

@@ -8,7 +8,8 @@
 //! never trips over a `TIME_WAIT` predecessor). The harness SIGKILLs
 //! these processes mid-ingest on purpose; all state is in-memory by
 //! design — recovery comes from the replica journal on a peer, not from
-//! local persistence.
+//! local persistence. Its worker's queue holds 4096 edges: a batch that
+//! does not fit is admitted in prefixes as the worker drains.
 //!
 //! The full-featured operator-facing equivalent is `spade shard-serve`
 //! in spade-cli; this binary exists so `CARGO_BIN_EXE_shardd` resolves
