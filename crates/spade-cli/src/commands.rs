@@ -54,12 +54,13 @@ per shard, communities kept co-resident by the connectivity partitioner)
 and reports per-shard statistics plus the `--top` densest per-shard
 communities (overlapping shard views of one split community are deduped).
 `detect --shards N` routes the same static input through N shards instead
-of one engine. `--coalesce N` caps how many queued transactions a shard
-worker drains and applies as one batch per wake-up (default 256; 1 =
-per-edge processing). `--deadline-ms F` sets a per-transaction detection
-latency budget (fractional ms allowed): shard workers then schedule
-batch boundaries so every queued transaction is applied within its
-budget — prefer it over tuning `--coalesce` directly. On `ingest` the
+of one engine. `--coalesce N` caps how many edges a shard worker drains
+and applies as one batch (default 256; 1 = per-edge processing); under
+`--grouping` it also caps the benign edges a worker holds back.
+`--deadline-ms F` sets a per-transaction detection latency budget
+(fractional ms allowed): shard workers then schedule batch boundaries so
+every queued transaction, a held-back benign one included, is applied
+within its budget — prefer it over tuning `--coalesce` directly. On `ingest` the
 same flag stamps the budget onto every frame so the server paces those
 edges; misses and remaining slack are exported as
 `spade_deadline_miss_total` / `spade_deadline_slack_ns` and shown in

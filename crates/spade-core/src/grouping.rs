@@ -18,10 +18,15 @@
 //! Implementation notes: suspiciousness is evaluated once, at arrival, and
 //! reused at flush (the streaming semantics of [`crate::metric`]) — by the
 //! engine's own staging checks ([`SpadeEngine::evaluate`]), so the grouper
-//! refuses exactly what a direct insertion would; the urgency test
-//! optionally counts the buffered-but-uninserted weight of each endpoint
-//! (`include_pending`, default on) so a burst of buffered transactions
-//! onto one vertex cannot hide below the threshold.
+//! refuses exactly what a direct insertion would; the urgency test counts
+//! the staged-but-uninserted weight of each endpoint, so a burst of staged
+//! transactions onto one vertex cannot hide below the threshold.
+//!
+//! The staged edges live in one `Stage`, which the service worker owns
+//! too: without grouping it holds raw weights for the drain-coalesced
+//! batch, with grouping the classified `c`. [`EdgeGrouper`] is the
+//! standalone form — a stage that settles on urgent edges and on
+//! [`EdgeGrouper::flush`].
 
 use crate::engine::SpadeEngine;
 use crate::metric::DensityMetric;
@@ -29,40 +34,19 @@ use crate::state::Detection;
 use spade_graph::hash::{FxHashMap, FxHashSet};
 use spade_graph::{EdgeRef, GraphError, VertexId};
 
-/// Configuration of the edge-grouping buffer.
-#[derive(Clone, Copy, Debug)]
-pub struct GroupingConfig {
-    /// Flush when the buffer reaches this many edges (0 = unbounded, flush
-    /// only on urgent edges or manually).
-    pub max_buffer: usize,
-    /// Count buffered-but-uninserted edge weight toward the urgency test.
-    pub include_pending: bool,
-}
-
-impl Default for GroupingConfig {
-    fn default() -> Self {
-        GroupingConfig { max_buffer: 0, include_pending: true }
-    }
-}
-
-/// Why a flush happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlushReason {
-    /// An urgent edge arrived (Definition 4.1).
-    Urgent,
-    /// The buffer hit `max_buffer`.
-    Capacity,
-    /// The caller invoked [`EdgeGrouper::flush`] (e.g. from `Detect`).
-    Manual,
-}
+/// Configuration of the edge-grouping layer. It has no knobs: the stage
+/// settles on urgent edges, and a service worker also caps it at
+/// [`crate::IngestConfig::coalesce`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GroupingConfig {}
 
 /// Result of submitting one transaction to the grouping layer.
 #[derive(Clone, Copy, Debug)]
 pub struct SubmitOutcome {
     /// Whether the edge classified as urgent.
     pub urgent: bool,
-    /// Detection after the flush this submission triggered, if any.
-    pub flushed: Option<(FlushReason, Detection)>,
+    /// Detection after the flush this (urgent) submission triggered.
+    pub flushed: Option<Detection>,
     /// Edges sitting in the buffer after this submission.
     pub buffered: usize,
 }
@@ -74,35 +58,135 @@ pub struct GroupingStats {
     pub submitted: usize,
     /// Transactions classified urgent.
     pub urgent: usize,
-    /// Flushes performed, by any reason.
+    /// Flushes performed, urgent or manual.
     pub flushes: usize,
     /// Total edges that went through a flush.
     pub flushed_edges: usize,
 }
 
+/// What staging one transaction did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Staged {
+    /// Staged; it applies when the stage settles.
+    Held,
+    /// Staged and urgent under Definition 4.1: settle now.
+    Urgent,
+    /// Redundant under the metric's set semantics: nothing staged.
+    Redundant,
+}
+
+/// The edges staged for one apply pass — the one staging buffer of both
+/// the service worker and [`EdgeGrouper`].
+#[derive(Debug)]
+pub(crate) struct Stage {
+    /// Classify at arrival (Definition 4.1) and stage `c`; otherwise
+    /// stage raw weights, which the metric evaluates at apply time (§4.2
+    /// exactness for graph-dependent metrics such as Fraudar).
+    grouped: bool,
+    edges: Vec<(VertexId, VertexId, f64)>,
+    /// Per-vertex staged incident weight (grouping only).
+    weight: FxHashMap<u32, f64>,
+    /// Ordered pairs staged (grouping only): dedup for set-semantics
+    /// metrics whose duplicates are redundant.
+    pairs: FxHashSet<u64>,
+}
+
+impl Stage {
+    pub(crate) fn new(grouped: bool) -> Self {
+        Stage {
+            grouped,
+            edges: Vec::new(),
+            weight: FxHashMap::default(),
+            pairs: FxHashSet::default(),
+        }
+    }
+
+    pub(crate) fn grouped(&self) -> bool {
+        self.grouped
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// Stages one transaction. Ungrouped, it is held as is; grouped, it
+    /// is evaluated and classified first, and a refusal is never staged.
+    pub(crate) fn push<M: DensityMetric>(
+        &mut self,
+        engine: &mut SpadeEngine<M>,
+        src: VertexId,
+        dst: VertexId,
+        raw: f64,
+    ) -> Result<Staged, GraphError> {
+        if !self.grouped {
+            self.edges.push((src, dst, raw));
+            return Ok(Staged::Held);
+        }
+        let c = engine.evaluate(src, dst, raw)?;
+        let pair = EdgeRef::new(src, dst).packed();
+        if c == 0.0 || (!engine.metric().accumulates_duplicates() && self.pairs.contains(&pair)) {
+            // The pair exists in the graph, or already waits in the stage.
+            return Ok(Staged::Redundant);
+        }
+        // `IsBenign` (negated): Definition 4.1 against the current
+        // detection density, counting each endpoint's staged weight.
+        let threshold = engine.cached_detection().density;
+        let staged = |v: VertexId| {
+            engine.graph().incident_weight(v) + self.weight.get(&v.0).copied().unwrap_or(0.0)
+        };
+        let urgent = staged(src) + c >= threshold || staged(dst) + c >= threshold;
+        self.edges.push((src, dst, c));
+        self.pairs.insert(pair);
+        *self.weight.entry(src.0).or_insert(0.0) += c;
+        *self.weight.entry(dst.0).or_insert(0.0) += c;
+        Ok(if urgent { Staged::Urgent } else { Staged::Held })
+    }
+
+    /// Applies the stage as one batch insertion (one reorder pass) and
+    /// empties it. Returns the detection and the refused edges' count.
+    pub(crate) fn apply<M: DensityMetric>(
+        &mut self,
+        engine: &mut SpadeEngine<M>,
+    ) -> (Detection, u64) {
+        let applied = if self.grouped {
+            engine.insert_batch_weighted(&self.edges)
+        } else {
+            engine.insert_batch_tolerant(&self.edges)
+        };
+        self.edges.clear();
+        self.weight.clear();
+        self.pairs.clear();
+        applied
+    }
+}
+
 /// The edge-grouping buffer in front of a [`SpadeEngine`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EdgeGrouper {
     config: GroupingConfig,
-    /// Buffered edges with their arrival-time suspiciousness.
-    buffer: Vec<(VertexId, VertexId, f64)>,
-    /// Per-vertex buffered incident weight (for `include_pending`).
-    pending: FxHashMap<u32, f64>,
-    /// Ordered pairs sitting in the buffer (dedup for set-semantics
-    /// metrics whose duplicates are redundant).
-    buffered_pairs: FxHashSet<u64>,
+    stage: Stage,
     stats: GroupingStats,
+}
+
+impl Default for EdgeGrouper {
+    fn default() -> Self {
+        Self::new(GroupingConfig::default())
+    }
 }
 
 impl EdgeGrouper {
     /// Creates a grouper with the given configuration.
     pub fn new(config: GroupingConfig) -> Self {
-        EdgeGrouper { config, ..Default::default() }
+        EdgeGrouper { config, stage: Stage::new(true), stats: GroupingStats::default() }
     }
 
     /// Number of edges currently buffered.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.stage.len()
     }
 
     /// The grouper's configuration.
@@ -116,7 +200,7 @@ impl EdgeGrouper {
     }
 
     /// Submits one transaction: classifies it (Definition 4.1), buffers it,
-    /// and flushes through `engine` if it was urgent or the buffer filled.
+    /// and flushes through `engine` if it was urgent.
     pub fn submit<M: DensityMetric>(
         &mut self,
         engine: &mut SpadeEngine<M>,
@@ -124,58 +208,16 @@ impl EdgeGrouper {
         dst: VertexId,
         raw: f64,
     ) -> Result<SubmitOutcome, GraphError> {
-        let c = engine.evaluate(src, dst, raw)?; // a refusal is never buffered
+        let staged = self.stage.push(engine, src, dst, raw)?;
         self.stats.submitted += 1;
-        let pair = EdgeRef::new(src, dst).packed();
-        let redundant = c == 0.0
-            || (!engine.metric().accumulates_duplicates() && self.buffered_pairs.contains(&pair));
-        if redundant {
-            // Redundant under the metric's set semantics (the pair exists
-            // in the graph, or already waits in the buffer) — nothing to
-            // buffer or flush.
-            return Ok(SubmitOutcome { urgent: false, flushed: None, buffered: self.buffer.len() });
-        }
-
-        let threshold = engine.cached_detection().density;
-        let urgent = self.is_urgent(engine, src, dst, c, threshold);
-        self.buffer.push((src, dst, c));
-        self.buffered_pairs.insert(pair);
-        if self.config.include_pending {
-            *self.pending.entry(src.0).or_insert(0.0) += c;
-            *self.pending.entry(dst.0).or_insert(0.0) += c;
-        }
-
+        let urgent = staged == Staged::Urgent;
         let flushed = if urgent {
             self.stats.urgent += 1;
-            Some((FlushReason::Urgent, self.flush(engine)?))
-        } else if self.config.max_buffer > 0 && self.buffer.len() >= self.config.max_buffer {
-            Some((FlushReason::Capacity, self.flush(engine)?))
+            Some(self.flush(engine)?)
         } else {
             None
         };
-        Ok(SubmitOutcome { urgent, flushed, buffered: self.buffer.len() })
-    }
-
-    /// `IsBenign` (negated): Definition 4.1 against the engine's current
-    /// detection density.
-    fn is_urgent<M: DensityMetric>(
-        &self,
-        engine: &SpadeEngine<M>,
-        src: VertexId,
-        dst: VertexId,
-        c: f64,
-        threshold: f64,
-    ) -> bool {
-        let pending = |v: VertexId| {
-            if self.config.include_pending {
-                self.pending.get(&v.0).copied().unwrap_or(0.0)
-            } else {
-                0.0
-            }
-        };
-        let w_src = engine.graph().incident_weight(src) + pending(src);
-        let w_dst = engine.graph().incident_weight(dst) + pending(dst);
-        w_src + c >= threshold || w_dst + c >= threshold
+        Ok(SubmitOutcome { urgent, flushed, buffered: self.stage.len() })
     }
 
     /// Flushes the buffer into the engine (one batch reorder), returning
@@ -185,16 +227,12 @@ impl EdgeGrouper {
         &mut self,
         engine: &mut SpadeEngine<M>,
     ) -> Result<Detection, GraphError> {
-        if self.buffer.is_empty() {
+        if self.stage.is_empty() {
             return Ok(engine.cached_detection());
         }
         self.stats.flushes += 1;
-        self.stats.flushed_edges += self.buffer.len();
-        let (det, _) = engine.insert_batch_weighted(&self.buffer);
-        self.buffer.clear();
-        self.pending.clear();
-        self.buffered_pairs.clear();
-        Ok(det)
+        self.stats.flushed_edges += self.stage.len();
+        Ok(self.stage.apply(engine).0)
     }
 }
 
@@ -249,8 +287,7 @@ mod tests {
         // A massive transaction towards the dense block is urgent.
         let out = g.submit(&mut e, v(5), v(0), 50.0).unwrap();
         assert!(out.urgent);
-        let (reason, det) = out.flushed.unwrap();
-        assert_eq!(reason, FlushReason::Urgent);
+        let det = out.flushed.unwrap();
         assert!(det.size > 0);
         assert_eq!(g.buffered(), 0);
         // Both buffered edges landed in the graph.
@@ -258,20 +295,6 @@ mod tests {
         assert!(e.graph().edge_weight(v(5), v(0)).is_some());
         // State stayed exact.
         assert_eq!(e.state().logical_order(), peel(e.graph()).order);
-    }
-
-    #[test]
-    fn capacity_flush() {
-        let mut e = engine_with_community();
-        let mut g = EdgeGrouper::new(GroupingConfig { max_buffer: 3, include_pending: true });
-        g.submit(&mut e, v(5), v(8), 0.1).unwrap();
-        g.submit(&mut e, v(6), v(9), 0.1).unwrap();
-        let out = g.submit(&mut e, v(7), v(10), 0.1).unwrap();
-        assert!(!out.urgent);
-        assert_eq!(out.flushed.unwrap().0, FlushReason::Capacity);
-        assert_eq!(g.buffered(), 0);
-        assert_eq!(g.stats().flushes, 1);
-        assert_eq!(g.stats().flushed_edges, 3);
     }
 
     #[test]
@@ -308,15 +331,6 @@ mod tests {
             }
         }
         assert!(fired, "pending accumulation never triggered urgency");
-
-        // Without pending accounting the same traffic stays buffered.
-        let mut e2 = engine_with_community();
-        let mut g2 = EdgeGrouper::new(GroupingConfig { max_buffer: 0, include_pending: false });
-        for i in 0..10u32 {
-            let out = g2.submit(&mut e2, v(20), v(30 + i), each).unwrap();
-            assert!(!out.urgent);
-        }
-        assert_eq!(g2.buffered(), 10);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod timewindow;
 
 pub use engine::{SpadeConfig, SpadeEngine};
 pub use enumeration::{enumerate_incremental, enumerate_static, EnumerationConfig, FraudInstance};
-pub use grouping::{EdgeGrouper, FlushReason, GroupingConfig, GroupingStats, SubmitOutcome};
+pub use grouping::{EdgeGrouper, GroupingConfig, GroupingStats, SubmitOutcome};
 pub use kinetic::KineticIndex;
 pub use metric::{
     BuiltinMetric, CustomMetric, DensityMetric, Fraudar, UnweightedDensity, WeightedDensity,

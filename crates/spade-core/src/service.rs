@@ -14,41 +14,43 @@
 //! * **Drain coalescing** (the paper's Algorithm 2 applied to the
 //!   runtime): after blocking on the first command, the worker
 //!   opportunistically drains whatever else is already queued (up to
-//!   [`IngestConfig::coalesce`] commands) and feeds the whole run through
+//!   [`IngestConfig::coalesce`] edges) and feeds the whole run through
 //!   the batch insertion path, so a burst of N edges costs **one**
 //!   reorder pass and **one** publish instead of N of each. Exactness is
 //!   preserved: §4.2 guarantees the batch reorder yields a peeling
 //!   sequence bit-identical to per-edge insertion (property-tested in
 //!   `tests/properties.rs`), and `updates_applied` still counts every
-//!   submitted command. With edge grouping on, every drained insert is
-//!   classified per edge and an **urgent** flush publishes immediately
-//!   mid-run — coalescing never delays the §4.3 real-time path, it only
-//!   amortizes the benign one.
+//!   submitted transaction.
 //! * **Zero-copy publishing**: the published snapshot holds its member
 //!   list behind an `Arc<[VertexId]>` and is swapped only when the
 //!   detection actually changed. Readers clone a pointer, never a vec;
 //!   unchanged publishes are counted as `skipped_unchanged` instead of
 //!   re-cloning the community.
 //!
-//! The service wraps the edge-grouping layer, so benign traffic batches
-//! exactly as in §4.3 while urgent transactions update the published
-//! detection immediately.
-//!
 //! Every submit is a batch: `submit` is a one-edge `submit_batch`, so the
-//! worker has one ingest command and one `ingest` step (stage the edge,
-//! or classify it when grouping is on), and everything readers may
-//! observe — a run's end, a barrier, a region export — goes through the
-//! same `settle` step: apply the staged batch as one pass, then publish.
+//! worker has one ingest command and one `ingest` step, which puts each
+//! edge on the worker's one stage. Edge grouping (§4.3) is a policy of
+//! that stage, not a second buffer: a grouped stage classifies each edge
+//! at arrival and holds benign ones past the end of a run. One `settle`
+//! step — apply the stage as one pass, then publish — fires when:
+//!
+//! * a staged edge is urgent (Definition 4.1; grouping only), so urgent
+//!   transactions update the published detection immediately;
+//! * the stage already holds [`IngestConfig::coalesce`] edges;
+//! * the spring-push boundary of the staged budgets passes;
+//! * any other command arrives (flush, barrier, region export,
+//!   migration, shutdown);
+//! * a run drains and no grouper is configured.
 //!
 //! The sharded runtime (`crate::shard`) scales this out by wrapping one
 //! [`SpadeService`] per shard — same ingest protocol, same
 //! publish-into-snapshot discipline, same drain-on-shutdown guarantee.
 
 use crate::engine::SpadeEngine;
-use crate::grouping::{EdgeGrouper, GroupingConfig, GroupingStats};
+use crate::grouping::{GroupingConfig, Stage, Staged};
 use crate::metric::DensityMetric;
 use crate::state::Detection;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::RwLock;
 use spade_graph::{DynamicGraph, VertexId};
 use spade_metrics::runtime::{
@@ -64,17 +66,16 @@ use std::time::{Duration, Instant};
 /// so front ends (sharded runtime, benches, the CLI) can look up the
 /// same series without stringly re-deriving them.
 pub mod metric_names {
-    /// Histogram: submit → drain wait per ingest command, nanoseconds.
+    /// Histogram: submit → apply wait per ingested edge, nanoseconds.
     /// Its count equals `updates_applied` at quiesce — every insert is
-    /// timed exactly once.
+    /// timed exactly once, a staged one when its stage applies.
     pub const STAGE_QUEUE_WAIT_NS: &str = "spade_stage_queue_wait_ns";
-    /// Histogram: reorder/peel time per applied batch (or per urgent
-    /// grouped flush), nanoseconds.
+    /// Histogram: reorder/peel time per applied stage, nanoseconds.
     pub const STAGE_REORDER_NS: &str = "spade_stage_reorder_ns";
     /// Histogram: publish-attempt latency (detect + snapshot swap),
     /// nanoseconds.
     pub const STAGE_PUBLISH_NS: &str = "spade_stage_publish_ns";
-    /// Histogram: inserts applied per coalesced batch.
+    /// Histogram: edges applied per stage.
     pub const COALESCE_BATCH_SIZE: &str = "spade_coalesce_batch_size";
     /// Counter: edge-grouping flushes performed.
     pub const FLUSHES_TOTAL: &str = "spade_flushes_total";
@@ -105,11 +106,13 @@ pub struct IngestConfig {
     /// Edges the ingest queue holds (back-pressure for bursty producers):
     /// the bound [`SpadeService::queue_free`] counts down.
     pub queue_capacity: usize,
-    /// Maximum number of queued commands the worker drains per wake-up
-    /// and applies as one batch (one reorder pass, one publish). `1`
-    /// reproduces strict per-edge processing; larger values amortize a
-    /// burst without delaying anything — the worker never *waits* for a
-    /// batch to fill, it only drains what is already queued.
+    /// Maximum number of edges the worker drains per run and applies as
+    /// one batch (one reorder pass, one publish). `1` reproduces strict
+    /// per-edge processing; larger values amortize a burst without
+    /// delaying anything — the worker never *waits* for a batch to fill,
+    /// it only drains what is already queued. It also caps the grouped
+    /// stage: with edge grouping on, the stage settles before it would
+    /// hold more than this many benign edges.
     pub coalesce: usize,
     /// Default per-transaction detection-latency budget (the SLO
     /// deadline), applied to every submit that does not carry an
@@ -119,8 +122,10 @@ pub struct IngestConfig {
     /// earliest staged budget would be at risk (arrival + budget − a
     /// peel-cost margin from the live reorder histogram), so loose
     /// budgets buy bigger batches and tight budgets degrade gracefully
-    /// to per-edge latency. `None` (the default) reproduces today's
-    /// drain-coalesce behavior bit-exactly: the worker never waits.
+    /// to per-edge latency. With edge grouping on, the same boundary
+    /// bounds how long a benign edge stays staged. `None` (the default)
+    /// reproduces plain drain-coalescing bit-exactly: the worker never
+    /// waits.
     pub deadline: Option<Duration>,
 }
 
@@ -240,7 +245,7 @@ enum Command {
     /// itself, plus its optional detection-latency budget (drives the
     /// spring-push batch boundary and deadline-miss accounting).
     Insert { edges: EdgeRun, queued: Instant, budget: Option<Duration> },
-    /// Apply any buffered benign edges now.
+    /// Settle the stage now.
     Flush,
     /// Drain marker: reply once every command queued before it has been
     /// applied and the resulting detection published.
@@ -266,8 +271,7 @@ enum Command {
 #[derive(Debug)]
 struct WorkerMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Edge-grouping flushes applied (urgent, capacity, manual and the
-    /// final drain). Mirrored from the grouper's own counter.
+    /// Grouped stages applied, whatever triggered the settle.
     flushes: Arc<Counter>,
     /// Snapshot publications that actually swapped the snapshot.
     publishes: Arc<Counter>,
@@ -279,13 +283,13 @@ struct WorkerMetrics {
     rejected: Arc<Counter>,
     /// Ingest commands processed (mirrors `updates_applied`).
     updates: Arc<Counter>,
-    /// Submit → drain wait per ingest command (ns).
+    /// Submit → apply wait per ingested edge (ns).
     queue_wait_ns: Arc<Histogram>,
-    /// Reorder/peel time per applied batch or urgent flush (ns).
+    /// Reorder/peel time per applied stage (ns).
     reorder_ns: Arc<Histogram>,
     /// Publish-attempt latency (ns).
     publish_ns: Arc<Histogram>,
-    /// Inserts applied per coalesced batch.
+    /// Edges applied per stage.
     batch_size: Arc<Histogram>,
     /// Live ingest-queue depth (refreshed when a snapshot is taken).
     queue_depth: Arc<Gauge>,
@@ -409,7 +413,7 @@ pub struct SpadeService {
 impl SpadeService {
     /// Spawns the worker thread around `engine`. `queue_capacity` bounds
     /// the ingest channel (back-pressure for bursty producers);
-    /// `grouping` enables the §4.3 buffer. Uses the default coalesce cap
+    /// `grouping` turns on §4.3 edge grouping of its stage. Uses the default coalesce cap
     /// — see [`SpadeService::spawn_with`] to tune it.
     pub fn spawn<M: DensityMetric + Send + 'static>(
         engine: SpadeEngine<M>,
@@ -439,7 +443,7 @@ impl SpadeService {
         let metrics = Arc::new(WorkerMetrics::new(Arc::new(MetricsRegistry::new())));
         let mut worker = Worker::new(
             engine,
-            grouping,
+            grouping.is_some(),
             ingest.coalesce,
             Arc::clone(&shared),
             Arc::clone(&metrics),
@@ -571,16 +575,17 @@ impl SpadeService {
         self.queue_capacity.saturating_sub(self.sender.len().saturating_add(backlog))
     }
 
-    /// Asks the worker to flush any buffered benign edges.
+    /// Asks the worker to settle now: every staged edge, grouped benign
+    /// ones included, is applied and the detection published.
     pub fn flush(&self) -> bool {
         self.sender.send(Command::Flush).is_ok()
     }
 
     /// Read-your-acks barrier: blocks until the worker has applied every
     /// transaction submitted before this call and published the
-    /// resulting detection. Grouped benign edges stay buffered — the
-    /// published detection excludes them, and the barrier agrees with
-    /// it. Returns `false` if the service has shut down.
+    /// resulting detection. Grouped benign edges are applied too, as
+    /// [`crate::Spade::detect`] does. Returns `false` if the service has
+    /// shut down.
     pub fn barrier(&self) -> bool {
         self.request_barrier(true).is_ok_and(|done| done.recv().is_ok())
     }
@@ -599,9 +604,9 @@ impl SpadeService {
     /// a `hops`-hop frontier of boundary edges, serialized with the
     /// persist subgraph codec. Blocks until the worker reaches the
     /// request in its FIFO queue, so the region reflects every
-    /// transaction submitted before this call (grouped benign edges still
-    /// buffered are excluded, exactly as they are from the published
-    /// detection). Returns `None` if the service has shut down.
+    /// transaction submitted before this call, grouped benign edges
+    /// included (the worker settles its stage first). Returns `None` if
+    /// the service has shut down.
     pub fn candidate_region(&self, hops: usize) -> Option<CandidateRegion> {
         self.request_candidate_region(hops, true).ok()?.recv().ok()
     }
@@ -622,7 +627,7 @@ impl SpadeService {
     /// component migration — see `crate::shard::migrate`). Blocks until
     /// the worker reaches the request in its FIFO queue, so the slice
     /// covers every transaction submitted before this call, including
-    /// grouped benign edges (the worker flushes its buffer first).
+    /// grouped benign edges (the worker applies its stage first).
     /// Returns `None` if the service has shut down.
     pub fn migrate_out(&self, members: Arc<[VertexId]>) -> Option<MigrationSlice> {
         self.request_migrate_out(members, true).ok()?.recv().ok()
@@ -738,22 +743,23 @@ impl Drop for SpadeService {
 
 /// The detector worker: everything the ingest thread owns. Every
 /// [`SpadeService`] runs one of these — including the N services the
-/// sharded runtime wraps. [`ingest`](Self::ingest) and
-/// [`settle`](Self::settle) are the one route the module docs describe.
+/// sharded runtime wraps. [`ingest`](Self::ingest) stages edges and
+/// [`settle`](Self::settle) applies the stage and publishes: the one
+/// route the module docs describe.
 struct Worker<M: DensityMetric> {
     engine: SpadeEngine<M>,
-    grouper: Option<EdgeGrouper>,
-    /// Cap on the staged batch and on the edges one run drains.
-    coalesce: usize,
-    /// Ungrouped inserts staged for one batch application.
-    batch: Vec<(VertexId, VertexId, f64)>,
-    /// Arrival stamp + budget of every staged insert, kept in lockstep
-    /// with `batch` so apply time can record the true submit → apply
+    /// The one staging buffer: the drain-coalesced run, or the grouped
+    /// edges waiting for a settle trigger.
+    stage: Stage,
+    /// Arrival stamp + budget of every staged edge, kept in lockstep
+    /// with `stage` so apply time can record the true submit → apply
     /// wait and deadline slack per transaction.
-    pending: Vec<(Instant, Option<Duration>)>,
+    stamps: Vec<(Instant, Option<Duration>)>,
+    /// Cap on the stage and on the edges one run drains.
+    coalesce: usize,
     /// Edges ingested by the current run.
     run_len: usize,
-    /// Ingest commands consumed so far.
+    /// Edges ingested so far.
     updates: u64,
     publisher: Publisher,
     shared: Arc<SharedDetection>,
@@ -763,7 +769,7 @@ struct Worker<M: DensityMetric> {
 impl<M: DensityMetric> Worker<M> {
     fn new(
         engine: SpadeEngine<M>,
-        grouping: Option<GroupingConfig>,
+        grouped: bool,
         coalesce: usize,
         shared: Arc<SharedDetection>,
         metrics: Arc<WorkerMetrics>,
@@ -771,10 +777,9 @@ impl<M: DensityMetric> Worker<M> {
         let coalesce = coalesce.max(1);
         Worker {
             engine,
-            grouper: grouping.map(EdgeGrouper::new),
+            stage: Stage::new(grouped),
+            stamps: Vec::with_capacity(coalesce.min(4096)),
             coalesce,
-            batch: Vec::with_capacity(coalesce.min(4096)),
-            pending: Vec::with_capacity(coalesce.min(4096)),
             run_len: 0,
             updates: 0,
             publisher: Publisher::default(),
@@ -787,29 +792,40 @@ impl<M: DensityMetric> Worker<M> {
     /// gone), publishing every new detection into `shared`.
     ///
     /// The loop blocks on the first command of a run, then drains
-    /// whatever else is already queued (up to the coalesce cap) and
-    /// settles the whole run at once: one reorder pass, one publish
-    /// attempt.
+    /// whatever else is already queued (up to the coalesce cap). Without
+    /// a grouper the run then settles at once: one reorder pass, one
+    /// publish attempt. A grouped stage settles on its own triggers
+    /// (urgent edge, cap, budget boundary, marker); the run's end only
+    /// publishes the update count.
     ///
-    /// With latency budgets in play the drain becomes an event-driven
-    /// wait: when the queue runs dry while budgeted transactions are
-    /// staged, the worker spring-pushes the batch boundary — it sleeps
-    /// on the channel until either new work arrives or the earliest
-    /// staged deadline (minus a peel-cost margin estimated from the live
-    /// reorder histogram) would be at risk, whichever comes first.
-    /// Budget-free runs never wait, so the no-budget path is
+    /// With latency budgets staged, the waits are event-driven: when the
+    /// queue runs dry — mid-run, or idle under a grouped stage that
+    /// outlived its run — the worker spring-pushes the boundary: it
+    /// sleeps on the channel until either new work arrives or the
+    /// earliest staged deadline (minus a peel-cost margin estimated from
+    /// the live reorder histogram) would be at risk, and settles there.
+    /// Budget-free stages never wait, so the no-budget path is
     /// bit-identical to plain drain-coalescing.
     fn run(&mut self, receiver: &Receiver<Command>) {
         self.publish();
-        let mut shutdown = false;
-        while !shutdown {
-            // Every sender gone is a shutdown without the marker.
-            let mut cmd = receiver.recv().unwrap_or(Command::Shutdown);
-            self.run_len = 0;
+        loop {
             // Peel-cost margin for the spring push, resolved from the
             // live reorder histogram at most once per run (a snapshot
-            // allocates) and only when a budgeted insert needs it.
+            // allocates) and only when a budgeted edge needs it.
             let mut margin: Option<Duration> = None;
+            let mut cmd = match self.patience(&mut margin) {
+                // Every sender gone is a shutdown without the marker.
+                None => receiver.recv().unwrap_or(Command::Shutdown),
+                Some(wait) => match receiver.recv_timeout(wait) {
+                    Ok(cmd) => cmd,
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.settle();
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => Command::Shutdown,
+                },
+            };
+            self.run_len = 0;
             loop {
                 match cmd {
                     Command::Insert { edges, queued, budget } => {
@@ -821,7 +837,7 @@ impl<M: DensityMetric> Worker<M> {
                             .fetch_sub(edges.len().saturating_sub(1) as u64, Ordering::Relaxed);
                         self.ingest(&edges, queued, budget);
                     }
-                    Command::Flush => self.flush(),
+                    Command::Flush => self.settle(),
                     Command::Barrier { reply } => {
                         self.settle();
                         let _ = reply.send(());
@@ -838,9 +854,8 @@ impl<M: DensityMetric> Worker<M> {
                     Command::Shutdown => {
                         // Final drain, so the last published state
                         // reflects every submission before the marker.
-                        self.flush();
-                        shutdown = true;
-                        break;
+                        self.settle();
+                        return;
                     }
                 }
                 if self.run_len >= self.coalesce {
@@ -848,45 +863,52 @@ impl<M: DensityMetric> Worker<M> {
                 }
                 cmd = match receiver.try_recv() {
                     Ok(next) => next,
-                    // Queue ran dry mid-run. Spring push: if every staged
-                    // insert still has budget slack past the peel margin,
-                    // hold the batch open and sleep on the channel until
-                    // new work arrives or the earliest boundary hits —
-                    // whichever comes first. Budget-free batches (and
-                    // boundaries already past) apply immediately, exactly
-                    // like the pre-deadline drain-coalesce.
-                    Err(_) => {
-                        let now = Instant::now();
-                        match spring_wait(&self.pending, &mut margin, &self.metrics, now)
-                            .map(|timeout| receiver.recv_timeout(timeout))
-                        {
-                            Some(Ok(next)) => next,
-                            _ => break,
-                        }
-                    }
+                    // Queue ran dry mid-run. Spring push: while every
+                    // staged budget still has slack past the peel margin,
+                    // hold the stage open until new work arrives or the
+                    // earliest boundary hits, whichever comes first.
+                    Err(_) => match self
+                        .patience(&mut margin)
+                        .filter(|wait| !wait.is_zero())
+                        .map(|wait| receiver.recv_timeout(wait))
+                    {
+                        Some(Ok(next)) => next,
+                        _ => break,
+                    },
                 };
             }
-            self.settle();
+            // Drain-coalescing settles the run. A grouped stage settles
+            // only once its boundary has passed.
+            if self.stage.grouped() && self.patience(&mut margin) != Some(Duration::ZERO) {
+                self.publish();
+            } else {
+                self.settle();
+            }
         }
+    }
+
+    /// How long the stage may stay open for the next command: `None`
+    /// while no staged edge carries a budget (wait as long as it takes),
+    /// otherwise the spring-push wait — zero once the boundary has passed.
+    fn patience(&self, margin: &mut Option<Duration>) -> Option<Duration> {
+        if self.stamps.iter().all(|&(_, budget)| budget.is_none()) {
+            return None;
+        }
+        let now = Instant::now();
+        Some(spring_wait(&self.stamps, margin, &self.metrics, now).unwrap_or_default())
     }
 
     /// The one ingest path: `Command::Insert` hands in its run; `queued`
     /// and `budget` cover the slice.
     ///
-    /// Without a grouper, edges are staged and apply as one §4.2 pass
-    /// when the run settles. Staged inserts defer their queue-wait
-    /// sample to apply time (the wait they pay includes any spring-push
-    /// delay), so there is no clock read per edge. A run can overshoot
-    /// the coalesce cap mid-command: the full batch settles first and
-    /// staging continues — the same mid-run publish an urgent grouped
-    /// flush does.
-    ///
-    /// With a grouper, each edge goes through per-edge urgency
-    /// classification right here (benign edges only touch the grouping
-    /// buffer — no reorder, no publish), and an urgent flush publishes
-    /// *immediately*, so the §4.3 real-time guarantee survives
-    /// coalescing. Drain time IS apply time: one clock read per call
-    /// covers the queue-wait samples and the start of processing time.
+    /// Each edge is counted, then staged: raw without a grouper,
+    /// classified per edge with one. The stage settles before an edge
+    /// would take it past the coalesce cap, and right after an urgent
+    /// edge, so the §4.3 real-time path never waits for the run to end.
+    /// A staged edge defers its queue-wait sample to apply time (the wait
+    /// it pays includes its time in the stage), so there is no clock read
+    /// per edge; a grouped edge that stages nothing (redundant or
+    /// refused) is done on arrival, timed by one clock read per command.
     fn ingest(
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
@@ -894,100 +916,80 @@ impl<M: DensityMetric> Worker<M> {
         budget: Option<Duration>,
     ) {
         self.run_len += edges.len();
-        let Some(g) = self.grouper.as_mut() else {
-            for &edge in edges {
-                if self.batch.len() >= self.coalesce {
+        let drained = self.stage.grouped().then(Instant::now);
+        for &(src, dst, raw) in edges {
+            if self.stage.len() >= self.coalesce {
+                self.settle();
+            }
+            self.updates += 1;
+            match self.stage.push(&mut self.engine, src, dst, raw) {
+                Ok(Staged::Held) => self.stamps.push((queued, budget)),
+                Ok(Staged::Urgent) => {
+                    self.stamps.push((queued, budget));
                     self.settle();
                 }
-                self.batch.push(edge);
-                self.pending.push((queued, budget));
-            }
-            return;
-        };
-        let drained = Instant::now();
-        let wait = drained.saturating_duration_since(queued);
-        for &(src, dst, raw) in edges {
-            record_wait(&self.metrics, wait, budget);
-            self.updates += 1;
-            let before = g.stats().flushed_edges;
-            match g.submit(&mut self.engine, src, dst, raw) {
-                Ok(out) if out.flushed.is_some() => {
-                    // An urgent/capacity flush ran a real reorder pass:
-                    // attribute its cost to the reorder/peel stage.
-                    record_flush(&self.metrics, drained, before, g.stats());
-                    // `g` holds the grouper field, so name the others.
-                    self.publisher.publish(
-                        &mut self.engine,
-                        &self.shared,
-                        self.updates,
-                        &self.metrics,
-                    );
+                // Nothing staged (grouped: redundant or refused), so the
+                // wait ends here.
+                done => {
+                    if done.is_err() {
+                        self.metrics.rejected.inc();
+                    }
+                    if let Some(drained) = drained {
+                        record_wait(
+                            &self.metrics,
+                            drained.saturating_duration_since(queued),
+                            budget,
+                        );
+                    }
                 }
-                Ok(_) => {}
-                Err(_) => self.metrics.rejected.inc(),
             }
         }
     }
 
-    /// Applies the staged batch as one §4.2 batch insertion (one reorder
-    /// pass). Malformed transactions are counted, never fatal. Records
-    /// the batch size, each transaction's queue wait and deadline
+    /// Applies the stage as one §4.2 batch insertion (one reorder pass).
+    /// Malformed transactions are counted, never fatal. Records the
+    /// batch size, each staged transaction's queue wait and deadline
     /// outcome (stamped here, where the wait truly ends), and the
     /// reorder/peel wall time — the processing half of Eq. 4's latency
-    /// split.
-    fn apply_staged(&mut self) {
-        debug_assert_eq!(self.batch.len(), self.pending.len(), "batch and stamps diverged");
-        if self.batch.is_empty() {
+    /// split. A grouped stage's apply is also a flush.
+    fn apply(&mut self) {
+        debug_assert_eq!(self.stage.len(), self.stamps.len(), "stage and stamps diverged");
+        if self.stage.is_empty() {
             return;
         }
         let applied_at = Instant::now();
-        for (queued, budget) in self.pending.drain(..) {
+        for (queued, budget) in self.stamps.drain(..) {
             record_wait(&self.metrics, applied_at.saturating_duration_since(queued), budget);
         }
-        self.updates += self.batch.len() as u64;
-        self.metrics.batch_size.record(self.batch.len() as u64);
+        let staged = self.stage.len() as u64;
+        self.metrics.batch_size.record(staged);
         let reorder_started = Instant::now();
-        let (_, rejected) = self.engine.insert_batch_tolerant(&self.batch);
+        let (_, rejected) = self.stage.apply(&mut self.engine);
         self.metrics.reorder_ns.record_duration(reorder_started.elapsed());
         if rejected > 0 {
             self.metrics.rejected.add(rejected);
         }
-        self.batch.clear();
+        if self.stage.grouped() {
+            self.metrics.flushes.inc();
+            self.metrics.registry.event(EventKind::Flush, staged);
+        }
     }
 
     fn publish(&mut self) {
         self.publisher.publish(&mut self.engine, &self.shared, self.updates, &self.metrics);
     }
 
-    /// Applies the staged batch, then publishes: `updates_applied` and
-    /// the published detection now cover every insert ingested so far
-    /// (grouped benign edges stay buffered, by design).
+    /// Applies the stage, then publishes: `updates_applied` and the
+    /// published detection now cover every edge ingested so far.
     fn settle(&mut self) {
-        self.apply_staged();
+        self.apply();
         self.publish();
     }
 
-    /// Applies the staged batch and every benign edge the grouper still
-    /// buffers (timed as a reorder pass when it ran one), and mirrors
-    /// the grouper's flush counter into the exported telemetry — the
-    /// grouper is the single source of truth for what counts as a flush.
-    /// The caller publishes.
-    fn flush(&mut self) {
-        self.apply_staged();
-        let Some(g) = self.grouper.as_mut() else { return };
-        let before = g.stats().flushed_edges;
-        let flush_started = Instant::now();
-        let _ = g.flush(&mut self.engine);
-        if g.stats().flushed_edges > before {
-            record_flush(&self.metrics, flush_started, before, g.stats());
-        }
-    }
-
     /// `Command::Region`. Regions reflect everything submitted before
-    /// the request, so the run settles first. Buffered benign edges stay
-    /// buffered — the region must agree with the published detection,
-    /// which excludes them too. Publishing *here* (not at run end) keeps
-    /// that agreement exact and lets the reply carry the final `(epoch,
+    /// the request, so the stage settles first. Publishing *here* (not
+    /// at run end) keeps the region in agreement with the published
+    /// detection and lets the reply carry the final `(epoch,
     /// updates_applied)` of this state.
     fn export_region(&mut self, hops: usize) -> CandidateRegion {
         self.settle();
@@ -1006,12 +1008,12 @@ impl<M: DensityMetric> Worker<M> {
     }
 
     /// `Command::MigrateOut`. Everything submitted before the marker
-    /// must be in the slice: the staged batch AND the grouping buffer (a
-    /// benign edge of a migrated member left in the buffer would
-    /// resurrect on this shard after the eviction and be stranded for
-    /// good).
+    /// must be in the slice, so the stage applies first (a staged benign
+    /// edge of a migrated member would otherwise resurrect on this shard
+    /// after the eviction and be stranded for good); the publish follows
+    /// the eviction.
     fn migrate_out(&mut self, members: &[VertexId]) -> MigrationSlice {
-        self.flush();
+        self.apply();
         let mut snapshot =
             crate::persist::SubgraphSnapshot::extract(self.engine.graph(), members, 0);
         snapshot.prune_isolated();
@@ -1036,7 +1038,7 @@ impl<M: DensityMetric> Worker<M> {
     /// `Command::Absorb`: replays a migrated slice behind everything
     /// already staged.
     fn absorb(&mut self, slice: &MigrationSlice) -> AbsorbReceipt {
-        self.apply_staged();
+        self.apply();
         let receipt = absorb_slice(&mut self.engine, slice);
         if receipt.rejected > 0 {
             self.metrics.rejected.add(receipt.rejected);
@@ -1109,14 +1111,6 @@ fn record_wait(metrics: &WorkerMetrics, wait: Duration, budget: Option<Duration>
     } else {
         metrics.deadline_slack_ns.record_duration(budget - wait);
     }
-}
-
-/// Records a grouper flush: its reorder time since `started`, a `Flush`
-/// event carrying the edges it applied, and the grouper's flush count.
-fn record_flush(metrics: &WorkerMetrics, started: Instant, before: usize, after: GroupingStats) {
-    metrics.reorder_ns.record_duration(started.elapsed());
-    metrics.registry.event(EventKind::Flush, (after.flushed_edges - before) as u64);
-    metrics.flushes.store(after.flushes as u64);
 }
 
 /// How long the staged batch may stay open before the earliest budget is
@@ -1208,10 +1202,140 @@ impl Publisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{UnweightedDensity, WeightedDensity};
+    use crate::grouping::EdgeGrouper;
+    use crate::metric::{Fraudar, UnweightedDensity, WeightedDensity};
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
+    }
+
+    /// An engine holding a 3-clique of weight-20 edges (density 40), so a
+    /// 0.01 edge between fresh accounts is benign.
+    fn community() -> SpadeEngine<WeightedDensity> {
+        let mut engine = SpadeEngine::new(WeightedDensity);
+        for (a, b) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)] {
+            engine.insert_edge(v(a), v(b), 20.0).unwrap();
+        }
+        engine
+    }
+
+    fn grouped(coalesce: usize, deadline: Option<Duration>) -> SpadeService {
+        SpadeService::spawn_with(
+            community(),
+            Some(GroupingConfig::default()),
+            IngestConfig { queue_capacity: 64, coalesce, deadline },
+            "grouped".into(),
+        )
+    }
+
+    /// Polls `stats().flushes` until it reaches `want` or ten seconds
+    /// pass, and returns the last reading.
+    fn wait_for_flushes(service: &SpadeService, want: u64) -> u64 {
+        for _ in 0..2_000 {
+            if service.stats().flushes >= want {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        service.stats().flushes
+    }
+
+    /// A staged benign edge applies by its spring-push boundary with no
+    /// further command to wake the worker: budgets hold under grouping.
+    #[test]
+    fn grouped_benign_edge_applies_by_its_budget_boundary() {
+        let service = grouped(256, Some(Duration::from_millis(50)));
+        assert!(service.submit(v(10), v(11), 0.01));
+        assert_eq!(wait_for_flushes(&service, 1), 1, "the staged edge never settled");
+        assert_eq!(service.stats().deadline_miss, 0);
+        let waits = service.metrics().histograms[metric_names::STAGE_QUEUE_WAIT_NS].count;
+        assert_eq!(waits, 1, "one queue-wait sample, taken when the stage applied");
+    }
+
+    /// The grouped stage is capped at `coalesce`: 20 benign edges on
+    /// distinct pairs settle four full stages of 4 and leave 4 staged.
+    #[test]
+    fn grouped_stage_settles_at_the_coalesce_cap() {
+        let service = grouped(4, None);
+        for i in 0..20u32 {
+            assert!(service.submit(v(10 + 2 * i), v(11 + 2 * i), 0.01));
+        }
+        assert_eq!(wait_for_flushes(&service, 4), 4);
+        let events = service.metrics().events;
+        let flushed: Vec<u64> =
+            events.iter().filter(|e| e.kind == EventKind::Flush).map(|e| e.value).collect();
+        assert_eq!(flushed, [4, 4, 4, 4]);
+    }
+
+    /// A barrier settles the grouped stage, as `Spade::detect` flushes
+    /// the facade's grouper.
+    #[test]
+    fn barrier_applies_the_grouped_stage() {
+        let service = grouped(256, None);
+        let benign = [(v(10), v(11)), (v(12), v(13)), (v(14), v(15))];
+        for &(a, b) in &benign {
+            assert!(service.submit(a, b, 0.01));
+        }
+        assert!(service.barrier());
+        assert_eq!(service.stats().flushes, 1);
+        let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
+        let engine = engine.expect("engine handed back");
+        assert_eq!(det.updates_applied, 3);
+        for (a, b) in benign {
+            assert_eq!(engine.graph().edge_weight(a, b), Some(0.01));
+        }
+    }
+
+    /// The worker's grouped stage evaluates suspiciousness at arrival
+    /// exactly as a standalone [`EdgeGrouper`] does, on a metric whose
+    /// weights depend on the graph at evaluation time, and settles at
+    /// the same points (urgent edges, then the final barrier).
+    #[test]
+    fn grouped_service_matches_a_standalone_grouper_on_fraudar() {
+        let seed = || {
+            let mut engine = SpadeEngine::new(Fraudar::default());
+            for a in 0..12u32 {
+                for b in (0..12u32).filter(|&b| b != a) {
+                    engine.insert_edge(v(a), v(b), 1.0).unwrap();
+                }
+            }
+            engine
+        };
+        let mut stream = Vec::new();
+        for i in 0..40u32 {
+            // Background between fresh accounts (benign), and every tenth
+            // an edge into the clique (urgent).
+            stream.push((v(100 + i % 13), v(200 + (i * 7) % 11), 1.0));
+            if i % 10 == 9 {
+                stream.push((v(100 + i % 13), v(i % 12), 1.0));
+            }
+        }
+
+        let mut solo = seed();
+        let mut grouper = EdgeGrouper::new(GroupingConfig::default());
+        for &(a, b, w) in &stream {
+            grouper.submit(&mut solo, a, b, w).unwrap();
+        }
+        grouper.flush(&mut solo).unwrap();
+        let stats = grouper.stats();
+        assert!(stats.urgent >= 1 && stats.flushes >= 2, "{stats:?}");
+
+        let service = SpadeService::spawn_with(
+            seed(),
+            Some(GroupingConfig::default()),
+            IngestConfig { queue_capacity: 256, coalesce: stream.len(), deadline: None },
+            "grouped-fraudar".into(),
+        );
+        assert!(stream.iter().all(|&(a, b, w)| service.submit(a, b, w)));
+        assert!(service.barrier());
+        let flushes = service.stats().flushes;
+        let (det, engine) = service.shutdown_into_engine::<Fraudar>();
+        let mut staged = engine.expect("engine handed back");
+        assert_eq!(staged.state().logical_order(), solo.state().logical_order());
+        let want = solo.detect();
+        assert_eq!(staged.detect(), want);
+        assert_eq!(&det.members[..], solo.community(want));
+        assert_eq!(flushes, stats.flushes as u64);
     }
 
     #[test]

@@ -68,9 +68,9 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Per-shard ingest queue bound (back-pressure per shard).
     pub queue_capacity: usize,
-    /// Per-shard drain-coalescing cap: how many queued commands a shard
-    /// worker applies per wake-up as one batch (one reorder pass, one
-    /// publish). `1` means strict per-edge processing; see
+    /// Per-shard drain-coalescing cap: how many edges a shard worker
+    /// applies as one batch (one reorder pass, one publish), and the cap
+    /// on its grouped stage. `1` means strict per-edge processing; see
     /// [`IngestConfig::coalesce`].
     pub coalesce: usize,
     /// Default per-transaction detection-latency budget applied inside

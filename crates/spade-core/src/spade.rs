@@ -13,7 +13,7 @@
 //! borrowed community slices instead of owned vectors.
 
 use crate::engine::{SpadeConfig, SpadeEngine};
-use crate::grouping::{EdgeGrouper, GroupingConfig};
+use crate::grouping::EdgeGrouper;
 use crate::metric::CustomMetric;
 use crate::service::{IngestConfig, SpadeService};
 use crate::state::Detection;
@@ -27,7 +27,7 @@ pub struct SpadeBuilder {
     vsusp: crate::metric::VertexSuspFn,
     esusp: crate::metric::EdgeSuspFn,
     name: &'static str,
-    grouping: Option<GroupingConfig>,
+    grouping: bool,
 }
 
 impl Default for SpadeBuilder {
@@ -51,7 +51,7 @@ impl SpadeBuilder {
                 }
             }),
             name: "custom",
-            grouping: None,
+            grouping: false,
         }
     }
 
@@ -80,19 +80,13 @@ impl SpadeBuilder {
         self
     }
 
-    /// Enables edge grouping with default settings
-    /// (`TurnOnEdgeGrouping`).
-    pub fn turn_on_edge_grouping(self) -> Self {
-        self.edge_grouping(GroupingConfig::default())
-    }
-
-    /// Enables edge grouping with explicit settings.
-    pub fn edge_grouping(mut self, config: GroupingConfig) -> Self {
-        self.grouping = Some(config);
+    /// Enables edge grouping (`TurnOnEdgeGrouping`).
+    pub fn turn_on_edge_grouping(mut self) -> Self {
+        self.grouping = true;
         self
     }
 
-    fn into_metric(self) -> (CustomMetric, Option<GroupingConfig>) {
+    fn into_parts(self) -> (CustomMetric, Option<EdgeGrouper>) {
         let vsusp = self.vsusp;
         let esusp = self.esusp;
         let metric = CustomMetric::new(
@@ -100,13 +94,13 @@ impl SpadeBuilder {
             move |u, g| vsusp(u, g),
             move |s, d, raw, g| esusp(s, d, raw, g),
         );
-        (metric, self.grouping)
+        (metric, self.grouping.then(EdgeGrouper::default))
     }
 
     /// Builds an empty `Spade` instance (graph arrives via insertions).
     pub fn build(self) -> Spade {
-        let (metric, grouping) = self.into_metric();
-        Spade { engine: SpadeEngine::new(metric), grouper: grouping.map(EdgeGrouper::new) }
+        let (metric, grouper) = self.into_parts();
+        Spade { engine: SpadeEngine::new(metric), grouper }
     }
 
     /// `LoadGraph`: reads a whitespace edge list (`src dst [raw] [ts]`)
@@ -122,9 +116,9 @@ impl SpadeBuilder {
         self,
         records: impl IntoIterator<Item = (VertexId, VertexId, f64)>,
     ) -> Result<Spade, GraphError> {
-        let (metric, grouping) = self.into_metric();
+        let (metric, grouper) = self.into_parts();
         let engine = SpadeEngine::bootstrap(metric, SpadeConfig::default(), records)?;
-        Ok(Spade { engine, grouper: grouping.map(EdgeGrouper::new) })
+        Ok(Spade { engine, grouper })
     }
 }
 
@@ -135,13 +129,20 @@ pub struct Spade {
 }
 
 impl Spade {
+    /// Applies any buffered benign edges, so whatever follows sees every
+    /// submitted transaction.
+    fn flush(&mut self) -> Result<(), GraphError> {
+        if let Some(grouper) = self.grouper.as_mut() {
+            grouper.flush(&mut self.engine)?;
+        }
+        Ok(())
+    }
+
     /// Detects the current fraudulent community, flushing any buffered
     /// benign edges first so the answer reflects every submitted
     /// transaction.
     pub fn detect(&mut self) -> Result<Vec<VertexId>, GraphError> {
-        if let Some(grouper) = self.grouper.as_mut() {
-            grouper.flush(&mut self.engine)?;
-        }
+        self.flush()?;
         let det = self.engine.detect();
         Ok(self.engine.community(det).to_vec())
     }
@@ -157,13 +158,10 @@ impl Spade {
         raw: f64,
     ) -> Result<Vec<VertexId>, GraphError> {
         let det = match self.grouper.as_mut() {
-            Some(grouper) => {
-                let outcome = grouper.submit(&mut self.engine, src, dst, raw)?;
-                match outcome.flushed {
-                    Some((_, det)) => det,
-                    None => self.engine.cached_detection(),
-                }
-            }
+            Some(grouper) => grouper
+                .submit(&mut self.engine, src, dst, raw)?
+                .flushed
+                .unwrap_or(self.engine.cached_detection()),
             None => self.engine.insert_edge(src, dst, raw)?,
         };
         Ok(self.engine.community(det).to_vec())
@@ -175,9 +173,7 @@ impl Spade {
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
     ) -> Result<Vec<VertexId>, GraphError> {
-        if let Some(grouper) = self.grouper.as_mut() {
-            grouper.flush(&mut self.engine)?;
-        }
+        self.flush()?;
         let det = self.engine.insert_batch(edges)?;
         Ok(self.engine.community(det).to_vec())
     }
@@ -188,9 +184,7 @@ impl Spade {
         src: VertexId,
         dst: VertexId,
     ) -> Result<Vec<VertexId>, GraphError> {
-        if let Some(grouper) = self.grouper.as_mut() {
-            grouper.flush(&mut self.engine)?;
-        }
+        self.flush()?;
         let det = self.engine.delete_edge(src, dst)?;
         Ok(self.engine.community(det).to_vec())
     }
@@ -198,9 +192,7 @@ impl Spade {
     /// The current detection descriptor (size + density) without copying
     /// the member list.
     pub fn detection(&mut self) -> Result<Detection, GraphError> {
-        if let Some(grouper) = self.grouper.as_mut() {
-            grouper.flush(&mut self.engine)?;
-        }
+        self.flush()?;
         Ok(self.engine.detect())
     }
 
@@ -211,11 +203,8 @@ impl Spade {
     /// submitted so far implies; the grouping configuration carries
     /// over to the worker.
     pub fn into_service(mut self, ingest: IngestConfig) -> Result<SpadeService, GraphError> {
-        let mut grouping = None;
-        if let Some(g) = self.grouper.as_mut() {
-            grouping = Some(g.config());
-            g.flush(&mut self.engine)?;
-        }
+        self.flush()?;
+        let grouping = self.grouper.map(|g| g.config());
         Ok(SpadeService::spawn_with(self.engine, grouping, ingest, "spade-detector".into()))
     }
 
