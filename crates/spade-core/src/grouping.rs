@@ -76,13 +76,13 @@ pub(crate) enum Staged {
 }
 
 /// The edges staged for one apply pass — the one staging buffer of both
-/// the service worker and [`EdgeGrouper`].
-#[derive(Debug)]
+/// the service worker and [`EdgeGrouper`]. The default stage groups.
+#[derive(Debug, Default)]
 pub(crate) struct Stage {
-    /// Classify at arrival (Definition 4.1) and stage `c`; otherwise
-    /// stage raw weights, which the metric evaluates at apply time (§4.2
-    /// exactness for graph-dependent metrics such as Fraudar).
-    grouped: bool,
+    /// Stage raw weights, which the metric evaluates at apply time (§4.2
+    /// exactness for graph-dependent metrics such as Fraudar); otherwise
+    /// classify at arrival (Definition 4.1) and stage `c`.
+    raw: bool,
     edges: Vec<(VertexId, VertexId, f64)>,
     /// Per-vertex staged incident weight (grouping only).
     weight: FxHashMap<u32, f64>,
@@ -93,16 +93,11 @@ pub(crate) struct Stage {
 
 impl Stage {
     pub(crate) fn new(grouped: bool) -> Self {
-        Stage {
-            grouped,
-            edges: Vec::new(),
-            weight: FxHashMap::default(),
-            pairs: FxHashSet::default(),
-        }
+        Stage { raw: !grouped, ..Stage::default() }
     }
 
     pub(crate) fn grouped(&self) -> bool {
-        self.grouped
+        !self.raw
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -122,7 +117,7 @@ impl Stage {
         dst: VertexId,
         raw: f64,
     ) -> Result<Staged, GraphError> {
-        if !self.grouped {
+        if self.raw {
             self.edges.push((src, dst, raw));
             return Ok(Staged::Held);
         }
@@ -152,10 +147,10 @@ impl Stage {
         &mut self,
         engine: &mut SpadeEngine<M>,
     ) -> (Detection, u64) {
-        let applied = if self.grouped {
-            engine.insert_batch_weighted(&self.edges)
-        } else {
+        let applied = if self.raw {
             engine.insert_batch_tolerant(&self.edges)
+        } else {
+            engine.insert_batch_weighted(&self.edges)
         };
         self.edges.clear();
         self.weight.clear();
@@ -165,23 +160,16 @@ impl Stage {
 }
 
 /// The edge-grouping buffer in front of a [`SpadeEngine`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EdgeGrouper {
-    config: GroupingConfig,
     stage: Stage,
     stats: GroupingStats,
 }
 
-impl Default for EdgeGrouper {
-    fn default() -> Self {
-        Self::new(GroupingConfig::default())
-    }
-}
-
 impl EdgeGrouper {
-    /// Creates a grouper with the given configuration.
-    pub fn new(config: GroupingConfig) -> Self {
-        EdgeGrouper { config, stage: Stage::new(true), stats: GroupingStats::default() }
+    /// Creates a grouper (`GroupingConfig` has no knobs to apply).
+    pub fn new(_config: GroupingConfig) -> Self {
+        Self::default()
     }
 
     /// Number of edges currently buffered.
@@ -191,7 +179,7 @@ impl EdgeGrouper {
 
     /// The grouper's configuration.
     pub fn config(&self) -> GroupingConfig {
-        self.config
+        GroupingConfig::default()
     }
 
     /// Cumulative statistics.
@@ -208,15 +196,10 @@ impl EdgeGrouper {
         dst: VertexId,
         raw: f64,
     ) -> Result<SubmitOutcome, GraphError> {
-        let staged = self.stage.push(engine, src, dst, raw)?;
+        let urgent = self.stage.push(engine, src, dst, raw)? == Staged::Urgent;
         self.stats.submitted += 1;
-        let urgent = staged == Staged::Urgent;
-        let flushed = if urgent {
-            self.stats.urgent += 1;
-            Some(self.flush(engine)?)
-        } else {
-            None
-        };
+        self.stats.urgent += usize::from(urgent);
+        let flushed = if urgent { Some(self.flush(engine)?) } else { None };
         Ok(SubmitOutcome { urgent, flushed, buffered: self.stage.len() })
     }
 

@@ -245,8 +245,6 @@ enum Command {
     /// itself, plus its optional detection-latency budget (drives the
     /// spring-push batch boundary and deadline-miss accounting).
     Insert { edges: EdgeRun, queued: Instant, budget: Option<Duration> },
-    /// Settle the stage now.
-    Flush,
     /// Drain marker: reply once every command queued before it has been
     /// applied and the resulting detection published.
     Barrier { reply: Sender<()> },
@@ -413,8 +411,8 @@ pub struct SpadeService {
 impl SpadeService {
     /// Spawns the worker thread around `engine`. `queue_capacity` bounds
     /// the ingest channel (back-pressure for bursty producers);
-    /// `grouping` turns on §4.3 edge grouping of its stage. Uses the default coalesce cap
-    /// — see [`SpadeService::spawn_with`] to tune it.
+    /// `grouping` turns on §4.3 edge grouping of its stage. Uses the
+    /// default coalesce cap — see [`SpadeService::spawn_with`] to tune it.
     pub fn spawn<M: DensityMetric + Send + 'static>(
         engine: SpadeEngine<M>,
         grouping: Option<GroupingConfig>,
@@ -575,10 +573,10 @@ impl SpadeService {
         self.queue_capacity.saturating_sub(self.sender.len().saturating_add(backlog))
     }
 
-    /// Asks the worker to settle now: every staged edge, grouped benign
-    /// ones included, is applied and the detection published.
+    /// A [`barrier`](Self::barrier) that does not wait: the worker settles
+    /// its stage (grouped benign edges included) and publishes.
     pub fn flush(&self) -> bool {
-        self.sender.send(Command::Flush).is_ok()
+        self.request_barrier(true).is_ok()
     }
 
     /// Read-your-acks barrier: blocks until the worker has applied every
@@ -813,17 +811,15 @@ impl<M: DensityMetric> Worker<M> {
             // live reorder histogram at most once per run (a snapshot
             // allocates) and only when a budgeted edge needs it.
             let mut margin: Option<Duration> = None;
-            let mut cmd = match self.patience(&mut margin) {
+            let mut cmd = match self.patience(&mut margin).map(|wait| receiver.recv_timeout(wait)) {
                 // Every sender gone is a shutdown without the marker.
                 None => receiver.recv().unwrap_or(Command::Shutdown),
-                Some(wait) => match receiver.recv_timeout(wait) {
-                    Ok(cmd) => cmd,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.settle();
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => Command::Shutdown,
-                },
+                Some(Ok(cmd)) => cmd,
+                Some(Err(RecvTimeoutError::Timeout)) => {
+                    self.settle();
+                    continue;
+                }
+                Some(Err(RecvTimeoutError::Disconnected)) => Command::Shutdown,
             };
             self.run_len = 0;
             loop {
@@ -837,7 +833,6 @@ impl<M: DensityMetric> Worker<M> {
                             .fetch_sub(edges.len().saturating_sub(1) as u64, Ordering::Relaxed);
                         self.ingest(&edges, queued, budget);
                     }
-                    Command::Flush => self.settle(),
                     Command::Barrier { reply } => {
                         self.settle();
                         let _ = reply.send(());
@@ -891,11 +886,10 @@ impl<M: DensityMetric> Worker<M> {
     /// while no staged edge carries a budget (wait as long as it takes),
     /// otherwise the spring-push wait — zero once the boundary has passed.
     fn patience(&self, margin: &mut Option<Duration>) -> Option<Duration> {
-        if self.stamps.iter().all(|&(_, budget)| budget.is_none()) {
-            return None;
-        }
-        let now = Instant::now();
-        Some(spring_wait(&self.stamps, margin, &self.metrics, now).unwrap_or_default())
+        let budgeted = self.stamps.iter().any(|&(_, budget)| budget.is_some());
+        budgeted.then(|| {
+            spring_wait(&self.stamps, margin, &self.metrics, Instant::now()).unwrap_or_default()
+        })
     }
 
     /// The one ingest path: `Command::Insert` hands in its run; `queued`
@@ -908,7 +902,7 @@ impl<M: DensityMetric> Worker<M> {
     /// A staged edge defers its queue-wait sample to apply time (the wait
     /// it pays includes its time in the stage), so there is no clock read
     /// per edge; a grouped edge that stages nothing (redundant or
-    /// refused) is done on arrival, timed by one clock read per command.
+    /// refused) is done on arrival, timed by the command's one clock read.
     fn ingest(
         &mut self,
         edges: &[(VertexId, VertexId, f64)],
@@ -916,7 +910,7 @@ impl<M: DensityMetric> Worker<M> {
         budget: Option<Duration>,
     ) {
         self.run_len += edges.len();
-        let drained = self.stage.grouped().then(Instant::now);
+        let drained = Instant::now();
         for &(src, dst, raw) in edges {
             if self.stage.len() >= self.coalesce {
                 self.settle();
@@ -934,13 +928,7 @@ impl<M: DensityMetric> Worker<M> {
                     if done.is_err() {
                         self.metrics.rejected.inc();
                     }
-                    if let Some(drained) = drained {
-                        record_wait(
-                            &self.metrics,
-                            drained.saturating_duration_since(queued),
-                            budget,
-                        );
-                    }
+                    record_wait(&self.metrics, drained.saturating_duration_since(queued), budget);
                 }
             }
         }
@@ -970,8 +958,9 @@ impl<M: DensityMetric> Worker<M> {
             self.metrics.rejected.add(rejected);
         }
         if self.stage.grouped() {
-            self.metrics.flushes.inc();
+            // Event first: a reader that sees the count sees the event.
             self.metrics.registry.event(EventKind::Flush, staged);
+            self.metrics.flushes.inc();
         }
     }
 
