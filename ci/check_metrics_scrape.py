@@ -31,6 +31,9 @@ EXPECTED_SERIES = [
     'spade_stage_queue_wait_ns{quantile="0.99"}',
     "spade_net_connections_total",
     "spade_net_edges_accepted_total",
+    # Wake bytes the runtime's progress reports wrote to parked event
+    # loops: registered when the server binds, so present from the start.
+    "spade_net_reactor_progress_wakes_total",
     # SLO scheduler series: registered at worker spawn even when no
     # deadline is configured, so a scrape must always carry them.
     "spade_deadline_miss_total",

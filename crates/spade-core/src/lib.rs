@@ -12,6 +12,7 @@ pub mod metric;
 pub mod order;
 pub mod peel;
 pub mod persist;
+pub mod progress;
 pub mod reorder;
 pub mod service;
 pub mod shard;

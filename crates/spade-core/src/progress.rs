@@ -1,0 +1,126 @@
+//! Worker progress reports — what a waiter on the runtime wakes on.
+//!
+//! A [`SpadeService`](crate::service::SpadeService) worker reports three
+//! kinds of [`Progress`] to its [`Notifier`]: the edges it applied since
+//! its last report (after every publish attempt), a reply it sent (after
+//! `Barrier` / `Region` / `MigrateOut` / `Absorb`), and queue room it
+//! freed (after it dequeues a command, once half its queue is free). A
+//! waiter subscribes a hook and sleeps until a report that can answer it
+//! arrives, instead of re-checking on a tick: an event loop's hook writes
+//! a byte to its wake pipe, the blocking [`ShardedSpadeService::submit`]
+//! waits on a channel. The shards of one sharded runtime share one
+//! notifier.
+//!
+//! A waiter subscribes first and checks second, so a report that lands
+//! between its check and its sleep is never lost. With no subscriber a
+//! report costs the worker one atomic load.
+//!
+//! Hooks run on the worker thread under the notifier's lock, so they
+//! must be short and must not block or take other locks: flip an atomic,
+//! write a byte, send without waiting.
+//!
+//! [`ShardedSpadeService::submit`]: crate::shard::ShardedSpadeService::submit
+
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// One progress report of a service worker.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Progress {
+    /// A publish attempt: the edges this worker applied since its
+    /// previous report (never zero).
+    Applied(u64),
+    /// The worker sent a reply (`Barrier`, `Region`, `MigrateOut`,
+    /// `Absorb`).
+    Replied,
+    /// The worker dequeued a command, and at least half its queue (in
+    /// edges) is free.
+    Room,
+}
+
+type Hook = Box<dyn Fn(Progress) + Send + Sync>;
+
+/// The subscriber list the workers of one runtime report into.
+#[derive(Default)]
+pub struct Notifier {
+    /// Live subscriptions: the one load a report pays with none.
+    subscribers: AtomicUsize,
+    next_id: AtomicU64,
+    hooks: RwLock<Vec<(u64, Hook)>>,
+}
+
+impl Notifier {
+    /// Calls `hook` with every report from now on, until the returned
+    /// [`Subscription`] drops. Check what you wait for *after* this
+    /// returns: a report that lands first was already seen by that check.
+    pub fn subscribe(
+        self: &Arc<Self>,
+        hook: impl Fn(Progress) + Send + Sync + 'static,
+    ) -> Subscription {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        self.hooks.write().push((id, Box::new(hook)));
+        self.subscribers.fetch_add(1, Ordering::SeqCst);
+        Subscription { notifier: Arc::clone(self), id }
+    }
+
+    /// `true` while a hook is subscribed — the one load a report costs
+    /// without one.
+    pub(crate) fn subscribed(&self) -> bool {
+        self.subscribers.load(Ordering::SeqCst) > 0
+    }
+
+    /// Hands `progress` to every subscribed hook.
+    pub(crate) fn report(&self, progress: Progress) {
+        if !self.subscribed() {
+            return;
+        }
+        for (_, hook) in self.hooks.read().iter() {
+            hook(progress);
+        }
+    }
+}
+
+/// A subscribed hook; dropping it unsubscribes (and drops the hook, so
+/// whatever the hook holds is released). A report in flight on a worker
+/// finishes before the drop returns.
+#[must_use = "dropping a subscription unsubscribes its hook"]
+pub struct Subscription {
+    notifier: Arc<Notifier>,
+    id: u64,
+}
+
+impl Drop for Subscription {
+    fn drop(&mut self) {
+        self.notifier.subscribers.fetch_sub(1, Ordering::SeqCst);
+        let hook = {
+            let mut hooks = self.notifier.hooks.write();
+            let at = hooks.iter().position(|(id, _)| *id == self.id);
+            at.map(|at| hooks.swap_remove(at))
+        };
+        // Dropped outside the lock: a hook may own anything.
+        drop(hook);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parking_lot::Mutex;
+
+    #[test]
+    fn reports_reach_live_subscribers_only() {
+        let notifier = Arc::new(Notifier::default());
+        notifier.report(Progress::Room); // nobody listens: a no-op
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let sub = notifier.subscribe(move |p| sink.lock().push(p));
+        notifier.report(Progress::Applied(3));
+        notifier.report(Progress::Replied);
+        drop(sub);
+        notifier.report(Progress::Room);
+        assert_eq!(*seen.lock(), [Progress::Applied(3), Progress::Replied]);
+        // The hook (and its clone of `seen`) went with the subscription.
+        assert_eq!(Arc::strong_count(&seen), 1);
+    }
+}

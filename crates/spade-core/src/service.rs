@@ -42,6 +42,12 @@
 //!   migration, shutdown);
 //! * a run drains and no grouper is configured.
 //!
+//! The worker reports its [`Progress`] to the service's [`Notifier`]
+//! after every publish attempt (the edges applied since its last
+//! report), every reply it sends and every command it dequeues, so a
+//! waiter — an event loop with a parked request, a blocked sharded
+//! submit — wakes on the progress it waits for instead of a tick.
+//!
 //! The sharded runtime (`crate::shard`) scales this out by wrapping one
 //! [`SpadeService`] per shard — same ingest protocol, same
 //! publish-into-snapshot discipline, same drain-on-shutdown guarantee.
@@ -49,6 +55,7 @@
 use crate::engine::SpadeEngine;
 use crate::grouping::{GroupingConfig, Stage, Staged};
 use crate::metric::DensityMetric;
+use crate::progress::{Notifier, Progress};
 use crate::state::Detection;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::RwLock;
@@ -397,6 +404,8 @@ pub struct SpadeService {
     sender: Sender<Command>,
     shared: Arc<SharedDetection>,
     metrics: Arc<WorkerMetrics>,
+    /// Where the worker reports its progress.
+    progress: Arc<Notifier>,
     /// Budget stamped onto submits that carry none ([`IngestConfig::deadline`]).
     default_budget: Option<Duration>,
     /// Bound of the ingest channel — kept here so batch submitters can
@@ -435,6 +444,18 @@ impl SpadeService {
         ingest: IngestConfig,
         thread_name: String,
     ) -> Self {
+        Self::spawn_reporting(engine, grouping, ingest, thread_name, Arc::default())
+    }
+
+    /// [`spawn_with`](Self::spawn_with), reporting into `progress` — the
+    /// sharded runtime hands every shard the same notifier.
+    pub(crate) fn spawn_reporting<M: DensityMetric + Send + 'static>(
+        engine: SpadeEngine<M>,
+        grouping: Option<GroupingConfig>,
+        ingest: IngestConfig,
+        thread_name: String,
+        progress: Arc<Notifier>,
+    ) -> Self {
         let (sender, receiver) = bounded(ingest.queue_capacity.max(1));
         let (engine_tx, engine_back) = bounded(1);
         let shared = Arc::new(SharedDetection::default());
@@ -442,9 +463,10 @@ impl SpadeService {
         let mut worker = Worker::new(
             engine,
             grouping.is_some(),
-            ingest.coalesce,
+            ingest,
             Arc::clone(&shared),
             Arc::clone(&metrics),
+            Arc::clone(&progress),
         );
         let worker = std::thread::Builder::new()
             .name(thread_name)
@@ -458,6 +480,7 @@ impl SpadeService {
             sender,
             shared,
             metrics,
+            progress,
             default_budget: ingest.deadline,
             queue_capacity: ingest.queue_capacity.max(1),
             engine_back,
@@ -659,6 +682,12 @@ impl SpadeService {
         self.request(wait, |reply| Command::Absorb { slice, reply })
     }
 
+    /// The notifier this worker reports its progress into: subscribe to
+    /// wait for applied edges, replies or queue room without a tick.
+    pub fn progress(&self) -> &Arc<Notifier> {
+        &self.progress
+    }
+
     /// The most recently published detection. O(1): a brief read lock
     /// and an `Arc` pointer clone — never proportional to community
     /// size.
@@ -755,34 +784,43 @@ struct Worker<M: DensityMetric> {
     stamps: Vec<(Instant, Option<Duration>)>,
     /// Cap on the stage and on the edges one run drains.
     coalesce: usize,
+    /// The ingest queue's bound in edges ([`IngestConfig::queue_capacity`]).
+    queue_capacity: usize,
     /// Edges ingested by the current run.
     run_len: usize,
     /// Edges ingested so far.
     updates: u64,
+    /// `updates` at the last progress report.
+    reported: u64,
     publisher: Publisher,
     shared: Arc<SharedDetection>,
     metrics: Arc<WorkerMetrics>,
+    progress: Arc<Notifier>,
 }
 
 impl<M: DensityMetric> Worker<M> {
     fn new(
         engine: SpadeEngine<M>,
         grouped: bool,
-        coalesce: usize,
+        ingest: IngestConfig,
         shared: Arc<SharedDetection>,
         metrics: Arc<WorkerMetrics>,
+        progress: Arc<Notifier>,
     ) -> Self {
-        let coalesce = coalesce.max(1);
+        let coalesce = ingest.coalesce.max(1);
         Worker {
             engine,
             stage: Stage::new(grouped),
             stamps: Vec::with_capacity(coalesce.min(4096)),
             coalesce,
+            queue_capacity: ingest.queue_capacity.max(1),
             run_len: 0,
             updates: 0,
+            reported: 0,
             publisher: Publisher::default(),
             shared,
             metrics,
+            progress,
         }
     }
 
@@ -823,35 +861,38 @@ impl<M: DensityMetric> Worker<M> {
             };
             self.run_len = 0;
             loop {
-                match cmd {
+                // The command left the channel, and with it the room its
+                // edges held: a batch's surplus first, then the report.
+                if let Command::Insert { edges, .. } = &cmd {
+                    // audit: advisory backlog counter, races only widen queue_free slack
+                    self.shared
+                        .batched_backlog
+                        .fetch_sub(edges.len().saturating_sub(1) as u64, Ordering::Relaxed);
+                }
+                self.room_freed(receiver);
+                let replied = match cmd {
                     Command::Insert { edges, queued, budget } => {
-                        // The command left the channel: its surplus
-                        // edges no longer occupy queue slots.
-                        // audit: advisory backlog counter, races only widen queue_free slack
-                        self.shared
-                            .batched_backlog
-                            .fetch_sub(edges.len().saturating_sub(1) as u64, Ordering::Relaxed);
                         self.ingest(&edges, queued, budget);
+                        false
                     }
                     Command::Barrier { reply } => {
                         self.settle();
-                        let _ = reply.send(());
+                        reply.send(()).is_ok()
                     }
-                    Command::Region { hops, reply } => {
-                        let _ = reply.send(self.export_region(hops));
-                    }
+                    Command::Region { hops, reply } => reply.send(self.export_region(hops)).is_ok(),
                     Command::MigrateOut { members, reply } => {
-                        let _ = reply.send(self.migrate_out(&members));
+                        reply.send(self.migrate_out(&members)).is_ok()
                     }
-                    Command::Absorb { slice, reply } => {
-                        let _ = reply.send(self.absorb(&slice));
-                    }
+                    Command::Absorb { slice, reply } => reply.send(self.absorb(&slice)).is_ok(),
                     Command::Shutdown => {
                         // Final drain, so the last published state
                         // reflects every submission before the marker.
                         self.settle();
                         return;
                     }
+                };
+                if replied {
+                    self.progress.report(Progress::Replied);
                 }
                 if self.run_len >= self.coalesce {
                     break;
@@ -879,6 +920,23 @@ impl<M: DensityMetric> Worker<M> {
             } else {
                 self.settle();
             }
+        }
+    }
+
+    /// Reports freed room once at least half the queue is free (in
+    /// edges), not on every dequeue: a waiter woken for room then finds
+    /// enough to admit whole frames, instead of a sliver per wake-up
+    /// while every parked producer re-offers (the silly-window rule).
+    /// Reads the queue only while someone is subscribed.
+    fn room_freed(&self, receiver: &Receiver<Command>) {
+        if !self.progress.subscribed() {
+            return;
+        }
+        // audit: advisory backlog counter, races only widen queue_free slack
+        let backlog = self.shared.batched_backlog.load(Ordering::Relaxed) as usize;
+        let free = self.queue_capacity.saturating_sub(receiver.len().saturating_add(backlog));
+        if free >= self.queue_capacity.div_ceil(2) {
+            self.progress.report(Progress::Room);
         }
     }
 
@@ -964,8 +1022,15 @@ impl<M: DensityMetric> Worker<M> {
         }
     }
 
+    /// One publish attempt, then its progress report: the edges applied
+    /// since the last one, if any.
     fn publish(&mut self) {
         self.publisher.publish(&mut self.engine, &self.shared, self.updates, &self.metrics);
+        let applied = self.updates - self.reported;
+        if applied > 0 {
+            self.reported = self.updates;
+            self.progress.report(Progress::Applied(applied));
+        }
     }
 
     /// Applies the stage, then publishes: `updates_applied` and the
@@ -1935,6 +2000,54 @@ mod tests {
         assert_eq!(first, Ok(4));
         assert_eq!(taken, [Ok(2), Ok(2), Ok(0)]);
         assert_eq!(service.shutdown().updates_applied, 8);
+    }
+
+    /// Room is reported only once half the queue is free: draining four
+    /// queued one-edge commands from a 4-edge queue reports it three
+    /// times (free 2, 3, 4), not four.
+    #[test]
+    fn room_is_reported_once_half_the_queue_is_free() {
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let held = Arc::clone(&gate);
+        let gated = crate::metric::CustomMetric::new(
+            "gated",
+            |_, _| 0.0,
+            move |_, _, raw, _| {
+                while !held.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                raw
+            },
+        );
+        let service = SpadeService::spawn_with(
+            SpadeEngine::new(gated),
+            None,
+            IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None },
+            "room".into(),
+        );
+        // The worker takes the first edge and stalls in it; four more
+        // fill the queue.
+        assert!(service.submit(v(0), v(1), 1.0));
+        while service.queue_free() < 4 {
+            std::thread::yield_now();
+        }
+        for i in 1..5u32 {
+            assert_eq!(service.try_submit_batch(&[(v(i), v(i + 1), 1.0)], None), Ok(1));
+        }
+        let rooms = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&rooms);
+        let subscription = service.progress().subscribe(move |p| {
+            if p == Progress::Room {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        gate.store(true, Ordering::Release);
+        while service.stats().updates_applied < 5 {
+            std::thread::yield_now();
+        }
+        drop(subscription);
+        assert_eq!(rooms.load(Ordering::SeqCst), 3);
+        assert_eq!(service.shutdown().updates_applied, 5);
     }
 
     /// A `Flush` event carries the edges that flush applied — a manual

@@ -29,6 +29,7 @@
 use crate::engine::SpadeEngine;
 use crate::grouping::GroupingConfig;
 use crate::metric::DensityMetric;
+use crate::progress::{Notifier, Progress};
 use crate::service::{
     CandidateRegion, IngestConfig, MigrationSlice, PublishedDetection, ServiceStats, SpadeService,
 };
@@ -41,7 +42,7 @@ use crate::shard::partition::{HashPartitioner, PartitionStrategy, Partitioner};
 use crate::shard::repair::{
     repair_regions, RepairConfig, RepairScratch, RepairStats, RepairedDetection,
 };
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use spade_graph::VertexId;
 use spade_metrics::runtime::{EventKind, Histogram, MetricsRegistry, MetricsSnapshot};
@@ -60,6 +61,11 @@ pub mod metric_names {
     /// Gauge: number of worker shards.
     pub const SHARDS: &str = "spade_shards";
 }
+
+/// Longest a blocked [`ShardedSpadeService::submit`] waits for a room
+/// report before it offers again: only a worker that died mid-wait (and
+/// so reports nothing more) is noticed this late.
+const DEAD_WORKER_BOUND: Duration = Duration::from_millis(50);
 
 /// Configuration of the sharded runtime.
 #[derive(Clone, Copy, Debug)]
@@ -143,6 +149,8 @@ pub struct BatchSubmit {
 /// adds routing and aggregation on top.
 pub struct ShardedSpadeService {
     shards: Vec<SpadeService>,
+    /// The one notifier every shard worker reports into.
+    progress: Arc<Notifier>,
     router: Router,
     repair_config: RepairConfig,
     migration_policy: MigrationPolicy,
@@ -274,17 +282,19 @@ impl ShardedSpadeService {
     {
         let num_shards = config.shards.max(1);
         let mut shards = Vec::with_capacity(num_shards);
+        let progress = Arc::new(Notifier::default());
         let ingest = IngestConfig {
             queue_capacity: config.queue_capacity,
             coalesce: config.coalesce,
             deadline: config.deadline,
         };
         for shard in 0..num_shards {
-            shards.push(SpadeService::spawn_with(
+            shards.push(SpadeService::spawn_reporting(
                 factory(shard),
                 config.grouping,
                 ingest,
                 format!("spade-shard-{shard}"),
+                Arc::clone(&progress),
             ));
         }
         let registry = Arc::new(MetricsRegistry::new());
@@ -292,6 +302,7 @@ impl ShardedSpadeService {
         let migration_move_ns = registry.histogram(metric_names::MIGRATION_MOVE_NS);
         ShardedSpadeService {
             shards,
+            progress,
             router: Router::new(config.strategy),
             repair_config: config.repair,
             migration_policy: config.migration,
@@ -318,9 +329,11 @@ impl ShardedSpadeService {
     }
 
     /// Routes one transaction to its shard and enqueues it — a one-edge
-    /// [`submit_batch`](Self::submit_batch), offered again every 50 µs
-    /// while that shard's queue is full (per-shard back-pressure).
-    /// Returns `false` if the runtime has shut down.
+    /// [`submit_batch`](Self::submit_batch). While that shard's queue is
+    /// full (per-shard back-pressure) the caller subscribes to the
+    /// runtime's [`progress`](Self::progress) and offers the edge again
+    /// each time a shard worker frees queue room. Returns `false` if the
+    /// runtime has shut down.
     ///
     /// The routing lock is released between offers, so one
     /// back-pressured shard never head-of-line-blocks producers bound for
@@ -330,13 +343,37 @@ impl ShardedSpadeService {
     /// counts a re-offered edge twice, nudging new pins away from the
     /// congested shard.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
+        let mut room = None;
         loop {
             match self.submit_batch(&[(src, dst, raw)], None) {
                 BatchSubmit { closed: true, .. } => return false,
                 BatchSubmit { accepted: 1, .. } => return true,
-                _ => std::thread::sleep(Duration::from_micros(50)),
+                _ => match &room {
+                    // Subscribe, then offer again: room freed before the
+                    // subscription is seen by that offer.
+                    None => {
+                        let (freed, wait) = bounded(1);
+                        let subscription = self.progress.subscribe(move |p| {
+                            if p == Progress::Room {
+                                let _ = freed.try_send(());
+                            }
+                        });
+                        room = Some((subscription, wait));
+                    }
+                    // A worker that died mid-wait reports nothing more;
+                    // the bound lets the next offer see it closed.
+                    Some((_, wait)) => {
+                        let _ = wait.recv_timeout(DEAD_WORKER_BOUND);
+                    }
+                },
             }
         }
+    }
+
+    /// The notifier every shard worker reports its progress into (see
+    /// [`crate::progress`]): one subscription covers the whole runtime.
+    pub fn progress(&self) -> &Arc<Notifier> {
+        &self.progress
     }
 
     /// Routes a whole decoded batch by destination shard and enqueues
@@ -1298,6 +1335,51 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(!service.submit(edge.0, edge.1, edge.2));
+    }
+
+    #[test]
+    fn a_blocked_submit_waits_for_room_and_then_unsubscribes() {
+        use crate::metric::CustomMetric;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let gate = Arc::new(AtomicBool::new(false));
+        let config =
+            ShardedConfig { shards: 1, queue_capacity: 1, coalesce: 1, ..Default::default() };
+        let service = ShardedSpadeService::spawn_with(config, |_| {
+            let gate = Arc::clone(&gate);
+            SpadeEngine::new(CustomMetric::new(
+                "gated",
+                |_, _| 0.0,
+                move |_, _, raw, _| {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    raw
+                },
+            ))
+        });
+        // The worker holds the first edge, the second fills the queue.
+        assert!(service.submit(v(1), v(2), 1.0));
+        while service.stats()[0].service.queue_depth > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(service.submit(v(3), v(4), 1.0));
+        // The third blocks, holding one more notifier handle (its
+        // subscription) until the worker frees room.
+        let idle = Arc::strong_count(service.progress());
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| service.submit(v(5), v(6), 1.0));
+            while Arc::strong_count(service.progress()) == idle {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            gate.store(true, Ordering::Release);
+            assert!(blocked.join().expect("blocked submitter"));
+        });
+        assert_eq!(
+            Arc::strong_count(service.progress()),
+            idle,
+            "the subscription outlived the wait"
+        );
+        assert_eq!(service.shutdown().total_updates, 3);
     }
 
     #[test]

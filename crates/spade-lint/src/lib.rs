@@ -20,6 +20,9 @@
 //! * **`wire-arith`** — length arithmetic in the wire codec must use
 //!   checked/saturating ops; every raw `+`/`*` on a length is either a
 //!   finding or a registered, justified exception.
+//! * **`sleep`** — no `thread::sleep` in `spade-core` or `spade-net`
+//!   outside `#[cfg(test)]` code: a runtime wait sleeps on the progress
+//!   it waits for, never on a tick. Registered sites excepted.
 //! * **`dangling-ref`** — CI config and the docs ([`REF_DOCS`]) may only
 //!   name cargo targets (`--bin X`, `--bench X`, `--test X`,
 //!   `--example X`), gate files (`ci/<file>`) and bench baselines
@@ -57,6 +60,8 @@ pub enum Rule {
     InstantLoop,
     /// Unchecked length arithmetic in the wire codec.
     WireArith,
+    /// `thread::sleep` in the runtime crates.
+    Sleep,
     /// A doc, CI or source-comment reference to a target or file the tree
     /// does not have.
     DanglingRef,
@@ -71,6 +76,7 @@ impl Rule {
             Rule::HotPanic => "hot-panic",
             Rule::InstantLoop => "instant-loop",
             Rule::WireArith => "wire-arith",
+            Rule::Sleep => "sleep",
             Rule::DanglingRef => "dangling-ref",
         }
     }
@@ -83,6 +89,7 @@ impl Rule {
             "hot-panic" => Some(Rule::HotPanic),
             "instant-loop" => Some(Rule::InstantLoop),
             "wire-arith" => Some(Rule::WireArith),
+            "sleep" => Some(Rule::Sleep),
             "dangling-ref" => Some(Rule::DanglingRef),
             _ => None,
         }
@@ -305,6 +312,9 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
 /// Path suffixes of the wire codec where `wire-arith` applies.
 pub const WIRE_SUFFIXES: &[&str] = &["spade-net/src/wire.rs"];
 
+/// Source directories of the runtime crates, where `sleep` applies.
+pub const SLEEP_FREE_DIRS: &[&str] = &["spade-core/src/", "spade-net/src/"];
+
 fn has_suffix(path: &str, suffixes: &[&str]) -> bool {
     suffixes.iter().any(|s| path.ends_with(s))
 }
@@ -327,6 +337,7 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
     let lines = strip_source(source);
     let hot = has_suffix(path, HOT_PATH_SUFFIXES);
     let wire = has_suffix(path, WIRE_SUFFIXES);
+    let sleep_free = SLEEP_FREE_DIRS.iter().any(|dir| path.contains(dir));
 
     let mut findings = Vec::new();
     let mut depth = 0usize; // brace depth
@@ -382,6 +393,17 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
                 &ann,
                 &mut findings,
             );
+            if sleep_free && code.contains("thread::sleep(") {
+                findings.push(Finding {
+                    rule: Rule::Sleep,
+                    path: path.to_string(),
+                    line: lineno,
+                    key: normalize_snippet(code),
+                    message: "thread::sleep in a runtime crate: wait on progress, not a tick"
+                        .to_string(),
+                    allowable: true,
+                });
+            }
         }
 
         // Brace/loop bookkeeping on the stripped code.
@@ -937,7 +959,14 @@ pub fn evaluate(findings: &[Finding], allowlist: &Allowlist) -> Evaluation {
         findings.iter().filter(|f| !allowlist.permits(f)).cloned().collect();
     let stale = allowlist.stale_entries(findings);
     let mut audited: Vec<(Rule, usize)> = Vec::new();
-    for rule in [Rule::Relaxed, Rule::Unsafe, Rule::HotPanic, Rule::InstantLoop, Rule::WireArith] {
+    for rule in [
+        Rule::Relaxed,
+        Rule::Unsafe,
+        Rule::HotPanic,
+        Rule::InstantLoop,
+        Rule::WireArith,
+        Rule::Sleep,
+    ] {
         let n = findings.iter().filter(|f| f.rule == rule).count();
         audited.push((rule, n));
     }
@@ -1050,6 +1079,19 @@ fn f() {
         let f = scan_file("crates/spade-net/src/reactor.rs", src);
         assert_eq!(f.iter().filter(|f| f.rule == Rule::InstantLoop).count(), 2);
         assert!(f.iter().all(|f| f.line == 4 || f.line == 7));
+    }
+
+    #[test]
+    fn sleep_fires_in_runtime_sources_outside_tests_only() {
+        let src = "fn f() { std::thread::sleep(d); }\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::sleep(d); }\n}\n";
+        let f = scan_file("crates/spade-net/src/http.rs", src);
+        assert_eq!(
+            f.iter().filter(|f| f.rule == Rule::Sleep).map(|f| f.line).collect::<Vec<_>>(),
+            [1]
+        );
+        for elsewhere in ["crates/spade-net/tests/park.rs", "crates/spade-bench/src/lib.rs"] {
+            assert!(scan_file(elsewhere, src).iter().all(|f| f.rule != Rule::Sleep));
+        }
     }
 
     #[test]

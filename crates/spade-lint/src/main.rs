@@ -7,7 +7,8 @@
 //!
 //! `--workspace` scans the repository and exits non-zero on any
 //! violation: an unannotated `Ordering::Relaxed` or `unsafe`, an
-//! annotation or hot-path/wire finding not registered in the allowlist
+//! annotation or hot-path/wire/sleep finding not registered in the
+//! allowlist
 //! (`spade-lint.allow` at the workspace root by default), a stale
 //! allowlist entry that no longer matches any site, a doc / CI
 //! reference to a cargo target, `ci/` file or `BENCH_*.json` baseline
@@ -16,9 +17,9 @@
 //!
 //! `--self-test` proves the detector still detects: it runs the rules
 //! over committed bad fixtures (unannotated relaxed, hot-path unwrap,
-//! unchecked wire-length arithmetic, bare unsafe, clock-in-loop, a doc
-//! naming deleted targets, comments citing missing documents) and a good
-//! fixture, failing if any expected finding goes missing — mirroring the
+//! unchecked wire-length arithmetic, bare unsafe, clock-in-loop, a
+//! runtime `thread::sleep`, a doc naming deleted targets, comments citing
+//! missing documents) and a good fixture, failing if any expected finding goes missing — mirroring the
 //! `--self-test` pattern of the `ci/` gate scripts.
 
 use spade_lint::{
@@ -173,6 +174,13 @@ fn run_self_test() -> ExitCode {
             rule: Rule::InstantLoop,
             unallowable: false,
         },
+        Case {
+            name: "bad_sleep",
+            scan_as: "crates/spade-core/src/shard/service.rs",
+            source: include_str!("../fixtures/bad_sleep.rs"),
+            rule: Rule::Sleep,
+            unallowable: false,
+        },
     ];
 
     let mut failed = false;
@@ -199,7 +207,10 @@ fn run_self_test() -> ExitCode {
             .iter()
             .filter(|f| {
                 !f.allowable
-                    || matches!(f.rule, Rule::HotPanic | Rule::InstantLoop | Rule::WireArith)
+                    || matches!(
+                        f.rule,
+                        Rule::HotPanic | Rule::InstantLoop | Rule::WireArith | Rule::Sleep
+                    )
             })
             .collect();
         let ok = bad.is_empty();

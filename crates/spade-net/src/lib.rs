@@ -16,14 +16,15 @@
 //! inherited unchanged — and back-pressure crosses the wire. When an
 //! edge-bounded ingest queue is full, either server keeps what it could not
 //! enqueue on the connection, stops reading that connection, and offers
-//! the rest again every event-loop cycle; the one `Ack` for the whole
-//! frame goes out when all of it is enqueued. The producer is slowed by
-//! TCP flow control alone and its edges reach the shards in the order it
-//! sent them — nothing is bounced, re-sent or reordered. An edge is
-//! acknowledged **only after** it sits in a shard queue, so the acked
-//! count is exact drain accounting: at shutdown, `sum(updates_applied)`
-//! across shards equals the server's `edges_accepted`, which covers every
-//! edge a producer was acknowledged for.
+//! the rest again each time a worker reports freed queue room; the one
+//! `Ack` for the whole frame goes out when all of it is enqueued. The
+//! producer is slowed by TCP flow control alone and its edges reach the
+//! shards in the order it sent them — nothing is bounced, re-sent or
+//! reordered. An edge is acknowledged **only after** it sits in a shard
+//! queue, so the acked count is exact drain accounting: at shutdown,
+//! `sum(updates_applied)` across shards equals the server's
+//! `edges_accepted`, which covers every edge a producer was acknowledged
+//! for.
 //!
 //! Protocol shape (all integers little-endian, `f64` as raw bits):
 //!

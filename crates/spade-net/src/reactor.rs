@@ -37,35 +37,41 @@
 //!   a shard worker's answer to a `Region` — shares one mechanism: the
 //!   handler returns `FrameStep::Park`, the connection *parks* on the
 //!   request (reads paused, replies in order preserved) and the loop
-//!   retries it once per cycle, at most `PARKED_POLL_MS` apart and never
-//!   on a zero-timeout spin. A parked producer is slowed by TCP flow
-//!   control, not by a reply.
+//!   re-checks it when the runtime reports the progress it waits for.
+//!   A parked producer is slowed by TCP flow control, not by a reply.
+//! * **Wake on progress, not on a tick.** The reactor subscribes one
+//!   hook to the runtime's [`Notifier`]. Before a loop sleeps in `poll`
+//!   with requests parked, it records what they wait for (`Wait`: room,
+//!   a reply, or the lowest applied watermark), *arms*, and only then
+//!   re-checks them. The hook writes the loop's wake byte only for an
+//!   armed loop and only for a report that can answer one of its waits,
+//!   so a report that lands between the check and `poll` always wakes
+//!   it, and no other report does.
 //!
 //! Per-loop observability rides the transport's existing
 //! [`spade_metrics::MetricsRegistry`]: connections resident
 //! (`spade_net_reactor_connections_resident`), readiness wakeups
-//! (`spade_net_reactor_wakeups_total`), drain-budget exhaustions, and a
-//! per-cycle dispatch latency histogram
+//! (`spade_net_reactor_wakeups_total`), wake bytes written by progress
+//! reports (`spade_net_reactor_progress_wakes_total`), drain-budget
+//! exhaustions, and a per-cycle dispatch latency histogram
 //! (`spade_net_reactor_dispatch_ns`).
 
 use crate::server::{register_conn, ConnCounters, NetTelemetry};
 use crate::wire::{FrameDecoder, WireFrame};
 use parking_lot::Mutex;
+use spade_core::progress::{Notifier, Progress, Subscription};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll timeout while every connection is idle — bounds how long a stop
-/// request can go unnoticed without a wake byte.
+/// Poll timeout unless buffered frames are waiting — bounds how long a
+/// stop request can go unnoticed without a wake byte.
 const IDLE_POLL_MS: i32 = 50;
-/// Poll timeout while some connection is parked: how long its request
-/// can wait for the next retry when no socket turns ready first.
-const PARKED_POLL_MS: i32 = 1;
 /// Bytes read per connection per cycle (one `read` call each).
 const READ_CHUNK: usize = 64 * 1024;
 /// Pending-write backlog (bytes) at which the loop stops reading from a
@@ -136,10 +142,23 @@ pub(crate) enum FrameStep<P> {
     /// The reply ends the connection — close once the out buffer drains.
     Close,
     /// The request cannot be answered yet: hold it on the connection and
-    /// [`retry`](FrameHandler::retry) it every cycle. Until it answers,
-    /// the connection is neither read nor served further, so replies stay
-    /// in request order.
+    /// [`retry`](FrameHandler::retry) it once the runtime reports the
+    /// progress it [waits for](FrameHandler::wait). Until it answers, the
+    /// connection is neither read nor served further, so replies stay in
+    /// request order.
     Park(P),
+}
+
+/// The progress report a parked request waits for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// Queue room: a worker dequeued a command.
+    Room,
+    /// A worker's answer to a request in its queue.
+    Reply,
+    /// The applied total (`NetTelemetry::edges_applied`) reaching this
+    /// watermark.
+    Applied(u64),
 }
 
 /// What a tier does with a decoded frame. Both methods run on the event
@@ -151,6 +170,13 @@ pub(crate) trait FrameHandler: Send + Sync + 'static {
     /// The one request a connection of this tier can be waiting on.
     type Parked;
 
+    /// The notifier of the runtime this tier feeds: the reactor
+    /// subscribes its wake hook here.
+    fn progress(&self) -> &Arc<Notifier>;
+
+    /// The report that can answer `parked`.
+    fn wait(&self, parked: &Self::Parked) -> Wait;
+
     /// Applies one decoded request from the connection counted in `conn`.
     fn apply(
         &self,
@@ -159,8 +185,8 @@ pub(crate) trait FrameHandler: Send + Sync + 'static {
         out: &mut Vec<u8>,
     ) -> FrameStep<Self::Parked>;
 
-    /// The once-per-cycle re-check of a parked request: answers into
-    /// `out`, or parks again.
+    /// The re-check of a parked request, after the loop armed for its
+    /// [`wait`](Self::wait): answers into `out`, or parks again.
     fn retry(&self, parked: Self::Parked, out: &mut Vec<u8>) -> FrameStep<Self::Parked>;
 }
 
@@ -201,15 +227,99 @@ struct Shared<H> {
     resident: AtomicI64,
     /// Accepted sockets awaiting adoption, one inbox per worker.
     inboxes: Vec<Inbox>,
-    /// Write ends of each worker's wake pipe.
-    wakers: Vec<UnixStream>,
+    /// Each worker's wake pipe and arm state, shared with the progress
+    /// hook.
+    wakes: Arc<Wakes>,
 }
 
-impl<H> Shared<H> {
-    fn wake(&self, worker: usize) {
+/// One event loop's side of the progress hook: the write end of its
+/// wake pipe, whether it is armed (about to sleep in `poll` with
+/// requests parked), and what those requests wait for.
+struct LoopWake {
+    waker: UnixStream,
+    armed: AtomicBool,
+    room: AtomicBool,
+    reply: AtomicBool,
+    /// The lowest parked [`Wait::Applied`] watermark (`u64::MAX`: none).
+    watermark: AtomicU64,
+}
+
+impl LoopWake {
+    fn new(waker: UnixStream) -> LoopWake {
+        LoopWake {
+            waker,
+            armed: AtomicBool::new(false),
+            room: AtomicBool::new(false),
+            reply: AtomicBool::new(false),
+            watermark: AtomicU64::new(u64::MAX),
+        }
+    }
+
+    fn wake(&self) {
         // A failed wake is harmless: the worker's idle poll timeout
         // bounds the delay instead.
-        let _ = (&self.wakers[worker]).write(&[1u8]);
+        let _ = (&self.waker).write(&[1u8]);
+    }
+
+    /// Records what the loop's parked requests wait for, then arms. The
+    /// caller re-checks them only after this returns: the fence pairs
+    /// with the one in [`Wakes::report`], so a report either lands
+    /// before the check (which sees it) or finds the loop armed.
+    fn arm(&self, waits: impl Iterator<Item = Wait>) {
+        let (mut room, mut reply, mut watermark) = (false, false, u64::MAX);
+        for wait in waits {
+            match wait {
+                Wait::Room => room = true,
+                Wait::Reply => reply = true,
+                Wait::Applied(w) => watermark = watermark.min(w),
+            }
+        }
+        self.room.store(room, Ordering::SeqCst);
+        self.reply.store(reply, Ordering::SeqCst);
+        self.watermark.store(watermark, Ordering::SeqCst);
+        self.armed.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+    }
+
+    /// The loop is awake: reports need not wake it until it arms again.
+    fn disarm(&self) {
+        self.armed.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The progress hook every loop of one reactor shares. It holds the
+/// loops' wake pipes and the transport counters — never the handler,
+/// whose runtime owns the notifier this hook is subscribed to.
+struct Wakes {
+    loops: Vec<LoopWake>,
+    telemetry: Arc<NetTelemetry>,
+    progress_wakes: Arc<spade_metrics::Counter>,
+}
+
+impl Wakes {
+    /// Accumulates applied edges, then writes the wake byte of every
+    /// armed loop that waits for this kind of report — once per arm.
+    fn report(&self, progress: Progress) {
+        let applied = match progress {
+            Progress::Applied(n) => self.telemetry.edges_applied.fetch_add(n, Ordering::SeqCst) + n,
+            Progress::Replied | Progress::Room => 0,
+        };
+        fence(Ordering::SeqCst);
+        for lw in &self.loops {
+            if !lw.armed.load(Ordering::SeqCst) {
+                continue;
+            }
+            let wanted = match progress {
+                Progress::Applied(_) => applied >= lw.watermark.load(Ordering::SeqCst),
+                Progress::Replied => lw.reply.load(Ordering::SeqCst),
+                Progress::Room => lw.room.load(Ordering::SeqCst),
+            };
+            if wanted && lw.armed.swap(false, Ordering::SeqCst) {
+                // Counted first: whoever the byte gets answered sees it.
+                self.progress_wakes.inc();
+                lw.wake();
+            }
+        }
     }
 }
 
@@ -224,6 +334,9 @@ pub(crate) struct Reactor<H> {
     pub(crate) telemetry: Arc<NetTelemetry>,
     shared: Arc<Shared<H>>,
     workers: Vec<JoinHandle<()>>,
+    /// The wake hook on the handler's runtime, dropped once the loops
+    /// have joined.
+    progress: Option<Subscription>,
 }
 
 impl<H: FrameHandler> Reactor<H> {
@@ -245,15 +358,24 @@ impl<H: FrameHandler> Reactor<H> {
         let handler = build(&stop, &telemetry);
         config.workers = config.workers.clamp(1, 64);
         config.frame_budget = config.frame_budget.max(1);
-        let mut wakers = Vec::with_capacity(config.workers);
+        let mut loops = Vec::with_capacity(config.workers);
         let mut wake_rxs = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
             let (tx, rx) = UnixStream::pair()?;
             tx.set_nonblocking(true)?;
             rx.set_nonblocking(true)?;
-            wakers.push(tx);
+            loops.push(LoopWake::new(tx));
             wake_rxs.push(rx);
         }
+        let wakes = Arc::new(Wakes {
+            loops,
+            telemetry: Arc::clone(&telemetry),
+            progress_wakes: telemetry.registry().counter("spade_net_reactor_progress_wakes_total"),
+        });
+        // Subscribed before the first accept, so every edge a loop acks
+        // is applied, and reported, after it.
+        let hook = Arc::clone(&wakes);
+        let progress = handler.progress().subscribe(move |p| hook.report(p));
         let shared = Arc::new(Shared {
             handler,
             stop: Arc::clone(&stop),
@@ -261,7 +383,7 @@ impl<H: FrameHandler> Reactor<H> {
             config,
             resident: AtomicI64::new(0),
             inboxes: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
-            wakers,
+            wakes,
         });
         let mut listener = Some(listener);
         let workers = wake_rxs
@@ -276,7 +398,7 @@ impl<H: FrameHandler> Reactor<H> {
                     .expect("failed to spawn a reactor worker")
             })
             .collect();
-        Ok(Reactor { local_addr, stop, telemetry, shared, workers })
+        Ok(Reactor { local_addr, stop, telemetry, shared, workers, progress: Some(progress) })
     }
 }
 
@@ -284,15 +406,17 @@ impl<H> Reactor<H> {
     /// Asks every worker to wind down, without waiting for it.
     pub(crate) fn stop(&self) {
         self.stop.store(true, Ordering::Release);
-        (0..self.shared.wakers.len()).for_each(|worker| self.shared.wake(worker));
+        self.shared.wakes.loops.iter().for_each(LoopWake::wake);
     }
 
-    /// Stops and joins every worker. Idempotent.
+    /// Stops and joins every worker, then unsubscribes the wake hook.
+    /// Idempotent.
     pub(crate) fn join(&mut self) {
         self.stop();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+        self.progress = None;
     }
 }
 
@@ -368,23 +492,16 @@ fn run_worker<H: FrameHandler>(
     shared: &Shared<H>,
 ) {
     let metrics = LoopMetrics::resolve(&shared.telemetry);
+    let wake = &shared.wakes.loops[idx];
     let mut conns: Vec<Conn<H::Parked>> = Vec::new();
     let mut next_conn_id = 0u64; // worker 0 only (owns the listener)
     let mut rotate = 0usize;
     let mut chunk = vec![0u8; READ_CHUNK];
 
     while !shared.stop.load(Ordering::Acquire) {
-        // Leftover buffered frames need an immediate re-visit and a
-        // parked request a prompt one; otherwise sleep until readiness
-        // or the idle bound.
-        let mut timeout = IDLE_POLL_MS;
-        for c in &conns {
-            if c.hot {
-                timeout = 0;
-            } else if c.parked.is_some() {
-                timeout = timeout.min(PARKED_POLL_MS);
-            }
-        }
+        // Leftover buffered frames need an immediate re-visit; otherwise
+        // sleep until readiness, a progress wake, or the idle bound.
+        let timeout = if conns.iter().any(|c| c.hot) { 0 } else { IDLE_POLL_MS };
 
         let mut fds = Vec::with_capacity(conns.len() + 2);
         fds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
@@ -403,7 +520,9 @@ fn run_worker<H: FrameHandler>(
             fds.push(PollFd { fd: c.stream.as_raw_fd(), events, revents: 0 });
         }
 
-        if poll_fds(&mut fds, timeout).is_err() {
+        let polled = poll_fds(&mut fds, timeout);
+        wake.disarm();
+        if polled.is_err() {
             // A transient poll failure must not spin the loop hot.
             std::thread::sleep(Duration::from_millis(1));
             continue;
@@ -444,6 +563,7 @@ fn run_worker<H: FrameHandler>(
                 conns.swap_remove(i);
             }
         }
+        check_parked(&mut conns, rotate, wake, &shared.handler);
         // audit: resident gauge is telemetry-only, single counter cell
         let resident = shared.resident.load(Ordering::Relaxed);
         metrics.resident.set(resident.max(0) as u64);
@@ -501,7 +621,7 @@ fn accept_ready<H: FrameHandler>(
                     own.push(new_conn(stream, counters));
                 } else {
                     shared.inboxes[target].lock().push((stream, counters));
-                    shared.wake(target);
+                    shared.wakes.loops[target].wake();
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -527,17 +647,6 @@ fn service_conn<H: FrameHandler>(
     // Flush first: freeing reply backlog may unpause reading below.
     if !flush_out(c) {
         return drop_conn(c, shared);
-    }
-
-    // A parked request is retried once per cycle: a Detect answers when
-    // the shards catch up to its watermark, an ingest frame when its
-    // last edge finds queue room, a shard operation when its worker has
-    // replied. Until then nothing else on this connection is read or
-    // applied, so the reply order the producer sees is unchanged from a
-    // blocking server.
-    if let Some(parked) = c.parked.take() {
-        let step = shared.handler.retry(parked, &mut c.out);
-        settle(c, step);
     }
 
     if revents & (POLLIN | POLLHUP) != 0 && !c.paused() {
@@ -584,7 +693,8 @@ fn service_conn<H: FrameHandler>(
         c.hot = true;
     }
     // A parked connection waits for the runtime, not for the loop: it is
-    // revisited on the `PARKED_POLL_MS` tick, never on a zero timeout.
+    // re-checked when the runtime reports progress, never on a zero
+    // timeout.
     c.hot &= c.parked.is_none();
 
     if !flush_out(c) {
@@ -599,6 +709,43 @@ fn service_conn<H: FrameHandler>(
         return drop_conn(c, shared);
     }
     true
+}
+
+/// The end of every cycle: arms the loop for what its parked requests
+/// wait for, then re-checks each, starting at `rotate` like the service
+/// pass so no connection always comes last to freed room. A Detect
+/// answers when the runtime has applied its watermark, an ingest frame
+/// when its last edge finds queue room, a shard operation when its
+/// worker has replied. Until then nothing else on that connection is
+/// read or applied, so the reply order the producer sees is unchanged
+/// from a blocking server.
+fn check_parked<H: FrameHandler>(
+    conns: &mut [Conn<H::Parked>],
+    rotate: usize,
+    wake: &LoopWake,
+    handler: &H,
+) {
+    let mut rearm = conns.iter().any(|c| c.parked.is_some());
+    while rearm {
+        rearm = false;
+        wake.arm(conns.iter().filter_map(|c| c.parked.as_ref()).map(|p| handler.wait(p)));
+        let len = conns.len();
+        for k in 0..len {
+            let c = &mut conns[(rotate + k) % len];
+            let Some(parked) = c.parked.take() else { continue };
+            let waited = handler.wait(&parked);
+            let step = handler.retry(parked, &mut c.out);
+            settle(c, step);
+            match &c.parked {
+                // It waits for something else now (a request that found
+                // room waits for its reply): arm for that, check again.
+                Some(parked) => rearm |= handler.wait(parked) != waited,
+                // Answered: reply now, and come straight back if frames
+                // are buffered behind it or the connection is ending.
+                None => c.hot = !flush_out(c) || c.closing || c.eof || c.decoder.buffered() > 0,
+            }
+        }
+    }
 }
 
 /// Records what a frame (or a parked request's retry) asks of the loop.
@@ -655,6 +802,69 @@ mod tests {
         // A pending connection flips it true well before the timeout.
         let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         assert!(wait_readable(fd, Duration::from_secs(5)).expect("poll"));
+    }
+
+    /// One loop's wake side over a fresh pipe, and the read end to watch.
+    fn one_loop() -> (Wakes, UnixStream) {
+        let (tx, rx) = UnixStream::pair().expect("pair");
+        tx.set_nonblocking(true).expect("nonblocking");
+        rx.set_nonblocking(true).expect("nonblocking");
+        let telemetry = Arc::new(NetTelemetry::default());
+        let progress_wakes = telemetry.registry().counter("spade_net_reactor_progress_wakes_total");
+        (Wakes { loops: vec![LoopWake::new(tx)], telemetry, progress_wakes }, rx)
+    }
+
+    /// Whether a wake byte is waiting, draining it.
+    fn woken(rx: &UnixStream) -> bool {
+        let ready = wait_readable(rx.as_raw_fd(), Duration::ZERO).expect("poll");
+        let mut sink = [0u8; 8];
+        while matches!((&*rx).read(&mut sink), Ok(n) if n > 0) {}
+        ready
+    }
+
+    #[test]
+    fn an_armed_loop_wakes_once_on_the_report_it_waits_for() {
+        let (wakes, rx) = one_loop();
+        let applied = || wakes.telemetry.edges_applied.load(Ordering::SeqCst);
+        let lw = &wakes.loops[0];
+
+        // A report before arming writes nothing, and the check that
+        // follows the arm sees it.
+        wakes.report(Progress::Applied(5));
+        assert!(!woken(&rx));
+        lw.arm([Wait::Applied(5)].into_iter());
+        assert!(applied() >= 5, "the check after arming missed an earlier report");
+
+        // Armed for the lowest of two watermarks: only a report that
+        // reaches it wakes the loop, and only once per arm.
+        lw.arm([Wait::Applied(12), Wait::Applied(8)].into_iter());
+        for report in [Progress::Room, Progress::Replied, Progress::Applied(2)] {
+            wakes.report(report);
+            assert!(!woken(&rx), "{report:?} woke a loop waiting for 8 applied");
+        }
+        wakes.report(Progress::Applied(1));
+        assert!(woken(&rx));
+        wakes.report(Progress::Applied(10));
+        assert!(!woken(&rx), "a fired arm wrote a second byte");
+
+        // Room and reply waits wake on their own kind only.
+        lw.arm([Wait::Room].into_iter());
+        wakes.report(Progress::Replied);
+        assert!(!woken(&rx));
+        wakes.report(Progress::Room);
+        assert!(woken(&rx));
+        lw.arm([Wait::Reply].into_iter());
+        wakes.report(Progress::Room);
+        assert!(!woken(&rx));
+        wakes.report(Progress::Replied);
+        assert!(woken(&rx));
+
+        // A disarmed (awake) loop is never written to.
+        lw.arm([Wait::Room].into_iter());
+        lw.disarm();
+        wakes.report(Progress::Room);
+        assert!(!woken(&rx));
+        assert_eq!(wakes.progress_wakes.get(), 3);
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //! * **Back-pressure crosses the wire, in order.** A tier admits the
 //!   prefix of a frame that fits its edge-denominated queues; when that
 //!   is not the whole frame, the connection *parks* with the rest
-//!   (`Ingest`) until the event loop's per-cycle re-offer has enqueued
-//!   the whole frame, which one `Ack` then answers. The producer is
-//!   slowed by TCP flow control alone and its edges reach the shards in
-//!   submission order.
+//!   (`Ingest`), and the event loop offers it again each time a shard
+//!   worker reports freed queue room, until the whole frame is enqueued
+//!   and one `Ack` answers it. The producer is slowed by TCP flow control
+//!   alone and its edges reach the shards in submission order.
+//! * **Read-your-acks without a tick.** A `Detect` parks on the count of
+//!   edges acknowledged before it and answers once the shard workers'
+//!   progress reports add up to that count.
 //! * **Acknowledgement is enqueue.** An edge is counted in an Ack's
 //!   `accepted` total only after the tier queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
@@ -25,9 +28,10 @@
 //! prefix) earns the producer an [`WireFrame::Error`] reply and its
 //! connection is closed; the server itself never panics on wire input.
 
-use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
+use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig, Wait};
 use crate::wire::{MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
 use parking_lot::Mutex;
+use spade_core::progress::Notifier;
 use spade_core::service::{ServiceStats, SpadeService, TrySubmit};
 use spade_core::shard::ShardedSpadeService;
 use spade_metrics::MetricsSnapshot;
@@ -58,6 +62,11 @@ pub(crate) struct NetTelemetry {
     pub(crate) connections: AtomicU64,
     pub(crate) frames: AtomicU64,
     pub(crate) edges_accepted: AtomicU64,
+    /// Edges the runtime reported applied since the reactor subscribed
+    /// to its progress, before its first accept — so every acked edge is
+    /// in it once applied. A `Detect` answers once this reaches its
+    /// `edges_accepted` watermark.
+    pub(crate) edges_applied: AtomicU64,
     pub(crate) busy_replies: AtomicU64,
     pub(crate) malformed_frames: AtomicU64,
     /// Live + recently closed connections, keyed by accept order.
@@ -309,7 +318,7 @@ pub(crate) struct FrontEnd {
 
 /// The one request a front-end connection is waiting on.
 pub(crate) enum Parked {
-    /// A read-your-acks Detect: answers once the shards' applied total
+    /// A read-your-acks Detect: answers once the reported applied total
     /// reaches `watermark` (or `deadline` passes).
     Detect { watermark: u64, deadline: Instant },
     /// An ingest frame the shard queues admitted only part of.
@@ -325,6 +334,17 @@ impl From<Ingest> for Parked {
 impl FrameHandler for FrontEnd {
     type Parked = Parked;
 
+    fn progress(&self) -> &Arc<Notifier> {
+        self.service.progress()
+    }
+
+    fn wait(&self, parked: &Parked) -> Wait {
+        match parked {
+            Parked::Detect { watermark, .. } => Wait::Applied(*watermark),
+            Parked::Ingest(_) => Wait::Room,
+        }
+    }
+
     fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
         let (reply, step) = match frame.into_ingest() {
             Ok((edges, budget)) => {
@@ -336,8 +356,8 @@ impl FrameHandler for FrontEnd {
                 // Read-your-acks: every edge the server acknowledged before
                 // this request must be reflected in the answer. If the
                 // shards already caught up, this answers inline; otherwise
-                // the connection parks — the event loop re-checks the
-                // watermark every cycle instead of blocking here.
+                // the connection parks until their progress reports reach
+                // the watermark.
                 let watermark = self.telemetry.edges_accepted.load(Ordering::Acquire);
                 let deadline = Instant::now() + DETECT_DEADLINE;
                 return self.retry(Parked::Detect { watermark, deadline }, out);
@@ -372,8 +392,7 @@ impl FrameHandler for FrontEnd {
     fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep<Parked> {
         match parked {
             Parked::Detect { watermark, deadline } => {
-                let applied: u64 =
-                    self.service.stats().iter().map(|s| s.service.updates_applied).sum();
+                let applied = self.telemetry.edges_applied.load(Ordering::SeqCst);
                 if applied < watermark && Instant::now() < deadline {
                     return FrameStep::Park(parked);
                 }

@@ -40,7 +40,9 @@
 //! fit the worker's queue parks its connection until it does, every
 //! operation the worker must answer (`Detect`, `Stats`, `Region`,
 //! `MigrateOut`, `Absorb`) is enqueued without blocking and parks on the
-//! reply channel, and the journal operations answer inline.
+//! reply channel, and the journal operations answer inline. The loop
+//! re-checks a parked request when the worker reports what it waits for:
+//! freed queue room, or a reply sent.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,9 +50,10 @@ use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
+use spade_core::progress::Notifier;
 use spade_core::service::{SpadeService, TrySubmit};
 
-use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
+use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig, Wait};
 use crate::server::{
     flushed, offer, shut_down, shutdown_requested, ConnCounters, Ingest, NetTelemetry,
 };
@@ -223,6 +226,17 @@ impl From<Ingest> for Parked {
 
 impl FrameHandler for ShardHandler {
     type Parked = Parked;
+
+    fn progress(&self) -> &Arc<Notifier> {
+        self.service.progress()
+    }
+
+    fn wait(&self, parked: &Parked) -> Wait {
+        match parked {
+            Parked::Ingest(_) | Parked::Room(_) => Wait::Room,
+            Parked::Reply(_) => Wait::Reply,
+        }
+    }
 
     fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
         match frame.into_ingest() {

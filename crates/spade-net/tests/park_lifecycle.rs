@@ -229,3 +229,154 @@ fn a_shard_servers_queue_bound_counts_edges_not_frames() {
     let service = Arc::try_unwrap(server.into_service()).unwrap_or_else(|_| panic!("shared"));
     assert_eq!(service.shutdown().updates_applied, 3 * FRAME_EDGES);
 }
+
+/// Most loop wakeups a parked `Detect` may cost while its worker cannot
+/// move — a tick of any period would spend one per period.
+const IDLE_WAKEUPS: u64 = 10;
+
+/// How long each idle test holds the gate shut.
+const IDLE_WINDOW: Duration = Duration::from_millis(200);
+
+/// Waits until the single loop of `server` has decoded `frames` frames
+/// and finished every cycle it started, so whatever those frames parked
+/// is armed for. A cycle counts a wakeup when it starts and records its
+/// dispatch time when it ends.
+fn loop_settles(server: &SpadeNetServer, frames: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "the loop never settled on {frames} frames");
+        if server.stats().frames >= frames {
+            let metrics = server.metrics();
+            let ended = metrics.histograms["spade_net_reactor_dispatch_ns"].count;
+            if ended == metrics.counters["spade_net_reactor_wakeups_total"] {
+                return;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A front-end counter read in-process.
+fn counter(server: &SpadeNetServer, name: &str) -> u64 {
+    server.metrics().counters.get(name).copied().unwrap_or(0)
+}
+
+#[test]
+fn a_detect_parked_behind_a_gated_front_end_worker_does_not_spin_the_loop() {
+    let (gate, service, server) = gated_server();
+    let mut a = TcpStream::connect(server.local_addr()).expect("connect");
+    let edges = vec![(VertexId(1), VertexId(2), 1.0)];
+    assert_eq!(request(&mut a, &WireFrame::Batch { edges }), WireFrame::Ack { accepted: 1 });
+    write_frame(&mut a, &WireFrame::Detect).expect("detect behind the stalled edge");
+    loop_settles(&server, 2);
+
+    let before = counter(&server, "spade_net_reactor_wakeups_total");
+    std::thread::sleep(IDLE_WINDOW);
+    let spent = counter(&server, "spade_net_reactor_wakeups_total") - before;
+    gate.store(true, Ordering::Release);
+    assert!(spent <= IDLE_WAKEUPS, "a parked Detect woke its loop {spent} times");
+
+    let Some(WireFrame::Detection(det)) = read_frame(&mut a).unwrap() else {
+        panic!("expected a Detection");
+    };
+    assert_eq!(det.updates_applied, 1);
+    server.shutdown();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("a loop still holds it"));
+    assert_eq!(service.shutdown().total_updates, 1);
+}
+
+#[test]
+fn a_detect_parked_behind_a_gated_shard_worker_does_not_spin_the_loop() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let ingest = IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None };
+    let service = SpadeService::spawn_with(gated_engine(&gate), None, ingest, "gated".into());
+    assert!(service.submit(VertexId(1), VertexId(2), 1.0));
+    let server = ShardServer::spawn(Arc::new(service), &ShardServerConfig::default()).unwrap();
+    // A's Detect enqueues a barrier behind the stalled edge and parks on
+    // its reply.
+    let mut a = TcpStream::connect(server.local_addr()).expect("connect");
+    write_frame(&mut a, &WireFrame::Detect).expect("detect");
+    let mut b = TcpStream::connect(server.local_addr()).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while wire_counter(&mut b, "spade_net_connection_frames{conn=\"1\"}") == 0 {
+        assert!(Instant::now() < deadline, "the Detect was never read");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // B's own Metrics requests wake the loop once each.
+    let before = wire_counter(&mut b, "spade_net_reactor_wakeups_total");
+    std::thread::sleep(IDLE_WINDOW);
+    let spent = wire_counter(&mut b, "spade_net_reactor_wakeups_total") - before;
+    gate.store(true, Ordering::Release);
+    assert!(spent <= IDLE_WAKEUPS, "a parked Detect woke its loop {spent} times");
+
+    let Some(WireFrame::Detection(det)) = read_frame(&mut a).unwrap() else {
+        panic!("expected a Detection");
+    };
+    assert_eq!(det.updates_applied, 1);
+    let service = Arc::try_unwrap(server.into_service()).unwrap_or_else(|_| panic!("shared"));
+    assert_eq!(service.shutdown().updates_applied, 1);
+}
+
+/// Two sources whose edges stall the worker until their own gate opens;
+/// every other edge applies at once.
+const FIRST: u32 = 1000;
+const SECOND: u32 = 2000;
+
+#[test]
+fn detects_parked_on_one_loop_answer_in_watermark_order() {
+    let (first, second) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let gates = (Arc::clone(&first), Arc::clone(&second));
+    let mut engine = Some(SpadeEngine::new(CustomMetric::new(
+        "two gates",
+        |_, _| 0.0,
+        move |src, _, raw, _| {
+            let gate = match src.0 {
+                FIRST => &gates.0,
+                SECOND => &gates.1,
+                _ => return raw,
+            };
+            while !gate.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            raw
+        },
+    )));
+    let config = ShardedConfig { shards: 1, queue_capacity: 16, coalesce: 1, ..Default::default() };
+    let service = Arc::new(ShardedSpadeService::spawn_with(config, |_| engine.take().unwrap()));
+    let reactor = ReactorConfig { workers: 1, ..Default::default() };
+    let server = SpadeNetServer::bind_with(Arc::clone(&service), "127.0.0.1:0", reactor).unwrap();
+    let mut a = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut b = TcpStream::connect(server.local_addr()).expect("connect");
+    let batch = |src: u32| WireFrame::Batch { edges: vec![(VertexId(src), VertexId(7), 1.0)] };
+
+    // B's edge stalls the worker; A's queues behind it, and A's Detect
+    // parks on watermark 2. B's second edge stalls it again, and B's
+    // Detect parks on watermark 3.
+    assert_eq!(request(&mut b, &batch(FIRST)), WireFrame::Ack { accepted: 1 });
+    assert_eq!(request(&mut a, &batch(1)), WireFrame::Ack { accepted: 1 });
+    write_frame(&mut a, &WireFrame::Detect).expect("detect on watermark 2");
+    loop_settles(&server, 3);
+    assert_eq!(request(&mut b, &batch(SECOND)), WireFrame::Ack { accepted: 1 });
+    write_frame(&mut b, &WireFrame::Detect).expect("detect on watermark 3");
+    loop_settles(&server, 5);
+
+    // Two edges apply, reaching A's watermark but not B's: the loop is
+    // woken for the lower one, and A's answer covers both edges.
+    first.store(true, Ordering::Release);
+    let Some(WireFrame::Detection(det)) = read_frame(&mut a).unwrap() else {
+        panic!("expected A's Detection");
+    };
+    let woken = counter(&server, "spade_net_reactor_progress_wakes_total");
+    second.store(true, Ordering::Release);
+    assert_eq!(det.updates_applied, 2);
+    assert!(woken >= 1, "A was answered without a progress wake");
+
+    let Some(WireFrame::Detection(det)) = read_frame(&mut b).unwrap() else {
+        panic!("expected B's Detection");
+    };
+    assert_eq!(det.updates_applied, 3);
+    server.shutdown();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("a loop still holds it"));
+    assert_eq!(service.shutdown().total_updates, 3);
+}

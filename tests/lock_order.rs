@@ -9,7 +9,9 @@
 //!
 //! The suite drives the real runtime paths — solo service ingest,
 //! sharded submit/batch/repair/migration, the reactor-backed TCP front
-//! end, and a router over two shard servers on the same reactor — and
+//! end, a `Detect` and an in-process submit both waiting on a stalled
+//! shard's progress notifier, and a router over two shard servers on
+//! the same reactor — and
 //! asserts the resulting order graph is **acyclic**
 //! (excluding classes this file creates on purpose). It then seeds a
 //! deliberate two-lock inversion and asserts the audit provably flags
@@ -24,13 +26,17 @@
 
 use parking_lot::audit;
 use spade::core::service::SpadeService;
-use spade::core::{SpadeEngine, WeightedDensity};
+use spade::core::{CustomMetric, SpadeEngine, WeightedDensity};
 use spade::graph::VertexId;
 use spade::net::{
-    RouterConfig, ShardServer, ShardServerConfig, SpadeNetClient, SpadeNetServer, SpadeRouter,
+    read_frame, write_frame, RouterConfig, ShardServer, ShardServerConfig, SpadeNetClient,
+    SpadeNetServer, SpadeRouter, WireFrame,
 };
 use spade::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Classes created by this file (the seeded inversion and the channel
 /// fixture) are excluded from the global acyclicity assertion.
@@ -101,6 +107,65 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     if let Ok(service) = Arc::try_unwrap(service) {
         let _ = service.shutdown();
     }
+
+    // Wake on progress: one shard whose worker stalls until the gate
+    // opens, a front-end Detect parked behind it, and an in-process
+    // submit blocked on its full queue. Both wait on the runtime's
+    // notifier; the blocked submit's hook takes its channel's lock under
+    // the notifier's.
+    let gate = Arc::new(AtomicBool::new(false));
+    let held = Arc::clone(&gate);
+    let stalled = Arc::new(ShardedSpadeService::spawn_with(
+        ShardedConfig { shards: 1, queue_capacity: 1, coalesce: 1, ..Default::default() },
+        move |_| {
+            let held = Arc::clone(&held);
+            SpadeEngine::new(CustomMetric::new(
+                "gated",
+                |_, _| 0.0,
+                move |_, _, raw, _| {
+                    while !held.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    raw
+                },
+            ))
+        },
+    ));
+    let server = SpadeNetServer::bind(Arc::clone(&stalled), "127.0.0.1:0").expect("bind");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let edges = vec![(VertexId(1), VertexId(2), 1.0)];
+    write_frame(&mut conn, &WireFrame::Batch { edges }).expect("batch");
+    assert_eq!(read_frame(&mut conn).expect("ack"), Some(WireFrame::Ack { accepted: 1 }));
+    // The acked edge cannot apply while the gate is shut: this parks.
+    write_frame(&mut conn, &WireFrame::Detect).expect("detect");
+    // Once the worker holds that edge, one more fills the queue and the
+    // next submit blocks — holding one more handle on the notifier, its
+    // subscription.
+    while stalled.stats()[0].service.queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(stalled.submit(VertexId(3), VertexId(4), 1.0));
+    let handles = Arc::strong_count(stalled.progress());
+    let blocked = {
+        let stalled = Arc::clone(&stalled);
+        std::thread::spawn(move || stalled.submit(VertexId(5), VertexId(6), 1.0))
+    };
+    while Arc::strong_count(stalled.progress()) == handles {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gate.store(true, Ordering::Release);
+    assert!(blocked.join().expect("blocked submitter"));
+    let Some(WireFrame::Detection(det)) = read_frame(&mut conn).expect("detection") else {
+        panic!("expected a Detection");
+    };
+    assert!(det.updates_applied >= 1);
+    let _ = server.shutdown();
+    let stalled = Arc::try_unwrap(stalled).unwrap_or_else(|_| panic!("a loop holds the service"));
+    assert_eq!(stalled.shutdown().total_updates, 3);
+    assert!(
+        audit::order_edges().iter().any(|(from, _, _)| from.contains("progress.rs")),
+        "no order edge leaves the progress notifier's lock"
+    );
 
     // Distributed tier: a router over two shard servers — replicate
     // (journal lock), ingest, repair, consolidate and detect, all served
