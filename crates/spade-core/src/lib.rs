@@ -33,7 +33,7 @@ pub use persist::{load_engine, save_engine, SnapshotError, SubgraphSnapshot};
 pub use reorder::{ReorderScratch, ReorderStats};
 pub use service::{
     AbsorbReceipt, CandidateRegion, IngestConfig, MigrationSlice, PublishedDetection, ServiceStats,
-    SpadeService, TrySubmit,
+    SpadeService,
 };
 pub use shard::{
     BatchSubmit, GlobalDetection, MigrationPolicy, MigrationReport, MigrationStats,

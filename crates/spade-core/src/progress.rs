@@ -3,27 +3,32 @@
 //! A [`SpadeService`](crate::service::SpadeService) worker reports three
 //! kinds of [`Progress`] to its [`Notifier`]: the edges it applied since
 //! its last report (after every publish attempt), a reply it sent (after
-//! `Barrier` / `Region` / `MigrateOut` / `Absorb`), and queue room it
-//! freed (after it dequeues a command, once half its queue is free). A
-//! waiter subscribes a hook and sleeps until a report that can answer it
-//! arrives, instead of re-checking on a tick: an event loop's hook writes
-//! a byte to its wake pipe, the blocking [`ShardedSpadeService::submit`]
-//! waits on a channel. The shards of one sharded runtime share one
-//! notifier.
+//! `Barrier` / `Region` / `MigrateOut` / `Absorb`), and queue room freed
+//! (after it dequeues edges, or a producer hands back room it reserved
+//! but did not use, once half the queue is free). A waiter subscribes a
+//! hook and sleeps until a report that can answer it arrives, instead of
+//! re-checking on a tick: an event loop's hook writes a byte to its wake
+//! pipe, a blocking submit waits on a channel. The shards of one sharded
+//! runtime share one notifier.
 //!
 //! A waiter subscribes first and checks second, so a report that lands
 //! between its check and its sleep is never lost. With no subscriber a
-//! report costs the worker one atomic load.
+//! report costs one atomic load.
 //!
-//! Hooks run on the worker thread under the notifier's lock, so they
+//! Hooks run on the reporting thread under the notifier's lock, so they
 //! must be short and must not block or take other locks: flip an atomic,
 //! write a byte, send without waiting.
-//!
-//! [`ShardedSpadeService::submit`]: crate::shard::ShardedSpadeService::submit
 
+use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Longest a blocked submit waits for a room report before it offers
+/// again: only a worker that died mid-wait (and so reports nothing more)
+/// is noticed this late.
+const DEAD_WORKER_BOUND: Duration = Duration::from_millis(50);
 
 /// One progress report of a service worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,8 +39,8 @@ pub enum Progress {
     /// The worker sent a reply (`Barrier`, `Region`, `MigrateOut`,
     /// `Absorb`).
     Replied,
-    /// The worker dequeued a command, and at least half its queue (in
-    /// edges) is free.
+    /// Queue room was freed (edges dequeued or handed back), and at least
+    /// half the queue (in edges) is free.
     Room,
 }
 
@@ -77,6 +82,39 @@ impl Notifier {
         }
         for (_, hook) in self.hooks.read().iter() {
             hook(progress);
+        }
+    }
+}
+
+/// The blocking half of edge-bounded admission: calls `offer` (`Some`:
+/// is every edge enqueued; `None`: shut down) until it is done, waiting
+/// between short offers for `progress` to report freed room. The first
+/// short offer subscribes, then offers again at once.
+pub(crate) fn offer_until_enqueued(
+    progress: &Arc<Notifier>,
+    mut offer: impl FnMut() -> Option<bool>,
+) -> bool {
+    let mut room = None;
+    loop {
+        let Some(enqueued) = offer() else { return false };
+        if enqueued {
+            return true;
+        }
+        match &room {
+            None => {
+                let (freed, wait) = bounded(1);
+                let subscription = progress.subscribe(move |p| {
+                    if p == Progress::Room {
+                        let _ = freed.try_send(());
+                    }
+                });
+                room = Some((subscription, wait));
+            }
+            // A worker that died mid-wait reports nothing more; the bound
+            // lets the next offer see it closed.
+            Some((_, wait)) => {
+                let _ = wait.recv_timeout(DEAD_WORKER_BOUND);
+            }
         }
     }
 }

@@ -5,9 +5,14 @@
 //! arrive on a queue, the engine reorders incrementally) from the *query*
 //! path (moderators read the current fraudulent community, ban accounts,
 //! pull statistics). [`SpadeService`] runs the engine on a dedicated
-//! worker thread fed by a bounded crossbeam channel and publishes each
-//! new detection as an epoch-versioned snapshot that any number of
-//! moderator threads read without blocking ingestion.
+//! worker thread fed by an ingest queue and publishes each new detection
+//! as an epoch-versioned snapshot that any number of moderator threads
+//! read without blocking ingestion.
+//!
+//! The queue's one bound is in edges ([`IngestConfig::queue_capacity`]):
+//! an insert reserves its room before it is sent and the worker frees it
+//! on dequeue. A marker (flush, barrier, region export, migration) takes
+//! no room, so it never waits; whoever posted it waits for its answer.
 //!
 //! Two hot-path optimizations keep the ingest rate at hardware speed:
 //!
@@ -44,9 +49,9 @@
 //!
 //! The worker reports its [`Progress`] to the service's [`Notifier`]
 //! after every publish attempt (the edges applied since its last
-//! report), every reply it sends and every command it dequeues, so a
-//! waiter — an event loop with a parked request, a blocked sharded
-//! submit — wakes on the progress it waits for instead of a tick.
+//! report), every reply it sends and every insert it dequeues, so a
+//! waiter — an event loop with a parked request, a blocked submit —
+//! wakes on the progress it waits for instead of a tick.
 //!
 //! The sharded runtime (`crate::shard`) scales this out by wrapping one
 //! [`SpadeService`] per shard — same ingest protocol, same
@@ -55,16 +60,16 @@
 use crate::engine::SpadeEngine;
 use crate::grouping::{GroupingConfig, Stage, Staged};
 use crate::metric::DensityMetric;
-use crate::progress::{Notifier, Progress};
+use crate::progress::{offer_until_enqueued, Notifier, Progress};
 use crate::state::Detection;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use spade_graph::{DynamicGraph, VertexId};
 use spade_metrics::runtime::{
     Counter, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -94,8 +99,9 @@ pub mod metric_names {
     pub const REJECTED_TOTAL: &str = "spade_rejected_total";
     /// Counter: ingest commands processed (mirrors `updates_applied`).
     pub const UPDATES_TOTAL: &str = "spade_updates_total";
-    /// Gauge: commands waiting in the ingest queue (refreshed on
-    /// snapshot).
+    /// Gauge: edges waiting in the ingest queue, the unit of
+    /// [`IngestConfig::queue_capacity`](super::IngestConfig::queue_capacity)
+    /// (refreshed on snapshot).
     pub const QUEUE_DEPTH: &str = "spade_queue_depth";
     /// Gauge: directed edges resident in the worker's graph.
     pub const EDGES_RESIDENT: &str = "spade_edges_resident";
@@ -111,7 +117,8 @@ pub mod metric_names {
 #[derive(Clone, Copy, Debug)]
 pub struct IngestConfig {
     /// Edges the ingest queue holds (back-pressure for bursty producers):
-    /// the bound [`SpadeService::queue_free`] counts down.
+    /// every submit path reserves from this one bound, which
+    /// [`SpadeService::queue_free`] counts down. Markers take no room.
     pub queue_capacity: usize,
     /// Maximum number of edges the worker drains per run and applies as
     /// one batch (one reorder pass, one publish). `1` reproduces strict
@@ -246,8 +253,8 @@ pub struct AbsorbReceipt {
 /// The ingest protocol between a service handle and its worker thread.
 enum Command {
     /// A run of transactions (one edge for `submit`, a shard's share of
-    /// a decoded frame for the sharded runtime) in one queue slot,
-    /// stamped with its ingest time at submit so the worker can attribute
+    /// a decoded frame for the sharded runtime) as one command, stamped
+    /// with its ingest time at submit so the worker can attribute
     /// queueing latency (Eq. 4's dominant term per §5.2) to the wait
     /// itself, plus its optional detection-latency budget (drives the
     /// spring-push batch boundary and deadline-miss accounting).
@@ -296,7 +303,8 @@ struct WorkerMetrics {
     publish_ns: Arc<Histogram>,
     /// Edges applied per stage.
     batch_size: Arc<Histogram>,
-    /// Live ingest-queue depth (refreshed when a snapshot is taken).
+    /// Live ingest-queue depth in edges (refreshed when a snapshot is
+    /// taken).
     queue_depth: Arc<Gauge>,
     /// Directed edges resident in the worker's graph.
     edges_resident: Arc<Gauge>,
@@ -328,7 +336,8 @@ impl WorkerMetrics {
     }
 }
 
-/// The snapshot cell shared between the worker and all reader handles.
+/// The snapshot cell shared between the worker and all reader handles,
+/// plus the ingest queue's one bound.
 #[derive(Debug, Default)]
 struct SharedDetection {
     /// The latest *changed* detection; swapped whole, read by pointer.
@@ -341,13 +350,31 @@ struct SharedDetection {
     /// attempt — the migration scheduler's size signal for choosing a
     /// move target.
     edges_resident: AtomicU64,
-    /// Edges queued beyond their command count: each `Insert` holds
-    /// one channel slot but carries many edges, and back-pressure must
-    /// stay edge-denominated — `queue_free` subtracts this surplus so a
-    /// stream of batched frames cannot buffer unboundedly more edges
-    /// than `queue_capacity`. Incremented by `submit_batch` before the
-    /// send, decremented by the worker on receipt.
-    batched_backlog: AtomicU64,
+    /// The queue's bound in edges ([`IngestConfig::queue_capacity`]).
+    queue_capacity: usize,
+    /// Edges reserved in the queue, never above `queue_capacity`: a
+    /// producer reserves before it sends an `Insert`, and the worker
+    /// releases on dequeue (the channel, not this count, publishes them).
+    queued: AtomicUsize,
+}
+
+impl SharedDetection {
+    /// Edges of room free right now.
+    fn free(&self) -> usize {
+        self.queue_capacity.saturating_sub(self.queued.load(Ordering::Acquire))
+    }
+
+    /// Frees `edges` of reserved room, then reports it once at least half
+    /// the queue is free, not on every release: a waiter woken for room
+    /// then finds enough to admit whole frames, instead of a sliver per
+    /// wake-up while every parked producer re-offers (the silly-window
+    /// rule).
+    fn release(&self, edges: usize, progress: &Notifier) {
+        self.queued.fetch_sub(edges, Ordering::AcqRel);
+        if self.free() >= self.queue_capacity.div_ceil(2) {
+            progress.report(Progress::Room);
+        }
+    }
 }
 
 /// Point-in-time statistics of a running [`SpadeService`].
@@ -357,7 +384,8 @@ struct SharedDetection {
 /// [`SpadeService::current_detection`] when the members are needed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Commands waiting in the ingest queue.
+    /// Edges waiting in the ingest queue — the unit of
+    /// [`IngestConfig::queue_capacity`].
     pub queue_depth: usize,
     /// Ingest commands processed at the last publish attempt (see
     /// [`PublishedDetection::updates_applied`] for exact semantics).
@@ -387,15 +415,6 @@ pub struct ServiceStats {
     pub uptime_secs: f64,
 }
 
-/// Why an enqueue was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrySubmit {
-    /// The ingest queue is at capacity; the service is alive.
-    Full,
-    /// The service has shut down.
-    Closed,
-}
-
 /// A run of transactions: `(source, destination, raw weight)` each.
 type EdgeRun = Vec<(VertexId, VertexId, f64)>;
 
@@ -408,9 +427,9 @@ pub struct SpadeService {
     progress: Arc<Notifier>,
     /// Budget stamped onto submits that carry none ([`IngestConfig::deadline`]).
     default_budget: Option<Duration>,
-    /// Bound of the ingest channel — kept here so batch submitters can
-    /// compute free slots (the channel itself only exposes `len`).
-    queue_capacity: usize,
+    /// Set by every insert sent, cleared by [`flush`](Self::flush): an
+    /// edge was enqueued since the last flush barrier.
+    unflushed: AtomicBool,
     /// The worker hands its engine back through here on exit, so callers
     /// can recover it (snapshotting, equivalence tests) after a drain.
     engine_back: Receiver<Box<dyn Any + Send>>,
@@ -419,7 +438,7 @@ pub struct SpadeService {
 
 impl SpadeService {
     /// Spawns the worker thread around `engine`. `queue_capacity` bounds
-    /// the ingest channel (back-pressure for bursty producers);
+    /// the ingest queue in edges (back-pressure for bursty producers);
     /// `grouping` turns on §4.3 edge grouping of its stage. Uses the
     /// default coalesce cap — see [`SpadeService::spawn_with`] to tune it.
     pub fn spawn<M: DensityMetric + Send + 'static>(
@@ -456,9 +475,10 @@ impl SpadeService {
         thread_name: String,
         progress: Arc<Notifier>,
     ) -> Self {
-        let (sender, receiver) = bounded(ingest.queue_capacity.max(1));
+        let (sender, receiver) = unbounded();
         let (engine_tx, engine_back) = bounded(1);
-        let shared = Arc::new(SharedDetection::default());
+        let queue_capacity = ingest.queue_capacity.max(1);
+        let shared = Arc::new(SharedDetection { queue_capacity, ..Default::default() });
         let metrics = Arc::new(WorkerMetrics::new(Arc::new(MetricsRegistry::new())));
         let mut worker = Worker::new(
             engine,
@@ -482,7 +502,7 @@ impl SpadeService {
             metrics,
             progress,
             default_budget: ingest.deadline,
-            queue_capacity: ingest.queue_capacity.max(1),
+            unflushed: AtomicBool::new(false),
             engine_back,
             worker: Some(worker),
         }
@@ -490,116 +510,106 @@ impl SpadeService {
 
     /// Enqueues one transaction — a one-edge
     /// [`submit_batch`](Self::submit_batch) with the default budget.
-    /// Blocks when the ingest queue is full (back-pressure); returns
+    /// Blocks while the ingest queue is full (back-pressure); returns
     /// `false` if the service has shut down.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
         self.submit_batch(vec![(src, dst, raw)], None)
     }
 
-    /// Enqueues a whole run of transactions as **one** channel operation
-    /// (one queue slot), sharing a single arrival stamp and budget. This
-    /// is the shard-grouped fast path: a decoded 512-edge frame costs one
-    /// send per destination shard instead of 512. The stamp lets the
-    /// worker report submit → apply queueing latency. Blocks while every
-    /// command slot is taken — so, unlike the edge-bounded
-    /// [`try_submit_batch`](Self::try_submit_batch), one run can
-    /// overshoot the bound; returns `false` if the service has shut down.
-    /// An empty run is a no-op. `budget: None` falls back to
-    /// [`IngestConfig::deadline`]; a budget (either way) lets the worker
-    /// spring-push the batch boundary and drives deadline-miss
-    /// accounting.
+    /// Enqueues a whole run of transactions sharing a single arrival
+    /// stamp and budget: the prefix that fits the queue's free edges goes
+    /// as one command, and while edges remain the caller waits for the
+    /// worker to free room, then offers the rest — so a run larger than
+    /// the queue enters as several commands. The stamp lets the worker
+    /// report submit → apply queueing latency. Returns `false` if the
+    /// service has shut down; an empty run is a no-op. `budget: None`
+    /// falls back to [`IngestConfig::deadline`]; a budget (either way)
+    /// lets the worker spring-push the batch boundary and drives
+    /// deadline-miss accounting.
     pub fn submit_batch(&self, edges: EdgeRun, budget: Option<Duration>) -> bool {
-        self.send_batch(edges, budget, true).is_ok()
+        let mut rest = &edges[..];
+        offer_until_enqueued(&self.progress, || {
+            rest = &rest[self.try_submit_batch(rest, budget)?..];
+            Some(rest.is_empty())
+        })
     }
 
-    /// Non-blocking [`submit_batch`](Self::submit_batch) that admits by
-    /// edges: enqueues the prefix of `edges` that fits
-    /// [`queue_free`](Self::queue_free) as one command and returns how
-    /// many edges it took — 0 when the queue is full, so an event loop
-    /// keeps the rest and offers it again. `Err` only when closed.
+    /// Non-blocking [`submit_batch`](Self::submit_batch): reserves room
+    /// for the prefix of `edges` that fits, enqueues it as one command
+    /// and returns how many edges it took — 0 when the queue is full, so
+    /// an event loop keeps the rest and offers it again. `None` only
+    /// when the service has shut down.
     pub fn try_submit_batch(
         &self,
         edges: &[(VertexId, VertexId, f64)],
         budget: Option<Duration>,
-    ) -> Result<usize, TrySubmit> {
-        let take = edges.len().min(self.queue_free());
-        match self.send_batch(edges[..take].to_vec(), budget, false) {
-            // Another producer took the room since `queue_free` read it.
-            Err(TrySubmit::Full) => Ok(0),
-            sent => sent.map(|()| take),
-        }
+    ) -> Option<usize> {
+        let take = self.reserve(edges.len())?;
+        (take == 0 || self.send_reserved(edges[..take].to_vec(), budget)).then_some(take)
     }
 
-    fn send_batch(
-        &self,
-        edges: EdgeRun,
-        budget: Option<Duration>,
-        wait: bool,
-    ) -> Result<(), TrySubmit> {
-        if edges.is_empty() {
-            return Ok(());
-        }
+    /// Reserves `min(want, capacity − queued)` edges of room in one
+    /// compare-and-swap; 0 when full. A dead worker leaves its edges
+    /// reserved forever, so when none fit it reads as closed (`None`).
+    pub(crate) fn reserve(&self, want: usize) -> Option<usize> {
+        let mut taken = 0;
+        let _ = self.shared.queued.fetch_update(Ordering::AcqRel, Ordering::Acquire, |queued| {
+            taken = want.min(self.shared.queue_capacity.saturating_sub(queued));
+            (taken > 0).then_some(queued + taken)
+        });
+        (taken > 0 || want == 0 || !self.worker_gone()).then_some(taken)
+    }
+
+    /// Hands back `edges` of reserved room that will not be sent, through
+    /// the worker's own release, so a waiter for room hears of it.
+    pub(crate) fn unreserve(&self, edges: usize) {
+        self.shared.release(edges, &self.progress);
+    }
+
+    /// Sends `edges`, whose room the caller reserved, as one `Insert`;
+    /// `false` when the worker is gone.
+    pub(crate) fn send_reserved(&self, edges: EdgeRun, budget: Option<Duration>) -> bool {
         let budget = budget.or(self.default_budget);
-        // The surplus is published BEFORE the send so a concurrent
-        // `queue_free` never under-counts; the worker's decrement
-        // happens-after the send, so the counter cannot go negative.
-        // audit: advisory backlog counter, races only widen queue_free slack
-        let surplus = (edges.len() - 1) as u64;
-        self.shared.batched_backlog.fetch_add(surplus, Ordering::Relaxed);
         let command = Command::Insert { edges, queued: Instant::now(), budget };
-        self.enqueue(command, wait).inspect_err(|_| {
-            self.shared.batched_backlog.fetch_sub(surplus, Ordering::Relaxed);
-        })
-    }
-
-    /// The one place a command enters the ingest queue. A full queue
-    /// blocks the caller when `wait` is set and refuses the command with
-    /// [`TrySubmit::Full`] otherwise; a worker that is gone refuses it
-    /// with [`TrySubmit::Closed`] either way.
-    fn enqueue(&self, command: Command, wait: bool) -> Result<(), TrySubmit> {
-        if wait {
-            return self.sender.send(command).map_err(|_| TrySubmit::Closed);
+        let sent = self.sender.send(command).is_ok();
+        if sent {
+            // Set after the send: the flush that clears it trails the insert.
+            self.unflushed.store(true, Ordering::Release);
         }
-        self.sender.try_send(command).map_err(|e| match e {
-            TrySendError::Full(_) => TrySubmit::Full,
-            TrySendError::Disconnected(_) => TrySubmit::Closed,
-        })
+        sent
     }
 
-    /// Enqueues a command that answers on a reply channel and hands that
-    /// channel back without waiting for the answer.
-    fn request<T>(
-        &self,
-        wait: bool,
-        command: impl FnOnce(Sender<T>) -> Command,
-    ) -> Result<Receiver<T>, TrySubmit> {
+    /// Enqueues a marker (it takes no queue room, so this never waits)
+    /// and hands back its reply channel; `None` when shut down.
+    fn request<T>(&self, command: impl FnOnce(Sender<T>) -> Command) -> Option<Receiver<T>> {
         let (reply, receiver) = bounded(1);
-        self.enqueue(command(reply), wait).map(|()| receiver)
+        self.sender.send(command(reply)).is_ok().then_some(receiver)
     }
 
-    /// Edge-denominated queue slots free right now, which every
-    /// non-blocking admission counts against: capacity minus queued
-    /// commands minus the surplus edges carried by queued batch
-    /// commands. Advisory: other producers may race; batch submitters
-    /// combine it with a routing lock (the sharded runtime) or accept
-    /// the bounded slack. A worker that is gone (a panicking metric
-    /// unwound it) leaves its queued commands counted forever, so it
-    /// reads as unbounded instead: the enqueue that follows then fails
-    /// as [`TrySubmit::Closed`] rather than waiting on a queue no one
-    /// drains.
+    /// Edges of queue room free right now. A worker that is gone reads as
+    /// unbounded, so a submit that follows finds it closed, not full.
     pub fn queue_free(&self) -> usize {
-        if self.worker.as_ref().is_none_or(JoinHandle::is_finished) {
+        if self.worker_gone() {
             return usize::MAX;
         }
-        // audit: advisory backlog counter, races only widen queue_free slack
-        let backlog = self.shared.batched_backlog.load(Ordering::Relaxed) as usize;
-        self.queue_capacity.saturating_sub(self.sender.len().saturating_add(backlog))
+        self.shared.free()
+    }
+
+    fn worker_gone(&self) -> bool {
+        self.worker.as_ref().is_none_or(JoinHandle::is_finished)
     }
 
     /// A [`barrier`](Self::barrier) that does not wait: the worker settles
-    /// its stage (grouped benign edges included) and publishes.
+    /// its stage (grouped benign edges included) and publishes. Posts one
+    /// only if an edge was enqueued since its last post, which covers
+    /// every earlier edge, so queued flush barriers never outnumber
+    /// queued inserts by more than one. `false` if shut down.
     pub fn flush(&self) -> bool {
-        self.request_barrier(true).is_ok()
+        if self.unflushed.swap(false, Ordering::AcqRel) {
+            self.request_barrier().is_some()
+        } else {
+            !self.worker_gone()
+        }
     }
 
     /// Read-your-acks barrier: blocks until the worker has applied every
@@ -608,17 +618,17 @@ impl SpadeService {
     /// [`crate::Spade::detect`] does. Returns `false` if the service has
     /// shut down.
     pub fn barrier(&self) -> bool {
-        self.request_barrier(true).is_ok_and(|done| done.recv().is_ok())
+        self.request_barrier().is_some_and(|done| done.recv().is_ok())
     }
 
     /// Fire-and-collect variant of [`barrier`](Self::barrier): hands back
     /// the reply channel without waiting for the answer, so the sharded
     /// runtime can let all shards drain in parallel and an event loop can
-    /// park a connection on the reply. As for every `request_*` form, a
-    /// full queue blocks the caller when `wait` is set and is an
-    /// `Err(TrySubmit::Full)` otherwise; `Closed` means shut down.
-    pub fn request_barrier(&self, wait: bool) -> Result<Receiver<()>, TrySubmit> {
-        self.request(wait, |reply| Command::Barrier { reply })
+    /// park a connection on the reply. As for every `request_*` form,
+    /// the marker takes no queue room, so posting it never waits; `None`
+    /// means shut down.
+    pub fn request_barrier(&self) -> Option<Receiver<()>> {
+        self.request(|reply| Command::Barrier { reply })
     }
 
     /// Exports this worker's candidate region: its current detection plus
@@ -629,18 +639,14 @@ impl SpadeService {
     /// included (the worker settles its stage first). Returns `None` if
     /// the service has shut down.
     pub fn candidate_region(&self, hops: usize) -> Option<CandidateRegion> {
-        self.request_candidate_region(hops, true).ok()?.recv().ok()
+        self.request_candidate_region(hops)?.recv().ok()
     }
 
     /// Fire-and-collect variant of
     /// [`candidate_region`](Self::candidate_region), so the sharded
     /// runtime can let all shards drain and extract in parallel.
-    pub fn request_candidate_region(
-        &self,
-        hops: usize,
-        wait: bool,
-    ) -> Result<Receiver<CandidateRegion>, TrySubmit> {
-        self.request(wait, |reply| Command::Region { hops, reply })
+    pub fn request_candidate_region(&self, hops: usize) -> Option<Receiver<CandidateRegion>> {
+        self.request(|reply| Command::Region { hops, reply })
     }
 
     /// Extracts and **evicts** the induced slice over `members` from this
@@ -651,35 +657,30 @@ impl SpadeService {
     /// grouped benign edges (the worker applies its stage first).
     /// Returns `None` if the service has shut down.
     pub fn migrate_out(&self, members: Arc<[VertexId]>) -> Option<MigrationSlice> {
-        self.request_migrate_out(members, true).ok()?.recv().ok()
+        self.request_migrate_out(members)?.recv().ok()
     }
 
     /// Fire-and-collect variant of [`migrate_out`](Self::migrate_out).
-    /// The sharded runtime enqueues this **under its routing lock** (and
-    /// waiting for room) so the marker is ordered after every edge routed
-    /// to this shard before a rehome.
+    /// The sharded runtime enqueues this **under its routing lock** so
+    /// the marker is ordered after every edge routed to this shard
+    /// before a rehome.
     pub fn request_migrate_out(
         &self,
         members: Arc<[VertexId]>,
-        wait: bool,
-    ) -> Result<Receiver<MigrationSlice>, TrySubmit> {
-        self.request(wait, |reply| Command::MigrateOut { members, reply })
+    ) -> Option<Receiver<MigrationSlice>> {
+        self.request(|reply| Command::MigrateOut { members, reply })
     }
 
     /// Replays a migrated slice into this worker's engine (the target
     /// half of a component migration). Returns `None` if the service has
     /// shut down.
     pub fn absorb(&self, slice: MigrationSlice) -> Option<AbsorbReceipt> {
-        self.request_absorb(slice, true).ok()?.recv().ok()
+        self.request_absorb(slice)?.recv().ok()
     }
 
     /// Fire-and-collect variant of [`absorb`](Self::absorb).
-    pub fn request_absorb(
-        &self,
-        slice: MigrationSlice,
-        wait: bool,
-    ) -> Result<Receiver<AbsorbReceipt>, TrySubmit> {
-        self.request(wait, |reply| Command::Absorb { slice, reply })
+    pub fn request_absorb(&self, slice: MigrationSlice) -> Option<Receiver<AbsorbReceipt>> {
+        self.request(|reply| Command::Absorb { slice, reply })
     }
 
     /// The notifier this worker reports its progress into: subscribe to
@@ -703,7 +704,7 @@ impl SpadeService {
     pub fn stats(&self) -> ServiceStats {
         let det = self.shared.detection.read();
         ServiceStats {
-            queue_depth: self.sender.len(),
+            queue_depth: self.shared.queued.load(Ordering::Acquire),
             updates_applied: self.shared.updates_applied.load(Ordering::Acquire),
             flushes: self.metrics.flushes.get(),
             publishes: self.metrics.publishes.get(),
@@ -725,7 +726,7 @@ impl SpadeService {
     /// see [`spade_metrics::MetricsSnapshot::merge`] — which is how the
     /// sharded runtime builds its global view.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.queue_depth.set(self.sender.len() as u64);
+        self.metrics.queue_depth.set(self.shared.queued.load(Ordering::Acquire) as u64);
         self.metrics.edges_resident.set(self.shared.edges_resident.load(Ordering::Acquire));
         self.metrics.registry.snapshot()
     }
@@ -784,8 +785,6 @@ struct Worker<M: DensityMetric> {
     stamps: Vec<(Instant, Option<Duration>)>,
     /// Cap on the stage and on the edges one run drains.
     coalesce: usize,
-    /// The ingest queue's bound in edges ([`IngestConfig::queue_capacity`]).
-    queue_capacity: usize,
     /// Edges ingested by the current run.
     run_len: usize,
     /// Edges ingested so far.
@@ -813,7 +812,6 @@ impl<M: DensityMetric> Worker<M> {
             stage: Stage::new(grouped),
             stamps: Vec::with_capacity(coalesce.min(4096)),
             coalesce,
-            queue_capacity: ingest.queue_capacity.max(1),
             run_len: 0,
             updates: 0,
             reported: 0,
@@ -861,15 +859,11 @@ impl<M: DensityMetric> Worker<M> {
             };
             self.run_len = 0;
             loop {
-                // The command left the channel, and with it the room its
-                // edges held: a batch's surplus first, then the report.
+                // An insert left the queue, and with it the room its
+                // edges held.
                 if let Command::Insert { edges, .. } = &cmd {
-                    // audit: advisory backlog counter, races only widen queue_free slack
-                    self.shared
-                        .batched_backlog
-                        .fetch_sub(edges.len().saturating_sub(1) as u64, Ordering::Relaxed);
+                    self.shared.release(edges.len(), &self.progress);
                 }
-                self.room_freed(receiver);
                 let replied = match cmd {
                     Command::Insert { edges, queued, budget } => {
                         self.ingest(&edges, queued, budget);
@@ -920,23 +914,6 @@ impl<M: DensityMetric> Worker<M> {
             } else {
                 self.settle();
             }
-        }
-    }
-
-    /// Reports freed room once at least half the queue is free (in
-    /// edges), not on every dequeue: a waiter woken for room then finds
-    /// enough to admit whole frames, instead of a sliver per wake-up
-    /// while every parked producer re-offers (the silly-window rule).
-    /// Reads the queue only while someone is subscribed.
-    fn room_freed(&self, receiver: &Receiver<Command>) {
-        if !self.progress.subscribed() {
-            return;
-        }
-        // audit: advisory backlog counter, races only widen queue_free slack
-        let backlog = self.shared.batched_backlog.load(Ordering::Relaxed) as usize;
-        let free = self.queue_capacity.saturating_sub(receiver.len().saturating_add(backlog));
-        if free >= self.queue_capacity.div_ceil(2) {
-            self.progress.report(Progress::Room);
         }
     }
 
@@ -1894,7 +1871,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_feeds_every_edge_through_one_queue_slot() {
+    fn submit_batch_larger_than_the_queue_enters_as_several_commands() {
         let service = SpadeService::spawn_with(
             SpadeEngine::new(WeightedDensity),
             None,
@@ -1903,8 +1880,8 @@ mod tests {
         );
         let edges: Vec<(VertexId, VertexId, f64)> =
             (0..30u32).map(|i| (v(i % 11), v((i * 3 + 1) % 11), 1.0 + (i % 4) as f64)).collect();
-        // 30 edges, queue bound 4: only possible because the whole run
-        // occupies a single slot.
+        // 30 edges, queue bound 4: the run enters 4 edges at a time, each
+        // part once the worker has freed room.
         assert!(service.submit_batch(edges.clone(), None));
         assert!(service.submit_batch(Vec::new(), None), "empty batch is a no-op");
         let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
@@ -1988,7 +1965,7 @@ mod tests {
         let first = service.try_submit_batch(&edges[..6], None);
         // The worker takes that run and stalls in it: the whole bound is
         // free again.
-        while first.is_ok() && service.queue_free() < 4 {
+        while first.is_some() && service.queue_free() < 4 {
             std::thread::yield_now();
         }
         let taken = [
@@ -1997,9 +1974,146 @@ mod tests {
             service.try_submit_batch(&edges[8..], None),
         ];
         gate.store(true, Ordering::Release);
-        assert_eq!(first, Ok(4));
-        assert_eq!(taken, [Ok(2), Ok(2), Ok(0)]);
+        assert_eq!(first, Some(4));
+        assert_eq!(taken, [Some(2), Some(2), Some(0)]);
         assert_eq!(service.shutdown().updates_applied, 8);
+    }
+
+    /// A service with a `queue_capacity`-edge bound whose worker stalls
+    /// inside every edge until `gate` opens, one edge per run.
+    fn gated_service(gate: &Arc<AtomicBool>, queue_capacity: usize) -> SpadeService {
+        let held = Arc::clone(gate);
+        let gated = crate::metric::CustomMetric::new(
+            "gated",
+            |_, _| 0.0,
+            move |_, _, raw, _| {
+                while !held.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                raw
+            },
+        );
+        let ingest = IngestConfig { queue_capacity, coalesce: 1, deadline: None };
+        SpadeService::spawn_with(SpadeEngine::new(gated), None, ingest, "gated".into())
+    }
+
+    /// Submits edge 0 → 1 and waits until the gated worker holds it: the
+    /// whole bound is free again, and nothing dequeues until the gate
+    /// opens.
+    fn stall(service: &SpadeService, queue_capacity: usize) {
+        assert!(service.submit(v(0), v(1), 1.0));
+        while service.queue_free() < queue_capacity {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The blocking `submit_batch` holds the edge bound too: a 10-edge
+    /// run against a 4-edge queue takes 4 edges, then waits for the
+    /// stalled worker to free room, and once the gate opens every edge
+    /// applies exactly once.
+    #[test]
+    fn a_blocking_submit_batch_waits_for_room_past_the_bound() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = gated_service(&gate, 4);
+        stall(&service, 4);
+        let edges: Vec<_> = (0..10u32).map(|i| (v(10 + i), v(100 + i), 1.0)).collect();
+        let idle = Arc::strong_count(service.progress());
+        let returned = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                let enqueued = service.submit_batch(edges.clone(), None);
+                returned.store(true, Ordering::SeqCst);
+                enqueued
+            });
+            // The submit either subscribes to wait for room or returns.
+            while Arc::strong_count(service.progress()) == idle && !returned.load(Ordering::SeqCst)
+            {
+                std::thread::yield_now();
+            }
+            let early = returned.load(Ordering::SeqCst);
+            let queued = service.stats().queue_depth;
+            gate.store(true, Ordering::Release);
+            assert!(!early, "submit_batch returned with edges past the bound unsent");
+            assert_eq!(queued, 4, "the queue holds the bound, in edges");
+            assert!(submitter.join().expect("submitter"));
+        });
+        let (det, engine) = service.shutdown_into_engine::<crate::metric::CustomMetric>();
+        let engine = engine.expect("engine handed back");
+        assert_eq!(det.updates_applied, 11);
+        assert_eq!(engine.graph().num_edges(), 11);
+        for &(a, b, _) in &edges {
+            assert_eq!(engine.graph().edge_weight(a, b), Some(1.0), "{a:?} → {b:?}");
+        }
+    }
+
+    /// `flush` posts a barrier only if an edge was enqueued since the
+    /// last one it posted: two flushes in a row queue one barrier.
+    #[test]
+    fn a_flush_with_no_new_edge_posts_no_barrier() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = gated_service(&gate, 4);
+        stall(&service, 4);
+        assert!(service.flush() && service.flush());
+        let flushed_twice = service.sender.len();
+        assert!(service.submit(v(2), v(3), 1.0) && service.flush());
+        let after_an_edge = service.sender.len();
+        gate.store(true, Ordering::Release);
+        assert_eq!(flushed_twice, 1, "two flushes with no edge between them");
+        assert_eq!(after_an_edge, 3, "the edge, then its flush barrier");
+        assert_eq!(service.shutdown().updates_applied, 2);
+    }
+
+    /// Markers take no queue room: with the whole edge bound taken, a
+    /// barrier and a region export still enqueue, and both answer once
+    /// the worker moves.
+    #[test]
+    fn markers_enqueue_on_a_full_queue() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = gated_service(&gate, 4);
+        stall(&service, 4);
+        for i in 1..5u32 {
+            assert_eq!(service.try_submit_batch(&[(v(10 + i), v(20 + i), 1.0)], None), Some(1));
+        }
+        let free = service.queue_free();
+        let barrier = service.request_barrier();
+        let region = service.request_candidate_region(1);
+        gate.store(true, Ordering::Release);
+        assert_eq!(free, 0);
+        assert!(barrier.expect("a barrier enqueues on a full queue").recv().is_ok());
+        let region = region.expect("a region export enqueues on a full queue").recv();
+        assert_eq!(region.expect("region").updates_applied, 5);
+        assert_eq!(service.shutdown().updates_applied, 5);
+    }
+
+    /// Reservation is exact: producers racing on one bound admit exactly
+    /// `queue_capacity` edges between them, and the queue depth reads
+    /// that many edges.
+    #[test]
+    fn racing_producers_admit_exactly_the_bound() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = gated_service(&gate, 64);
+        stall(&service, 64);
+        let admitted = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 1..=4u32 {
+                let (service, admitted) = (&service, &admitted);
+                scope.spawn(move || {
+                    let edges: Vec<_> =
+                        (0..3u32).map(|i| (v(1000 * t + i), v(1000 * t + 500 + i), 1.0)).collect();
+                    while let Some(taken) = service.try_submit_batch(&edges, None) {
+                        if taken == 0 {
+                            break;
+                        }
+                        admitted.fetch_add(taken, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        let depth = service.stats().queue_depth;
+        gate.store(true, Ordering::Release);
+        assert_eq!(admitted.load(Ordering::SeqCst), 64);
+        assert_eq!(depth, 64);
+        assert_eq!(service.shutdown().updates_applied, 65);
     }
 
     /// Room is reported only once half the queue is free: draining four
@@ -2032,7 +2146,7 @@ mod tests {
             std::thread::yield_now();
         }
         for i in 1..5u32 {
-            assert_eq!(service.try_submit_batch(&[(v(i), v(i + 1), 1.0)], None), Ok(1));
+            assert_eq!(service.try_submit_batch(&[(v(i), v(i + 1), 1.0)], None), Some(1));
         }
         let rooms = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&rooms);

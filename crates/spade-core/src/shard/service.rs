@@ -4,7 +4,7 @@
 //! [`crate::service`] out across N shards: a [`Partitioner`] routes each
 //! arriving transaction to one shard, every shard runs a full
 //! [`SpadeEngine`] (plus optional §4.3 edge grouping) behind its own
-//! bounded ingest queue on its own thread, and [`merge`] folds the
+//! edge-bounded ingest queue on its own thread, and [`merge`] folds the
 //! per-shard snapshots into a global densest-community view on every
 //! read.
 //!
@@ -29,7 +29,7 @@
 use crate::engine::SpadeEngine;
 use crate::grouping::GroupingConfig;
 use crate::metric::DensityMetric;
-use crate::progress::{Notifier, Progress};
+use crate::progress::{offer_until_enqueued, Notifier};
 use crate::service::{
     CandidateRegion, IngestConfig, MigrationSlice, PublishedDetection, ServiceStats, SpadeService,
 };
@@ -42,7 +42,7 @@ use crate::shard::partition::{HashPartitioner, PartitionStrategy, Partitioner};
 use crate::shard::repair::{
     repair_regions, RepairConfig, RepairScratch, RepairStats, RepairedDetection,
 };
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use spade_graph::VertexId;
 use spade_metrics::runtime::{EventKind, Histogram, MetricsRegistry, MetricsSnapshot};
@@ -62,17 +62,13 @@ pub mod metric_names {
     pub const SHARDS: &str = "spade_shards";
 }
 
-/// Longest a blocked [`ShardedSpadeService::submit`] waits for a room
-/// report before it offers again: only a worker that died mid-wait (and
-/// so reports nothing more) is noticed this late.
-const DEAD_WORKER_BOUND: Duration = Duration::from_millis(50);
-
 /// Configuration of the sharded runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedConfig {
     /// Number of worker shards (engines/threads). Minimum 1.
     pub shards: usize,
-    /// Per-shard ingest queue bound (back-pressure per shard).
+    /// Per-shard ingest queue bound in edges (back-pressure per shard);
+    /// see [`IngestConfig::queue_capacity`].
     pub queue_capacity: usize,
     /// Per-shard drain-coalescing cap: how many edges a shard worker
     /// applies as one batch (one reorder pass, one publish), and the cap
@@ -130,8 +126,8 @@ pub struct ShardStats {
 /// Outcome of one [`ShardedSpadeService::submit_batch`] call.
 ///
 /// `accepted` counts the frame-order *prefix* of the batch that was
-/// enqueued: the walk stops at the first edge whose destination shard has
-/// no free queue slot, so a producer can offer `edges[accepted..]` again
+/// enqueued: it ends at the first edge whose destination shard has no
+/// queue room left for it, so a producer can offer `edges[accepted..]` again
 /// verbatim without reordering or double-inserting anything.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchSubmit {
@@ -200,23 +196,23 @@ struct RepairState {
 }
 
 /// Walks `edges` in frame order, routing each onto its shard group while
-/// one virtual queue slot per edge remains: stops at the FIRST edge whose
-/// shard has no free slot, so the accepted set is a strict frame-order
+/// its shard has `room` left (counting it down): stops at the FIRST edge
+/// whose shard has none, so the accepted set is a strict frame-order
 /// prefix (the contract of [`ShardedSpadeService::submit_batch`]).
 /// Returns the accepted count.
 fn fill_groups(
     edges: &[(VertexId, VertexId, f64)],
     route: &mut dyn FnMut(VertexId, VertexId) -> usize,
-    free: &mut [usize],
+    room: &mut [usize],
     groups: &mut [Vec<(VertexId, VertexId, f64)>],
 ) -> usize {
     let mut accepted = 0;
     for &(src, dst, raw) in edges {
         let shard = route(src, dst);
-        if free[shard] == 0 {
+        if room[shard] == 0 {
             break;
         }
-        free[shard] -= 1;
+        room[shard] -= 1;
         groups[shard].push((src, dst, raw));
         accepted += 1;
     }
@@ -330,9 +326,10 @@ impl ShardedSpadeService {
 
     /// Routes one transaction to its shard and enqueues it — a one-edge
     /// [`submit_batch`](Self::submit_batch). While that shard's queue is
-    /// full (per-shard back-pressure) the caller subscribes to the
-    /// runtime's [`progress`](Self::progress) and offers the edge again
-    /// each time a shard worker frees queue room. Returns `false` if the
+    /// full (per-shard back-pressure) the caller waits on the runtime's
+    /// [`progress`](Self::progress) and offers the edge again each time a
+    /// shard worker frees queue room, the wait
+    /// [`SpadeService::submit_batch`] runs too. Returns `false` if the
     /// runtime has shut down.
     ///
     /// The routing lock is released between offers, so one
@@ -343,31 +340,10 @@ impl ShardedSpadeService {
     /// counts a re-offered edge twice, nudging new pins away from the
     /// congested shard.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
-        let mut room = None;
-        loop {
-            match self.submit_batch(&[(src, dst, raw)], None) {
-                BatchSubmit { closed: true, .. } => return false,
-                BatchSubmit { accepted: 1, .. } => return true,
-                _ => match &room {
-                    // Subscribe, then offer again: room freed before the
-                    // subscription is seen by that offer.
-                    None => {
-                        let (freed, wait) = bounded(1);
-                        let subscription = self.progress.subscribe(move |p| {
-                            if p == Progress::Room {
-                                let _ = freed.try_send(());
-                            }
-                        });
-                        room = Some((subscription, wait));
-                    }
-                    // A worker that died mid-wait reports nothing more;
-                    // the bound lets the next offer see it closed.
-                    Some((_, wait)) => {
-                        let _ = wait.recv_timeout(DEAD_WORKER_BOUND);
-                    }
-                },
-            }
-        }
+        offer_until_enqueued(&self.progress, || {
+            let outcome = self.submit_batch(&[(src, dst, raw)], None);
+            (!outcome.closed).then_some(outcome.accepted == 1)
+        })
     }
 
     /// The notifier every shard worker reports its progress into (see
@@ -379,23 +355,22 @@ impl ShardedSpadeService {
     /// Routes a whole decoded batch by destination shard and enqueues
     /// one grouped command per shard — one route pass and one channel
     /// operation per shard per batch, instead of a route + submit round
-    /// trip per edge.
+    /// trip per edge. Never blocks.
     ///
-    /// Admission is a free-slot precheck against each shard's
-    /// edge-denominated queue headroom ([`SpadeService::queue_free`]),
-    /// taken before anything is enqueued: the walk stops at the first
-    /// edge whose shard has no slot left, so the accepted set is always
-    /// a frame-order prefix and a producer can offer `edges[accepted..]`
-    /// again without double-inserting or reordering (`spade-net` parks a
-    /// connection on that suffix until it is all enqueued).
-    /// Under stateful routing both the routing pass and the enqueues
-    /// happen under the table lock, preserving the marker-ordering
-    /// guarantee [`rebalance`](Self::rebalance) relies on; the free slots are
-    /// snapshotted under that lock too — all producers to a stateful
-    /// router serialize there, so the snapshot cannot be raced by
-    /// another batch — which keeps the enqueues from blocking under the
-    /// lock (producers to a lock-free router may still ride the shard's
-    /// own back-pressure briefly).
+    /// The routing walk stops at the first edge whose shard has no free
+    /// room ([`SpadeService::queue_free`]); then each shard's group
+    /// reserves its room, and only a reserved edge is enqueued. The
+    /// accepted set is always a frame-order prefix, so a producer can
+    /// offer `edges[accepted..]` again without double-inserting or
+    /// reordering (`spade-net` parks a connection on that suffix until
+    /// it is all enqueued). Under stateful routing the walk and the
+    /// enqueues happen under the table lock, preserving the
+    /// marker-ordering guarantee [`rebalance`](Self::rebalance) relies
+    /// on; every producer serializes there, so each group gets all the
+    /// room its walk counted. A producer racing on the lock-free hash
+    /// path can leave a shard short: the prefix then ends at that shard's
+    /// first unreserved edge, and room reserved past the cut is handed
+    /// back.
     ///
     /// `budget` overrides the configured default detection-latency
     /// budget for every edge in the batch; `None` inherits the default.
@@ -410,21 +385,37 @@ impl ShardedSpadeService {
         }
         let mut groups: Vec<Vec<(VertexId, VertexId, f64)>> = vec![Vec::new(); num_shards];
         self.router.with(|partitioner| {
-            let mut free: Vec<usize> = self.shards.iter().map(|s| s.queue_free()).collect();
-            let accepted = fill_groups(
-                edges,
-                &mut |src, dst| partitioner.route(src, dst, num_shards),
-                &mut free,
-                &mut groups,
-            );
-            // One grouped command per non-empty shard group.
+            // Each shard's room for this batch: free room for the walk,
+            // then the room reserved for the group it routed there.
+            let mut room: Vec<usize> = self.shards.iter().map(SpadeService::queue_free).collect();
+            let mut route = |src, dst| partitioner.route(src, dst, num_shards);
+            let mut accepted = fill_groups(edges, &mut route, &mut room, &mut groups);
             let mut closed = false;
+            for ((room, group), shard) in room.iter_mut().zip(&groups).zip(&self.shards) {
+                let got = shard.reserve(group.len());
+                closed |= got.is_none();
+                *room = got.unwrap_or(0);
+            }
+            if groups.iter().zip(&room).any(|(group, &got)| group.len() > got) {
+                // A producer racing on the lock-free hash path (whose
+                // routing is pure) took room the walk counted, or a shard
+                // is gone: walk again on the room reserved, and hand back
+                // what that shorter prefix leaves unused.
+                groups.iter_mut().for_each(Vec::clear);
+                accepted = fill_groups(&edges[..accepted], &mut route, &mut room, &mut groups);
+                for (shard, &unused) in self.shards.iter().zip(&room) {
+                    if unused > 0 {
+                        shard.unreserve(unused);
+                    }
+                }
+            }
+            // One grouped command per non-empty shard group.
             let shard_counts = groups
                 .into_iter()
                 .zip(&self.shards)
                 .map(|(group, shard)| {
                     let count = group.len();
-                    closed |= count > 0 && !shard.submit_batch(group, budget);
+                    closed |= count > 0 && !shard.send_reserved(group, budget);
                     count
                 })
                 .collect();
@@ -444,8 +435,8 @@ impl ShardedSpadeService {
     /// replies collected after, so the shards drain concurrently.
     /// Returns `false` if any shard has shut down.
     pub fn barrier(&self) -> bool {
-        let pending: Vec<_> = self.shards.iter().map(|s| s.request_barrier(true)).collect();
-        pending.into_iter().all(|done| done.is_ok_and(|done| done.recv().is_ok()))
+        let pending: Vec<_> = self.shards.iter().map(SpadeService::request_barrier).collect();
+        pending.into_iter().all(|done| done.is_some_and(|done| done.recv().is_ok()))
     }
 
     /// The merged global detection across all shards (densest community
@@ -528,9 +519,7 @@ impl ShardedSpadeService {
             .shards
             .iter()
             .enumerate()
-            .filter_map(|(shard, s)| {
-                s.request_candidate_region(hops, true).ok().map(|rx| (shard, rx))
-            })
+            .filter_map(|(shard, s)| s.request_candidate_region(hops).map(|rx| (shard, rx)))
             .collect();
         let regions: Vec<(usize, CandidateRegion)> = pending
             .into_iter()
@@ -612,10 +601,7 @@ impl ShardedSpadeService {
                 }
                 let members: Arc<[VertexId]> = table.component_members(event.member).into();
                 drop(table);
-                self.shards[event.stranded_shard]
-                    .request_migrate_out(members, true)
-                    .ok()
-                    .map(|rx| (home, rx))
+                self.shards[event.stranded_shard].request_migrate_out(members).map(|rx| (home, rx))
             };
             let Some((home, rx)) = staged else { continue };
             self.complete_move(
@@ -663,7 +649,7 @@ impl ShardedSpadeService {
                             .max_by_key(|&(_, size)| size)?;
                         table.rehome(member, cold);
                         let members: Arc<[VertexId]> = table.component_members(member).into();
-                        let rx = self.shards[hot].request_migrate_out(members, true).ok()?;
+                        let rx = self.shards[hot].request_migrate_out(members)?;
                         Some((member, hot, cold, rx))
                     })
                     .collect(),

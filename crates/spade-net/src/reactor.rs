@@ -32,13 +32,15 @@
 //!   (back-pressure through the kernel window) but keeps every other
 //!   connection moving.
 //! * **Nothing on the loop blocks on the runtime.** A handler enqueues
-//!   without waiting, and every wait a request can need — queue room for
-//!   an ingest frame, the applied watermark of a read-your-acks `Detect`,
-//!   a shard worker's answer to a `Region` — shares one mechanism: the
-//!   handler returns `FrameStep::Park`, the connection *parks* on the
-//!   request (reads paused, replies in order preserved) and the loop
-//!   re-checks it when the runtime reports the progress it waits for.
-//!   A parked producer is slowed by TCP flow control, not by a reply.
+//!   without waiting (ingest takes only the edge room it can reserve, a
+//!   marker takes none), and every wait a request can need — queue room
+//!   for an ingest frame, the applied watermark of a read-your-acks
+//!   `Detect`, a shard worker's answer to a `Region` — shares one
+//!   mechanism: the handler returns `FrameStep::Park`, the connection
+//!   *parks* on the request (reads paused, replies in order preserved)
+//!   and the loop re-checks it when the runtime reports the progress it
+//!   waits for. A parked producer is slowed by TCP flow control, not by
+//!   a reply.
 //! * **Wake on progress, not on a tick.** The reactor subscribes one
 //!   hook to the runtime's [`Notifier`]. Before a loop sleeps in `poll`
 //!   with requests parked, it records what they wait for (`Wait`: room,
@@ -152,7 +154,8 @@ pub(crate) enum FrameStep<P> {
 /// The progress report a parked request waits for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Wait {
-    /// Queue room: a worker dequeued a command.
+    /// Queue room: a worker freed reserved edge room (it dequeued
+    /// edges, or a producer handed back room it did not use).
     Room,
     /// A worker's answer to a request in its queue.
     Reply,

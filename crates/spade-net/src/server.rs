@@ -9,8 +9,8 @@
 //! make the bridge exact under load:
 //!
 //! * **Back-pressure crosses the wire, in order.** A tier admits the
-//!   prefix of a frame that fits its edge-denominated queues; when that
-//!   is not the whole frame, the connection *parks* with the rest
+//!   prefix of a frame that fits its edge-bounded queues; when that is
+//!   not the whole frame, the connection *parks* with the rest
 //!   (`Ingest`), and the event loop offers it again each time a shard
 //!   worker reports freed queue room, until the whole frame is enqueued
 //!   and one `Ack` answers it. The producer is slowed by TCP flow control
@@ -32,7 +32,7 @@ use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig, Wait};
 use crate::wire::{MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
 use parking_lot::Mutex;
 use spade_core::progress::Notifier;
-use spade_core::service::{ServiceStats, SpadeService, TrySubmit};
+use spade_core::service::{ServiceStats, SpadeService};
 use spade_core::shard::ShardedSpadeService;
 use spade_metrics::MetricsSnapshot;
 use std::collections::BTreeMap;
@@ -420,23 +420,24 @@ pub(crate) struct Ingest {
 }
 
 /// A tier's non-blocking enqueue: it takes the prefix of `edges` that
-/// fits its edge-denominated queues, and says how many edges that was.
+/// fits its edge-bounded queues, and says how many edges that was —
+/// `None` once the runtime has shut down.
 pub(crate) trait Admit {
-    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Result<usize, TrySubmit>;
+    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Option<usize>;
 }
 
 /// The fan-in tier: one grouped command per destination shard.
 impl Admit for ShardedSpadeService {
-    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Result<usize, TrySubmit> {
+    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Option<usize> {
         let outcome = self.submit_batch(edges, budget);
-        (!outcome.closed).then_some(outcome.accepted).ok_or(TrySubmit::Closed)
+        (!outcome.closed).then_some(outcome.accepted)
     }
 }
 
-/// A shard server: one command for its one worker, prefix by
-/// [`SpadeService::queue_free`].
+/// A shard server: one command for its one worker, the prefix its queue
+/// has room for.
 impl Admit for SpadeService {
-    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Result<usize, TrySubmit> {
+    fn admit(&self, edges: &[RawEdge], budget: Option<Duration>) -> Option<usize> {
         self.try_submit_batch(edges, budget)
     }
 }
@@ -453,7 +454,7 @@ pub(crate) fn offer<P: From<Ingest>>(
     out: &mut Vec<u8>,
 ) -> FrameStep<P> {
     let (reply, step) = match tier.admit(&ingest.edges[ingest.admitted..], ingest.budget) {
-        Ok(taken) => {
+        Some(taken) => {
             // audit: monotone transport counter, telemetry only
             telemetry.edges_accepted.fetch_add(taken as u64, Ordering::Relaxed);
             ingest.admitted += taken;
@@ -465,17 +466,15 @@ pub(crate) fn offer<P: From<Ingest>>(
             }
             (WireFrame::Ack { accepted: ingest.edges.len() as u64 }, FrameStep::Continue)
         }
-        Err(_) => shut_down(),
+        None => shut_down(),
     };
     reply.encode_into(out);
     step
 }
 
-/// The answer to `Flush`, given whether the marker was posted — the one
-/// channel send on the event loop. It shares the bounded queue ingest
-/// uses, but a peer sends Flush only once its batches were acknowledged
-/// (a client after its pipeline drained, the router between round trips),
-/// so a wait is for a worker to take one command, never for this loop.
+/// The answer to `Flush`, given whether the runtime was still there to
+/// take the marker. Acked at once: the marker takes no queue room, so
+/// posting it never waits.
 pub(crate) fn flushed<P>(posted: bool) -> (WireFrame, FrameStep<P>) {
     if posted {
         (WireFrame::Ack { accepted: 0 }, FrameStep::Continue)

@@ -37,12 +37,13 @@
 //! fan-in is one router connection plus an occasional operator probe.
 //! Nothing here waits on the worker: a batch is admitted by edges, the
 //! same rule as the fan-in tier's (`server::offer`) — whatever does not
-//! fit the worker's queue parks its connection until it does, every
+//! fit the worker's queue parks its connection until it does. Every
 //! operation the worker must answer (`Detect`, `Stats`, `Region`,
-//! `MigrateOut`, `Absorb`) is enqueued without blocking and parks on the
-//! reply channel, and the journal operations answer inline. The loop
-//! re-checks a parked request when the worker reports what it waits for:
-//! freed queue room, or a reply sent.
+//! `MigrateOut`, `Absorb`) posts a marker, which takes no queue room and
+//! so is always enqueued at once, and parks on the reply channel; the
+//! journal operations answer inline. The loop re-checks a parked request
+//! when the worker reports what it waits for: freed queue room, or a
+//! reply sent.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +52,7 @@ use std::sync::Arc;
 use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
 use spade_core::progress::Notifier;
-use spade_core::service::{SpadeService, TrySubmit};
+use spade_core::service::SpadeService;
 
 use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig, Wait};
 use crate::server::{
@@ -211,9 +212,6 @@ type ReplyPoll = Box<dyn Fn(&ShardHandler) -> Result<WireFrame, TryRecvError>>;
 pub(crate) enum Parked {
     /// A batch the worker's queue admitted only part of.
     Ingest(Ingest),
-    /// A worker request (`Detect`, `Stats`, `Region`, `MigrateOut`,
-    /// `Absorb`) the full command queue refused: served again.
-    Room(WireFrame),
     /// A worker request in the queue: answers when the worker has.
     Reply(ReplyPoll),
 }
@@ -233,7 +231,7 @@ impl FrameHandler for ShardHandler {
 
     fn wait(&self, parked: &Parked) -> Wait {
         match parked {
-            Parked::Ingest(_) | Parked::Room(_) => Wait::Room,
+            Parked::Ingest(_) => Wait::Room,
             Parked::Reply(_) => Wait::Reply,
         }
     }
@@ -253,7 +251,6 @@ impl FrameHandler for ShardHandler {
             Parked::Ingest(ingest) => {
                 return offer(&*self.service, &self.telemetry, ingest, None, out)
             }
-            Parked::Room(frame) => return self.serve(frame, out),
             Parked::Reply(poll) => match poll(self) {
                 Ok(reply) => (reply, FrameStep::Continue),
                 Err(TryRecvError::Empty) => return FrameStep::Park(Parked::Reply(poll)),
@@ -271,9 +268,8 @@ impl ShardHandler {
     fn serve(&self, frame: WireFrame, out: &mut Vec<u8>) -> FrameStep<Parked> {
         let error = |message: &str| WireFrame::Error { message: message.into() };
         let (reply, step) = match self.enqueue(&frame) {
-            Some(Ok(poll)) => return self.retry(Parked::Reply(poll), out),
-            Some(Err(TrySubmit::Full)) => return FrameStep::Park(Parked::Room(frame)),
-            Some(Err(_)) => shut_down(),
+            Some(Some(poll)) => return self.retry(Parked::Reply(poll), out),
+            Some(None) => shut_down(),
             None => match frame {
                 WireFrame::Flush => flushed(self.service.flush()),
                 WireFrame::Metrics => {
@@ -313,16 +309,17 @@ impl ShardHandler {
         step
     }
 
-    /// Enqueues, without waiting, a request only the worker can answer:
-    /// it rides the worker's FIFO queue behind everything already
-    /// acknowledged, and the poll handed back collects the answer. `None`
-    /// for every other frame.
-    fn enqueue(&self, frame: &WireFrame) -> Option<Result<ReplyPoll, TrySubmit>> {
+    /// Enqueues a request only the worker can answer — a marker, so it
+    /// never waits for room: it rides the worker's FIFO queue behind
+    /// everything already acknowledged, and the poll handed back collects
+    /// the answer (`None` when the worker is gone). `None` for every other
+    /// frame.
+    fn enqueue(&self, frame: &WireFrame) -> Option<Option<ReplyPoll>> {
         let service = &self.service;
         Some(match frame {
             // Read-your-acks: a `Batch` is acked once *enqueued*, so the
             // detection waits for every edge already acknowledged.
-            WireFrame::Detect => service.request_barrier(false).map(|done| {
+            WireFrame::Detect => service.request_barrier().map(|done| {
                 collect(done, |shard, ()| {
                     let det = shard.service.current_detection();
                     WireFrame::Detection(DetectionReply {
@@ -336,14 +333,14 @@ impl ShardHandler {
             // The same barrier: `updates_applied` feeds the router's
             // acked == applied exactly-once audit, which must not observe
             // a still-queued suffix.
-            WireFrame::Stats => service.request_barrier(false).map(|done| {
+            WireFrame::Stats => service.request_barrier().map(|done| {
                 collect(done, |shard, ()| {
                     let stats = shard.service.stats();
                     shard.telemetry.stats_reply(&[stats], stats.uptime_secs)
                 })
             }),
             WireFrame::Region { hops } => {
-                service.request_candidate_region(*hops as usize, false).map(|region| {
+                service.request_candidate_region(*hops as usize).map(|region| {
                     collect(region, |_, region| {
                         if region.members.len() > MAX_MIGRATE_MEMBERS
                             || region.encoded.len() > MAX_SNAPSHOT_BYTES
@@ -356,7 +353,7 @@ impl ShardHandler {
                 })
             }
             WireFrame::MigrateOut { members } => {
-                service.request_migrate_out(members.as_slice().into(), false).map(|slice| {
+                service.request_migrate_out(members.as_slice().into()).map(|slice| {
                     collect(slice, |_, slice| {
                         if slice.encoded.len() > MAX_SNAPSHOT_BYTES {
                             let message = "migration slice exceeds frame bounds".into();
@@ -367,7 +364,7 @@ impl ShardHandler {
                 })
             }
             WireFrame::Absorb { slice } => service
-                .request_absorb(slice.clone(), false)
+                .request_absorb(slice.clone())
                 .map(|receipt| collect(receipt, |_, receipt| WireFrame::AbsorbReply(receipt))),
             _ => return None,
         })

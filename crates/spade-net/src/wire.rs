@@ -190,7 +190,7 @@ pub struct StatsReply {
     pub shards: u64,
     /// Ingest commands applied across all shards.
     pub updates_applied: u64,
-    /// Commands currently waiting in shard queues.
+    /// Edges currently waiting in shard queues (the unit of `--queue N`).
     pub queue_depth: u64,
     /// Connections accepted since the server started.
     pub connections: u64,
@@ -206,7 +206,7 @@ pub struct StatsReply {
     pub malformed_frames: u64,
     /// Seconds the runtime behind the server has been up.
     pub uptime_secs: f64,
-    /// Commands waiting in each shard's queue, indexed by shard — the
+    /// Edges waiting in each shard's queue, indexed by shard — the
     /// live back-pressure signal (`queue_depth` above is their sum). A
     /// deployment beyond [`MAX_STATS_SHARDS`] shards truncates the list
     /// on the wire.
