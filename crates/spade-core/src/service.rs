@@ -17,13 +17,13 @@
 //! Two hot-path optimizations keep the ingest rate at hardware speed:
 //!
 //! * **Drain coalescing** (the paper's Algorithm 2 applied to the
-//!   runtime): after blocking on the first command, the worker
-//!   opportunistically drains whatever else is already queued (up to
-//!   [`IngestConfig::coalesce`] edges) and feeds the whole run through
-//!   the batch insertion path, so a burst of N edges costs **one**
-//!   reorder pass and **one** publish instead of N of each. Exactness is
-//!   preserved: §4.2 guarantees the batch reorder yields a peeling
-//!   sequence bit-identical to per-edge insertion (property-tested in
+//!   runtime): after the first command of a run, the worker takes
+//!   whatever else is already queued (up to [`IngestConfig::coalesce`]
+//!   edges) and feeds the whole run through the batch insertion path,
+//!   so a burst of N edges costs **one** reorder pass and **one**
+//!   publish instead of N of each. Exactness is preserved: §4.2
+//!   guarantees the batch reorder yields a peeling sequence
+//!   bit-identical to per-edge insertion (property-tested in
 //!   `tests/properties.rs`), and `updates_applied` still counts every
 //!   submitted transaction.
 //! * **Zero-copy publishing**: the published snapshot holds its member
@@ -33,11 +33,12 @@
 //!   re-cloning the community.
 //!
 //! Every submit is a batch: `submit` is a one-edge `submit_batch`, so the
-//! worker has one ingest command and one `ingest` step, which puts each
+//! worker has one ingest command and one `ingest` path, which puts each
 //! edge on the worker's one stage. Edge grouping (§4.3) is a policy of
 //! that stage, not a second buffer: a grouped stage classifies each edge
-//! at arrival and holds benign ones past the end of a run. One `settle`
-//! step — apply the stage as one pass, then publish — fires when:
+//! at arrival and holds benign ones past the end of a run. The worker's
+//! `step`, one function of (command, now) that a short receive loop
+//! drives, settles — applies the stage as one pass, then publishes — when:
 //!
 //! * a staged edge is urgent (Definition 4.1; grouping only), so urgent
 //!   transactions update the published detection immediately;
@@ -748,7 +749,7 @@ impl SpadeService {
         self.join_worker();
         let engine = self
             .engine_back
-            .try_recv()
+            .recv()
             .ok()
             .and_then(|boxed| boxed.downcast::<SpadeEngine<M>>().ok())
             .map(|boxed| *boxed);
@@ -769,9 +770,20 @@ impl Drop for SpadeService {
     }
 }
 
+/// What a [`Worker::step`] asks of the loop that calls it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Next {
+    /// Wait for the next command until this instant (`None`: no limit);
+    /// one not past the step's `now` is a zero wait.
+    Wait(Option<Instant>),
+    /// `Shutdown` was handled.
+    Exit,
+}
+
 /// The detector worker: everything the ingest thread owns. Every
 /// [`SpadeService`] runs one of these — including the N services the
-/// sharded runtime wraps. [`ingest`](Self::ingest) stages edges and
+/// sharded runtime wraps. [`run`](Self::run) drives
+/// [`step`](Self::step); [`ingest`](Self::ingest) stages edges and
 /// [`settle`](Self::settle) applies the stage and publishes: the one
 /// route the module docs describe.
 struct Worker<M: DensityMetric> {
@@ -787,6 +799,8 @@ struct Worker<M: DensityMetric> {
     coalesce: usize,
     /// Edges ingested by the current run.
     run_len: usize,
+    /// The spring push's peel margin, resolved at most once per run.
+    margin: Option<Duration>,
     /// Edges ingested so far.
     updates: u64,
     /// `updates` at the last progress report.
@@ -813,6 +827,7 @@ impl<M: DensityMetric> Worker<M> {
             stamps: Vec::with_capacity(coalesce.min(4096)),
             coalesce,
             run_len: 0,
+            margin: None,
             updates: 0,
             reported: 0,
             publisher: Publisher::default(),
@@ -822,109 +837,93 @@ impl<M: DensityMetric> Worker<M> {
         }
     }
 
-    /// Consumes [`Command`]s until shutdown (or until every sender is
-    /// gone), publishing every new detection into `shared`.
-    ///
-    /// The loop blocks on the first command of a run, then drains
-    /// whatever else is already queued (up to the coalesce cap). Without
-    /// a grouper the run then settles at once: one reorder pass, one
-    /// publish attempt. A grouped stage settles on its own triggers
-    /// (urgent edge, cap, budget boundary, marker); the run's end only
-    /// publishes the update count.
-    ///
-    /// With latency budgets staged, the waits are event-driven: when the
-    /// queue runs dry — mid-run, or idle under a grouped stage that
-    /// outlived its run — the worker spring-pushes the boundary: it
-    /// sleeps on the channel until either new work arrives or the
-    /// earliest staged deadline (minus a peel-cost margin estimated from
-    /// the live reorder histogram) would be at risk, and settles there.
-    /// Budget-free stages never wait, so the no-budget path is
-    /// bit-identical to plain drain-coalescing.
+    /// The receive loop: waits until the last step's wake time (with no
+    /// limit without one) for the next command, stamps the clock once and
+    /// steps with it, or `None`. Every sender gone is a shutdown.
     fn run(&mut self, receiver: &Receiver<Command>) {
         self.publish();
+        let mut wait = None;
         loop {
-            // Peel-cost margin for the spring push, resolved from the
-            // live reorder histogram at most once per run (a snapshot
-            // allocates) and only when a budgeted edge needs it.
-            let mut margin: Option<Duration> = None;
-            let mut cmd = match self.patience(&mut margin).map(|wait| receiver.recv_timeout(wait)) {
-                // Every sender gone is a shutdown without the marker.
-                None => receiver.recv().unwrap_or(Command::Shutdown),
-                Some(Ok(cmd)) => cmd,
-                Some(Err(RecvTimeoutError::Timeout)) => {
-                    self.settle();
-                    continue;
-                }
-                Some(Err(RecvTimeoutError::Disconnected)) => Command::Shutdown,
+            let input = match wait.map(|wait| receiver.recv_timeout(wait)) {
+                None => Some(receiver.recv().unwrap_or(Command::Shutdown)),
+                Some(Ok(command)) => Some(command),
+                Some(Err(RecvTimeoutError::Timeout)) => None,
+                Some(Err(RecvTimeoutError::Disconnected)) => Some(Command::Shutdown),
             };
-            self.run_len = 0;
-            loop {
-                // An insert left the queue, and with it the room its
-                // edges held.
-                if let Command::Insert { edges, .. } = &cmd {
-                    self.shared.release(edges.len(), &self.progress);
-                }
-                let replied = match cmd {
-                    Command::Insert { edges, queued, budget } => {
-                        self.ingest(&edges, queued, budget);
-                        false
-                    }
-                    Command::Barrier { reply } => {
-                        self.settle();
-                        reply.send(()).is_ok()
-                    }
-                    Command::Region { hops, reply } => reply.send(self.export_region(hops)).is_ok(),
-                    Command::MigrateOut { members, reply } => {
-                        reply.send(self.migrate_out(&members)).is_ok()
-                    }
-                    Command::Absorb { slice, reply } => reply.send(self.absorb(&slice)).is_ok(),
-                    Command::Shutdown => {
-                        // Final drain, so the last published state
-                        // reflects every submission before the marker.
-                        self.settle();
-                        return;
-                    }
-                };
-                if replied {
-                    self.progress.report(Progress::Replied);
-                }
-                if self.run_len >= self.coalesce {
-                    break;
-                }
-                cmd = match receiver.try_recv() {
-                    Ok(next) => next,
-                    // Queue ran dry mid-run. Spring push: while every
-                    // staged budget still has slack past the peel margin,
-                    // hold the stage open until new work arrives or the
-                    // earliest boundary hits, whichever comes first.
-                    Err(_) => match self
-                        .patience(&mut margin)
-                        .filter(|wait| !wait.is_zero())
-                        .map(|wait| receiver.recv_timeout(wait))
-                    {
-                        Some(Ok(next)) => next,
-                        _ => break,
-                    },
-                };
-            }
-            // Drain-coalescing settles the run. A grouped stage settles
-            // only once its boundary has passed.
-            if self.stage.grouped() && self.patience(&mut margin) != Some(Duration::ZERO) {
-                self.publish();
-            } else {
-                self.settle();
+            let now = Instant::now();
+            match self.step(input, now) {
+                Next::Wait(wake_at) => wait = wake_at.map(|at| at.saturating_duration_since(now)),
+                Next::Exit => return,
             }
         }
     }
 
-    /// How long the stage may stay open for the next command: `None`
-    /// while no staged edge carries a budget (wait as long as it takes),
-    /// otherwise the spring-push wait — zero once the boundary has passed.
-    fn patience(&self, margin: &mut Option<Duration>) -> Option<Duration> {
-        let budgeted = self.stamps.iter().any(|&(_, budget)| budget.is_some());
-        budgeted.then(|| {
-            spring_wait(&self.stamps, margin, &self.metrics, Instant::now()).unwrap_or_default()
-        })
+    /// The settle rule of the module docs as a function of (`input`,
+    /// `now`): handles the next command, or `None` when the wait ran out,
+    /// and says how long to wait for the next. `now` decides policy only
+    /// (the spring-push boundary, whether a run has drained). A run takes
+    /// what is already queued, by zero waits, up to `coalesce` edges. Run
+    /// dry with budgeted edges staged, it waits for new work until the
+    /// earliest staged budget minus the peel margin (the spring push);
+    /// budget-free stages never wait. Then it ends and the stage settles,
+    /// unless it is grouped and its boundary has not passed. Only a step
+    /// that did no work names a wake time past `now`, so a loop that
+    /// measures the wait from `now` waits exactly that long.
+    fn step(&mut self, input: Option<Command>, now: Instant) -> Next {
+        let dry = input.is_none();
+        if let Some(command) = input {
+            // An insert left the queue, and with it the room its edges
+            // held.
+            if let Command::Insert { edges, .. } = &command {
+                self.shared.release(edges.len(), &self.progress);
+            }
+            let replied = match command {
+                Command::Insert { edges, queued, budget } => {
+                    self.ingest(&edges, queued, budget);
+                    false
+                }
+                Command::Barrier { reply } => {
+                    self.settle();
+                    reply.send(()).is_ok()
+                }
+                Command::Region { hops, reply } => reply.send(self.export_region(hops)).is_ok(),
+                Command::MigrateOut { members, reply } => {
+                    reply.send(self.migrate_out(&members)).is_ok()
+                }
+                Command::Absorb { slice, reply } => reply.send(self.absorb(&slice)).is_ok(),
+                Command::Shutdown => {
+                    // Final drain, so the last published state reflects
+                    // every submission before the marker.
+                    self.settle();
+                    return Next::Exit;
+                }
+            };
+            if replied {
+                self.progress.report(Progress::Replied);
+            }
+            if self.run_len < self.coalesce {
+                return Next::Wait(Some(now));
+            }
+        }
+        // Only a dry run or a grouped stage can stay open.
+        let wait = (dry || self.stage.grouped())
+            .then(|| spring_wait(&self.stamps, &mut self.margin, &self.metrics, now))
+            .flatten();
+        if let Some(wait) = wait.filter(|_| dry) {
+            return Next::Wait(Some(now + wait));
+        }
+        // The run ends. A grouped stage only publishes until a staged
+        // budget reaches its boundary, and re-checks that after a zero wait.
+        let held = self.stage.grouped()
+            && (wait.is_some() || self.stamps.iter().all(|&(_, budget)| budget.is_none()));
+        if held {
+            self.publish();
+        } else {
+            self.settle();
+        }
+        self.run_len = 0;
+        self.margin = None;
+        Next::Wait(wait.filter(|_| held).map(|_| now))
     }
 
     /// The one ingest path: `Command::Insert` hands in its run; `queued`
@@ -1235,6 +1234,7 @@ mod tests {
     use super::*;
     use crate::grouping::EdgeGrouper;
     use crate::metric::{Fraudar, UnweightedDensity, WeightedDensity};
+    use spade_metrics::runtime::HistogramSnapshot;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -1269,6 +1269,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         service.stats().flushes
+    }
+
+    /// Polls `stats().updates_applied` until it reaches `want` or four
+    /// seconds pass, and returns the last reading.
+    fn wait_for_applied(service: &SpadeService, want: u64) -> u64 {
+        for _ in 0..2_000 {
+            if service.stats().updates_applied >= want {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        service.stats().updates_applied
     }
 
     /// A staged benign edge applies by its spring-push boundary with no
@@ -1522,17 +1534,10 @@ mod tests {
         assert!(service.submit(v(5), v(5), 1.0)); // self-loop: rejected
         assert!(service.submit(v(1), v(2), -3.0)); // negative susp: rejected
         assert!(service.submit(v(1), v(2), 1.0));
-        let before_shutdown = {
-            // Drain deterministically: poll until all four commands are
-            // accounted for.
-            for _ in 0..2_000 {
-                if service.stats().updates_applied >= 4 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            service.stats()
-        };
+        // Drain deterministically: poll until all four commands are
+        // accounted for.
+        wait_for_applied(&service, 4);
+        let before_shutdown = service.stats();
         assert_eq!(before_shutdown.updates_applied, 4);
         assert_eq!(before_shutdown.rejected, 2);
         let det = service.shutdown();
@@ -1559,12 +1564,7 @@ mod tests {
         for _ in 0..20 {
             assert!(service.submit(v(0), v(1), 1.0));
         }
-        for _ in 0..2_000 {
-            if service.stats().updates_applied >= 20 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        wait_for_applied(&service, 20);
         let stats = service.stats();
         assert!(stats.skipped_unchanged >= 1, "redundant runs must skip the swap");
         let second = service.current_detection();
@@ -1697,12 +1697,7 @@ mod tests {
         for i in 0..200u32 {
             assert!(service.submit(v(i % 20), v((i + 1) % 20), 1.0 + (i % 7) as f64));
         }
-        for _ in 0..2_000 {
-            if service.stats().updates_applied >= 200 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        wait_for_applied(&service, 200);
         let stats = service.stats();
         assert_eq!(stats.updates_applied, 200);
         assert!(stats.uptime_secs > 0.0);
@@ -1750,12 +1745,7 @@ mod tests {
         // long time; a Flush command wakes the spring wait and forces
         // the apply — the "new command" half of the event-driven wait.
         assert!(service.flush());
-        for _ in 0..2_000 {
-            if service.stats().updates_applied >= 40 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        wait_for_applied(&service, 40);
         let stats = service.stats();
         assert_eq!(stats.updates_applied, 40);
         assert_eq!(stats.deadline_miss, 0, "a 30s budget cannot be missed in-process");
@@ -1787,12 +1777,7 @@ mod tests {
             assert_eq!(early, 0, "budgeted insert applied early: the spring push did not hold");
         }
         // Once the boundary passes it must land, exactly once.
-        for _ in 0..2_000 {
-            if service.stats().updates_applied >= 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_for_applied(&service, 1);
         let waited = submitted.elapsed();
         let stats = service.stats();
         assert_eq!(stats.updates_applied, 1);
@@ -1850,12 +1835,7 @@ mod tests {
         for i in 0..25u32 {
             assert!(service.submit(v(i % 7), v((i + 1) % 7), 2.0));
         }
-        for _ in 0..2_000 {
-            if service.stats().updates_applied >= 25 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        wait_for_applied(&service, 25);
         let stats = service.stats();
         assert_eq!(stats.updates_applied, 25);
         // A zero budget has already elapsed by apply time, so every
@@ -1943,24 +1923,8 @@ mod tests {
     /// more edges, taken as frame-order prefixes, then none.
     #[test]
     fn try_submit_batch_takes_the_prefix_that_fits_the_edge_bound() {
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let held = Arc::clone(&gate);
-        let gated = crate::metric::CustomMetric::new(
-            "gated",
-            |_, _| 0.0,
-            move |_, _, raw, _| {
-                while !held.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                raw
-            },
-        );
-        let service = SpadeService::spawn_with(
-            SpadeEngine::new(gated),
-            None,
-            IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None },
-            "prefix".into(),
-        );
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = gated_service(&gate, 4);
         let edges: Vec<_> = (0..16u32).map(|i| (v(i), v(100 + i), 1.0)).collect();
         let first = service.try_submit_batch(&edges[..6], None);
         // The worker takes that run and stalls in it: the whole bound is
@@ -2121,30 +2085,11 @@ mod tests {
     /// times (free 2, 3, 4), not four.
     #[test]
     fn room_is_reported_once_half_the_queue_is_free() {
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let held = Arc::clone(&gate);
-        let gated = crate::metric::CustomMetric::new(
-            "gated",
-            |_, _| 0.0,
-            move |_, _, raw, _| {
-                while !held.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                raw
-            },
-        );
-        let service = SpadeService::spawn_with(
-            SpadeEngine::new(gated),
-            None,
-            IngestConfig { queue_capacity: 4, coalesce: 1, deadline: None },
-            "room".into(),
-        );
+        let gate = Arc::new(AtomicBool::new(false));
+        let service = gated_service(&gate, 4);
         // The worker takes the first edge and stalls in it; four more
         // fill the queue.
-        assert!(service.submit(v(0), v(1), 1.0));
-        while service.queue_free() < 4 {
-            std::thread::yield_now();
-        }
+        stall(&service, 4);
         for i in 1..5u32 {
             assert_eq!(service.try_submit_batch(&[(v(i), v(i + 1), 1.0)], None), Some(1));
         }
@@ -2199,5 +2144,342 @@ mod tests {
         let det = service.shutdown();
         assert_eq!(det.updates_applied, 10);
         assert!(det.size > 0);
+    }
+
+    /// A worker stepped by hand: no thread, no clock but the instants its
+    /// test picks, and a log of every progress report it makes.
+    struct Stepped<M: DensityMetric> {
+        worker: Worker<M>,
+        reports: Arc<parking_lot::Mutex<Vec<Progress>>>,
+        _subscription: crate::progress::Subscription,
+    }
+
+    impl<M: DensityMetric> Stepped<M> {
+        fn new(engine: SpadeEngine<M>, grouped: bool, coalesce: usize, capacity: usize) -> Self {
+            let shared =
+                Arc::new(SharedDetection { queue_capacity: capacity, ..Default::default() });
+            let metrics = Arc::new(WorkerMetrics::new(Arc::new(MetricsRegistry::new())));
+            let progress = Arc::new(Notifier::default());
+            let reports = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let log = Arc::clone(&reports);
+            let _subscription = progress.subscribe(move |p| log.lock().push(p));
+            let ingest = IngestConfig { queue_capacity: capacity, coalesce, deadline: None };
+            let worker = Worker::new(engine, grouped, ingest, shared, metrics, progress);
+            Stepped { worker, reports, _subscription }
+        }
+
+        /// An `Insert` of `edges`, its room reserved as a producer would.
+        fn insert(
+            &self,
+            edges: &[(u32, u32, f64)],
+            queued: Instant,
+            budget: Option<Duration>,
+        ) -> Command {
+            self.worker.shared.queued.fetch_add(edges.len(), Ordering::AcqRel);
+            let edges = edges.iter().map(|&(a, b, w)| (v(a), v(b), w)).collect();
+            Command::Insert { edges, queued, budget }
+        }
+
+        /// Flushes, published `updates_applied` and the batch sizes.
+        fn settled(&self) -> (u64, u64, HistogramSnapshot) {
+            let metrics = &self.worker.metrics;
+            let applied = self.worker.shared.updates_applied.load(Ordering::Acquire);
+            (metrics.flushes.get(), applied, metrics.batch_size.snapshot())
+        }
+    }
+
+    /// The histogram of exactly these samples.
+    fn samples(values: &[u64]) -> HistogramSnapshot {
+        let histogram = Histogram::new();
+        values.iter().for_each(|&value| histogram.record(value));
+        histogram.snapshot()
+    }
+
+    /// An urgent edge settles the grouped stage at once, the benign edge
+    /// staged before it included, and the run goes on.
+    #[test]
+    fn step_settles_the_stage_on_an_urgent_edge() {
+        let t0 = Instant::now();
+        let mut w = Stepped::new(community(), true, 64, 64);
+        let benign = w.insert(&[(10, 11, 0.01)], t0, None);
+        assert_eq!(w.worker.step(Some(benign), t0), Next::Wait(Some(t0)));
+        assert_eq!(w.settled(), (0, 0, samples(&[])));
+        let urgent = w.insert(&[(0, 16, 5.0)], t0, None);
+        assert_eq!(w.worker.step(Some(urgent), t0), Next::Wait(Some(t0)));
+        assert_eq!(w.settled(), (1, 2, samples(&[2])));
+    }
+
+    /// The stage settles before an edge would take it past `coalesce`,
+    /// and a run that reaches `coalesce` edges ends.
+    #[test]
+    fn step_settles_at_the_stage_cap_and_ends_a_full_run() {
+        let t0 = Instant::now();
+        // Grouped, cap 4: six benign edges in one command flush four; the
+        // full run ends by publishing the count, two edges still staged.
+        let mut grouped = Stepped::new(community(), true, 4, 64);
+        let six: Vec<_> = (0..6).map(|i| (10 + 2 * i, 11 + 2 * i, 0.01)).collect();
+        let run = grouped.insert(&six, t0, None);
+        assert_eq!(grouped.worker.step(Some(run), t0), Next::Wait(None));
+        assert_eq!(grouped.settled(), (1, 6, samples(&[4])));
+        assert_eq!(grouped.worker.stage.len(), 2);
+
+        // Ungrouped, cap 4: the run ends and settles at its fourth edge,
+        // and the next command opens a new run.
+        let mut plain = Stepped::new(SpadeEngine::new(WeightedDensity), false, 4, 64);
+        let first = plain.insert(&[(0, 1, 1.0), (1, 2, 1.0)], t0, None);
+        assert_eq!(plain.worker.step(Some(first), t0), Next::Wait(Some(t0)));
+        let second = plain.insert(&[(2, 3, 1.0), (3, 4, 1.0)], t0, None);
+        assert_eq!(plain.worker.step(Some(second), t0), Next::Wait(None));
+        assert_eq!(plain.settled(), (0, 4, samples(&[4])));
+        let third = plain.insert(&[(4, 5, 1.0)], t0, None);
+        assert_eq!(plain.worker.step(Some(third), t0), Next::Wait(Some(t0)));
+        assert_eq!(plain.worker.step(None, t0), Next::Wait(None));
+        assert_eq!(plain.settled(), (0, 5, samples(&[4, 1])));
+    }
+
+    /// A dry run with budgeted edges staged holds until the earliest
+    /// `queued + budget − margin`, the margin being the reorder p99 plus
+    /// `SCHED_SLACK`; an arrival in the hold joins the run.
+    #[test]
+    fn step_holds_a_budgeted_run_until_its_spring_boundary() {
+        let (t0, ms) = (Instant::now(), Duration::from_millis);
+        let mut w = Stepped::new(SpadeEngine::new(WeightedDensity), false, 64, 64);
+        let first = w.insert(&[(0, 1, 1.0)], t0, Some(ms(100)));
+        assert_eq!(w.worker.step(Some(first), t0 + ms(1)), Next::Wait(Some(t0 + ms(1))));
+        // A fresh worker's reorder histogram is empty: the slack alone.
+        let boundary = t0 + ms(100) - SCHED_SLACK;
+        assert_eq!(w.worker.step(None, t0 + ms(2)), Next::Wait(Some(boundary)));
+        // A later arrival with a looser budget does not move it.
+        let second = w.insert(&[(1, 2, 1.0)], t0 + ms(10), Some(ms(500)));
+        assert_eq!(w.worker.step(Some(second), t0 + ms(10)), Next::Wait(Some(t0 + ms(10))));
+        assert_eq!(w.worker.step(None, t0 + ms(10)), Next::Wait(Some(boundary)));
+        assert_eq!(w.settled(), (0, 0, samples(&[])));
+        assert_eq!(w.worker.step(None, boundary), Next::Wait(None));
+        assert_eq!(w.settled(), (0, 2, samples(&[2])));
+
+        // After an apply the margin takes the recorded reorder p99 too.
+        let p99 = Duration::from_nanos(w.worker.metrics.reorder_ns.snapshot().p99());
+        let t1 = t0 + ms(200);
+        let third = w.insert(&[(2, 3, 1.0)], t1, Some(ms(100)));
+        assert_eq!(w.worker.step(Some(third), t1), Next::Wait(Some(t1)));
+        let boundary = t1 + (ms(100) - (p99 + SCHED_SLACK));
+        assert_eq!(w.worker.step(None, t1), Next::Wait(Some(boundary)));
+    }
+
+    /// Every marker applies the grouped stage (and publishes) before it
+    /// replies, then leaves the run open for a zero wait; `Shutdown`
+    /// settles and exits.
+    #[test]
+    fn step_settles_the_stage_on_every_marker() {
+        let t0 = Instant::now();
+        let staged = || {
+            let mut w = Stepped::new(community(), true, 64, 64);
+            let benign = w.insert(&[(10, 11, 0.01)], t0, None);
+            assert_eq!(w.worker.step(Some(benign), t0), Next::Wait(Some(t0)));
+            assert_eq!(w.settled(), (0, 0, samples(&[])));
+            w
+        };
+        let settled = (1, 1, samples(&[1]));
+        let open = Next::Wait(Some(t0));
+
+        let mut w = staged();
+        let (reply, done) = bounded(1);
+        assert_eq!(w.worker.step(Some(Command::Barrier { reply }), t0), open);
+        assert_eq!((w.settled(), done.recv()), (settled.clone(), Ok(())));
+
+        let mut w = staged();
+        let (reply, region) = bounded(1);
+        assert_eq!(w.worker.step(Some(Command::Region { hops: 1, reply }), t0), open);
+        assert_eq!(w.settled(), settled);
+        assert_eq!(region.recv().expect("region").updates_applied, 1);
+
+        let mut w = staged();
+        let (reply, slice) = bounded(1);
+        let members: Arc<[VertexId]> = vec![v(10), v(11)].into();
+        assert_eq!(w.worker.step(Some(Command::MigrateOut { members, reply }), t0), open);
+        assert_eq!(w.settled(), settled);
+        assert_eq!(slice.recv().expect("slice").edges, 1, "the staged edge moved");
+
+        let mut w = staged();
+        let (reply, receipt) = bounded(1);
+        let snapshot = crate::persist::SubgraphSnapshot {
+            vertices: vec![(v(20), 0.0), (v(21), 0.0)],
+            edges: vec![(v(20), v(21), 2.0)],
+        };
+        let slice = MigrationSlice { encoded: snapshot.encode(), ..MigrationSlice::default() };
+        assert_eq!(w.worker.step(Some(Command::Absorb { slice, reply }), t0), open);
+        assert_eq!(w.settled(), settled);
+        assert_eq!(receipt.recv().expect("receipt").edges_applied, 1);
+
+        let mut w = staged();
+        assert_eq!(w.worker.step(Some(Command::Shutdown), t0), Next::Exit);
+        assert_eq!(w.settled(), settled);
+    }
+
+    /// Without a grouper a run settles once the queue runs dry: one batch,
+    /// one publish, then a wait with no limit.
+    #[test]
+    fn step_settles_a_drained_run_without_a_grouper() {
+        let t0 = Instant::now();
+        let mut w = Stepped::new(SpadeEngine::new(WeightedDensity), false, 64, 64);
+        for edges in [&[(0, 1, 1.0), (1, 2, 2.0)][..], &[(2, 0, 3.0)]] {
+            let insert = w.insert(edges, t0, None);
+            assert_eq!(w.worker.step(Some(insert), t0), Next::Wait(Some(t0)));
+        }
+        assert_eq!(w.settled(), (0, 0, samples(&[])));
+        assert_eq!(w.worker.step(None, t0), Next::Wait(None));
+        assert_eq!(w.settled(), (0, 3, samples(&[3])));
+    }
+
+    /// A grouped run end publishes the update count and keeps its benign
+    /// edges staged. With no budget staged it waits with no limit; with
+    /// one it re-checks at once, holds until the boundary, and settles
+    /// there.
+    #[test]
+    fn step_ends_a_grouped_run_by_publishing_without_settling() {
+        let (t0, ms) = (Instant::now(), Duration::from_millis);
+        let mut w = Stepped::new(community(), true, 64, 64);
+        let benign = w.insert(&[(10, 11, 0.01)], t0, None);
+        assert_eq!(w.worker.step(Some(benign), t0), Next::Wait(Some(t0)));
+        assert_eq!(w.worker.step(None, t0), Next::Wait(None));
+        assert_eq!(w.settled(), (0, 1, samples(&[])));
+        assert_eq!(w.worker.stage.len(), 1);
+
+        // Budgeted, the run ends full (cap 1).
+        let mut w = Stepped::new(community(), true, 1, 64);
+        let benign = w.insert(&[(10, 11, 0.01)], t0, Some(ms(50)));
+        assert_eq!(w.worker.step(Some(benign), t0), Next::Wait(Some(t0)));
+        assert_eq!(w.settled(), (0, 1, samples(&[])));
+        let boundary = t0 + ms(50) - SCHED_SLACK;
+        assert_eq!(w.worker.step(None, t0), Next::Wait(Some(boundary)));
+        assert_eq!(w.worker.step(None, boundary), Next::Wait(None));
+        assert_eq!(w.settled(), (1, 1, samples(&[1])));
+    }
+
+    /// An edge whose budget ran out in the queue holds nothing: the dry
+    /// run settles at once and records the miss with zero slack.
+    #[test]
+    fn step_applies_an_overdue_edge_at_once_and_counts_the_miss() {
+        let t0 = Instant::now();
+        let mut w = Stepped::new(SpadeEngine::new(WeightedDensity), false, 64, 64);
+        let queued = t0 - Duration::from_secs(10);
+        let overdue = w.insert(&[(0, 1, 1.0)], queued, Some(Duration::from_millis(1)));
+        assert_eq!(w.worker.step(Some(overdue), t0), Next::Wait(Some(t0)));
+        assert_eq!(w.worker.step(None, t0), Next::Wait(None));
+        assert_eq!(w.settled(), (0, 1, samples(&[1])));
+        assert_eq!(w.worker.metrics.deadline_miss.get(), 1);
+        assert_eq!(w.worker.metrics.deadline_slack_ns.snapshot(), samples(&[0]));
+    }
+
+    /// The reports of a scripted input, in order, as parked waiters rely
+    /// on them: `Room` once a release leaves half the queue free,
+    /// `Applied` after a publish that applied edges, `Replied` after each
+    /// reply.
+    #[test]
+    fn step_reports_progress_in_order() {
+        let t0 = Instant::now();
+        let mut w = Stepped::new(SpadeEngine::new(WeightedDensity), false, 64, 8);
+        let a = w.insert(&[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], t0, None);
+        let b = w.insert(&[(3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0)], t0, None);
+        let c = w.insert(&[(6, 7, 1.0), (7, 8, 1.0)], t0, None);
+        let (reply, done) = bounded(1);
+        let (region_reply, region) = bounded(1);
+        let script = [
+            Some(a),
+            Some(b),
+            Some(Command::Barrier { reply }),
+            Some(c),
+            Some(Command::Region { hops: 0, reply: region_reply }),
+            None,
+            Some(Command::Shutdown),
+        ];
+        let next: Vec<Next> = script.into_iter().map(|input| w.worker.step(input, t0)).collect();
+        let zero = Next::Wait(Some(t0));
+        assert_eq!(next, [zero, zero, zero, zero, zero, Next::Wait(None), Next::Exit]);
+        let (applied, replied, room) = (Progress::Applied, Progress::Replied, Progress::Room);
+        assert_eq!(*w.reports.lock(), [room, applied(6), replied, room, applied(2), replied]);
+        assert!(done.recv().is_ok() && region.recv().is_ok());
+    }
+
+    proptest::proptest! {
+        /// The spring-push contract over virtual time. A simulated loop
+        /// steps at the next arrival or the returned wake time, whichever
+        /// comes first. No wait runs past the earliest staged `queued +
+        /// budget − margin` (a boundary already behind `now` allows no
+        /// wait), and once a drained ungrouped run settles the engine
+        /// equals per-edge solo insertion.
+        #[test]
+        fn stepped_spring_push_keeps_every_boundary_and_exactness(
+            arrivals in proptest::collection::vec(
+                (
+                    0u64..20_000,
+                    proptest::collection::vec((0u32..10, 0u32..10, 1u8..5), 1..4),
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(None),
+                        proptest::strategy::Strategy::prop_map(0u64..40, Some),
+                    ],
+                ),
+                1..30,
+            ),
+            coalesce in 1usize..40,
+            grouped in 0u8..2,
+        ) {
+            let grouped = grouped == 1;
+            let t0 = Instant::now();
+            let mut w = Stepped::new(community(), grouped, coalesce, 1 << 20);
+            let mut solo = community();
+            let mut queue = std::collections::VecDeque::new();
+            let mut at = t0;
+            for (gap_us, edges, budget_ms) in arrivals {
+                at += Duration::from_micros(gap_us);
+                let edges: Vec<_> = edges.into_iter().map(|(a, b, w)| (a, b, w as f64)).collect();
+                queue.push_back((at, edges, budget_ms.map(Duration::from_millis)));
+            }
+            let (mut now, mut next, mut submitted) = (t0, Next::Wait(None), 0);
+            while let Next::Wait(wake_at) = next {
+                let arrival = queue.front().map(|&(at, ..)| at);
+                let input = match (arrival, wake_at) {
+                    // The next arrival comes before the wait runs out.
+                    (Some(at), wake) if wake.is_none_or(|wake| at <= wake.max(now)) => {
+                        let (at, edges, budget) = queue.pop_front().expect("an arrival");
+                        now = now.max(at);
+                        for &(a, b, w) in &edges {
+                            let _ = solo.insert_edge(v(a), v(b), w);
+                        }
+                        submitted += edges.len() as u64;
+                        Some(w.insert(&edges, at, budget))
+                    }
+                    (_, Some(wake)) => {
+                        now = now.max(wake);
+                        None
+                    }
+                    // Nothing left to arrive or to wait for.
+                    (_, None) => Some(Command::Shutdown),
+                };
+                let dry = input.is_none();
+                next = w.worker.step(input, now);
+                let margin = w.worker.margin.unwrap_or_else(|| {
+                    Duration::from_nanos(w.worker.metrics.reorder_ns.snapshot().p99()) + SCHED_SLACK
+                });
+                let boundary = w.worker.stamps.iter()
+                    .filter_map(|&(queued, budget)| Some(queued + budget?.saturating_sub(margin)))
+                    .min();
+                if let (Some(boundary), Next::Wait(wake_at)) = (boundary, next) {
+                    proptest::prop_assert!(
+                        wake_at.is_some_and(|wake| wake <= boundary.max(now)),
+                        "wake {:?} past the boundary {:?} (since t0)",
+                        wake_at.map(|wake| wake - t0),
+                        boundary - t0
+                    );
+                }
+                if !grouped && (dry && next == Next::Wait(None) || next == Next::Exit) {
+                    proptest::prop_assert_eq!(
+                        w.worker.engine.state().logical_order(),
+                        solo.state().logical_order()
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(w.settled().1, submitted);
+        }
     }
 }
