@@ -156,14 +156,14 @@ impl<M: DensityMetric> SpadeEngine<M> {
         self.total_stats
     }
 
-    /// The current detection through a shared reference. Both backends
-    /// refresh it on every update, so it is never stale.
+    /// The current detection through a shared reference. Every update
+    /// refreshes it from the kinetic index, so it is never stale.
     pub fn cached_detection(&self) -> Detection {
         self.detection
     }
 
     /// The current fraudulent community descriptor. O(1): every update
-    /// already refreshed it through the configured backend.
+    /// already refreshed it from the kinetic index.
     pub fn detect(&mut self) -> Detection {
         self.detection
     }

@@ -23,6 +23,13 @@
 //! lazy updates; shifts beyond it rebuild only the affected certificates —
 //! the classic kinetic-tournament amortization.
 //!
+//! A window rewrite is one bottom-up pass: pending shifts are pushed down
+//! the two boundary paths only, the window's leaves are overwritten, and
+//! the window's ancestors are recombined level by level. A node the window
+//! covers is never pushed down — its subtree is overwritten anyway — so a
+//! rewrite costs the window's leaves, their ancestors and the two boundary
+//! paths, plus the certificate repair of the tail shift.
+//!
 //! Ties prefer the larger community (larger `r`), matching the static peel.
 
 use crate::state::Detection;
@@ -131,20 +138,22 @@ impl KineticIndex {
     }
 
     /// Appends one slot whose delta is `delta` (a head-of-sequence vertex
-    /// insertion). Amortized `O(log n)`.
+    /// insertion): a one-slot [`Self::rewrite_deltas`] at the new end.
+    /// `O(log n)` amortized over capacity doublings.
     pub fn append(&mut self, delta: f64) {
         if self.len == self.cap {
             self.grow();
         }
-        let prev = if self.len == 0 { 0.0 } else { self.leaf_value(self.len - 1) };
-        let i = self.len;
         self.len += 1;
-        self.set_leaves(i, &[prev + delta]);
+        self.rewrite_deltas(self.len - 1, &[delta]);
     }
 
-    /// Replaces the deltas of slots `[lo, lo + new_deltas.len())` and
+    /// Replaces the deltas of slots `[lo, hi = lo + new_deltas.len())` and
     /// shifts every later suffix value by the change in window total.
-    /// `O(window + log n)` plus amortized certificate repair.
+    /// One bottom-up pass (see the module doc), with no push-down below a
+    /// node the window covers: it costs the window's leaves, their
+    /// ancestors and the paths of `lo` and `hi - 1`, plus the tail shift's
+    /// amortized certificate repair.
     pub fn rewrite_deltas(&mut self, lo: usize, new_deltas: &[f64]) {
         let hi = lo + new_deltas.len();
         assert!(hi <= self.len, "rewrite window out of range");
@@ -153,13 +162,21 @@ impl KineticIndex {
         }
         let base = if lo == 0 { 0.0 } else { self.leaf_value(lo - 1) };
         let old_end = self.leaf_value(hi - 1);
-        let mut ys = Vec::with_capacity(new_deltas.len());
+        self.push_path(lo, lo, hi);
+        self.push_path(hi - 1, lo, hi);
         let mut sum = base;
-        for &d in new_deltas {
+        for (i, &d) in (lo..hi).zip(new_deltas) {
             sum += d;
-            ys.push(sum);
+            self.nodes[self.cap + i] = Node { y: sum, slot: i as u32, ..Node::EMPTY };
         }
-        self.set_leaves(lo, &ys);
+        let (mut a, mut b) = ((self.cap + lo) >> 1, (self.cap + hi - 1) >> 1);
+        while a >= 1 {
+            for node in a..=b {
+                self.pull_up(node);
+            }
+            a >>= 1;
+            b >>= 1;
+        }
         let shift = sum - old_end;
         if hi < self.len && shift != 0.0 {
             self.add_range(hi, self.len, shift);
@@ -276,24 +293,19 @@ impl KineticIndex {
         self.pull_up(node);
     }
 
-    /// Overwrites leaves `[lo, lo + ys.len())` with absolute values.
-    fn set_leaves(&mut self, lo: usize, ys: &[f64]) {
-        self.set_rec(1, 0, self.cap, lo, lo + ys.len(), ys);
-    }
-
-    fn set_rec(&mut self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize, ys: &[f64]) {
-        if hi <= nlo || nhi <= lo {
-            return;
+    /// Pushes pending shifts down the root-to-leaf path of slot `i`,
+    /// stopping at the first node inside `[lo, hi)`: that node's subtree
+    /// is about to be overwritten.
+    fn push_path(&mut self, i: usize, lo: usize, hi: usize) {
+        let depth = self.cap.trailing_zeros();
+        for level in (1..=depth).rev() {
+            let node = (self.cap + i) >> level;
+            let nlo = (node << level) - self.cap;
+            if lo <= nlo && nlo + (1 << level) <= hi {
+                return;
+            }
+            self.push_down(node);
         }
-        if node >= self.cap {
-            self.nodes[node] = Node { y: ys[nlo - lo], slot: nlo as u32, ..Node::EMPTY };
-            return;
-        }
-        self.push_down(node);
-        let mid = (nlo + nhi) / 2;
-        self.set_rec(2 * node, nlo, mid, lo, hi, ys);
-        self.set_rec(2 * node + 1, mid, nhi, lo, hi, ys);
-        self.pull_up(node);
     }
 
     #[inline]

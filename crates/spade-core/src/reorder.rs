@@ -274,7 +274,7 @@ pub(crate) fn run_window(
             }
             // Case 1 (or the suffix is exhausted): the queue head is the
             // global minimum of `R`.
-            _ => pop_and_emit(graph, scratch, stats),
+            _ => emit_head(graph, scratch, head, stats),
         }
     }
     debug_assert_eq!(scratch.window.len(), *k - start, "window length mismatch");
@@ -285,10 +285,16 @@ pub(crate) fn run_window(
     scratch.window.clear();
 }
 
-/// Case 1: the queue head is the global minimum of `R` — emit it and
-/// lower the priorities of its queued neighbors.
-fn pop_and_emit(graph: &DynamicGraph, scratch: &mut ReorderScratch, stats: &mut ReorderStats) {
-    let PeelKey { weight, vertex } = scratch.queue.pop().expect("pop on empty queue");
+/// Case 1: the queue head (just peeked) is the global minimum of `R` —
+/// dequeue and emit it, and lower the priorities of its queued neighbors.
+fn emit_head(
+    graph: &DynamicGraph,
+    scratch: &mut ReorderScratch,
+    head: PeelKey,
+    stats: &mut ReorderStats,
+) {
+    let PeelKey { weight, vertex } = head;
+    scratch.queue.remove(vertex);
     scratch.window.push((vertex, weight));
     for nb in graph.neighbors(vertex) {
         if scratch.queue.contains(nb.v) {

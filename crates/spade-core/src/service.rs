@@ -1285,12 +1285,13 @@ mod tests {
 
     /// A staged benign edge applies by its spring-push boundary with no
     /// further command to wake the worker: budgets hold under grouping.
+    /// That the boundary settle misses no deadline is checked under
+    /// virtual time, in `step_ends_a_grouped_run_by_publishing_without_settling`.
     #[test]
     fn grouped_benign_edge_applies_by_its_budget_boundary() {
         let service = grouped(256, Some(Duration::from_millis(50)));
         assert!(service.submit(v(10), v(11), 0.01));
         assert_eq!(wait_for_flushes(&service, 1), 1, "the staged edge never settled");
-        assert_eq!(service.stats().deadline_miss, 0);
         let waits = service.metrics().histograms[metric_names::STAGE_QUEUE_WAIT_NS].count;
         assert_eq!(waits, 1, "one queue-wait sample, taken when the stage applied");
     }
@@ -2334,7 +2335,7 @@ mod tests {
     /// A grouped run end publishes the update count and keeps its benign
     /// edges staged. With no budget staged it waits with no limit; with
     /// one it re-checks at once, holds until the boundary, and settles
-    /// there.
+    /// there without a deadline miss.
     #[test]
     fn step_ends_a_grouped_run_by_publishing_without_settling() {
         let (t0, ms) = (Instant::now(), Duration::from_millis);
@@ -2354,6 +2355,7 @@ mod tests {
         assert_eq!(w.worker.step(None, t0), Next::Wait(Some(boundary)));
         assert_eq!(w.worker.step(None, boundary), Next::Wait(None));
         assert_eq!(w.settled(), (1, 1, samples(&[1])));
+        assert_eq!(w.worker.metrics.deadline_miss.get(), 0);
     }
 
     /// An edge whose budget ran out in the queue holds nothing: the dry

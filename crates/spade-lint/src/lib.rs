@@ -11,10 +11,11 @@
 //!   `// SAFETY:` comment registered in the allowlist.
 //! * **`hot-panic`** — no `unwrap()` / `expect(` / `panic!` /
 //!   `unreachable!` in hot-path modules (the engine's insertion core and
-//!   grouping buffer, the service worker's `step` and the receive loop
-//!   that drives it, the reactor, wire and snapshot decode) outside
-//!   `#[cfg(test)]` code, except sites explicitly registered in the
-//!   allowlist.
+//!   grouping buffer, the per-edge reorder, deletion, peeling-state and
+//!   kinetic-index modules it calls, the service worker's `step` and the
+//!   receive loop that drives it, the reactor, wire and snapshot decode)
+//!   outside `#[cfg(test)]` code, except sites explicitly registered in
+//!   the allowlist.
 //! * **`instant-loop`** — no `Instant::now()` lexically inside a loop
 //!   in a hot-path module (per-edge clock reads are the classic silent
 //!   throughput killer), except registered sites.
@@ -296,14 +297,19 @@ fn char_literal_len(bytes: &[u8]) -> Option<usize> {
 // ---------------------------------------------------------------------
 
 /// Path suffixes of the hot-path modules (engine insertion and grouping,
-/// the service worker's `step` and its receive loop, reactor and the two
-/// frame handlers it dispatches into, wire and snapshot decode) where
-/// `hot-panic` and `instant-loop` apply.
+/// the per-edge reorder, deletion, peeling-state and kinetic-index work
+/// under it, the service worker's `step` and its receive loop, reactor
+/// and the two frame handlers it dispatches into, wire and snapshot
+/// decode) where `hot-panic` and `instant-loop` apply.
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
+    "spade-core/src/deletion.rs",
     "spade-core/src/engine.rs",
     "spade-core/src/grouping.rs",
+    "spade-core/src/kinetic.rs",
     "spade-core/src/persist.rs",
+    "spade-core/src/reorder.rs",
     "spade-core/src/service.rs",
+    "spade-core/src/state.rs",
     "spade-net/src/reactor.rs",
     "spade-net/src/server.rs",
     "spade-net/src/shard_server.rs",

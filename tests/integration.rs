@@ -219,6 +219,35 @@ fn detection_backends_agree_on_real_workload() {
     }
 }
 
+/// A sliding window over a real stream: insert the newest transaction,
+/// expire the oldest through `delete_transaction`, and after each call
+/// the kinetic detection equals a scan of the peeling sequence. Real
+/// amounts tie only up to rounding, so densities compare within 1e-9,
+/// not the sequences.
+#[test]
+fn sliding_window_detection_matches_scan_through_deletions() {
+    let stream = small_stream(53);
+    let window = 3_000;
+    let (resident, arriving) = stream.edges.split_at(window);
+    let mut engine = SpadeEngine::bootstrap(
+        WeightedDensity,
+        SpadeConfig::default(),
+        resident.iter().map(|e| (e.src, e.dst, e.raw)),
+    )
+    .expect("bootstrap");
+    let agree = |engine: &mut SpadeEngine<WeightedDensity>, step: usize| {
+        let (a, b) = (engine.detect(), engine.state().scan_detect());
+        assert_eq!(a.size, b.size, "step {step}: community sizes diverged");
+        assert!((a.density - b.density).abs() < 1e-9, "step {step}: {a:?} vs {b:?}");
+    };
+    for (step, (newest, oldest)) in arriving.iter().zip(resident).enumerate() {
+        engine.insert_edge(newest.src, newest.dst, newest.raw).expect("insert");
+        agree(&mut engine, step);
+        engine.delete_transaction(oldest.src, oldest.dst, oldest.raw).expect("expire");
+        agree(&mut engine, step);
+    }
+}
+
 #[test]
 fn facade_full_lifecycle() {
     use spade::core::SpadeBuilder;

@@ -398,3 +398,107 @@ proptest! {
         }
     }
 }
+
+/// One step of a wide-window kinetic-index script. A window is
+/// `(shape, a, b)`, resolved against the live length by [`window`].
+#[derive(Clone, Debug)]
+enum IndexOp {
+    /// Appends `n` slots, deltas drawn from the fill seed.
+    Append(usize, u64),
+    /// Rewrites a window with deltas drawn from the fill seed.
+    Rewrite((u8, usize, usize), u64),
+    /// Shifts the suffix values of a window by `t`.
+    Shift((u8, usize, usize), i8),
+}
+
+fn index_op_strategy() -> impl Strategy<Value = IndexOp> {
+    let window = (0u8..4, 0usize..4096, 0usize..4096);
+    prop_oneof![
+        1 => (1usize..9, 0u64..u64::MAX).prop_map(|(n, s)| IndexOp::Append(n, s)),
+        3 => (window.clone(), 0u64..u64::MAX).prop_map(|(w, s)| IndexOp::Rewrite(w, s)),
+        2 => (window, -20i8..21).prop_map(|(w, t)| IndexOp::Shift(w, t)),
+    ]
+}
+
+/// `[lo, hi)` for a window shape over `len` slots: the whole range, a
+/// prefix (`lo = 0`), a suffix (`hi = len`) or anything in between.
+fn window((shape, a, b): (u8, usize, usize), len: usize) -> (usize, usize) {
+    match shape {
+        0 => (0, len),
+        1 => (0, 1 + a % len),
+        2 => (a % len, len),
+        _ => {
+            let lo = a % len;
+            (lo, lo + 1 + b % (len - lo))
+        }
+    }
+}
+
+/// An integer delta in `-5..=20`, so every prefix sum is exact in `f64`.
+fn fill(seed: u64, i: usize) -> f64 {
+    ((seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 26) as f64 - 5.0
+}
+
+/// Every leaf is its exact prefix sum, and `best()` is the scan oracle's
+/// answer to the bit (positive densities only, ties to the larger size).
+fn assert_index_is_exact(idx: &KineticIndex, deltas: &[f64]) {
+    let (mut best, mut sum) = ((0usize, 0.0f64), 0.0);
+    for (i, &d) in deltas.iter().enumerate() {
+        sum += d;
+        assert_eq!(idx.leaf_value(i).to_bits(), sum.to_bits(), "leaf {i}");
+        let density = sum / (i + 1) as f64;
+        if density > 0.0 && density >= best.1 {
+            best = (i + 1, density);
+        }
+    }
+    let got = idx.best();
+    assert_eq!((got.size, got.density.to_bits()), (best.0, best.1.to_bits()), "{got:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kinetic index stays exact under windows as wide as the whole
+    /// sequence, over up to 4 096 slots: rewrites rebuild several tree
+    /// levels under the pending lazies that `add_range` shifts leave on
+    /// interior nodes, and appends cross a capacity doubling (the initial
+    /// length sits just below a power of two).
+    #[test]
+    fn kinetic_index_is_exact_under_wide_windows(
+        init in (1u32..13, 0usize..8, 0u64..u64::MAX),
+        ops in proptest::collection::vec(index_op_strategy(), 1..40)
+    ) {
+        let (k, below, seed) = init;
+        let len = (1usize << k).saturating_sub(below).max(1);
+        let mut deltas: Vec<f64> = (0..len).map(|i| fill(seed, i)).collect();
+        let mut idx = KineticIndex::from_deltas(&deltas);
+        assert_index_is_exact(&idx, &deltas);
+        for op in ops {
+            match op {
+                IndexOp::Append(n, s) => {
+                    for _ in 0..n {
+                        let d = fill(s, deltas.len());
+                        idx.append(d);
+                        deltas.push(d);
+                        assert_index_is_exact(&idx, &deltas);
+                    }
+                }
+                IndexOp::Rewrite(w, s) => {
+                    let (lo, hi) = window(w, deltas.len());
+                    let vals: Vec<f64> = (lo..hi).map(|i| fill(s, i)).collect();
+                    idx.rewrite_deltas(lo, &vals);
+                    deltas[lo..hi].copy_from_slice(&vals);
+                }
+                IndexOp::Shift(w, t) => {
+                    let (lo, hi) = window(w, deltas.len());
+                    idx.add_range(lo, hi, f64::from(t));
+                    deltas[lo] += f64::from(t);
+                    if let Some(d) = deltas.get_mut(hi) {
+                        *d -= f64::from(t);
+                    }
+                }
+            }
+            assert_index_is_exact(&idx, &deltas);
+        }
+    }
+}
