@@ -21,27 +21,31 @@
 //!    `key_at(m'') ≤ w_{u_{m'}}(S_{m''}) ≤ w_{u_{m'}}(S_0)`, while each
 //!    endpoint's key in `S_{m''} ⊇ S_{m'}` is at least its key in `S_{m'}`,
 //!    so nothing before the stop can violate.
-//! 2. **Queue `[m*, i]`** (`T_d` Case 1/2). `u_i` enters at `Δ_i - c`, then
-//!    each earlier `u_m`, going back, at its stored `Δ_m` — exact, since
-//!    `S_m` is `{u_m} ∪ T ∪ S_{i+1}` when it joins — raising the priority
-//!    of its queued neighbors, whose remaining sets just grew by `u_m`. The
-//!    queue then holds every vertex of `[m*, i]` at its true weight in
-//!    `R = S_{m*}`.
-//! 3. **Forward merge** from position `i + 1` — the insertion merge loop
-//!    (the shared window runner in `crate::reorder`). The later endpoint
-//!    `u_j` stays in the suffix: the cursor is past `i`, so `S_k` lacks
-//!    `u_i` and `w_{u_j}(R) ≥ w_{u_j}(S_k)` is the old invariant every suffix
-//!    vertex satisfies. It is recovered if gray and otherwise emitted at its
-//!    stored, still exact `Δ_j`.
+//! 2. **Merge in place.** The window is the shared runner of
+//!    `crate::reorder` with `u_i` as its only seed: the pending queue `T`
+//!    starts with `u_i` at its recovered weight in `R = S_{m*}`, the old
+//!    run `[m*, i)` is the runner's *middle run*, read in place, and the
+//!    old suffix from `i + 1` is its tail. Every middle vertex other than
+//!    `u_i` keeps its weight in every set (`u_j` lies past `i`), so a white
+//!    middle head's stored `Δ_m` is exact and the least of the unconsumed
+//!    run; only a vertex emitted from `T` ahead of the middle cursor makes
+//!    a middle neighbor's stored key an overestimate, and the runner pulls
+//!    such neighbors into `T` when it emits that vertex.
+//! 3. **The tail.** The later endpoint `u_j` stays in the tail: `S_k` for
+//!    `k > i` lacks `u_i`, so `w_{u_j}(R) ≥ w_{u_j}(S_k)` is the old
+//!    invariant every tail vertex satisfies. While the middle run is
+//!    unconsumed, a tail head's stored key is only a lower bound (`R` holds
+//!    the middle run, `S_k` does not) and the runner recovers it into `T`;
+//!    afterwards a white tail head is emitted at its stored, exact key.
 //!
-//! Queuing `[m*, i]` rather than treating it as suffix slots matters: once
-//! `u_i` may emit early, its neighbors lose weight ahead of the cursor.
-//! A vertex-weight decrease is the same pass with one endpoint. The emitted
-//! window is written back in place and reported to the detection index
-//! like any insertion window.
+//! Most deletions barely reorder the reopened run, so it is merged where
+//! it lies instead of being replayed through the queue. A vertex-weight
+//! decrease is the same pass with one endpoint. The emitted window is
+//! written back in place and reported to the detection index like any
+//! insertion window.
 
 use crate::order::PeelKey;
-use crate::reorder::{run_window, seed_with_weight, ReorderScratch, ReorderStats};
+use crate::reorder::{run_window, ReorderScratch, ReorderStats};
 use crate::state::PeelingState;
 use spade_graph::{DynamicGraph, GraphError, VertexId};
 
@@ -104,14 +108,7 @@ fn reorder_after_drop(
     let mut stats = ReorderStats::default();
     scratch.begin_epoch(graph.num_vertices());
     let start = first_divergence(graph, state, scratch, i, drop, later, &mut stats);
-    seed_with_weight(graph, scratch, state.vertex_at(i), state.delta_at(i) - drop, &mut stats);
-    for m in (start..i).rev() {
-        let cand = state.vertex_at(m);
-        raise_queued_neighbors(graph, scratch, cand, &mut stats);
-        seed_with_weight(graph, scratch, cand, state.delta_at(m), &mut stats);
-    }
-    let mut k = i + 1;
-    run_window(graph, state, scratch, start, &mut k, &mut stats, on_window);
+    run_window(graph, state, scratch, start, i, &mut stats, on_window);
     stats
 }
 
@@ -243,24 +240,6 @@ pub fn remove_member_slice(
         }
     }
     Ok(removal)
-}
-
-/// When a prefix vertex `cand` joins the queue, every queued neighbor's
-/// remaining set gains it — their priorities must rise by the
-/// mutual edge weight (the deletion-side mirror of the insertion loop's
-/// decrements).
-fn raise_queued_neighbors(
-    graph: &DynamicGraph,
-    scratch: &mut ReorderScratch,
-    cand: VertexId,
-    stats: &mut ReorderStats,
-) {
-    for nb in graph.neighbors(cand) {
-        if scratch.queue.contains(nb.v) {
-            scratch.queue.add_weight(nb.v, nb.w);
-        }
-    }
-    stats.edges_scanned += graph.degree(cand);
 }
 
 #[cfg(test)]
@@ -616,6 +595,119 @@ mod tests {
             state.validate_greedy(&graph, 1e-9);
         }
         assert!(before_slot > 0, "no pass diverged before its lightened slot");
+    }
+
+    /// The three-source merge on hub-heavy graphs, where one deletion
+    /// reopens a long middle run whose vertices neighbor the lightened
+    /// hub: inserts, full and partial deletes, vertex-weight decreases and
+    /// slice removals, each checked against a static peel.
+    #[test]
+    fn three_source_merge_matches_static_peel_on_hub_heavy_graphs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2024);
+        let mut reopened = 0;
+        for _trial in 0..150 {
+            let n = rng.gen_range(5..=80u32);
+            let hubs = rng.gen_range(1..=3u32);
+            // One endpoint of ~30 % of the edges is a hub.
+            let endpoints = |rng: &mut rand_chacha::ChaCha8Rng| loop {
+                let a =
+                    if rng.gen_bool(0.3) { rng.gen_range(0..hubs) } else { rng.gen_range(0..n) };
+                let b = rng.gen_range(0..n);
+                if a != b {
+                    break if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+                }
+            };
+            let mut graph = DynamicGraph::new();
+            for _ in 0..n {
+                graph.add_vertex(rng.gen_range(0..3) as f64).unwrap();
+            }
+            for _ in 0..2 * n {
+                let (a, b) = endpoints(&mut rng);
+                graph.insert_edge(v(a), v(b), rng.gen_range(1..6) as f64).unwrap();
+            }
+            let mut state = PeelingState::from_outcome(&peel(&graph));
+            let mut scratch = ReorderScratch::new();
+            let mut blacks = Vec::new();
+            for _ in 0..40 {
+                let edges: Vec<(VertexId, VertexId, f64)> = graph.iter_edges().collect();
+                match rng.gen_range(0..10) {
+                    0..=2 => {
+                        let (a, b) = endpoints(&mut rng);
+                        graph.insert_edge(v(a), v(b), rng.gen_range(1..6) as f64).unwrap();
+                        crate::reorder::reorder_single_edge(
+                            &graph,
+                            &mut state,
+                            v(a),
+                            v(b),
+                            &mut scratch,
+                            &mut blacks,
+                            |_, _| {},
+                        );
+                        assert_eq!(state.logical_order(), peel(&graph).order, "insert diverged");
+                    }
+                    3..=7 if !edges.is_empty() => {
+                        let (a, b, w) = edges[rng.gen_range(0..edges.len())];
+                        let amount = if w == 1.0 || rng.gen_bool(0.5) {
+                            w
+                        } else {
+                            rng.gen_range(1..w as u32) as f64
+                        };
+                        let i = state.position_of(a).min(state.position_of(b));
+                        let pass =
+                            |g: &mut DynamicGraph,
+                             s: &mut PeelingState,
+                             on: &mut dyn FnMut(usize, &[f64])| {
+                                delete_and_reorder(g, s, &mut scratch, a, b, amount, on).unwrap();
+                            };
+                        reopened += assert_window_is_affected_area(&mut graph, &mut state, i, pass)
+                            as usize;
+                    }
+                    8 => {
+                        let a = v(rng.gen_range(0..n));
+                        let weight = graph.vertex_weight(a);
+                        if weight == 0.0 {
+                            continue;
+                        }
+                        let lower = rng.gen_range(0..weight as u32) as f64;
+                        let i = state.position_of(a);
+                        let pass =
+                            |g: &mut DynamicGraph,
+                             s: &mut PeelingState,
+                             on: &mut dyn FnMut(usize, &[f64])| {
+                                decrease_vertex_weight_and_reorder(
+                                    g,
+                                    s,
+                                    &mut scratch,
+                                    a,
+                                    lower,
+                                    on,
+                                )
+                                .unwrap();
+                            };
+                        reopened += assert_window_is_affected_area(&mut graph, &mut state, i, pass)
+                            as usize;
+                    }
+                    _ => {
+                        let hub = rng.gen_range(0..hubs);
+                        let members: Vec<VertexId> = std::iter::once(v(hub))
+                            .chain(graph.out_neighbors(v(hub)).iter().map(|nb| nb.v).take(3))
+                            .collect();
+                        remove_member_slice(
+                            &mut graph,
+                            &mut state,
+                            &mut scratch,
+                            &members,
+                            |_, _| {},
+                        )
+                        .unwrap();
+                        assert_eq!(state.logical_order(), peel(&graph).order, "slice diverged");
+                    }
+                }
+                state.validate_greedy(&graph, 1e-9);
+            }
+        }
+        assert!(reopened > 1000, "only {reopened} passes reopened a middle run");
     }
 
     #[test]

@@ -1,28 +1,51 @@
-//! Incremental peeling-sequence reordering (paper §4.1 and §4.2).
+//! Incremental peeling-sequence reordering (paper §4.1 and §4.2, and the
+//! deletion extension of Appendix C.1).
 //!
-//! Both the single-edge algorithm `T` and the batch Algorithm 2 are
-//! instances of one *window runner*: a pending queue `T` of dislodged
-//! vertices is merged against the still-valid suffix of the old peeling
-//! sequence, emitting vertices in `(weight, id)` order until `T` drains.
+//! Insertion (the single-edge algorithm `T` and the batch Algorithm 2) and
+//! deletion are instances of one *window runner*. It merges three sources
+//! in `(weight, id)` order and emits the greedy peel of the window:
+//!
+//! * the pending queue `T`, which starts with the one vertex the update
+//!   made stale (the insertion's earlier endpoint, the deletion's lightened
+//!   vertex at position `p`);
+//! * the *middle run*, the old slots `[start, p)`, read in place by a
+//!   cursor `c` — empty for insertion, the run a deletion's divergence
+//!   walk reopened otherwise;
+//! * the *tail*, the old suffix from `p + 1`, read by a cursor `k`.
+//!
 //! Everything before the window and after it is untouched — the window is
 //! exactly the affected area `G_T` whose size the paper's complexity
 //! analysis is about (`O(|E_T| + |E_T| log |V_T|)`).
 //!
 //! Loop invariant (Lemmas 4.1/4.2 generalized to the `(weight, id)` total
-//! order): let `R = T ∪ S_k` be the not-yet-emitted vertices, where `S_k`
-//! is the old suffix from position `k`.
+//! order): let `R` be the not-yet-emitted vertices — the old positions
+//! `≥ start` minus the emitted ones. By position, that is `T`, the tail
+//! from `k`, and the unconsumed middle slots `[c, p)` whose vertex was not
+//! emitted from `T` (a `done` stamp marks those; what a cursor emits falls
+//! behind it). A *gray* vertex has or had a neighbor in `T`; a *black* one
+//! is an insertion endpoint (`ΔV`); a *white* one is neither.
 //!
 //! * every queue member's priority is its true peeling weight `w_u(R)`;
-//! * every *white* suffix vertex's stored weight `Δ_k` equals `w_u(R)`
-//!   (white = never adjacent to anything that entered `T`, not in `ΔV`);
-//! * gray/black suffix vertices may be stale, so they are *recovered*
-//!   (recomputed against `R` straight from the adjacency lists) before any
-//!   ordering decision uses them.
+//! * the stored key of a white middle head is exact, and it is the minimum
+//!   of the unconsumed middle run: the greedy step at `c` bounds every
+//!   later middle vertex by its weight in `S_c`, and `R` lacks no neighbor
+//!   of theirs from `S_c`;
+//! * a stored key that counted an emitted neighbor is an *overestimate*:
+//!   when a vertex at an old position past `c` is emitted from `T`, every
+//!   unconsumed middle neighbor is pulled into `T` eagerly, at its
+//!   recovered weight;
+//! * every other stored key is a *lower bound* on the true key: a gray or
+//!   black head (either cursor), and any tail head while the middle run is
+//!   live (`R` holds the middle run, `S_k` does not). Such a head is
+//!   *recovered* (recomputed against `R` from the adjacency lists) into `T`
+//!   when its stored key is the least of the three;
+//! * a white tail head is exact once the middle run is consumed.
 //!
-//! Under the invariant, comparing the queue head's key with the stored key
-//! at position `k` decides the true global minimum of `R` (Lemma 4.2),
-//! so the emitted sequence is bit-identical to a from-scratch greedy peel
-//! of the updated graph.
+//! Under the invariant the least of the three keys decides the true global
+//! minimum of `R` (Lemma 4.2), so the emitted sequence is bit-identical to
+//! a from-scratch greedy peel of the updated graph. Once the middle run is
+//! consumed the runner is the two-source insertion loop, which is all an
+//! insertion runs; the window ends when `T` is empty too, at `[start, k)`.
 
 use crate::order::{MinQueue, PeelKey};
 use crate::state::PeelingState;
@@ -62,6 +85,10 @@ pub struct ReorderScratch {
     gray: Vec<u64>,
     /// Epoch stamps for the black set `ΔV` (endpoints of updates).
     black: Vec<u64>,
+    /// Epoch stamps for the vertices a window has emitted from the pending
+    /// queue: a middle slot so stamped has left `R` before the middle
+    /// cursor reached it.
+    done: Vec<u64>,
     /// Deletion's divergence walk: `ties[v].1[e]` is the edge weight
     /// between `v` and the walk's endpoint `e`, valid when
     /// `ties[v].0 == epoch`.
@@ -82,20 +109,29 @@ impl ReorderScratch {
         if self.gray.len() < num_vertices {
             self.gray.resize(num_vertices, 0);
             self.black.resize(num_vertices, 0);
+            self.done.resize(num_vertices, 0);
             self.ties.resize(num_vertices, (0, [0.0; 2]));
         }
         self.queue.reset(num_vertices);
         self.window.clear();
     }
 
+    /// `true` when `v`'s stored key may be stale: it is gray or black.
     #[inline(always)]
-    fn is_gray(&self, v: VertexId) -> bool {
-        self.gray[v.index()] == self.epoch
+    fn is_stale(&self, v: VertexId) -> bool {
+        self.gray[v.index()] == self.epoch || self.black[v.index()] == self.epoch
     }
 
     #[inline(always)]
-    fn is_black(&self, v: VertexId) -> bool {
-        self.black[v.index()] == self.epoch
+    fn is_done(&self, v: VertexId) -> bool {
+        self.done[v.index()] == self.epoch
+    }
+
+    /// `true` when `v` is queued or emitted from the queue: the middle
+    /// cursor passes over it.
+    #[inline(always)]
+    fn is_taken(&self, v: VertexId) -> bool {
+        self.queue.contains(v) || self.is_done(v)
     }
 
     /// Adds `w` to the recorded edge weight between `v` and endpoint `end`.
@@ -171,12 +207,7 @@ pub fn reorder(
             // loop recovered and re-emitted it already).
             continue;
         }
-        let start = pos;
-        let mut k = pos + 1;
-        scratch.window.clear();
-        seed(graph, state, scratch, b, k, &mut stats);
-        run_window(graph, state, scratch, start, &mut k, &mut stats, &mut on_window);
-        cursor = k;
+        cursor = run_window(graph, state, scratch, pos, pos, &mut stats, &mut on_window);
     }
     stats
 }
@@ -184,123 +215,150 @@ pub fn reorder(
 /// Inserts `v` into the pending queue with its *recovered* weight — the
 /// true peeling weight against the remaining set `R`, recomputed from the
 /// adjacency lists — and grays its neighbors.
-pub(crate) fn seed(
+fn seed(
     graph: &DynamicGraph,
     state: &PeelingState,
     scratch: &mut ReorderScratch,
     v: VertexId,
-    k_current: usize,
+    at: Cursors,
     stats: &mut ReorderStats,
 ) {
-    let w = recovered_weight(graph, state, scratch, v, k_current, stats);
+    let mut w = graph.vertex_weight(v);
+    for nb in graph.neighbors(v) {
+        if at.holds(state, scratch, nb.v) {
+            w += nb.w;
+        }
+    }
     scratch.queue.insert(v, w);
     stats.queued += 1;
     for nb in graph.neighbors(v) {
         scratch.gray[nb.v.index()] = scratch.epoch;
     }
-    stats.edges_scanned += graph.degree(v);
+    stats.edges_scanned += 2 * graph.degree(v);
 }
 
-/// Inserts `v` into the pending queue with a caller-supplied weight
-/// (used by the deletion extension, whose backward phase knows the exact
-/// stored weights). Grays neighbors like [`seed`].
-pub(crate) fn seed_with_weight(
-    graph: &DynamicGraph,
-    scratch: &mut ReorderScratch,
-    v: VertexId,
-    weight: f64,
-    stats: &mut ReorderStats,
-) {
-    scratch.queue.insert(v, weight);
-    stats.queued += 1;
-    for nb in graph.neighbors(v) {
-        scratch.gray[nb.v.index()] = scratch.epoch;
-    }
-    stats.edges_scanned += graph.degree(v);
+/// The runner's cursors over old positions: the middle run is unconsumed
+/// in `[c, p)`, the tail from `k`.
+#[derive(Clone, Copy)]
+struct Cursors {
+    c: usize,
+    p: usize,
+    k: usize,
 }
 
-/// `w_v(R)` where `R = T ∪ S_k`: membership is "in the pending queue, or
-/// still at an unconsumed suffix position". Every vertex outside `R` —
-/// before the window, or already emitted by it — keeps its old position
-/// until the window is written back, and that position is below
-/// `k_current`, so the position test excludes it.
-fn recovered_weight(
-    graph: &DynamicGraph,
-    state: &PeelingState,
-    scratch: &ReorderScratch,
-    v: VertexId,
-    k_current: usize,
-    stats: &mut ReorderStats,
-) -> f64 {
-    let mut w = graph.vertex_weight(v);
-    for nb in graph.neighbors(v) {
-        let in_remaining = scratch.queue.contains(nb.v) || state.position_of(nb.v) >= k_current;
-        if in_remaining {
-            w += nb.w;
+impl Cursors {
+    /// Whether `u` is in `R`: queued, at an unconsumed tail slot, or at an
+    /// unconsumed middle slot and not emitted from the queue.
+    #[inline(always)]
+    fn holds(self, state: &PeelingState, scratch: &ReorderScratch, u: VertexId) -> bool {
+        if scratch.queue.contains(u) {
+            return true;
         }
+        let pos = state.position_of(u);
+        pos >= self.k || ((self.c..self.p).contains(&pos) && !scratch.is_done(u))
     }
-    stats.edges_scanned += graph.degree(v);
-    w
 }
 
-/// Runs the merge loop of one window: starts with a non-empty pending
-/// queue and the suffix cursor at `*k`, and drains the queue, emitting into
-/// `scratch.window`. On return the logical window `[start, *k)` has been
-/// written back to `state` and reported through `on_window`.
+/// Runs one window: seeds the vertex at old position `p` into the pending
+/// queue, merges it with the middle run `[start, p)` and the tail from
+/// `p + 1` (see the module doc), writes the window `[start, k)` back to
+/// `state`, reports it through `on_window`, and returns its end `k`.
 pub(crate) fn run_window(
     graph: &DynamicGraph,
     state: &mut PeelingState,
     scratch: &mut ReorderScratch,
     start: usize,
-    k: &mut usize,
+    p: usize,
     stats: &mut ReorderStats,
     on_window: &mut impl FnMut(usize, &[f64]),
-) {
+) -> usize {
     let n = state.len();
-    while let Some(head) = scratch.queue.peek() {
-        match (*k < n).then(|| state.key_at(*k)) {
-            Some(key_k) if key_k <= head => {
-                let uk = key_k.vertex;
-                *k += 1;
-                if scratch.is_black(uk) || scratch.is_gray(uk) {
-                    // Case 2(a): the stored weight may be stale — recover
-                    // it and let the queue re-rank the vertex.
-                    seed(graph, state, scratch, uk, *k, stats);
-                } else {
-                    // Case 2(b): white vertex — its stored weight is its
-                    // true weight and it precedes everything queued.
-                    scratch.window.push((uk, key_k.weight));
-                }
+    let mut at = Cursors { c: start, p, k: p + 1 };
+    seed(graph, state, scratch, state.vertex_at(p), at, stats);
+    // While the middle run is live, the least of the three heads is next.
+    loop {
+        while at.c < p && scratch.is_taken(state.vertex_at(at.c)) {
+            at.c += 1;
+        }
+        if at.c == p {
+            break;
+        }
+        let middle = state.key_at(at.c);
+        let tail = (at.k < n).then(|| state.key_at(at.k));
+        match scratch.queue.peek() {
+            Some(head) if head < middle && tail.is_none_or(|key| head < key) => {
+                let pull = state.position_of(head.vertex) > at.c;
+                emit_head(graph, state, scratch, head, at, pull, stats);
             }
-            // Case 1 (or the suffix is exhausted): the queue head is the
-            // global minimum of `R`.
-            _ => emit_head(graph, scratch, head, stats),
+            _ => match tail {
+                // A tail head's stored key is only a lower bound while the
+                // middle run is live.
+                Some(key) if key < middle => {
+                    at.k += 1;
+                    seed(graph, state, scratch, key.vertex, at, stats);
+                }
+                // A white middle head's stored key is exact.
+                _ => {
+                    at.c += 1;
+                    if scratch.is_stale(middle.vertex) {
+                        seed(graph, state, scratch, middle.vertex, at, stats);
+                    } else {
+                        scratch.window.push((middle.vertex, middle.weight));
+                    }
+                }
+            },
         }
     }
-    debug_assert_eq!(scratch.window.len(), *k - start, "window length mismatch");
+    // Then the queue drains against the tail alone.
+    while let Some(head) = scratch.queue.peek() {
+        match (at.k < n).then(|| state.key_at(at.k)) {
+            // A white tail head's stored key is exact now; a stale one is
+            // recovered and re-ranked by the queue.
+            Some(key) if key < head => {
+                at.k += 1;
+                if scratch.is_stale(key.vertex) {
+                    seed(graph, state, scratch, key.vertex, at, stats);
+                } else {
+                    scratch.window.push((key.vertex, key.weight));
+                }
+            }
+            _ => emit_head(graph, state, scratch, head, at, false, stats),
+        }
+    }
+    debug_assert_eq!(scratch.window.len(), at.k - start, "window length mismatch");
     stats.windows += 1;
     stats.moved += scratch.window.len();
     let (lo, hi) = state.write_window(start, &scratch.window);
     on_window(lo, &state.delta_phys()[lo..hi]);
     scratch.window.clear();
+    at.k
 }
 
-/// Case 1: the queue head (just peeked) is the global minimum of `R` —
-/// dequeue and emit it, and lower the priorities of its queued neighbors.
+/// The queue head (just peeked) is the global minimum of `R`: emit it and
+/// lower the priorities of its queued neighbors. With `pull`, its
+/// neighbors in the unconsumed middle run are first pulled into the
+/// queue, while the head still counts towards their weight.
 fn emit_head(
     graph: &DynamicGraph,
+    state: &PeelingState,
     scratch: &mut ReorderScratch,
     head: PeelKey,
+    at: Cursors,
+    pull: bool,
     stats: &mut ReorderStats,
 ) {
     let PeelKey { weight, vertex } = head;
-    scratch.queue.remove(vertex);
-    scratch.window.push((vertex, weight));
     for nb in graph.neighbors(vertex) {
+        if pull && (at.c..at.p).contains(&state.position_of(nb.v)) && !scratch.is_taken(nb.v) {
+            seed(graph, state, scratch, nb.v, at, stats);
+        }
         if scratch.queue.contains(nb.v) {
             scratch.queue.add_weight(nb.v, -nb.w);
         }
     }
+    scratch.queue.remove(vertex);
+    scratch.done[vertex.index()] = scratch.epoch;
+    scratch.window.push((vertex, weight));
     stats.edges_scanned += graph.degree(vertex);
 }
 

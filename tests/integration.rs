@@ -248,6 +248,33 @@ fn sliding_window_detection_matches_scan_through_deletions() {
     }
 }
 
+/// The same sliding window on integer amounts (each rounded up), where
+/// ties are exact: the incremental peeling sequence equals a static peel
+/// of the engine's graph, through deletions whose reopened runs are as
+/// long as a marketplace core makes them.
+#[test]
+fn sliding_window_sequence_matches_static_peel_on_integer_amounts() {
+    let stream = small_stream(53);
+    let edges: Vec<_> = stream.edges.iter().map(|e| (e.src, e.dst, e.raw.ceil())).collect();
+    let (resident, arriving) = edges.split_at(3_000);
+    let mut engine =
+        SpadeEngine::bootstrap(WeightedDensity, SpadeConfig::default(), resident.iter().copied())
+            .expect("bootstrap");
+    for (step, (&(src, dst, raw), &(old_src, old_dst, old_raw))) in
+        arriving.iter().zip(resident).enumerate()
+    {
+        engine.insert_edge(src, dst, raw).expect("insert");
+        engine.delete_transaction(old_src, old_dst, old_raw).expect("expire");
+        if step % 250 == 249 {
+            let fresh = peel(engine.graph());
+            assert_eq!(engine.state().logical_order(), fresh.order, "step {step}: sequence");
+            let density = engine.detect().density;
+            assert!((density - fresh.best_density).abs() < 1e-9, "step {step}: density");
+        }
+    }
+    assert_eq!(arriving.len(), 2_000);
+}
+
 #[test]
 fn facade_full_lifecycle() {
     use spade::core::SpadeBuilder;
