@@ -105,7 +105,7 @@ representative numbers.
 
 `shard-serve` and `route` are the *multi-process* distributed runtime:
 each `shard-serve` process hosts one detection engine behind the
-protocol-v3 shard listener (its first stdout line is the bound address —
+protocol-v5 shard listener (its first stdout line is the bound address —
 port 0 picks a free port), and `route` replays an edge list across N
 such processes. `--queue N` (default 1024) bounds the edges a shard's
 queue holds, as `serve --queue N` does per shard: a batch that does not
@@ -496,7 +496,7 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
 
 /// `spade shard-serve [--listen <addr>]`: one shard of the multi-process
 /// distributed runtime. Hosts a single [`SpadeService`] behind the
-/// protocol-v3 shard listener (ingest plus `Region`, `MigrateOut`,
+/// protocol-v5 shard listener (ingest plus `Region`, `MigrateOut`,
 /// `Absorb`, `Replicate`, and `Bootstrap`) and prints the bound address
 /// on the first stdout line so a parent process can scrape the chosen
 /// port. Runs until a router sends `Shutdown`.

@@ -1,11 +1,12 @@
 //! Worker progress reports — what a waiter on the runtime wakes on.
 //!
-//! A [`SpadeService`](crate::service::SpadeService) worker reports three
-//! kinds of [`Progress`] to its [`Notifier`]: the edges it applied since
-//! its last report (after every publish attempt), a reply it sent (after
+//! A [`SpadeService`](crate::service::SpadeService) worker reports two
+//! kinds of [`Progress`] to its [`Notifier`]: a reply it sent (after
 //! `Barrier` / `Region` / `MigrateOut` / `Absorb`), and queue room freed
 //! (after it dequeues edges, or a producer hands back room it reserved
-//! but did not use, once half the queue is free). A waiter subscribes a
+//! but did not use, once half the queue is free). A read-your-acks wait
+//! is a reply wait: a barrier queued behind the acknowledged edges
+//! answers once they are applied and published. A waiter subscribes a
 //! hook and sleeps until a report that can answer it arrives, instead of
 //! re-checking on a tick: an event loop's hook writes a byte to its wake
 //! pipe, a blocking submit waits on a channel. The shards of one sharded
@@ -33,9 +34,6 @@ const DEAD_WORKER_BOUND: Duration = Duration::from_millis(50);
 /// One progress report of a service worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Progress {
-    /// A publish attempt: the edges this worker applied since its
-    /// previous report (never zero).
-    Applied(u64),
     /// The worker sent a reply (`Barrier`, `Region`, `MigrateOut`,
     /// `Absorb`).
     Replied,
@@ -153,11 +151,11 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let sub = notifier.subscribe(move |p| sink.lock().push(p));
-        notifier.report(Progress::Applied(3));
+        notifier.report(Progress::Room);
         notifier.report(Progress::Replied);
         drop(sub);
         notifier.report(Progress::Room);
-        assert_eq!(*seen.lock(), [Progress::Applied(3), Progress::Replied]);
+        assert_eq!(*seen.lock(), [Progress::Room, Progress::Replied]);
         // The hook (and its clone of `seen`) went with the subscription.
         assert_eq!(Arc::strong_count(&seen), 1);
     }

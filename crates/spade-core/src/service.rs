@@ -49,10 +49,11 @@
 //! * a run drains and no grouper is configured.
 //!
 //! The worker reports its [`Progress`] to the service's [`Notifier`]
-//! after every publish attempt (the edges applied since its last
-//! report), every reply it sends and every insert it dequeues, so a
+//! after every reply it sends and every insert it dequeues, so a
 //! waiter — an event loop with a parked request, a blocked submit —
-//! wakes on the progress it waits for instead of a tick.
+//! wakes on the progress it waits for instead of a tick. Read-your-acks
+//! is a reply wait: a barrier answers once the worker has settled and
+//! published everything queued before it.
 //!
 //! The sharded runtime (`crate::shard`) scales this out by wrapping one
 //! [`SpadeService`] per shard — same ingest protocol, same
@@ -803,8 +804,6 @@ struct Worker<M: DensityMetric> {
     margin: Option<Duration>,
     /// Edges ingested so far.
     updates: u64,
-    /// `updates` at the last progress report.
-    reported: u64,
     publisher: Publisher,
     shared: Arc<SharedDetection>,
     metrics: Arc<WorkerMetrics>,
@@ -829,7 +828,6 @@ impl<M: DensityMetric> Worker<M> {
             run_len: 0,
             margin: None,
             updates: 0,
-            reported: 0,
             publisher: Publisher::default(),
             shared,
             metrics,
@@ -998,15 +996,9 @@ impl<M: DensityMetric> Worker<M> {
         }
     }
 
-    /// One publish attempt, then its progress report: the edges applied
-    /// since the last one, if any.
+    /// One publish attempt.
     fn publish(&mut self) {
         self.publisher.publish(&mut self.engine, &self.shared, self.updates, &self.metrics);
-        let applied = self.updates - self.reported;
-        if applied > 0 {
-            self.reported = self.updates;
-            self.progress.report(Progress::Applied(applied));
-        }
     }
 
     /// Applies the stage, then publishes: `updates_applied` and the
@@ -2375,8 +2367,7 @@ mod tests {
 
     /// The reports of a scripted input, in order, as parked waiters rely
     /// on them: `Room` once a release leaves half the queue free,
-    /// `Applied` after a publish that applied edges, `Replied` after each
-    /// reply.
+    /// `Replied` after each reply.
     #[test]
     fn step_reports_progress_in_order() {
         let t0 = Instant::now();
@@ -2398,8 +2389,8 @@ mod tests {
         let next: Vec<Next> = script.into_iter().map(|input| w.worker.step(input, t0)).collect();
         let zero = Next::Wait(Some(t0));
         assert_eq!(next, [zero, zero, zero, zero, zero, Next::Wait(None), Next::Exit]);
-        let (applied, replied, room) = (Progress::Applied, Progress::Replied, Progress::Room);
-        assert_eq!(*w.reports.lock(), [room, applied(6), replied, room, applied(2), replied]);
+        let (replied, room) = (Progress::Replied, Progress::Room);
+        assert_eq!(*w.reports.lock(), [room, replied, room, replied]);
         assert!(done.recv().is_ok() && region.recv().is_ok());
     }
 

@@ -435,8 +435,15 @@ impl ShardedSpadeService {
     /// replies collected after, so the shards drain concurrently.
     /// Returns `false` if any shard has shut down.
     pub fn barrier(&self) -> bool {
-        let pending: Vec<_> = self.shards.iter().map(SpadeService::request_barrier).collect();
-        pending.into_iter().all(|done| done.is_some_and(|done| done.recv().is_ok()))
+        self.request_barrier().is_some_and(|pending| pending.iter().all(|done| done.recv().is_ok()))
+    }
+
+    /// A [`barrier`](Self::barrier) that does not wait: posts one barrier
+    /// per shard and hands back the reply channels, so an event loop can
+    /// park a connection on them. The markers take no queue room, so
+    /// posting never waits; `None` if any shard has shut down.
+    pub fn request_barrier(&self) -> Option<Vec<Receiver<()>>> {
+        self.shards.iter().map(SpadeService::request_barrier).collect()
     }
 
     /// The merged global detection across all shards (densest community

@@ -121,12 +121,7 @@ impl SpadeNetClient {
     /// On return, every submitted edge sits in a shard queue on the
     /// server.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if !self.staged.is_empty() {
-            self.send_staged()?;
-        }
-        while !self.inflight.is_empty() {
-            self.drain_one()?;
-        }
+        self.drain()?;
         self.request(&WireFrame::Flush)?;
         match self.read_reply()? {
             WireFrame::Ack { .. } => Ok(()),
@@ -134,9 +129,12 @@ impl SpadeNetClient {
         }
     }
 
-    /// Flushes, then asks for the merged global detection.
+    /// Ships every staged edge and drains every in-flight frame, then
+    /// asks for the merged global detection. `Detect` is a barrier on the
+    /// server, so the answer covers every edge this client had
+    /// acknowledged, grouped benign edges included.
     pub fn detect(&mut self) -> std::io::Result<DetectionReply> {
-        self.flush()?;
+        self.drain()?;
         self.request(&WireFrame::Detect)?;
         match self.read_reply()? {
             WireFrame::Detection(reply) => Ok(reply),
@@ -183,6 +181,18 @@ impl SpadeNetClient {
     pub fn finish(mut self) -> std::io::Result<ClientStats> {
         self.flush()?;
         Ok(self.stats)
+    }
+
+    /// Ships every staged edge and drains every in-flight frame: on
+    /// return, every submitted edge is acknowledged.
+    fn drain(&mut self) -> std::io::Result<()> {
+        if !self.staged.is_empty() {
+            self.send_staged()?;
+        }
+        while !self.inflight.is_empty() {
+            self.drain_one()?;
+        }
+        Ok(())
     }
 
     /// Sends one request frame immediately (no pipelining).

@@ -298,9 +298,10 @@ impl SpadeRouter {
         Ok(replayed)
     }
 
-    /// The cross-shard repair pass over the wire: flush every shard,
-    /// pull each candidate region (the request rides the shard's FIFO
-    /// queue, so it observes every previously acked edge), and run the
+    /// The cross-shard repair pass over the wire: ship the staged
+    /// batches, pull each candidate region (the request rides the shard's
+    /// FIFO queue, so it observes every previously acked edge, and the
+    /// worker settles its stage before exporting), and run the
     /// aggregator's union/re-peel locally.
     pub fn repair(&mut self) -> Result<RepairOutcome, WireError> {
         self.flush_batches()?;
@@ -310,7 +311,6 @@ impl SpadeRouter {
             if self.shards[shard].conn.is_none() {
                 continue;
             }
-            expect_ack(self.request(shard, &WireFrame::Flush)?)?;
             let region = match self.request(shard, &WireFrame::Region { hops })? {
                 WireFrame::RegionReply(region) => region,
                 other => return Err(unexpected(other)),
@@ -353,9 +353,9 @@ impl SpadeRouter {
     }
 
     /// The baseline shard's live detection (exact for a community after
-    /// [`consolidate`](Self::consolidate) moved it there).
+    /// [`consolidate`](Self::consolidate) moved it there). A shard
+    /// server's `Detect` is a barrier, so it covers every acked edge.
     pub fn detect(&mut self, shard: usize) -> Result<crate::wire::DetectionReply, WireError> {
-        expect_ack(self.request(shard, &WireFrame::Flush)?)?;
         match self.request(shard, &WireFrame::Detect)? {
             WireFrame::Detection(det) => Ok(det),
             other => Err(unexpected(other)),

@@ -15,9 +15,12 @@
 //!   worker reports freed queue room, until the whole frame is enqueued
 //!   and one `Ack` answers it. The producer is slowed by TCP flow control
 //!   alone and its edges reach the shards in submission order.
-//! * **Read-your-acks without a tick.** A `Detect` parks on the count of
-//!   edges acknowledged before it and answers once the shard workers'
-//!   progress reports add up to that count.
+//! * **Read-your-acks is a barrier.** A `Detect` posts a barrier on
+//!   every shard, behind every edge acknowledged before it (each shard
+//!   queue is FIFO), parks on their replies and answers with the merged
+//!   detection once every shard has replied — the shard server's rule
+//!   for its one worker. A barrier settles a grouped or budgeted stage,
+//!   so the answer covers benign edges too.
 //! * **Acknowledgement is enqueue.** An edge is counted in an Ack's
 //!   `accepted` total only after the tier queued it, and every queued
 //!   command is drained before shutdown completes — so the sum of
@@ -29,9 +32,9 @@
 //! connection is closed; the server itself never panics on wire input.
 
 use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig, Wait};
-use crate::wire::{MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
+use crate::wire::{DetectionReply, MetricsReply, RawEdge, StatsReply, WireFrame, METRICS_VERSION};
+use crossbeam::channel::{Receiver, TryRecvError};
 use parking_lot::Mutex;
-use spade_core::progress::Notifier;
 use spade_core::service::{ServiceStats, SpadeService};
 use spade_core::shard::ShardedSpadeService;
 use spade_metrics::MetricsSnapshot;
@@ -39,7 +42,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Most per-connection counter sets kept for the metrics exposition.
 /// The global totals stay exact forever; labeled `conn="N"` series are a
@@ -62,11 +65,6 @@ pub(crate) struct NetTelemetry {
     pub(crate) connections: AtomicU64,
     pub(crate) frames: AtomicU64,
     pub(crate) edges_accepted: AtomicU64,
-    /// Edges the runtime reported applied since the reactor subscribed
-    /// to its progress, before its first accept — so every acked edge is
-    /// in it once applied. A `Detect` answers once this reaches its
-    /// `edges_accepted` watermark.
-    pub(crate) edges_applied: AtomicU64,
     pub(crate) busy_replies: AtomicU64,
     pub(crate) malformed_frames: AtomicU64,
     /// Live + recently closed connections, keyed by accept order.
@@ -244,7 +242,8 @@ impl SpadeNetServer {
         addr: A,
         config: ReactorConfig,
     ) -> std::io::Result<SpadeNetServer> {
-        let reactor = Reactor::bind(addr, config, |stop, telemetry| FrontEnd {
+        let progress = Arc::clone(service.progress());
+        let reactor = Reactor::bind(addr, config, &progress, |stop, telemetry| FrontEnd {
             service,
             stop: Arc::clone(stop),
             telemetry: Arc::clone(telemetry),
@@ -301,12 +300,6 @@ impl SpadeNetServer {
     }
 }
 
-/// Upper bound on waiting for acknowledged edges to be applied before a
-/// parked Detect answers anyway. Acked edges always drain (workers
-/// never drop queued commands), so this only fires if the runtime is
-/// torn down under a live connection.
-const DETECT_DEADLINE: Duration = Duration::from_secs(10);
-
 /// The sharded front end as the reactor's frame handler: ingest, flush,
 /// read-your-acks detection and the two introspection requests, over the
 /// fan-in tier's [`ShardedSpadeService`].
@@ -316,52 +309,30 @@ pub(crate) struct FrontEnd {
     telemetry: Arc<NetTelemetry>,
 }
 
-/// The one request a front-end connection is waiting on.
-pub(crate) enum Parked {
-    /// A read-your-acks Detect: answers once the reported applied total
-    /// reaches `watermark` (or `deadline` passes).
-    Detect { watermark: u64, deadline: Instant },
-    /// An ingest frame the shard queues admitted only part of.
-    Ingest(Ingest),
-}
-
-impl From<Ingest> for Parked {
-    fn from(ingest: Ingest) -> Self {
-        Parked::Ingest(ingest)
-    }
-}
-
 impl FrameHandler for FrontEnd {
-    type Parked = Parked;
-
-    fn progress(&self) -> &Arc<Notifier> {
-        self.service.progress()
-    }
-
-    fn wait(&self, parked: &Parked) -> Wait {
-        match parked {
-            Parked::Detect { watermark, .. } => Wait::Applied(*watermark),
-            Parked::Ingest(_) => Wait::Room,
-        }
-    }
-
-    fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
+    fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep {
         let (reply, step) = match frame.into_ingest() {
             Ok((edges, budget)) => {
                 let ingest = Ingest { edges, admitted: 0, budget };
                 return offer(&*self.service, &self.telemetry, ingest, Some(conn), out);
             }
             Err(WireFrame::Flush) => flushed(self.service.flush()),
-            Err(WireFrame::Detect) => {
-                // Read-your-acks: every edge the server acknowledged before
-                // this request must be reflected in the answer. If the
-                // shards already caught up, this answers inline; otherwise
-                // the connection parks until their progress reports reach
-                // the watermark.
-                let watermark = self.telemetry.edges_accepted.load(Ordering::Acquire);
-                let deadline = Instant::now() + DETECT_DEADLINE;
-                return self.retry(Parked::Detect { watermark, deadline }, out);
-            }
+            Err(WireFrame::Detect) => match self.service.request_barrier() {
+                Some(pending) => {
+                    let service = Arc::clone(&self.service);
+                    let poll = after_barriers(pending, move || {
+                        let global = service.current_detection();
+                        WireFrame::Detection(DetectionReply {
+                            size: global.best.size as u64,
+                            density: global.best.density,
+                            updates_applied: global.total_updates,
+                            members: global.best.members.to_vec(),
+                        })
+                    });
+                    return self.retry(Parked::Reply(poll), out);
+                }
+                None => shut_down(),
+            },
             Err(WireFrame::Stats) => {
                 let shards: Vec<_> = self.service.stats().iter().map(|s| s.service).collect();
                 let uptime = self.service.uptime().as_secs_f64();
@@ -389,26 +360,68 @@ impl FrameHandler for FrontEnd {
         step
     }
 
-    fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep<Parked> {
-        match parked {
-            Parked::Detect { watermark, deadline } => {
-                let applied = self.telemetry.edges_applied.load(Ordering::SeqCst);
-                if applied < watermark && Instant::now() < deadline {
-                    return FrameStep::Park(parked);
-                }
-                let global = self.service.current_detection();
-                WireFrame::Detection(crate::wire::DetectionReply {
-                    size: global.best.size as u64,
-                    density: global.best.density,
-                    updates_applied: global.total_updates,
-                    members: global.best.members.to_vec(),
-                })
-                .encode_into(out);
-                FrameStep::Continue
-            }
-            Parked::Ingest(ingest) => offer(&*self.service, &self.telemetry, ingest, None, out),
+    fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep {
+        parked.retry(&*self.service, &self.telemetry, out)
+    }
+}
+
+/// Polls the replies a parked request waits for: its reply frame once
+/// they are all in.
+pub(crate) type ReplyPoll = Box<dyn FnMut() -> Result<WireFrame, TryRecvError>>;
+
+/// The one request a connection of either tier can be waiting on.
+pub(crate) enum Parked {
+    /// An ingest frame the queues admitted only part of.
+    Ingest(Ingest),
+    /// Requests in worker queues: answers once the workers have.
+    Reply(ReplyPoll),
+}
+
+impl Parked {
+    /// The progress report that can answer this request.
+    pub(crate) fn wait(&self) -> Wait {
+        match self {
+            Parked::Ingest(_) => Wait::Room,
+            Parked::Reply(_) => Wait::Reply,
         }
     }
+
+    /// The re-check of this request on `tier`, once the loop armed for
+    /// its [`wait`](Self::wait): answers into `out`, or parks again on
+    /// the same wait.
+    pub(crate) fn retry(
+        self,
+        tier: &impl Admit,
+        telemetry: &NetTelemetry,
+        out: &mut Vec<u8>,
+    ) -> FrameStep {
+        let (reply, step) = match self {
+            Parked::Ingest(ingest) => return offer(tier, telemetry, ingest, None, out),
+            Parked::Reply(mut poll) => match poll() {
+                Ok(reply) => (reply, FrameStep::Continue),
+                Err(TryRecvError::Empty) => return FrameStep::Park(Parked::Reply(poll)),
+                Err(TryRecvError::Disconnected) => shut_down(),
+            },
+        };
+        reply.encode_into(out);
+        step
+    }
+}
+
+/// The read-your-acks rule of both tiers: `pending` holds one barrier per
+/// worker, each queued behind every edge acknowledged before the request,
+/// and `answer` is read once all of them have replied.
+pub(crate) fn after_barriers(
+    mut pending: Vec<Receiver<()>>,
+    answer: impl Fn() -> WireFrame + 'static,
+) -> ReplyPoll {
+    Box::new(move || {
+        while let Some(done) = pending.last() {
+            done.try_recv()?;
+            pending.pop();
+        }
+        Ok(answer())
+    })
 }
 
 /// An ingest frame on its way into the runtime: `edges[..admitted]` are
@@ -446,13 +459,13 @@ impl Admit for SpadeService {
 /// rest, counted as accepted at once. A suffix left over parks the frame
 /// to be re-offered, in order — counted once, on its `first` offer, with
 /// what that admitted. One Ack answers the frame when nothing is left.
-pub(crate) fn offer<P: From<Ingest>>(
+pub(crate) fn offer(
     tier: &impl Admit,
     telemetry: &NetTelemetry,
     mut ingest: Ingest,
     first: Option<&ConnCounters>,
     out: &mut Vec<u8>,
-) -> FrameStep<P> {
+) -> FrameStep {
     let (reply, step) = match tier.admit(&ingest.edges[ingest.admitted..], ingest.budget) {
         Some(taken) => {
             // audit: monotone transport counter, telemetry only
@@ -462,7 +475,7 @@ pub(crate) fn offer<P: From<Ingest>>(
                 if let Some(conn) = first {
                     telemetry.count_parked(conn, ingest.admitted);
                 }
-                return FrameStep::Park(ingest.into());
+                return FrameStep::Park(Parked::Ingest(ingest));
             }
             (WireFrame::Ack { accepted: ingest.edges.len() as u64 }, FrameStep::Continue)
         }
@@ -475,7 +488,7 @@ pub(crate) fn offer<P: From<Ingest>>(
 /// The answer to `Flush`, given whether the runtime was still there to
 /// take the marker. Acked at once: the marker takes no queue room, so
 /// posting it never waits.
-pub(crate) fn flushed<P>(posted: bool) -> (WireFrame, FrameStep<P>) {
+pub(crate) fn flushed(posted: bool) -> (WireFrame, FrameStep) {
     if posted {
         (WireFrame::Ack { accepted: 0 }, FrameStep::Continue)
     } else {
@@ -484,14 +497,14 @@ pub(crate) fn flushed<P>(posted: bool) -> (WireFrame, FrameStep<P>) {
 }
 
 /// The answer to a request that found the runtime gone.
-pub(crate) fn shut_down<P>() -> (WireFrame, FrameStep<P>) {
+pub(crate) fn shut_down() -> (WireFrame, FrameStep) {
     (WireFrame::Error { message: "runtime has shut down".into() }, FrameStep::Close)
 }
 
 /// The answer to `Shutdown`, the coordinator's end-of-stream marker:
 /// acknowledge, then stop the whole server (acked edges stay queued — the
 /// operator drains them by shutting the service down).
-pub(crate) fn shutdown_requested<P>(stop: &AtomicBool) -> (WireFrame, FrameStep<P>) {
+pub(crate) fn shutdown_requested(stop: &AtomicBool) -> (WireFrame, FrameStep) {
     stop.store(true, Ordering::Release);
     (WireFrame::Ack { accepted: 0 }, FrameStep::Close)
 }

@@ -49,14 +49,14 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
-use spade_core::progress::Notifier;
 use spade_core::service::SpadeService;
 
-use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig, Wait};
+use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
 use crate::server::{
-    flushed, offer, shut_down, shutdown_requested, ConnCounters, Ingest, NetTelemetry,
+    after_barriers, flushed, offer, shut_down, shutdown_requested, ConnCounters, Ingest,
+    NetTelemetry, Parked, ReplyPoll,
 };
 use crate::wire::{
     BootstrapChunk, DetectionReply, RawEdge, WireFrame, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES,
@@ -158,12 +158,14 @@ impl ShardServer {
     /// after [`stop`](Self::stop).
     pub fn spawn(service: Arc<SpadeService>, config: &ShardServerConfig) -> std::io::Result<Self> {
         let one_loop = ReactorConfig { workers: 1, ..Default::default() };
-        let reactor = Reactor::bind(&config.addr, one_loop, |stop, telemetry| ShardHandler {
-            service: Arc::clone(&service),
-            journals: Mutex::new(JournalSet::default()),
-            stop: Arc::clone(stop),
-            telemetry: Arc::clone(telemetry),
-        })?;
+        let progress = service.progress();
+        let reactor =
+            Reactor::bind(&config.addr, one_loop, progress, |stop, telemetry| ShardHandler {
+                service: Arc::clone(&service),
+                journals: Mutex::new(JournalSet::default()),
+                stop: Arc::clone(stop),
+                telemetry: Arc::clone(telemetry),
+            })?;
         let (local_addr, stop) = (reactor.local_addr, Arc::clone(&reactor.stop));
         Ok(ShardServer { service, local_addr, stop, reactor: Some(reactor) })
     }
@@ -204,39 +206,8 @@ pub(crate) struct ShardHandler {
     telemetry: Arc<NetTelemetry>,
 }
 
-/// Polls one worker reply channel, turning the answer into its reply
-/// frame.
-type ReplyPoll = Box<dyn Fn(&ShardHandler) -> Result<WireFrame, TryRecvError>>;
-
-/// The one request a shard-server connection is waiting on.
-pub(crate) enum Parked {
-    /// A batch the worker's queue admitted only part of.
-    Ingest(Ingest),
-    /// A worker request in the queue: answers when the worker has.
-    Reply(ReplyPoll),
-}
-
-impl From<Ingest> for Parked {
-    fn from(ingest: Ingest) -> Self {
-        Parked::Ingest(ingest)
-    }
-}
-
 impl FrameHandler for ShardHandler {
-    type Parked = Parked;
-
-    fn progress(&self) -> &Arc<Notifier> {
-        self.service.progress()
-    }
-
-    fn wait(&self, parked: &Parked) -> Wait {
-        match parked {
-            Parked::Ingest(_) => Wait::Room,
-            Parked::Reply(_) => Wait::Reply,
-        }
-    }
-
-    fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep<Parked> {
+    fn apply(&self, frame: WireFrame, conn: &ConnCounters, out: &mut Vec<u8>) -> FrameStep {
         match frame.into_ingest() {
             Ok((edges, budget)) => {
                 let ingest = Ingest { edges, admitted: 0, budget };
@@ -246,26 +217,15 @@ impl FrameHandler for ShardHandler {
         }
     }
 
-    fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep<Parked> {
-        let (reply, step) = match parked {
-            Parked::Ingest(ingest) => {
-                return offer(&*self.service, &self.telemetry, ingest, None, out)
-            }
-            Parked::Reply(poll) => match poll(self) {
-                Ok(reply) => (reply, FrameStep::Continue),
-                Err(TryRecvError::Empty) => return FrameStep::Park(Parked::Reply(poll)),
-                Err(TryRecvError::Disconnected) => shut_down(),
-            },
-        };
-        reply.encode_into(out);
-        step
+    fn retry(&self, parked: Parked, out: &mut Vec<u8>) -> FrameStep {
+        parked.retry(&*self.service, &self.telemetry, out)
     }
 }
 
 impl ShardHandler {
     /// Serves one request other than ingest: answers into `out`, or says
     /// what it waits for.
-    fn serve(&self, frame: WireFrame, out: &mut Vec<u8>) -> FrameStep<Parked> {
+    fn serve(&self, frame: WireFrame, out: &mut Vec<u8>) -> FrameStep {
         let error = |message: &str| WireFrame::Error { message: message.into() };
         let (reply, step) = match self.enqueue(&frame) {
             Some(Some(poll)) => return self.retry(Parked::Reply(poll), out),
@@ -320,8 +280,9 @@ impl ShardHandler {
             // Read-your-acks: a `Batch` is acked once *enqueued*, so the
             // detection waits for every edge already acknowledged.
             WireFrame::Detect => service.request_barrier().map(|done| {
-                collect(done, |shard, ()| {
-                    let det = shard.service.current_detection();
+                let service = Arc::clone(service);
+                after_barriers(vec![done], move || {
+                    let det = service.current_detection();
                     WireFrame::Detection(DetectionReply {
                         size: det.size as u64,
                         density: det.density,
@@ -334,14 +295,15 @@ impl ShardHandler {
             // acked == applied exactly-once audit, which must not observe
             // a still-queued suffix.
             WireFrame::Stats => service.request_barrier().map(|done| {
-                collect(done, |shard, ()| {
-                    let stats = shard.service.stats();
-                    shard.telemetry.stats_reply(&[stats], stats.uptime_secs)
+                let (service, telemetry) = (Arc::clone(service), Arc::clone(&self.telemetry));
+                after_barriers(vec![done], move || {
+                    let stats = service.stats();
+                    telemetry.stats_reply(&[stats], stats.uptime_secs)
                 })
             }),
             WireFrame::Region { hops } => {
                 service.request_candidate_region(*hops as usize).map(|region| {
-                    collect(region, |_, region| {
+                    collect(region, |region| {
                         if region.members.len() > MAX_MIGRATE_MEMBERS
                             || region.encoded.len() > MAX_SNAPSHOT_BYTES
                         {
@@ -354,7 +316,7 @@ impl ShardHandler {
             }
             WireFrame::MigrateOut { members } => {
                 service.request_migrate_out(members.as_slice().into()).map(|slice| {
-                    collect(slice, |_, slice| {
+                    collect(slice, |slice| {
                         if slice.encoded.len() > MAX_SNAPSHOT_BYTES {
                             let message = "migration slice exceeds frame bounds".into();
                             return WireFrame::Error { message };
@@ -365,7 +327,7 @@ impl ShardHandler {
             }
             WireFrame::Absorb { slice } => service
                 .request_absorb(slice.clone())
-                .map(|receipt| collect(receipt, |_, receipt| WireFrame::AbsorbReply(receipt))),
+                .map(|receipt| collect(receipt, WireFrame::AbsorbReply)),
             _ => return None,
         })
     }
@@ -374,9 +336,9 @@ impl ShardHandler {
 /// The poll for a request answered on `channel`, shaped by `reply`.
 fn collect<T: 'static>(
     channel: Receiver<T>,
-    reply: impl Fn(&ShardHandler, T) -> WireFrame + 'static,
+    reply: impl Fn(T) -> WireFrame + 'static,
 ) -> ReplyPoll {
-    Box::new(move |shard| channel.try_recv().map(|answer| reply(shard, answer)))
+    Box::new(move || channel.try_recv().map(&reply))
 }
 
 #[cfg(test)]

@@ -6,12 +6,14 @@
 //! Both tiers run the matrix: the sharded front end, and a shard server
 //! whose single-slot command queue the test fills first.
 
-use spade_core::shard::{ShardedConfig, ShardedSpadeService};
-use spade_core::{CustomMetric, IngestConfig, SpadeEngine, SpadeService};
+use spade_core::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
+use spade_core::{
+    CustomMetric, GroupingConfig, IngestConfig, SpadeEngine, SpadeService, WeightedDensity,
+};
 use spade_graph::VertexId;
 use spade_net::{
-    read_frame, write_frame, ReactorConfig, ShardServer, ShardServerConfig, SpadeNetServer,
-    WireFrame,
+    read_frame, write_frame, ReactorConfig, ShardServer, ShardServerConfig, SpadeNetClient,
+    SpadeNetServer, WireFrame,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -379,4 +381,84 @@ fn detects_parked_on_one_loop_answer_in_watermark_order() {
     server.shutdown();
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("a loop still holds it"));
     assert_eq!(service.shutdown().total_updates, 3);
+}
+
+/// The 12 directed edges of a 4-clique on `first..first + 4` at `weight`.
+fn clique(first: u32, weight: f64) -> Vec<(VertexId, VertexId, f64)> {
+    let ids = first..first + 4;
+    ids.clone()
+        .flat_map(|a| ids.clone().filter(move |&b| b != a).map(move |b| (a, b)))
+        .map(|(a, b)| (VertexId(a), VertexId(b), weight))
+        .collect()
+}
+
+/// Read-your-acks when the connection is not the only producer: a
+/// 300 000-edge backlog submitted in-process is still draining on the
+/// one shard when a client's clique is acked, and the client's
+/// `detect()` must still find that clique.
+#[test]
+fn a_detect_covers_its_own_acks_behind_an_in_process_backlog() {
+    const BACKLOG: u32 = 300_000;
+    let config = ShardedConfig {
+        shards: 1,
+        queue_capacity: 400_000,
+        strategy: PartitionStrategy::HashBySource,
+        ..Default::default()
+    };
+    let service = Arc::new(ShardedSpadeService::spawn(WeightedDensity, config));
+    let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let backlog: Vec<_> = (0..BACKLOG)
+        .map(|i| (VertexId(i % 20_000), VertexId(20_000 + i.wrapping_mul(7919) % 20_000), 1.0))
+        .collect();
+    assert_eq!(service.submit_batch(&backlog, None).accepted, backlog.len());
+
+    let mut client = SpadeNetClient::connect(server.local_addr()).expect("connect");
+    let ring = clique(50_000, 500.0);
+    for &(a, b, w) in &ring {
+        client.submit(a, b, w).expect("submit");
+    }
+    let det = client.detect().expect("detect");
+    let mut members = det.members;
+    members.sort_unstable();
+    assert!(
+        members.iter().copied().eq((50_000..50_004).map(VertexId)),
+        "a Detect answered after {} of {} updates, with {} members",
+        det.updates_applied,
+        BACKLOG as usize + ring.len(),
+        members.len()
+    );
+    drop(client);
+    server.shutdown();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("a loop still holds it"));
+    assert_eq!(service.shutdown().total_updates, BACKLOG as u64 + ring.len() as u64);
+}
+
+/// A `Detect` settles a grouped stage: after an urgent clique and a
+/// benign batch, a raw `Detect` covers all 22 acked edges, and the
+/// benign ten are resident in the engine, not held in the stage.
+#[test]
+fn a_detect_covers_benign_edges_held_by_a_grouped_stage() {
+    let config = ShardedConfig {
+        shards: 1,
+        grouping: Some(GroupingConfig::default()),
+        ..Default::default()
+    };
+    let service = Arc::new(ShardedSpadeService::spawn(WeightedDensity, config));
+    let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let urgent = clique(0, 50.0);
+    let benign: Vec<_> = (100..110u32).map(|i| (VertexId(i), VertexId(i + 1), 1.0)).collect();
+    for edges in [urgent, benign] {
+        let accepted = edges.len() as u64;
+        assert_eq!(request(&mut conn, &WireFrame::Batch { edges }), WireFrame::Ack { accepted });
+    }
+    let WireFrame::Detection(det) = request(&mut conn, &WireFrame::Detect) else {
+        panic!("expected a Detection");
+    };
+    let resident = service.stats()[0].service.edges_resident;
+    assert_eq!((det.updates_applied, resident), (22, 22));
+    drop(conn);
+    server.shutdown();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("a loop still holds it"));
+    assert_eq!(service.shutdown().total_updates, 22);
 }
