@@ -89,9 +89,11 @@ other connections of acks. The server runs until a producer sends the Shutdown f
 (`spade ingest --shutdown`), then prints the usual sharded report plus
 connection/frame/parked-frame transport counters. `spade ingest <addr>
 <file>` is the matching producer: it replays an edge list with
-`--batch`-sized pipelined frames (`--pipeline` in flight), and
-with `--detect`/`--stats` reads the live detection and server counters
-back; `--shutdown` stops the server when the replay ends.
+`--batch`-sized pipelined frames (`--pipeline` in flight); `--detect`
+reads the detection back once every acked edge is applied
+(read-your-acks), `--stats` the live server counters, which cover the
+whole replay after `--detect`; `--shutdown` stops the server when the
+replay ends.
 
 `serve --listen ... --metrics <addr>` additionally serves the live
 Prometheus text exposition on <addr> (scrape http://<addr>/metrics):
@@ -172,23 +174,24 @@ fn deadline_from(args: &Args) -> Result<Option<Duration>, AnyError> {
     Ok((ms > 0.0).then(|| Duration::from_secs_f64(ms / 1e3)))
 }
 
+/// Parses a `--partition` value (unset or empty: the default strategy).
+fn strategy_from(named: Option<&String>) -> Result<PartitionStrategy, AnyError> {
+    let Some(name) = named.filter(|name| !name.is_empty()) else {
+        return Ok(PartitionStrategy::default());
+    };
+    PartitionStrategy::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown partitioner {name:?} (expected hash, connectivity, or conn:<max_component>)"
+        )
+        .into()
+    })
+}
+
 /// Builds a [`ShardedConfig`] from the shared `--shards`, `--queue`,
 /// `--partition` (alias `--partitioner`) and `--grouping` options.
 fn sharded_config_from(args: &Args, shards: usize) -> Result<ShardedConfig, AnyError> {
-    let named = args
-        .options
-        .get("partition")
-        .or_else(|| args.options.get("partitioner"))
-        .filter(|name| !name.is_empty());
-    let strategy = match named {
-        Some(name) => PartitionStrategy::from_name(name).ok_or_else(|| {
-            format!(
-                "unknown partitioner {name:?} (expected hash, connectivity, or \
-                 conn:<max_component>)"
-            )
-        })?,
-        None => PartitionStrategy::default(),
-    };
+    let named = args.options.get("partition").or_else(|| args.options.get("partitioner"));
+    let strategy = strategy_from(named)?;
     Ok(ShardedConfig {
         shards,
         queue_capacity: args.num_opt("queue", 1024usize)?.max(1),
@@ -468,6 +471,8 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
             sample.join(","),
         );
     }
+    // A live read: `updates applied` covers every acked edge only after
+    // `--detect`, the read-your-acks request.
     if args.flag("stats") {
         let s = client.server_stats()?;
         let depths: Vec<String> = s.shard_queue_depths.iter().map(u64::to_string).collect();
@@ -541,19 +546,10 @@ pub fn route(args: &Args) -> Result<(), AnyError> {
         return Err("route needs at least one shard address".into());
     }
     let records = load_records(path)?;
-    let strategy = match args.options.get("partition").filter(|name| !name.is_empty()) {
-        Some(name) => PartitionStrategy::from_name(name).ok_or_else(|| {
-            format!(
-                "unknown partitioner {name:?} (expected hash, connectivity, or \
-                 conn:<max_component>)"
-            )
-        })?,
-        None => PartitionStrategy::default(),
-    };
     let config = RouterConfig {
         batch_edges: args.num_opt("batch", RouterConfig::default().batch_edges)?.max(1),
         hops: args.num_opt("repair-hops", RouterConfig::default().hops)?,
-        strategy,
+        strategy: strategy_from(args.options.get("partition"))?,
         replicate: !args.flag("no-replicate"),
     };
     let mut router = SpadeRouter::connect(&addrs, config)
@@ -701,12 +697,9 @@ fn run_sharded(args: &Args, shards: usize, path_error: &'static str) -> Result<(
             return Err("a shard shut down while ingesting".into());
         }
     }
-    // The flush and the barrier trail every insert in each shard's FIFO
-    // queue, so once the barrier answers, every shard has published
-    // post-flush counters covering every record and the report is exact.
-    if !service.flush() {
-        return Err("a shard shut down while flushing".into());
-    }
+    // The barrier trails every insert in each shard's FIFO queue and
+    // settles the shard's stage, so once it answers, every shard has
+    // published counters covering every record and the report is exact.
     if !service.barrier() {
         return Err("a shard shut down while draining".into());
     }

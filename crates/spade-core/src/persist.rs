@@ -15,14 +15,15 @@
 //!
 //! The byte primitives are shared with the `spade-net` wire protocol:
 //! [`PutLe`] appends to a `Vec<u8>`, [`ByteReader`] reads a borrowed
-//! `&[u8]` without copying it. Peers send these bytes (regions, migration
-//! slices), so every read returns [`Truncated`] instead of panicking.
+//! `&[u8]` without copying it. Peers send these bytes (a
+//! [`SubgraphSnapshot`] inside a region or migration frame), so every read
+//! returns [`Truncated`] instead of panicking.
 
 use crate::engine::{SpadeConfig, SpadeEngine};
 use crate::metric::DensityMetric;
 use crate::peel::PeelingOutcome;
 use crate::state::PeelingState;
-use spade_graph::hash::{FxHashMap, FxHashSet};
+use spade_graph::hash::FxHashSet;
 use spade_graph::{DynamicGraph, GraphError, VertexId};
 use std::io::{Read, Write};
 
@@ -297,11 +298,13 @@ fn decode(raw: &[u8]) -> Result<(DynamicGraph, PeelingState), SnapshotError> {
 ///
 /// Unlike the full-engine snapshot above — dense ids, peeling state
 /// included — a subgraph carries no peeling state: the consumer re-peels
-/// whatever union of subgraphs it assembles. This is the candidate-region
-/// wire format of the cross-shard repair pass (`crate::shard::repair`),
-/// and the natural state-handoff unit for a distributed backend: a shard
-/// exports its detected community plus a k-hop frontier, the aggregator
-/// replays the bytes into a scratch engine.
+/// whatever union of subgraphs it assembles. It is the state-handoff unit
+/// of the sharded runtime: a shard's candidate region for the cross-shard
+/// repair pass (`crate::shard::repair`) and a component's migration
+/// slice (`crate::shard::migrate`). In process it travels as this value;
+/// only the `spade-net` wire codec turns it into bytes
+/// ([`encode_into`](Self::encode_into)) and back
+/// ([`decode`](Self::decode)).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SubgraphSnapshot {
     /// Vertices as `(global id, vertex suspiciousness a_u)`, sorted by id.
@@ -360,12 +363,6 @@ impl SubgraphSnapshot {
         SubgraphSnapshot { vertices, edges }
     }
 
-    /// `true` when the snapshot carries no structure worth shipping: no
-    /// edges and no vertex with positive suspiciousness.
-    pub fn is_trivial(&self) -> bool {
-        self.edges.is_empty() && self.vertices.iter().all(|&(_, w)| w == 0.0)
-    }
-
     /// Sum of all edge suspiciousness in the snapshot.
     pub fn edge_weight_total(&self) -> f64 {
         self.edges.iter().map(|&(_, _, w)| w).sum()
@@ -387,10 +384,23 @@ impl SubgraphSnapshot {
         self.vertices.retain(|&(u, w)| w > 0.0 || touched.contains(&u.0));
     }
 
+    /// Bytes [`encode`](Self::encode) writes: a 24-byte header, 12 per
+    /// vertex, 16 per edge.
+    pub fn encoded_len(&self) -> usize {
+        24 + self.vertices.len() * 12 + self.edges.len() * 16
+    }
+
     /// Serializes the subgraph with the same length-prefixed
     /// little-endian layout as the engine snapshot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(24 + self.vertices.len() * 12 + self.edges.len() * 16);
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends [`encode`](Self::encode)'s bytes to `buf`, in place.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(self.encoded_len());
         buf.put_u32_le(SUBGRAPH_MAGIC);
         buf.put_u32_le(SUBGRAPH_VERSION);
         buf.put_u64_le(self.vertices.len() as u64);
@@ -404,12 +414,12 @@ impl SubgraphSnapshot {
             buf.put_u32_le(dst.0);
             buf.put_f64_le(w);
         }
-        buf
     }
 
     /// Decodes a subgraph produced by [`encode`](Self::encode), verifying
-    /// structure: magic/version, section lengths, id order, and that every
-    /// edge endpoint is a member vertex.
+    /// structure: magic/version, section lengths, id order, that every
+    /// edge endpoint is a member vertex, and that `raw` ends at the last
+    /// edge — so a decoded value re-encodes to exactly `raw`.
     pub fn decode(raw: &[u8]) -> Result<SubgraphSnapshot, SnapshotError> {
         let mut buf = ByteReader::new(raw);
         let (n, m) = read_header(&mut buf, SUBGRAPH_MAGIC, SUBGRAPH_VERSION)?;
@@ -438,29 +448,10 @@ impl SubgraphSnapshot {
             }
             edges.push((VertexId(src), VertexId(dst), w));
         }
+        if !buf.rest().is_empty() {
+            return Err(SnapshotError::Corrupt("trailing bytes after subgraph edge table"));
+        }
         Ok(SubgraphSnapshot { vertices, edges })
-    }
-
-    /// Replays the subgraph into a fresh [`DynamicGraph`] with **dense**
-    /// local ids (position in `remap` = local id, value = global id),
-    /// ready for a scratch re-peel. Weights are installed verbatim — they
-    /// are already final suspiciousness values, so no metric runs.
-    pub fn replay(&self, remap: &mut Vec<VertexId>) -> Result<DynamicGraph, SnapshotError> {
-        remap.clear();
-        let mut local: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut graph = DynamicGraph::with_capacity(self.vertices.len());
-        for &(u, w) in &self.vertices {
-            local.insert(u.0, remap.len() as u32);
-            remap.push(u);
-            graph.add_vertex(w)?;
-        }
-        for &(src, dst, w) in &self.edges {
-            let (Some(&s), Some(&d)) = (local.get(&src.0), local.get(&dst.0)) else {
-                return Err(SnapshotError::Corrupt("subgraph edge references unknown vertex"));
-            };
-            graph.insert_edge(VertexId(s), VertexId(d), w)?;
-        }
-        Ok(graph)
     }
 }
 
@@ -597,22 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn subgraph_replay_builds_a_dense_scratch_graph() {
-        let g = region_graph();
-        let snap = SubgraphSnapshot::extract(&g, &[v(8)], 1);
-        let mut remap = Vec::new();
-        let scratch = snap.replay(&mut remap).unwrap();
-        // Global ids 8 and 9 become local 0 and 1 — no 10-vertex blowup.
-        assert_eq!(scratch.num_vertices(), 2);
-        assert_eq!(remap, vec![v(8), v(9)]);
-        assert_eq!(scratch.num_edges(), 1);
-        assert_eq!(scratch.edge_weight(VertexId(0), VertexId(1)), Some(50.0));
-        // A re-peel of the replayed slice sees the right density.
-        let out = crate::peel::peel(&scratch);
-        assert!((out.best_density - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn prune_isolated_keeps_weighted_and_connected_vertices() {
         let g = region_graph();
         // Seeds include 5..8: vertex 5 is isolated *and* zero-weight in
@@ -629,13 +604,11 @@ mod tests {
         // Roundtrip still validates after pruning.
         let decoded = SubgraphSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(decoded, snap);
-        assert!(!snap.is_trivial());
         assert!((snap.edge_weight_total() - 56.0).abs() < 1e-12);
 
         let mut empty = SubgraphSnapshot::extract(&g, &[v(5)], 0);
         empty.prune_isolated();
         assert!(empty.vertices.is_empty());
-        assert!(empty.is_trivial());
     }
 
     #[test]
@@ -644,8 +617,12 @@ mod tests {
         let snap = SubgraphSnapshot::extract(&g, &[v(1)], 1);
         let bytes = snap.encode();
 
+        assert_eq!(bytes.len(), snap.encoded_len());
         let err = SubgraphSnapshot::decode(&bytes[..bytes.len() - 4]);
         assert!(matches!(err, Err(SnapshotError::Corrupt(_))));
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(matches!(SubgraphSnapshot::decode(&trailing), Err(SnapshotError::Corrupt(_))));
 
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;

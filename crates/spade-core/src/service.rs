@@ -62,6 +62,7 @@
 use crate::engine::SpadeEngine;
 use crate::grouping::{GroupingConfig, Stage, Staged};
 use crate::metric::DensityMetric;
+use crate::persist::SubgraphSnapshot;
 use crate::progress::{offer_until_enqueued, Notifier, Progress};
 use crate::state::Detection;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
@@ -185,11 +186,10 @@ pub struct PublishedDetection {
 }
 
 /// One shard's candidate-region export: its current detection plus the
-/// k-hop frontier subgraph around it, serialized with the
-/// [`crate::persist`] subgraph codec. This is the unit the cross-shard
-/// repair pass (`crate::shard::repair`) unions and re-peels, and — being
-/// plain bytes — the wire format a distributed backend would ship between
-/// processes.
+/// k-hop frontier subgraph around it, as a [`SubgraphSnapshot`] value.
+/// This is the unit the cross-shard repair pass (`crate::shard::repair`)
+/// unions and re-peels; in process it is handed over as is, and only the
+/// `spade-net` wire codec (a `RegionReply` frame) turns it into bytes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CandidateRegion {
     /// Community size at export time.
@@ -199,9 +199,8 @@ pub struct CandidateRegion {
     /// Community members (global vertex ids). Shared snapshot — cloning a
     /// region never copies the member list.
     pub members: Arc<[VertexId]>,
-    /// Encoded induced subgraph over the community plus its `hops`-hop
-    /// frontier ([`crate::persist::SubgraphSnapshot`] bytes).
-    pub encoded: Vec<u8>,
+    /// Induced subgraph over the community plus its `hops`-hop frontier.
+    pub snapshot: SubgraphSnapshot,
     /// Ingest commands this worker had consumed when the region was
     /// exported.
     pub updates_applied: u64,
@@ -213,21 +212,16 @@ pub struct CandidateRegion {
 
 /// A component slice leaving its source shard: the induced subgraph over
 /// the migrated members (vertex suspiciousness + every member-to-member
-/// edge this shard held), serialized with the [`crate::persist`] subgraph
-/// codec, already **evicted** from the source engine when this value is
-/// produced. Replaying it into another shard's engine completes the move
-/// — see `crate::shard::migrate`.
+/// edge this shard held) as a [`SubgraphSnapshot`] value, already
+/// **evicted** from the source engine when this value is produced.
+/// Replaying it into another shard's engine completes the move — see
+/// `crate::shard::migrate`. Only the `spade-net` wire codec (`SliceReply`
+/// and `Absorb` frames) turns it into bytes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MigrationSlice {
-    /// Encoded [`crate::persist::SubgraphSnapshot`] bytes (isolated
-    /// zero-weight members pruned).
-    pub encoded: Vec<u8>,
-    /// Vertices carried by the slice after pruning.
-    pub vertices: usize,
-    /// Member-to-member edges carried (and evicted at the source).
-    pub edges: usize,
-    /// Total edge suspiciousness carried.
-    pub edge_weight: f64,
+    /// The slice: isolated zero-weight members pruned; its edges were
+    /// evicted at the source.
+    pub snapshot: SubgraphSnapshot,
     /// Ingest commands the source worker had consumed at export.
     pub updates_applied: u64,
 }
@@ -236,7 +230,7 @@ impl MigrationSlice {
     /// `true` when the source shard held nothing of the component — no
     /// edges, no positive vertex weight — so there is nothing to absorb.
     pub fn is_empty(&self) -> bool {
-        self.vertices == 0 && self.edges == 0
+        self.snapshot.vertices.is_empty() && self.snapshot.edges.is_empty()
     }
 }
 
@@ -248,7 +242,7 @@ pub struct AbsorbReceipt {
     /// Slice edges applied (accumulated onto any weight the target
     /// already held for the same ordered pair).
     pub edges_applied: usize,
-    /// Slice entries dropped (undecodable bytes or invalid weights).
+    /// Slice entries dropped (invalid weights).
     pub rejected: u64,
 }
 
@@ -267,8 +261,8 @@ enum Command {
     /// Export the current detection plus a `hops`-hop frontier subgraph.
     Region { hops: usize, reply: Sender<CandidateRegion> },
     /// Extract the induced slice over `members`, evict it from this
-    /// engine, and hand the encoded slice back (the source half of a
-    /// component migration).
+    /// engine, and hand the slice back (the source half of a component
+    /// migration).
     MigrateOut { members: Arc<[VertexId]>, reply: Sender<MigrationSlice> },
     /// Replay a migrated slice into this engine (the target half).
     Absorb { slice: MigrationSlice, reply: Sender<AbsorbReceipt> },
@@ -634,9 +628,8 @@ impl SpadeService {
     }
 
     /// Exports this worker's candidate region: its current detection plus
-    /// a `hops`-hop frontier of boundary edges, serialized with the
-    /// persist subgraph codec. Blocks until the worker reaches the
-    /// request in its FIFO queue, so the region reflects every
+    /// a `hops`-hop frontier of boundary edges. Blocks until the worker
+    /// reaches the request in its FIFO queue, so the region reflects every
     /// transaction submitted before this call, grouped benign edges
     /// included (the worker settles its stage first). Returns `None` if
     /// the service has shut down.
@@ -652,7 +645,7 @@ impl SpadeService {
     }
 
     /// Extracts and **evicts** the induced slice over `members` from this
-    /// worker's engine, returning the encoded slice (the source half of a
+    /// worker's engine, returning the slice (the source half of a
     /// component migration — see `crate::shard::migrate`). Blocks until
     /// the worker reaches the request in its FIFO queue, so the slice
     /// covers every transaction submitted before this call, including
@@ -1017,13 +1010,12 @@ impl<M: DensityMetric> Worker<M> {
         self.settle();
         let det = self.engine.detect();
         let members: Arc<[VertexId]> = Arc::from(self.engine.community(det));
-        let snapshot =
-            crate::persist::SubgraphSnapshot::extract(self.engine.graph(), &members, hops);
+        let snapshot = SubgraphSnapshot::extract(self.engine.graph(), &members, hops);
         CandidateRegion {
             size: det.size,
             density: det.density,
             members,
-            encoded: snapshot.encode(),
+            snapshot,
             updates_applied: self.updates,
             epoch: self.publisher.epoch,
         }
@@ -1036,8 +1028,7 @@ impl<M: DensityMetric> Worker<M> {
     /// the eviction.
     fn migrate_out(&mut self, members: &[VertexId]) -> MigrationSlice {
         self.apply();
-        let mut snapshot =
-            crate::persist::SubgraphSnapshot::extract(self.engine.graph(), members, 0);
+        let mut snapshot = SubgraphSnapshot::extract(self.engine.graph(), members, 0);
         snapshot.prune_isolated();
         // Eviction cannot fail on a live single-threaded graph (every
         // collected edge exists, every weight clears to zero) — and
@@ -1048,20 +1039,14 @@ impl<M: DensityMetric> Worker<M> {
             .remove_member_slice(members)
             .expect("slice eviction cannot fail on a live graph");
         self.publish();
-        MigrationSlice {
-            vertices: snapshot.vertices.len(),
-            edges: snapshot.edges.len(),
-            edge_weight: snapshot.edge_weight_total(),
-            encoded: snapshot.encode(),
-            updates_applied: self.updates,
-        }
+        MigrationSlice { snapshot, updates_applied: self.updates }
     }
 
     /// `Command::Absorb`: replays a migrated slice behind everything
     /// already staged.
     fn absorb(&mut self, slice: &MigrationSlice) -> AbsorbReceipt {
         self.apply();
-        let receipt = absorb_slice(&mut self.engine, slice);
+        let receipt = absorb_slice(&mut self.engine, &slice.snapshot);
         if receipt.rejected > 0 {
             self.metrics.rejected.add(receipt.rejected);
         }
@@ -1078,16 +1063,9 @@ impl<M: DensityMetric> Worker<M> {
 /// the solo-engine weight.
 fn absorb_slice<M: DensityMetric>(
     engine: &mut SpadeEngine<M>,
-    slice: &MigrationSlice,
+    snapshot: &SubgraphSnapshot,
 ) -> AbsorbReceipt {
     let mut receipt = AbsorbReceipt::default();
-    let snapshot = match crate::persist::SubgraphSnapshot::decode(&slice.encoded) {
-        Ok(snapshot) => snapshot,
-        Err(_) => {
-            receipt.rejected = (slice.vertices + slice.edges) as u64;
-            return receipt;
-        }
-    };
     for &(u, w) in &snapshot.vertices {
         // Validate first: a NaN or negative `w` never compares above the
         // current weight, so the max-wise install alone would pass it.
@@ -1604,9 +1582,9 @@ mod tests {
 
         let members: Arc<[VertexId]> = (10..13).map(v).collect::<Vec<_>>().into();
         let slice = source.migrate_out(Arc::clone(&members)).expect("source alive");
-        assert_eq!(slice.vertices, 3);
-        assert_eq!(slice.edges, 6);
-        assert!((slice.edge_weight - 120.0).abs() < 1e-9);
+        assert_eq!(slice.snapshot.vertices.len(), 3);
+        assert_eq!(slice.snapshot.edges.len(), 6);
+        assert!((slice.snapshot.edge_weight_total() - 120.0).abs() < 1e-9);
         assert!(!slice.is_empty());
 
         let receipt = target.absorb(slice).expect("target alive");
@@ -1626,14 +1604,13 @@ mod tests {
 
     #[test]
     fn absorb_counts_invalid_vertex_weights_as_rejected() {
-        // A hand-built corrupt slice: NaN and negative priors decode fine.
-        let snapshot = crate::persist::SubgraphSnapshot {
+        // A hand-built bad slice: NaN and negative priors are valid values.
+        let snapshot = SubgraphSnapshot {
             vertices: vec![(v(0), f64::NAN), (v(1), -2.0), (v(2), 3.0), (v(3), 0.0)],
             edges: vec![(v(2), v(3), 4.0)],
         };
-        let slice = MigrationSlice { encoded: snapshot.encode(), ..MigrationSlice::default() };
         let mut engine = SpadeEngine::new(WeightedDensity);
-        let receipt = absorb_slice(&mut engine, &slice);
+        let receipt = absorb_slice(&mut engine, &snapshot);
         assert_eq!(receipt, AbsorbReceipt { vertices_touched: 2, edges_applied: 1, rejected: 2 });
         assert_eq!(engine.graph().vertex_weight(v(2)), 3.0);
         assert_eq!(engine.state().logical_order(), crate::peel::peel(engine.graph()).order);
@@ -1647,7 +1624,7 @@ mod tests {
         let members: Arc<[VertexId]> = vec![v(500), v(501)].into();
         let slice = source.migrate_out(members).expect("alive");
         assert!(slice.is_empty());
-        assert_eq!(slice.edge_weight, 0.0);
+        assert_eq!(slice.snapshot.edge_weight_total(), 0.0);
         // Absorbing an empty slice is a harmless no-op.
         let target = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 16);
         let receipt = target.absorb(slice).expect("alive");
@@ -1675,11 +1652,8 @@ mod tests {
         assert!(source.submit(v(10), v(12), 0.01));
         let members: Arc<[VertexId]> = (10..13).map(v).collect::<Vec<_>>().into();
         let slice = source.migrate_out(members).expect("alive");
-        assert!(
-            (slice.edge_weight - 120.01).abs() < 1e-9,
-            "buffered edge lost: {}",
-            slice.edge_weight
-        );
+        let edge_weight = slice.snapshot.edge_weight_total();
+        assert!((edge_weight - 120.01).abs() < 1e-9, "buffered edge lost: {edge_weight}");
         let det = source.shutdown();
         assert_eq!(det.size, 0, "everything was evicted");
     }
@@ -2291,15 +2265,15 @@ mod tests {
         let members: Arc<[VertexId]> = vec![v(10), v(11)].into();
         assert_eq!(w.worker.step(Some(Command::MigrateOut { members, reply }), t0), open);
         assert_eq!(w.settled(), settled);
-        assert_eq!(slice.recv().expect("slice").edges, 1, "the staged edge moved");
+        assert_eq!(slice.recv().expect("slice").snapshot.edges.len(), 1, "the staged edge moved");
 
         let mut w = staged();
         let (reply, receipt) = bounded(1);
-        let snapshot = crate::persist::SubgraphSnapshot {
+        let snapshot = SubgraphSnapshot {
             vertices: vec![(v(20), 0.0), (v(21), 0.0)],
             edges: vec![(v(20), v(21), 2.0)],
         };
-        let slice = MigrationSlice { encoded: snapshot.encode(), ..MigrationSlice::default() };
+        let slice = MigrationSlice { snapshot, updates_applied: 0 };
         assert_eq!(w.worker.step(Some(Command::Absorb { slice, reply }), t0), open);
         assert_eq!(w.settled(), settled);
         assert_eq!(receipt.recv().expect("receipt").edges_applied, 1);

@@ -16,9 +16,10 @@
 //!
 //! 1. the **source** worker drains its queue, flushes its grouping
 //!    buffer, extracts the induced subgraph over the component's members
-//!    through the [`crate::persist::SubgraphSnapshot`] codec, and evicts
-//!    that slice from its engine through the incremental deletion pass
-//!    ([`crate::service::MigrationSlice`]);
+//!    as a [`crate::persist::SubgraphSnapshot`] value, and evicts that
+//!    slice from its engine through the incremental deletion pass
+//!    ([`crate::service::MigrationSlice`]; in process the slice is handed
+//!    to the target as is — only a move between processes encodes it);
 //! 2. the **target** worker replays the slice: vertex suspiciousness
 //!    installs max-wise, edge weights *accumulate* — a pair whose
 //!    transactions were split across the shards by the home change sums

@@ -26,11 +26,11 @@
 //! * [`aggregate`] — [`aggregate::merge`] folds per-shard snapshots into
 //!   a global densest-community view that ranks every shard;
 //! * [`repair`] — the cross-shard community repair pass: per-shard
-//!   candidate regions (community + k-hop frontier, persist-codec bytes)
+//!   candidate regions (community + k-hop frontier, subgraph snapshots)
 //!   unioned and re-peeled so hash-split communities recover
 //!   single-engine exactness;
 //! * [`migrate`] — live component migration (extract → evict → replay
-//!   through the persist codec): repairs merge-stranded slices at their
+//!   of a subgraph snapshot): repairs merge-stranded slices at their
 //!   surviving home and sheds pinned components off overloaded shards,
 //!   driven by the partitioner's strand events and the [`ShardStats`]
 //!   load signal.

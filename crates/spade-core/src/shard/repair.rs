@@ -7,9 +7,10 @@
 //! answer without connectivity routing's state:
 //!
 //! 1. every shard exports a **candidate region** — its detected
-//!    community plus a configurable k-hop frontier of boundary edges,
-//!    serialized with the [`crate::persist`] subgraph codec
-//!    ([`CandidateRegion`]);
+//!    community plus a configurable k-hop frontier of boundary edges, as
+//!    a [`crate::persist::SubgraphSnapshot`] value ([`CandidateRegion`];
+//!    only a region that crosses a process boundary is ever bytes, and
+//!    the wire codec validates it before it gets here);
 //! 2. regions that share *any* vertex are grouped (union-find): shared
 //!    members are exactly the signature of a split community, since a
 //!    hash-routed vertex appears as an edge endpoint on every shard that
@@ -32,7 +33,6 @@
 
 use crate::engine::SpadeEngine;
 use crate::metric::WeightedDensity;
-use crate::persist::SubgraphSnapshot;
 use crate::service::CandidateRegion;
 use spade_graph::hash::FxHashMap;
 use spade_graph::{DynamicGraph, VertexId};
@@ -63,8 +63,6 @@ pub struct RepairStats {
     pub regions_exported: u64,
     /// Region groups that actually merged (≥ 2 regions) and re-peeled.
     pub groups_merged: u64,
-    /// Regions dropped because their bytes failed to decode.
-    pub corrupt_regions: u64,
     /// Density gained by the most recent pass (repaired − best shard).
     pub last_gain: f64,
     /// Wall time of the most recent pass, nanoseconds. The full
@@ -136,8 +134,6 @@ pub struct RepairOutcome {
     pub repaired: bool,
     /// Region groups with ≥ 2 members that were union-re-peeled.
     pub groups_merged: usize,
-    /// Regions dropped because their bytes failed to decode.
-    pub corrupt_regions: usize,
     /// Per-shard export accounting.
     pub regions: Vec<RegionSummary>,
 }
@@ -190,13 +186,6 @@ impl RepairScratch {
     }
 }
 
-/// One decoded candidate region, ready for grouping.
-struct Region<'a> {
-    shard: usize,
-    candidate: &'a CandidateRegion,
-    snapshot: SubgraphSnapshot,
-}
-
 /// Runs one repair pass over per-shard candidate regions: group by shared
 /// vertices, union + re-peel each merged group through `scratch`, and
 /// return the best candidate seen — guaranteed no worse than the best
@@ -205,43 +194,29 @@ pub fn repair_regions(
     regions: &[(usize, CandidateRegion)],
     scratch: &mut RepairScratch,
 ) -> RepairOutcome {
-    let mut outcome = RepairOutcome::default();
-    let mut decoded: Vec<Region<'_>> = Vec::with_capacity(regions.len());
-    for (shard, candidate) in regions {
-        match SubgraphSnapshot::decode(&candidate.encoded) {
-            Ok(snapshot) => {
-                outcome.regions.push(RegionSummary {
-                    shard: *shard,
-                    vertices: snapshot.vertices.len(),
-                    edges: snapshot.edges.len(),
-                    detection_size: candidate.size,
-                    density: candidate.density,
-                    merged: false,
-                });
-                decoded.push(Region { shard: *shard, candidate, snapshot });
-            }
-            Err(_) => outcome.corrupt_regions += 1,
-        }
-    }
-    if decoded.is_empty() {
-        return outcome;
-    }
+    let summaries = regions.iter().map(|(shard, region)| RegionSummary {
+        shard: *shard,
+        vertices: region.snapshot.vertices.len(),
+        edges: region.snapshot.edges.len(),
+        detection_size: region.size,
+        density: region.density,
+        merged: false,
+    });
+    let mut outcome = RepairOutcome { regions: summaries.collect(), ..RepairOutcome::default() };
 
     // The diluted baseline: best per-shard density, ties to lower shard.
-    let (baseline_slot, _) = decoded
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            a.candidate.density.total_cmp(&b.candidate.density).then(b.shard.cmp(&a.shard))
-        })
-        .expect("decoded is non-empty");
-    outcome.baseline_density = decoded[baseline_slot].candidate.density;
-    outcome.baseline_shard = decoded[baseline_slot].shard;
+    let Some((baseline_shard, baseline)) =
+        regions.iter().max_by(|(sa, a), (sb, b)| a.density.total_cmp(&b.density).then(sb.cmp(sa)))
+    else {
+        return outcome;
+    };
+    outcome.baseline_density = baseline.density;
+    outcome.baseline_shard = *baseline_shard;
 
     // Group regions sharing any vertex (union-find over region slots). A
     // split community's pieces always share vertices: a vertex appears on
     // every shard holding one of its edges.
-    let mut parent: Vec<usize> = (0..decoded.len()).collect();
+    let mut parent: Vec<usize> = (0..regions.len()).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -250,7 +225,7 @@ pub fn repair_regions(
         i
     }
     let mut owner: FxHashMap<u32, usize> = FxHashMap::default();
-    for (slot, region) in decoded.iter().enumerate() {
+    for (slot, (_, region)) in regions.iter().enumerate() {
         for &(u, _) in &region.snapshot.vertices {
             match owner.get(&u.0) {
                 Some(&other) => {
@@ -266,7 +241,7 @@ pub fn repair_regions(
         }
     }
     let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for slot in 0..decoded.len() {
+    for slot in 0..regions.len() {
         let root = find(&mut parent, slot);
         groups.entry(root).or_default().push(slot);
     }
@@ -293,24 +268,16 @@ pub fn repair_regions(
 
     for group in &grouped {
         if group.len() == 1 {
-            let region = &decoded[group[0]];
-            if region.candidate.size > 0 {
-                consider(
-                    region.candidate.density,
-                    region.candidate.members.to_vec(),
-                    vec![region.shard],
-                    false,
-                );
+            let (shard, region) = &regions[group[0]];
+            if region.size > 0 {
+                consider(region.density, region.members.to_vec(), vec![*shard], false);
             }
             continue;
         }
         outcome.groups_merged += 1;
-        let shards: Vec<usize> = group.iter().map(|&slot| decoded[slot].shard).collect();
+        let shards: Vec<usize> = group.iter().map(|&slot| regions[slot].0).collect();
         for &slot in group {
-            let shard = decoded[slot].shard;
-            if let Some(summary) = outcome.regions.iter_mut().find(|s| s.shard == shard) {
-                summary.merged = true;
-            }
+            outcome.regions[slot].merged = true;
         }
 
         // Union the group's subgraphs into one dense-id scratch graph.
@@ -325,7 +292,8 @@ pub fn repair_regions(
         let mut weights: Vec<f64> = Vec::new();
         let mut edges: Vec<(u32, u32, f64)> = Vec::new();
         for &slot in group {
-            for &(u, w) in &decoded[slot].snapshot.vertices {
+            let snapshot = &regions[slot].1.snapshot;
+            for &(u, w) in &snapshot.vertices {
                 let l = scratch.local_id(u) as usize;
                 if l == weights.len() {
                     weights.push(w);
@@ -333,7 +301,7 @@ pub fn repair_regions(
                     weights[l] = w;
                 }
             }
-            for &(src, dst, w) in &decoded[slot].snapshot.edges {
+            for &(src, dst, w) in &snapshot.edges {
                 let s = scratch.local_id(src);
                 let d = scratch.local_id(dst);
                 let key = (s as u64) << 32 | d as u64;
@@ -371,20 +339,16 @@ pub fn repair_regions(
         // re-evaluated on the union graph, where it can only be denser
         // than on the shard's local slice.
         for &slot in group {
-            let region = &decoded[slot];
-            if region.candidate.size == 0 {
+            let region = &regions[slot].1;
+            if region.size == 0 {
                 continue;
             }
-            let locals: Vec<u32> = region
-                .candidate
-                .members
-                .iter()
-                .filter_map(|m| scratch.local.get(&m.0).copied())
-                .collect();
+            let locals: Vec<u32> =
+                region.members.iter().filter_map(|m| scratch.local.get(&m.0).copied()).collect();
             // Every community member is in the region's own vertex set.
-            debug_assert_eq!(locals.len(), region.candidate.members.len());
+            debug_assert_eq!(locals.len(), region.members.len());
             let density = set_density(scratch.engine.graph(), &locals);
-            consider(density, region.candidate.members.to_vec(), shards.clone(), true);
+            consider(density, region.members.to_vec(), shards.clone(), true);
         }
     }
 
@@ -427,6 +391,7 @@ mod tests {
     use super::*;
     use crate::engine::SpadeEngine;
     use crate::metric::WeightedDensity;
+    use crate::persist::SubgraphSnapshot;
     use std::sync::Arc;
 
     fn v(i: u32) -> VertexId {
@@ -447,7 +412,7 @@ mod tests {
             size: det.size,
             density: det.density,
             members,
-            encoded: snapshot.encode(),
+            snapshot,
             updates_applied: edges.len() as u64,
             epoch: 1,
         }
@@ -529,17 +494,6 @@ mod tests {
         for d in locals {
             assert!(outcome.density >= d - 1e-9, "repaired {} < local {d}", outcome.density);
         }
-    }
-
-    #[test]
-    fn corrupt_regions_are_skipped_not_fatal() {
-        let good = region_from_edges(&[(0, 1, 5.0), (1, 0, 5.0)], 1);
-        let mut bad = region_from_edges(&[(0, 2, 9.0), (2, 0, 9.0)], 1);
-        bad.encoded[0] ^= 0xFF;
-        let mut scratch = RepairScratch::new();
-        let outcome = repair_regions(&[(0, good), (1, bad)], &mut scratch);
-        assert_eq!(outcome.corrupt_regions, 1);
-        assert!((outcome.density - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -493,7 +493,6 @@ impl ShardedSpadeService {
             ("spade_repair_passes_total", repair.repairs),
             ("spade_repair_regions_exported_total", repair.regions_exported),
             ("spade_repair_groups_merged_total", repair.groups_merged),
-            ("spade_repair_corrupt_regions_total", repair.corrupt_regions),
             ("spade_migration_passes_total", migration.passes),
             ("spade_migrations_total", migration.migrations),
             ("spade_migration_strand_repairs_total", migration.strand_repairs),
@@ -508,15 +507,14 @@ impl ShardedSpadeService {
     }
 
     /// Runs a cross-shard repair pass: every shard exports its candidate
-    /// region (community + `RepairConfig::hops` frontier, serialized
-    /// through the persist subgraph codec), regions sharing members are
-    /// unioned and re-peeled through the scratch engine, and the
-    /// repaired detection — density provably ≥ the best per-shard
-    /// detection — is returned. Blocks until every shard has drained the
-    /// submissions that preceded this call (region requests ride the
-    /// same FIFO queues as transactions). Every shard is asked first and
-    /// the replies collected after, so the shards drain and extract
-    /// their frontiers concurrently.
+    /// region (community + `RepairConfig::hops` frontier, as a snapshot
+    /// value), regions sharing members are unioned and re-peeled through
+    /// the scratch engine, and the repaired detection — density provably
+    /// ≥ the best per-shard detection — is returned. Blocks until every
+    /// shard has drained the submissions that preceded this call (region
+    /// requests ride the same FIFO queues as transactions). Every shard is
+    /// asked first and the replies collected after, so the shards drain
+    /// and extract their frontiers concurrently.
     pub fn repair(&self) -> RepairedDetection {
         let mut state = self.repair.lock();
         let RepairState { scratch, stats } = &mut *state;
@@ -536,7 +534,6 @@ impl ShardedSpadeService {
         stats.repairs += 1;
         stats.regions_exported += regions.len() as u64;
         stats.groups_merged += outcome.groups_merged as u64;
-        stats.corrupt_regions += outcome.corrupt_regions as u64;
         stats.last_gain = (outcome.density - outcome.baseline_density).max(0.0);
         let pass_elapsed = pass_started.elapsed();
         stats.last_pass_ns = pass_elapsed.as_nanos().min(u64::MAX as u128) as u64;
@@ -733,9 +730,9 @@ impl ShardedSpadeService {
             member,
             from,
             to,
-            vertices: slice.vertices,
-            edges: slice.edges,
-            edge_weight: slice.edge_weight,
+            vertices: slice.snapshot.vertices.len(),
+            edges: slice.snapshot.edges.len(),
+            edge_weight: slice.snapshot.edge_weight_total(),
         };
         if self.shards[to].absorb(slice.clone()).is_none() {
             // The target died mid-move but the slice is in hand and the
@@ -775,12 +772,11 @@ impl ShardedSpadeService {
         merge(self.shards.drain(..).map(SpadeService::shutdown).collect())
     }
 
-    /// [`shutdown`](Self::shutdown) preceded by a final flush + repair
-    /// pass, so the returned repaired detection reflects every submitted
-    /// transaction (including grouped benign edges, which the flush
-    /// forces out of the per-shard buffers before regions are exported).
+    /// [`shutdown`](Self::shutdown) preceded by a final repair pass, so
+    /// the returned repaired detection reflects every submitted
+    /// transaction (a region export settles its shard's stage first, so
+    /// grouped benign edges are in it).
     pub fn shutdown_repaired(self) -> (GlobalDetection, RepairedDetection) {
-        self.flush();
         let repaired = self.repair();
         (self.shutdown(), repaired)
     }

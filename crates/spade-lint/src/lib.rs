@@ -298,17 +298,23 @@ fn char_literal_len(bytes: &[u8]) -> Option<usize> {
 
 /// Path suffixes of the hot-path modules (engine insertion and grouping,
 /// the per-edge reorder, deletion, peeling-state and kinetic-index work
-/// under it, the service worker's `step` and its receive loop, reactor
-/// and the two frame handlers it dispatches into, wire and snapshot
-/// decode) where `hot-panic` and `instant-loop` apply.
+/// under it, the service worker's `step` and its receive loop, the
+/// in-process ingest path every frame crosses on its way to a worker —
+/// the sharded runtime's `submit_batch`, the partitioner's `route`, the
+/// queue `reserve` and the progress wait behind it — reactor and the two
+/// frame handlers it dispatches into, wire and snapshot decode) where
+/// `hot-panic` and `instant-loop` apply.
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "spade-core/src/deletion.rs",
     "spade-core/src/engine.rs",
     "spade-core/src/grouping.rs",
     "spade-core/src/kinetic.rs",
     "spade-core/src/persist.rs",
+    "spade-core/src/progress.rs",
     "spade-core/src/reorder.rs",
     "spade-core/src/service.rs",
+    "spade-core/src/shard/partition.rs",
+    "spade-core/src/shard/service.rs",
     "spade-core/src/state.rs",
     "spade-net/src/reactor.rs",
     "spade-net/src/server.rs",

@@ -142,9 +142,14 @@ impl SpadeNetClient {
         }
     }
 
-    /// Flushes, then asks for runtime + transport statistics.
+    /// Ships every staged edge and drains every in-flight frame, then
+    /// asks for runtime + transport statistics. A front end answers from
+    /// live counters, so `updates_applied` may trail the edges this
+    /// client had acknowledged; [`detect`](Self::detect) first when the
+    /// counters must cover them (read-your-acks). A shard server answers
+    /// `Stats` behind a barrier.
     pub fn server_stats(&mut self) -> std::io::Result<StatsReply> {
-        self.flush()?;
+        self.drain()?;
         self.request(&WireFrame::Stats)?;
         match self.read_reply()? {
             WireFrame::StatsReply(reply) => Ok(reply),
@@ -152,12 +157,13 @@ impl SpadeNetClient {
         }
     }
 
-    /// Flushes, then asks for the merged metrics snapshot rendered as
-    /// Prometheus text exposition (per-stage latency histograms, repair
-    /// and migration counters, transport totals and per-connection
-    /// series).
+    /// Ships every staged edge and drains every in-flight frame, then
+    /// asks for the merged metrics snapshot rendered as Prometheus text
+    /// exposition (per-stage latency histograms, repair and migration
+    /// counters, transport totals and per-connection series) — a live
+    /// read on both servers.
     pub fn server_metrics(&mut self) -> std::io::Result<MetricsReply> {
-        self.flush()?;
+        self.drain()?;
         self.request(&WireFrame::Metrics)?;
         match self.read_reply()? {
             WireFrame::MetricsReply(reply) => Ok(reply),

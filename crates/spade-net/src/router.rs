@@ -340,7 +340,7 @@ impl SpadeRouter {
             if slice.is_empty() {
                 continue;
             }
-            moved += slice.edges as u64;
+            moved += slice.snapshot.edges.len() as u64;
             match self.request(baseline, &WireFrame::Absorb { slice })? {
                 WireFrame::AbsorbReply(_) => {}
                 other => return Err(unexpected(other)),
@@ -532,6 +532,32 @@ mod tests {
         let err = router.flush_batches().expect_err("the reply is a protocol violation");
         assert!(err.to_string().contains("unexpected Detect frame"), "{err}");
         assert_eq!(router.stats().edges_acked, 0);
+        fake_shard.join().expect("fake shard");
+    }
+
+    /// A region whose snapshot section does not decode fails the repair
+    /// pass as a corrupt frame; it is never skipped without a sound.
+    #[test]
+    fn a_region_with_a_bad_snapshot_section_fails_the_repair() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap().to_string();
+        let fake_shard = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            assert!(matches!(read_frame(&mut conn), Ok(Some(WireFrame::Region { hops: 1 }))));
+            let mut reply = WireFrame::RegionReply(CandidateRegion::default()).encode();
+            // The snapshot section is the payload's tail: cut its last
+            // byte (and the two length words with it).
+            reply.pop();
+            let section = reply.len() - 23;
+            reply[section - 4..section].copy_from_slice(&23u32.to_le_bytes());
+            let payload = reply.len() as u32 - 4;
+            reply[..4].copy_from_slice(&payload.to_le_bytes());
+            conn.write_all(&reply).expect("reply");
+        });
+        let config = RouterConfig { replicate: false, ..Default::default() };
+        let mut router = SpadeRouter::connect(&[addr], config).expect("connect");
+        let err = router.repair().expect_err("a bad region is a corrupt frame");
+        assert!(matches!(err, WireError::Corrupt("bad region snapshot")), "{err}");
         fake_shard.join().expect("fake shard");
     }
 

@@ -58,9 +58,7 @@ use crate::server::{
     after_barriers, flushed, offer, shut_down, shutdown_requested, ConnCounters, Ingest,
     NetTelemetry, Parked, ReplyPoll,
 };
-use crate::wire::{
-    BootstrapChunk, DetectionReply, RawEdge, WireFrame, MAX_MIGRATE_MEMBERS, MAX_SNAPSHOT_BYTES,
-};
+use crate::wire::{BootstrapChunk, DetectionReply, RawEdge, WireFrame};
 
 /// One journaled batch: its replication sequence plus the raw edges.
 type JournalBatch = (u64, Vec<RawEdge>);
@@ -227,10 +225,10 @@ impl ShardHandler {
     /// what it waits for.
     fn serve(&self, frame: WireFrame, out: &mut Vec<u8>) -> FrameStep {
         let error = |message: &str| WireFrame::Error { message: message.into() };
-        let (reply, step) = match self.enqueue(&frame) {
-            Some(Some(poll)) => return self.retry(Parked::Reply(poll), out),
-            Some(None) => shut_down(),
-            None => match frame {
+        let (reply, step) = match self.enqueue(frame) {
+            Ok(Some(poll)) => return self.retry(Parked::Reply(poll), out),
+            Ok(None) => shut_down(),
+            Err(frame) => match frame {
                 WireFrame::Flush => flushed(self.service.flush()),
                 WireFrame::Metrics => {
                     (self.telemetry.metrics_reply(self.service.metrics()), FrameStep::Continue)
@@ -272,11 +270,11 @@ impl ShardHandler {
     /// Enqueues a request only the worker can answer — a marker, so it
     /// never waits for room: it rides the worker's FIFO queue behind
     /// everything already acknowledged, and the poll handed back collects
-    /// the answer (`None` when the worker is gone). `None` for every other
-    /// frame.
-    fn enqueue(&self, frame: &WireFrame) -> Option<Option<ReplyPoll>> {
+    /// the answer (`None` when the worker is gone). Every other frame
+    /// comes back unchanged.
+    fn enqueue(&self, frame: WireFrame) -> Result<Option<ReplyPoll>, WireFrame> {
         let service = &self.service;
-        Some(match frame {
+        Ok(match frame {
             // Read-your-acks: a `Batch` is acked once *enqueued*, so the
             // detection waits for every edge already acknowledged.
             WireFrame::Detect => service.request_barrier().map(|done| {
@@ -301,34 +299,16 @@ impl ShardHandler {
                     telemetry.stats_reply(&[stats], stats.uptime_secs)
                 })
             }),
-            WireFrame::Region { hops } => {
-                service.request_candidate_region(*hops as usize).map(|region| {
-                    collect(region, |region| {
-                        if region.members.len() > MAX_MIGRATE_MEMBERS
-                            || region.encoded.len() > MAX_SNAPSHOT_BYTES
-                        {
-                            let message = "candidate region exceeds frame bounds".into();
-                            return WireFrame::Error { message };
-                        }
-                        WireFrame::RegionReply(region)
-                    })
-                })
-            }
-            WireFrame::MigrateOut { members } => {
-                service.request_migrate_out(members.as_slice().into()).map(|slice| {
-                    collect(slice, |slice| {
-                        if slice.encoded.len() > MAX_SNAPSHOT_BYTES {
-                            let message = "migration slice exceeds frame bounds".into();
-                            return WireFrame::Error { message };
-                        }
-                        WireFrame::SliceReply(slice)
-                    })
-                })
-            }
+            WireFrame::Region { hops } => service
+                .request_candidate_region(hops as usize)
+                .map(|region| collect(region, |r| WireFrame::RegionReply(r).within_bounds())),
+            WireFrame::MigrateOut { members } => service
+                .request_migrate_out(members.into())
+                .map(|slice| collect(slice, |s| WireFrame::SliceReply(s).within_bounds())),
             WireFrame::Absorb { slice } => service
-                .request_absorb(slice.clone())
+                .request_absorb(slice)
                 .map(|receipt| collect(receipt, WireFrame::AbsorbReply)),
-            _ => return None,
+            other => return Err(other),
         })
     }
 }
@@ -345,7 +325,8 @@ fn collect<T: 'static>(
 mod tests {
     use super::*;
     use crate::wire::write_frame;
-    use spade_core::{CustomMetric, IngestConfig, SpadeEngine, WeightedDensity};
+    use spade_core::service::MigrationSlice;
+    use spade_core::{CustomMetric, IngestConfig, SpadeEngine, SubgraphSnapshot, WeightedDensity};
     use spade_graph::VertexId;
     use spade_metrics::EventKind;
     use std::io::Write;
@@ -477,7 +458,7 @@ mod tests {
                 WireFrame::SliceReply(slice) => slice,
                 other => panic!("unexpected reply: {other:?}"),
             };
-        assert_eq!(slice.edges, 3);
+        assert_eq!(slice.snapshot.edges.len(), 3);
         assert!(!slice.is_empty());
         match request(&mut dst, &WireFrame::Absorb { slice }) {
             WireFrame::AbsorbReply(receipt) => {
@@ -497,6 +478,35 @@ mod tests {
         }
         src_server.stop();
         dst_server.stop();
+    }
+
+    /// A slice whose snapshot section does not decode is a malformed
+    /// frame like any other: `Error`, then the connection closes, and the
+    /// engine never sees the slice.
+    #[test]
+    fn an_absorb_with_a_bad_snapshot_section_is_refused_and_closed() {
+        let (mut server, mut stream) = spawn_server();
+        let snapshot = SubgraphSnapshot {
+            vertices: vec![(v(1), 0.0), (v(2), 0.0)],
+            edges: vec![(v(1), v(2), 3.0)],
+        };
+        let slice = MigrationSlice { snapshot, updates_applied: 0 };
+        let mut bytes = WireFrame::Absorb { slice }.encode();
+        // Length prefix 4, opcode 1, summary 32, section length 4: the
+        // section's magic starts at byte 41.
+        bytes[41] ^= 0xFF;
+        stream.write_all(&bytes).expect("write");
+        match crate::wire::read_frame(&mut stream).expect("an error reply") {
+            Some(WireFrame::Error { message }) => assert!(message.contains("slice snapshot")),
+            other => panic!("expected an Error frame, got {other:?}"),
+        }
+        assert_eq!(crate::wire::read_frame(&mut stream).expect("clean close"), None);
+        let mut fresh = TcpStream::connect(server.local_addr()).expect("reconnect");
+        match request(&mut fresh, &WireFrame::Detect) {
+            WireFrame::Detection(det) => assert_eq!((det.size, det.updates_applied), (0, 0)),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        server.stop();
     }
 
     #[test]

@@ -11,8 +11,13 @@
 //! oversized length prefix is rejected before any allocation — a
 //! malicious or corrupt producer can terminate its own connection, never
 //! the server.
+//!
+//! This is the one place a [`SubgraphSnapshot`] (a region or a migration
+//! slice, a value everywhere else) becomes bytes and back: a snapshot
+//! section is decoded **and validated** at the frame boundary, so a bad
+//! one makes the whole frame malformed.
 
-use spade_core::persist::{ByteReader, PutLe, Truncated};
+use spade_core::persist::{ByteReader, PutLe, SubgraphSnapshot, Truncated};
 use spade_core::service::{AbsorbReceipt, CandidateRegion, MigrationSlice};
 use spade_graph::VertexId;
 use std::io::{Read, Write};
@@ -72,12 +77,11 @@ pub const MAX_EXPOSITION_BYTES: usize = MAX_FRAME_BYTES - 5;
 /// bounds hostile input.
 pub const MAX_STATS_SHARDS: usize = (MAX_FRAME_BYTES - 77) / 8;
 
-/// Largest `SubgraphSnapshot` byte blob one region/slice frame carries:
-/// the fixed headers of every snapshot-bearing frame fit well inside 64
-/// bytes, so producers that keep their encoded snapshot under this bound
-/// are guaranteed an encodable frame. Larger extracts must fail the
-/// operation gracefully (the shard server answers `Error`), never break
-/// framing.
+/// Largest [`SubgraphSnapshot::encoded_len`] one region/slice frame
+/// carries: the fixed headers of every snapshot-bearing frame fit well
+/// inside 64 bytes, so a snapshot under this bound always fits a frame.
+/// Larger extracts fail the operation gracefully (the shard server
+/// answers `Error`), never break framing.
 pub const MAX_SNAPSHOT_BYTES: usize = MAX_FRAME_BYTES - 64;
 
 /// Most member ids a `MigrateOut` request (or a `RegionReply` member
@@ -188,7 +192,9 @@ pub struct DetectionReply {
 pub struct StatsReply {
     /// Worker shards behind the server.
     pub shards: u64,
-    /// Ingest commands applied across all shards.
+    /// Ingest commands applied across all shards: a live read on the
+    /// front end (it may trail the acks until a `Detect` has answered),
+    /// every acked edge on a shard server, whose `Stats` is a barrier.
     pub updates_applied: u64,
     /// Edges currently waiting in shard queues (the unit of `--queue N`).
     pub queue_depth: u64,
@@ -264,9 +270,16 @@ pub enum WireFrame {
     },
     /// Ask every shard to flush buffered benign edges.
     Flush,
-    /// Ask for the merged global detection.
+    /// Ask for the merged global detection — the read-your-acks request
+    /// on both tiers: the server answers behind a barrier on every shard,
+    /// so the reply covers every edge acknowledged before it on this
+    /// connection, grouped benign edges included.
     Detect,
-    /// Ask for runtime + transport statistics.
+    /// Ask for runtime + transport statistics. The front end answers at
+    /// once from live counters, so a stalled worker cannot hold the reply
+    /// and `updates_applied` may trail the acks; a shard server answers
+    /// behind a barrier, which the router's acked == applied audit reads.
+    /// Send `Detect` first for counters that cover every ack.
     Stats,
     /// Stop the server once this frame is processed (the replay
     /// coordinator's end-of-stream marker).
@@ -289,7 +302,8 @@ pub enum WireFrame {
         members: Vec<VertexId>,
     },
     /// Replay a migrated slice into a shard server's engine (the target
-    /// half of a cross-process migration). Protocol v3.
+    /// half of a cross-process migration); its body is `SliceReply`'s.
+    /// Protocol v3.
     Absorb {
         /// The slice in flight.
         slice: MigrationSlice,
@@ -331,9 +345,13 @@ pub enum WireFrame {
     /// A shard server's candidate region, fed into the router's repair
     /// pass. Members ship whole — the pass needs the exact set, and encode
     /// refuses lists beyond [`MAX_MIGRATE_MEMBERS`]; `size` is a `u64`.
+    /// The snapshot travels as a length-prefixed section of
+    /// [`SubgraphSnapshot::encode`] bytes, decoded and validated here.
     RegionReply(CandidateRegion),
     /// An extracted (and evicted) migration slice — what `Absorb` replays
-    /// at the target shard. Counts travel as `u64`.
+    /// at the target shard. Its body leads with summary words (vertex and
+    /// edge counts as `u64`, the edge weight total, `updates_applied`);
+    /// decode checks the first three against the snapshot section.
     SliceReply(MigrationSlice),
     /// The receipt of a replayed migration slice (counts as `u64`).
     AbsorbReply(AbsorbReceipt),
@@ -416,18 +434,25 @@ fn take_members(
     (0..count).map(|_| Ok(VertexId(buf.u32()?))).collect()
 }
 
-/// Writes a length-prefixed `SubgraphSnapshot` blob. Panics beyond
-/// [`MAX_SNAPSHOT_BYTES`] — producers split migrations below the bound.
-fn put_snapshot(out: &mut Vec<u8>, encoded: &[u8]) {
-    assert!(encoded.len() <= MAX_SNAPSHOT_BYTES, "snapshot too large");
-    out.put_u32_le(encoded.len() as u32);
-    out.extend_from_slice(encoded);
+/// Writes a snapshot section: a `u32` byte length, then the snapshot
+/// encoded in place. Panics beyond [`MAX_SNAPSHOT_BYTES`] — producers
+/// refuse larger extracts first.
+fn put_snapshot(out: &mut Vec<u8>, snapshot: &SubgraphSnapshot) {
+    let len = snapshot.encoded_len();
+    assert!(len <= MAX_SNAPSHOT_BYTES, "snapshot too large");
+    out.put_u32_le(len as u32);
+    snapshot.encode_into(out);
 }
 
-/// Reads a snapshot blob, the inverse of [`put_snapshot`].
-fn take_snapshot(buf: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<u8>, WireError> {
+/// Reads a snapshot section, the inverse of [`put_snapshot`]: the
+/// section must decode to a valid snapshot and end where it does, so the
+/// value re-encodes to exactly the bytes received.
+fn take_snapshot(
+    buf: &mut ByteReader<'_>,
+    what: &'static str,
+) -> Result<SubgraphSnapshot, WireError> {
     let len = take_count(buf, MAX_SNAPSHOT_BYTES, 1, what)?;
-    Ok(buf.bytes(len)?.to_vec())
+    SubgraphSnapshot::decode(buf.bytes(len)?).map_err(|_| WireError::Corrupt(what))
 }
 
 /// Appends `text` cut to at most `max` bytes, never splitting a UTF-8
@@ -443,24 +468,30 @@ fn take_text(buf: &mut ByteReader<'_>, what: &'static str) -> Result<String, Wir
 }
 
 /// Encodes a [`MigrationSlice`] body (shared by `Absorb` and
-/// `SliceReply`, which carry the same payload after the opcode).
+/// `SliceReply`, which carry the same payload after the opcode): summary
+/// words derived from the snapshot, then the snapshot section.
 fn put_slice_body(out: &mut Vec<u8>, slice: &MigrationSlice) {
-    out.put_u64_le(slice.vertices as u64);
-    out.put_u64_le(slice.edges as u64);
-    out.put_f64_le(slice.edge_weight);
+    let snapshot = &slice.snapshot;
+    out.put_u64_le(snapshot.vertices.len() as u64);
+    out.put_u64_le(snapshot.edges.len() as u64);
+    out.put_f64_le(snapshot.edge_weight_total());
     out.put_u64_le(slice.updates_applied);
-    put_snapshot(out, &slice.encoded);
+    put_snapshot(out, snapshot);
 }
 
-/// Decodes a [`MigrationSlice`] body, the inverse of [`put_slice_body`].
+/// Decodes a [`MigrationSlice`] body, the inverse of [`put_slice_body`]:
+/// the summary words must match the decoded snapshot bit for bit.
 fn take_slice_body(buf: &mut ByteReader<'_>) -> Result<MigrationSlice, WireError> {
-    Ok(MigrationSlice {
-        vertices: buf.u64()? as usize,
-        edges: buf.u64()? as usize,
-        edge_weight: buf.f64()?,
-        updates_applied: buf.u64()?,
-        encoded: take_snapshot(buf, "bad slice snapshot")?,
-    })
+    let (vertices, edges, edge_weight) = (buf.u64()?, buf.u64()?, buf.f64()?);
+    let updates_applied = buf.u64()?;
+    let snapshot = take_snapshot(buf, "bad slice snapshot")?;
+    let agrees = vertices == snapshot.vertices.len() as u64
+        && edges == snapshot.edges.len() as u64
+        && edge_weight.to_bits() == snapshot.edge_weight_total().to_bits();
+    if !agrees {
+        return Err(WireError::Corrupt("slice summary disagrees with its snapshot"));
+    }
+    Ok(MigrationSlice { snapshot, updates_applied })
 }
 
 /// The payload of a `Batch` frame — a `BatchBudget` when `budget_us` is
@@ -491,6 +522,24 @@ impl WireFrame {
         let mut out = Vec::new();
         self.encode_into(&mut out);
         out
+    }
+
+    /// This frame, or an `Error` in its place when a region or slice it
+    /// carries is too large for one frame — how a shard server refuses
+    /// such an extract instead of breaking framing.
+    pub(crate) fn within_bounds(self) -> WireFrame {
+        let fits = match &self {
+            WireFrame::RegionReply(region) => {
+                region.members.len() <= MAX_MIGRATE_MEMBERS
+                    && region.snapshot.encoded_len() <= MAX_SNAPSHOT_BYTES
+            }
+            WireFrame::SliceReply(slice) => slice.snapshot.encoded_len() <= MAX_SNAPSHOT_BYTES,
+            _ => true,
+        };
+        if fits {
+            return self;
+        }
+        WireFrame::Error { message: format!("{} exceeds frame bounds", self.kind()) }
     }
 
     /// Appends the serialized frame (length prefix included) to `out` —
@@ -579,7 +628,7 @@ impl WireFrame {
                 out.put_u64_le(region.updates_applied);
                 out.put_u64_le(region.epoch);
                 put_members(out, &region.members);
-                put_snapshot(out, &region.encoded);
+                put_snapshot(out, &region.snapshot);
             }
             WireFrame::SliceReply(slice) => {
                 out.push(OP_SLICE_REPLY);
@@ -668,7 +717,7 @@ impl WireFrame {
                 epoch: buf.u64()?,
                 members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?
                     .into(),
-                encoded: take_snapshot(&mut buf, "bad region snapshot")?,
+                snapshot: take_snapshot(&mut buf, "bad region snapshot")?,
             }),
             OP_SLICE_REPLY => WireFrame::SliceReply(take_slice_body(&mut buf)?),
             OP_ABSORB_REPLY => WireFrame::AbsorbReply(AbsorbReceipt {
@@ -888,6 +937,14 @@ mod tests {
         VertexId(i)
     }
 
+    /// A small valid snapshot: three members, two edges.
+    fn snapshot() -> SubgraphSnapshot {
+        SubgraphSnapshot {
+            vertices: vec![(v(1), 0.5), (v(2), 0.0), (v(7), 2.0)],
+            edges: vec![(v(1), v(2), 3.0), (v(7), v(1), 4.5)],
+        }
+    }
+
     fn roundtrip(frame: WireFrame) {
         let bytes = frame.encode();
         let mut dec = FrameDecoder::new();
@@ -941,13 +998,7 @@ mod tests {
         roundtrip(WireFrame::MigrateOut { members: vec![v(3), v(1), v(4)] });
         roundtrip(WireFrame::MigrateOut { members: Vec::new() });
         roundtrip(WireFrame::Absorb {
-            slice: MigrationSlice {
-                vertices: 3,
-                edges: 2,
-                edge_weight: 7.5,
-                updates_applied: 41,
-                encoded: vec![9, 8, 7, 6],
-            },
+            slice: MigrationSlice { snapshot: snapshot(), updates_applied: 41 },
         });
         roundtrip(WireFrame::Absorb { slice: MigrationSlice::default() });
         roundtrip(WireFrame::Replicate {
@@ -963,15 +1014,12 @@ mod tests {
             updates_applied: 99,
             epoch: 4,
             members: vec![v(10), v(11), v(12)].into(),
-            encoded: vec![1, 2, 3],
+            snapshot: snapshot(),
         }));
         roundtrip(WireFrame::RegionReply(CandidateRegion::default()));
         roundtrip(WireFrame::SliceReply(MigrationSlice {
-            vertices: 1,
-            edges: 1,
-            edge_weight: 2.0,
+            snapshot: snapshot(),
             updates_applied: 5,
-            encoded: vec![0xAB],
         }));
         roundtrip(WireFrame::AbsorbReply(AbsorbReceipt {
             vertices_touched: 4,
@@ -1036,6 +1084,17 @@ mod tests {
         region.extend_from_slice(&[0u8; 8]); // room for two
         assert!(matches!(WireFrame::decode_payload(&region), Err(WireError::Corrupt(_))));
 
+        // A slice whose summary words disagree with its snapshot section:
+        // a vertex count off by one, then an edge weight total off in its
+        // last mantissa bit. The summary starts right after the opcode.
+        let slice = MigrationSlice { snapshot: snapshot(), updates_applied: 1 };
+        let payload = WireFrame::SliceReply(slice).encode()[4..].to_vec();
+        for (at, bump) in [(1, 1u8), (17, 1)] {
+            let mut bad = payload.clone();
+            bad[at] ^= bump;
+            assert!(matches!(WireFrame::decode_payload(&bad), Err(WireError::Corrupt(_))));
+        }
+
         // Trailing garbage after well-formed v3 bodies.
         for frame in [
             WireFrame::Region { hops: 1 },
@@ -1047,6 +1106,31 @@ mod tests {
             trailing.push(0);
             assert!(matches!(WireFrame::decode_payload(&trailing), Err(WireError::Corrupt(_))));
         }
+    }
+
+    #[test]
+    fn regions_and_slices_too_large_for_a_frame_become_errors() {
+        let edges = vec![(v(0), v(1), 1.0); MAX_SNAPSHOT_BYTES / 16];
+        let huge = SubgraphSnapshot { vertices: Vec::new(), edges };
+        assert!(huge.encoded_len() > MAX_SNAPSHOT_BYTES);
+        let many: Vec<VertexId> = (0..=MAX_MIGRATE_MEMBERS as u32).map(v).collect();
+        for frame in [
+            WireFrame::RegionReply(CandidateRegion {
+                snapshot: huge.clone(),
+                ..Default::default()
+            }),
+            WireFrame::RegionReply(CandidateRegion { members: many.into(), ..Default::default() }),
+            WireFrame::SliceReply(MigrationSlice { snapshot: huge, updates_applied: 0 }),
+        ] {
+            let kind = frame.kind();
+            let WireFrame::Error { message } = frame.within_bounds() else {
+                panic!("an oversized {kind} must be refused");
+            };
+            assert_eq!(message, format!("{kind} exceeds frame bounds"));
+        }
+        let fits =
+            WireFrame::SliceReply(MigrationSlice { snapshot: snapshot(), updates_applied: 1 });
+        assert_eq!(fits.clone().within_bounds(), fits);
     }
 
     #[test]

@@ -48,6 +48,8 @@ fn a_producer_feeds_the_runtime_and_reads_the_detection_back() {
     assert_eq!(det.updates_applied, 10 + 12);
 
     let remote = client.server_stats().expect("stats");
+    // `detect` was read-your-acks, so even the live counters cover them.
+    assert_eq!(remote.updates_applied, 22);
     assert_eq!(remote.shards, 2);
     assert_eq!(remote.edges_accepted, 22);
     assert_eq!(remote.connections, 1);

@@ -2,7 +2,9 @@
 //! bit-exactly through encode → (arbitrarily fragmented) decode, and the
 //! decoder rejects truncated, oversized, and garbage input with an error
 //! — never a panic — mirroring the overflow-safe section checks the
-//! `SubgraphSnapshot` codec gets in `spade-core`.
+//! `SubgraphSnapshot` codec gets in `spade-core`. A snapshot section is
+//! decoded and validated at the frame boundary, so a damaged one either
+//! fails the frame or decodes to exactly the bytes that arrived.
 
 use proptest::prelude::*;
 use spade_core::{AbsorbReceipt, CandidateRegion, MigrationSlice, SubgraphSnapshot};
@@ -17,15 +19,10 @@ fn v(i: u32) -> VertexId {
 }
 
 /// An arbitrary migration slice body (shared by `Absorb` and
-/// `SliceReply`), its `encoded` field carrying opaque snapshot bytes.
+/// `SliceReply`) over an arbitrary valid snapshot.
 fn arb_slice() -> impl Strategy<Value = MigrationSlice> {
-    (
-        (0usize..1 << 30, 0usize..1 << 30, 0.0f64..1e9, 0u64..u64::MAX),
-        collection::vec(0u8..=255u8, 0..400),
-    )
-        .prop_map(|((vertices, edges, edge_weight, updates_applied), encoded)| {
-            MigrationSlice { vertices, edges, edge_weight, updates_applied, encoded }
-        })
+    (arb_snapshot(), 0u64..u64::MAX)
+        .prop_map(|(snapshot, updates_applied)| MigrationSlice { snapshot, updates_applied })
 }
 
 /// One arbitrary frame of any kind, request or reply.
@@ -101,16 +98,16 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
     let region_reply = (
         (0usize..1 << 30, 0.0f64..1e9, 0u64..u64::MAX, 0u64..u64::MAX),
         collection::vec(0u32..u32::MAX, 0..128),
-        collection::vec(0u8..=255u8, 0..400),
+        arb_snapshot(),
     )
-        .prop_map(|((size, density, updates_applied, epoch), members, encoded)| {
+        .prop_map(|((size, density, updates_applied, epoch), members, snapshot)| {
             WireFrame::RegionReply(CandidateRegion {
                 size,
                 density,
                 updates_applied,
                 epoch,
                 members: members.into_iter().map(v).collect(),
-                encoded,
+                snapshot,
             })
         });
     let absorb_reply = (0usize..1 << 30, 0usize..1 << 30, 0u64..1 << 30).prop_map(
@@ -328,27 +325,19 @@ proptest! {
     }
 
     /// The migration handoff end to end: an arbitrary
-    /// [`SubgraphSnapshot`] encodes, crosses the wire inside an `Absorb`
-    /// frame under arbitrary fragmentation, and the received bytes are
-    /// **bit-identical** — the decoded snapshot equals the original,
-    /// re-encodes to the same bytes, and replays into a graph carrying
-    /// exactly the snapshot's vertices and edges. This is the invariant
-    /// that makes over-the-wire migration exact: no weight is perturbed,
-    /// no edge dropped, no vertex reordered by transport.
+    /// [`SubgraphSnapshot`] crosses the wire inside an `Absorb` frame
+    /// under arbitrary fragmentation and arrives **bit-identical** — the
+    /// decoded value equals the original, weights compared bit for bit by
+    /// re-encoding. This is the invariant that makes over-the-wire
+    /// migration exact: no weight is perturbed, no edge dropped, no
+    /// vertex reordered by transport.
     #[test]
     fn snapshot_handoff_roundtrips_bit_identically(
         snapshot in arb_snapshot(),
         chunk in 1usize..97,
     ) {
-        let encoded = snapshot.encode();
         let frame = WireFrame::Absorb {
-            slice: MigrationSlice {
-                vertices: snapshot.vertices.len(),
-                edges: snapshot.edges.len(),
-                edge_weight: snapshot.edge_weight_total(),
-                updates_applied: 42,
-                encoded: encoded.clone(),
-            },
+            slice: MigrationSlice { snapshot: snapshot.clone(), updates_applied: 42 },
         };
         let bytes = frame.encode();
         let mut decoder = FrameDecoder::new();
@@ -364,14 +353,51 @@ proptest! {
             WireFrame::Absorb { slice } => slice,
             other => panic!("decoded to a different frame kind: {other:?}"),
         };
-        prop_assert_eq!(&slice.encoded, &encoded, "snapshot bytes perturbed in transit");
-        let decoded = SubgraphSnapshot::decode(&slice.encoded).expect("valid snapshot");
-        prop_assert_eq!(&decoded, &snapshot);
-        prop_assert_eq!(decoded.encode(), encoded, "re-encode must be bit-identical");
-        let mut remap = Vec::new();
-        let graph = decoded.replay(&mut remap).expect("replay");
-        prop_assert_eq!(remap.len(), snapshot.vertices.len());
-        prop_assert_eq!(graph.num_edges() as u64, distinct_pairs(&snapshot.edges));
+        prop_assert_eq!(&slice.snapshot, &snapshot, "snapshot perturbed in transit");
+        prop_assert_eq!(slice.snapshot.encode(), snapshot.encode(), "weights differ in bits");
+        prop_assert_eq!(slice.updates_applied, 42);
+    }
+
+    /// A snapshot section damaged in transit — one flipped byte, cut
+    /// short, or followed by extra bytes, its length word and the frame's
+    /// kept consistent — inside a `RegionReply`, `SliceReply` or `Absorb`
+    /// frame: the decoder either fails the frame with an error or yields
+    /// a snapshot whose re-encoding is byte-identical to the section that
+    /// arrived. It never panics and never hands over a different value.
+    #[test]
+    fn damaged_snapshot_sections_fail_the_frame_or_decode_exactly(
+        snapshot in arb_snapshot(),
+        kind in 0u8..3,
+        damage in arb_damage(),
+    ) {
+        let frame = snapshot_frame(kind, snapshot);
+        let bytes = frame.encode();
+        let len = section_of(&frame).expect("a snapshot frame").encoded_len();
+        // The section is the payload's tail, behind its u32 length word.
+        let (head, section) = bytes.split_at(bytes.len() - len);
+        let mut section = section.to_vec();
+        match damage {
+            Damage::Flip { at, mask } => section[at % len] ^= mask,
+            Damage::Truncate { by } => section.truncate(len - by.min(len)),
+            Damage::Trail { extra } => section.extend_from_slice(&extra),
+        }
+        let mut payload = head[4..head.len() - 4].to_vec();
+        payload.extend_from_slice(&(section.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&section);
+        let mut damaged = (payload.len() as u32).to_le_bytes().to_vec();
+        damaged.extend_from_slice(&payload);
+
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&damaged);
+        match decoder.next_frame() {
+            Err(_) => {}
+            Ok(Some(got)) => {
+                prop_assert_eq!(got.kind(), frame.kind());
+                let decoded = section_of(&got).expect("same kind").encode();
+                prop_assert_eq!(decoded, section, "a damaged section decoded to another value");
+            }
+            Ok(None) => prop_assert!(false, "a whole frame neither decoded nor failed"),
+        }
     }
 
     /// Corrupting any single byte of the snapshot payload (or truncating
@@ -388,8 +414,8 @@ proptest! {
         let mut encoded = snapshot.encode();
         let idx = flip % encoded.len();
         encoded[idx] = value;
-        // The wire layer ships opaque bytes; the snapshot codec is the
-        // layer that must reject structural corruption without panicking.
+        // The snapshot codec itself must reject structural corruption
+        // without panicking; the wire layer relies on it at the boundary.
         let _ = SubgraphSnapshot::decode(&encoded);
         let truncated = &encoded[..encoded.len() - 1];
         prop_assert!(SubgraphSnapshot::decode(truncated).is_err());
@@ -420,11 +446,48 @@ fn arb_snapshot() -> impl Strategy<Value = SubgraphSnapshot> {
         })
 }
 
-/// Distinct `(src, dst)` pairs — what a replayed graph stores when the
-/// generator emitted duplicate edges (duplicates accumulate weight).
-fn distinct_pairs(edges: &[(VertexId, VertexId, f64)]) -> u64 {
-    let mut pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s.0, d.0)).collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs.len() as u64
+/// How a snapshot section is damaged in transit.
+#[derive(Clone, Debug)]
+enum Damage {
+    /// XOR one byte (position taken modulo the section length).
+    Flip { at: usize, mask: u8 },
+    /// Drop the last `by` bytes (at most all of them).
+    Truncate { by: usize },
+    /// Append bytes after the snapshot's last edge.
+    Trail { extra: Vec<u8> },
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        2 => (0usize..10_000, 1u8..=255u8).prop_map(|(at, mask)| Damage::Flip { at, mask }),
+        1 => (1usize..64).prop_map(|by| Damage::Truncate { by }),
+        1 => collection::vec(0u8..=255u8, 1..16).prop_map(|extra| Damage::Trail { extra }),
+    ]
+}
+
+/// A `RegionReply` (0), `SliceReply` (1) or `Absorb` (2) carrying
+/// `snapshot`.
+fn snapshot_frame(kind: u8, snapshot: SubgraphSnapshot) -> WireFrame {
+    let slice = |updates_applied| MigrationSlice { snapshot: snapshot.clone(), updates_applied };
+    match kind {
+        0 => WireFrame::RegionReply(CandidateRegion {
+            size: 1,
+            density: 2.5,
+            members: vec![snapshot.vertices[0].0].into(),
+            updates_applied: 3,
+            epoch: 4,
+            snapshot: snapshot.clone(),
+        }),
+        1 => WireFrame::SliceReply(slice(5)),
+        _ => WireFrame::Absorb { slice: slice(6) },
+    }
+}
+
+/// The snapshot a snapshot-bearing frame carries.
+fn section_of(frame: &WireFrame) -> Option<&SubgraphSnapshot> {
+    match frame {
+        WireFrame::RegionReply(region) => Some(&region.snapshot),
+        WireFrame::SliceReply(slice) | WireFrame::Absorb { slice } => Some(&slice.snapshot),
+        _ => None,
+    }
 }
