@@ -11,8 +11,8 @@ use spade_gen::datasets::DatasetSpec;
 use spade_graph::io::{read_edge_list, EdgeRecord};
 use spade_metrics::Table;
 use spade_net::{
-    ClientConfig, MetricsHttpServer, NetStats, ReactorConfig, RouterConfig, ShardServer,
-    ShardServerConfig, SpadeNetClient, SpadeNetServer, SpadeRouter,
+    ClientConfig, ClientStats, MetricsHttpServer, NetStats, ReactorConfig, RouterConfig,
+    ShardServer, ShardServerConfig, SpadeNetClient, SpadeNetServer, SpadeRouter,
 };
 use std::error::Error;
 use std::sync::Arc;
@@ -434,6 +434,11 @@ fn serve_listen(args: &Args, shards: usize, addr: &str) -> Result<(), AnyError> 
 /// `spade ingest <addr> <edges.txt>`: a TCP producer replaying an edge
 /// list into a `serve --listen` process with batched, pipelined frames.
 pub fn ingest(args: &Args) -> Result<(), AnyError> {
+    run_ingest(args).map(drop)
+}
+
+/// [`ingest`], returning the client's counters at its end.
+fn run_ingest(args: &Args) -> Result<ClientStats, AnyError> {
     let addr = args.pos(0).ok_or("ingest needs a server address")?;
     let path = args.pos(1).ok_or("ingest needs an edge-list path")?;
     let records = load_records(path)?;
@@ -450,7 +455,7 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
     for r in &records {
         client.submit(r.src, r.dst, r.weight)?;
     }
-    client.flush()?;
+    client.drain()?;
     let elapsed = started.elapsed().as_secs_f64();
     let stats = client.stats();
     println!(
@@ -496,7 +501,7 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
         client.shutdown_server()?;
         println!("server shutdown requested");
     }
-    Ok(())
+    Ok(client.stats())
 }
 
 /// `spade shard-serve [--listen <addr>]`: one shard of the multi-process
@@ -1042,18 +1047,22 @@ mod tests {
         };
         // The producer: retry until the server's listener is up.
         let mut attempts = 0;
-        loop {
-            match ingest(&args(&format!(
+        let stats = loop {
+            match run_ingest(&args(&format!(
                 "ingest {addr} {path} --batch 4 --pipeline 2 --detect --stats --shutdown"
             ))) {
-                Ok(()) => break,
+                Ok(stats) => break stats,
                 Err(_) if attempts < 100 => {
                     attempts += 1;
                     std::thread::sleep(std::time::Duration::from_millis(20));
                 }
                 Err(e) => panic!("ingest never reached the server: {e}"),
             }
-        }
+        };
+        // 18 edges in 5 batches, then `Detect`, `Stats`, and the `Flush`
+        // and `Shutdown` of `--shutdown`: the replay itself sends no `Flush`.
+        assert_eq!(stats.edges_acked, 18);
+        assert_eq!(stats.frames_sent, 9);
         server.join().unwrap().unwrap();
     }
 

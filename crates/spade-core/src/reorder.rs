@@ -17,13 +17,21 @@
 //! exactly the affected area `G_T` whose size the paper's complexity
 //! analysis is about (`O(|E_T| + |E_T| log |V_T|)`).
 //!
+//! Staleness is kept by *old position*, not by vertex, in a bitset over
+//! the sequence. A *black* position holds an insertion endpoint (`ΔV`;
+//! marking its position also dedupes `ΔV`). A *gray* one holds a vertex
+//! that has or had a neighbor in `T`: seeding a vertex marks each
+//! neighbor's position that a cursor can still reach (at or past `k`, or in
+//! `[c, p)`). An unmarked position is *white*. The window is written back
+//! only when it ends, so every cursor reads old positions, and the marks
+//! past a window's end stay valid for the next window of the same pass.
+//!
 //! Loop invariant (Lemmas 4.1/4.2 generalized to the `(weight, id)` total
 //! order): let `R` be the not-yet-emitted vertices — the old positions
 //! `≥ start` minus the emitted ones. By position, that is `T`, the tail
 //! from `k`, and the unconsumed middle slots `[c, p)` whose vertex was not
 //! emitted from `T` (a `done` stamp marks those; what a cursor emits falls
-//! behind it). A *gray* vertex has or had a neighbor in `T`; a *black* one
-//! is an insertion endpoint (`ΔV`); a *white* one is neither.
+//! behind it).
 //!
 //! * every queue member's priority is its true peeling weight `w_u(R)`;
 //! * the stored key of a white middle head is exact, and it is the minimum
@@ -34,9 +42,9 @@
 //!   when a vertex at an old position past `c` is emitted from `T`, every
 //!   unconsumed middle neighbor is pulled into `T` eagerly, at its
 //!   recovered weight;
-//! * every other stored key is a *lower bound* on the true key: a gray or
-//!   black head (either cursor), and any tail head while the middle run is
-//!   live (`R` holds the middle run, `S_k` does not). Such a head is
+//! * every other stored key is a *lower bound* on the true key: a marked
+//!   head (either cursor), and any tail head while the middle run is live
+//!   (`R` holds the middle run, `S_k` does not). Such a head is
 //!   *recovered* (recomputed against `R` from the adjacency lists) into `T`
 //!   when its stored key is the least of the three;
 //! * a white tail head is exact once the middle run is consumed.
@@ -46,9 +54,19 @@
 //! a from-scratch greedy peel of the updated graph. Once the middle run is
 //! consumed the runner is the two-source insertion loop, which is all an
 //! insertion runs; the window ends when `T` is empty too, at `[start, k)`.
+//!
+//! In that loop a white tail stretch whose stored keys all lie below `T`'s
+//! least key is emitted as it stands. The runner scans it — one key
+//! compare per slot, one bitset word per 64 slots — and records it as one
+//! *run* segment, the old slots it spans. Everything else enters the
+//! window as one vertex with its weight, white middle heads of a deletion
+//! included. When the window ends, `PeelingState::write_window` copies each
+//! run as a block to its new slots, `|T| > 0` earlier than its source, so
+//! writing the segments in order never overwrites a source before it is
+//! copied.
 
 use crate::order::{MinQueue, PeelKey};
-use crate::state::PeelingState;
+use crate::state::{PeelingState, Segment};
 use spade_graph::{DynamicGraph, VertexId};
 
 /// Counters describing the affected area of one reordering pass — the
@@ -80,11 +98,10 @@ impl ReorderStats {
 #[derive(Clone, Debug, Default)]
 pub struct ReorderScratch {
     pub(crate) queue: MinQueue,
-    /// Epoch stamps: `gray[v] == epoch` means `v` is colored gray (it has
-    /// or had a pending-queue neighbor, so its stored weight is suspect).
-    gray: Vec<u64>,
-    /// Epoch stamps for the black set `ΔV` (endpoints of updates).
-    black: Vec<u64>,
+    /// The stale old positions of the current pass: black (an update's
+    /// endpoint) or gray (a neighbor of a vertex that entered the pending
+    /// queue), where a cursor can still reach them.
+    marks: PositionMarks,
     /// Epoch stamps for the vertices a window has emitted from the pending
     /// queue: a middle slot so stamped has left `R` before the middle
     /// cursor reached it.
@@ -94,8 +111,9 @@ pub struct ReorderScratch {
     /// `ties[v].0 == epoch`.
     ties: Vec<(u64, [f64; 2])>,
     epoch: u64,
-    /// Emission buffer for the current window, in logical order.
-    window: Vec<(VertexId, f64)>,
+    /// The current window in logical order: single emissions, and white
+    /// tail runs named by the old slots they still occupy.
+    window: Vec<Segment>,
 }
 
 impl ReorderScratch {
@@ -106,20 +124,13 @@ impl ReorderScratch {
 
     pub(crate) fn begin_epoch(&mut self, num_vertices: usize) {
         self.epoch += 1;
-        if self.gray.len() < num_vertices {
-            self.gray.resize(num_vertices, 0);
-            self.black.resize(num_vertices, 0);
+        if self.done.len() < num_vertices {
             self.done.resize(num_vertices, 0);
             self.ties.resize(num_vertices, (0, [0.0; 2]));
         }
+        self.marks.reset(num_vertices);
         self.queue.reset(num_vertices);
         self.window.clear();
-    }
-
-    /// `true` when `v`'s stored key may be stale: it is gray or black.
-    #[inline(always)]
-    fn is_stale(&self, v: VertexId) -> bool {
-        self.gray[v.index()] == self.epoch || self.black[v.index()] == self.epoch
     }
 
     #[inline(always)]
@@ -156,6 +167,52 @@ impl ReorderScratch {
     }
 }
 
+/// A bitset over old positions, cleared through the list of words it set.
+#[derive(Clone, Debug, Default)]
+struct PositionMarks {
+    words: Vec<u64>,
+    touched: Vec<usize>,
+}
+
+impl PositionMarks {
+    /// Clears every mark and covers positions `0..len`.
+    fn reset(&mut self, len: usize) {
+        for w in self.touched.drain(..) {
+            self.words[w] = 0;
+        }
+        if self.words.len() < len.div_ceil(64) {
+            self.words.resize(len.div_ceil(64), 0);
+        }
+    }
+
+    /// Marks `pos`; `false` when it was marked already.
+    #[inline(always)]
+    fn mark(&mut self, pos: usize) -> bool {
+        let (w, bit) = (pos / 64, 1u64 << (pos % 64));
+        if self.words[w] == 0 {
+            self.touched.push(w);
+        }
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        fresh
+    }
+
+    #[inline(always)]
+    fn is_marked(&self, pos: usize) -> bool {
+        self.words[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    /// The first marked position in `[from, to)`, or `to`; `to` may lie no
+    /// further than the end of `from`'s word.
+    #[inline(always)]
+    fn first_in(&self, from: usize, to: usize) -> usize {
+        match self.words[from / 64] >> (from % 64) {
+            0 => to,
+            bits => (from + bits.trailing_zeros() as usize).min(to),
+        }
+    }
+}
+
 /// One reordering pass over `state` after `graph` has already been
 /// mutated.
 ///
@@ -180,21 +237,14 @@ pub fn reorder(
     }
     scratch.begin_epoch(graph.num_vertices());
 
-    // Stamp-dedupe `ΔV` in O(k) before sorting: a k-edge burst onto one
-    // community names the same earlier endpoint k times, and carrying the
-    // duplicates into the sort would cost O(k log k) and seed the queue
-    // with redundant work. The stamp doubles as the black coloring.
+    // Dedupe `ΔV` in O(k) before sorting by marking each endpoint's
+    // position: a k-edge burst onto one community names the same earlier
+    // endpoint k times, and carrying the duplicates into the sort would
+    // cost O(k log k) and seed the queue with redundant work. The mark
+    // doubles as the black coloring.
     {
-        let epoch = scratch.epoch;
-        let black = &mut scratch.black;
-        blacks.retain(|&v| {
-            if black[v.index()] == epoch {
-                false
-            } else {
-                black[v.index()] = epoch;
-                true
-            }
-        });
+        let marks = &mut scratch.marks;
+        blacks.retain(|&v| marks.mark(state.position_of(v)));
     }
     blacks.sort_unstable_by_key(|&v| state.position_of(v));
 
@@ -214,7 +264,8 @@ pub fn reorder(
 
 /// Inserts `v` into the pending queue with its *recovered* weight — the
 /// true peeling weight against the remaining set `R`, recomputed from the
-/// adjacency lists — and grays its neighbors.
+/// adjacency lists — and marks its neighbors' positions gray where a cursor
+/// can still reach them.
 fn seed(
     graph: &DynamicGraph,
     state: &PeelingState,
@@ -225,15 +276,20 @@ fn seed(
 ) {
     let mut w = graph.vertex_weight(v);
     for nb in graph.neighbors(v) {
-        if at.holds(state, scratch, nb.v) {
+        let pos = state.position_of(nb.v);
+        let tail = pos >= at.k;
+        let middle = (at.c..at.p).contains(&pos);
+        if tail || middle {
+            scratch.marks.mark(pos);
+        }
+        // In `R`: queued, at an unconsumed tail slot, or at an unconsumed
+        // middle slot and not emitted from the queue.
+        if tail || scratch.queue.contains(nb.v) || (middle && !scratch.is_done(nb.v)) {
             w += nb.w;
         }
     }
     scratch.queue.insert(v, w);
     stats.queued += 1;
-    for nb in graph.neighbors(v) {
-        scratch.gray[nb.v.index()] = scratch.epoch;
-    }
     stats.edges_scanned += 2 * graph.degree(v);
 }
 
@@ -246,17 +302,19 @@ struct Cursors {
     k: usize,
 }
 
-impl Cursors {
-    /// Whether `u` is in `R`: queued, at an unconsumed tail slot, or at an
-    /// unconsumed middle slot and not emitted from the queue.
-    #[inline(always)]
-    fn holds(self, state: &PeelingState, scratch: &ReorderScratch, u: VertexId) -> bool {
-        if scratch.queue.contains(u) {
-            return true;
+/// The end of the white run at tail position `k`: the first position from
+/// `k` that is marked or whose stored key is not below the queue head.
+fn white_run(state: &PeelingState, marks: &PositionMarks, k: usize, head: PeelKey) -> usize {
+    let n = state.len();
+    let mut at = k;
+    while at < n {
+        let word_end = ((at / 64 + 1) * 64).min(n);
+        at = state.keys_below(at, marks.first_in(at, word_end), head);
+        if at < word_end {
+            break;
         }
-        let pos = state.position_of(u);
-        pos >= self.k || ((self.c..self.p).contains(&pos) && !scratch.is_done(u))
     }
+    at
 }
 
 /// Runs one window: seeds the vertex at old position `p` into the pending
@@ -299,36 +357,39 @@ pub(crate) fn run_window(
                 }
                 // A white middle head's stored key is exact.
                 _ => {
+                    let stale = scratch.marks.is_marked(at.c);
                     at.c += 1;
-                    if scratch.is_stale(middle.vertex) {
+                    if stale {
                         seed(graph, state, scratch, middle.vertex, at, stats);
                     } else {
-                        scratch.window.push((middle.vertex, middle.weight));
+                        scratch.window.push(Segment::One(middle.vertex, middle.weight));
                     }
                 }
             },
         }
     }
-    // Then the queue drains against the tail alone.
+    // Then the queue drains against the tail alone. A white tail head's
+    // stored key is exact now, so the white run below the queue head is
+    // emitted as it stands; a marked head below it is recovered and
+    // re-ranked by the queue.
     while let Some(head) = scratch.queue.peek() {
+        let end = white_run(state, &scratch.marks, at.k, head);
+        if end > at.k {
+            scratch.window.push(Segment::Run { from: at.k, len: end - at.k });
+            at.k = end;
+        }
         match (at.k < n).then(|| state.key_at(at.k)) {
-            // A white tail head's stored key is exact now; a stale one is
-            // recovered and re-ranked by the queue.
             Some(key) if key < head => {
                 at.k += 1;
-                if scratch.is_stale(key.vertex) {
-                    seed(graph, state, scratch, key.vertex, at, stats);
-                } else {
-                    scratch.window.push((key.vertex, key.weight));
-                }
+                seed(graph, state, scratch, key.vertex, at, stats);
             }
             _ => emit_head(graph, state, scratch, head, at, false, stats),
         }
     }
-    debug_assert_eq!(scratch.window.len(), at.k - start, "window length mismatch");
     stats.windows += 1;
-    stats.moved += scratch.window.len();
+    stats.moved += at.k - start;
     let (lo, hi) = state.write_window(start, &scratch.window);
+    debug_assert_eq!(hi - lo, at.k - start, "window length mismatch");
     on_window(lo, &state.delta_phys()[lo..hi]);
     scratch.window.clear();
     at.k
@@ -358,7 +419,7 @@ fn emit_head(
     }
     scratch.queue.remove(vertex);
     scratch.done[vertex.index()] = scratch.epoch;
-    scratch.window.push((vertex, weight));
+    scratch.window.push(Segment::One(vertex, weight));
     stats.edges_scanned += graph.degree(vertex);
 }
 

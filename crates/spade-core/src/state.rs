@@ -38,6 +38,27 @@ impl Detection {
     pub const EMPTY: Detection = Detection { size: 0, density: 0.0 };
 }
 
+/// One piece of a window handed to [`PeelingState::write_window`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Segment {
+    /// A vertex and its new peeling weight, written to the next slot.
+    One(VertexId, f64),
+    /// The `len` vertices at the logical positions `[from, from + len)`,
+    /// moved to the next `len` slots with their order and weights.
+    Run {
+        /// First source position.
+        from: usize,
+        /// Number of slots moved.
+        len: usize,
+    },
+}
+
+impl From<(VertexId, f64)> for Segment {
+    fn from((u, w): (VertexId, f64)) -> Self {
+        Segment::One(u, w)
+    }
+}
+
 /// The peeling sequence, peeling weights, and the vertex→rank map.
 #[derive(Clone, Debug, Default)]
 pub struct PeelingState {
@@ -145,23 +166,63 @@ impl PeelingState {
         self.rank[u.index()] = self.seq_phys.len() as u32;
     }
 
-    /// Overwrites the logical window `[start, start + entries.len())` with
-    /// `entries` (in logical order) and refreshes the rank map.
+    /// Overwrites the logical window that starts at `start` with
+    /// `segments`, in logical order, and refreshes the rank map.
+    ///
+    /// A [`Segment::Run`] moves with one block copy per array, then its
+    /// ranks are rewritten. Segments are written in order, so a run must
+    /// start at or after the slot it lands on: everything written before it
+    /// lies below that slot, and its source is still intact when it is
+    /// copied.
     ///
     /// Returns the physical range `[lo, hi)` that changed, for feeding the
     /// density index.
-    pub fn write_window(&mut self, start: usize, entries: &[(VertexId, f64)]) -> (usize, usize) {
+    pub fn write_window<S: Copy + Into<Segment>>(
+        &mut self,
+        start: usize,
+        segments: &[S],
+    ) -> (usize, usize) {
         let n = self.seq_phys.len();
-        let end = start + entries.len();
-        debug_assert!(end <= n, "window exceeds sequence");
-        for (j, &(u, w)) in entries.iter().enumerate() {
-            let logical = start + j;
-            let phys = n - 1 - logical;
-            self.seq_phys[phys] = u;
-            self.delta_phys[phys] = w;
-            self.rank[u.index()] = (phys + 1) as u32;
+        let mut end = start;
+        for &segment in segments {
+            match segment.into() {
+                Segment::One(u, w) => {
+                    let phys = n - 1 - end;
+                    self.seq_phys[phys] = u;
+                    self.delta_phys[phys] = w;
+                    self.rank[u.index()] = (phys + 1) as u32;
+                    end += 1;
+                }
+                Segment::Run { from, len } => {
+                    debug_assert!(from >= end, "a run lands after its source");
+                    let (src, dst) = (n - from - len, n - end - len);
+                    self.seq_phys.copy_within(src..src + len, dst);
+                    self.delta_phys.copy_within(src..src + len, dst);
+                    for (phys, u) in (dst..).zip(&self.seq_phys[dst..dst + len]) {
+                        self.rank[u.index()] = (phys + 1) as u32;
+                    }
+                    end += len;
+                }
+            }
         }
+        debug_assert!(end <= n, "window exceeds sequence");
         (n - end, n - start)
+    }
+
+    /// The end of the run of stored keys below `bound` that starts at
+    /// logical position `from`, looking no further than `to`: the first
+    /// position in `[from, to)` whose key is not below `bound`, or `to`.
+    #[inline]
+    pub(crate) fn keys_below(&self, from: usize, to: usize, bound: PeelKey) -> usize {
+        let n = self.seq_phys.len();
+        let (lo, hi) = (n - to, n - from);
+        let below = self.delta_phys[lo..hi]
+            .iter()
+            .zip(&self.seq_phys[lo..hi])
+            .rev()
+            .take_while(|&(&w, &u)| PeelKey::new(w, u) < bound)
+            .count();
+        from + below
     }
 
     /// Exact detection by scanning every suffix size: returns the maximum
@@ -330,6 +391,77 @@ mod tests {
         // Untouched positions survive.
         assert_eq!(st.vertex_at(0), before[0]);
         assert_eq!(st.vertex_at(3), before[3]);
+    }
+
+    /// A state over `n` vertices, vertex `i` with weight `i`, in id order.
+    fn ladder(n: u32) -> PeelingState {
+        let order: Vec<VertexId> = (0..n).map(v).collect();
+        let weights: Vec<f64> = (0..n).map(f64::from).collect();
+        PeelingState::from_outcome(&PeelingOutcome {
+            order,
+            weights,
+            best_prefix: 0,
+            best_density: 0.0,
+            total_weight: 0.0,
+        })
+    }
+
+    #[test]
+    fn write_window_runs_equal_per_vertex_writes() {
+        // Each window permutes its slots: runs of untouched vertices keep
+        // their order and weights, the rest are written one by one.
+        let windows: [(usize, Vec<Segment>); 3] = [
+            // Runs shifted one and two slots earlier, overlapping their
+            // sources, between single vertices.
+            (
+                2,
+                vec![
+                    Segment::Run { from: 3, len: 4 },
+                    Segment::One(v(2), 50.0),
+                    Segment::Run { from: 8, len: 5 },
+                    Segment::One(v(7), 60.0),
+                    Segment::Run { from: 13, len: 1 },
+                ],
+            ),
+            // A run copied clear of its source, then the vertices it
+            // jumped over, then a run that stays in place.
+            (
+                4,
+                vec![
+                    Segment::Run { from: 10, len: 3 },
+                    Segment::One(v(4), 1.5),
+                    Segment::One(v(5), 2.5),
+                    Segment::One(v(9), 3.5),
+                    Segment::One(v(8), 4.5),
+                    Segment::One(v(7), 5.5),
+                    Segment::One(v(6), 6.5),
+                    Segment::Run { from: 13, len: 3 },
+                ],
+            ),
+            // A run over the whole rest of the sequence.
+            (0, vec![Segment::Run { from: 1, len: 19 }, Segment::One(v(0), 9.0)]),
+        ];
+        for (start, segments) in windows {
+            let before = ladder(20);
+            let per_vertex: Vec<(VertexId, f64)> = segments
+                .iter()
+                .flat_map(|&s| match s {
+                    Segment::One(u, w) => vec![(u, w)],
+                    Segment::Run { from, len } => (from..from + len)
+                        .map(|i| (before.vertex_at(i), before.delta_at(i)))
+                        .collect(),
+                })
+                .collect();
+            let mut runs = before.clone();
+            let mut singles = before.clone();
+            let changed = runs.write_window(start, &segments);
+            assert_eq!(changed, singles.write_window(start, &per_vertex), "window at {start}");
+            assert_eq!(runs.logical_order(), singles.logical_order(), "window at {start}");
+            assert_eq!(runs.logical_weights(), singles.logical_weights(), "window at {start}");
+            for u in (0..20).map(v) {
+                assert_eq!(runs.position_of(u), singles.position_of(u), "{u} at {start}");
+            }
+        }
     }
 
     #[test]

@@ -190,8 +190,9 @@ impl SpadeNetClient {
     }
 
     /// Ships every staged edge and drains every in-flight frame: on
-    /// return, every submitted edge is acknowledged.
-    fn drain(&mut self) -> std::io::Result<()> {
+    /// return, every submitted edge is acknowledged. Sends no request of
+    /// its own, unlike [`flush`](Self::flush).
+    pub fn drain(&mut self) -> std::io::Result<()> {
         if !self.staged.is_empty() {
             self.send_staged()?;
         }

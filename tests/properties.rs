@@ -502,3 +502,88 @@ proptest! {
         }
     }
 }
+
+/// One step of a script over a bootstrapped universe of a few hundred to
+/// 1 500 vertices. Vertex picks are taken modulo the universe size.
+#[derive(Clone, Debug)]
+enum WideOp {
+    Insert(u32, u32, u8),
+    InsertBatch(Vec<(u32, u32, u8)>),
+    /// Lightens a pair picked from every pair inserted so far (modulo
+    /// their count) by the amount, or what is left of it.
+    Delete(u32, u8),
+    SetVertexSusp(u32, u8),
+}
+
+fn wide_op_strategy() -> impl Strategy<Value = WideOp> {
+    let edge = (0u32..1500, 0u32..1500, 1u8..5);
+    prop_oneof![
+        4 => edge.clone().prop_map(|(a, b, w)| WideOp::Insert(a, b, w)),
+        1 => proptest::collection::vec(edge, 16..129).prop_map(WideOp::InsertBatch),
+        3 => (0u32..u32::MAX, 1u8..5).prop_map(|(i, w)| WideOp::Delete(i, w)),
+        1 => (0u32..1500, 0u8..5).prop_map(|(a, w)| WideOp::SetVertexSusp(a, w)),
+    ]
+}
+
+/// The incremental sequence is the static peel's, and a valid greedy peel.
+fn assert_static_peel(engine: &SpadeEngine<WeightedDensity>) {
+    let fresh = peel(engine.graph());
+    assert_eq!(engine.state().logical_order(), fresh.order);
+    engine.state().validate_greedy(engine.graph(), 1e-9);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Windows hundreds of slots long stay exact: over a bootstrapped
+    /// universe, an update's window spans long white runs of the tail,
+    /// and with integer weights 1–4 many keys tie at a run's end, where
+    /// the id tie-break decides. Batches of 16–128 edges merge windows
+    /// and mark many positions; deletions and vertex-weight changes run
+    /// the window runner's middle run too.
+    #[test]
+    fn wide_windows_stay_equivalent_to_static_peel(
+        n in 300u32..1501,
+        base in proptest::collection::vec((0u32..1500, 0u32..1500, 1u8..5), 600..3000),
+        ops in proptest::collection::vec(wide_op_strategy(), 60..120),
+    ) {
+        let edge = |(a, b, w): (u32, u32, u8)| {
+            (a % n != b % n).then(|| (v(a % n), v(b % n), f64::from(w)))
+        };
+        let edges: Vec<_> = base.into_iter().filter_map(edge).collect();
+        let mut pairs: Vec<_> = edges.iter().map(|&(a, b, _)| (a, b)).collect();
+        let mut engine =
+            SpadeEngine::bootstrap(WeightedDensity, SpadeConfig::default(), edges).unwrap();
+        assert_static_peel(&engine);
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                WideOp::Insert(a, b, w) => {
+                    if let Some((a, b, w)) = edge((a, b, w)) {
+                        engine.insert_edge(a, b, w).unwrap();
+                        pairs.push((a, b));
+                    }
+                }
+                WideOp::InsertBatch(batch) => {
+                    let batch: Vec<_> = batch.into_iter().filter_map(edge).collect();
+                    engine.insert_batch(&batch).unwrap();
+                    pairs.extend(batch.iter().map(|&(a, b, _)| (a, b)));
+                }
+                WideOp::Delete(i, amount) => {
+                    let (a, b) = pairs[i as usize % pairs.len()];
+                    if let Some(w) = engine.graph().edge_weight(a, b) {
+                        engine.delete_transaction(a, b, f64::from(amount).min(w)).unwrap();
+                    }
+                }
+                WideOp::SetVertexSusp(a, w) => {
+                    engine.set_vertex_suspiciousness(v(a % n), f64::from(w)).unwrap();
+                }
+            }
+            if step % 8 == 7 {
+                assert_static_peel(&engine);
+            }
+        }
+        assert_static_peel(&engine);
+        let total = engine.total_reorder_stats();
+        prop_assert!(total.moved >= 100 * total.windows, "short windows: {total:?}");
+    }
+}
