@@ -5,9 +5,11 @@
 //! "Spade engine": it owns the transaction graph, keeps the peeling
 //! sequence and weights up to date on every update (auto-
 //! incrementalization), and answers `Detect` in O(1) from the kinetic
-//! tournament it maintains beside them ([`crate::kinetic`]; the O(n)
-//! rescan [`PeelingState::scan_detect`] stays as the reference the tests
-//! compare it with). The thin, paper-faithful `Spade` facade
+//! tournament over 64-slot blocks it maintains beside them
+//! ([`crate::kinetic`]: a reorder window writes its blocks' suffix values
+//! and only a block whose density bound reaches the best is scanned; the
+//! O(n) rescan [`PeelingState::scan_detect`] stays as the reference the
+//! tests compare it with). The thin, paper-faithful `Spade` facade
 //! (`crate::spade`) and the edge-grouping layer (`crate::grouping`) sit on
 //! top.
 //!

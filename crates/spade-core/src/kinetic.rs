@@ -13,39 +13,83 @@
 //! * suffix values **before** the window are untouched;
 //! * a head insertion appends one slot.
 //!
-//! So the index is a segment tree over suffix slots storing
-//! `y_r = f(S_{n-r})` with (a) ranged **uniform shifts** and (b) ranged
-//! **rewrites**. The maximum of `y_r / r` under uniform shifts is
-//! maintained kinetically: each internal node remembers its winning slot
-//! and how much shift it can absorb before *any* ordering decision in its
-//! subtree could flip (`(y_a + t)/a - (y_b + t)/b` is linear in `t`, so
-//! each decision has a single crossing). Shifts within the slack are O(1)
-//! lazy updates; shifts beyond it rebuild only the affected certificates —
-//! the classic kinetic-tournament amortization.
+//! **Blocks.** The suffix values live in one flat array, cut into 64-slot
+//! blocks, and the leaves of a segment tree are blocks. A leaf is either
 //!
-//! A window rewrite is one bottom-up pass: pending shifts are pushed down
-//! the two boundary paths only, the window's leaves are overwritten, and
-//! the window's ancestors are recombined level by level. A node the window
-//! covers is never pushed down — its subtree is overwritten anyway — so a
-//! rewrite costs the window's leaves, their ancestors and the two boundary
-//! paths, plus the certificate repair of the tail shift.
+//! * *exact* — one scan of its slots found the block's densest slot and
+//!   how far a uniform shift may go before another slot of the block
+//!   overtakes it; or
+//! * *bounded* — it holds only an upper bound on the block's densities,
+//!   its largest value over its smallest size, `max y / r_min` (over its
+//!   largest size, `max y / r_max`, when `max y < 0`). A bound is a
+//!   candidate like a slot of size `r_min` (`r_max`): a shift `t` raises
+//!   it by `t / r_min` (`t / r_max` when `t < 0`).
 //!
-//! Ties prefer the larger community (larger `r`), matching the static peel.
+//! **Kinetic tournament.** Each internal node remembers its winning
+//! candidate and how much shift it can absorb before *any* ordering
+//! decision in its subtree could flip (`(y_a + t)/a - (y_b + t)/b` is
+//! linear in `t`, so each decision has a single crossing; a bound's sign
+//! flip is one more). Shifts within the slack are O(1) lazy updates;
+//! shifts beyond it rebuild only the affected certificates — the classic
+//! kinetic-tournament amortization. An exact leaf whose certificate
+//! breaks is not rescanned: it turns bounded.
+//!
+//! **Rewrites.** A window rewrite pushes pending shifts down the two
+//! boundary paths, writes the window's suffix values (one add and one max
+//! per slot, no division, no node per slot) and turns the window's blocks
+//! bounded. Recombining their ancestors, it shifts the tail lazily on the
+//! way up: level by level, the tail is the right sibling of the last
+//! block's path.
+//!
+//! **Resolve.** Every mutating call ends by scanning the bounded block
+//! that wins the tournament, again and again, until an exact slot wins:
+//! only a block whose bound reaches the best is ever scanned, so
+//! [`KineticIndex::best`] stays O(1) and exact. Ties prefer the larger
+//! community (larger `r`), matching the static peel; a bound is inflated
+//! by a relative margin of 2^-40, so a block whose bound merely ties the
+//! best (or trails it by the rounding of its shifts) is scanned as well.
+//! A window past the densest suffix is usually never scanned. The worst
+//! case is an all-ties sequence (every density equal): no bound prunes,
+//! and every block a window touches is scanned.
 
 use crate::state::Detection;
+use std::ops::Range;
 
+/// Slots per block (tree leaf).
+const BLOCK: usize = 64;
+const BLOCK_BITS: u32 = BLOCK.trailing_zeros();
 const NO_SLOT: u32 = u32::MAX;
+/// Relative inflation of a bound (2^-40): it absorbs the rounding by which
+/// a bound, shifted up the tree, may trail the values it covers, and makes
+/// a bound that ties the best win, so that its block is scanned.
+const MARGIN: f64 = f64::EPSILON * 4096.0;
+
+/// `a.max(b)` as one compare and select: suffix values are never NaN, so
+/// the NaN handling of `f64::max` would only lengthen the write loop.
+#[inline(always)]
+fn max(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
 
 /// Segment-tree node payload.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     /// Best suffix value in the subtree (absolute, including this node's
-    /// own pending `lazy` but not the ancestors').
+    /// own pending `lazy` but not the ancestors'); a bound's is its
+    /// block's largest value, inflated by [`MARGIN`].
     y: f64,
     /// Winning slot index (0-based; community size `r = slot + 1`), or
-    /// `NO_SLOT` for an empty subtree.
+    /// `NO_SLOT` for an empty subtree. A bound's is the block slot whose
+    /// size divides it.
     slot: u32,
-    /// Pending uniform shift not yet pushed to children.
+    /// `true` when the winner is a bounded block, not a scanned slot.
+    bounded: bool,
+    /// Pending uniform shift not yet pushed to children (a leaf's: not
+    /// yet added to its block's values).
     lazy: f64,
     /// How much more positive shift every decision below can absorb.
     slack_pos: f64,
@@ -57,6 +101,7 @@ impl Node {
     const EMPTY: Node = Node {
         y: 0.0,
         slot: NO_SLOT,
+        bounded: false,
         lazy: 0.0,
         slack_pos: f64::INFINITY,
         slack_neg: f64::INFINITY,
@@ -71,12 +116,20 @@ impl Node {
 /// The kinetic suffix-density index.
 #[derive(Clone, Debug)]
 pub struct KineticIndex {
-    /// Power-of-two leaf capacity.
-    cap: usize,
+    /// Power-of-two block capacity (tree leaves).
+    blocks: usize,
     /// Number of live slots.
     len: usize,
-    /// 1-indexed implicit tree; `nodes[cap + i]` is leaf `i`.
+    /// 1-indexed implicit tree; `nodes[blocks + b]` is block `b`'s leaf.
     nodes: Vec<Node>,
+    /// Suffix values, `BLOCK` per block: slot `i`'s is `ys[i]` plus the
+    /// pending lazies from the root down to its leaf.
+    ys: Vec<f64>,
+    /// Per block, the largest `ys` over its live slots.
+    ymax: Vec<f64>,
+    /// Exact block scans so far.
+    #[cfg(test)]
+    scans: usize,
 }
 
 impl Default for KineticIndex {
@@ -88,7 +141,15 @@ impl Default for KineticIndex {
 impl KineticIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
-        KineticIndex { cap: 1, len: 0, nodes: vec![Node::EMPTY; 2] }
+        KineticIndex {
+            blocks: 1,
+            len: 0,
+            nodes: vec![Node::EMPTY; 2],
+            ys: vec![0.0; BLOCK],
+            ymax: vec![f64::NEG_INFINITY],
+            #[cfg(test)]
+            scans: 0,
+        }
     }
 
     /// Builds the index from rank-space peeling weights (`deltas[i]` is
@@ -99,21 +160,30 @@ impl KineticIndex {
         idx
     }
 
-    /// Rebuilds in place from a fresh weight array.
+    /// Rebuilds in place from a fresh weight array: every block starts
+    /// bounded, and the resolve step scans those that can hold the best.
     pub fn reset(&mut self, deltas: &[f64]) {
-        let cap = deltas.len().next_power_of_two().max(1);
-        self.cap = cap;
+        let blocks = deltas.len().div_ceil(BLOCK).next_power_of_two();
+        self.blocks = blocks;
         self.len = deltas.len();
-        self.nodes.clear();
-        self.nodes.resize(2 * cap, Node::EMPTY);
+        self.ys.clear();
+        self.ys.resize(blocks * BLOCK, 0.0);
         let mut sum = 0.0;
-        for (i, &d) in deltas.iter().enumerate() {
+        for (y, &d) in self.ys.iter_mut().zip(deltas) {
             sum += d;
-            self.nodes[cap + i] = Node { y: sum, slot: i as u32, ..Node::EMPTY };
+            *y = sum;
         }
-        for node in (1..cap).rev() {
+        self.nodes.clear();
+        self.nodes.resize(2 * blocks, Node::EMPTY);
+        self.ymax.clear();
+        for b in 0..blocks {
+            self.ymax.push(self.block_max(b));
+            self.nodes[blocks + b] = self.bounded_leaf(b, 0.0);
+        }
+        for node in (1..blocks).rev() {
             self.pull_up(node);
         }
+        self.resolve();
     }
 
     /// Number of live slots.
@@ -134,6 +204,7 @@ impl KineticIndex {
         if root.slot == NO_SLOT || root.density() <= 0.0 {
             return Detection::EMPTY;
         }
+        debug_assert!(!root.bounded, "resolve leaves a positive bound unscanned");
         Detection { size: root.slot as usize + 1, density: root.density() }
     }
 
@@ -141,7 +212,7 @@ impl KineticIndex {
     /// insertion): a one-slot [`Self::rewrite_deltas`] at the new end.
     /// `O(log n)` amortized over capacity doublings.
     pub fn append(&mut self, delta: f64) {
-        if self.len == self.cap {
+        if self.len == self.blocks * BLOCK {
             self.grow();
         }
         self.len += 1;
@@ -150,10 +221,11 @@ impl KineticIndex {
 
     /// Replaces the deltas of slots `[lo, hi = lo + new_deltas.len())` and
     /// shifts every later suffix value by the change in window total.
-    /// One bottom-up pass (see the module doc), with no push-down below a
-    /// node the window covers: it costs the window's leaves, their
-    /// ancestors and the paths of `lo` and `hi - 1`, plus the tail shift's
-    /// amortized certificate repair.
+    /// One pass over the window's slots (see the module doc) with no
+    /// division: it costs those slots, the rest of the two boundary
+    /// blocks, the blocks' ancestors and the paths of `lo` and `hi - 1`,
+    /// plus the tail shift's amortized certificate repair and the scans
+    /// of the resolve step.
     pub fn rewrite_deltas(&mut self, lo: usize, new_deltas: &[f64]) {
         let hi = lo + new_deltas.len();
         assert!(hi <= self.len, "rewrite window out of range");
@@ -162,25 +234,53 @@ impl KineticIndex {
         }
         let base = if lo == 0 { 0.0 } else { self.leaf_value(lo - 1) };
         let old_end = self.leaf_value(hi - 1);
-        self.push_path(lo, lo, hi);
-        self.push_path(hi - 1, lo, hi);
+        let (first, last) = (lo >> BLOCK_BITS, (hi - 1) >> BLOCK_BITS);
+        self.push_path(first, lo, hi);
+        self.push_path(last, lo, hi);
         let mut sum = base;
-        for (i, &d) in (lo..hi).zip(new_deltas) {
-            sum += d;
-            self.nodes[self.cap + i] = Node { y: sum, slot: i as u32, ..Node::EMPTY };
+        for b in first..=last {
+            let live = self.live(b);
+            let (ws, we) = (live.start.max(lo), live.end.min(hi));
+            // Only the two boundary blocks keep slots outside the window;
+            // their paths are pushed, so the leaf's lazy makes them
+            // absolute. A covered block's lazy goes with its old values.
+            let lazy = self.nodes[self.blocks + b].lazy;
+            let mut top = f64::NEG_INFINITY;
+            for y in &mut self.ys[live.start..ws] {
+                *y += lazy;
+                top = max(top, *y);
+            }
+            for (y, &d) in self.ys[ws..we].iter_mut().zip(&new_deltas[ws - lo..we - lo]) {
+                sum += d;
+                *y = sum;
+                top = max(top, sum);
+            }
+            // Past the window, the last block's own slots take the shift.
+            let shift = sum - old_end;
+            for y in &mut self.ys[we..live.end] {
+                *y = *y + lazy + shift;
+                top = max(top, *y);
+            }
+            self.ymax[b] = top;
+            self.nodes[self.blocks + b] = self.bounded_leaf(b, 0.0);
         }
-        let (mut a, mut b) = ((self.cap + lo) >> 1, (self.cap + hi - 1) >> 1);
-        while a >= 1 {
-            for node in a..=b {
-                self.pull_up(node);
+        // Recombine the window's ancestors level by level. The tail past
+        // the last block is, level by level, the right sibling of the
+        // last block's path node: it shifts whole on the way up (a dead
+        // sibling is empty, so one under a covered node shifts nothing).
+        let shift = sum - old_end;
+        let (mut a, mut z) = (self.blocks + first, self.blocks + last);
+        while a > 1 {
+            if shift != 0.0 && z & 1 == 0 {
+                self.shift_subtree(z + 1, shift);
             }
             a >>= 1;
-            b >>= 1;
+            z >>= 1;
+            for node in a..=z {
+                self.pull_up(node);
+            }
         }
-        let shift = sum - old_end;
-        if hi < self.len && shift != 0.0 {
-            self.add_range(hi, self.len, shift);
-        }
+        self.resolve();
     }
 
     /// Uniformly shifts the suffix values of slots `[lo, hi)`.
@@ -189,83 +289,148 @@ impl KineticIndex {
         if lo >= hi || t == 0.0 {
             return;
         }
-        self.add_rec(1, 0, self.cap, lo, hi, t);
+        self.add_rec(1, 0, self.blocks * BLOCK, lo, hi, t);
+        self.resolve();
     }
 
     /// The absolute suffix value of slot `i` (`f` of the size-`i+1`
     /// community). `O(log n)`.
     pub fn leaf_value(&self, i: usize) -> f64 {
         debug_assert!(i < self.len);
-        let mut node = 1usize;
-        let (mut lo, mut hi) = (0usize, self.cap);
+        let leaf = self.blocks + (i >> BLOCK_BITS);
         let mut acc = 0.0;
-        while node < self.cap {
-            acc += self.nodes[node].lazy;
-            let mid = (lo + hi) / 2;
-            if i < mid {
-                node *= 2;
-                hi = mid;
-            } else {
-                node = 2 * node + 1;
-                lo = mid;
-            }
+        for level in (1..=self.blocks.trailing_zeros()).rev() {
+            acc += self.nodes[leaf >> level].lazy;
         }
-        acc + self.nodes[node].y
+        acc + (self.ys[i] + self.nodes[leaf].lazy)
     }
 
     // ---- internal machinery -------------------------------------------
 
-    fn grow(&mut self) {
-        let mut values = Vec::with_capacity(self.len);
-        self.flatten(1, 0.0, &mut values);
-        let cap = (self.cap * 2).max(1);
-        let len = self.len;
-        self.cap = cap;
-        self.nodes.clear();
-        self.nodes.resize(2 * cap, Node::EMPTY);
-        for (i, &y) in values.iter().enumerate() {
-            self.nodes[cap + i] = Node { y, slot: i as u32, ..Node::EMPTY };
+    /// The live slots of block `b`.
+    fn live(&self, b: usize) -> Range<usize> {
+        let start = b * BLOCK;
+        start..(start + BLOCK).min(self.len).max(start)
+    }
+
+    fn block_max(&self, b: usize) -> f64 {
+        self.ys[self.live(b)].iter().fold(f64::NEG_INFINITY, |top, &y| max(top, y))
+    }
+
+    /// Block `b`'s bounded leaf under its pending shift `lazy`.
+    fn bounded_leaf(&self, b: usize, lazy: f64) -> Node {
+        let live = self.live(b);
+        if live.is_empty() {
+            return Node::EMPTY;
         }
-        self.len = len;
-        for node in (1..cap).rev() {
-            self.pull_up(node);
+        let top = self.ymax[b];
+        let y = top + lazy + (top.abs() + lazy.abs()) * MARGIN;
+        if y >= 0.0 {
+            let slack_neg = y;
+            Node { y, slot: live.start as u32, bounded: true, lazy, slack_neg, ..Node::EMPTY }
+        } else {
+            let (slot, slack_pos) = ((live.end - 1) as u32, -y);
+            Node { y, slot, bounded: true, lazy, slack_pos, ..Node::EMPTY }
         }
     }
 
-    /// Collects absolute leaf values in slot order.
-    fn flatten(&self, node: usize, acc: f64, out: &mut Vec<f64>) {
-        if self.nodes[node].slot == NO_SLOT && node < self.cap {
-            // Entire subtree empty — but earlier slots always fill first,
-            // so emptiness means no live leaves below.
-            return;
+    /// Scans block `b`: its densest slot (ties to the larger) and how far
+    /// a shift may go each way before another slot overtakes it.
+    fn exact_leaf(&mut self, b: usize) -> Node {
+        #[cfg(test)]
+        {
+            self.scans += 1;
         }
-        if node >= self.cap {
-            if node - self.cap < self.len {
-                out.push(acc + self.nodes[node].y);
+        let live = self.live(b);
+        let lazy = self.nodes[self.blocks + b].lazy;
+        let ys = &self.ys[live.clone()];
+        let size = |k: usize| (live.start + k + 1) as f64;
+        let (mut w, mut best) = (0, f64::NEG_INFINITY);
+        for (k, &y) in ys.iter().enumerate() {
+            let density = (y + lazy) / size(k);
+            if density >= best {
+                (w, best) = (k, density);
             }
-            return;
         }
-        let acc = acc + self.nodes[node].lazy;
-        self.flatten(2 * node, acc, out);
-        self.flatten(2 * node + 1, acc, out);
+        let (yw, rw) = (ys[w] + lazy, size(w));
+        let (mut slack_pos, mut slack_neg) = (f64::INFINITY, f64::INFINITY);
+        for (k, &y) in ys.iter().enumerate() {
+            // Crossing of (yw + t)/rw = (y + t)/r: a smaller community
+            // gains on the winner as t grows, a larger one as t shrinks.
+            let r = size(k);
+            let cross = ((r * yw - rw * (y + lazy)) / (r - rw).abs()).max(0.0);
+            if k < w {
+                slack_pos = slack_pos.min(cross);
+            } else if k > w {
+                slack_neg = slack_neg.min(cross);
+            }
+        }
+        let slot = (live.start + w) as u32;
+        Node { y: yw, slot, bounded: false, lazy, slack_pos, slack_neg }
+    }
+
+    /// Scans the bounded block that wins the tournament until a slot
+    /// wins, or the winning bound is not positive (so `best` is empty).
+    fn resolve(&mut self) {
+        loop {
+            let root = self.nodes[1];
+            if !root.bounded || root.density() <= 0.0 {
+                return;
+            }
+            let b = root.slot as usize >> BLOCK_BITS;
+            // An empty window: push the whole path.
+            self.push_path(b, usize::MAX, 0);
+            self.nodes[self.blocks + b] = self.exact_leaf(b);
+            let mut node = (self.blocks + b) >> 1;
+            while node >= 1 {
+                self.pull_up(node);
+                node >>= 1;
+            }
+        }
+    }
+
+    /// Doubles the block capacity: the old tree becomes the new root's
+    /// left subtree (node `k` at depth `d` moves to `k + 2^d`, its
+    /// pending lazy with it), so no block is rescanned.
+    fn grow(&mut self) {
+        let blocks = 2 * self.blocks;
+        let mut nodes = vec![Node::EMPTY; 2 * blocks];
+        for (k, &node) in self.nodes.iter().enumerate().skip(1) {
+            nodes[k + (1 << k.ilog2())] = node;
+        }
+        self.nodes = nodes;
+        self.blocks = blocks;
+        self.ys.resize(blocks * BLOCK, 0.0);
+        self.ymax.resize(blocks, f64::NEG_INFINITY);
+        self.pull_up(1);
     }
 
     /// Applies a uniform shift to an entire subtree, cascading only where
     /// certificates break.
     fn shift_subtree(&mut self, node: usize, t: f64) {
-        let n = &mut self.nodes[node];
+        let n = self.nodes[node];
         if n.slot == NO_SLOT {
-            return;
-        }
-        if node >= self.cap {
-            n.y += t;
             return;
         }
         // Strict comparisons: a shift landing exactly ON a crossing makes
         // two candidates' densities tie, and ties must flip to the larger
         // community — so a boundary hit recombines instead of absorbing
         // the shift lazily.
-        if t < n.slack_pos && -t < n.slack_neg {
+        let absorbs = t < n.slack_pos && -t < n.slack_neg;
+        if node >= self.blocks {
+            // A leaf: an exact one absorbs the shift or turns bounded; a
+            // bound is recomputed from its block's largest value.
+            let lazy = n.lazy + t;
+            self.nodes[node] = if absorbs && !n.bounded {
+                let (slack_pos, slack_neg) = (n.slack_pos - t, n.slack_neg + t);
+                Node { y: self.ys[n.slot as usize] + lazy, lazy, slack_pos, slack_neg, ..n }
+            } else {
+                self.bounded_leaf(node - self.blocks, lazy)
+            };
+            return;
+        }
+        if absorbs {
+            let n = &mut self.nodes[node];
             n.y += t;
             n.lazy += t;
             n.slack_pos -= t;
@@ -282,8 +447,20 @@ impl KineticIndex {
         if hi <= nlo || nhi <= lo {
             return;
         }
-        if lo <= nlo && nhi <= hi {
+        if lo <= nlo && nhi.min(self.len) <= hi {
             self.shift_subtree(node, t);
+            return;
+        }
+        if node >= self.blocks {
+            // A block the range cuts: shift its slots in place; it turns
+            // bounded.
+            let b = node - self.blocks;
+            let end = hi.min(self.live(b).end);
+            for y in &mut self.ys[lo.max(nlo)..end] {
+                *y += t;
+            }
+            self.ymax[b] = self.block_max(b);
+            self.nodes[node] = self.bounded_leaf(b, self.nodes[node].lazy);
             return;
         }
         self.push_down(node);
@@ -293,15 +470,15 @@ impl KineticIndex {
         self.pull_up(node);
     }
 
-    /// Pushes pending shifts down the root-to-leaf path of slot `i`,
-    /// stopping at the first node inside `[lo, hi)`: that node's subtree
-    /// is about to be overwritten.
-    fn push_path(&mut self, i: usize, lo: usize, hi: usize) {
-        let depth = self.cap.trailing_zeros();
-        for level in (1..=depth).rev() {
-            let node = (self.cap + i) >> level;
-            let nlo = (node << level) - self.cap;
-            if lo <= nlo && nlo + (1 << level) <= hi {
+    /// Pushes pending shifts down the root-to-leaf path of block `b`,
+    /// stopping at the first node whose live slots lie inside `[lo, hi)`:
+    /// that node's subtree is about to be overwritten.
+    fn push_path(&mut self, b: usize, lo: usize, hi: usize) {
+        let leaf = self.blocks + b;
+        for level in (1..=self.blocks.trailing_zeros()).rev() {
+            let node = leaf >> level;
+            let start = ((node << level) - self.blocks) * BLOCK;
+            if lo <= start && (start + (BLOCK << level)).min(self.len) <= hi {
                 return;
             }
             self.push_down(node);
@@ -351,6 +528,7 @@ impl KineticIndex {
                 Node {
                     y: winner.y,
                     slot: winner.slot,
+                    bounded: winner.bounded,
                     lazy: 0.0,
                     slack_pos: l.slack_pos.min(r.slack_pos).min(cross_pos),
                     slack_neg: l.slack_neg.min(r.slack_neg).min(cross_neg),
@@ -528,5 +706,66 @@ mod tests {
             deltas[round % 4] = d;
             assert_agrees(&idx, &deltas);
         }
+    }
+
+    /// Rewrites each window, moving every delta by -1, 0 or +1, checks the
+    /// index against the oracle, and returns the block scans each took.
+    fn scans_of(
+        idx: &mut KineticIndex,
+        deltas: &mut [f64],
+        windows: &[(usize, usize)],
+    ) -> Vec<usize> {
+        let mut counts = Vec::new();
+        for (round, &(lo, hi)) in windows.iter().enumerate() {
+            let before = idx.scans;
+            let new: Vec<f64> =
+                (lo..hi).map(|i| deltas[i] + ((i + round) % 3) as f64 - 1.0).collect();
+            idx.rewrite_deltas(lo, &new);
+            deltas[lo..hi].copy_from_slice(&new);
+            assert_agrees(idx, deltas);
+            counts.push(idx.scans - before);
+        }
+        counts
+    }
+
+    #[test]
+    fn windows_past_a_dense_head_scan_no_block() {
+        // A dense head (64 slots of 100) over a thin body: after the one
+        // scan that finds the head, no window past it reaches the best.
+        let mut deltas: Vec<f64> = (0..4096).map(|i| if i < 64 { 100.0 } else { 1.0 }).collect();
+        let mut idx = KineticIndex::from_deltas(&deltas);
+        assert_eq!(idx.scans, 1);
+        assert_eq!(idx.best(), Detection { size: 64, density: 100.0 });
+        let windows: Vec<(usize, usize)> =
+            (0..40).map(|k| (130 + 80 * k, 130 + 80 * k + 700)).collect();
+        assert_eq!(scans_of(&mut idx, &mut deltas, &windows), vec![0; 40]);
+        // Appends (new largest communities) are pruned too.
+        for _ in 0..100 {
+            idx.append(1.0);
+        }
+        deltas.resize(4196, 1.0);
+        assert_agrees(&idx, &deltas);
+        assert_eq!(idx.scans, 1);
+    }
+
+    #[test]
+    fn all_ties_scan_every_block_a_window_touches() {
+        // Every density equal: no bound prunes, so a window that keeps
+        // the ties scans each block it touches, and no other.
+        let n = 4096;
+        let mut deltas = vec![1.0; n];
+        let mut idx = KineticIndex::from_deltas(&deltas);
+        assert_eq!(idx.scans, n / BLOCK);
+        assert_eq!(idx.best().size, n);
+        for &(lo, hi) in &[(0, 1), (63, 65), (100, 1000), (640, 704), (1, 4000)] {
+            let before = idx.scans;
+            idx.rewrite_deltas(lo, &vec![1.0; hi - lo]);
+            let touched = (hi - 1) / BLOCK - lo / BLOCK + 1;
+            assert_eq!(idx.scans - before, touched, "window {lo}..{hi}");
+            assert_agrees(&idx, &deltas);
+        }
+        deltas[10] = 2.0;
+        idx.rewrite_deltas(10, &[2.0]);
+        assert_agrees(&idx, &deltas);
     }
 }

@@ -264,8 +264,9 @@ enum Command {
     /// engine, and hand the slice back (the source half of a component
     /// migration).
     MigrateOut { members: Arc<[VertexId]>, reply: Sender<MigrationSlice> },
-    /// Replay a migrated slice into this engine (the target half).
-    Absorb { slice: MigrationSlice, reply: Sender<AbsorbReceipt> },
+    /// Replay a migrated slice into this engine (the target half). Shared,
+    /// so the sender keeps it to restore the source if this worker dies.
+    Absorb { slice: Arc<MigrationSlice>, reply: Sender<AbsorbReceipt> },
     /// Drain and exit.
     Shutdown,
 }
@@ -667,14 +668,19 @@ impl SpadeService {
     }
 
     /// Replays a migrated slice into this worker's engine (the target
-    /// half of a component migration). Returns `None` if the service has
-    /// shut down.
-    pub fn absorb(&self, slice: MigrationSlice) -> Option<AbsorbReceipt> {
+    /// half of a component migration); the worker only reads the slice,
+    /// so a caller that passes an `Arc` keeps its copy without cloning
+    /// it. Returns `None` if the service has shut down.
+    pub fn absorb(&self, slice: impl Into<Arc<MigrationSlice>>) -> Option<AbsorbReceipt> {
         self.request_absorb(slice)?.recv().ok()
     }
 
     /// Fire-and-collect variant of [`absorb`](Self::absorb).
-    pub fn request_absorb(&self, slice: MigrationSlice) -> Option<Receiver<AbsorbReceipt>> {
+    pub fn request_absorb(
+        &self,
+        slice: impl Into<Arc<MigrationSlice>>,
+    ) -> Option<Receiver<AbsorbReceipt>> {
+        let slice = slice.into();
         self.request(|reply| Command::Absorb { slice, reply })
     }
 
@@ -2273,7 +2279,7 @@ mod tests {
             vertices: vec![(v(20), 0.0), (v(21), 0.0)],
             edges: vec![(v(20), v(21), 2.0)],
         };
-        let slice = MigrationSlice { snapshot, updates_applied: 0 };
+        let slice = Arc::new(MigrationSlice { snapshot, updates_applied: 0 });
         assert_eq!(w.worker.step(Some(Command::Absorb { slice, reply }), t0), open);
         assert_eq!(w.settled(), settled);
         assert_eq!(receipt.recv().expect("receipt").edges_applied, 1);

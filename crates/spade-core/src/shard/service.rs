@@ -734,7 +734,8 @@ impl ShardedSpadeService {
             edges: slice.snapshot.edges.len(),
             edge_weight: slice.snapshot.edge_weight_total(),
         };
-        if self.shards[to].absorb(slice.clone()).is_none() {
+        let slice = Arc::new(slice);
+        if self.shards[to].absorb(Arc::clone(&slice)).is_none() {
             // The target died mid-move but the slice is in hand and the
             // source is (presumably) alive: put the slice back where it
             // came from and point routing back at it, so the component

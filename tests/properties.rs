@@ -503,6 +503,65 @@ proptest! {
     }
 }
 
+/// [`index_op_strategy`] plus appends long enough (64–139 slots) to cross
+/// a 64-slot block boundary from anywhere.
+fn block_op_strategy() -> impl Strategy<Value = IndexOp> {
+    prop_oneof![
+        3 => index_op_strategy(),
+        1 => (64usize..140, 0u64..u64::MAX).prop_map(|(n, s)| IndexOp::Append(n, s)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The kinetic index stays exact where its 64-slot blocks make it
+    /// hardest: all-equal deltas (every density ties, so no block's bound
+    /// prunes and each tie must go to the larger community) or integer
+    /// deltas in `-5..=20`; windows and shifts that start and end
+    /// mid-block and span many blocks; appends across a block boundary
+    /// and across a capacity doubling (the initial length sits just below
+    /// a multiple of 64, a power-of-two one for 6 of the 39 multiples).
+    #[test]
+    fn kinetic_index_is_exact_on_block_edges_and_ties(
+        init in (1usize..40, 0usize..4, (0u8..2, -2i8..5), 0u64..u64::MAX),
+        ops in proptest::collection::vec(block_op_strategy(), 1..30)
+    ) {
+        let (blocks, below, (ties, tie), seed) = init;
+        let value = |s: u64, i: usize| if ties == 1 { f64::from(tie) } else { fill(s, i) };
+        let mut deltas: Vec<f64> = (0..64 * blocks - below).map(|i| value(seed, i)).collect();
+        let mut idx = KineticIndex::from_deltas(&deltas);
+        assert_index_is_exact(&idx, &deltas);
+        for op in ops {
+            match op {
+                IndexOp::Append(n, s) => {
+                    for _ in 0..n {
+                        let d = value(s, deltas.len());
+                        idx.append(d);
+                        deltas.push(d);
+                        assert_index_is_exact(&idx, &deltas);
+                    }
+                }
+                IndexOp::Rewrite(w, s) => {
+                    let (lo, hi) = window(w, deltas.len());
+                    let vals: Vec<f64> = (lo..hi).map(|i| value(s, i)).collect();
+                    idx.rewrite_deltas(lo, &vals);
+                    deltas[lo..hi].copy_from_slice(&vals);
+                }
+                IndexOp::Shift(w, t) => {
+                    let (lo, hi) = window(w, deltas.len());
+                    idx.add_range(lo, hi, f64::from(t));
+                    deltas[lo] += f64::from(t);
+                    if let Some(d) = deltas.get_mut(hi) {
+                        *d -= f64::from(t);
+                    }
+                }
+            }
+            assert_index_is_exact(&idx, &deltas);
+        }
+    }
+}
+
 /// One step of a script over a bootstrapped universe of a few hundred to
 /// 1 500 vertices. Vertex picks are taken modulo the universe size.
 #[derive(Clone, Debug)]
