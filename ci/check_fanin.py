@@ -27,7 +27,7 @@ and asserts:
    machine-specific (absolute tx/s on a shared CI runner is not the
    recording host's) and fan-in numbers swing hard across runner
    classes. Regenerate with
-   `cargo run --release -p spade-bench --bin bench_fanin`.
+   `cargo run --release -p spade-net --example bench_fanin`.
 
 Usage:
     ci/check_fanin.py BASELINE.json FRESH.json

@@ -893,8 +893,12 @@ mod tests {
         Args::parse(line.split_whitespace().map(String::from)).unwrap()
     }
 
-    fn temp_dir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("spade_cli_test_{}", std::process::id()));
+    /// A directory of the calling test's own: tests run in parallel, and
+    /// one test rewriting a shared `edges.txt` (truncate, then write) lets
+    /// another read it empty.
+    fn temp_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("spade_cli_test_{}_{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -926,14 +930,14 @@ mod tests {
 
     #[test]
     fn detect_command_runs() {
-        let dir = temp_dir();
+        let dir = temp_dir("detect_command_runs");
         let path = write_sample_edges(&dir);
         detect(&args(&format!("detect {path} --metric dw --top 2"))).unwrap();
     }
 
     #[test]
     fn stream_command_runs_in_both_modes() {
-        let dir = temp_dir();
+        let dir = temp_dir("stream_command_runs_in_both_modes");
         let path = write_sample_edges(&dir);
         stream(&args(&format!("stream {path} --metric dw --initial 0.5 --batch 4"))).unwrap();
         stream(&args(&format!("stream {path} --metric fd --initial 0.5 --grouping"))).unwrap();
@@ -941,7 +945,7 @@ mod tests {
 
     #[test]
     fn gen_snapshot_resume_pipeline() {
-        let dir = temp_dir();
+        let dir = temp_dir("gen_snapshot_resume_pipeline");
         let edges = dir.join("gen.txt").to_string_lossy().into_owned();
         generate(&args(&format!("gen --dataset Wiki-Vote --scale 0.02 --seed 7 --out {edges}")))
             .unwrap();
@@ -954,7 +958,7 @@ mod tests {
 
     #[test]
     fn serve_command_runs_sharded() {
-        let dir = temp_dir();
+        let dir = temp_dir("serve_command_runs_sharded");
         let path = write_sample_edges(&dir);
         serve(&args(&format!("serve {path} --shards 4 --metric dw"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --partitioner hash --grouping"))).unwrap();
@@ -966,14 +970,14 @@ mod tests {
 
     #[test]
     fn detect_with_shards_runs() {
-        let dir = temp_dir();
+        let dir = temp_dir("detect_with_shards_runs");
         let path = write_sample_edges(&dir);
         detect(&args(&format!("detect {path} --metric dw --shards 3"))).unwrap();
     }
 
     #[test]
     fn repair_flag_runs_the_cross_shard_pass() {
-        let dir = temp_dir();
+        let dir = temp_dir("repair_flag_runs_the_cross_shard_pass");
         let path = write_sample_edges(&dir);
         detect(&args(&format!("detect {path} --metric dw --shards 4 --partitioner hash --repair")))
             .unwrap();
@@ -1009,7 +1013,7 @@ mod tests {
 
     #[test]
     fn rebalance_flag_runs_the_migration_scheduler() {
-        let dir = temp_dir();
+        let dir = temp_dir("rebalance_flag_runs_the_migration_scheduler");
         let path = write_merging_edges(&dir);
         serve(&args(&format!("serve {path} --shards 2 --rebalance"))).unwrap();
         detect(&args(&format!("detect {path} --shards 4 --rebalance --repair"))).unwrap();
@@ -1017,7 +1021,7 @@ mod tests {
 
     #[test]
     fn partition_flag_accepts_aliases_and_spill_bounds() {
-        let dir = temp_dir();
+        let dir = temp_dir("partition_flag_accepts_aliases_and_spill_bounds");
         let path = write_sample_edges(&dir);
         serve(&args(&format!("serve {path} --shards 2 --partition hash"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --partition conn:64"))).unwrap();
@@ -1027,7 +1031,7 @@ mod tests {
 
     #[test]
     fn serve_listen_and_ingest_roundtrip_over_loopback() {
-        let dir = temp_dir();
+        let dir = temp_dir("serve_listen_and_ingest_roundtrip_over_loopback");
         let path = write_sample_edges(&dir);
         // Reserve a free port, then release it for the server. The tiny
         // window between drop and rebind is raced only by other local
@@ -1070,7 +1074,7 @@ mod tests {
     fn serve_metrics_exporter_and_watch_over_loopback() {
         use std::io::{Read as _, Write as _};
 
-        let dir = temp_dir();
+        let dir = temp_dir("serve_metrics_exporter_and_watch_over_loopback");
         let path = write_sample_edges(&dir);
         let (port, mport) = {
             let a = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

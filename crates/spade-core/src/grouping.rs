@@ -222,7 +222,8 @@ impl EdgeGrouper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::WeightedDensity;
+    use crate::engine::SpadeConfig;
+    use crate::metric::{BuiltinMetric, WeightedDensity};
     use crate::peel::peel;
 
     fn v(i: u32) -> VertexId {
@@ -376,5 +377,24 @@ mod tests {
         assert!(out.flushed.is_none());
         assert_eq!(g.buffered(), 0);
         assert_eq!(g.stats().submitted, 1);
+    }
+
+    /// DG's set semantics carry into the grouper: a pair repeated while
+    /// it is still buffered is one edge, weight 1.
+    #[test]
+    fn grouped_dg_dedups_a_pair_repeated_while_buffered() {
+        // A 5-clique (DG density 4) makes a far-away pair benign.
+        let clique = (0..5).flat_map(|a| (0..5).filter(move |&b| a != b).map(move |b| (a, b)));
+        let initial = clique.map(|(a, b)| (v(a), v(b), 1.0));
+        let metric = BuiltinMetric::from_name("dg").expect("dg is a built-in metric");
+        let mut engine = SpadeEngine::bootstrap(metric, SpadeConfig::default(), initial)
+            .expect("bootstrap a 5-clique");
+        let mut grouper = EdgeGrouper::new(GroupingConfig::default());
+        for _ in 0..2 {
+            let out = grouper.submit(&mut engine, v(10), v(11), 1.0).expect("submit");
+            assert!(out.flushed.is_none(), "the pair must still be buffered");
+        }
+        grouper.flush(&mut engine).expect("flush");
+        assert_eq!(engine.graph().edge_weight(v(10), v(11)), Some(1.0));
     }
 }

@@ -28,7 +28,7 @@ pub use kinetic::KineticIndex;
 pub use metric::{
     BuiltinMetric, CustomMetric, DensityMetric, Fraudar, UnweightedDensity, WeightedDensity,
 };
-pub use peel::{peel, peel_with_queue, PeelingOutcome};
+pub use peel::{peel, PeelingOutcome};
 pub use persist::{load_engine, save_engine, SnapshotError, SubgraphSnapshot};
 pub use reorder::{ReorderScratch, ReorderStats};
 pub use service::{

@@ -200,9 +200,8 @@ impl DensityMetric for Fraudar {
     }
 }
 
-/// One of the three built-in metrics, chosen at run time (`--metric`, a
-/// harness sweep over DG/DW/FD) so the caller stays monomorphic over one
-/// engine type.
+/// One of the three built-in metrics, chosen at run time (`--metric`) so
+/// the caller stays monomorphic over one engine type.
 #[derive(Clone, Debug)]
 pub enum BuiltinMetric {
     /// DG.

@@ -8,74 +8,9 @@
 //! guarantee `g(S_P) >= g(S*) / 2` (Lemma 2.1).
 //!
 //! Cost: `O(|E| log |V|)` with the lazy-deletion min-heap.
-//!
-//! The peel is generic over an [`Incidence`] source so it runs both on the
-//! live [`DynamicGraph`] and on the frozen [`CsrGraph`] snapshot that the
-//! static baselines use (Fig. 10's DG/DW/FD-from-scratch competitors).
 
 use crate::order::MinQueue;
-use spade_graph::{CsrGraph, DynamicGraph, VertexId};
-
-/// Read-only incidence access required by the static peel.
-pub trait Incidence {
-    /// Number of vertices.
-    fn num_vertices(&self) -> usize;
-    /// `f(V)`: total suspiciousness.
-    fn total_weight(&self) -> f64;
-    /// `w_u(V)`: vertex weight plus all incident edge weights.
-    fn initial_weight(&self, u: VertexId) -> f64;
-    /// Visits every incident edge of `u` as `(neighbor, edge_weight)`.
-    fn for_each_incident(&self, u: VertexId, f: impl FnMut(VertexId, f64));
-}
-
-impl Incidence for DynamicGraph {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        DynamicGraph::num_vertices(self)
-    }
-
-    #[inline]
-    fn total_weight(&self) -> f64 {
-        DynamicGraph::total_weight(self)
-    }
-
-    #[inline]
-    fn initial_weight(&self, u: VertexId) -> f64 {
-        self.incident_weight(u)
-    }
-
-    #[inline]
-    fn for_each_incident(&self, u: VertexId, mut f: impl FnMut(VertexId, f64)) {
-        for nb in self.neighbors(u) {
-            f(nb.v, nb.w);
-        }
-    }
-}
-
-impl Incidence for CsrGraph {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        CsrGraph::num_vertices(self)
-    }
-
-    #[inline]
-    fn total_weight(&self) -> f64 {
-        CsrGraph::total_weight(self)
-    }
-
-    #[inline]
-    fn initial_weight(&self, u: VertexId) -> f64 {
-        self.incident_weight(u)
-    }
-
-    #[inline]
-    fn for_each_incident(&self, u: VertexId, mut f: impl FnMut(VertexId, f64)) {
-        let (nbrs, ws) = self.incidence(u);
-        for (&v, &w) in nbrs.iter().zip(ws) {
-            f(v, w);
-        }
-    }
-}
+use spade_graph::{DynamicGraph, VertexId};
 
 /// The result of a full static peel.
 #[derive(Clone, Debug, Default)]
@@ -108,35 +43,28 @@ impl PeelingOutcome {
     }
 }
 
-/// Runs the full peeling paradigm (Algorithm 1) on `source`.
+/// Runs the full peeling paradigm (Algorithm 1) on `graph`.
 ///
 /// Returns an empty outcome for the empty graph.
-pub fn peel<G: Incidence>(source: &G) -> PeelingOutcome {
-    let mut queue = MinQueue::new();
-    peel_with_queue(source, &mut queue)
-}
-
-/// [`peel`] with a caller-provided queue so repeated static baselines can
-/// reuse heap allocations (the paper's from-scratch competitors run once
-/// per update).
-pub fn peel_with_queue<G: Incidence>(source: &G, queue: &mut MinQueue) -> PeelingOutcome {
-    let n = source.num_vertices();
+pub fn peel(graph: &DynamicGraph) -> PeelingOutcome {
+    let n = graph.num_vertices();
     let mut outcome = PeelingOutcome {
         order: Vec::with_capacity(n),
         weights: Vec::with_capacity(n),
         best_prefix: 0,
         best_density: f64::NEG_INFINITY,
-        total_weight: source.total_weight(),
+        total_weight: graph.total_weight(),
     };
     if n == 0 {
         outcome.best_density = 0.0;
         return outcome;
     }
 
+    let mut queue = MinQueue::new();
     queue.reset(n);
     for i in 0..n {
         let u = VertexId::from_index(i);
-        queue.insert(u, source.initial_weight(u));
+        queue.insert(u, graph.incident_weight(u));
     }
 
     // g(S_0) is a candidate: zero removals.
@@ -149,11 +77,11 @@ pub fn peel_with_queue<G: Incidence>(source: &G, queue: &mut MinQueue) -> Peelin
         outcome.order.push(u);
         outcome.weights.push(key.weight);
         f -= key.weight;
-        source.for_each_incident(u, |v, w| {
-            if queue.contains(v) {
-                queue.add_weight(v, -w);
+        for nb in graph.neighbors(u) {
+            if queue.contains(nb.v) {
+                queue.add_weight(nb.v, -nb.w);
             }
-        });
+        }
         let remaining = n - outcome.order.len();
         if remaining > 0 {
             let g = f / remaining as f64;
@@ -199,7 +127,6 @@ pub fn brute_force_densest(g: &DynamicGraph) -> (Vec<VertexId>, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_graph::CsrGraph;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -290,17 +217,6 @@ mod tests {
         assert_eq!(community, vec![8, 9, 10, 11]);
         // Density of the clique: 6 edges * 10 / 4 vertices = 15.
         assert!((out.best_density - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csr_and_dynamic_agree() {
-        let g = figure3_graph();
-        let csr = CsrGraph::from_graph(&g);
-        let a = peel(&g);
-        let b = peel(&csr);
-        assert_eq!(a.order, b.order);
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(a.best_prefix, b.best_prefix);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::graph::DynamicGraph;
 use crate::hash::FxHashMap;
 use crate::id::VertexId;
 use crate::Result;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// Maps external string labels to dense vertex ids in first-seen order.
@@ -148,16 +148,6 @@ pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<(DynamicGraph, Interner, us
     Ok((g, interner, rejected))
 }
 
-/// Writes `g` as a `src dst weight` edge list.
-pub fn save_graph<W: Write>(g: &DynamicGraph, writer: W) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    for (src, dst, weight) in g.iter_edges() {
-        writeln!(w, "{src} {dst} {weight}")?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,23 +192,6 @@ u2 m1 0.5 17
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut g = DynamicGraph::new();
-        for _ in 0..3 {
-            g.add_vertex(0.0).unwrap();
-        }
-        g.insert_edge(VertexId(0), VertexId(1), 1.5).unwrap();
-        g.insert_edge(VertexId(1), VertexId(2), 2.5).unwrap();
-
-        let mut buf = Vec::new();
-        save_graph(&g, &mut buf).unwrap();
-        let (records, _) = read_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(records.len(), 2);
-        let total: f64 = records.iter().map(|r| r.weight).sum();
-        assert!((total - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -17,13 +17,10 @@
 //!   edge insertion, O(1) edge-weight lookup/accumulation, O(1) deletion,
 //!   and the running aggregates the peeling algorithms need
 //!   (`f(V)` total weight, per-vertex incident weight `w_u(V)`).
-//! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot used by the
-//!   static (from-scratch) peeling baselines for cache-friendly traversal.
-//! * [`stats`] — degree distributions and summary statistics (paper Fig. 9b).
-//! * [`io`] — plain-text edge-list readers/writers and a string interner for
+//! * [`stats`] — degree distributions and a power-law fit (paper Fig. 9b).
+//! * [`io`] — plain-text edge-list readers and a string interner for
 //!   datasets with external vertex labels.
 
-pub mod csr;
 pub mod error;
 pub mod graph;
 pub mod hash;
@@ -31,7 +28,6 @@ pub mod id;
 pub mod io;
 pub mod stats;
 
-pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::{DynamicGraph, EdgeInsertion, Neighbor};
 pub use id::{EdgeRef, VertexId};

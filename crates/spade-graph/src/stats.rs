@@ -1,37 +1,6 @@
-//! Graph summary statistics and degree distributions (paper Fig. 9b,
-//! Table 3).
+//! Degree distributions (paper Fig. 9b).
 
 use crate::graph::DynamicGraph;
-
-/// Summary statistics in the format of the paper's Table 3.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GraphStats {
-    /// `|V|`.
-    pub num_vertices: usize,
-    /// `|E|` (accumulated directed edges).
-    pub num_edges: usize,
-    /// Average total degree `|E| / |V|` — the paper reports edge-per-vertex.
-    pub avg_degree: f64,
-    /// Maximum total degree.
-    pub max_degree: usize,
-    /// `f(V)`.
-    pub total_weight: f64,
-}
-
-impl GraphStats {
-    /// Computes summary statistics for `g`.
-    pub fn of(g: &DynamicGraph) -> Self {
-        let n = g.num_vertices();
-        let max_degree = g.vertices().map(|u| g.degree(u)).max().unwrap_or(0);
-        GraphStats {
-            num_vertices: n,
-            num_edges: g.num_edges(),
-            avg_degree: if n == 0 { 0.0 } else { g.num_edges() as f64 / n as f64 },
-            max_degree,
-            total_weight: g.total_weight(),
-        }
-    }
-}
 
 /// A degree-frequency histogram: `frequency[d]` = number of vertices with
 /// total degree `d` (Fig. 9b plots frequency against degree).
@@ -97,30 +66,6 @@ impl DegreeDistribution {
         let slope = (n * sxy - sx * sy) / denom;
         Some(-slope)
     }
-
-    /// Down-samples the histogram into `buckets` logarithmic bins of
-    /// `(bucket_max_degree, count)` pairs — convenient for terminal plots.
-    pub fn log_buckets(&self, buckets: usize) -> Vec<(usize, usize)> {
-        let max_d = self.max_degree().max(1);
-        let mut out = Vec::with_capacity(buckets);
-        let ratio = (max_d as f64).powf(1.0 / buckets.max(1) as f64);
-        let mut lo = 1usize;
-        let mut bound = 1.0f64;
-        for _ in 0..buckets {
-            bound *= ratio;
-            let hi = (bound.round() as usize).clamp(lo, max_d);
-            let count: usize = self.frequency
-                [lo.min(self.frequency.len())..(hi + 1).min(self.frequency.len())]
-                .iter()
-                .sum();
-            out.push((hi, count));
-            lo = hi + 1;
-            if lo > max_d {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -141,16 +86,6 @@ mod tests {
             g.insert_edge(v(i), v(0), 1.0).unwrap();
         }
         g
-    }
-
-    #[test]
-    fn stats_of_star() {
-        let g = star(5);
-        let s = GraphStats::of(&g);
-        assert_eq!(s.num_vertices, 6);
-        assert_eq!(s.num_edges, 5);
-        assert_eq!(s.max_degree, 5);
-        assert!((s.avg_degree - 5.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -181,15 +116,5 @@ mod tests {
         let d = DegreeDistribution { frequency };
         let alpha = d.power_law_exponent().unwrap();
         assert!((alpha - 2.0).abs() < 0.05, "alpha = {alpha}");
-    }
-
-    #[test]
-    fn log_buckets_cover_all_degrees() {
-        let g = star(64);
-        let d = DegreeDistribution::of(&g);
-        let buckets = d.log_buckets(6);
-        let total: usize = buckets.iter().map(|(_, c)| c).sum();
-        // All vertices of degree >= 1 are covered.
-        assert_eq!(total, 65);
     }
 }

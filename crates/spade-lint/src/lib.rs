@@ -26,8 +26,9 @@
 //!   outside `#[cfg(test)]` code: a runtime wait sleeps on the progress
 //!   it waits for, never on a tick. Registered sites excepted.
 //! * **`dangling-ref`** — CI config and the docs ([`REF_DOCS`]) may only
-//!   name cargo targets (`--bin X`, `--bench X`, `--test X`,
-//!   `--example X`), gate files (`ci/<file>`) and bench baselines
+//!   name packages (`-p X`, `--package X`), cargo targets (`--bin X`,
+//!   `--bench X`, `--test X`, `--example X`), gate files (`ci/<file>`)
+//!   and bench baselines
 //!   (`BENCH_*.json`) that exist in the tree, so deleting a harness
 //!   without its callers fails here; `//` comments in Rust sources may
 //!   only cite uppercase `<NAME>.md` documents the root holds. Never
@@ -586,8 +587,8 @@ pub const REF_DOCS: &[&str] =
 const TARGET_KINDS: [(&str, &str); 4] =
     [("bin", "src/bin"), ("bench", "benches"), ("test", "tests"), ("example", "examples")];
 
-/// What the tree offers for a doc to name: cargo targets by kind, and
-/// the committed files that `ci/…`, `BENCH_*.json` and root `<NAME>.md`
+/// What the tree offers for a doc to name: packages (kind `package`) and
+/// cargo targets by kind, and the committed files that `ci/…`, `BENCH_*.json` and root `<NAME>.md`
 /// tokens resolve to.
 #[derive(Clone, Debug, Default)]
 pub struct Tree {
@@ -596,7 +597,8 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// A tree given literally — `targets` as `(kind, name)`, `files` as
+    /// A tree given literally — `targets` as `(kind, name)`, a package as
+    /// kind `package`, `files` as
     /// workspace-relative paths. The self-test judges its fixture
     /// against one of these, so it never depends on the checkout.
     pub fn of(targets: &[(&'static str, &str)], files: &[&str]) -> Tree {
@@ -608,7 +610,7 @@ impl Tree {
 
     /// Indexes the checkout at `root`: every package (the facade, each
     /// crate and vendored shim, the standalone `benchmark/`) contributes
-    /// its auto-discovered and manifest-declared targets; `ci/`, the
+    /// its name and its auto-discovered and manifest-declared targets; `ci/`, the
     /// root-level `BENCH_*` baselines and the root documents contribute
     /// files.
     pub fn from_root(root: &Path) -> io::Result<Tree> {
@@ -643,6 +645,7 @@ impl Tree {
                 declares_bin |= line == "[[bin]]";
             } else if let Some(name) = manifest_name(line) {
                 if section == "package" {
+                    self.targets.insert(("package", name.to_string()));
                     package_name = Some(name.to_string());
                 } else if let Some(&(kind, _)) = TARGET_KINDS.iter().find(|(k, _)| *k == section) {
                     self.targets.insert((kind, name.to_string()));
@@ -738,6 +741,7 @@ fn name_at(text: &str, from: usize, keep: fn(u8) -> bool) -> Option<&str> {
 /// Checks one doc's references against `tree`. `path` is the doc's
 /// workspace-relative path. Recognized tokens:
 ///
+/// * `-p X` / `--package X` — `X` must be a package in the tree;
 /// * `--bin X` / `--bench X` / `--test X` / `--example X` — `X` must be
 ///   a target of that kind in some package;
 /// * `ci/<path>` — must be a committed file or directory;
@@ -755,14 +759,22 @@ pub fn scan_doc(path: &str, text: &str, tree: &Tree) -> Vec<Finding> {
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
         let bytes = line.as_bytes();
-        for (kind, _) in TARGET_KINDS {
-            // The trailing space keeps `--test-threads` and `--bins` out.
-            let flag = format!("--{kind} ");
+        // The trailing space keeps `--test-threads` and `--bins` out.
+        let targets = TARGET_KINDS.iter().map(|&(kind, _)| (format!("--{kind} "), kind));
+        let packages = ["-p ", "--package "].map(|flag| (flag.to_string(), "package"));
+        for (flag, kind) in targets.chain(packages) {
             for (at, _) in line.match_indices(&flag) {
+                if at > 0 && is_path_byte(bytes[at - 1]) {
+                    continue; // the tail of a longer flag (`--deadline-p`)
+                }
                 let keep = |b| is_ident_byte(b) || b == b'-';
                 if let Some(name) = name_at(line, at + flag.len(), keep) {
                     if !tree.has_target(kind, name) {
-                        dangling(lineno, format!("--{kind} {name}"), &format!("a {kind} target"));
+                        let what = match kind {
+                            "package" => "a package".to_string(),
+                            _ => format!("a {kind} target"),
+                        };
+                        dangling(lineno, format!("{flag}{name}"), &what);
                     }
                 }
             }
@@ -1140,6 +1152,23 @@ fn f() {
     }
 
     #[test]
+    fn dangling_ref_checks_package_names() {
+        let tree = Tree::of(&[("package", "spade-net"), ("example", "bench_fanin")], &[]);
+        let live = "cargo run -p spade-net --example bench_fanin\n\
+                    cargo test --package spade-net -- --test-threads=1\n\
+                    cargo test -p <name>, --deadline-p 5\n";
+        assert!(scan_doc("README.md", live, &tree).is_empty());
+
+        let dead =
+            "cargo run -p spade-bench --example bench_fanin\ncargo test --package spade-gone\n";
+        let findings = scan_doc("README.md", dead, &tree);
+        let keys: Vec<_> = findings.iter().map(|f| (f.line, f.key.as_str())).collect();
+        // A live example does not make its old package live.
+        assert_eq!(keys, [(1, "-p spade-bench"), (2, "--package spade-gone")]);
+        assert!(findings.iter().all(|f| f.rule == Rule::DanglingRef && !f.allowable));
+    }
+
+    #[test]
     fn dangling_ref_reads_uppercase_doc_names_in_rust_comments_only() {
         let tree = Tree::of(&[], &["README.md"]);
         let src = "//! See README.md, benchmark/NOTES.md, notes.md and `<NAME>.md`.\n\
@@ -1162,8 +1191,11 @@ fn f() {
         // … discovered `src/bin/*.rs`, `tests/*.rs`, `examples/*.rs` …
         assert!(tree.has_target("bin", "shardd") && tree.has_target("test", "lock_order"));
         assert!(tree.has_target("example", "quickstart"));
+        // … every package by its `[package]` name …
+        assert!(tree.has_target("package", "spade-cli") && tree.has_target("package", "spade"));
+        assert!(!tree.has_target("package", "spade-bench"));
         // … the standalone benchmark package, and the gate files.
-        assert!(tree.has_target("bin", "bench_stack"));
+        assert!(tree.has_target("bin", "bench_stack") && tree.has_target("package", "bench_stack"));
         assert!(tree.has_path("ci/check_fanin.py") && tree.has_path("ci/fixtures"));
         assert!(!tree.has_path("ci/check"));
         // … and the root documents a source comment may cite.

@@ -225,7 +225,12 @@ fn run_self_test() -> ExitCode {
     // ones must be reported, against a tree given here so the verdict
     // does not depend on the checkout.
     let tree = Tree::of(
-        &[("bin", "bench_fanin"), ("test", "lock_order"), ("example", "quickstart")],
+        &[
+            ("package", "spade-net"),
+            ("example", "bench_fanin"),
+            ("test", "lock_order"),
+            ("example", "quickstart"),
+        ],
         &["ci/check_fanin.py", "ci/fixtures/fanin_pass.json", "BENCH_fanin.json"],
     );
     let dead = [
@@ -238,6 +243,7 @@ fn run_self_test() -> ExitCode {
         "--test lock_ordering",
         "--example quick_start",
         "ci/fixtures/retired_baseline.json",
+        "-p spade-bench",
     ];
     let findings = scan_doc("README.md", include_str!("../fixtures/bad_dangling_ref.md"), &tree);
     failed |= !exactly_dangling("bad_dangling_ref", &findings, &dead);

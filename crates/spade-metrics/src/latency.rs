@@ -67,17 +67,6 @@ impl LatencyRecorder {
         }
     }
 
-    /// `L` of this recorder normalized to a baseline's `L` — Table 5
-    /// reports incremental latency normalized to the static algorithms.
-    pub fn normalized_to(&self, baseline: &LatencyRecorder) -> f64 {
-        let b = baseline.total();
-        if b == 0 {
-            0.0
-        } else {
-            self.total() as f64 / b as f64
-        }
-    }
-
     /// The raw latencies (for percentile summaries).
     pub fn latencies(&self) -> &[u64] {
         &self.latencies
@@ -104,17 +93,6 @@ mod tests {
         let mut r = LatencyRecorder::new();
         r.record(0, 9999, 10_000);
         assert!((r.queueing_fraction() - 0.9999).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalization_against_baseline() {
-        let mut inc = LatencyRecorder::new();
-        inc.record(0, 0, 50);
-        let mut base = LatencyRecorder::new();
-        base.record(0, 0, 100);
-        assert!((inc.normalized_to(&base) - 0.5).abs() < 1e-12);
-        let empty = LatencyRecorder::new();
-        assert_eq!(inc.normalized_to(&empty), 0.0);
     }
 
     #[test]

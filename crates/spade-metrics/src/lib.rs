@@ -9,8 +9,7 @@
 //!   metrics registry (atomic counters, gauges, log-scale latency
 //!   histograms with mergeable snapshots) plus an event-trace ring;
 //! * [`summary`] — mean / percentile summaries for benchmark reports;
-//! * [`table`] — fixed-width table rendering for the paper-style harness
-//!   binaries.
+//! * [`table`] — fixed-width table rendering for terminal reports.
 
 pub mod latency;
 pub mod prevention;

@@ -1,8 +1,5 @@
-//! Fixed-width plain-text tables for the paper-style harness binaries.
-//!
-//! Every `spade-bench` binary prints its table/figure in the same row
-//! format the paper uses, so EXPERIMENTS.md can juxtapose paper values and
-//! measured values directly.
+//! Fixed-width plain-text tables: the CLI's detection and stats reports
+//! and the `bench_fanin` sweep print through [`Table`].
 
 use std::fmt::Write as _;
 
@@ -71,29 +68,6 @@ impl Table {
     }
 }
 
-/// Formats a duration given in microseconds the way the paper's tables do
-/// (`< 1us` becomes `-`).
-pub fn fmt_us(us: f64) -> String {
-    if us < 1.0 {
-        "-".to_string()
-    } else if us >= 1_000_000.0 {
-        format!("{:.1}s", us / 1_000_000.0)
-    } else if us >= 1_000.0 {
-        format!("{:.1}ms", us / 1_000.0)
-    } else {
-        format!("{us:.0}us")
-    }
-}
-
-/// Formats a speedup factor (`1234.5` -> `1.2e3x`-style when large).
-pub fn fmt_speedup(x: f64) -> String {
-    if x >= 10_000.0 {
-        format!("{x:.2e}x")
-    } else {
-        format!("{x:.1}x")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,19 +95,5 @@ mod tests {
         assert_eq!(t.num_rows(), 1);
         let s = t.render();
         assert!(s.contains('x'));
-    }
-
-    #[test]
-    fn duration_formatting_matches_paper_convention() {
-        assert_eq!(fmt_us(0.4), "-");
-        assert_eq!(fmt_us(12.0), "12us");
-        assert_eq!(fmt_us(3_400.0), "3.4ms");
-        assert_eq!(fmt_us(2_000_000.0), "2.0s");
-    }
-
-    #[test]
-    fn speedup_formatting() {
-        assert_eq!(fmt_speedup(3.25), "3.2x");
-        assert!(fmt_speedup(1_960_000.0).contains('e'));
     }
 }

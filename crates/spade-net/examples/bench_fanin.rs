@@ -25,9 +25,9 @@
 //! bootstrap and poison every sample).
 //!
 //! Writes a `BENCH_fanin.json` trajectory (see `--out`) and prints a
-//! table. `--smoke` (or `SPADE_QUICK=1`) shrinks the workload for CI.
+//! table. `--smoke` shrinks the workload for CI.
 //!
-//! `cargo run -p spade-bench --release --bin bench_fanin [-- --smoke]`
+//! `cargo run --release -p spade-net --example bench_fanin [-- --smoke]`
 
 use spade_core::metric::WeightedDensity;
 use spade_core::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
@@ -179,7 +179,7 @@ fn write_json(path: &str, edges_per_producer: usize, samples: &[Sample]) -> std:
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke") || std::env::var_os("SPADE_QUICK").is_some();
+    let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
