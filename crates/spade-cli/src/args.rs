@@ -33,6 +33,13 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
+    /// Options the subcommand does not read, sorted.
+    UnknownOptions {
+        /// The subcommand.
+        command: String,
+        /// The options it would silently ignore.
+        options: Vec<String>,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -42,6 +49,10 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(opt) => write!(f, "option --{opt} requires a value"),
             ArgError::BadValue { option, value, expected } => {
                 write!(f, "option --{option}: expected {expected}, got {value:?}")
+            }
+            ArgError::UnknownOptions { command, options } => {
+                let options: Vec<String> = options.iter().map(|o| format!("--{o}")).collect();
+                write!(f, "`{command}` does not take {}; see `spade help`", options.join(", "))
             }
         }
     }
@@ -99,6 +110,19 @@ impl Args {
         self.options.contains_key(key)
     }
 
+    /// Refuses any option outside `known`, the options the subcommand
+    /// reads, so a mistyped or unsupported one is an error instead of
+    /// being silently ignored.
+    pub fn only(&self, known: &[&str]) -> Result<(), ArgError> {
+        let mut options: Vec<String> =
+            self.options.keys().filter(|key| !known.contains(&key.as_str())).cloned().collect();
+        if options.is_empty() {
+            return Ok(());
+        }
+        options.sort_unstable();
+        Err(ArgError::UnknownOptions { command: self.command.clone(), options })
+    }
+
     /// The n-th positional argument, if present.
     pub fn pos(&self, n: usize) -> Option<&str> {
         self.positional.get(n).map(String::as_str)
@@ -141,6 +165,24 @@ mod tests {
     fn missing_command_is_an_error() {
         assert_eq!(parse("").unwrap_err(), ArgError::MissingCommand);
         assert_eq!(parse("--metric fd").unwrap_err(), ArgError::MissingCommand);
+    }
+
+    #[test]
+    fn options_outside_the_known_set_are_refused_by_name() {
+        let a = parse("serve f --shards 4 --partition conn --rebalance").unwrap();
+        assert_eq!(a.only(&["shards", "partition", "rebalance"]), Ok(()));
+        let err = a.only(&["shards"]).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::UnknownOptions {
+                command: "serve".into(),
+                options: vec!["partition".into(), "rebalance".into()],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "`serve` does not take --partition, --rebalance; see `spade help`"
+        );
     }
 
     #[test]

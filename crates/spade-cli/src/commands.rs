@@ -3,9 +3,8 @@
 use crate::args::Args;
 use spade_core::metric::{BuiltinMetric, DensityMetric};
 use spade_core::{
-    load_engine, save_engine, EdgeGrouper, GroupingConfig, MigrationReport, PartitionStrategy,
-    RepairConfig, RepairedDetection, ShardedConfig, ShardedSpadeService, SpadeConfig, SpadeEngine,
-    SpadeService,
+    load_engine, save_engine, EdgeGrouper, GroupingConfig, RepairConfig, RepairedDetection,
+    ShardedConfig, ShardedSpadeService, SpadeConfig, SpadeEngine, SpadeService,
 };
 use spade_gen::datasets::DatasetSpec;
 use spade_graph::io::{read_edge_list, EdgeRecord};
@@ -27,13 +26,12 @@ pub fn print_help() {
 
 USAGE:
   spade detect   <edges.txt> [--metric dg|dw|fd] [--top N] [--shards N]
-                 [--repair] [--repair-hops K] [--rebalance]
+                 [--repair] [--repair-hops K]
   spade stream   <edges.txt> [--metric dg|dw|fd] [--initial 0.9]
                  [--batch N | --grouping]
   spade serve    <edges.txt> [--shards N] [--metric dg|dw|fd] [--grouping]
                  [--queue N] [--coalesce N] [--deadline-ms F]
-                 [--partition hash|connectivity|conn:<max_component>]
-                 [--top N] [--repair] [--repair-hops K] [--rebalance]
+                 [--top N] [--repair] [--repair-hops K]
   spade serve    --listen <addr> [--shards N] [--metric dg|dw|fd]
                  [--metrics <addr>] [--net-workers N] [...]
   spade ingest   <addr> <edges.txt> [--batch N] [--pipeline N]
@@ -42,17 +40,16 @@ USAGE:
   spade shard-serve [--listen <addr>] [--metric dg|dw|fd] [--queue N]
                  [--grouping]
   spade route    <edges.txt> <addr>... [--batch N] [--repair-hops K]
-                 [--partition hash|connectivity|conn:<max_component>]
-                 [--no-replicate] [--consolidate] [--shutdown]
+                 [--no-replicate] [--shutdown]
   spade gen      [--dataset Grab1] [--scale 0.01] [--seed 42] [--out FILE]
   spade snapshot <edges.txt> --out FILE [--metric dg|dw|fd]
   spade resume   <FILE> [--metric dg|dw|fd] [--top N]
   spade help
 
 `serve` replays the file through the sharded parallel runtime (one engine
-per shard, communities kept co-resident by the connectivity partitioner)
-and reports per-shard statistics plus the `--top` densest per-shard
-communities (overlapping shard views of one split community are deduped).
+per shard, edges routed by a hash of their source account) and reports
+per-shard statistics plus the `--top` densest per-shard communities
+(overlapping shard views of one split community are deduped).
 `detect --shards N` routes the same static input through N shards instead
 of one engine. `--coalesce N` caps how many edges a shard worker drains
 and applies as one batch (default 256; 1 = per-edge processing); under
@@ -64,18 +61,13 @@ within its budget — prefer it over tuning `--coalesce` directly. On `ingest` t
 same flag stamps the budget onto every frame so the server paces those
 edges; misses and remaining slack are exported as
 `spade_deadline_miss_total` / `spade_deadline_slack_ns` and shown in
-`spade watch`. `--partition` picks the routing policy
-(`--partitioner` is accepted as an alias); `conn:<max_component>` sets
-the connectivity policy's spill bound explicitly. `--repair` runs the
-cross-shard repair pass after the replay: every shard exports its
-community plus a `--repair-hops` frontier (default 1), overlapping
-regions are unioned and re-peeled, and the repaired detection — never
-less dense than the best per-shard view — is reported alongside the
-dilution it recovered. `--rebalance` turns on the live migration
-scheduler: components whose merge stranded edges on a losing home are
-moved whole onto their surviving shard (extract, evict, replay through
-the snapshot codec), and overloaded shards shed their largest pinned
-component; a final pass runs before the report.
+`spade watch`. A community whose accounts hash to different shards is
+split across them and diluted on each; `--repair` runs the cross-shard
+repair pass after the replay, which puts it back together: every shard
+exports its community plus a `--repair-hops` frontier (default 1),
+overlapping regions are unioned and re-peeled, and the repaired
+detection — never less dense than the best per-shard view — is
+reported alongside the dilution it recovered.
 
 `serve --listen <addr>` takes no edge list: it binds a framed-TCP ingest
 server on <addr> (port 0 picks a free port; the bound address is
@@ -98,7 +90,7 @@ replay ends.
 `serve --listen ... --metrics <addr>` additionally serves the live
 Prometheus text exposition on <addr> (scrape http://<addr>/metrics):
 per-stage latency histograms (queue wait, reorder/peel, publish),
-runtime totals, repair/migration counters, and transport counters with
+runtime totals, repair counters, and transport counters with
 per-connection series. `spade watch <addr>` polls a serving runtime over
 the wire and prints a refreshing table of updates, per-shard queue
 depths and parked frames (back-pressure), and stage latencies; each poll
@@ -107,7 +99,7 @@ representative numbers.
 
 `shard-serve` and `route` are the *multi-process* distributed runtime:
 each `shard-serve` process hosts one detection engine behind the
-protocol-v5 shard listener (its first stdout line is the bound address —
+protocol-v6 shard listener (its first stdout line is the bound address —
 port 0 picks a free port), and `route` replays an edge list across N
 such processes. `--queue N` (default 1024) bounds the edges a shard's
 queue holds, as `serve --queue N` does per shard: a batch that does not
@@ -116,9 +108,10 @@ router journals every batch on the next shard over
 before its home applies it, so a SIGKILL'd shard can be restarted and
 reseeded from its replica's journal with zero acked-edge loss (single
 failure tolerated). After the replay `route` runs the cross-shard repair
-pass over the wire and reports the stitched detection;
-`--consolidate` then migrates the repaired community whole onto its
-baseline shard, and `--shutdown` stops the shard processes.
+pass over the wire and reports the stitched detection; `--shutdown`
+stops the shard processes.
+
+Every subcommand refuses an option it does not read.
 
 Edge lists are whitespace-separated `src dst [raw] [timestamp]` lines."
     );
@@ -174,33 +167,31 @@ fn deadline_from(args: &Args) -> Result<Option<Duration>, AnyError> {
     Ok((ms > 0.0).then(|| Duration::from_secs_f64(ms / 1e3)))
 }
 
-/// Parses a `--partition` value (unset or empty: the default strategy).
-fn strategy_from(named: Option<&String>) -> Result<PartitionStrategy, AnyError> {
-    let Some(name) = named.filter(|name| !name.is_empty()) else {
-        return Ok(PartitionStrategy::default());
-    };
-    PartitionStrategy::from_name(name).ok_or_else(|| {
-        format!(
-            "unknown partitioner {name:?} (expected hash, connectivity, or conn:<max_component>)"
-        )
-        .into()
-    })
-}
+/// The options a sharded replay reads: [`sharded_config_from`]'s and the
+/// report's.
+const SHARDED_OPTIONS: [&str; 9] = [
+    "shards",
+    "metric",
+    "top",
+    "queue",
+    "coalesce",
+    "deadline-ms",
+    "grouping",
+    "repair",
+    "repair-hops",
+];
 
-/// Builds a [`ShardedConfig`] from the shared `--shards`, `--queue`,
-/// `--partition` (alias `--partitioner`) and `--grouping` options.
+/// Builds a [`ShardedConfig`] from the shared `--queue`, `--coalesce`,
+/// `--deadline-ms`, `--grouping` and `--repair-hops` options.
 fn sharded_config_from(args: &Args, shards: usize) -> Result<ShardedConfig, AnyError> {
-    let named = args.options.get("partition").or_else(|| args.options.get("partitioner"));
-    let strategy = strategy_from(named)?;
     Ok(ShardedConfig {
         shards,
         queue_capacity: args.num_opt("queue", 1024usize)?.max(1),
         coalesce: args.num_opt("coalesce", ShardedConfig::default().coalesce)?.max(1),
         deadline: deadline_from(args)?,
         grouping: args.flag("grouping").then(GroupingConfig::default),
-        strategy,
         repair: RepairConfig { hops: args.num_opt("repair-hops", RepairConfig::default().hops)? },
-        migration: Default::default(),
+        ..Default::default()
     })
 }
 
@@ -213,7 +204,6 @@ fn print_sharded_report(
     replayed: usize,
     top: usize,
     repaired: Option<&RepairedDetection>,
-    rebalanced: Option<&MigrationReport>,
     net: Option<&NetStats>,
 ) {
     let stats = service.stats();
@@ -317,33 +307,17 @@ fn print_sharded_report(
             sample.join(","),
         );
     }
-    if let Some(r) = rebalanced {
-        let stats = service.migration_stats();
-        println!(
-            "rebalance: {} migration(s) ({} strand repair(s), {} load move(s)), {} edges \
-             moved, {} empty slice(s) skipped, routing epoch {}",
-            stats.migrations,
-            stats.strand_repairs,
-            stats.load_moves,
-            stats.edges_moved,
-            stats.skipped_empty,
-            service.routing_epoch(),
-        );
-        for m in &r.moves {
-            println!(
-                "  moved component of {} vertices / {} edges (weight {:.1}) from shard {} to \
-                 shard {} ({:?})",
-                m.vertices, m.edges, m.edge_weight, m.from, m.to, m.trigger,
-            );
-        }
-    }
 }
 
 /// `spade serve`: replay an edge list through the sharded parallel
 /// runtime and report the merged detection.
 pub fn serve(args: &Args) -> Result<(), AnyError> {
-    let shards = args.num_opt("shards", 4usize)?.max(1);
     let listen = args.str_opt("listen", "");
+    // The front end's own options mean nothing to a file replay.
+    let front_end: &[&str] =
+        if listen.is_empty() { &[] } else { &["listen", "net-workers", "metrics"] };
+    args.only(&[SHARDED_OPTIONS.as_slice(), front_end].concat())?;
+    let shards = args.num_opt("shards", 4usize)?.max(1);
     if !listen.is_empty() {
         return serve_listen(args, shards, &listen);
     }
@@ -358,7 +332,6 @@ fn serve_listen(args: &Args, shards: usize, addr: &str) -> Result<(), AnyError> 
     let metric = metric_from(args)?;
     let top = args.num_opt("top", 3usize)?.max(1);
     let config = sharded_config_from(args, shards)?;
-    let rebalance = args.flag("rebalance");
     // `--net-workers N`: event-loop threads in the reactor pool. Every
     // connection is multiplexed onto one of these; 2 keeps accept and
     // drain responsive without dedicating a thread per connection.
@@ -397,10 +370,6 @@ fn serve_listen(args: &Args, shards: usize, addr: &str) -> Result<(), AnyError> 
     let started = Instant::now();
     while !server.is_stopped() {
         std::thread::sleep(std::time::Duration::from_millis(50));
-        if rebalance {
-            // Live scheduling while producers stream.
-            let _ = service.rebalance_if_needed();
-        }
     }
     let net = server.shutdown();
     // Every acknowledged edge sits in a shard queue; drain before the
@@ -409,7 +378,6 @@ fn serve_listen(args: &Args, shards: usize, addr: &str) -> Result<(), AnyError> 
         return Err("a shard shut down while draining acknowledged edges".into());
     }
     let elapsed_secs = started.elapsed().as_secs_f64();
-    let rebalanced = rebalance.then(|| service.rebalance());
     let repaired = if args.flag("repair") { Some(service.repair()) } else { None };
     print_sharded_report(
         &service,
@@ -417,7 +385,6 @@ fn serve_listen(args: &Args, shards: usize, addr: &str) -> Result<(), AnyError> 
         net.edges_accepted as usize,
         top,
         repaired.as_ref(),
-        rebalanced.as_ref(),
         Some(&net),
     );
     // The exporter's render closure holds the runtime Arc — stop it
@@ -439,6 +406,7 @@ pub fn ingest(args: &Args) -> Result<(), AnyError> {
 
 /// [`ingest`], returning the client's counters at its end.
 fn run_ingest(args: &Args) -> Result<ClientStats, AnyError> {
+    args.only(&["batch", "pipeline", "deadline-ms", "detect", "stats", "shutdown"])?;
     let addr = args.pos(0).ok_or("ingest needs a server address")?;
     let path = args.pos(1).ok_or("ingest needs an edge-list path")?;
     let records = load_records(path)?;
@@ -506,11 +474,12 @@ fn run_ingest(args: &Args) -> Result<ClientStats, AnyError> {
 
 /// `spade shard-serve [--listen <addr>]`: one shard of the multi-process
 /// distributed runtime. Hosts a single [`SpadeService`] behind the
-/// protocol-v5 shard listener (ingest plus `Region`, `MigrateOut`,
-/// `Absorb`, `Replicate`, and `Bootstrap`) and prints the bound address
+/// protocol-v6 shard listener (ingest plus `Region`, `Replicate`, and
+/// `Bootstrap`) and prints the bound address
 /// on the first stdout line so a parent process can scrape the chosen
 /// port. Runs until a router sends `Shutdown`.
 pub fn shard_serve(args: &Args) -> Result<(), AnyError> {
+    args.only(&["listen", "metric", "queue", "grouping"])?;
     let metric = metric_from(args)?;
     let addr = args.str_opt("listen", &ShardServerConfig::default().addr);
     let queue = args.num_opt("queue", 1024usize)?.max(1);
@@ -541,10 +510,10 @@ pub fn shard_serve(args: &Args) -> Result<(), AnyError> {
 /// `spade route <edges.txt> <addr>...`: the router tier. Replays an edge
 /// list across N shard-serve processes (replicated journaling on, so
 /// every acked batch survives a single shard crash), runs the
-/// cross-shard repair pass over the wire, optionally consolidates the
-/// repaired community onto its baseline shard, and reports the
-/// distributed detection plus router accounting.
+/// cross-shard repair pass over the wire, and reports the distributed
+/// detection plus router accounting.
 pub fn route(args: &Args) -> Result<(), AnyError> {
+    args.only(&["batch", "repair-hops", "no-replicate", "shutdown"])?;
     let path = args.pos(0).ok_or("route needs an edge-list path")?;
     let addrs: Vec<String> = (1..).map_while(|i| args.pos(i).map(str::to_string)).collect();
     if addrs.is_empty() {
@@ -552,9 +521,8 @@ pub fn route(args: &Args) -> Result<(), AnyError> {
     }
     let records = load_records(path)?;
     let config = RouterConfig {
-        batch_edges: args.num_opt("batch", RouterConfig::default().batch_edges)?.max(1),
+        batch_edges: args.num_opt("batch", RouterConfig::default().batch_edges)?,
         hops: args.num_opt("repair-hops", RouterConfig::default().hops)?,
-        strategy: strategy_from(args.options.get("partition"))?,
         replicate: !args.flag("no-replicate"),
     };
     let mut router = SpadeRouter::connect(&addrs, config)
@@ -588,15 +556,6 @@ pub fn route(args: &Args) -> Result<(), AnyError> {
         outcome.merged_shards.len(),
         sample.join(","),
     );
-    if args.flag("consolidate") {
-        let moved = router.consolidate(&outcome)?;
-        let baseline = router.detect(outcome.baseline_shard)?;
-        println!(
-            "consolidated {} edges onto shard {}: local detection now {} members, \
-             density {:.3}",
-            moved, outcome.baseline_shard, baseline.size, baseline.density,
-        );
-    }
     if args.flag("shutdown") {
         router.shutdown_shards()?;
         println!("shard shutdown requested");
@@ -630,6 +589,7 @@ fn fmt_latency_us(ns: Option<f64>) -> String {
 /// view of back-pressure: per-shard queue depths building, and the
 /// count of ingest frames that had to park on a full queue.
 pub fn watch(args: &Args) -> Result<(), AnyError> {
+    args.only(&["interval", "count"])?;
     let addr = args.pos(0).ok_or("watch needs a server address")?;
     let interval = Duration::from_millis(args.num_opt("interval", 1000u64)?.max(10));
     let count = args.num_opt("count", 0u64)?; // 0 = poll until the server goes away
@@ -708,29 +668,18 @@ fn run_sharded(args: &Args, shards: usize, path_error: &'static str) -> Result<(
     if !service.barrier() {
         return Err("a shard shut down while draining".into());
     }
-    let rebalance = args.flag("rebalance");
-    // Sample the replay clock before the (blocking) rebalance/repair
-    // passes so the reported tx/s measures ingest alone.
+    // Sample the replay clock before the (blocking) repair pass so the
+    // reported tx/s measures ingest alone.
     let elapsed_secs = started.elapsed().as_secs_f64();
-    // Rebalance before repair: once stranded slices are home, the repair
-    // pass sees whole components and its regions stay small.
-    let rebalanced = rebalance.then(|| service.rebalance());
     let repaired = if args.flag("repair") { Some(service.repair()) } else { None };
-    print_sharded_report(
-        &service,
-        elapsed_secs,
-        records.len(),
-        top,
-        repaired.as_ref(),
-        rebalanced.as_ref(),
-        None,
-    );
+    print_sharded_report(&service, elapsed_secs, records.len(), top, repaired.as_ref(), None);
     service.shutdown();
     Ok(())
 }
 
 /// `spade detect`: one static detection over the whole file.
 pub fn detect(args: &Args) -> Result<(), AnyError> {
+    args.only(&SHARDED_OPTIONS)?;
     let path = args.pos(0).ok_or("detect needs an edge-list path")?;
     let metric = metric_from(args)?;
     let top = args.num_opt("top", 3usize)?;
@@ -759,6 +708,7 @@ pub fn detect(args: &Args) -> Result<(), AnyError> {
 
 /// `spade stream`: bootstrap on a prefix, replay the rest incrementally.
 pub fn stream(args: &Args) -> Result<(), AnyError> {
+    args.only(&["metric", "initial", "batch", "grouping", "top"])?;
     let path = args.pos(0).ok_or("stream needs an edge-list path")?;
     let metric = metric_from(args)?;
     let initial = args.num_opt("initial", 0.9f64)?;
@@ -817,6 +767,7 @@ pub fn stream(args: &Args) -> Result<(), AnyError> {
 
 /// `spade gen`: write a Table 3 surrogate dataset as an edge list.
 pub fn generate(args: &Args) -> Result<(), AnyError> {
+    args.only(&["dataset", "scale", "seed", "out"])?;
     let name = args.str_opt("dataset", "Grab1");
     let scale = args.num_opt("scale", 0.01f64)?;
     let seed = args.num_opt("seed", 42u64)?;
@@ -846,6 +797,7 @@ pub fn generate(args: &Args) -> Result<(), AnyError> {
 
 /// `spade snapshot`: bootstrap and persist engine state.
 pub fn snapshot(args: &Args) -> Result<(), AnyError> {
+    args.only(&["out", "metric"])?;
     let path = args.pos(0).ok_or("snapshot needs an edge-list path")?;
     let out = args.str_opt("out", "");
     if out.is_empty() {
@@ -870,6 +822,7 @@ pub fn snapshot(args: &Args) -> Result<(), AnyError> {
 
 /// `spade resume`: restore a snapshot and detect, with no re-peel.
 pub fn resume(args: &Args) -> Result<(), AnyError> {
+    args.only(&["metric", "top"])?;
     let path = args.pos(0).ok_or("resume needs a snapshot path")?;
     let metric = metric_from(args)?;
     let file = std::fs::File::open(path)?;
@@ -961,7 +914,7 @@ mod tests {
         let dir = temp_dir("serve_command_runs_sharded");
         let path = write_sample_edges(&dir);
         serve(&args(&format!("serve {path} --shards 4 --metric dw"))).unwrap();
-        serve(&args(&format!("serve {path} --shards 2 --partitioner hash --grouping"))).unwrap();
+        serve(&args(&format!("serve {path} --shards 2 --grouping"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --coalesce 1"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --deadline-ms 20"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --deadline-ms 0.5"))).unwrap();
@@ -979,54 +932,8 @@ mod tests {
     fn repair_flag_runs_the_cross_shard_pass() {
         let dir = temp_dir("repair_flag_runs_the_cross_shard_pass");
         let path = write_sample_edges(&dir);
-        detect(&args(&format!("detect {path} --metric dw --shards 4 --partitioner hash --repair")))
-            .unwrap();
-        serve(&args(&format!(
-            "serve {path} --shards 2 --partitioner hash --repair --repair-hops 2"
-        )))
-        .unwrap();
-    }
-
-    /// Two fraud half-rings that merge through late bridge edges: the
-    /// connectivity-routed replay strands the losing half until a
-    /// rebalance pass migrates it.
-    fn write_merging_edges(dir: &std::path::Path) -> String {
-        let path = dir.join("merge.txt");
-        let mut content = String::new();
-        for i in 0..6 {
-            content.push_str(&format!("u{i} u{} 1.0 {i}\n", i + 1));
-        }
-        for half in ["a", "b"] {
-            for x in 0..3 {
-                for y in 0..3 {
-                    if x != y {
-                        content.push_str(&format!("{half}{x} {half}{y} 25.0 50\n"));
-                    }
-                }
-            }
-        }
-        content.push_str("a0 b0 25.0 90\n");
-        content.push_str("b1 a2 25.0 91\n");
-        std::fs::write(&path, content).unwrap();
-        path.to_string_lossy().into_owned()
-    }
-
-    #[test]
-    fn rebalance_flag_runs_the_migration_scheduler() {
-        let dir = temp_dir("rebalance_flag_runs_the_migration_scheduler");
-        let path = write_merging_edges(&dir);
-        serve(&args(&format!("serve {path} --shards 2 --rebalance"))).unwrap();
-        detect(&args(&format!("detect {path} --shards 4 --rebalance --repair"))).unwrap();
-    }
-
-    #[test]
-    fn partition_flag_accepts_aliases_and_spill_bounds() {
-        let dir = temp_dir("partition_flag_accepts_aliases_and_spill_bounds");
-        let path = write_sample_edges(&dir);
-        serve(&args(&format!("serve {path} --shards 2 --partition hash"))).unwrap();
-        serve(&args(&format!("serve {path} --shards 2 --partition conn:64"))).unwrap();
-        serve(&args(&format!("serve {path} --shards 2 --partitioner connectivity"))).unwrap();
-        assert!(serve(&args(&format!("serve {path} --shards 2 --partition conn:x"))).is_err());
+        detect(&args(&format!("detect {path} --metric dw --shards 4 --repair"))).unwrap();
+        serve(&args(&format!("serve {path} --shards 2 --repair --repair-hops 2"))).unwrap();
     }
 
     #[test]
@@ -1131,6 +1038,40 @@ mod tests {
 
         ingest(&args(&format!("ingest {addr} {path} --batch 4 --shutdown"))).unwrap();
         server.join().unwrap().unwrap();
+    }
+
+    /// Every subcommand refuses an option it does not read, by name,
+    /// before it opens a file or a socket.
+    #[test]
+    fn unknown_options_are_refused_by_name() {
+        let dir = temp_dir("unknown_options_are_refused_by_name");
+        let path = write_sample_edges(&dir);
+        let err = serve(&args(&format!("serve {path} --shards 4 --partition conn --rebalance")))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--partition") && err.contains("--rebalance"), "{err}");
+        let err = serve(&args(&format!("serve {path} --metrics 127.0.0.1:0"))).unwrap_err();
+        assert!(err.to_string().contains("--metrics"), "{err}");
+        type Command = fn(&Args) -> Result<(), AnyError>;
+        let commands: [(&str, Command); 10] = [
+            ("detect", detect),
+            ("stream", stream),
+            ("serve", serve),
+            ("ingest", ingest),
+            ("watch", watch),
+            ("shard-serve", shard_serve),
+            ("route", route),
+            ("gen", generate),
+            ("snapshot", snapshot),
+            ("resume", resume),
+        ];
+        for (name, command) in commands {
+            let err = command(&args(&format!("{name} {path} --bogus 1"))).unwrap_err();
+            assert!(err.to_string().contains("--bogus"), "{name}: {err}");
+        }
+        // A sharded replay still takes every option its report reads.
+        detect(&args(&format!("detect {path} --shards 2 --top 1 --repair --repair-hops 1")))
+            .unwrap();
     }
 
     #[test]

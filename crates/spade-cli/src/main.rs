@@ -4,14 +4,13 @@
 //! spade detect <edges.txt> [--metric dg|dw|fd] [--top N] [--shards N]
 //! spade stream <edges.txt> [--metric ...] [--initial 0.9] [--batch N | --grouping]
 //! spade serve  <edges.txt> [--shards N] [--metric ...] [--grouping]
-//!              [--queue N] [--coalesce N] [--partitioner hash|connectivity]
+//!              [--queue N] [--coalesce N] [--repair]
 //! spade serve  --listen <addr> [--shards N] [--metric ...] [--metrics <addr>]
 //! spade ingest <addr> <edges.txt> [--batch N] [--pipeline N]
 //!              [--detect] [--stats] [--shutdown]
 //! spade watch  <addr> [--interval ms] [--count N]
 //! spade shard-serve [--listen <addr>] [--metric ...] [--queue N]   (N edges)
-//! spade route  <edges.txt> <addr>... [--batch N] [--partition ...]
-//!              [--consolidate] [--shutdown]
+//! spade route  <edges.txt> <addr>... [--batch N] [--shutdown]
 //! spade gen    [--dataset Grab1] [--scale 0.01] [--seed N] [--out FILE]
 //! spade snapshot <edges.txt> --out <file.spade> [--metric ...]
 //! spade resume  <file.spade> [--metric ...] [--top N]

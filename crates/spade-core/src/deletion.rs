@@ -164,84 +164,6 @@ fn first_divergence(
     first
 }
 
-/// Accounting of one [`remove_member_slice`] pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SliceRemoval {
-    /// Directed member-to-member edges deleted.
-    pub edges_removed: usize,
-    /// Total accumulated edge suspiciousness removed with them.
-    pub edge_weight_removed: f64,
-    /// Member vertices whose prior suspiciousness was reset to zero.
-    pub vertices_cleared: usize,
-    /// Total vertex suspiciousness removed.
-    pub vertex_weight_removed: f64,
-    /// Combined reorder counters across every incremental pass.
-    pub reorder: ReorderStats,
-}
-
-/// Removes the *induced slice* of `members` from the graph — every edge
-/// with **both** endpoints in the set, plus the members' prior
-/// suspiciousness weights — and restores the greedy peeling invariant
-/// after each step.
-///
-/// This is the source-shard half of a component migration
-/// (`crate::shard::migrate`): the slice mirrors exactly what
-/// [`crate::persist::SubgraphSnapshot::extract`] exports at `hops = 0`,
-/// so extract → remove → replay moves the slice without loss. Edges with
-/// only one endpoint in the set are left untouched (they are not part of
-/// the extracted snapshot); member vertices stay materialized as
-/// zero-weight singletons, which a dense-id engine cannot reclaim and
-/// which drift harmlessly to the head of the peeling order.
-///
-/// Each edge goes through the proven incremental deletion pass rather
-/// than a wholesale re-peel: the slice is community-local, so the
-/// reorder windows stay small, and order/state/detection invariants are
-/// maintained by construction at every intermediate step.
-pub fn remove_member_slice(
-    graph: &mut DynamicGraph,
-    state: &mut PeelingState,
-    scratch: &mut ReorderScratch,
-    members: &[VertexId],
-    mut on_window: impl FnMut(usize, &[f64]),
-) -> Result<SliceRemoval, GraphError> {
-    let mut removal = SliceRemoval::default();
-    let mut inside = vec![false; graph.num_vertices()];
-    let mut present: Vec<VertexId> = Vec::with_capacity(members.len());
-    for &m in members {
-        if graph.contains_vertex(m) && !inside[m.index()] {
-            inside[m.index()] = true;
-            present.push(m);
-        }
-    }
-    // Collect before mutating: each member-to-member edge appears exactly
-    // once in its source's out-list.
-    let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
-    for &m in &present {
-        for nb in graph.out_neighbors(m) {
-            if inside[nb.v.index()] {
-                edges.push((m, nb.v, nb.w));
-            }
-        }
-    }
-    for &(src, dst, w) in &edges {
-        let stats = delete_and_reorder(graph, state, scratch, src, dst, w, &mut on_window)?;
-        removal.reorder.merge(stats);
-        removal.edges_removed += 1;
-        removal.edge_weight_removed += w;
-    }
-    for &m in &present {
-        let a = graph.vertex_weight(m);
-        if a > 0.0 {
-            let stats =
-                decrease_vertex_weight_and_reorder(graph, state, scratch, m, 0.0, &mut on_window)?;
-            removal.reorder.merge(stats);
-            removal.vertices_cleared += 1;
-            removal.vertex_weight_removed += a;
-        }
-    }
-    Ok(removal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,90 +268,6 @@ mod tests {
             delete_and_reorder(&mut graph, &mut state, &mut scratch, v(2), v(4), 1.0, |_, _| {});
         assert!(err.is_err());
         assert_eq!(state.logical_order(), before);
-    }
-
-    #[test]
-    fn remove_member_slice_deletes_the_induced_subgraph_exactly() {
-        // Two disjoint communities plus one cross edge into a bystander.
-        let mut graph = DynamicGraph::new();
-        for _ in 0..8 {
-            graph.add_vertex(0.0).unwrap();
-        }
-        graph.set_vertex_weight(v(1), 2.5).unwrap();
-        for a in 0..3u32 {
-            for b in 0..3u32 {
-                if a != b {
-                    graph.insert_edge(v(a), v(b), 5.0).unwrap();
-                }
-            }
-        }
-        graph.insert_edge(v(4), v(5), 3.0).unwrap();
-        graph.insert_edge(v(1), v(6), 1.5).unwrap(); // member -> bystander
-        let mut state = PeelingState::from_outcome(&peel(&graph));
-        let mut scratch = ReorderScratch::new();
-
-        let removal = remove_member_slice(
-            &mut graph,
-            &mut state,
-            &mut scratch,
-            &[v(0), v(1), v(2)],
-            |_, _| {},
-        )
-        .unwrap();
-        assert_eq!(removal.edges_removed, 6);
-        assert!((removal.edge_weight_removed - 30.0).abs() < 1e-12);
-        assert_eq!(removal.vertices_cleared, 1);
-        assert!((removal.vertex_weight_removed - 2.5).abs() < 1e-12);
-
-        // Member-to-member edges are gone; the cross edge and the other
-        // community survive; member weights are zeroed.
-        assert_eq!(graph.edge_weight(v(0), v(1)), None);
-        assert_eq!(graph.edge_weight(v(1), v(6)), Some(1.5));
-        assert_eq!(graph.edge_weight(v(4), v(5)), Some(3.0));
-        assert_eq!(graph.vertex_weight(v(1)), 0.0);
-        graph.check_invariants().unwrap();
-        assert_eq!(state.logical_order(), peel(&graph).order);
-        state.validate_greedy(&graph, 1e-9);
-    }
-
-    #[test]
-    fn remove_member_slice_tolerates_unknown_and_duplicate_members() {
-        let mut graph = paper_example_plus_edge();
-        let mut state = PeelingState::from_outcome(&peel(&graph));
-        let mut scratch = ReorderScratch::new();
-        let removal = remove_member_slice(
-            &mut graph,
-            &mut state,
-            &mut scratch,
-            &[v(0), v(0), v(4), v(99)], // duplicate + out-of-graph ids
-            |_, _| {},
-        )
-        .unwrap();
-        // Only the (0, 4) and (4, 0)-direction edges are induced.
-        assert_eq!(removal.edges_removed, 1);
-        assert_eq!(graph.edge_weight(v(0), v(4)), None);
-        assert_eq!(state.logical_order(), peel(&graph).order);
-        state.validate_greedy(&graph, 1e-9);
-    }
-
-    #[test]
-    fn remove_member_slice_of_everything_empties_the_graph() {
-        let mut graph = paper_example_plus_edge();
-        let total_edges = graph.num_edges();
-        let total_weight = graph.total_weight();
-        let mut state = PeelingState::from_outcome(&peel(&graph));
-        let mut scratch = ReorderScratch::new();
-        let members: Vec<VertexId> = graph.vertices().collect();
-        let removal =
-            remove_member_slice(&mut graph, &mut state, &mut scratch, &members, |_, _| {}).unwrap();
-        assert_eq!(removal.edges_removed, total_edges);
-        assert!(
-            (removal.edge_weight_removed + removal.vertex_weight_removed - total_weight).abs()
-                < 1e-9
-        );
-        assert_eq!(graph.num_edges(), 0);
-        assert!((graph.total_weight()).abs() < 1e-12);
-        assert_eq!(state.logical_order(), peel(&graph).order);
     }
 
     #[test]
@@ -600,7 +438,7 @@ mod tests {
     /// The three-source merge on hub-heavy graphs, where one deletion
     /// reopens a long middle run whose vertices neighbor the lightened
     /// hub: inserts, full and partial deletes, vertex-weight decreases and
-    /// slice removals, each checked against a static peel.
+    /// hub drains, each checked against a static peel.
     #[test]
     fn three_source_merge_matches_static_peel_on_hub_heavy_graphs() {
         use rand::{Rng, SeedableRng};
@@ -689,19 +527,23 @@ mod tests {
                             as usize;
                     }
                     _ => {
-                        let hub = rng.gen_range(0..hubs);
-                        let members: Vec<VertexId> = std::iter::once(v(hub))
-                            .chain(graph.out_neighbors(v(hub)).iter().map(|nb| nb.v).take(3))
-                            .collect();
-                        remove_member_slice(
-                            &mut graph,
-                            &mut state,
-                            &mut scratch,
-                            &members,
-                            |_, _| {},
-                        )
-                        .unwrap();
-                        assert_eq!(state.logical_order(), peel(&graph).order, "slice diverged");
+                        // Drain a hub: fully delete each of its out-edges.
+                        let hub = v(rng.gen_range(0..hubs));
+                        let out: Vec<(VertexId, f64)> =
+                            graph.out_neighbors(hub).iter().map(|nb| (nb.v, nb.w)).collect();
+                        for (b, w) in out {
+                            delete_and_reorder(
+                                &mut graph,
+                                &mut state,
+                                &mut scratch,
+                                hub,
+                                b,
+                                w,
+                                |_, _| {},
+                            )
+                            .unwrap();
+                        }
+                        assert_eq!(state.logical_order(), peel(&graph).order, "drain diverged");
                     }
                 }
                 state.validate_greedy(&graph, 1e-9);

@@ -241,8 +241,8 @@ impl<M: DensityMetric> SpadeEngine<M> {
     }
 
     /// [`insert_batch_tolerant`](Self::insert_batch_tolerant) for final
-    /// suspiciousness values (no metric runs): the grouping flush and the
-    /// migration absorb. Duplicate `(src, dst)` pairs are pre-coalesced —
+    /// suspiciousness values (no metric runs): the grouping flush.
+    /// Duplicate `(src, dst)` pairs are pre-coalesced —
     /// accumulation is linear once `c` is known. (The metric-evaluating
     /// path cannot coalesce: `edge_susp` reads the evolving graph.)
     pub fn insert_batch_weighted(&mut self, edges: &[Edge]) -> (Detection, u64) {
@@ -329,33 +329,6 @@ impl<M: DensityMetric> SpadeEngine<M> {
         self.last_stats = stats;
         self.total_stats.merge(stats);
         Ok(self.refresh_detection())
-    }
-
-    /// Removes the induced slice of `members` — every edge with both
-    /// endpoints in the set plus the members' vertex suspiciousness —
-    /// through the incremental deletion pass, keeping order, peeling
-    /// state and the kinetic index consistent at every step. The members
-    /// stay materialized as zero-weight singletons (dense ids cannot be
-    /// reclaimed); the removed slice mirrors exactly what
-    /// [`crate::persist::SubgraphSnapshot::extract`] captures at
-    /// `hops = 0`, which is what makes extract → remove → replay a
-    /// lossless migration (`crate::shard::migrate`).
-    pub fn remove_member_slice(
-        &mut self,
-        members: &[VertexId],
-    ) -> Result<crate::deletion::SliceRemoval, GraphError> {
-        let kinetic = &mut self.kinetic;
-        let removal = crate::deletion::remove_member_slice(
-            &mut self.graph,
-            &mut self.state,
-            &mut self.scratch,
-            members,
-            |lo, ws| kinetic.rewrite_deltas(lo, ws),
-        )?;
-        self.last_stats = removal.reorder;
-        self.total_stats.merge(removal.reorder);
-        self.refresh_detection();
-        Ok(removal)
     }
 
     /// Updates the prior suspiciousness of `v` from fresh side information
@@ -748,45 +721,6 @@ mod tests {
         // Draining the remainder removes the edge.
         e.delete_transaction(v(0), v(1), 4.0).unwrap();
         assert_eq!(e.graph().edge_weight(v(0), v(1)), None);
-        check_against_static(&mut e);
-    }
-
-    #[test]
-    fn remove_member_slice_keeps_engine_exact_and_detection_fresh() {
-        let mut e = SpadeEngine::new(WeightedDensity);
-        // Background path plus two rings; the heavier ring dominates.
-        for i in 0..6u32 {
-            e.insert_edge(v(i), v(i + 1), 1.0).unwrap();
-        }
-        for a in 10..14u32 {
-            for b in 10..14u32 {
-                if a != b {
-                    e.insert_edge(v(a), v(b), 30.0).unwrap();
-                }
-            }
-        }
-        for a in 20..23u32 {
-            for b in 20..23u32 {
-                if a != b {
-                    e.insert_edge(v(a), v(b), 8.0).unwrap();
-                }
-            }
-        }
-        let before = e.detect();
-        assert!(e.community(before).iter().all(|m| (10..14).contains(&m.0)));
-        // Evict the dominant ring: the detection must fall through to the
-        // second ring immediately (kinetic index updated in lock-step).
-        let members: Vec<VertexId> = (10..14).map(v).collect();
-        let removal = e.remove_member_slice(&members).unwrap();
-        assert_eq!(removal.edges_removed, 12);
-        let after = e.detect();
-        assert!(after.density < before.density);
-        assert!(e.community(after).iter().all(|m| (20..23).contains(&m.0)));
-        check_against_static(&mut e);
-        e.state().validate_greedy(e.graph(), 1e-9);
-        // Evicted members remain as valid zero-weight singletons and can
-        // be re-used by later traffic.
-        e.insert_edge(v(10), v(21), 2.0).unwrap();
         check_against_static(&mut e);
     }
 

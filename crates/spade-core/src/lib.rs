@@ -31,14 +31,10 @@ pub use metric::{
 pub use peel::{peel, PeelingOutcome};
 pub use persist::{load_engine, save_engine, SnapshotError, SubgraphSnapshot};
 pub use reorder::{ReorderScratch, ReorderStats};
-pub use service::{
-    AbsorbReceipt, CandidateRegion, IngestConfig, MigrationSlice, PublishedDetection, ServiceStats,
-    SpadeService,
-};
+pub use service::{CandidateRegion, IngestConfig, PublishedDetection, ServiceStats, SpadeService};
 pub use shard::{
-    BatchSubmit, GlobalDetection, MigrationPolicy, MigrationReport, MigrationStats,
-    PartitionStrategy, Partitioner, RepairConfig, RepairStats, RepairedDetection, ShardStats,
-    ShardedConfig, ShardedSpadeService, StrandEvent,
+    BatchSubmit, GlobalDetection, PartitionStrategy, Partitioner, RepairConfig, RepairStats,
+    RepairedDetection, ShardStats, ShardedConfig, ShardedSpadeService,
 };
 pub use spade::{Spade, SpadeBuilder};
 pub use state::{Detection, PeelingState};

@@ -16,7 +16,7 @@
 //! The byte primitives are shared with the `spade-net` wire protocol:
 //! [`PutLe`] appends to a `Vec<u8>`, [`ByteReader`] reads a borrowed
 //! `&[u8]` without copying it. Peers send these bytes (a
-//! [`SubgraphSnapshot`] inside a region or migration frame), so every read
+//! [`SubgraphSnapshot`] inside a region frame), so every read
 //! returns [`Truncated`] instead of panicking.
 
 use crate::engine::{SpadeConfig, SpadeEngine};
@@ -300,8 +300,7 @@ fn decode(raw: &[u8]) -> Result<(DynamicGraph, PeelingState), SnapshotError> {
 /// included — a subgraph carries no peeling state: the consumer re-peels
 /// whatever union of subgraphs it assembles. It is the state-handoff unit
 /// of the sharded runtime: a shard's candidate region for the cross-shard
-/// repair pass (`crate::shard::repair`) and a component's migration
-/// slice (`crate::shard::migrate`). In process it travels as this value;
+/// repair pass (`crate::shard::repair`). In process it travels as this value;
 /// only the `spade-net` wire codec turns it into bytes
 /// ([`encode_into`](Self::encode_into)) and back
 /// ([`decode`](Self::decode)).
@@ -361,27 +360,6 @@ impl SubgraphSnapshot {
             }
         }
         SubgraphSnapshot { vertices, edges }
-    }
-
-    /// Sum of all edge suspiciousness in the snapshot.
-    pub fn edge_weight_total(&self) -> f64 {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
-    }
-
-    /// Drops zero-weight vertices that no edge touches. A dense-id
-    /// engine materializes every vertex id below the largest one it has
-    /// seen, so an extraction over a component's global member list
-    /// includes members this shard never actually received an edge for —
-    /// pruning them keeps migration slices (and the vertex tables the
-    /// target engine grows) proportional to what the source shard really
-    /// holds. Sorted order is preserved.
-    pub fn prune_isolated(&mut self) {
-        let mut touched: FxHashSet<u32> = FxHashSet::default();
-        for &(src, dst, _) in &self.edges {
-            touched.insert(src.0);
-            touched.insert(dst.0);
-        }
-        self.vertices.retain(|&(u, w)| w > 0.0 || touched.contains(&u.0));
     }
 
     /// Bytes [`encode`](Self::encode) writes: a 24-byte header, 12 per
@@ -585,30 +563,6 @@ mod tests {
         // Vertex weights and edge weights survive bit-exactly.
         assert!(decoded.vertices.iter().any(|&(u, w)| u == v(1) && w == 0.5));
         assert!(decoded.edges.iter().any(|&(s, d, w)| s == v(8) && d == v(9) && w == 50.0));
-    }
-
-    #[test]
-    fn prune_isolated_keeps_weighted_and_connected_vertices() {
-        let g = region_graph();
-        // Seeds include 5..8: vertex 5 is isolated *and* zero-weight in
-        // the region graph (materialized by ensure_vertex), so it must be
-        // pruned; 8 keeps its edge, 0..3 keep weights or edges.
-        let mut snap =
-            SubgraphSnapshot::extract(&g, &[v(0), v(1), v(2), v(3), v(5), v(8), v(9)], 0);
-        assert!(snap.vertices.iter().any(|&(u, _)| u == v(5)));
-        snap.prune_isolated();
-        let ids: Vec<u32> = snap.vertices.iter().map(|&(u, _)| u.0).collect();
-        // 0 has weight 0.0 but carries an edge; 1..3 have weights; 5 is
-        // dropped; 8 and 9 carry the heavy edge.
-        assert_eq!(ids, vec![0, 1, 2, 3, 8, 9]);
-        // Roundtrip still validates after pruning.
-        let decoded = SubgraphSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(decoded, snap);
-        assert!((snap.edge_weight_total() - 56.0).abs() < 1e-12);
-
-        let mut empty = SubgraphSnapshot::extract(&g, &[v(5)], 0);
-        empty.prune_isolated();
-        assert!(empty.vertices.is_empty());
     }
 
     #[test]

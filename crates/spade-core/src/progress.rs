@@ -2,7 +2,7 @@
 //!
 //! A [`SpadeService`](crate::service::SpadeService) worker reports two
 //! kinds of [`Progress`] to its [`Notifier`]: a reply it sent (after
-//! `Barrier` / `Region` / `MigrateOut` / `Absorb`), and queue room freed
+//! `Barrier` / `Region`), and queue room freed
 //! (after it dequeues edges, or a producer hands back room it reserved
 //! but did not use, once half the queue is free). A read-your-acks wait
 //! is a reply wait: a barrier queued behind the acknowledged edges
@@ -34,8 +34,7 @@ const DEAD_WORKER_BOUND: Duration = Duration::from_millis(50);
 /// One progress report of a service worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Progress {
-    /// The worker sent a reply (`Barrier`, `Region`, `MigrateOut`,
-    /// `Absorb`).
+    /// The worker sent a reply (`Barrier`, `Region`).
     Replied,
     /// Queue room was freed (edges dequeued or handed back), and at least
     /// half the queue (in edges) is free.

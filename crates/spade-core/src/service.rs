@@ -11,7 +11,7 @@
 //!
 //! The queue's one bound is in edges ([`IngestConfig::queue_capacity`]):
 //! an insert reserves its room before it is sent and the worker frees it
-//! on dequeue. A marker (flush, barrier, region export, migration) takes
+//! on dequeue. A marker (flush, barrier, region export) takes
 //! no room, so it never waits; whoever posted it waits for its answer.
 //!
 //! Two hot-path optimizations keep the ingest rate at hardware speed:
@@ -45,7 +45,7 @@
 //! * the stage already holds [`IngestConfig::coalesce`] edges;
 //! * the spring-push boundary of the staged budgets passes;
 //! * any other command arrives (flush, barrier, region export,
-//!   migration, shutdown);
+//!   shutdown);
 //! * a run drains and no grouper is configured.
 //!
 //! The worker reports its [`Progress`] to the service's [`Notifier`]
@@ -67,7 +67,7 @@ use crate::progress::{offer_until_enqueued, Notifier, Progress};
 use crate::state::Detection;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
-use spade_graph::{DynamicGraph, VertexId};
+use spade_graph::VertexId;
 use spade_metrics::runtime::{
     Counter, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
@@ -210,42 +210,6 @@ pub struct CandidateRegion {
     pub epoch: u64,
 }
 
-/// A component slice leaving its source shard: the induced subgraph over
-/// the migrated members (vertex suspiciousness + every member-to-member
-/// edge this shard held) as a [`SubgraphSnapshot`] value, already
-/// **evicted** from the source engine when this value is produced.
-/// Replaying it into another shard's engine completes the move — see
-/// `crate::shard::migrate`. Only the `spade-net` wire codec (`SliceReply`
-/// and `Absorb` frames) turns it into bytes.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MigrationSlice {
-    /// The slice: isolated zero-weight members pruned; its edges were
-    /// evicted at the source.
-    pub snapshot: SubgraphSnapshot,
-    /// Ingest commands the source worker had consumed at export.
-    pub updates_applied: u64,
-}
-
-impl MigrationSlice {
-    /// `true` when the source shard held nothing of the component — no
-    /// edges, no positive vertex weight — so there is nothing to absorb.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot.vertices.is_empty() && self.snapshot.edges.is_empty()
-    }
-}
-
-/// What a target shard did with an absorbed [`MigrationSlice`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AbsorbReceipt {
-    /// Slice vertices materialized or re-weighted on the target.
-    pub vertices_touched: usize,
-    /// Slice edges applied (accumulated onto any weight the target
-    /// already held for the same ordered pair).
-    pub edges_applied: usize,
-    /// Slice entries dropped (invalid weights).
-    pub rejected: u64,
-}
-
 /// The ingest protocol between a service handle and its worker thread.
 enum Command {
     /// A run of transactions (one edge for `submit`, a shard's share of
@@ -260,13 +224,6 @@ enum Command {
     Barrier { reply: Sender<()> },
     /// Export the current detection plus a `hops`-hop frontier subgraph.
     Region { hops: usize, reply: Sender<CandidateRegion> },
-    /// Extract the induced slice over `members`, evict it from this
-    /// engine, and hand the slice back (the source half of a component
-    /// migration).
-    MigrateOut { members: Arc<[VertexId]>, reply: Sender<MigrationSlice> },
-    /// Replay a migrated slice into this engine (the target half). Shared,
-    /// so the sender keeps it to restore the source if this worker dies.
-    Absorb { slice: Arc<MigrationSlice>, reply: Sender<AbsorbReceipt> },
     /// Drain and exit.
     Shutdown,
 }
@@ -344,8 +301,7 @@ struct SharedDetection {
     /// unchanged detection.
     updates_applied: AtomicU64,
     /// Directed edges resident in the worker's graph at the last publish
-    /// attempt — the migration scheduler's size signal for choosing a
-    /// move target.
+    /// attempt.
     edges_resident: AtomicU64,
     /// The queue's bound in edges ([`IngestConfig::queue_capacity`]).
     queue_capacity: usize,
@@ -399,9 +355,7 @@ pub struct ServiceStats {
     /// already elapsed.
     pub deadline_miss: u64,
     /// Directed edges resident in the worker's graph at the last publish
-    /// attempt (accumulated pairs count once). The sharded migration
-    /// scheduler breaks windowed-load ties toward the shard holding the
-    /// least resident state.
+    /// attempt (accumulated pairs count once).
     pub edges_resident: u64,
     /// Size of the last published detection.
     pub detection_size: usize,
@@ -645,45 +599,6 @@ impl SpadeService {
         self.request(|reply| Command::Region { hops, reply })
     }
 
-    /// Extracts and **evicts** the induced slice over `members` from this
-    /// worker's engine, returning the slice (the source half of a
-    /// component migration — see `crate::shard::migrate`). Blocks until
-    /// the worker reaches the request in its FIFO queue, so the slice
-    /// covers every transaction submitted before this call, including
-    /// grouped benign edges (the worker applies its stage first).
-    /// Returns `None` if the service has shut down.
-    pub fn migrate_out(&self, members: Arc<[VertexId]>) -> Option<MigrationSlice> {
-        self.request_migrate_out(members)?.recv().ok()
-    }
-
-    /// Fire-and-collect variant of [`migrate_out`](Self::migrate_out).
-    /// The sharded runtime enqueues this **under its routing lock** so
-    /// the marker is ordered after every edge routed to this shard
-    /// before a rehome.
-    pub fn request_migrate_out(
-        &self,
-        members: Arc<[VertexId]>,
-    ) -> Option<Receiver<MigrationSlice>> {
-        self.request(|reply| Command::MigrateOut { members, reply })
-    }
-
-    /// Replays a migrated slice into this worker's engine (the target
-    /// half of a component migration); the worker only reads the slice,
-    /// so a caller that passes an `Arc` keeps its copy without cloning
-    /// it. Returns `None` if the service has shut down.
-    pub fn absorb(&self, slice: impl Into<Arc<MigrationSlice>>) -> Option<AbsorbReceipt> {
-        self.request_absorb(slice)?.recv().ok()
-    }
-
-    /// Fire-and-collect variant of [`absorb`](Self::absorb).
-    pub fn request_absorb(
-        &self,
-        slice: impl Into<Arc<MigrationSlice>>,
-    ) -> Option<Receiver<AbsorbReceipt>> {
-        let slice = slice.into();
-        self.request(|reply| Command::Absorb { slice, reply })
-    }
-
     /// The notifier this worker reports its progress into: subscribe to
     /// wait for applied edges, replies or queue room without a tick.
     pub fn progress(&self) -> &Arc<Notifier> {
@@ -884,10 +799,6 @@ impl<M: DensityMetric> Worker<M> {
                     reply.send(()).is_ok()
                 }
                 Command::Region { hops, reply } => reply.send(self.export_region(hops)).is_ok(),
-                Command::MigrateOut { members, reply } => {
-                    reply.send(self.migrate_out(&members)).is_ok()
-                }
-                Command::Absorb { slice, reply } => reply.send(self.absorb(&slice)).is_ok(),
                 Command::Shutdown => {
                     // Final drain, so the last published state reflects
                     // every submission before the marker.
@@ -1026,69 +937,6 @@ impl<M: DensityMetric> Worker<M> {
             epoch: self.publisher.epoch,
         }
     }
-
-    /// `Command::MigrateOut`. Everything submitted before the marker
-    /// must be in the slice, so the stage applies first (a staged benign
-    /// edge of a migrated member would otherwise resurrect on this shard
-    /// after the eviction and be stranded for good); the publish follows
-    /// the eviction.
-    fn migrate_out(&mut self, members: &[VertexId]) -> MigrationSlice {
-        self.apply();
-        let mut snapshot = SubgraphSnapshot::extract(self.engine.graph(), members, 0);
-        snapshot.prune_isolated();
-        // Eviction cannot fail on a live single-threaded graph (every
-        // collected edge exists, every weight clears to zero) — and
-        // shipping an extracted slice after a PARTIAL eviction would
-        // double-count the remainder fleet-wide, so a failure here must
-        // be loud, not limped past.
-        self.engine
-            .remove_member_slice(members)
-            .expect("slice eviction cannot fail on a live graph");
-        self.publish();
-        MigrationSlice { snapshot, updates_applied: self.updates }
-    }
-
-    /// `Command::Absorb`: replays a migrated slice behind everything
-    /// already staged.
-    fn absorb(&mut self, slice: &MigrationSlice) -> AbsorbReceipt {
-        self.apply();
-        let receipt = absorb_slice(&mut self.engine, &slice.snapshot);
-        if receipt.rejected > 0 {
-            self.metrics.rejected.add(receipt.rejected);
-        }
-        self.publish();
-        receipt
-    }
-}
-
-/// Replays a migrated slice into `engine`: vertex suspiciousness is
-/// installed max-wise (both shards evaluated the same metric prior, so
-/// the maximum is exact for the built-ins and conservative otherwise),
-/// edge weights **accumulate** — a pair whose transactions were split
-/// across the two shards by an earlier home change sums back to exactly
-/// the solo-engine weight.
-fn absorb_slice<M: DensityMetric>(
-    engine: &mut SpadeEngine<M>,
-    snapshot: &SubgraphSnapshot,
-) -> AbsorbReceipt {
-    let mut receipt = AbsorbReceipt::default();
-    for &(u, w) in &snapshot.vertices {
-        // Validate first: a NaN or negative `w` never compares above the
-        // current weight, so the max-wise install alone would pass it.
-        let installed = DynamicGraph::check_vertex_weight(u, w).is_ok()
-            && engine.ensure_vertex(u).is_ok()
-            && (w <= engine.graph().vertex_weight(u)
-                || engine.set_vertex_suspiciousness(u, w).is_ok());
-        if installed {
-            receipt.vertices_touched += 1;
-        } else {
-            receipt.rejected += 1;
-        }
-    }
-    let (_, rejected) = engine.insert_batch_weighted(&snapshot.edges);
-    receipt.rejected += rejected;
-    receipt.edges_applied = snapshot.edges.len() - rejected as usize;
-    receipt
 }
 
 /// Scheduling slack added on top of the measured peel cost when the
@@ -1565,103 +1413,6 @@ mod tests {
         let det = service.shutdown();
         assert!(det.epoch > before.epoch);
         assert!(det.size > 0);
-    }
-
-    #[test]
-    fn migrate_out_then_absorb_moves_a_slice_between_workers() {
-        let source = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 64);
-        let target = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 64);
-        // Source: a dominant ring over 10..13 plus background noise.
-        for i in 0..5u32 {
-            assert!(source.submit(v(i), v(i + 1), 1.0));
-        }
-        for a in 10..13u32 {
-            for b in 10..13u32 {
-                if a != b {
-                    assert!(source.submit(v(a), v(b), 20.0));
-                }
-            }
-        }
-        // Target already holds part of the same accumulated pair: the
-        // absorbed weight must ADD, reassembling the solo total.
-        assert!(target.submit(v(10), v(11), 5.0));
-
-        let members: Arc<[VertexId]> = (10..13).map(v).collect::<Vec<_>>().into();
-        let slice = source.migrate_out(Arc::clone(&members)).expect("source alive");
-        assert_eq!(slice.snapshot.vertices.len(), 3);
-        assert_eq!(slice.snapshot.edges.len(), 6);
-        assert!((slice.snapshot.edge_weight_total() - 120.0).abs() < 1e-9);
-        assert!(!slice.is_empty());
-
-        let receipt = target.absorb(slice).expect("target alive");
-        assert_eq!(receipt.edges_applied, 6);
-        assert_eq!(receipt.rejected, 0);
-
-        // Source fell back to the noise path; target now detects the
-        // ring with the accumulated pair weight.
-        let source_det = source.shutdown();
-        assert!(source_det.members.iter().all(|m| m.0 <= 5));
-        let (target_det, engine) = target.shutdown_into_engine::<WeightedDensity>();
-        let engine = engine.expect("engine handed back");
-        assert!(target_det.members.iter().all(|m| (10..13).contains(&m.0)));
-        assert_eq!(engine.graph().edge_weight(v(10), v(11)), Some(25.0));
-        assert!((target_det.density - (120.0 + 5.0) / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn absorb_counts_invalid_vertex_weights_as_rejected() {
-        // A hand-built bad slice: NaN and negative priors are valid values.
-        let snapshot = SubgraphSnapshot {
-            vertices: vec![(v(0), f64::NAN), (v(1), -2.0), (v(2), 3.0), (v(3), 0.0)],
-            edges: vec![(v(2), v(3), 4.0)],
-        };
-        let mut engine = SpadeEngine::new(WeightedDensity);
-        let receipt = absorb_slice(&mut engine, &snapshot);
-        assert_eq!(receipt, AbsorbReceipt { vertices_touched: 2, edges_applied: 1, rejected: 2 });
-        assert_eq!(engine.graph().vertex_weight(v(2)), 3.0);
-        assert_eq!(engine.state().logical_order(), crate::peel::peel(engine.graph()).order);
-    }
-
-    #[test]
-    fn migrating_an_absent_component_yields_an_empty_slice() {
-        let source = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 16);
-        assert!(source.submit(v(0), v(1), 2.0));
-        // Members far outside anything this worker holds.
-        let members: Arc<[VertexId]> = vec![v(500), v(501)].into();
-        let slice = source.migrate_out(members).expect("alive");
-        assert!(slice.is_empty());
-        assert_eq!(slice.snapshot.edge_weight_total(), 0.0);
-        // Absorbing an empty slice is a harmless no-op.
-        let target = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 16);
-        let receipt = target.absorb(slice).expect("alive");
-        assert_eq!(receipt.edges_applied, 0);
-        assert_eq!(receipt.rejected, 0);
-        let det = source.shutdown();
-        assert_eq!(det.updates_applied, 1);
-        drop(target);
-    }
-
-    #[test]
-    fn grouped_source_flushes_its_buffer_before_migrating_out() {
-        let mut engine = SpadeEngine::new(WeightedDensity);
-        // Established community so later benign member edges buffer.
-        for a in 10..13u32 {
-            for b in 10..13u32 {
-                if a != b {
-                    engine.insert_edge(v(a), v(b), 20.0).unwrap();
-                }
-            }
-        }
-        let source = SpadeService::spawn(engine, Some(GroupingConfig::default()), 16);
-        // A benign edge touching a migrated member: buffered, not yet in
-        // the graph — the migrate-out flush must capture it.
-        assert!(source.submit(v(10), v(12), 0.01));
-        let members: Arc<[VertexId]> = (10..13).map(v).collect::<Vec<_>>().into();
-        let slice = source.migrate_out(members).expect("alive");
-        let edge_weight = slice.snapshot.edge_weight_total();
-        assert!((edge_weight - 120.01).abs() < 1e-9, "buffered edge lost: {edge_weight}");
-        let det = source.shutdown();
-        assert_eq!(det.size, 0, "everything was evicted");
     }
 
     #[test]
@@ -2265,24 +2016,6 @@ mod tests {
         assert_eq!(w.worker.step(Some(Command::Region { hops: 1, reply }), t0), open);
         assert_eq!(w.settled(), settled);
         assert_eq!(region.recv().expect("region").updates_applied, 1);
-
-        let mut w = staged();
-        let (reply, slice) = bounded(1);
-        let members: Arc<[VertexId]> = vec![v(10), v(11)].into();
-        assert_eq!(w.worker.step(Some(Command::MigrateOut { members, reply }), t0), open);
-        assert_eq!(w.settled(), settled);
-        assert_eq!(slice.recv().expect("slice").snapshot.edges.len(), 1, "the staged edge moved");
-
-        let mut w = staged();
-        let (reply, receipt) = bounded(1);
-        let snapshot = SubgraphSnapshot {
-            vertices: vec![(v(20), 0.0), (v(21), 0.0)],
-            edges: vec![(v(20), v(21), 2.0)],
-        };
-        let slice = Arc::new(MigrationSlice { snapshot, updates_applied: 0 });
-        assert_eq!(w.worker.step(Some(Command::Absorb { slice, reply }), t0), open);
-        assert_eq!(w.settled(), settled);
-        assert_eq!(receipt.recv().expect("receipt").edges_applied, 1);
 
         let mut w = staged();
         assert_eq!(w.worker.step(Some(Command::Shutdown), t0), Next::Exit);

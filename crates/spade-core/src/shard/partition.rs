@@ -1,162 +1,35 @@
-//! Edge-to-shard routing policies.
+//! Edge-to-shard routing.
 //!
 //! Spade's incremental reordering is local to a community (§4.2: an
 //! insertion only perturbs the window between its endpoints), so the
 //! transaction graph shards naturally — as long as a community's edges
 //! land on the same shard, that shard's local detection is the global one.
-//! Two built-in policies trade off balance against community locality:
-//!
-//! * [`HashPartitioner`] — stateless `fx`-hash of the source vertex.
-//!   Perfectly balanced and O(1), but a community whose members span
-//!   hash buckets is split across shards and its density diluted.
-//! * [`ConnectivityPartitioner`] — a union-find over every edge seen so
-//!   far. Each connected component is pinned to a *home shard* (chosen
-//!   least-loaded at component birth), so observed communities stay
-//!   co-resident. When a component outgrows `max_component` vertices —
-//!   the giant component of any real transaction graph — its edges
-//!   *spill* to hash routing, bounding the load any single shard can
-//!   attract while fraud-sized components stay pinned.
+//! [`HashPartitioner`] routes by an `fx`-hash of the source vertex:
+//! perfectly balanced, O(1) and stateless, but a community whose members
+//! span hash buckets is split across shards and its density diluted.
+//! The cross-shard repair pass (`crate::shard::repair`) puts such a
+//! community back together at read time.
 
-use spade_graph::hash::{FxHashSet, FxHasher};
+use spade_graph::hash::FxHasher;
 use spade_graph::VertexId;
 use std::hash::Hasher;
 
-/// A component merge that left already-routed edges behind: the losing
-/// side's edges stay on `stranded_shard` while the surviving home now
-/// attracts all future traffic of the merged component. The migration
-/// subsystem (`crate::shard::migrate`) drains these events and moves the
-/// stranded slice to the surviving home.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StrandEvent {
-    /// Any member of the merged component (stable across later merges —
-    /// `find` resolves it to the current root).
-    pub member: VertexId,
-    /// The shard still holding the losing side's earlier edges.
-    pub stranded_shard: usize,
-}
-
 /// Routes one edge to a shard in `[0, num_shards)`.
 ///
-/// `route` takes `&mut self`: stateful partitioners (union-find) learn
-/// the graph as it streams. Implementations must be deterministic per
-/// input history — replaying a stream must reproduce the same routing.
-///
-/// The remaining methods are optional *rebalancing hooks*: a partitioner
-/// that pins work to shards can expose its routing table so the
-/// migration scheduler can move a component and re-point its traffic.
-/// Stateless policies keep the defaults (no homes, nothing to migrate).
+/// `route` takes `&mut self` so a policy may learn the graph as it
+/// streams. Implementations must be deterministic per input history —
+/// replaying a stream must reproduce the same routing.
 pub trait Partitioner: Send {
     /// The shard that must process edge `(src, dst)`.
     fn route(&mut self, src: VertexId, dst: VertexId, num_shards: usize) -> usize;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str {
-        "custom"
-    }
-
-    /// Monotone routing-table revision: bumped every time the shard an
-    /// already-routed component maps to changes (rehome, shard-count
-    /// clamp). Stateless policies stay at 0 forever.
-    fn routing_epoch(&self) -> u64 {
-        0
-    }
-
-    /// Number of recorded strand events not yet drained.
-    fn pending_strands(&self) -> usize {
-        0
-    }
-
-    /// Takes the recorded strand events, deduplicated against the current
-    /// routing table (events whose component meanwhile rehomed onto the
-    /// stranded shard, spilled, or lost its home are dropped).
-    fn drain_strands(&mut self, _num_shards: usize) -> Vec<StrandEvent> {
-        Vec::new()
-    }
-
-    /// The home shard of `member`'s component, if it has one.
-    fn home_of(&mut self, _member: VertexId) -> Option<usize> {
-        None
-    }
-
-    /// Re-points `member`'s component at `shard` and bumps the routing
-    /// epoch. Returns the previous home. `None` means the policy does not
-    /// support rehoming (stateless) or the vertex is unknown.
-    fn rehome(&mut self, _member: VertexId, _shard: usize) -> Option<usize> {
-        None
-    }
-
-    /// Every vertex of `member`'s component (empty when unsupported).
-    fn component_members(&mut self, _member: VertexId) -> Vec<VertexId> {
-        Vec::new()
-    }
-
-    /// `(representative member, vertex count)` of every pinned component
-    /// homed on `shard` (empty when unsupported).
-    fn homed_components(&mut self, _shard: usize) -> Vec<(VertexId, usize)> {
-        Vec::new()
-    }
 }
 
 /// Built-in routing policies, as configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PartitionStrategy {
-    /// Stateless hash of the source vertex id.
-    HashBySource,
-    /// Union-find community co-residency with spill to hash for
-    /// components larger than `max_component` vertices.
+    /// Stateless hash of the source vertex id ([`HashPartitioner`]).
     #[default]
-    Connectivity,
-    /// [`PartitionStrategy::Connectivity`] with an explicit spill bound.
-    ConnectivityWithSpill {
-        /// Component size (vertices) above which edges spill to hash.
-        max_component: usize,
-    },
-}
-
-impl PartitionStrategy {
-    /// Default spill bound: components larger than this are treated as
-    /// the benign giant component and hash-routed. Fraud communities in
-    /// the paper's case studies are orders of magnitude smaller.
-    pub const DEFAULT_MAX_COMPONENT: usize = 4096;
-
-    /// Materializes the policy.
-    pub fn build(self) -> Box<dyn Partitioner> {
-        match self {
-            PartitionStrategy::HashBySource => Box::new(HashPartitioner),
-            PartitionStrategy::Connectivity => {
-                Box::new(ConnectivityPartitioner::new(PartitionStrategy::DEFAULT_MAX_COMPONENT))
-            }
-            PartitionStrategy::ConnectivityWithSpill { max_component } => {
-                Box::new(ConnectivityPartitioner::new(max_component))
-            }
-        }
-    }
-
-    /// Parses a CLI name: `hash`, `connectivity` (alias `conn`), or
-    /// `conn:<max_component>` / `connectivity:<max_component>` for an
-    /// explicit spill bound.
-    pub fn from_name(name: &str) -> Option<PartitionStrategy> {
-        let lower = name.to_ascii_lowercase();
-        if let Some((policy, bound)) = lower.split_once(':') {
-            if !matches!(policy, "connectivity" | "conn") {
-                return None;
-            }
-            let max_component = bound.parse::<usize>().ok()?;
-            return Some(PartitionStrategy::ConnectivityWithSpill { max_component });
-        }
-        match lower.as_str() {
-            "hash" => Some(PartitionStrategy::HashBySource),
-            "connectivity" | "conn" => Some(PartitionStrategy::Connectivity),
-            _ => None,
-        }
-    }
-}
-
-#[inline]
-fn hash_shard(v: VertexId, num_shards: usize) -> usize {
-    let mut h = FxHasher::default();
-    h.write_u32(v.0);
-    (h.finish() % num_shards as u64) as usize
+    HashBySource,
 }
 
 /// Stateless hash-by-source routing.
@@ -166,284 +39,9 @@ pub struct HashPartitioner;
 impl Partitioner for HashPartitioner {
     #[inline]
     fn route(&mut self, src: VertexId, _dst: VertexId, num_shards: usize) -> usize {
-        hash_shard(src, num_shards)
-    }
-
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-}
-
-/// Union-find over seen edges keeping components shard-resident.
-///
-/// Routing is forward-only at the edge level: edges already delivered to
-/// a shard are not re-routed retroactively. When two components that
-/// *each* already have a home merge, one home survives (the larger
-/// component's) and all future edges follow it — the smaller side's
-/// earlier edges stay stranded on its old shard, so a community
-/// assembled by such a merge is split across two shards. The partitioner
-/// records every such merge as a [`StrandEvent`]; the migration
-/// subsystem (`crate::shard::migrate`) drains them and moves the
-/// stranded slice onto the surviving home, after which the component is
-/// whole again. Components born from a single seed edge — the shape of
-/// the paper's fraud bursts, which allocate fresh accounts — always keep
-/// one home and are detected exactly with no migration at all.
-#[derive(Clone, Debug)]
-pub struct ConnectivityPartitioner {
-    /// Union-find parent, dense by vertex id (`u32::MAX` = singleton not
-    /// yet materialized is impossible: ids materialize on first sight).
-    parent: Vec<u32>,
-    /// Component vertex count, valid at roots.
-    size: Vec<u32>,
-    /// Home shard per component, valid at roots (`usize::MAX` = none).
-    home: Vec<usize>,
-    /// *Pinned* edges routed per shard (least-loaded assignment for new
-    /// components). Spilled edges are accounted separately — hash
-    /// routing already balances them, and counting them here would
-    /// permanently bias pinning away from shards that merely host more
-    /// of the giant component's hash range.
-    load: Vec<u64>,
-    /// Spilled (hash-routed) edges per shard, for reports.
-    spill_load: Vec<u64>,
-    /// Spill bound: components larger than this hash-route their edges.
-    max_component: usize,
-    /// Routing-table revision: bumped whenever the shard an
-    /// already-routed component maps to changes.
-    epoch: u64,
-    /// Home-vs-home merges not yet drained by the migration scheduler.
-    strands: Vec<StrandEvent>,
-}
-
-const NO_HOME: usize = usize::MAX;
-
-impl ConnectivityPartitioner {
-    /// Creates the partitioner with the given spill bound (0 = never
-    /// pin; every edge hash-routes).
-    pub fn new(max_component: usize) -> Self {
-        ConnectivityPartitioner {
-            parent: Vec::new(),
-            size: Vec::new(),
-            home: Vec::new(),
-            load: Vec::new(),
-            spill_load: Vec::new(),
-            max_component,
-            epoch: 0,
-            strands: Vec::new(),
-        }
-    }
-
-    fn ensure(&mut self, v: VertexId) {
-        let idx = v.index();
-        if idx >= self.parent.len() {
-            let old = self.parent.len();
-            self.parent.extend(old as u32..=idx as u32);
-            self.size.resize(idx + 1, 1);
-            self.home.resize(idx + 1, NO_HOME);
-        }
-    }
-
-    fn find(&mut self, v: u32) -> u32 {
-        let mut root = v;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        // Path compression.
-        let mut cur = v;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Current component size of `v`'s component (test/introspection).
-    pub fn component_size(&mut self, v: VertexId) -> usize {
-        if v.index() >= self.parent.len() {
-            return 0;
-        }
-        let root = self.find(v.0);
-        self.size[root as usize] as usize
-    }
-
-    /// Pinned edges routed to each shard so far (excludes spill traffic).
-    pub fn pinned_load(&self) -> &[u64] {
-        &self.load
-    }
-
-    /// Spilled (hash-routed) edges delivered to each shard so far.
-    pub fn spilled_load(&self) -> &[u64] {
-        &self.spill_load
-    }
-
-    /// Least-loaded shard among the *first* `num_shards` entries — a
-    /// partitioner reused with a smaller shard count must never pin to a
-    /// shard index that no longer exists.
-    fn least_loaded(&self, num_shards: usize) -> usize {
-        self.load[..num_shards.min(self.load.len())]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &l)| l)
-            .map(|(s, _)| s)
-            .unwrap_or(0)
-    }
-}
-
-impl Partitioner for ConnectivityPartitioner {
-    fn route(&mut self, src: VertexId, dst: VertexId, num_shards: usize) -> usize {
-        if self.load.len() < num_shards {
-            self.load.resize(num_shards, 0);
-        }
-        if self.spill_load.len() < num_shards {
-            self.spill_load.resize(num_shards, 0);
-        }
-        self.ensure(src);
-        self.ensure(dst);
-        let ra = self.find(src.0);
-        let rb = self.find(dst.0);
-
-        // Union by size. The surviving (larger) root keeps its home when
-        // it has one — so when both sides are homed, the larger
-        // component's home wins and the smaller side's earlier edges
-        // stay stranded on its old shard; only when the larger side is
-        // home-less does it inherit the smaller side's home. Biasing
-        // toward the larger component strands fewer already-routed
-        // edges. Every home-vs-home merge is recorded as a strand event
-        // so the migration scheduler can move the losing slice later.
-        let root = if ra == rb {
-            ra
-        } else {
-            let (big, small) =
-                if self.size[ra as usize] >= self.size[rb as usize] { (ra, rb) } else { (rb, ra) };
-            self.parent[small as usize] = big;
-            self.size[big as usize] += self.size[small as usize];
-            if self.home[big as usize] == NO_HOME {
-                self.home[big as usize] = self.home[small as usize];
-            } else if self.home[small as usize] != NO_HOME
-                && self.home[small as usize] != self.home[big as usize]
-            {
-                self.strands.push(StrandEvent {
-                    member: VertexId(big),
-                    stranded_shard: self.home[small as usize],
-                });
-            }
-            big
-        };
-
-        if self.max_component > 0 && self.size[root as usize] as usize <= self.max_component {
-            let home = self.home[root as usize];
-            if home == NO_HOME || home >= num_shards {
-                // Component birth — or a pinned home that no longer
-                // exists because the partitioner is being reused with a
-                // smaller shard count: (re-)pin to the least-loaded
-                // shard. A re-pin changes where an existing component's
-                // traffic lands, so it bumps the routing epoch.
-                let least = self.least_loaded(num_shards);
-                if home != NO_HOME {
-                    self.epoch += 1;
-                }
-                self.home[root as usize] = least;
-                self.load[least] += 1;
-                least
-            } else {
-                self.load[home] += 1;
-                home
-            }
-        } else {
-            // Spill: the component outgrew a shard; route by source
-            // hash. Clear the now-stale home so introspection (and any
-            // later shard-count change) never resurrects it.
-            if self.home[root as usize] != NO_HOME {
-                self.home[root as usize] = NO_HOME;
-                self.epoch += 1;
-            }
-            let spill = hash_shard(src, num_shards);
-            self.spill_load[spill] += 1;
-            spill
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "connectivity"
-    }
-
-    fn routing_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn pending_strands(&self) -> usize {
-        self.strands.len()
-    }
-
-    fn drain_strands(&mut self, num_shards: usize) -> Vec<StrandEvent> {
-        let pending = std::mem::take(&mut self.strands);
-        let mut seen: FxHashSet<(u32, usize)> = FxHashSet::default();
-        let mut live = Vec::new();
-        for event in pending {
-            let root = self.find(event.member.0);
-            let home = self.home[root as usize];
-            // Drop events that can no longer produce a useful migration:
-            // the component spilled, lost its home, rehomed onto the
-            // stranded shard itself, or points at a shard that no longer
-            // exists.
-            if home == NO_HOME
-                || home == event.stranded_shard
-                || event.stranded_shard >= num_shards
-                || (self.max_component > 0
-                    && self.size[root as usize] as usize > self.max_component)
-            {
-                continue;
-            }
-            if seen.insert((root, event.stranded_shard)) {
-                live.push(StrandEvent {
-                    member: VertexId(root),
-                    stranded_shard: event.stranded_shard,
-                });
-            }
-        }
-        live
-    }
-
-    fn home_of(&mut self, member: VertexId) -> Option<usize> {
-        if member.index() >= self.parent.len() {
-            return None;
-        }
-        let root = self.find(member.0);
-        match self.home[root as usize] {
-            NO_HOME => None,
-            home => Some(home),
-        }
-    }
-
-    fn rehome(&mut self, member: VertexId, shard: usize) -> Option<usize> {
-        if member.index() >= self.parent.len() {
-            return None;
-        }
-        let root = self.find(member.0);
-        let old = self.home[root as usize];
-        if old != shard {
-            self.home[root as usize] = shard;
-            self.epoch += 1;
-        }
-        match old {
-            NO_HOME => None,
-            home => Some(home),
-        }
-    }
-
-    fn component_members(&mut self, member: VertexId) -> Vec<VertexId> {
-        if member.index() >= self.parent.len() {
-            return Vec::new();
-        }
-        let root = self.find(member.0);
-        (0..self.parent.len() as u32).filter(|&v| self.find(v) == root).map(VertexId).collect()
-    }
-
-    fn homed_components(&mut self, shard: usize) -> Vec<(VertexId, usize)> {
-        (0..self.parent.len() as u32)
-            .filter(|&v| self.parent[v as usize] == v && self.home[v as usize] == shard)
-            .map(|root| (VertexId(root), self.size[root as usize] as usize))
-            .collect()
+        let mut h = FxHasher::default();
+        h.write_u32(src.0);
+        (h.finish() % num_shards as u64) as usize
     }
 }
 
@@ -476,269 +74,5 @@ mod tests {
         for &c in &counts {
             assert!(c > 500, "a shard starved: {counts:?}");
         }
-    }
-
-    #[test]
-    fn connected_component_stays_on_one_shard() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        // A ring over 50..54 interleaved with unrelated noise edges.
-        let first = p.route(v(50), v(51), 4);
-        let mut noise_routes = Vec::new();
-        for i in 0..10u32 {
-            noise_routes.push(p.route(v(i), v(i + 1), 4));
-        }
-        for a in 50..54u32 {
-            for b in 50..54u32 {
-                if a != b {
-                    assert_eq!(p.route(v(a), v(b), 4), first, "ring split across shards");
-                }
-            }
-        }
-        assert_eq!(p.component_size(v(52)), 4);
-    }
-
-    #[test]
-    fn new_components_pick_least_loaded_shard() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        let mut seen = std::collections::HashSet::new();
-        // 8 disjoint pairs over 4 shards: loads must stay balanced, so all
-        // 4 shards get used.
-        for i in 0..8u32 {
-            seen.insert(p.route(v(i * 2), v(i * 2 + 1), 4));
-        }
-        assert_eq!(seen.len(), 4, "least-loaded assignment must rotate shards");
-    }
-
-    #[test]
-    fn merged_components_keep_the_larger_sides_home() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        let home_a = p.route(v(0), v(1), 4);
-        let _home_b = p.route(v(10), v(11), 4);
-        // Equal sizes: the first (src-side) root survives and keeps its
-        // home; subsequent edges of both sides follow it.
-        let bridged = p.route(v(1), v(10), 4);
-        assert_eq!(bridged, home_a);
-        assert_eq!(bridged, p.route(v(11), v(0), 4));
-
-        // Unequal sizes: the larger component's home wins even when the
-        // smaller one was homed first.
-        let mut p = ConnectivityPartitioner::new(1000);
-        let _small_home = p.route(v(0), v(1), 4); // size-2 component, homed first
-        let big_home = p.route(v(20), v(21), 4);
-        p.route(v(21), v(22), 4);
-        p.route(v(22), v(23), 4); // size-4 component
-        let merged = p.route(v(0), v(20), 4);
-        assert_eq!(merged, big_home);
-        assert_eq!(merged, p.route(v(1), v(23), 4));
-    }
-
-    #[test]
-    fn oversized_components_spill_to_hash() {
-        let mut p = ConnectivityPartitioner::new(4);
-        // Build a star of 6 vertices: component exceeds max_component=4.
-        for i in 1..6u32 {
-            p.route(v(0), v(i), 4);
-        }
-        assert!(p.component_size(v(0)) > 4);
-        let mut h = HashPartitioner;
-        // Post-spill edges route exactly as the hash policy would.
-        assert_eq!(p.route(v(0), v(6), 4), h.route(v(0), v(6), 4));
-        assert_eq!(p.route(v(3), v(7), 4), h.route(v(3), v(7), 4));
-    }
-
-    #[test]
-    fn zero_spill_bound_degenerates_to_hash() {
-        let mut p = ConnectivityPartitioner::new(0);
-        let mut h = HashPartitioner;
-        for i in 0..50u32 {
-            assert_eq!(p.route(v(i), v(i + 1), 8), h.route(v(i), v(i + 1), 8));
-        }
-    }
-
-    #[test]
-    fn strategy_parsing() {
-        assert_eq!(PartitionStrategy::from_name("hash"), Some(PartitionStrategy::HashBySource));
-        assert_eq!(
-            PartitionStrategy::from_name("Connectivity"),
-            Some(PartitionStrategy::Connectivity)
-        );
-        assert_eq!(PartitionStrategy::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn strategy_parsing_accepts_explicit_spill_bound() {
-        assert_eq!(
-            PartitionStrategy::from_name("conn:128"),
-            Some(PartitionStrategy::ConnectivityWithSpill { max_component: 128 })
-        );
-        assert_eq!(
-            PartitionStrategy::from_name("Connectivity:4096"),
-            Some(PartitionStrategy::ConnectivityWithSpill { max_component: 4096 })
-        );
-        // 0 is legal: it degenerates to hash routing (never pin).
-        assert_eq!(
-            PartitionStrategy::from_name("conn:0"),
-            Some(PartitionStrategy::ConnectivityWithSpill { max_component: 0 })
-        );
-        assert_eq!(PartitionStrategy::from_name("conn:"), None);
-        assert_eq!(PartitionStrategy::from_name("conn:abc"), None);
-        assert_eq!(PartitionStrategy::from_name("hash:4"), None);
-    }
-
-    #[test]
-    fn spill_traffic_does_not_bias_least_loaded_pinning() {
-        let mut p = ConnectivityPartitioner::new(2);
-        // Grow a star past the bound: its edges spill to hash routing.
-        for i in 1..40u32 {
-            p.route(v(0), v(i), 4);
-        }
-        let spilled: u64 = p.spilled_load().iter().sum();
-        assert!(spilled > 0, "the star must have spilled");
-        // Spilled edges land in spill_load, not load: pinned load still
-        // only counts the pre-spill pinned routes.
-        let pinned: u64 = p.pinned_load().iter().sum();
-        assert_eq!(pinned + spilled, 39);
-        assert!(pinned <= 2, "only the pre-spill edges may count as pinned load");
-        // Fresh components now rotate over all shards — the hash skew of
-        // the giant component must not pin every newcomer to one shard.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..8u32 {
-            seen.insert(p.route(v(1000 + i * 2), v(1001 + i * 2), 4));
-        }
-        assert_eq!(seen.len(), 4, "spill load must not bias pinning");
-    }
-
-    #[test]
-    fn crossing_the_spill_bound_clears_the_stale_home() {
-        let mut p = ConnectivityPartitioner::new(3);
-        let home = p.route(v(0), v(1), 4);
-        assert_eq!(p.home_of(v(0)), Some(home));
-        let before = p.routing_epoch();
-        // Grow past the bound: home must be cleared, not left stale.
-        p.route(v(0), v(2), 4);
-        p.route(v(0), v(3), 4);
-        p.route(v(0), v(4), 4);
-        assert!(p.component_size(v(0)) > 3);
-        assert_eq!(p.home_of(v(0)), None, "spilled component kept a stale home");
-        assert!(p.routing_epoch() > before, "clearing a home is a routing-table change");
-    }
-
-    #[test]
-    fn shrinking_the_shard_count_repins_in_range() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        // Pin 8 disjoint components across 8 shards, so at least one
-        // home is >= 2.
-        for i in 0..8u32 {
-            p.route(v(i * 2), v(i * 2 + 1), 8);
-        }
-        let max_home = (0..8u32).map(|i| p.home_of(v(i * 2)).unwrap()).max().unwrap();
-        assert!(max_home >= 2, "setup must pin something beyond shard 1");
-        // Reuse with 2 shards: every route must stay in range and the
-        // out-of-range homes must be re-pinned (not returned verbatim).
-        for i in 0..8u32 {
-            let s = p.route(v(i * 2), v(i * 2 + 1), 2);
-            assert!(s < 2, "pinned home {s} out of range after shard-count shrink");
-            assert!(p.home_of(v(i * 2)).unwrap() < 2);
-        }
-    }
-
-    #[test]
-    fn home_vs_home_merge_records_a_strand_event() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        let home_a = p.route(v(0), v(1), 4);
-        p.route(v(1), v(2), 4); // size-3 component A
-        let home_b = p.route(v(10), v(11), 4); // size-2 component B
-        assert_ne!(home_a, home_b);
-        assert_eq!(p.pending_strands(), 0);
-        // Bridge: A (larger) survives, B's earlier edges are stranded.
-        let merged = p.route(v(2), v(10), 4);
-        assert_eq!(merged, home_a);
-        assert_eq!(p.pending_strands(), 1);
-        let events = p.drain_strands(4);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].stranded_shard, home_b);
-        assert_eq!(p.home_of(events[0].member), Some(home_a));
-        assert_eq!(p.pending_strands(), 0);
-        // Repeated merges into the same component dedupe at drain.
-        let home_c = p.route(v(20), v(21), 4);
-        let home_d = p.route(v(30), v(31), 4);
-        p.route(v(0), v(20), 4);
-        p.route(v(0), v(30), 4);
-        let events = p.drain_strands(4);
-        let mut shards: Vec<usize> = events.iter().map(|e| e.stranded_shard).collect();
-        shards.sort_unstable();
-        let mut want = vec![home_c, home_d];
-        want.retain(|&s| s != home_a);
-        want.sort_unstable();
-        assert_eq!(shards, want);
-    }
-
-    #[test]
-    fn drained_strands_skip_rehomed_and_spilled_components() {
-        let mut p = ConnectivityPartitioner::new(6);
-        let home_a = p.route(v(0), v(1), 4);
-        let home_b = p.route(v(10), v(11), 4);
-        p.route(v(1), v(10), 4);
-        assert_eq!(p.pending_strands(), 1);
-        // Rehome the merged component onto the stranded shard: the event
-        // is now moot and must be dropped.
-        assert_eq!(p.rehome(v(0), home_b), Some(home_a));
-        assert!(p.drain_strands(4).is_empty());
-
-        // A strand event on a component that later spills is dropped too.
-        let mut p = ConnectivityPartitioner::new(4);
-        p.route(v(0), v(1), 4);
-        p.route(v(10), v(11), 4);
-        p.route(v(1), v(10), 4); // merge: strand recorded (size 4)
-        assert_eq!(p.pending_strands(), 1);
-        p.route(v(0), v(20), 4); // size 5 > bound: spills, home cleared
-        assert!(p.drain_strands(4).is_empty());
-    }
-
-    #[test]
-    fn rehome_bumps_the_routing_epoch_and_redirects_traffic() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        let home = p.route(v(0), v(1), 4);
-        let before = p.routing_epoch();
-        let target = (home + 1) % 4;
-        assert_eq!(p.rehome(v(1), target), Some(home));
-        assert_eq!(p.routing_epoch(), before + 1);
-        assert_eq!(p.route(v(0), v(1), 4), target, "traffic must follow the new home");
-        // Rehoming to the current home is a no-op (no epoch bump).
-        let epoch = p.routing_epoch();
-        assert_eq!(p.rehome(v(0), target), Some(target));
-        assert_eq!(p.routing_epoch(), epoch);
-        // Unknown vertices are not rehomeable.
-        assert_eq!(p.rehome(v(9999), 0), None);
-    }
-
-    #[test]
-    fn component_introspection_lists_members_and_homes() {
-        let mut p = ConnectivityPartitioner::new(1000);
-        let home_a = p.route(v(0), v(1), 2);
-        p.route(v(1), v(2), 2);
-        let home_b = p.route(v(5), v(6), 2);
-        assert_ne!(home_a, home_b);
-        let mut members = p.component_members(v(2));
-        members.sort_unstable_by_key(|m| m.0);
-        assert_eq!(members, vec![v(0), v(1), v(2)]);
-        assert!(p.component_members(v(9999)).is_empty());
-        let on_a = p.homed_components(home_a);
-        assert!(on_a.iter().any(|&(root, size)| size == 3 && p.find(root.0) == p.find(0)));
-        let on_b = p.homed_components(home_b);
-        assert_eq!(on_b.len(), 1);
-        assert_eq!(on_b[0].1, 2);
-    }
-
-    #[test]
-    fn stateless_partitioners_report_no_rebalancing_surface() {
-        let mut p = HashPartitioner;
-        assert_eq!(Partitioner::routing_epoch(&p), 0);
-        assert_eq!(p.pending_strands(), 0);
-        assert!(p.drain_strands(4).is_empty());
-        assert_eq!(p.home_of(v(0)), None);
-        assert_eq!(p.rehome(v(0), 1), None);
-        assert!(p.component_members(v(0)).is_empty());
-        assert!(p.homed_components(0).is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! Hash partitioning splits a community's edges across shards, so every
 //! shard sees a *diluted* slice and the aggregator's best-of answer
 //! understates the true density. The repair pass recovers the exact
-//! answer without connectivity routing's state:
+//! answer without any routing state:
 //!
 //! 1. every shard exports a **candidate region** — its detected
 //!    community plus a configurable k-hop frontier of boundary edges, as

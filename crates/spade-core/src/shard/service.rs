@@ -10,34 +10,26 @@
 //!
 //! Each runtime primitive has one entry: ingest is
 //! [`submit_batch`](ShardedSpadeService::submit_batch) (`submit` is its
-//! one-edge form), cross-shard repair is
-//! [`repair`](ShardedSpadeService::repair), and component moves are
-//! [`rebalance`](ShardedSpadeService::rebalance) (`rebalance_if_needed`
-//! is its idle check).
+//! one-edge form) and cross-shard repair is
+//! [`repair`](ShardedSpadeService::repair).
 //!
-//! With the connectivity partitioner (the default), a community whose
-//! component is born and stays on one home shard has all of its edges
-//! co-resident, so that shard detects exactly what a single engine over
-//! the whole stream would — while benign traffic spreads across all
-//! cores. Exactness is *per component home*: edges routed before two
-//! already-homed components merge stay on their original shards until a
-//! rebalance pass moves them (see `shard::migrate`), and components that
-//! outgrow the spill bound hash-spread. Shutdown fans out: every queue is
-//! drained, every grouper flushed, every worker joined, and the final
-//! aggregate reflects every submitted transaction.
+//! Routing hashes each edge's source vertex ([`HashPartitioner`]), so
+//! benign traffic spreads evenly across cores. A community whose
+//! members hash to different shards is split and its density diluted on
+//! each; [`repair`](ShardedSpadeService::repair) unions the shards'
+//! candidate regions and re-peels them, recovering the single-engine
+//! answer. Shutdown fans out: every queue is drained, every grouper
+//! flushed, every worker joined, and the final aggregate reflects every
+//! submitted transaction.
 
 use crate::engine::SpadeEngine;
 use crate::grouping::GroupingConfig;
 use crate::metric::DensityMetric;
 use crate::progress::{offer_until_enqueued, Notifier};
 use crate::service::{
-    CandidateRegion, IngestConfig, MigrationSlice, PublishedDetection, ServiceStats, SpadeService,
+    CandidateRegion, IngestConfig, PublishedDetection, ServiceStats, SpadeService,
 };
 use crate::shard::aggregate::{merge, GlobalDetection};
-use crate::shard::migrate::{
-    pick_load_moves, MigrationPolicy, MigrationRecord, MigrationReport, MigrationStats,
-    MigrationTrigger,
-};
 use crate::shard::partition::{HashPartitioner, PartitionStrategy, Partitioner};
 use crate::shard::repair::{
     repair_regions, RepairConfig, RepairScratch, RepairStats, RepairedDetection,
@@ -55,9 +47,6 @@ pub mod metric_names {
     /// Histogram: wall time of one full repair pass (export → union →
     /// re-peel), nanoseconds.
     pub const REPAIR_PASS_NS: &str = "spade_repair_pass_ns";
-    /// Histogram: wall time of one completed component move (await
-    /// evicted slice → replay into target), nanoseconds.
-    pub const MIGRATION_MOVE_NS: &str = "spade_migration_move_ns";
     /// Gauge: number of worker shards.
     pub const SHARDS: &str = "spade_shards";
 }
@@ -81,12 +70,10 @@ pub struct ShardedConfig {
     pub deadline: Option<Duration>,
     /// Edge-grouping configuration applied inside every shard.
     pub grouping: Option<GroupingConfig>,
-    /// Edge-to-shard routing policy.
+    /// Edge-to-shard routing policy; hash by source is the only one.
     pub strategy: PartitionStrategy,
     /// Cross-shard repair tuning (frontier radius).
     pub repair: RepairConfig,
-    /// Migration scheduler tuning (strand repair + load balancing).
-    pub migration: MigrationPolicy,
 }
 
 impl Default for ShardedConfig {
@@ -100,7 +87,6 @@ impl Default for ShardedConfig {
             grouping: None,
             strategy: PartitionStrategy::default(),
             repair: RepairConfig::default(),
-            migration: MigrationPolicy::default(),
         }
     }
 }
@@ -147,45 +133,16 @@ pub struct ShardedSpadeService {
     shards: Vec<SpadeService>,
     /// The one notifier every shard worker reports into.
     progress: Arc<Notifier>,
-    router: Router,
     repair_config: RepairConfig,
-    migration_policy: MigrationPolicy,
-    /// Migration scheduler state; the mutex also serializes rebalance
-    /// passes (one component move sequence at a time).
-    migration: Mutex<MigrationState>,
     /// Repair state (scratch engine, counters); the mutex also
     /// serializes repair passes.
     repair: Mutex<RepairState>,
-    /// Runtime-level registry (repair/migration pass durations, event
-    /// trace); [`metrics`](Self::metrics) merges it with every shard's
-    /// per-worker registry.
+    /// Runtime-level registry (repair pass durations, event trace);
+    /// [`metrics`](Self::metrics) merges it with every shard's per-worker
+    /// registry.
     registry: Arc<MetricsRegistry>,
     /// Pre-resolved handle: repair pass wall time.
     repair_pass_ns: Arc<Histogram>,
-    /// Pre-resolved handle: completed component-move wall time.
-    migration_move_ns: Arc<Histogram>,
-}
-
-/// Mutable state of the migration scheduler.
-#[derive(Default)]
-struct MigrationState {
-    stats: MigrationStats,
-    /// Per-shard `updates_applied` snapshot taken the last time the load
-    /// trigger fired. The trigger compares traffic *since then* — a
-    /// cumulative counter would keep re-flagging a shard that was hot
-    /// once, long after its component moved away.
-    load_baseline: Vec<u64>,
-}
-
-impl MigrationState {
-    /// Per-shard traffic since the load trigger last fired.
-    fn load_window(&self, updates: &[u64]) -> Vec<u64> {
-        updates
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| u.saturating_sub(self.load_baseline.get(i).copied().unwrap_or(0)))
-            .collect()
-    }
 }
 
 /// Mutable state of the repair pass.
@@ -219,54 +176,6 @@ fn fill_groups(
     accepted
 }
 
-/// The routing fast path: stateless policies route lock-free; stateful
-/// ones (union-find) serialize behind a mutex.
-enum Router {
-    /// Lock-free hash-by-source.
-    Hash,
-    /// Any stateful [`Partitioner`].
-    Locked(Mutex<Box<dyn Partitioner>>),
-}
-
-impl Router {
-    fn new(strategy: PartitionStrategy) -> Self {
-        match strategy {
-            PartitionStrategy::HashBySource => Router::Hash,
-            other => Router::Locked(Mutex::new(other.build())),
-        }
-    }
-
-    /// The routing table behind a stateful policy, or `None` for the
-    /// lock-free hash path (which has no table to rebalance).
-    fn table(&self) -> Option<parking_lot::MutexGuard<'_, Box<dyn Partitioner>>> {
-        match self {
-            Router::Hash => None,
-            Router::Locked(p) => Some(p.lock()),
-        }
-    }
-
-    /// Lends the routing policy to `f` — the single copy of the
-    /// route-then-enqueue protocol [`ShardedSpadeService::submit_batch`]
-    /// runs.
-    ///
-    /// For stateful routing the lock is held ACROSS `f`, so across the
-    /// enqueue and not just the lookup: the migration scheduler takes
-    /// the same lock to rehome a component and stage its eviction
-    /// marker, so an edge routed before a rehome is guaranteed to sit in
-    /// its shard's queue ahead of the marker — in-flight edges always
-    /// drain into the migrated slice instead of landing on an evicted
-    /// shard. (No deadlock: workers drain their queues without ever
-    /// taking this lock.)
-    fn with<R>(&self, f: impl FnOnce(&mut dyn Partitioner) -> R) -> R {
-        match self.table() {
-            Some(mut table) => f(table.as_mut()),
-            // `HashPartitioner::route` takes `&mut self` to satisfy the
-            // trait but touches no state, so a fresh copy routes alike.
-            None => f(&mut HashPartitioner),
-        }
-    }
-}
-
 impl ShardedSpadeService {
     /// Spawns `config.shards` worker engines built by `factory` (called
     /// once per shard index — use it to pre-bootstrap shards from
@@ -295,18 +204,13 @@ impl ShardedSpadeService {
         }
         let registry = Arc::new(MetricsRegistry::new());
         let repair_pass_ns = registry.histogram(metric_names::REPAIR_PASS_NS);
-        let migration_move_ns = registry.histogram(metric_names::MIGRATION_MOVE_NS);
         ShardedSpadeService {
             shards,
             progress,
-            router: Router::new(config.strategy),
             repair_config: config.repair,
-            migration_policy: config.migration,
-            migration: Mutex::new(MigrationState::default()),
             repair: Mutex::new(RepairState::default()),
             registry,
             repair_pass_ns,
-            migration_move_ns,
         }
     }
 
@@ -331,14 +235,6 @@ impl ShardedSpadeService {
     /// shard worker frees queue room, the wait
     /// [`SpadeService::submit_batch`] runs too. Returns `false` if the
     /// runtime has shut down.
-    ///
-    /// The routing lock is released between offers, so one
-    /// back-pressured shard never head-of-line-blocks producers bound for
-    /// idle shards. Re-routing the same edge is safe — the union is
-    /// idempotent and no duplicate strand event is recorded (the
-    /// endpoints already share a root) — at worst the load heuristic
-    /// counts a re-offered edge twice, nudging new pins away from the
-    /// congested shard.
     pub fn submit(&self, src: VertexId, dst: VertexId, raw: f64) -> bool {
         offer_until_enqueued(&self.progress, || {
             let outcome = self.submit_batch(&[(src, dst, raw)], None);
@@ -363,14 +259,10 @@ impl ShardedSpadeService {
     /// accepted set is always a frame-order prefix, so a producer can
     /// offer `edges[accepted..]` again without double-inserting or
     /// reordering (`spade-net` parks a connection on that suffix until
-    /// it is all enqueued). Under stateful routing the walk and the
-    /// enqueues happen under the table lock, preserving the
-    /// marker-ordering guarantee [`rebalance`](Self::rebalance) relies
-    /// on; every producer serializes there, so each group gets all the
-    /// room its walk counted. A producer racing on the lock-free hash
-    /// path can leave a shard short: the prefix then ends at that shard's
-    /// first unreserved edge, and room reserved past the cut is handed
-    /// back.
+    /// it is all enqueued). Routing is a pure hash, so producers never
+    /// serialize: one racing on the same shard can leave it short, and
+    /// the prefix then ends at that shard's first unreserved edge, with
+    /// room reserved past the cut handed back.
     ///
     /// `budget` overrides the configured default detection-latency
     /// budget for every edge in the batch; `None` inherits the default.
@@ -384,43 +276,40 @@ impl ShardedSpadeService {
             return BatchSubmit { accepted: 0, closed: false, shard_counts: vec![0; num_shards] };
         }
         let mut groups: Vec<Vec<(VertexId, VertexId, f64)>> = vec![Vec::new(); num_shards];
-        self.router.with(|partitioner| {
-            // Each shard's room for this batch: free room for the walk,
-            // then the room reserved for the group it routed there.
-            let mut room: Vec<usize> = self.shards.iter().map(SpadeService::queue_free).collect();
-            let mut route = |src, dst| partitioner.route(src, dst, num_shards);
-            let mut accepted = fill_groups(edges, &mut route, &mut room, &mut groups);
-            let mut closed = false;
-            for ((room, group), shard) in room.iter_mut().zip(&groups).zip(&self.shards) {
-                let got = shard.reserve(group.len());
-                closed |= got.is_none();
-                *room = got.unwrap_or(0);
-            }
-            if groups.iter().zip(&room).any(|(group, &got)| group.len() > got) {
-                // A producer racing on the lock-free hash path (whose
-                // routing is pure) took room the walk counted, or a shard
-                // is gone: walk again on the room reserved, and hand back
-                // what that shorter prefix leaves unused.
-                groups.iter_mut().for_each(Vec::clear);
-                accepted = fill_groups(&edges[..accepted], &mut route, &mut room, &mut groups);
-                for (shard, &unused) in self.shards.iter().zip(&room) {
-                    if unused > 0 {
-                        shard.unreserve(unused);
-                    }
+        // Each shard's room for this batch: free room for the walk, then
+        // the room reserved for the group it routed there.
+        let mut room: Vec<usize> = self.shards.iter().map(SpadeService::queue_free).collect();
+        let mut route = |src, dst| HashPartitioner.route(src, dst, num_shards);
+        let mut accepted = fill_groups(edges, &mut route, &mut room, &mut groups);
+        let mut closed = false;
+        for ((room, group), shard) in room.iter_mut().zip(&groups).zip(&self.shards) {
+            let got = shard.reserve(group.len());
+            closed |= got.is_none();
+            *room = got.unwrap_or(0);
+        }
+        if groups.iter().zip(&room).any(|(group, &got)| group.len() > got) {
+            // A racing producer took room the walk counted, or a shard is
+            // gone: walk again on the room reserved, and hand back what
+            // that shorter prefix leaves unused.
+            groups.iter_mut().for_each(Vec::clear);
+            accepted = fill_groups(&edges[..accepted], &mut route, &mut room, &mut groups);
+            for (shard, &unused) in self.shards.iter().zip(&room) {
+                if unused > 0 {
+                    shard.unreserve(unused);
                 }
             }
-            // One grouped command per non-empty shard group.
-            let shard_counts = groups
-                .into_iter()
-                .zip(&self.shards)
-                .map(|(group, shard)| {
-                    let count = group.len();
-                    closed |= count > 0 && !shard.send_reserved(group, budget);
-                    count
-                })
-                .collect();
-            BatchSubmit { accepted, closed, shard_counts }
-        })
+        }
+        // One grouped command per non-empty shard group.
+        let shard_counts = groups
+            .into_iter()
+            .zip(&self.shards)
+            .map(|(group, shard)| {
+                let count = group.len();
+                closed |= count > 0 && !shard.send_reserved(group, budget);
+                count
+            })
+            .collect();
+        BatchSubmit { accepted, closed, shard_counts }
     }
 
     /// Asks every shard to flush buffered benign edges. Returns `false`
@@ -474,9 +363,9 @@ impl ShardedSpadeService {
 
     /// The merged observability view: every shard's per-worker registry
     /// (per-stage latency histograms, counters, event traces) summed
-    /// bucket-wise with the runtime-level registry (repair/migration
-    /// pass durations), plus the repair and migration subsystem counters
-    /// re-expressed as registry series. Histogram counts reconcile with
+    /// bucket-wise with the runtime-level registry (repair pass
+    /// durations), plus the repair counters re-expressed as registry
+    /// series. Histogram counts reconcile with
     /// the drain accounting — at quiesce, the merged
     /// `spade_stage_queue_wait_ns` count equals the summed
     /// `updates_applied` across shards, because every insert is timed
@@ -488,18 +377,10 @@ impl ShardedSpadeService {
         }
         merged.gauges.insert(metric_names::SHARDS.into(), self.shards.len() as u64);
         let repair = self.repair.lock().stats;
-        let migration = self.migration.lock().stats;
         for (name, value) in [
             ("spade_repair_passes_total", repair.repairs),
             ("spade_repair_regions_exported_total", repair.regions_exported),
             ("spade_repair_groups_merged_total", repair.groups_merged),
-            ("spade_migration_passes_total", migration.passes),
-            ("spade_migrations_total", migration.migrations),
-            ("spade_migration_strand_repairs_total", migration.strand_repairs),
-            ("spade_migration_load_moves_total", migration.load_moves),
-            ("spade_migration_edges_moved_total", migration.edges_moved),
-            ("spade_migration_failed_moves_total", migration.failed_moves),
-            ("spade_migration_skipped_empty_total", migration.skipped_empty),
         ] {
             merged.counters.insert(name.into(), value);
         }
@@ -558,210 +439,6 @@ impl ShardedSpadeService {
     /// Counters of the repair subsystem.
     pub fn repair_stats(&self) -> RepairStats {
         self.repair.lock().stats
-    }
-
-    /// Counters of the migration subsystem.
-    pub fn migration_stats(&self) -> MigrationStats {
-        self.migration.lock().stats
-    }
-
-    /// The partitioner's routing-table revision: bumped on every rehome
-    /// or shard-count clamp. Stateless (hash) routing stays at 0.
-    pub fn routing_epoch(&self) -> u64 {
-        self.router.table().map(|p| p.routing_epoch()).unwrap_or(0)
-    }
-
-    /// Runs one migration pass now (see `crate::shard::migrate`): every
-    /// pending strand event moves the losing component slice onto its
-    /// surviving home, then up to
-    /// [`MigrationPolicy::max_load_moves`] load-balancing moves shed the
-    /// largest pinned component of any shard running ahead of the
-    /// configured imbalance ratio. Blocks until the involved shards have
-    /// drained the submissions that preceded each move (migration
-    /// markers ride the same FIFO queues as transactions). A no-op — and
-    /// cheap — under stateless hash routing, which has no routing table
-    /// to update.
-    pub fn rebalance(&self) -> MigrationReport {
-        let mut state = self.migration.lock();
-        state.stats.passes += 1;
-        let mut report = MigrationReport::default();
-        let num_shards = self.shards.len();
-
-        // Strand repairs: correctness fixes, never capped. The events
-        // were recorded at merge time; traffic for these components has
-        // been flowing to the surviving home ever since, so the stranded
-        // slice is stable and the eviction marker needs no routing lock
-        // — FIFO order alone guarantees it trails every stranded edge.
-        let events = match self.router.table() {
-            Some(mut table) => table.drain_strands(num_shards),
-            None => Vec::new(),
-        };
-        for event in events {
-            let staged = {
-                let Some(mut table) = self.router.table() else { break };
-                let Some(home) = table.home_of(event.member) else { continue };
-                if home == event.stranded_shard || home >= num_shards {
-                    continue;
-                }
-                let members: Arc<[VertexId]> = table.component_members(event.member).into();
-                drop(table);
-                self.shards[event.stranded_shard].request_migrate_out(members).map(|rx| (home, rx))
-            };
-            let Some((home, rx)) = staged else { continue };
-            self.complete_move(
-                MigrationTrigger::StrandRepair,
-                event.member,
-                event.stranded_shard,
-                home,
-                rx,
-                &mut state.stats,
-                &mut report,
-            );
-        }
-
-        // Load balancing: shed the largest pinned component of every
-        // shard whose traffic *since the last load move* runs ahead of
-        // the imbalance ratio. The whole multi-move plan comes from ONE
-        // observation of the windowed counters (`pick_load_moves`) and
-        // is staged under ONE routing-lock session — every rehome and
-        // eviction marker lands before the lock drops, so all the
-        // pass's moves split in-flight edges against a single
-        // consistent routing epoch instead of re-observing (and
-        // re-waiting a full window) between moves.
-        let stats: Vec<ServiceStats> = self.shards.iter().map(|s| s.stats()).collect();
-        let updates: Vec<u64> = stats.iter().map(|s| s.updates_applied).collect();
-        let resident: Vec<u64> = stats.iter().map(|s| s.edges_resident).collect();
-        let window = state.load_window(&updates);
-        let plan = pick_load_moves(&window, &resident, &self.migration_policy);
-        if !plan.is_empty() {
-            // Acknowledge the signal whether or not the moves
-            // materialize: the window restarts here, so a shard that
-            // was hot once (or has nothing pinned to shed) is not
-            // re-flagged forever.
-            state.load_baseline = updates;
-            let staged: Vec<(VertexId, usize, usize, _)> = match self.router.table() {
-                Some(mut table) => plan
-                    .into_iter()
-                    .filter_map(|(hot, cold)| {
-                        // `homed_components` reflects the rehomes staged
-                        // earlier in this session, so a second move off
-                        // the same hot shard picks its next-largest
-                        // component, never the one already claimed.
-                        let (member, _) = table
-                            .homed_components(hot)
-                            .into_iter()
-                            .max_by_key(|&(_, size)| size)?;
-                        table.rehome(member, cold);
-                        let members: Arc<[VertexId]> = table.component_members(member).into();
-                        let rx = self.shards[hot].request_migrate_out(members)?;
-                        Some((member, hot, cold, rx))
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            for (member, hot, cold, rx) in staged {
-                if !self.complete_move(
-                    MigrationTrigger::LoadBalance,
-                    member,
-                    hot,
-                    cold,
-                    rx,
-                    &mut state.stats,
-                    &mut report,
-                ) {
-                    break;
-                }
-            }
-        }
-        report.routing_epoch = self.router.table().map(|p| p.routing_epoch()).unwrap_or(0);
-        report
-    }
-
-    /// The idle check in front of [`rebalance`](Self::rebalance): looks
-    /// at the two trigger signals — pending strand events and the
-    /// [`ShardStats`] load imbalance, planned exactly as the pass would
-    /// plan it — without touching any worker queue, and runs the pass
-    /// only when it would do something.
-    pub fn rebalance_if_needed(&self) -> Option<MigrationReport> {
-        let pending = self.router.table().map(|p| p.pending_strands())?;
-        if pending == 0 {
-            let stats: Vec<ServiceStats> = self.shards.iter().map(|s| s.stats()).collect();
-            let updates: Vec<u64> = stats.iter().map(|s| s.updates_applied).collect();
-            let resident: Vec<u64> = stats.iter().map(|s| s.edges_resident).collect();
-            let mut state = self.migration.lock();
-            let window = state.load_window(&updates);
-            if pick_load_moves(&window, &resident, &self.migration_policy).is_empty() {
-                state.stats.served_idle += 1;
-                return None;
-            }
-        }
-        Some(self.rebalance())
-    }
-
-    /// Second half of one component move: await the evicted slice from
-    /// the source, replay it into the target, account. Returns `false`
-    /// when a shard has shut down mid-move.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_move(
-        &self,
-        trigger: MigrationTrigger,
-        member: VertexId,
-        from: usize,
-        to: usize,
-        rx: Receiver<MigrationSlice>,
-        stats: &mut MigrationStats,
-        report: &mut MigrationReport,
-    ) -> bool {
-        let move_started = Instant::now();
-        let Ok(slice) = rx.recv() else {
-            // The source died after accepting the marker: its engine —
-            // and with it the slice — is gone, evicted or not. Nothing
-            // to restore; routing already points at the (live) target.
-            stats.failed_moves += 1;
-            return false;
-        };
-        if slice.is_empty() {
-            stats.skipped_empty += 1;
-            report.skipped_empty += 1;
-            return true;
-        }
-        let record = MigrationRecord {
-            trigger,
-            member,
-            from,
-            to,
-            vertices: slice.snapshot.vertices.len(),
-            edges: slice.snapshot.edges.len(),
-            edge_weight: slice.snapshot.edge_weight_total(),
-        };
-        let slice = Arc::new(slice);
-        if self.shards[to].absorb(Arc::clone(&slice)).is_none() {
-            // The target died mid-move but the slice is in hand and the
-            // source is (presumably) alive: put the slice back where it
-            // came from and point routing back at it, so the component
-            // stays whole and exact. Both shards dead means the whole
-            // runtime is shutting down — nothing left to preserve.
-            stats.failed_moves += 1;
-            if self.shards[from].absorb(slice).is_some() {
-                if let Some(mut table) = self.router.table() {
-                    table.rehome(member, from);
-                }
-            }
-            return false;
-        }
-        stats.migrations += 1;
-        match trigger {
-            MigrationTrigger::StrandRepair => stats.strand_repairs += 1,
-            MigrationTrigger::LoadBalance => stats.load_moves += 1,
-        }
-        stats.edges_moved += record.edges as u64;
-        stats.edge_weight_moved += record.edge_weight;
-        let move_elapsed = move_started.elapsed();
-        stats.last_move_ns = move_elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.migration_move_ns.record_duration(move_elapsed);
-        self.registry.event(EventKind::Migration, record.edges as u64);
-        report.moves.push(record);
-        true
     }
 
     /// Shuts every shard down in turn, waiting for each queue to drain
@@ -1016,196 +693,6 @@ mod tests {
         assert!(repaired.detection.density >= global.best.density - 1e-9);
     }
 
-    /// All ordered pairs of a heavy ring, shared by the migration tests.
-    fn ring_pairs(ids: std::ops::Range<u32>, w: f64) -> Vec<(VertexId, VertexId, f64)> {
-        let mut edges = Vec::new();
-        for a in ids.clone() {
-            for b in ids.clone() {
-                if a != b {
-                    edges.push((v(a), v(b), w));
-                }
-            }
-        }
-        edges
-    }
-
-    /// Solo-engine ground truth: sorted members + density.
-    fn solo_answer(edges: &[(VertexId, VertexId, f64)]) -> (usize, f64, Vec<u32>) {
-        let mut solo = SpadeEngine::new(WeightedDensity);
-        for &(a, b, w) in edges {
-            let _ = solo.insert_edge(a, b, w);
-        }
-        let det = solo.detect();
-        let mut members: Vec<u32> = solo.community(det).iter().map(|m| m.0).collect();
-        members.sort_unstable();
-        (det.size, det.density, members)
-    }
-
-    #[test]
-    fn stranded_merge_is_repaired_to_solo_exactness() {
-        // Two fraud half-rings born as separate components (pinned to
-        // different shards), then bridged: the losing side's edges are
-        // stranded until a rebalance pass migrates them home.
-        let mut edges = Vec::new();
-        edges.extend(ring_pairs(50..54, 25.0)); // component A
-        edges.extend(ring_pairs(80..84, 25.0)); // component B
-        for i in 0..10u32 {
-            edges.push((v(i), v(i + 1), 1.0)); // background noise
-        }
-        // The bridge merges A and B into one community.
-        edges.push((v(50), v(80), 25.0));
-        edges.push((v(81), v(53), 25.0));
-        let (want_size, want_density, want_members) = solo_answer(&edges);
-
-        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(2));
-        for &(a, b, w) in &edges {
-            assert!(service.submit(a, b, w));
-        }
-        // Before the pass the merged ring is split: the strand event is
-        // pending and the detection underestimates the solo answer.
-        let report = service.rebalance();
-        assert!(!report.moves.is_empty(), "the stranded slice must move");
-        let stats = service.migration_stats();
-        assert!(stats.strand_repairs >= 1);
-        assert_eq!(stats.migrations as usize, report.moves.len());
-        assert!(stats.edges_moved > 0);
-        // Every move is timed and traced in the runtime registry.
-        let snap = service.metrics();
-        let moves = report.moves.len() as u64;
-        assert_eq!(snap.histograms[metric_names::MIGRATION_MOVE_NS].count, moves);
-        assert_eq!(snap.counters["spade_migrations_total"], moves);
-        assert!(snap.events.iter().any(|e| e.kind == EventKind::Migration));
-
-        let global = service.shutdown();
-        assert_eq!(global.total_updates, edges.len() as u64);
-        let mut got: Vec<u32> = global.best.members.iter().map(|m| m.0).collect();
-        got.sort_unstable();
-        assert_eq!(got, want_members, "post-migration members diverge from solo");
-        assert_eq!(global.best.size, want_size);
-        assert!(
-            (global.best.density - want_density).abs() < 1e-9,
-            "post-migration density {} vs solo {}",
-            global.best.density,
-            want_density
-        );
-    }
-
-    #[test]
-    fn rebalance_is_a_noop_under_hash_routing() {
-        let service = ShardedSpadeService::spawn(
-            WeightedDensity,
-            ShardedConfig {
-                shards: 2,
-                strategy: PartitionStrategy::HashBySource,
-                ..Default::default()
-            },
-        );
-        for (a, b, w) in ring_with_noise(50..54) {
-            assert!(service.submit(a, b, w));
-        }
-        assert!(service.rebalance_if_needed().is_none());
-        let report = service.rebalance();
-        assert!(report.moves.is_empty());
-        assert_eq!(report.routing_epoch, 0);
-        assert_eq!(service.routing_epoch(), 0);
-        drop(service);
-    }
-
-    #[test]
-    fn load_imbalance_sheds_the_largest_component() {
-        let config = ShardedConfig {
-            shards: 2,
-            migration: crate::shard::migrate::MigrationPolicy {
-                imbalance_ratio: 1.2,
-                min_updates: 8,
-                max_load_moves: 1,
-            },
-            ..Default::default()
-        };
-        let service = ShardedSpadeService::spawn(WeightedDensity, config);
-        // One dominant component hammers its home shard; a tiny one
-        // lives on the other.
-        let mut edges = ring_pairs(10..16, 10.0);
-        edges.push((v(100), v(101), 1.0));
-        let (want_size, want_density, want_members) = solo_answer(&edges);
-        for &(a, b, w) in &edges {
-            assert!(service.submit(a, b, w));
-        }
-        // Drain so the load signal reflects every submission.
-        for _ in 0..2_000 {
-            let applied: u64 = service.stats().iter().map(|s| s.service.updates_applied).sum();
-            if applied >= edges.len() as u64 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let report = service.rebalance_if_needed().expect("imbalance must trigger a pass");
-        assert_eq!(report.moves.len(), 1);
-        assert_eq!(report.moves[0].trigger, MigrationTrigger::LoadBalance);
-        assert_eq!(report.moves[0].edges, 30, "the 6-ring (30 ordered pairs) must move");
-        assert!(report.routing_epoch >= 1, "a rehome must bump the routing epoch");
-        assert_eq!(service.migration_stats().load_moves, 1);
-
-        // Exactness survives the move; the evicted source no longer
-        // holds the ring.
-        let global = service.shutdown();
-        assert_eq!(global.total_updates, edges.len() as u64);
-        let mut got: Vec<u32> = global.best.members.iter().map(|m| m.0).collect();
-        got.sort_unstable();
-        assert_eq!(got, want_members);
-        assert_eq!(global.best.size, want_size);
-        assert!((global.best.density - want_density).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rebalance_if_needed_idles_on_a_balanced_fleet() {
-        // Two disjoint, similar components: no strand, no imbalance
-        // (and far below the default min_updates floor anyway).
-        let mut balanced = ring_pairs(10..13, 5.0);
-        balanced.extend(ring_pairs(20..23, 5.0));
-        // A skewed fleet under a policy that may not move anything: the
-        // idle check must agree with the pass it stands in front of.
-        let mut skewed = ring_pairs(10..16, 10.0);
-        skewed.push((v(100), v(101), 1.0));
-        let frozen = MigrationPolicy { imbalance_ratio: 1.2, min_updates: 8, max_load_moves: 0 };
-        for (edges, migration) in [(balanced, MigrationPolicy::default()), (skewed, frozen)] {
-            let config = ShardedConfig { shards: 2, migration, ..Default::default() };
-            let service = ShardedSpadeService::spawn(WeightedDensity, config);
-            for &(a, b, w) in &edges {
-                assert!(service.submit(a, b, w));
-            }
-            // The load window must see every submission.
-            assert!(service.barrier());
-            assert!(service.rebalance_if_needed().is_none());
-            assert_eq!(service.migration_stats().served_idle, 1);
-            assert_eq!(service.migration_stats().passes, 0);
-        }
-    }
-
-    #[test]
-    fn repeated_rebalance_passes_are_stable() {
-        let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(2));
-        let mut edges = ring_pairs(50..53, 20.0);
-        edges.extend(ring_pairs(80..83, 20.0));
-        edges.push((v(50), v(80), 20.0));
-        for &(a, b, w) in &edges {
-            assert!(service.submit(a, b, w));
-        }
-        let first = service.rebalance();
-        let moved: usize = first.moves.len();
-        // A second pass finds nothing left to do.
-        let second = service.rebalance();
-        assert!(second.moves.is_empty(), "second pass must be a no-op");
-        assert_eq!(second.skipped_empty, 0);
-        assert!(moved <= 1);
-        let (want_size, _, want_members) = solo_answer(&edges);
-        let global = service.shutdown();
-        let mut got: Vec<u32> = global.best.members.iter().map(|m| m.0).collect();
-        got.sort_unstable();
-        assert_eq!(got, want_members);
-        assert_eq!(global.best.size, want_size);
-    }
-
     #[test]
     fn fill_groups_stops_at_the_first_full_shard() {
         let edges: Vec<_> = (0..6u32).map(|i| (v(i), v(i + 10), 1.0)).collect();
@@ -1236,7 +723,7 @@ mod tests {
     fn submit_batch_matches_per_edge_submits_exactly() {
         let edges = ring_with_noise(50..54);
 
-        // Grouped submission through the default (stateful) router.
+        // Grouped submission.
         let batched = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(3));
         let outcome = batched.submit_batch(&edges, None);
         assert_eq!(outcome.accepted, edges.len(), "default queues must admit the whole frame");
@@ -1260,11 +747,11 @@ mod tests {
         assert!((got.best.density - want.best.density).abs() < 1e-12);
         assert_eq!(got.best.members, want.best.members);
 
-        // Per-edge submits re-offered on a 2-slot queue (`tight`), under
-        // both router arms, with a metric whose weights depend on arrival
-        // order: the same answer as one default-queue batch.
-        let run = |strategy, tight: bool| {
-            let mut config = ShardedConfig { shards: 3, strategy, ..Default::default() };
+        // Per-edge submits re-offered on a 2-slot queue (`tight`), with a
+        // metric whose weights depend on arrival order: the same answer as
+        // one default-queue batch.
+        let run = |tight: bool| {
+            let mut config = ShardedConfig::with_shards(3);
             if tight {
                 (config.queue_capacity, config.coalesce) = (2, 1);
             }
@@ -1279,13 +766,11 @@ mod tests {
             members.sort_unstable();
             (members, global.best.density, global.total_updates)
         };
-        for strategy in [PartitionStrategy::HashBySource, PartitionStrategy::default()] {
-            let (members, density, updates) = run(strategy, false);
-            let (tight_members, tight_density, tight_updates) = run(strategy, true);
-            assert_eq!(tight_members, members, "{strategy:?}");
-            assert!((tight_density - density).abs() < 1e-12, "{strategy:?}");
-            assert_eq!((tight_updates, updates), (edges.len() as u64, edges.len() as u64));
-        }
+        let (members, density, updates) = run(false);
+        let (tight_members, tight_density, tight_updates) = run(true);
+        assert_eq!(tight_members, members);
+        assert!((tight_density - density).abs() < 1e-12);
+        assert_eq!((tight_updates, updates), (edges.len() as u64, edges.len() as u64));
     }
 
     #[test]

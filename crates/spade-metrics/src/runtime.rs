@@ -293,8 +293,6 @@ pub enum EventKind {
     Publish,
     /// A cross-shard repair pass completed (value: regions exported).
     RepairPass,
-    /// A migration move completed (value: edges moved).
-    Migration,
     /// Back-pressure: an ingest frame met a full shard queue and parked
     /// its connection (value: edges enqueued before the park).
     Busy,
@@ -313,7 +311,6 @@ impl EventKind {
             EventKind::Flush => "flush",
             EventKind::Publish => "publish",
             EventKind::RepairPass => "repair_pass",
-            EventKind::Migration => "migration",
             EventKind::Busy => "busy",
             EventKind::MalformedFrame => "malformed_frame",
             EventKind::DeadlineMiss => "deadline_miss",

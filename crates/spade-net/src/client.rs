@@ -159,8 +159,8 @@ impl SpadeNetClient {
 
     /// Ships every staged edge and drains every in-flight frame, then
     /// asks for the merged metrics snapshot rendered as Prometheus text
-    /// exposition (per-stage latency histograms, repair and migration
-    /// counters, transport totals and per-connection series) — a live
+    /// exposition (per-stage latency histograms, repair counters,
+    /// transport totals and per-connection series) — a live
     /// read on both servers.
     pub fn server_metrics(&mut self) -> std::io::Result<MetricsReply> {
         self.drain()?;

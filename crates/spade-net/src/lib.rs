@@ -12,7 +12,7 @@
 //! The paper frames Spade as a *real-time* system fed by live transaction
 //! streams. Frames decode straight into
 //! `ShardedSpadeService::submit_batch`, so every shard's drain-coalescing
-//! batch path, routing policy, and repair/migration machinery is
+//! batch path, routing policy, and repair machinery is
 //! inherited unchanged — and back-pressure crosses the wire. When an
 //! edge-bounded ingest queue is full, either server keeps what it could not
 //! enqueue on the connection, stops reading that connection, and offers
@@ -33,16 +33,16 @@
 //! payload := u8 opcode | body
 //! ```
 //!
-//! Requests (protocol v5): `Batch` / `BatchBudget` (one ingest request,
+//! Requests (protocol v6): `Batch` / `BatchBudget` (one ingest request,
 //! without or with a latency budget — a single transaction is a one-edge
-//! `Batch`; opcode `0x01`, the retired `Edge` request, stays reserved),
-//! `Flush`, `Detect`, `Stats`, `Shutdown`, `Metrics`, plus the
-//! shard-server operations `Region`, `MigrateOut`, `Absorb`,
-//! `Replicate`, and `Bootstrap` (served by [`ShardServer`], driven by
-//! [`SpadeRouter`]). Replies: `Ack`, `Detection`, `StatsReply`,
-//! `MetricsReply`, `RegionReply`, `SliceReply`, `AbsorbReply`,
-//! `BootstrapChunk`, `Error` (opcode `0x82`, the `Busy` reply retired in
-//! v5, stays reserved).
+//! `Batch`), `Flush`, `Detect`, `Stats`, `Shutdown`, `Metrics`, plus the
+//! shard-server operations `Region`, `Replicate`, and `Bootstrap` (served
+//! by [`ShardServer`], driven by [`SpadeRouter`]). Replies: `Ack`,
+//! `Detection`, `StatsReply`, `MetricsReply`, `RegionReply`,
+//! `BootstrapChunk`, `Error`. Retired opcodes stay reserved and decode
+//! as `BadOpcode`: `0x01` (the `Edge` request, v4), `0x82` (the `Busy`
+//! reply, v5), and `0x0A` / `0x0B` / `0x88` / `0x89` (component
+//! migration's `MigrateOut` / `Absorb` and their replies, v6).
 //! The decoder rejects truncated, oversized,
 //! and structurally invalid frames with an error — never a panic —
 //! mirroring the overflow-safe section checks of the
@@ -71,6 +71,6 @@ pub use shard_server::{ShardServer, ShardServerConfig};
 pub use wire::{
     read_frame, write_batch, write_frame, write_replicate, BootstrapChunk, DetectionReply,
     FrameDecoder, MetricsReply, RawEdge, StatsReply, WireError, WireFrame, MAX_BATCH_EDGES,
-    MAX_DETECTION_MEMBERS, MAX_EXPOSITION_BYTES, MAX_FRAME_BYTES, MAX_MIGRATE_MEMBERS,
+    MAX_DETECTION_MEMBERS, MAX_EXPOSITION_BYTES, MAX_FRAME_BYTES, MAX_REGION_MEMBERS,
     MAX_SNAPSHOT_BYTES, MAX_STATS_SHARDS, METRICS_VERSION, PROTOCOL_VERSION,
 };

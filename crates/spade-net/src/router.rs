@@ -3,12 +3,12 @@
 //! [`SpadeRouter`] speaks the [`crate::wire`] protocol to N
 //! [`crate::shard_server`] processes and reproduces the in-process
 //! sharded runtime's contract at the process level: deterministic
-//! partitioned ingest, the cross-shard repair/aggregation pass (§4's
-//! per-shard peeling stitched back to the exact global detection), and
-//! component migration as snapshots in flight. The pieces:
+//! partitioned ingest and the cross-shard repair/aggregation pass (§4's
+//! per-shard peeling stitched back to the exact global detection). The
+//! pieces:
 //!
-//! * **Ingest**: edges are routed by a [`Partitioner`] (hash-by-source
-//!   by default), buffered per shard, and shipped as `Batch` frames —
+//! * **Ingest**: edges are routed by source hash ([`HashPartitioner`]),
+//!   buffered per shard, and shipped as `Batch` frames —
 //!   one synchronous round trip per batch, so at most one batch per
 //!   shard is ever in flight and replay order is deterministic.
 //! * **Replication**: before a batch is offered to its home shard `k`,
@@ -33,34 +33,29 @@
 //!   aggregator uses — the detection it publishes is provably at least
 //!   as dense as the best single-shard view, and exact on communities
 //!   covered by the exported frontiers.
-//! * **Consolidation** ([`consolidate`](SpadeRouter::consolidate)):
-//!   migrates a repaired community onto its baseline shard with
-//!   `MigrateOut` → `Absorb` (extract → evict → replay in flight), then
-//!   pins the members there so future traffic stays co-resident.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 
 use spade_core::service::CandidateRegion;
 use spade_core::shard::{repair_regions, RepairOutcome, RepairScratch};
-use spade_core::shard::{PartitionStrategy, Partitioner};
+use spade_core::shard::{HashPartitioner, Partitioner};
 use spade_graph::VertexId;
 
 use crate::wire::{
     read_frame, write_batch, write_frame, write_replicate, RawEdge, WireError, WireFrame,
-    MAX_BATCH_EDGES, MAX_MIGRATE_MEMBERS,
+    MAX_BATCH_EDGES,
 };
 
 /// Tuning for a [`SpadeRouter`].
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Edges buffered per shard before a batch ships.
+    /// Edges buffered per shard before a batch ships, clamped to
+    /// `1..=`[`MAX_BATCH_EDGES`] at connect.
     pub batch_edges: usize,
     /// Frontier radius of the repair pass (see `RepairConfig::hops`).
     pub hops: usize,
-    /// Edge-routing policy.
-    pub strategy: PartitionStrategy,
     /// Journal every batch on the replica shard before offering it to
     /// its home. Disabling trades crash recovery for one round trip.
     pub replicate: bool,
@@ -68,12 +63,7 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            batch_edges: 512,
-            hops: 1,
-            strategy: PartitionStrategy::HashBySource,
-            replicate: true,
-        }
+        RouterConfig { batch_edges: 512, hops: 1, replicate: true }
     }
 }
 
@@ -91,8 +81,8 @@ pub struct RouterStats {
     pub replicated: u64,
     /// Always 0: a shard server answers a batch with one Ack once all of
     /// it fits its edge-bounded queue (a full queue parks the connection;
-    /// the late Ack is the back-pressure) and protocol v5 has no `Busy`
-    /// reply. The field stays because `bench_stack` reads it.
+    /// the late Ack is the back-pressure) and since protocol v5 there is
+    /// no `Busy` reply. The field stays because `bench_stack` reads it.
     pub busy_retries: u64,
     /// Completed [`SpadeRouter::recover`] calls.
     pub recoveries: u64,
@@ -116,14 +106,10 @@ struct Shard {
     pending: VecDeque<(u64, Vec<RawEdge>)>,
 }
 
-/// The router: partitioned ingest, repair, migration, and recovery over
-/// N shard-server connections.
+/// The router: partitioned ingest, repair, and recovery over N
+/// shard-server connections.
 pub struct SpadeRouter {
     shards: Vec<Shard>,
-    partitioner: Box<dyn Partitioner>,
-    /// Vertices pinned to a shard by consolidation — consulted before
-    /// the partitioner so migrated communities keep their new home.
-    overrides: HashMap<VertexId, usize>,
     scratch: RepairScratch,
     config: RouterConfig,
     stats: RouterStats,
@@ -133,9 +119,9 @@ impl SpadeRouter {
     /// Connects to one shard server per address. Shard `k`'s replica is
     /// `(k + 1) % N`; with a single shard, replication degenerates to a
     /// self-journal (no crash tolerance).
-    pub fn connect(addrs: &[String], config: RouterConfig) -> Result<SpadeRouter, WireError> {
+    pub fn connect(addrs: &[String], mut config: RouterConfig) -> Result<SpadeRouter, WireError> {
         assert!(!addrs.is_empty(), "a router needs at least one shard");
-        assert!(config.batch_edges >= 1 && config.batch_edges <= MAX_BATCH_EDGES);
+        config.batch_edges = config.batch_edges.clamp(1, MAX_BATCH_EDGES);
         let mut shards = Vec::with_capacity(addrs.len());
         for addr in addrs {
             shards.push(Shard {
@@ -148,8 +134,6 @@ impl SpadeRouter {
         }
         Ok(SpadeRouter {
             shards,
-            partitioner: config.strategy.build(),
-            overrides: HashMap::new(),
             scratch: RepairScratch::new(),
             config,
             stats: RouterStats::default(),
@@ -176,11 +160,7 @@ impl SpadeRouter {
     /// [`flush_batches`](Self::flush_batches) (or a buffer-full ship)
     /// confirms the round trips.
     pub fn submit(&mut self, src: VertexId, dst: VertexId, raw: f64) -> Result<(), WireError> {
-        let num = self.shards.len();
-        let shard = match self.overrides.get(&src) {
-            Some(&pinned) => pinned,
-            None => self.partitioner.route(src, dst, num),
-        };
+        let shard = HashPartitioner.route(src, dst, self.shards.len());
         self.stats.edges_submitted += 1;
         self.shards[shard].buffer.push((src, dst, raw));
         if self.shards[shard].buffer.len() >= self.config.batch_edges {
@@ -320,41 +300,8 @@ impl SpadeRouter {
         Ok(repair_regions(&regions, &mut self.scratch))
     }
 
-    /// Consolidates a repaired community onto its baseline shard:
-    /// `MigrateOut` (extract + evict) from every other shard, `Absorb`
-    /// into the baseline, and pin the members there for future routing.
-    /// Returns the number of edges that moved.
-    pub fn consolidate(&mut self, outcome: &RepairOutcome) -> Result<u64, WireError> {
-        assert!(outcome.members.len() <= MAX_MIGRATE_MEMBERS, "community exceeds a wire frame");
-        let baseline = outcome.baseline_shard;
-        let mut moved = 0u64;
-        for shard in 0..self.shards.len() {
-            if shard == baseline || self.shards[shard].conn.is_none() {
-                continue;
-            }
-            let out = WireFrame::MigrateOut { members: outcome.members.clone() };
-            let slice = match self.request(shard, &out)? {
-                WireFrame::SliceReply(slice) => slice,
-                other => return Err(unexpected(other)),
-            };
-            if slice.is_empty() {
-                continue;
-            }
-            moved += slice.snapshot.edges.len() as u64;
-            match self.request(baseline, &WireFrame::Absorb { slice })? {
-                WireFrame::AbsorbReply(_) => {}
-                other => return Err(unexpected(other)),
-            }
-        }
-        for &member in &outcome.members {
-            self.overrides.insert(member, baseline);
-        }
-        Ok(moved)
-    }
-
-    /// The baseline shard's live detection (exact for a community after
-    /// [`consolidate`](Self::consolidate) moved it there). A shard
-    /// server's `Detect` is a barrier, so it covers every acked edge.
+    /// One shard's live detection. A shard server's `Detect` is a
+    /// barrier, so it covers every acked edge.
     pub fn detect(&mut self, shard: usize) -> Result<crate::wire::DetectionReply, WireError> {
         match self.request(shard, &WireFrame::Detect)? {
             WireFrame::Detection(det) => Ok(det),
@@ -499,16 +446,32 @@ mod tests {
         let acked = router.stats().edges_acked;
         assert_eq!(acked, router.stats().edges_submitted);
 
-        // Consolidate the community onto its baseline shard: its live
-        // detection now equals the solo engine with no repair pass.
-        let moved = router.consolidate(&outcome).expect("consolidate");
-        assert!(moved > 0, "a hash-split clique must have edges to move");
-        let det = router.detect(outcome.baseline_shard).expect("detect");
-        let mut got: Vec<VertexId> = det.members;
-        got.sort_unstable_by_key(|m| m.0);
-        assert_eq!(got, want_members);
-        assert!((det.density - want.density).abs() < 1e-9);
+        router.shutdown_shards().expect("shutdown");
+        for s in &mut servers {
+            s.stop();
+        }
+    }
 
+    /// A batch size past the frame bound is clamped at connect: the
+    /// router ships full frames at the bound and acks every edge.
+    #[test]
+    fn an_oversized_batch_size_ships_frames_within_the_bound() {
+        let (mut servers, addrs) = spawn_shards(1);
+        let config = RouterConfig {
+            batch_edges: MAX_BATCH_EDGES + 1,
+            replicate: false,
+            ..Default::default()
+        };
+        let mut router = SpadeRouter::connect(&addrs, config).expect("connect");
+        let edges = MAX_BATCH_EDGES as u32 + 10;
+        for i in 0..edges {
+            router.submit(v(i % 64), v(64 + i % 3), 1.0).expect("submit");
+        }
+        assert_eq!(router.stats().batches, 1, "a full frame ships at the bound");
+        router.flush_batches().expect("flush");
+        let stats = router.stats();
+        assert_eq!((stats.batches, stats.edges_acked), (2, u64::from(edges)));
+        assert_eq!(router.detect(0).expect("detect").updates_applied, u64::from(edges));
         router.shutdown_shards().expect("shutdown");
         for s in &mut servers {
             s.stop();

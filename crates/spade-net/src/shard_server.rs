@@ -10,9 +10,9 @@
 //! Besides the ingest surface (`Batch` / `BatchBudget` / `Flush` /
 //! `Detect` / `Stats` / `Metrics` / `Shutdown`), a shard server answers
 //! the shard operations documented on their [`WireFrame`] variants.
-//! `Region`, `MigrateOut` and `Absorb` ride the worker's FIFO ingest
-//! queue, so each reply reflects every edge acknowledged before it; the
-//! other two keep the recovery substrate:
+//! `Region` rides the worker's FIFO ingest queue, so its reply reflects
+//! every edge acknowledged before it; the other two keep the recovery
+//! substrate:
 //!
 //! * **`Replicate { owner, seq, edges }`** → `Ack`: appends a raw-edge
 //!   batch to the **standby journal** this server keeps on behalf of
@@ -38,8 +38,8 @@
 //! Nothing here waits on the worker: a batch is admitted by edges, the
 //! same rule as the fan-in tier's (`server::offer`) — whatever does not
 //! fit the worker's queue parks its connection until it does. Every
-//! operation the worker must answer (`Detect`, `Stats`, `Region`,
-//! `MigrateOut`, `Absorb`) posts a marker, which takes no queue room and
+//! operation the worker must answer (`Detect`, `Stats`, `Region`) posts
+//! a marker, which takes no queue room and
 //! so is always enqueued at once, and parks on the reply channel; the
 //! journal operations answer inline. The loop re-checks a parked request
 //! when the worker reports what it waits for: freed queue room, or a
@@ -302,12 +302,6 @@ impl ShardHandler {
             WireFrame::Region { hops } => service
                 .request_candidate_region(hops as usize)
                 .map(|region| collect(region, |r| WireFrame::RegionReply(r).within_bounds())),
-            WireFrame::MigrateOut { members } => service
-                .request_migrate_out(members.into())
-                .map(|slice| collect(slice, |s| WireFrame::SliceReply(s).within_bounds())),
-            WireFrame::Absorb { slice } => service
-                .request_absorb(slice)
-                .map(|receipt| collect(receipt, WireFrame::AbsorbReply)),
             other => return Err(other),
         })
     }
@@ -325,8 +319,7 @@ fn collect<T: 'static>(
 mod tests {
     use super::*;
     use crate::wire::write_frame;
-    use spade_core::service::MigrationSlice;
-    use spade_core::{CustomMetric, IngestConfig, SpadeEngine, SubgraphSnapshot, WeightedDensity};
+    use spade_core::{CustomMetric, IngestConfig, SpadeEngine, WeightedDensity};
     use spade_graph::VertexId;
     use spade_metrics::EventKind;
     use std::io::Write;
@@ -441,69 +434,6 @@ mod tests {
                 "a zero budget was scheduled as a deadline:\n{}",
                 m.exposition
             ),
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        server.stop();
-    }
-
-    #[test]
-    fn migrates_a_slice_between_two_servers() {
-        let (mut src_server, mut src) = spawn_server();
-        let (mut dst_server, mut dst) = spawn_server();
-        let edges = vec![(v(1), v(2), 4.0), (v(2), v(1), 4.0), (v(1), v(3), 2.0)];
-        request(&mut src, &WireFrame::Batch { edges });
-        request(&mut src, &WireFrame::Flush);
-        let slice =
-            match request(&mut src, &WireFrame::MigrateOut { members: vec![v(1), v(2), v(3)] }) {
-                WireFrame::SliceReply(slice) => slice,
-                other => panic!("unexpected reply: {other:?}"),
-            };
-        assert_eq!(slice.snapshot.edges.len(), 3);
-        assert!(!slice.is_empty());
-        match request(&mut dst, &WireFrame::Absorb { slice }) {
-            WireFrame::AbsorbReply(receipt) => {
-                assert_eq!(receipt.edges_applied, 3);
-                assert_eq!(receipt.rejected, 0);
-            }
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        // The slice was evicted at the source and lives on the target.
-        match request(&mut src, &WireFrame::Detect) {
-            WireFrame::Detection(det) => assert_eq!(det.size, 0),
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        match request(&mut dst, &WireFrame::Region { hops: 1 }) {
-            WireFrame::RegionReply(region) => assert!(region.size > 0),
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        src_server.stop();
-        dst_server.stop();
-    }
-
-    /// A slice whose snapshot section does not decode is a malformed
-    /// frame like any other: `Error`, then the connection closes, and the
-    /// engine never sees the slice.
-    #[test]
-    fn an_absorb_with_a_bad_snapshot_section_is_refused_and_closed() {
-        let (mut server, mut stream) = spawn_server();
-        let snapshot = SubgraphSnapshot {
-            vertices: vec![(v(1), 0.0), (v(2), 0.0)],
-            edges: vec![(v(1), v(2), 3.0)],
-        };
-        let slice = MigrationSlice { snapshot, updates_applied: 0 };
-        let mut bytes = WireFrame::Absorb { slice }.encode();
-        // Length prefix 4, opcode 1, summary 32, section length 4: the
-        // section's magic starts at byte 41.
-        bytes[41] ^= 0xFF;
-        stream.write_all(&bytes).expect("write");
-        match crate::wire::read_frame(&mut stream).expect("an error reply") {
-            Some(WireFrame::Error { message }) => assert!(message.contains("slice snapshot")),
-            other => panic!("expected an Error frame, got {other:?}"),
-        }
-        assert_eq!(crate::wire::read_frame(&mut stream).expect("clean close"), None);
-        let mut fresh = TcpStream::connect(server.local_addr()).expect("reconnect");
-        match request(&mut fresh, &WireFrame::Detect) {
-            WireFrame::Detection(det) => assert_eq!((det.size, det.updates_applied), (0, 0)),
             other => panic!("unexpected reply: {other:?}"),
         }
         server.stop();

@@ -12,13 +12,13 @@
 //! malicious or corrupt producer can terminate its own connection, never
 //! the server.
 //!
-//! This is the one place a [`SubgraphSnapshot`] (a region or a migration
-//! slice, a value everywhere else) becomes bytes and back: a snapshot
-//! section is decoded **and validated** at the frame boundary, so a bad
-//! one makes the whole frame malformed.
+//! This is the one place a [`SubgraphSnapshot`] (a region's, a value
+//! everywhere else) becomes bytes and back: a snapshot section is decoded
+//! **and validated** at the frame boundary, so a bad one makes the whole
+//! frame malformed.
 
 use spade_core::persist::{ByteReader, PutLe, SubgraphSnapshot, Truncated};
-use spade_core::service::{AbsorbReceipt, CandidateRegion, MigrationSlice};
+use spade_core::service::CandidateRegion;
 use spade_graph::VertexId;
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -36,15 +36,19 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// budget for the SLO scheduler); a v1 server answers its opcode with
 /// `BadOpcode`, so a client that sets a budget needs a v2 server.
 /// Version 3 added the shard-server operations of the multi-process
-/// runtime — `Region`, `MigrateOut`, `Absorb`, `Replicate`, `Bootstrap`
-/// and their replies — so a router needs v3 shard servers. Version 4
+/// runtime — `Region`, `Replicate`, `Bootstrap` and their replies — so a
+/// router needs v3 shard servers. Version 4
 /// retired the single-`Edge` request: opcode `0x01` stays reserved and
 /// is answered with `BadOpcode`; one transaction travels as a one-edge
 /// `Batch`. Version 5 retired the `Busy` reply the same way (opcode
 /// `0x82` reserved): a full shard queue parks the connection until the
 /// whole frame is enqueued, so every ingest frame is answered by one
-/// `Ack` for all of it and back-pressure is TCP flow control.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// `Ack` for all of it and back-pressure is TCP flow control. Version 6
+/// retired component migration: the `MigrateOut` and `Absorb` requests
+/// and their `SliceReply` and `AbsorbReply` answers (opcodes `0x0A`,
+/// `0x0B`, `0x88`, `0x89` reserved), since hash routing plus the repair
+/// pass is the one way a split community is put back together.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Most edges one `Batch` frame can carry within [`MAX_FRAME_BYTES`]
 /// (opcode byte + u32 count + 16 bytes per edge). A `BatchBudget` frame
@@ -77,18 +81,17 @@ pub const MAX_EXPOSITION_BYTES: usize = MAX_FRAME_BYTES - 5;
 /// bounds hostile input.
 pub const MAX_STATS_SHARDS: usize = (MAX_FRAME_BYTES - 77) / 8;
 
-/// Largest [`SubgraphSnapshot::encoded_len`] one region/slice frame
-/// carries: the fixed headers of every snapshot-bearing frame fit well
-/// inside 64 bytes, so a snapshot under this bound always fits a frame.
-/// Larger extracts fail the operation gracefully (the shard server
-/// answers `Error`), never break framing.
+/// Largest [`SubgraphSnapshot::encoded_len`] one region frame carries:
+/// its fixed header fits well inside 64 bytes, so a snapshot under this
+/// bound always fits a frame. Larger extracts fail the operation
+/// gracefully (the shard server answers `Error`), never break framing.
 pub const MAX_SNAPSHOT_BYTES: usize = MAX_FRAME_BYTES - 64;
 
-/// Most member ids a `MigrateOut` request (or a `RegionReply` member
-/// list) ships within [`MAX_FRAME_BYTES`]. Component migration beyond
-/// this bound is refused at encode time — a >260k-vertex "component" is
-/// the benign giant component, not a movable fraud ring.
-pub const MAX_MIGRATE_MEMBERS: usize = (MAX_FRAME_BYTES - 64) / 4;
+/// Most member ids a `RegionReply` member list ships within
+/// [`MAX_FRAME_BYTES`]; a larger community is refused at encode time (a
+/// community of over 260k vertices is the benign giant component, not a
+/// fraud ring).
+pub const MAX_REGION_MEMBERS: usize = (MAX_FRAME_BYTES - 64) / 4;
 
 // 0x01 was the single-`Edge` request (retired in v4; never reuse it).
 const OP_BATCH: u8 = 0x02;
@@ -99,8 +102,8 @@ const OP_SHUTDOWN: u8 = 0x06;
 const OP_METRICS: u8 = 0x07;
 const OP_BATCH_BUDGET: u8 = 0x08;
 const OP_REGION: u8 = 0x09;
-const OP_MIGRATE_OUT: u8 = 0x0A;
-const OP_ABSORB: u8 = 0x0B;
+// 0x0A and 0x0B were `MigrateOut` and `Absorb` (retired in v6; never
+// reuse them).
 const OP_REPLICATE: u8 = 0x0C;
 const OP_BOOTSTRAP: u8 = 0x0D;
 const OP_ACK: u8 = 0x81;
@@ -110,8 +113,7 @@ const OP_STATS_REPLY: u8 = 0x84;
 const OP_ERROR: u8 = 0x85;
 const OP_METRICS_REPLY: u8 = 0x86;
 const OP_REGION_REPLY: u8 = 0x87;
-const OP_SLICE_REPLY: u8 = 0x88;
-const OP_ABSORB_REPLY: u8 = 0x89;
+// 0x88 and 0x89 were `SliceReply` and `AbsorbReply` (retired in v6).
 const OP_BOOTSTRAP_CHUNK: u8 = 0x8A;
 
 /// Errors raised while decoding or transporting frames.
@@ -294,20 +296,6 @@ pub enum WireFrame {
         /// Frontier radius around the local community.
         hops: u32,
     },
-    /// Ask a shard server to extract **and evict** the induced slice
-    /// over `members` (the source half of a cross-process migration).
-    /// Protocol v3.
-    MigrateOut {
-        /// Global vertex ids of the component to move.
-        members: Vec<VertexId>,
-    },
-    /// Replay a migrated slice into a shard server's engine (the target
-    /// half of a cross-process migration); its body is `SliceReply`'s.
-    /// Protocol v3.
-    Absorb {
-        /// The slice in flight.
-        slice: MigrationSlice,
-    },
     /// Append acked edges to this shard's standby journal for `owner`
     /// (a *peer* shard): the router copies every batch it routes to
     /// `owner` onto a replica, and only acks upstream once both
@@ -344,17 +332,10 @@ pub enum WireFrame {
     MetricsReply(MetricsReply),
     /// A shard server's candidate region, fed into the router's repair
     /// pass. Members ship whole — the pass needs the exact set, and encode
-    /// refuses lists beyond [`MAX_MIGRATE_MEMBERS`]; `size` is a `u64`.
+    /// refuses lists beyond [`MAX_REGION_MEMBERS`]; `size` is a `u64`.
     /// The snapshot travels as a length-prefixed section of
     /// [`SubgraphSnapshot::encode`] bytes, decoded and validated here.
     RegionReply(CandidateRegion),
-    /// An extracted (and evicted) migration slice — what `Absorb` replays
-    /// at the target shard. Its body leads with summary words (vertex and
-    /// edge counts as `u64`, the edge weight total, `updates_applied`);
-    /// decode checks the first three against the snapshot section.
-    SliceReply(MigrationSlice),
-    /// The receipt of a replayed migration slice (counts as `u64`).
-    AbsorbReply(AbsorbReceipt),
     /// One chunk of a standby journal replay.
     BootstrapChunk(BootstrapChunk),
     /// The request failed; the connection closes after this frame.
@@ -467,33 +448,6 @@ fn take_text(buf: &mut ByteReader<'_>, what: &'static str) -> Result<String, Wir
     std::str::from_utf8(buf.rest()).map(str::to_owned).map_err(|_| WireError::Corrupt(what))
 }
 
-/// Encodes a [`MigrationSlice`] body (shared by `Absorb` and
-/// `SliceReply`, which carry the same payload after the opcode): summary
-/// words derived from the snapshot, then the snapshot section.
-fn put_slice_body(out: &mut Vec<u8>, slice: &MigrationSlice) {
-    let snapshot = &slice.snapshot;
-    out.put_u64_le(snapshot.vertices.len() as u64);
-    out.put_u64_le(snapshot.edges.len() as u64);
-    out.put_f64_le(snapshot.edge_weight_total());
-    out.put_u64_le(slice.updates_applied);
-    put_snapshot(out, snapshot);
-}
-
-/// Decodes a [`MigrationSlice`] body, the inverse of [`put_slice_body`]:
-/// the summary words must match the decoded snapshot bit for bit.
-fn take_slice_body(buf: &mut ByteReader<'_>) -> Result<MigrationSlice, WireError> {
-    let (vertices, edges, edge_weight) = (buf.u64()?, buf.u64()?, buf.f64()?);
-    let updates_applied = buf.u64()?;
-    let snapshot = take_snapshot(buf, "bad slice snapshot")?;
-    let agrees = vertices == snapshot.vertices.len() as u64
-        && edges == snapshot.edges.len() as u64
-        && edge_weight.to_bits() == snapshot.edge_weight_total().to_bits();
-    if !agrees {
-        return Err(WireError::Corrupt("slice summary disagrees with its snapshot"));
-    }
-    Ok(MigrationSlice { snapshot, updates_applied })
-}
-
 /// The payload of a `Batch` frame — a `BatchBudget` when `budget_us` is
 /// set — over borrowed edges.
 fn put_batch(out: &mut Vec<u8>, budget_us: Option<u32>, edges: &[RawEdge]) {
@@ -524,16 +478,15 @@ impl WireFrame {
         out
     }
 
-    /// This frame, or an `Error` in its place when a region or slice it
-    /// carries is too large for one frame — how a shard server refuses
+    /// This frame, or an `Error` in its place when a region it carries is
+    /// too large for one frame — how a shard server refuses
     /// such an extract instead of breaking framing.
     pub(crate) fn within_bounds(self) -> WireFrame {
         let fits = match &self {
             WireFrame::RegionReply(region) => {
-                region.members.len() <= MAX_MIGRATE_MEMBERS
+                region.members.len() <= MAX_REGION_MEMBERS
                     && region.snapshot.encoded_len() <= MAX_SNAPSHOT_BYTES
             }
-            WireFrame::SliceReply(slice) => slice.snapshot.encoded_len() <= MAX_SNAPSHOT_BYTES,
             _ => true,
         };
         if fits {
@@ -545,7 +498,7 @@ impl WireFrame {
     /// Appends the serialized frame (length prefix included) to `out` —
     /// how the servers queue replies on a connection's output buffer.
     /// Panics if an edge run exceeds [`MAX_BATCH_EDGES`], a member list
-    /// that must ship whole exceeds [`MAX_MIGRATE_MEMBERS`] or a
+    /// that must ship whole exceeds [`MAX_REGION_MEMBERS`] or a
     /// snapshot exceeds [`MAX_SNAPSHOT_BYTES`]; `Detection` members,
     /// `StatsReply` depths and text truncate instead.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -560,15 +513,6 @@ impl WireFrame {
             WireFrame::Region { hops } => {
                 out.push(OP_REGION);
                 out.put_u32_le(*hops);
-            }
-            WireFrame::MigrateOut { members } => {
-                assert!(members.len() <= MAX_MIGRATE_MEMBERS, "member list exceeds the bound");
-                out.push(OP_MIGRATE_OUT);
-                put_members(out, members);
-            }
-            WireFrame::Absorb { slice } => {
-                out.push(OP_ABSORB);
-                put_slice_body(out, slice);
             }
             WireFrame::Replicate { owner, seq, edges } => put_replicate(out, *owner, *seq, edges),
             WireFrame::Bootstrap { owner, after } => {
@@ -619,7 +563,7 @@ impl WireFrame {
             }
             WireFrame::RegionReply(region) => {
                 assert!(
-                    region.members.len() <= MAX_MIGRATE_MEMBERS,
+                    region.members.len() <= MAX_REGION_MEMBERS,
                     "region member list exceeds the bound"
                 );
                 out.push(OP_REGION_REPLY);
@@ -629,16 +573,6 @@ impl WireFrame {
                 out.put_u64_le(region.epoch);
                 put_members(out, &region.members);
                 put_snapshot(out, &region.snapshot);
-            }
-            WireFrame::SliceReply(slice) => {
-                out.push(OP_SLICE_REPLY);
-                put_slice_body(out, slice);
-            }
-            WireFrame::AbsorbReply(receipt) => {
-                out.push(OP_ABSORB_REPLY);
-                out.put_u64_le(receipt.vertices_touched as u64);
-                out.put_u64_le(receipt.edges_applied as u64);
-                out.put_u64_le(receipt.rejected);
             }
             WireFrame::BootstrapChunk(chunk) => {
                 out.push(OP_BOOTSTRAP_CHUNK);
@@ -696,14 +630,6 @@ impl WireFrame {
                 WireFrame::StatsReply(reply)
             }
             OP_REGION => WireFrame::Region { hops: buf.u32()? },
-            OP_MIGRATE_OUT => WireFrame::MigrateOut {
-                members: take_members(
-                    &mut buf,
-                    MAX_MIGRATE_MEMBERS,
-                    "bad migrate-out member list",
-                )?,
-            },
-            OP_ABSORB => WireFrame::Absorb { slice: take_slice_body(&mut buf)? },
             OP_REPLICATE => WireFrame::Replicate {
                 owner: buf.u32()?,
                 seq: buf.u64()?,
@@ -715,15 +641,9 @@ impl WireFrame {
                 density: buf.f64()?,
                 updates_applied: buf.u64()?,
                 epoch: buf.u64()?,
-                members: take_members(&mut buf, MAX_MIGRATE_MEMBERS, "bad region member list")?
+                members: take_members(&mut buf, MAX_REGION_MEMBERS, "bad region member list")?
                     .into(),
                 snapshot: take_snapshot(&mut buf, "bad region snapshot")?,
-            }),
-            OP_SLICE_REPLY => WireFrame::SliceReply(take_slice_body(&mut buf)?),
-            OP_ABSORB_REPLY => WireFrame::AbsorbReply(AbsorbReceipt {
-                vertices_touched: buf.u64()? as usize,
-                edges_applied: buf.u64()? as usize,
-                rejected: buf.u64()?,
             }),
             OP_BOOTSTRAP_CHUNK => {
                 let owner = buf.u32()?;
@@ -775,8 +695,6 @@ impl WireFrame {
                 | WireFrame::StatsReply(_)
                 | WireFrame::MetricsReply(_)
                 | WireFrame::RegionReply(_)
-                | WireFrame::SliceReply(_)
-                | WireFrame::AbsorbReply(_)
                 | WireFrame::BootstrapChunk(_)
                 | WireFrame::Error { .. }
         )
@@ -794,8 +712,6 @@ impl WireFrame {
             WireFrame::Shutdown => "Shutdown",
             WireFrame::Metrics => "Metrics",
             WireFrame::Region { .. } => "Region",
-            WireFrame::MigrateOut { .. } => "MigrateOut",
-            WireFrame::Absorb { .. } => "Absorb",
             WireFrame::Replicate { .. } => "Replicate",
             WireFrame::Bootstrap { .. } => "Bootstrap",
             WireFrame::Ack { .. } => "Ack",
@@ -803,8 +719,6 @@ impl WireFrame {
             WireFrame::StatsReply(_) => "StatsReply",
             WireFrame::MetricsReply(_) => "MetricsReply",
             WireFrame::RegionReply(_) => "RegionReply",
-            WireFrame::SliceReply(_) => "SliceReply",
-            WireFrame::AbsorbReply(_) => "AbsorbReply",
             WireFrame::BootstrapChunk(_) => "BootstrapChunk",
             WireFrame::Error { .. } => "Error",
         }
@@ -995,12 +909,6 @@ mod tests {
         roundtrip(WireFrame::Error { message: "queue déjà full".into() });
         // Protocol v3: shard-server operations.
         roundtrip(WireFrame::Region { hops: 2 });
-        roundtrip(WireFrame::MigrateOut { members: vec![v(3), v(1), v(4)] });
-        roundtrip(WireFrame::MigrateOut { members: Vec::new() });
-        roundtrip(WireFrame::Absorb {
-            slice: MigrationSlice { snapshot: snapshot(), updates_applied: 41 },
-        });
-        roundtrip(WireFrame::Absorb { slice: MigrationSlice::default() });
         roundtrip(WireFrame::Replicate {
             owner: 1,
             seq: 42,
@@ -1017,15 +925,6 @@ mod tests {
             snapshot: snapshot(),
         }));
         roundtrip(WireFrame::RegionReply(CandidateRegion::default()));
-        roundtrip(WireFrame::SliceReply(MigrationSlice {
-            snapshot: snapshot(),
-            updates_applied: 5,
-        }));
-        roundtrip(WireFrame::AbsorbReply(AbsorbReceipt {
-            vertices_touched: 4,
-            edges_applied: 6,
-            rejected: 1,
-        }));
         roundtrip(WireFrame::BootstrapChunk(BootstrapChunk {
             owner: 1,
             through: 9,
@@ -1042,26 +941,6 @@ mod tests {
 
     #[test]
     fn v3_truncated_and_garbage_payloads_error_not_panic() {
-        // Migrate-out claiming more members than the payload holds.
-        let mut payload = vec![OP_MIGRATE_OUT];
-        payload.extend_from_slice(&1000u32.to_le_bytes());
-        payload.extend_from_slice(&[0u8; 4]);
-        assert!(matches!(WireFrame::decode_payload(&payload), Err(WireError::Corrupt(_))));
-        // A member count above the frame-level bound.
-        let mut over = vec![OP_MIGRATE_OUT];
-        over.extend_from_slice(&(MAX_MIGRATE_MEMBERS as u32 + 1).to_le_bytes());
-        assert!(matches!(WireFrame::decode_payload(&over), Err(WireError::Corrupt(_))));
-
-        // A slice whose snapshot length exceeds both the payload and the bound.
-        let mut slice = vec![OP_ABSORB];
-        slice.extend_from_slice(&[0u8; 32]); // vertices/edges/weight/updates
-        slice.extend_from_slice(&(MAX_SNAPSHOT_BYTES as u32 + 1).to_le_bytes());
-        assert!(matches!(WireFrame::decode_payload(&slice), Err(WireError::Corrupt(_))));
-        let mut short = vec![OP_SLICE_REPLY];
-        short.extend_from_slice(&[0u8; 32]);
-        short.extend_from_slice(&64u32.to_le_bytes()); // claims 64 bytes, has none
-        assert!(matches!(WireFrame::decode_payload(&short), Err(WireError::Corrupt(_))));
-
         // Replicate batch crafted to overflow count * 16.
         let mut wrap = vec![OP_REPLICATE];
         wrap.extend_from_slice(&0u32.to_le_bytes()); // owner
@@ -1083,24 +962,23 @@ mod tests {
         region.extend_from_slice(&5u32.to_le_bytes()); // five members claimed
         region.extend_from_slice(&[0u8; 8]); // room for two
         assert!(matches!(WireFrame::decode_payload(&region), Err(WireError::Corrupt(_))));
-
-        // A slice whose summary words disagree with its snapshot section:
-        // a vertex count off by one, then an edge weight total off in its
-        // last mantissa bit. The summary starts right after the opcode.
-        let slice = MigrationSlice { snapshot: snapshot(), updates_applied: 1 };
-        let payload = WireFrame::SliceReply(slice).encode()[4..].to_vec();
-        for (at, bump) in [(1, 1u8), (17, 1)] {
-            let mut bad = payload.clone();
-            bad[at] ^= bump;
-            assert!(matches!(WireFrame::decode_payload(&bad), Err(WireError::Corrupt(_))));
-        }
+        // A member count above the frame-level bound.
+        let mut over = vec![OP_REGION_REPLY];
+        over.extend_from_slice(&[0u8; 32]);
+        over.extend_from_slice(&(MAX_REGION_MEMBERS as u32 + 1).to_le_bytes());
+        assert!(matches!(WireFrame::decode_payload(&over), Err(WireError::Corrupt(_))));
+        // A snapshot section that claims 64 bytes and has none.
+        let mut short = vec![OP_REGION_REPLY];
+        short.extend_from_slice(&[0u8; 32]);
+        short.extend_from_slice(&0u32.to_le_bytes()); // no members
+        short.extend_from_slice(&64u32.to_le_bytes());
+        assert!(matches!(WireFrame::decode_payload(&short), Err(WireError::Corrupt(_))));
 
         // Trailing garbage after well-formed v3 bodies.
         for frame in [
             WireFrame::Region { hops: 1 },
             WireFrame::Bootstrap { owner: 0, after: 3 },
-            WireFrame::AbsorbReply(AbsorbReceipt::default()),
-            WireFrame::SliceReply(MigrationSlice::default()),
+            WireFrame::RegionReply(CandidateRegion::default()),
         ] {
             let mut trailing = frame.encode()[4..].to_vec();
             trailing.push(0);
@@ -1108,19 +986,17 @@ mod tests {
         }
     }
 
+    /// A region ships a member list and a snapshot slice of the
+    /// subgraph; either one past its bound turns the reply into `Error`.
     #[test]
     fn regions_and_slices_too_large_for_a_frame_become_errors() {
         let edges = vec![(v(0), v(1), 1.0); MAX_SNAPSHOT_BYTES / 16];
         let huge = SubgraphSnapshot { vertices: Vec::new(), edges };
         assert!(huge.encoded_len() > MAX_SNAPSHOT_BYTES);
-        let many: Vec<VertexId> = (0..=MAX_MIGRATE_MEMBERS as u32).map(v).collect();
+        let many: Vec<VertexId> = (0..=MAX_REGION_MEMBERS as u32).map(v).collect();
         for frame in [
-            WireFrame::RegionReply(CandidateRegion {
-                snapshot: huge.clone(),
-                ..Default::default()
-            }),
+            WireFrame::RegionReply(CandidateRegion { snapshot: huge, ..Default::default() }),
             WireFrame::RegionReply(CandidateRegion { members: many.into(), ..Default::default() }),
-            WireFrame::SliceReply(MigrationSlice { snapshot: huge, updates_applied: 0 }),
         ] {
             let kind = frame.kind();
             let WireFrame::Error { message } = frame.within_bounds() else {
@@ -1129,7 +1005,7 @@ mod tests {
             assert_eq!(message, format!("{kind} exceeds frame bounds"));
         }
         let fits =
-            WireFrame::SliceReply(MigrationSlice { snapshot: snapshot(), updates_applied: 1 });
+            WireFrame::RegionReply(CandidateRegion { snapshot: snapshot(), ..Default::default() });
         assert_eq!(fits.clone().within_bounds(), fits);
     }
 
@@ -1190,7 +1066,12 @@ mod tests {
         assert!(matches!(WireFrame::decode_payload(&trailing_batch), Err(WireError::Corrupt(_))));
 
         assert!(matches!(WireFrame::decode_payload(&[]), Err(WireError::Corrupt(_))));
-        assert!(matches!(WireFrame::decode_payload(&[0x7f]), Err(WireError::BadOpcode(0x7f))));
+        // Unknown and retired opcodes alike: 0x01 (`Edge`, v4), 0x82
+        // (`Busy`, v5), 0x0A / 0x0B / 0x88 / 0x89 (the migration frames, v6).
+        for op in [0x7f, 0x01, 0x82, 0x0A, 0x0B, 0x88, 0x89] {
+            let decoded = WireFrame::decode_payload(&[op, 0, 0, 0, 0]);
+            assert!(matches!(decoded, Err(WireError::BadOpcode(got)) if got == op), "0x{op:02x}");
+        }
         // Trailing bytes after a fixed-size body.
         let mut trailing = WireFrame::Flush.encode()[4..].to_vec();
         trailing.push(0);

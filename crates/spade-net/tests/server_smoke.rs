@@ -194,22 +194,42 @@ fn malformed_frames_get_an_error_reply_and_do_not_kill_the_server() {
     shard_server.stop();
 }
 
-/// Protocol v4 retired the single-`Edge` request and v5 the `Busy`
-/// reply: opcodes `0x01` and `0x82` stay reserved, so a well-formed old
-/// frame of either kind earns `Error` + close on both servers and never
+/// A length-prefixed frame of `opcode` followed by `body`.
+fn raw_frame(opcode: u8, body: &[u8]) -> Vec<u8> {
+    let mut frame = (body.len() as u32 + 1).to_le_bytes().to_vec();
+    frame.push(opcode);
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// Protocol v4 retired the single-`Edge` request, v5 the `Busy` reply
+/// and v6 component migration (`MigrateOut`, `Absorb` and their
+/// `SliceReply` / `AbsorbReply` answers): opcodes `0x01`, `0x82`, `0x0A`,
+/// `0x0B`, `0x88` and `0x89` stay reserved, so a well-formed old frame of
+/// any of these kinds earns `Error` + close on both servers and never
 /// reaches an engine.
 #[test]
 fn the_retired_edge_opcode_is_refused_by_both_servers() {
-    let mut old_edge = 17u32.to_le_bytes().to_vec();
-    old_edge.push(0x01);
-    old_edge.extend_from_slice(&1u32.to_le_bytes());
-    old_edge.extend_from_slice(&2u32.to_le_bytes());
-    old_edge.extend_from_slice(&3.5f64.to_le_bytes());
-    let mut old_busy = 9u32.to_le_bytes().to_vec();
-    old_busy.push(0x82);
-    old_busy.extend_from_slice(&7u64.to_le_bytes());
+    let mut edge = 1u32.to_le_bytes().to_vec();
+    edge.extend_from_slice(&2u32.to_le_bytes());
+    edge.extend_from_slice(&3.5f64.to_le_bytes());
+    let mut members = 2u32.to_le_bytes().to_vec();
+    members.extend_from_slice(&1u32.to_le_bytes());
+    members.extend_from_slice(&2u32.to_le_bytes());
+    // Slice summary (vertices, edges, weight, updates) + an empty
+    // snapshot section; a receipt is three counts.
+    let slice = [0u8; 36];
+    let receipt = [0u8; 24];
+    let retired = [
+        (raw_frame(0x01, &edge), "0x01"),
+        (raw_frame(0x82, &7u64.to_le_bytes()), "0x82"),
+        (raw_frame(0x0A, &members), "0x0a"),
+        (raw_frame(0x0B, &slice), "0x0b"),
+        (raw_frame(0x88, &slice), "0x88"),
+        (raw_frame(0x89, &receipt), "0x89"),
+    ];
     let refused = |addr: std::net::SocketAddr| {
-        for (frame, opcode) in [(&old_edge, "0x01"), (&old_busy, "0x82")] {
+        for (frame, opcode) in &retired {
             let mut conn = TcpStream::connect(addr).expect("connect");
             conn.write_all(frame).unwrap();
             match read_frame(&mut conn).expect("an error reply") {
@@ -224,7 +244,7 @@ fn the_retired_edge_opcode_is_refused_by_both_servers() {
 
     let (service, server) = spawn_server(1);
     refused(server.local_addr());
-    assert_eq!(server.shutdown().malformed_frames, 2);
+    assert_eq!(server.shutdown().malformed_frames, retired.len() as u64);
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("service still shared"));
     assert_eq!(service.shutdown().total_updates, 0);
 

@@ -7,7 +7,7 @@
 //! fails the frame or decodes to exactly the bytes that arrived.
 
 use proptest::prelude::*;
-use spade_core::{AbsorbReceipt, CandidateRegion, MigrationSlice, SubgraphSnapshot};
+use spade_core::{CandidateRegion, SubgraphSnapshot};
 use spade_graph::VertexId;
 use spade_net::{
     write_batch, write_replicate, BootstrapChunk, DetectionReply, FrameDecoder, MetricsReply,
@@ -16,13 +16,6 @@ use spade_net::{
 
 fn v(i: u32) -> VertexId {
     VertexId(i)
-}
-
-/// An arbitrary migration slice body (shared by `Absorb` and
-/// `SliceReply`) over an arbitrary valid snapshot.
-fn arb_slice() -> impl Strategy<Value = MigrationSlice> {
-    (arb_snapshot(), 0u64..u64::MAX)
-        .prop_map(|(snapshot, updates_applied)| MigrationSlice { snapshot, updates_applied })
 }
 
 /// One arbitrary frame of any kind, request or reply.
@@ -82,9 +75,6 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
             })
         });
     // Protocol-v3 shard-server operations and their replies.
-    let migrate_out = collection::vec(0u32..u32::MAX, 0..256).prop_map(|members| {
-        WireFrame::MigrateOut { members: members.into_iter().map(v).collect() }
-    });
     let replicate = (
         0u32..64,
         0u64..u64::MAX,
@@ -110,11 +100,6 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
                 snapshot,
             })
         });
-    let absorb_reply = (0usize..1 << 30, 0usize..1 << 30, 0u64..1 << 30).prop_map(
-        |(vertices_touched, edges_applied, rejected)| {
-            WireFrame::AbsorbReply(AbsorbReceipt { vertices_touched, edges_applied, rejected })
-        },
-    );
     let bootstrap_chunk = (
         0u32..64,
         0u64..u64::MAX,
@@ -133,14 +118,10 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
         8 => batch,
         3 => batch_budget,
         1 => (0u32..16).prop_map(|hops| WireFrame::Region { hops }),
-        1 => migrate_out,
-        1 => arb_slice().prop_map(|slice| WireFrame::Absorb { slice }),
-        1 => arb_slice().prop_map(WireFrame::SliceReply),
         1 => replicate,
         1 => (0u32..64, 0u64..u64::MAX)
             .prop_map(|(owner, after)| WireFrame::Bootstrap { owner, after }),
         1 => region_reply,
-        1 => absorb_reply,
         1 => bootstrap_chunk,
         1 => Just(WireFrame::Flush),
         1 => Just(WireFrame::Detect),
@@ -324,21 +305,19 @@ proptest! {
         prop_assert!(matches!(decoder.next_frame(), Err(WireError::Oversized(_))));
     }
 
-    /// The migration handoff end to end: an arbitrary
-    /// [`SubgraphSnapshot`] crosses the wire inside an `Absorb` frame
-    /// under arbitrary fragmentation and arrives **bit-identical** — the
-    /// decoded value equals the original, weights compared bit for bit by
-    /// re-encoding. This is the invariant that makes over-the-wire
-    /// migration exact: no weight is perturbed, no edge dropped, no
-    /// vertex reordered by transport.
+    /// The repair handoff end to end: an arbitrary [`SubgraphSnapshot`]
+    /// crosses the wire inside a `RegionReply` frame under arbitrary
+    /// fragmentation and arrives **bit-identical** — the decoded value
+    /// equals the original, weights compared bit for bit by re-encoding.
+    /// This is the invariant that makes the over-the-wire repair pass
+    /// exact: no weight is perturbed, no edge dropped, no vertex
+    /// reordered by transport.
     #[test]
     fn snapshot_handoff_roundtrips_bit_identically(
         snapshot in arb_snapshot(),
         chunk in 1usize..97,
     ) {
-        let frame = WireFrame::Absorb {
-            slice: MigrationSlice { snapshot: snapshot.clone(), updates_applied: 42 },
-        };
+        let frame = region_frame(snapshot.clone());
         let bytes = frame.encode();
         let mut decoder = FrameDecoder::new();
         let mut got = Vec::new();
@@ -349,28 +328,26 @@ proptest! {
             }
         }
         prop_assert_eq!(got.len(), 1);
-        let slice = match got.pop().expect("one frame") {
-            WireFrame::Absorb { slice } => slice,
+        let region = match got.pop().expect("one frame") {
+            WireFrame::RegionReply(region) => region,
             other => panic!("decoded to a different frame kind: {other:?}"),
         };
-        prop_assert_eq!(&slice.snapshot, &snapshot, "snapshot perturbed in transit");
-        prop_assert_eq!(slice.snapshot.encode(), snapshot.encode(), "weights differ in bits");
-        prop_assert_eq!(slice.updates_applied, 42);
+        prop_assert_eq!(&region.snapshot, &snapshot, "snapshot perturbed in transit");
+        prop_assert_eq!(region.snapshot.encode(), snapshot.encode(), "weights differ in bits");
+        prop_assert_eq!(region.updates_applied, 3);
     }
 
     /// A snapshot section damaged in transit — one flipped byte, cut
     /// short, or followed by extra bytes, its length word and the frame's
-    /// kept consistent — inside a `RegionReply`, `SliceReply` or `Absorb`
-    /// frame: the decoder either fails the frame with an error or yields
-    /// a snapshot whose re-encoding is byte-identical to the section that
-    /// arrived. It never panics and never hands over a different value.
+    /// kept consistent — inside a `RegionReply` frame: the decoder either
+    /// fails the frame with an error or yields a snapshot whose
+    /// re-encoding is byte-identical to the section that arrived. It never panics and never hands over a different value.
     #[test]
     fn damaged_snapshot_sections_fail_the_frame_or_decode_exactly(
         snapshot in arb_snapshot(),
-        kind in 0u8..3,
         damage in arb_damage(),
     ) {
-        let frame = snapshot_frame(kind, snapshot);
+        let frame = region_frame(snapshot);
         let bytes = frame.encode();
         let len = section_of(&frame).expect("a snapshot frame").encoded_len();
         // The section is the payload's tail, behind its u32 length word.
@@ -465,29 +442,22 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
     ]
 }
 
-/// A `RegionReply` (0), `SliceReply` (1) or `Absorb` (2) carrying
-/// `snapshot`.
-fn snapshot_frame(kind: u8, snapshot: SubgraphSnapshot) -> WireFrame {
-    let slice = |updates_applied| MigrationSlice { snapshot: snapshot.clone(), updates_applied };
-    match kind {
-        0 => WireFrame::RegionReply(CandidateRegion {
-            size: 1,
-            density: 2.5,
-            members: vec![snapshot.vertices[0].0].into(),
-            updates_applied: 3,
-            epoch: 4,
-            snapshot: snapshot.clone(),
-        }),
-        1 => WireFrame::SliceReply(slice(5)),
-        _ => WireFrame::Absorb { slice: slice(6) },
-    }
+/// A `RegionReply` carrying `snapshot`.
+fn region_frame(snapshot: SubgraphSnapshot) -> WireFrame {
+    WireFrame::RegionReply(CandidateRegion {
+        size: 1,
+        density: 2.5,
+        members: vec![snapshot.vertices[0].0].into(),
+        updates_applied: 3,
+        epoch: 4,
+        snapshot,
+    })
 }
 
 /// The snapshot a snapshot-bearing frame carries.
 fn section_of(frame: &WireFrame) -> Option<&SubgraphSnapshot> {
     match frame {
         WireFrame::RegionReply(region) => Some(&region.snapshot),
-        WireFrame::SliceReply(slice) | WireFrame::Absorb { slice } => Some(&slice.snapshot),
         _ => None,
     }
 }

@@ -1,18 +1,18 @@
 //! Multi-core production shape: the sharded parallel detection runtime.
 //!
 //! A power-law marketplace stream with an injected fraud ring is routed
-//! across N worker engines by the connectivity-aware partitioner, which
-//! keeps each community's edges co-resident — so the shard that owns the
-//! ring detects exactly what a single engine over the whole stream would,
-//! while ingest spreads over all cores. A moderator polls the merged
-//! global view and the per-shard statistics while ingest runs.
+//! across N worker engines by a hash of each edge's source account, so
+//! ingest spreads over all cores. A ring whose accounts hash to different
+//! shards is split across them; a moderator polls the merged global view
+//! and the per-shard statistics while ingest runs, and the cross-shard
+//! repair pass at shutdown puts the ring back together.
 //!
 //! Run with: `cargo run --release --example sharded_service`
 
 use spade::core::WeightedDensity;
 use spade::gen::fraud::{FraudInjector, FraudInjectorConfig};
 use spade::gen::transactions::{TransactionStream, TransactionStreamConfig};
-use spade::shard::{PartitionStrategy, ShardedConfig, ShardedSpadeService};
+use spade::shard::{ShardedConfig, ShardedSpadeService};
 
 fn main() {
     // A Zipf-distributed customer->merchant stream with labeled fraud
@@ -39,20 +39,8 @@ fn main() {
         injected.edges.iter().filter(|e| e.is_fraud()).count(),
     );
 
-    // Communities stay co-resident; the benign giant component (this
-    // marketplace is one connected blob) outgrows the spill bound and
-    // hash-spreads across all shards, keeping load balanced while
-    // fraud-sized components stay pinned.
-    let config = ShardedConfig {
-        shards: 4,
-        strategy: PartitionStrategy::ConnectivityWithSpill { max_component: 512 },
-        ..Default::default()
-    };
-    let service = ShardedSpadeService::spawn(WeightedDensity, config);
-    println!(
-        "spawned {} shard workers (connectivity partitioner, spill at 512)",
-        service.num_shards()
-    );
+    let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(4));
+    println!("spawned {} shard workers (hash-by-source routing)", service.num_shards());
 
     for e in &injected.edges {
         service.submit(e.src, e.dst, e.raw);
@@ -87,17 +75,18 @@ fn main() {
         );
     }
 
-    // Shutdown drains every shard; the final aggregate covers everything.
-    let final_global = service.shutdown();
+    // Shutdown drains every shard after one repair pass: the shards'
+    // candidate regions are unioned and re-peeled, so a ring split by
+    // routing is whole again in the repaired detection.
+    let (final_global, repaired) = service.shutdown_repaired();
     assert_eq!(final_global.total_updates, injected.edges.len() as u64);
-    let caught = final_global.best.members.iter().filter(|m| fraud_accounts.contains(&m.0)).count();
+    let detection = &repaired.detection;
+    let caught = detection.members.iter().filter(|m| fraud_accounts.contains(&m.0)).count();
     println!(
-        "final: densest community on shard {} with {} members (density {:.1}), {}/{} are labeled fraudsters",
-        final_global.best_shard,
-        final_global.best.size,
-        final_global.best.density,
-        caught,
-        final_global.best.size,
+        "final: best single shard {:.1}, repaired community of {} members (density {:.1}), \
+         {}/{} are labeled fraudsters",
+        repaired.baseline_density, detection.size, detection.density, caught, detection.size,
     );
-    assert!(caught > 0, "the injected ring must surface in the global view");
+    assert!(detection.density >= final_global.best.density - 1e-9);
+    assert!(caught > 0, "the injected ring must surface in the repaired view");
 }

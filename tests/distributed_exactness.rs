@@ -1,15 +1,14 @@
 //! The multi-process half of the `cross-shard-exactness` CI gate.
 //!
 //! A router drives N ∈ {2, 4} **real shard-server child processes**
-//! (`shardd`, one detection engine each) over the protocol-v3 wire:
+//! (`shardd`, one detection engine each) over the wire protocol:
 //! hash-routed ingest with replicated journaling, then the cross-shard
 //! repair pass pulled over `Region` frames. The repaired detection must
 //! equal the solo engine — same members, same density — exactly as the
 //! in-process and single-server TCP gates prove for their topologies.
 //! Accounting is exact at shutdown: the router's acked count equals the
 //! shards' applied-update total (no acknowledged edge lost, none
-//! double-applied), and consolidation moves the stitched community whole
-//! onto its baseline shard whose *local* detection then matches solo.
+//! double-applied).
 
 mod distributed_harness;
 
@@ -64,34 +63,14 @@ fn assert_distributed_exactness(num_shards: usize) {
         .sum();
     assert_eq!(applied, stats.edges_acked, "N={num_shards}: acked-edge count != applied total");
 
-    // Consolidation over the wire: migrate the community whole onto the
-    // baseline shard; its local detection is then exact without repair.
-    let moved = router.consolidate(&outcome).expect("consolidate");
-    assert!(moved > 0, "N={num_shards}: a split community must move edges");
-    let baseline = router.detect(outcome.baseline_shard).expect("baseline detect");
-    let mut local: Vec<u32> = baseline.members.iter().map(|m| m.0).collect();
-    local.sort_unstable();
-    assert_eq!(local, want_members, "N={num_shards}: post-consolidation members diverge");
-    assert!(
-        baseline.density >= want_density * (1.0 - 1e-9),
-        "N={num_shards}: post-consolidation density {} below solo {}",
-        baseline.density,
-        want_density
-    );
-
     router.shutdown_shards().expect("shutdown");
     for shard in &mut shards {
         shard.wait();
     }
     println!(
         "N={num_shards}: {} edges across {num_shards} processes, diluted {:.3} repaired to \
-         {:.3} (solo {:.3}, {} members), {} edges consolidated",
-        stats.edges_acked,
-        outcome.baseline_density,
-        outcome.density,
-        want_density,
-        want_size,
-        moved,
+         {:.3} (solo {:.3}, {} members)",
+        stats.edges_acked, outcome.baseline_density, outcome.density, want_density, want_size,
     );
 }
 

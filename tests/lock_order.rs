@@ -8,7 +8,7 @@
 //! potential deadlock.
 //!
 //! The suite drives the real runtime paths — solo service ingest,
-//! sharded submit/batch/repair/migration, the reactor-backed TCP front
+//! sharded submit/batch/repair, the reactor-backed TCP front
 //! end, a `Detect` and an in-process submit both waiting on a stalled
 //! shard's progress notifier, and a router over two shard servers on
 //! the same reactor — and
@@ -58,16 +58,10 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     let _ = service.metrics();
     let _ = service.shutdown();
 
-    // Sharded runtime: connectivity routing (router table lock), batch
-    // submit, cross-shard repair, and a migration pass.
+    // Sharded runtime: submit, batch submit and cross-shard repair.
     let sharded = ShardedSpadeService::spawn(
         WeightedDensity,
-        ShardedConfig {
-            shards: 4,
-            queue_capacity: 1024,
-            strategy: PartitionStrategy::ConnectivityWithSpill { max_component: 256 },
-            ..Default::default()
-        },
+        ShardedConfig { shards: 4, queue_capacity: 1024, ..Default::default() },
     );
     for i in 0..200u32 {
         assert!(sharded.submit(VertexId(i % 37), VertexId(i % 53 + 40), 1.0));
@@ -77,7 +71,6 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     assert!(!accepted.closed);
     assert!(sharded.flush());
     let _ = sharded.repair();
-    let _ = sharded.rebalance();
     let _ = sharded.stats();
     let _ = sharded.metrics();
     let _ = sharded.current_detection();
@@ -168,7 +161,7 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     );
 
     // Distributed tier: a router over two shard servers — replicate
-    // (journal lock), ingest, repair, consolidate and detect, all served
+    // (journal lock), ingest, repair and detect, all served
     // by the shard handler on the reactor (inbox lock, worker queues).
     let mut servers: Vec<ShardServer> = (0..2)
         .map(|_| {
@@ -184,7 +177,6 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
         }
     }
     let outcome = router.repair().expect("repair");
-    router.consolidate(&outcome).expect("consolidate");
     let _ = router.detect(outcome.baseline_shard).expect("detect");
     router.shutdown_shards().expect("shutdown");
     for server in &mut servers {

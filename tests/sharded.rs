@@ -1,7 +1,7 @@
 //! Integration tests of the sharded parallel detection runtime across
 //! the full stack: generated workloads (spade-gen) streaming through N
-//! parallel engines (spade-core shard module) with community-aware
-//! routing, validated against the single-engine service.
+//! parallel engines (spade-core shard module) with hash routing and the
+//! cross-shard repair pass, validated against the single-engine service.
 
 use spade::core::{GroupingConfig, SpadeEngine, SpadeService, WeightedDensity};
 use spade::gen::fraud::{FraudInjector, FraudInjectorConfig};
@@ -50,13 +50,14 @@ fn four_shards_find_the_same_ring_as_one_engine() {
     for &(a, b, w) in &stream {
         assert!(sharded.submit(a, b, w));
     }
-    let got = sharded.shutdown();
+    let (_, got) = sharded.shutdown_repaired();
 
-    // The connectivity partitioner keeps the ring co-resident, so the
-    // owning shard's detection is exactly the single-engine detection.
-    assert_eq!(got.best.size, want.size);
-    assert!((got.best.density - want.density).abs() < 1e-12);
-    let got_members: HashSet<u32> = got.best.members.iter().map(|m| m.0).collect();
+    // Hash routing splits the ring across shards; the repair pass unions
+    // the shards' regions and re-peels them into the single-engine answer.
+    let got = got.detection;
+    assert_eq!(got.size, want.size);
+    assert!((got.density - want.density).abs() < 1e-12);
+    let got_members: HashSet<u32> = got.members.iter().map(|m| m.0).collect();
     let want_members: HashSet<u32> = want.members.iter().map(|m| m.0).collect();
     assert_eq!(got_members, want_members);
     assert!(want_members.iter().all(|m| (200..205).contains(m)));
@@ -83,12 +84,7 @@ fn sharded_runtime_recovers_injected_fraud_from_generated_stream() {
             ..Default::default()
         },
     );
-    let config = ShardedConfig {
-        shards: 4,
-        strategy: PartitionStrategy::ConnectivityWithSpill { max_component: 256 },
-        ..Default::default()
-    };
-    let service = ShardedSpadeService::spawn(WeightedDensity, config);
+    let service = ShardedSpadeService::spawn(WeightedDensity, ShardedConfig::with_shards(4));
     for e in &injected.edges {
         assert!(service.submit(e.src, e.dst, e.raw));
     }
