@@ -94,12 +94,12 @@ runtime totals, repair counters, and transport counters with
 per-connection series. `spade watch <addr>` polls a serving runtime over
 the wire and prints a refreshing table of updates, per-shard queue
 depths and parked frames (back-pressure), and stage latencies; each poll
-flushes, so watch a live workload rather than an idle server for
-representative numbers.
+reads live counters, so watch a live workload rather than an idle server
+for representative numbers.
 
 `shard-serve` and `route` are the *multi-process* distributed runtime:
 each `shard-serve` process hosts one detection engine behind the
-protocol-v6 shard listener (its first stdout line is the bound address —
+protocol-v7 shard listener (its first stdout line is the bound address —
 port 0 picks a free port), and `route` replays an edge list across N
 such processes. `--queue N` (default 1024) bounds the edges a shard's
 queue holds, as `serve --queue N` does per shard: a batch that does not
@@ -161,10 +161,10 @@ fn print_communities<M: DensityMetric>(engine: &mut SpadeEngine<M>, top: usize) 
 /// means unbudgeted drain-coalesce).
 fn deadline_from(args: &Args) -> Result<Option<Duration>, AnyError> {
     let ms = args.num_opt("deadline-ms", 0.0f64)?;
-    if ms < 0.0 || !ms.is_finite() {
-        return Err("--deadline-ms must be a non-negative number of milliseconds".into());
+    match Duration::try_from_secs_f64(ms / 1e3) {
+        Ok(budget) => Ok((ms > 0.0).then_some(budget)),
+        Err(_) => Err("--deadline-ms must be a non-negative number of milliseconds".into()),
     }
-    Ok((ms > 0.0).then(|| Duration::from_secs_f64(ms / 1e3)))
 }
 
 /// The options a sharded replay reads: [`sharded_config_from`]'s and the
@@ -474,7 +474,7 @@ fn run_ingest(args: &Args) -> Result<ClientStats, AnyError> {
 
 /// `spade shard-serve [--listen <addr>]`: one shard of the multi-process
 /// distributed runtime. Hosts a single [`SpadeService`] behind the
-/// protocol-v6 shard listener (ingest plus `Region`, `Replicate`, and
+/// protocol-v7 shard listener (ingest plus `Region`, `Replicate`, and
 /// `Bootstrap`) and prints the bound address
 /// on the first stdout line so a parent process can scrape the chosen
 /// port. Runs until a router sends `Shutdown`.
@@ -679,14 +679,16 @@ fn run_sharded(args: &Args, shards: usize, path_error: &'static str) -> Result<(
 
 /// `spade detect`: one static detection over the whole file.
 pub fn detect(args: &Args) -> Result<(), AnyError> {
-    args.only(&SHARDED_OPTIONS)?;
+    let shards = args.num_opt("shards", 1usize)?.max(1);
+    if shards > 1 {
+        args.only(&SHARDED_OPTIONS)?;
+        return detect_sharded(args, shards);
+    }
+    // One static peel has no queue, stage or repair pass to tune.
+    args.only(&["shards", "metric", "top"])?;
     let path = args.pos(0).ok_or("detect needs an edge-list path")?;
     let metric = metric_from(args)?;
     let top = args.num_opt("top", 3usize)?;
-    let shards = args.num_opt("shards", 1usize)?.max(1);
-    if shards > 1 {
-        return detect_sharded(args, shards);
-    }
     let records = load_records(path)?;
     let started = Instant::now();
     let mut engine = SpadeEngine::bootstrap(
@@ -918,7 +920,10 @@ mod tests {
         serve(&args(&format!("serve {path} --shards 2 --coalesce 1"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --deadline-ms 20"))).unwrap();
         serve(&args(&format!("serve {path} --shards 2 --deadline-ms 0.5"))).unwrap();
-        assert!(serve(&args(&format!("serve {path} --shards 2 --deadline-ms -1"))).is_err());
+        for bad in ["-1", "1e30"] {
+            let refused = serve(&args(&format!("serve {path} --shards 2 --deadline-ms {bad}")));
+            assert!(refused.is_err(), "--deadline-ms {bad}");
+        }
     }
 
     #[test]
@@ -970,10 +975,10 @@ mod tests {
                 Err(e) => panic!("ingest never reached the server: {e}"),
             }
         };
-        // 18 edges in 5 batches, then `Detect`, `Stats`, and the `Flush`
-        // and `Shutdown` of `--shutdown`: the replay itself sends no `Flush`.
+        // 18 edges in 5 batches, then `Detect`, `Stats`, and the
+        // `Shutdown` of `--shutdown`.
         assert_eq!(stats.edges_acked, 18);
-        assert_eq!(stats.frames_sent, 9);
+        assert_eq!(stats.frames_sent, 8);
         server.join().unwrap().unwrap();
     }
 
@@ -1052,6 +1057,12 @@ mod tests {
         assert!(err.contains("--partition") && err.contains("--rebalance"), "{err}");
         let err = serve(&args(&format!("serve {path} --metrics 127.0.0.1:0"))).unwrap_err();
         assert!(err.to_string().contains("--metrics"), "{err}");
+        // One engine reads none of the sharded runtime's tuning options.
+        let err = detect(&args(&format!("detect {path} --queue 8 --grouping --repair")))
+            .unwrap_err()
+            .to_string();
+        let named = ["--queue", "--grouping", "--repair"].iter().all(|o| err.contains(o));
+        assert!(named, "{err}");
         type Command = fn(&Args) -> Result<(), AnyError>;
         let commands: [(&str, Command); 10] = [
             ("detect", detect),

@@ -11,8 +11,11 @@
 //!
 //! The queue's one bound is in edges ([`IngestConfig::queue_capacity`]):
 //! an insert reserves its room before it is sent and the worker frees it
-//! on dequeue. A marker (flush, barrier, region export) takes
-//! no room, so it never waits; whoever posted it waits for its answer.
+//! on dequeue. A marker (barrier, region export) takes no room, so it
+//! never waits; whoever posted it waits for its answer. A barrier is the
+//! one settle request: there is no flush, since reading a detection
+//! behind a barrier is what applies the benign edges a grouped stage
+//! holds back.
 //!
 //! Two hot-path optimizations keep the ingest rate at hardware speed:
 //!
@@ -44,8 +47,7 @@
 //!   transactions update the published detection immediately;
 //! * the stage already holds [`IngestConfig::coalesce`] edges;
 //! * the spring-push boundary of the staged budgets passes;
-//! * any other command arrives (flush, barrier, region export,
-//!   shutdown);
+//! * any other command arrives (barrier, region export, shutdown);
 //! * a run drains and no grouper is configured.
 //!
 //! The worker reports its [`Progress`] to the service's [`Notifier`]
@@ -72,7 +74,7 @@ use spade_metrics::runtime::{
     Counter, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -378,9 +380,6 @@ pub struct SpadeService {
     progress: Arc<Notifier>,
     /// Budget stamped onto submits that carry none ([`IngestConfig::deadline`]).
     default_budget: Option<Duration>,
-    /// Set by every insert sent, cleared by [`flush`](Self::flush): an
-    /// edge was enqueued since the last flush barrier.
-    unflushed: AtomicBool,
     /// The worker hands its engine back through here on exit, so callers
     /// can recover it (snapshotting, equivalence tests) after a drain.
     engine_back: Receiver<Box<dyn Any + Send>>,
@@ -453,7 +452,6 @@ impl SpadeService {
             metrics,
             progress,
             default_budget: ingest.deadline,
-            unflushed: AtomicBool::new(false),
             engine_back,
             worker: Some(worker),
         }
@@ -522,12 +520,7 @@ impl SpadeService {
     pub(crate) fn send_reserved(&self, edges: EdgeRun, budget: Option<Duration>) -> bool {
         let budget = budget.or(self.default_budget);
         let command = Command::Insert { edges, queued: Instant::now(), budget };
-        let sent = self.sender.send(command).is_ok();
-        if sent {
-            // Set after the send: the flush that clears it trails the insert.
-            self.unflushed.store(true, Ordering::Release);
-        }
-        sent
+        self.sender.send(command).is_ok()
     }
 
     /// Enqueues a marker (it takes no queue room, so this never waits)
@@ -548,19 +541,6 @@ impl SpadeService {
 
     fn worker_gone(&self) -> bool {
         self.worker.as_ref().is_none_or(JoinHandle::is_finished)
-    }
-
-    /// A [`barrier`](Self::barrier) that does not wait: the worker settles
-    /// its stage (grouped benign edges included) and publishes. Posts one
-    /// only if an edge was enqueued since its last post, which covers
-    /// every earlier edge, so queued flush barriers never outnumber
-    /// queued inserts by more than one. `false` if shut down.
-    pub fn flush(&self) -> bool {
-        if self.unflushed.swap(false, Ordering::AcqRel) {
-            self.request_barrier().is_some()
-        } else {
-            !self.worker_gone()
-        }
     }
 
     /// Read-your-acks barrier: blocks until the worker has applied every
@@ -1059,6 +1039,7 @@ mod tests {
     use crate::grouping::EdgeGrouper;
     use crate::metric::{Fraudar, UnweightedDensity, WeightedDensity};
     use spade_metrics::runtime::HistogramSnapshot;
+    use std::sync::atomic::AtomicBool;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -1241,7 +1222,7 @@ mod tests {
         }
         let service = SpadeService::spawn(engine, Some(GroupingConfig::default()), 16);
         service.submit(v(10), v(11), 0.01); // benign: buffered
-        service.flush();
+        assert!(service.request_barrier().is_some());
         // Allow the worker to process.
         for _ in 0..2_000 {
             if service.current_detection().updates_applied >= 1 {
@@ -1299,7 +1280,7 @@ mod tests {
         }
         let service = SpadeService::spawn(engine, Some(GroupingConfig::default()), 16);
         service.submit(v(10), v(11), 0.01); // benign: buffered
-        service.flush();
+        assert!(service.request_barrier().is_some());
         for _ in 0..2_000 {
             if service.stats().flushes >= 1 {
                 break;
@@ -1466,9 +1447,9 @@ mod tests {
             assert!(service.submit(v(i % 9), v((i + 1) % 9), 1.0 + (i % 3) as f64));
         }
         // The 30s budget would hold the last partial batch open for a
-        // long time; a Flush command wakes the spring wait and forces
-        // the apply — the "new command" half of the event-driven wait.
-        assert!(service.flush());
+        // long time; a barrier wakes the spring wait and forces the
+        // apply — the "new command" half of the event-driven wait.
+        assert!(service.request_barrier().is_some());
         wait_for_applied(&service, 40);
         let stats = service.stats();
         assert_eq!(stats.updates_applied, 40);
@@ -1625,7 +1606,7 @@ mod tests {
             } else {
                 assert!(edges.iter().all(|&(a, b, w)| service.submit(a, b, w)));
             }
-            assert!(service.flush() && service.barrier());
+            assert!(service.barrier());
             let stats = service.stats();
             let waits = service.metrics().histograms[metric_names::STAGE_QUEUE_WAIT_NS].count;
             let (det, engine) = service.shutdown_into_engine::<WeightedDensity>();
@@ -1734,23 +1715,6 @@ mod tests {
         }
     }
 
-    /// `flush` posts a barrier only if an edge was enqueued since the
-    /// last one it posted: two flushes in a row queue one barrier.
-    #[test]
-    fn a_flush_with_no_new_edge_posts_no_barrier() {
-        let gate = Arc::new(AtomicBool::new(false));
-        let service = gated_service(&gate, 4);
-        stall(&service, 4);
-        assert!(service.flush() && service.flush());
-        let flushed_twice = service.sender.len();
-        assert!(service.submit(v(2), v(3), 1.0) && service.flush());
-        let after_an_edge = service.sender.len();
-        gate.store(true, Ordering::Release);
-        assert_eq!(flushed_twice, 1, "two flushes with no edge between them");
-        assert_eq!(after_an_edge, 3, "the edge, then its flush barrier");
-        assert_eq!(service.shutdown().updates_applied, 2);
-    }
-
     /// Markers take no queue room: with the whole edge bound taken, a
     /// barrier and a region export still enqueue, and both answer once
     /// the worker moves.
@@ -1833,8 +1797,8 @@ mod tests {
         assert_eq!(service.shutdown().updates_applied, 5);
     }
 
-    /// A `Flush` event carries the edges that flush applied — a manual
-    /// flush and an urgent one each apply two buffered edges here.
+    /// A `Flush` event carries the edges that flush applied — a barrier's
+    /// settle and an urgent edge each apply two buffered edges here.
     #[test]
     fn flush_events_carry_the_edges_each_flush_applied() {
         let mut engine = SpadeEngine::new(WeightedDensity);
@@ -1843,7 +1807,7 @@ mod tests {
         }
         let service = SpadeService::spawn(engine, Some(GroupingConfig::default()), 64);
         assert!(service.submit(v(10), v(11), 0.01) && service.submit(v(12), v(13), 0.01));
-        assert!(service.flush());
+        assert!(service.request_barrier().is_some());
         // A benign edge buffers; an edge at the community is urgent and
         // flushes both.
         assert!(service.submit(v(14), v(15), 0.01) && service.submit(v(0), v(16), 5.0));

@@ -63,8 +63,6 @@ pub struct RepairStats {
     pub regions_exported: u64,
     /// Region groups that actually merged (≥ 2 regions) and re-peeled.
     pub groups_merged: u64,
-    /// Density gained by the most recent pass (repaired − best shard).
-    pub last_gain: f64,
     /// Wall time of the most recent pass, nanoseconds. The full
     /// distribution lives in the runtime registry's
     /// `spade_repair_pass_ns` histogram

@@ -312,10 +312,11 @@ impl ShardedSpadeService {
         BatchSubmit { accepted, closed, shard_counts }
     }
 
-    /// Asks every shard to flush buffered benign edges. Returns `false`
-    /// if any shard has shut down.
+    /// A [`request_barrier`](Self::request_barrier) whose replies nobody
+    /// reads; `false` if any shard has shut down. Kept only because the
+    /// benchmark's `shard_burst` workload calls it — use a barrier.
     pub fn flush(&self) -> bool {
-        self.shards.iter().all(|s| s.flush())
+        self.request_barrier().is_some()
     }
 
     /// Read-your-submits barrier: blocks until every shard has applied
@@ -415,7 +416,6 @@ impl ShardedSpadeService {
         stats.repairs += 1;
         stats.regions_exported += regions.len() as u64;
         stats.groups_merged += outcome.groups_merged as u64;
-        stats.last_gain = (outcome.density - outcome.baseline_density).max(0.0);
         let pass_elapsed = pass_started.elapsed();
         stats.last_pass_ns = pass_elapsed.as_nanos().min(u64::MAX as u128) as u64;
         self.repair_pass_ns.record_duration(pass_elapsed);

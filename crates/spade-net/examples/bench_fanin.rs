@@ -3,11 +3,11 @@
 //! For each producer count in {4, 16, 64, 128}, boots a fresh sharded
 //! runtime behind [`SpadeNetServer`] on loopback and replays a fixed
 //! per-producer edge quota from that many concurrent pipelined clients.
-//! Every producer flushes once per round and times the round trip, so
-//! the sweep reports, per count:
+//! Every producer drains its acks once per round and times the round
+//! trip, so the sweep reports, per count:
 //!
 //! * aggregate acked-edge throughput (edges/sec over the producer phase),
-//! * ack p99 across all producers' flush round trips,
+//! * ack p99 across all producers' drain round trips,
 //! * busy rate (the share of request frames that met a full shard queue
 //!   and parked their connection — how often back-pressure crossed the
 //!   wire; the server's `NetStats::busy_replies / frames`),
@@ -40,13 +40,13 @@ use std::time::{Duration, Instant};
 
 /// Producer counts swept, smallest first.
 const PRODUCER_COUNTS: [usize; 4] = [4, 16, 64, 128];
-/// Edges each producer submits between flush round trips.
+/// Edges each producer submits between drain round trips.
 const ROUND_EDGES: usize = 64;
 
-/// One producer's contribution: per-round flush latencies plus the
+/// One producer's contribution: per-round drain latencies plus the
 /// client's own accounting.
 struct ProducerRun {
-    flush_rtts: Vec<Duration>,
+    drain_rtts: Vec<Duration>,
     acked: u64,
 }
 
@@ -67,7 +67,7 @@ impl Sample {
     }
 }
 
-/// Replays one producer's quota: `edges` total, flushed (and timed)
+/// Replays one producer's quota: `edges` total, drained (and timed)
 /// every [`ROUND_EDGES`]. Each producer owns a disjoint compact id
 /// range so shard routing spreads the fan-in.
 fn producer(addr: std::net::SocketAddr, index: usize, edges: usize) -> ProducerRun {
@@ -77,7 +77,7 @@ fn producer(addr: std::net::SocketAddr, index: usize, edges: usize) -> ProducerR
     )
     .expect("producer connect");
     let base = (index as u32) * 256;
-    let mut flush_rtts = Vec::with_capacity(edges / ROUND_EDGES + 1);
+    let mut drain_rtts = Vec::with_capacity(edges / ROUND_EDGES + 1);
     let mut sent = 0usize;
     while sent < edges {
         let round = ROUND_EDGES.min(edges - sent);
@@ -86,12 +86,12 @@ fn producer(addr: std::net::SocketAddr, index: usize, edges: usize) -> ProducerR
             let k = ((sent + i) % 256) as u32;
             client.submit(VertexId(base + k), VertexId(40_000 + base + k), 1.0).expect("submit");
         }
-        client.flush().expect("flush");
-        flush_rtts.push(started.elapsed());
+        client.drain().expect("drain");
+        drain_rtts.push(started.elapsed());
         sent += round;
     }
     let stats = client.finish().expect("finish");
-    ProducerRun { flush_rtts, acked: stats.edges_acked }
+    ProducerRun { drain_rtts, acked: stats.edges_acked }
 }
 
 /// Runs one producer count against a fresh server and drains to the
@@ -118,7 +118,7 @@ fn run_count(producers: usize, edges_per_producer: usize) -> Sample {
     let producer_elapsed = wall_started.elapsed();
 
     let edges_acked: u64 = runs.iter().map(|r| r.acked).sum();
-    let mut rtts: Vec<Duration> = runs.into_iter().flat_map(|r| r.flush_rtts).collect();
+    let mut rtts: Vec<Duration> = runs.into_iter().flat_map(|r| r.drain_rtts).collect();
     rtts.sort_unstable();
     let ack_p99 = rtts[(rtts.len() * 99 / 100).min(rtts.len() - 1)];
 

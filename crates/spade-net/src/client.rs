@@ -10,9 +10,12 @@
 //! queue is full holds the frame and stops reading this connection until
 //! the rest is enqueued, so back-pressure reaches the producer as TCP
 //! flow control — a blocked write or a late reply — and nothing is ever
-//! re-sent or reordered. [`flush`](SpadeNetClient::flush) drains every
+//! re-sent or reordered. [`drain`](SpadeNetClient::drain) waits out every
 //! in-flight frame, so when it returns every submitted edge has been
-//! **acknowledged** — i.e. enqueued into a shard on the server.
+//! **acknowledged** — i.e. enqueued into a shard on the server. Reading
+//! a detection is what applies the benign edges a grouped shard holds
+//! back: [`detect`](SpadeNetClient::detect)'s `Detect` is a barrier on
+//! every shard, and there is no separate flush request.
 
 use crate::wire::{
     write_frame, DetectionReply, FrameDecoder, MetricsReply, RawEdge, StatsReply, WireFrame,
@@ -116,19 +119,6 @@ impl SpadeNetClient {
         Ok(())
     }
 
-    /// Ships every staged edge, drains every in-flight frame, then
-    /// issues a wire-level Flush so shards apply buffered benign edges.
-    /// On return, every submitted edge sits in a shard queue on the
-    /// server.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.drain()?;
-        self.request(&WireFrame::Flush)?;
-        match self.read_reply()? {
-            WireFrame::Ack { .. } => Ok(()),
-            other => Err(unexpected(&other, "Ack")),
-        }
-    }
-
     /// Ships every staged edge and drains every in-flight frame, then
     /// asks for the merged global detection. `Detect` is a barrier on the
     /// server, so the answer covers every edge this client had
@@ -171,11 +161,11 @@ impl SpadeNetClient {
         }
     }
 
-    /// Flushes, then sends the end-of-stream Shutdown marker that stops
+    /// Drains, then sends the end-of-stream Shutdown marker that stops
     /// the server (the replay coordinator calls this once all producers
     /// have finished).
     pub fn shutdown_server(&mut self) -> std::io::Result<()> {
-        self.flush()?;
+        self.drain()?;
         self.request(&WireFrame::Shutdown)?;
         match self.read_reply()? {
             WireFrame::Ack { .. } => Ok(()),
@@ -183,15 +173,15 @@ impl SpadeNetClient {
         }
     }
 
-    /// Flushes and hands back the lifetime counters.
+    /// Drains and hands back the lifetime counters.
     pub fn finish(mut self) -> std::io::Result<ClientStats> {
-        self.flush()?;
+        self.drain()?;
         Ok(self.stats)
     }
 
     /// Ships every staged edge and drains every in-flight frame: on
-    /// return, every submitted edge is acknowledged. Sends no request of
-    /// its own, unlike [`flush`](Self::flush).
+    /// return, every submitted edge sits in a shard queue on the server.
+    /// Sends no request of its own.
     pub fn drain(&mut self) -> std::io::Result<()> {
         if !self.staged.is_empty() {
             self.send_staged()?;
@@ -298,7 +288,7 @@ mod tests {
             let mut client = SpadeNetClient::connect_with(addr, config).expect("connect");
             client.submit(VertexId(1), VertexId(2), 1.0).expect("staged");
             client.submit(VertexId(3), VertexId(4), 1.0).expect("shipped");
-            let err = client.flush().expect_err("the reply is a protocol violation");
+            let err = client.drain().expect_err("the reply is a protocol violation");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
             assert_eq!(client.stats().edges_acked, 0);
             server.join().expect("server thread");

@@ -33,16 +33,19 @@
 //! payload := u8 opcode | body
 //! ```
 //!
-//! Requests (protocol v6): `Batch` / `BatchBudget` (one ingest request,
+//! Requests (protocol v7): `Batch` / `BatchBudget` (one ingest request,
 //! without or with a latency budget — a single transaction is a one-edge
-//! `Batch`), `Flush`, `Detect`, `Stats`, `Shutdown`, `Metrics`, plus the
+//! `Batch`), `Detect`, `Stats`, `Shutdown`, `Metrics`, plus the
 //! shard-server operations `Region`, `Replicate`, and `Bootstrap` (served
 //! by [`ShardServer`], driven by [`SpadeRouter`]). Replies: `Ack`,
 //! `Detection`, `StatsReply`, `MetricsReply`, `RegionReply`,
 //! `BootstrapChunk`, `Error`. Retired opcodes stay reserved and decode
 //! as `BadOpcode`: `0x01` (the `Edge` request, v4), `0x82` (the `Busy`
-//! reply, v5), and `0x0A` / `0x0B` / `0x88` / `0x89` (component
-//! migration's `MigrateOut` / `Absorb` and their replies, v6).
+//! reply, v5), `0x0A` / `0x0B` / `0x88` / `0x89` (component
+//! migration's `MigrateOut` / `Absorb` and their replies, v6), and
+//! `0x03` (the `Flush` request, v7: a `Detect`'s barrier settles every
+//! shard's stage, so reading a detection is what applies held benign
+//! edges).
 //! The decoder rejects truncated, oversized,
 //! and structurally invalid frames with an error — never a panic —
 //! mirroring the overflow-safe section checks of the

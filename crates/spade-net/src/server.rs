@@ -300,7 +300,7 @@ impl SpadeNetServer {
     }
 }
 
-/// The sharded front end as the reactor's frame handler: ingest, flush,
+/// The sharded front end as the reactor's frame handler: ingest,
 /// read-your-acks detection and the two introspection requests, over the
 /// fan-in tier's [`ShardedSpadeService`].
 pub(crate) struct FrontEnd {
@@ -316,7 +316,6 @@ impl FrameHandler for FrontEnd {
                 let ingest = Ingest { edges, admitted: 0, budget };
                 return offer(&*self.service, &self.telemetry, ingest, Some(conn), out);
             }
-            Err(WireFrame::Flush) => flushed(self.service.flush()),
             Err(WireFrame::Detect) => match self.service.request_barrier() {
                 Some(pending) => {
                     let service = Arc::clone(&self.service);
@@ -483,17 +482,6 @@ pub(crate) fn offer(
     };
     reply.encode_into(out);
     step
-}
-
-/// The answer to `Flush`, given whether the runtime was still there to
-/// take the marker. Acked at once: the marker takes no queue room, so
-/// posting it never waits.
-pub(crate) fn flushed(posted: bool) -> (WireFrame, FrameStep) {
-    if posted {
-        (WireFrame::Ack { accepted: 0 }, FrameStep::Continue)
-    } else {
-        shut_down()
-    }
 }
 
 /// The answer to a request that found the runtime gone.

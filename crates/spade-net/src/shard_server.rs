@@ -7,8 +7,8 @@
 //! paper's §4 parallel incremental peeling promoted from threads to
 //! processes.
 //!
-//! Besides the ingest surface (`Batch` / `BatchBudget` / `Flush` /
-//! `Detect` / `Stats` / `Metrics` / `Shutdown`), a shard server answers
+//! Besides the ingest surface (`Batch` / `BatchBudget` / `Detect` /
+//! `Stats` / `Metrics` / `Shutdown`), a shard server answers
 //! the shard operations documented on their [`WireFrame`] variants.
 //! `Region` rides the worker's FIFO ingest queue, so its reply reflects
 //! every edge acknowledged before it; the other two keep the recovery
@@ -39,9 +39,11 @@
 //! same rule as the fan-in tier's (`server::offer`) — whatever does not
 //! fit the worker's queue parks its connection until it does. Every
 //! operation the worker must answer (`Detect`, `Stats`, `Region`) posts
-//! a marker, which takes no queue room and
-//! so is always enqueued at once, and parks on the reply channel; the
-//! journal operations answer inline. The loop re-checks a parked request
+//! a marker, which takes no queue room and so is always enqueued at
+//! once, and parks on the reply channel; the journal operations answer
+//! inline. Every such marker settles a grouped worker's stage, so the
+//! answer covers the benign edges the stage held back — the only way a
+//! router-tier client sees them. The loop re-checks a parked request
 //! when the worker reports what it waits for: freed queue room, or a
 //! reply sent.
 
@@ -55,8 +57,8 @@ use spade_core::service::SpadeService;
 
 use crate::reactor::{FrameHandler, FrameStep, Reactor, ReactorConfig};
 use crate::server::{
-    after_barriers, flushed, offer, shut_down, shutdown_requested, ConnCounters, Ingest,
-    NetTelemetry, Parked, ReplyPoll,
+    after_barriers, offer, shut_down, shutdown_requested, ConnCounters, Ingest, NetTelemetry,
+    Parked, ReplyPoll,
 };
 use crate::wire::{BootstrapChunk, DetectionReply, RawEdge, WireFrame};
 
@@ -229,7 +231,6 @@ impl ShardHandler {
             Ok(Some(poll)) => return self.retry(Parked::Reply(poll), out),
             Ok(None) => shut_down(),
             Err(frame) => match frame {
-                WireFrame::Flush => flushed(self.service.flush()),
                 WireFrame::Metrics => {
                     (self.telemetry.metrics_reply(self.service.metrics()), FrameStep::Continue)
                 }
@@ -355,7 +356,6 @@ mod tests {
             WireFrame::Ack { accepted } => assert_eq!(accepted, sent),
             other => panic!("unexpected reply: {other:?}"),
         }
-        assert!(matches!(request(&mut stream, &WireFrame::Flush), WireFrame::Ack { .. }));
         // Region rides the same FIFO queue, so it observes the batch.
         match request(&mut stream, &WireFrame::Region { hops: 1 }) {
             WireFrame::RegionReply(region) => {

@@ -47,8 +47,10 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// retired component migration: the `MigrateOut` and `Absorb` requests
 /// and their `SliceReply` and `AbsorbReply` answers (opcodes `0x0A`,
 /// `0x0B`, `0x88`, `0x89` reserved), since hash routing plus the repair
-/// pass is the one way a split community is put back together.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// pass is the one way a split community is put back together. Version
+/// 7 retired the `Flush` request (opcode `0x03` reserved): a `Detect`'s
+/// barrier settles every shard's stage, so nothing reads a flush's reply.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Most edges one `Batch` frame can carry within [`MAX_FRAME_BYTES`]
 /// (opcode byte + u32 count + 16 bytes per edge). A `BatchBudget` frame
@@ -95,7 +97,7 @@ pub const MAX_REGION_MEMBERS: usize = (MAX_FRAME_BYTES - 64) / 4;
 
 // 0x01 was the single-`Edge` request (retired in v4; never reuse it).
 const OP_BATCH: u8 = 0x02;
-const OP_FLUSH: u8 = 0x03;
+// 0x03 was the `Flush` request (retired in v7; never reuse it).
 const OP_DETECT: u8 = 0x04;
 const OP_STATS: u8 = 0x05;
 const OP_SHUTDOWN: u8 = 0x06;
@@ -270,8 +272,6 @@ pub enum WireFrame {
         /// The transactions, in submission order.
         edges: Vec<RawEdge>,
     },
-    /// Ask every shard to flush buffered benign edges.
-    Flush,
     /// Ask for the merged global detection — the read-your-acks request
     /// on both tiers: the server answers behind a barrier on every shard,
     /// so the reply covers every edge acknowledged before it on this
@@ -505,7 +505,6 @@ impl WireFrame {
         framed(out, |out| match self {
             WireFrame::Batch { edges } => put_batch(out, None, edges),
             WireFrame::BatchBudget { budget_us, edges } => put_batch(out, Some(*budget_us), edges),
-            WireFrame::Flush => out.push(OP_FLUSH),
             WireFrame::Detect => out.push(OP_DETECT),
             WireFrame::Stats => out.push(OP_STATS),
             WireFrame::Shutdown => out.push(OP_SHUTDOWN),
@@ -599,7 +598,6 @@ impl WireFrame {
                 budget_us: buf.u32()?,
                 edges: take_edges(&mut buf, "truncated budgeted batch")?,
             },
-            OP_FLUSH => WireFrame::Flush,
             OP_DETECT => WireFrame::Detect,
             OP_STATS => WireFrame::Stats,
             OP_SHUTDOWN => WireFrame::Shutdown,
@@ -706,7 +704,6 @@ impl WireFrame {
         match self {
             WireFrame::Batch { .. } => "Batch",
             WireFrame::BatchBudget { .. } => "BatchBudget",
-            WireFrame::Flush => "Flush",
             WireFrame::Detect => "Detect",
             WireFrame::Stats => "Stats",
             WireFrame::Shutdown => "Shutdown",
@@ -877,7 +874,6 @@ mod tests {
             edges: vec![(v(0), v(1), 1.0), (v(9), v(7), 0.25)],
         });
         roundtrip(WireFrame::BatchBudget { budget_us: 0, edges: Vec::new() });
-        roundtrip(WireFrame::Flush);
         roundtrip(WireFrame::Detect);
         roundtrip(WireFrame::Stats);
         roundtrip(WireFrame::Shutdown);
@@ -1067,13 +1063,14 @@ mod tests {
 
         assert!(matches!(WireFrame::decode_payload(&[]), Err(WireError::Corrupt(_))));
         // Unknown and retired opcodes alike: 0x01 (`Edge`, v4), 0x82
-        // (`Busy`, v5), 0x0A / 0x0B / 0x88 / 0x89 (the migration frames, v6).
-        for op in [0x7f, 0x01, 0x82, 0x0A, 0x0B, 0x88, 0x89] {
+        // (`Busy`, v5), 0x0A / 0x0B / 0x88 / 0x89 (the migration frames,
+        // v6), 0x03 (`Flush`, v7).
+        for op in [0x7f, 0x01, 0x82, 0x0A, 0x0B, 0x88, 0x89, 0x03] {
             let decoded = WireFrame::decode_payload(&[op, 0, 0, 0, 0]);
             assert!(matches!(decoded, Err(WireError::BadOpcode(got)) if got == op), "0x{op:02x}");
         }
         // Trailing bytes after a fixed-size body.
-        let mut trailing = WireFrame::Flush.encode()[4..].to_vec();
+        let mut trailing = WireFrame::Detect.encode()[4..].to_vec();
         trailing.push(0);
         assert!(matches!(WireFrame::decode_payload(&trailing), Err(WireError::Corrupt(_))));
     }

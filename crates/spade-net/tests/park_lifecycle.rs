@@ -94,12 +94,12 @@ fn wire_counter(conn: &mut TcpStream, name: &str) -> u64 {
 }
 
 /// Lets the worker move and reads what A pipelined: one Ack for the whole
-/// frame, then the Flush's Ack, then a Detection that covers `applied`
+/// frame, then the Metrics reply, then a Detection that covers `applied`
 /// edges — every one acked by then.
 fn replies_arrive_whole_and_in_order(gate: &AtomicBool, a: &mut TcpStream, applied: u64) {
     gate.store(true, Ordering::Release);
     assert_eq!(read_frame(a).unwrap(), Some(WireFrame::Ack { accepted: FRAME_EDGES }));
-    assert_eq!(read_frame(a).unwrap(), Some(WireFrame::Ack { accepted: 0 }));
+    assert!(matches!(read_frame(a).unwrap(), Some(WireFrame::MetricsReply(_))));
     let Some(WireFrame::Detection(det)) = read_frame(a).unwrap() else {
         panic!("expected a Detection");
     };
@@ -115,7 +115,7 @@ fn request(conn: &mut TcpStream, frame: &WireFrame) -> WireFrame {
 fn a_parked_frame_holds_only_its_own_connection_and_its_replies_stay_in_order() {
     let (gate, service, server) = gated_server();
     let mut a = park_a_producer(server.local_addr(), || server.stats().busy_replies);
-    write_frame(&mut a, &WireFrame::Flush).expect("flush behind the parked batch");
+    write_frame(&mut a, &WireFrame::Metrics).expect("metrics behind the parked batch");
     write_frame(&mut a, &WireFrame::Detect).expect("detect behind the parked batch");
 
     // B shares A's event loop and is served while A waits.
@@ -161,7 +161,7 @@ fn a_shard_server_parks_a_batch_on_its_full_queue_and_acks_it_whole_in_order() {
     let mut a = park_a_producer(server.local_addr(), || {
         wire_counter(&mut b, "spade_net_busy_replies_total")
     });
-    write_frame(&mut a, &WireFrame::Flush).expect("flush behind the parked batch");
+    write_frame(&mut a, &WireFrame::Metrics).expect("metrics behind the parked batch");
     write_frame(&mut a, &WireFrame::Detect).expect("detect behind the parked batch");
     assert_eq!(wire_counter(&mut b, "spade_net_busy_replies_total"), 1);
     assert_eq!(
@@ -433,19 +433,10 @@ fn a_detect_covers_its_own_acks_behind_an_in_process_backlog() {
     assert_eq!(service.shutdown().total_updates, BACKLOG as u64 + ring.len() as u64);
 }
 
-/// A `Detect` settles a grouped stage: after an urgent clique and a
-/// benign batch, a raw `Detect` covers all 22 acked edges, and the
-/// benign ten are resident in the engine, not held in the stage.
-#[test]
-fn a_detect_covers_benign_edges_held_by_a_grouped_stage() {
-    let config = ShardedConfig {
-        shards: 1,
-        grouping: Some(GroupingConfig::default()),
-        ..Default::default()
-    };
-    let service = Arc::new(ShardedSpadeService::spawn(WeightedDensity, config));
-    let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
-    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+/// Acks an urgent clique and a benign batch over one connection to
+/// `addr`, then sends a raw `Detect`; returns the updates it covers.
+fn detect_after_urgent_and_benign_batches(addr: SocketAddr) -> u64 {
+    let mut conn = TcpStream::connect(addr).expect("connect");
     let urgent = clique(0, 50.0);
     let benign: Vec<_> = (100..110u32).map(|i| (VertexId(i), VertexId(i + 1), 1.0)).collect();
     for edges in [urgent, benign] {
@@ -455,10 +446,37 @@ fn a_detect_covers_benign_edges_held_by_a_grouped_stage() {
     let WireFrame::Detection(det) = request(&mut conn, &WireFrame::Detect) else {
         panic!("expected a Detection");
     };
+    det.updates_applied
+}
+
+/// A `Detect` settles a grouped stage on both tiers: after an urgent
+/// clique and a benign batch, a raw `Detect` covers all 22 acked edges,
+/// and the benign ten are resident in the engine, not held in the stage.
+/// On a shard server this is the only way a router-tier client sees
+/// held benign edges.
+#[test]
+fn a_detect_covers_benign_edges_held_by_a_grouped_stage() {
+    let config = ShardedConfig {
+        shards: 1,
+        grouping: Some(GroupingConfig::default()),
+        ..Default::default()
+    };
+    let service = Arc::new(ShardedSpadeService::spawn(WeightedDensity, config));
+    let server = SpadeNetServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let updates = detect_after_urgent_and_benign_batches(server.local_addr());
     let resident = service.stats()[0].service.edges_resident;
-    assert_eq!((det.updates_applied, resident), (22, 22));
-    drop(conn);
+    assert_eq!((updates, resident), (22, 22));
     server.shutdown();
     let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("a loop still holds it"));
     assert_eq!(service.shutdown().total_updates, 22);
+
+    let engine = SpadeEngine::new(WeightedDensity);
+    let service = Arc::new(SpadeService::spawn(engine, Some(GroupingConfig::default()), 1024));
+    let server = ShardServer::spawn(Arc::clone(&service), &ShardServerConfig::default()).unwrap();
+    let updates = detect_after_urgent_and_benign_batches(server.local_addr());
+    let resident = service.stats().edges_resident;
+    assert_eq!((updates, resident), (22, 22));
+    drop(service);
+    let service = Arc::try_unwrap(server.into_service()).unwrap_or_else(|_| panic!("shared"));
+    assert_eq!(service.shutdown().updates_applied, 22);
 }

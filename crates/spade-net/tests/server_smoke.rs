@@ -202,12 +202,12 @@ fn raw_frame(opcode: u8, body: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Protocol v4 retired the single-`Edge` request, v5 the `Busy` reply
-/// and v6 component migration (`MigrateOut`, `Absorb` and their
-/// `SliceReply` / `AbsorbReply` answers): opcodes `0x01`, `0x82`, `0x0A`,
-/// `0x0B`, `0x88` and `0x89` stay reserved, so a well-formed old frame of
-/// any of these kinds earns `Error` + close on both servers and never
-/// reaches an engine.
+/// Protocol v4 retired the single-`Edge` request, v5 the `Busy` reply,
+/// v6 component migration (`MigrateOut`, `Absorb` and their
+/// `SliceReply` / `AbsorbReply` answers) and v7 the `Flush` request:
+/// opcodes `0x01`, `0x82`, `0x0A`, `0x0B`, `0x88`, `0x89` and `0x03` stay
+/// reserved, so a well-formed old frame of any of these kinds earns
+/// `Error` + close on both servers and never reaches an engine.
 #[test]
 fn the_retired_edge_opcode_is_refused_by_both_servers() {
     let mut edge = 1u32.to_le_bytes().to_vec();
@@ -227,6 +227,7 @@ fn the_retired_edge_opcode_is_refused_by_both_servers() {
         (raw_frame(0x0B, &slice), "0x0b"),
         (raw_frame(0x88, &slice), "0x88"),
         (raw_frame(0x89, &receipt), "0x89"),
+        (raw_frame(0x03, &[]), "0x03"),
     ];
     let refused = |addr: std::net::SocketAddr| {
         for (frame, opcode) in &retired {

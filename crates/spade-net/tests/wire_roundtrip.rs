@@ -123,7 +123,6 @@ fn arb_frame() -> impl Strategy<Value = WireFrame> {
             .prop_map(|(owner, after)| WireFrame::Bootstrap { owner, after }),
         1 => region_reply,
         1 => bootstrap_chunk,
-        1 => Just(WireFrame::Flush),
         1 => Just(WireFrame::Detect),
         1 => Just(WireFrame::Stats),
         1 => Just(WireFrame::Shutdown),

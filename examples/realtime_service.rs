@@ -49,7 +49,9 @@ fn main() {
             }
         }
     }
-    service.flush();
+    // The worker settles its stage (held benign edges included) behind
+    // the edges above; the moderator below polls for the result.
+    assert!(service.request_barrier().is_some());
 
     // A moderator polls the published detection without touching ingest.
     let mut last = service.current_detection();

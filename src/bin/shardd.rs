@@ -2,7 +2,7 @@
 //! harness (`tests/distributed_exactness.rs`,
 //! `tests/distributed_recovery.rs`).
 //!
-//! Hosts one `WeightedDensity` detection engine behind the protocol-v6
+//! Hosts one `WeightedDensity` detection engine behind the protocol-v7
 //! shard listener and prints the bound address as the first stdout line
 //! (always port 0 → a fresh kernel-chosen port, so a restarted shard
 //! never trips over a `TIME_WAIT` predecessor). The harness SIGKILLs

@@ -44,14 +44,14 @@ const SELF: &str = "lock_order";
 
 #[test]
 fn real_runtime_paths_produce_an_acyclic_order_graph() {
-    // Solo service: submit, batch, flush, region export, shutdown.
+    // Solo service: submit, batch, barrier, region export, shutdown.
     let service = SpadeService::spawn(SpadeEngine::new(WeightedDensity), None, 256);
     for i in 0..50u32 {
         assert!(service.submit(VertexId(i), VertexId(i + 1), 1.0));
     }
     let batch: Vec<_> = (50..80u32).map(|i| (VertexId(i), VertexId(i + 1), 1.0)).collect();
     assert!(service.submit_batch(batch, None));
-    assert!(service.flush());
+    assert!(service.request_barrier().is_some());
     assert!(service.candidate_region(2).is_some());
     let _ = service.current_detection();
     let _ = service.stats();
@@ -69,7 +69,7 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     let batch: Vec<_> = (0..100u32).map(|i| (VertexId(i), VertexId(i + 7), 2.0)).collect();
     let accepted = sharded.submit_batch(&batch, None);
     assert!(!accepted.closed);
-    assert!(sharded.flush());
+    assert!(sharded.request_barrier().is_some());
     let _ = sharded.repair();
     let _ = sharded.stats();
     let _ = sharded.metrics();
@@ -92,7 +92,7 @@ fn real_runtime_paths_produce_an_acyclic_order_graph() {
     for i in 0..100u32 {
         client.submit(VertexId(i), VertexId(i + 1), 1.0).expect("submit");
     }
-    client.flush().expect("flush");
+    client.drain().expect("drain");
     let _ = client.detect().expect("detect");
     let _ = client.server_stats().expect("stats");
     let _ = client.finish().expect("finish");

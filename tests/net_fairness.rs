@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Edges each drip producer pushes, one flush round trip at a time.
+/// Edges each drip producer pushes, one ack round trip at a time.
 const DRIP_EDGES: u32 = 120;
 /// No single drip ack may wait longer than this — a connection going
 /// unserviced for a full drain cycle shows up here first.
@@ -47,7 +47,7 @@ fn spawn_server(shards: usize) -> (Arc<ShardedSpadeService>, SpadeNetServer) {
     (service, server)
 }
 
-/// One drip producer: single-edge batches, one flush round trip per
+/// One drip producer: single-edge batches, one ack round trip per
 /// edge. Returns per-edge ack latencies (submit → every ack drained).
 fn drip(addr: std::net::SocketAddr, base: u32) -> (Vec<Duration>, u64) {
     let mut client = SpadeNetClient::connect_with(
@@ -59,7 +59,7 @@ fn drip(addr: std::net::SocketAddr, base: u32) -> (Vec<Duration>, u64) {
     for i in 0..DRIP_EDGES {
         let started = Instant::now();
         client.submit(VertexId(base + i), VertexId(base + i + 1), 2.0).expect("submit");
-        client.flush().expect("flush");
+        client.drain().expect("drain");
         latencies.push(started.elapsed());
     }
     let stats = client.finish().expect("finish");
@@ -115,7 +115,7 @@ fn a_firehose_cannot_starve_drip_producers() {
     let mut worst_ack = Duration::ZERO;
     for (d, handle) in drips.into_iter().enumerate() {
         let (mut latencies, acked) = handle.join().expect("drip thread");
-        // Starvation would first show up as lost acks: flush() returns
+        // Starvation would first show up as lost acks: drain() returns
         // only once the server has acknowledged every edge.
         assert_eq!(acked, u64::from(DRIP_EDGES), "drip {d}: every edge must be acknowledged");
         let max = *latencies.iter().max().expect("non-empty");

@@ -225,9 +225,9 @@ proptest! {
             submitted += 1;
         }
         if flush_early {
-            // A flush wakes the spring wait immediately; otherwise the
+            // A barrier wakes the spring wait immediately; otherwise the
             // final partial batch is held until its budget boundary.
-            prop_assert!(service.flush());
+            prop_assert!(service.request_barrier().is_some());
         }
         let deadline = Instant::now() + budget + Duration::from_secs(10);
         while service.stats().updates_applied < submitted {
